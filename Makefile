@@ -8,7 +8,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: ci lint lint-concurrency typecheck test bench-smoke bench-serve chaos test-threaded serve-soak
+.PHONY: ci lint lint-concurrency typecheck test bench bench-compare bench-smoke bench-serve chaos test-threaded serve-soak
 
 ci: lint lint-concurrency typecheck test bench-smoke bench-serve test-threaded
 
@@ -39,6 +39,18 @@ test:
 # benchmarks/test_continuous.py and refresh BENCH_continuous.json)
 bench-smoke:
 	$(PYTHON) -m pytest -x -q benchmarks --ignore=benchmarks/test_serving.py
+
+# The layered benchmark (BENCHMARK.json): seven workloads, end-to-end
+# metrics untraced, per-layer metrics from a traced repetition; writes
+# benchmarks/layered/out/results.json (~3.5 min).  A before/after row is
+# two of those files, from two checkouts, fed to bench-compare:
+#   make bench-compare A=../parent/benchmarks/layered/out/results.json \
+#                      B=benchmarks/layered/out/results.json
+bench:
+	python3 benchmarks/layered/run.py --seed 1
+
+bench-compare:
+	python3 benchmarks/layered/compare.py $(A) $(B)
 
 # Scripted fault-injection runs only: the resilience layer's chaos suite
 # (deterministic under the virtual clock — same seed, same run).

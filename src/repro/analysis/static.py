@@ -53,6 +53,7 @@ REGISTRY: dict[str, tuple[str, ...]] = {
     "observability/tracer.py": ("QueryTracer",),
     "relational/database.py": ("SourceStats",),
     "relational/prepared.py": ("StatementCache",),
+    "relational/table.py": ("Table",),
     "resilience/manager.py": ("ResilienceManager", "SourceGuard"),
     "resilience/policy.py": ("CircuitBreaker",),
     "runtime/asyncexec.py": ("AsyncExecutor",),

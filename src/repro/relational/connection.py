@@ -67,7 +67,7 @@ class Connection:
         start = self.db.clock.now_ms()
         with self.tracer.start("source.roundtrip", self.db.name) as span:
             self.db.check_call()
-            rows = Executor(self.db, params, tables=prepared.tables).execute(prepared.stmt)
+            rows = Executor(self.db, params, plan=prepared.plan).execute(prepared.stmt)
             if not isinstance(rows, list):
                 raise SourceError(f"expected a query, got DML: {prepared.sql}")
             if self.db.faults is not None:
@@ -93,9 +93,9 @@ class Connection:
         with self.tracer.start("source.roundtrip", self.db.name, dml=True) as span:
             self.db.check_call()
             if self._txn is not None:
-                count = self._txn.execute(prepared.stmt, params, tables=prepared.tables)
+                count = self._txn.execute(prepared.stmt, params, plan=prepared.plan)
             else:
-                count = Executor(self.db, params, tables=prepared.tables).execute(prepared.stmt)
+                count = Executor(self.db, params, plan=prepared.plan).execute(prepared.stmt)
             if not isinstance(count, int):
                 raise SourceError(f"expected DML, got a query: {prepared.sql}")
             self.db.charge_roundtrip(count, prepared.sql)

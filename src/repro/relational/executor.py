@@ -7,12 +7,23 @@ which is what keeps pushed outer joins *clustered* on the outer key — the
 property ALDSP's streaming group-by relies on, section 4.2), grouping and
 aggregates, DISTINCT, CASE, EXISTS, IN, LIKE, ROWNUM / ROW_NUMBER() OVER
 pagination, positional parameters, and three-valued NULL logic.
+
+A statement is compiled once, by :func:`compile_statement`, into closures
+over an *environment*: the list ``[params, group, rownum, row, row, ...]``
+with one row per FROM entry in scope, a subquery's own entries following
+its enclosing query's.  Every ``ColumnRef`` is resolved at compile time to
+the slot of the entry it names, so running a statement walks no tree and
+searches no scope chain.  The compiled plan also picks each table's access
+path (:class:`_Scan`) and hashes equi-joins (DESIGN.md, P-BACKEND).
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
-from typing import Iterable, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, Optional, Sequence
 
 from ..errors import SQLError
 from ..sql.ast_nodes import (
@@ -29,7 +40,6 @@ from ..sql.ast_nodes import (
     IsNull,
     Join,
     NotExpr,
-    OrderItem,
     Param,
     RowNumberOver,
     RowNumExpr,
@@ -43,488 +53,637 @@ from ..sql.ast_nodes import (
     Update,
 )
 from .database import Database
+from .table import Table
 
-_AGG_SENTINEL = object()
+#: the fixed slots of an environment; FROM rows start at ``_ROWS``
+_PARAMS, _GROUP, _ROWNUM, _ROWS = 0, 1, 2, 3
 
-
-class _Env:
-    """Alias -> row bindings with a link to the enclosing (outer) scope for
-    correlated subqueries."""
-
-    __slots__ = ("bindings", "outer", "rownum")
-
-    def __init__(self, bindings: dict[str, dict], outer: "Optional[_Env]" = None,
-                 rownum: int | None = None):
-        self.bindings = bindings
-        self.outer = outer
-        self.rownum = rownum
-
-    def child(self, bindings: dict[str, dict]) -> "_Env":
-        return _Env(bindings, outer=self)
-
-    def resolve(self, table: Optional[str], column: str):
-        env: Optional[_Env] = self
-        while env is not None:
-            if table is not None:
-                row = env.bindings.get(table)
-                if row is not None and column in row:
-                    return row[column]
-            else:
-                for row in env.bindings.values():
-                    if column in row:
-                        return row[column]
-            env = env.outer
-        raise SQLError(f"unknown column {table + '.' if table else ''}{column}")
+#: a compiled expression: environment -> SQL value (None is NULL / unknown)
+Compiled = Callable[[list], object]
 
 
 class Executor:
+    """Runs one statement against a database with one parameter list.
+
+    ``plan`` is the statement's compiled form when the caller prepared it
+    (see :mod:`repro.relational.prepared`); without one, ``execute``
+    compiles the AST it is given on the spot."""
+
     def __init__(self, database: Database, params: Sequence | None = None,
-                 tables: dict | None = None):
+                 plan: Callable | None = None):
         self.db = database
         self.params = list(params or [])
-        #: tables pre-resolved at prepare time (see relational.prepared);
-        #: names outside the prepared set fall back to the live catalog
-        self._tables = tables or {}
-
-    def _table(self, name: str):
-        table = self._tables.get(name)
-        return table if table is not None else self.db.table(name)
-
-    # -- entry points ---------------------------------------------------------
+        self._plan = plan
 
     def execute(self, stmt) -> list[dict] | int:
         """Execute a statement.  SELECT returns rows (alias -> value);
         DML returns the affected-row count."""
-        if isinstance(stmt, Select):
-            return self.select(stmt)
-        if isinstance(stmt, Insert):
-            return self._insert(stmt)
-        if isinstance(stmt, Update):
-            return self._update(stmt)
-        if isinstance(stmt, Delete):
-            return self._delete(stmt)
+        plan = self._plan or compile_statement(stmt, self.db.table)
+        return plan(self.params)
+
+
+def compile_statement(stmt, lookup: Callable[[str], Table]) -> Callable:
+    """Compile a statement into ``plan(params) -> rows | count``.
+
+    ``lookup`` resolves a table name; the plan holds the tables it found,
+    so it is valid until DDL replaces one of them."""
+    if isinstance(stmt, Select):
+        run = _select(stmt, None, lookup)
+    elif isinstance(stmt, Insert):
+        run = _insert(stmt, lookup)
+    elif isinstance(stmt, (Update, Delete)):
+        run = _update_or_delete(stmt, lookup)
+    else:
         raise SQLError(f"cannot execute {type(stmt).__name__}")
+    return lambda params: run([params, None, None])
 
-    # -- SELECT -----------------------------------------------------------------
 
-    def select(self, stmt: Select, outer: Optional[_Env] = None) -> list[dict]:
-        envs = self._from(stmt.from_items, outer)
-        if stmt.where is not None:
-            envs = [env for env in envs if self._truth(self._eval(stmt.where, env))]
+# ---------------------------------------------------------------------------
+# Name resolution and access paths
+# ---------------------------------------------------------------------------
 
-        aggregated = bool(stmt.group_by) or any(
-            _contains_aggregate(item.expr) for item in stmt.items
-        )
-        if aggregated:
-            rows = self._aggregate(stmt, envs)
+
+class _Scope:
+    """Compile-time view of an environment: which slot holds which FROM
+    entry, with a link to the enclosing query's scope for correlated
+    subqueries."""
+
+    def __init__(self, outer: "Optional[_Scope]", lookup: Callable | None = None):
+        self.outer = outer
+        self.lookup = lookup or outer.lookup
+        self.base = outer.width if outer is not None else _ROWS
+        self.entries: list[tuple[str, list[str]]] = []
+
+    @property
+    def width(self) -> int:
+        return self.base + len(self.entries)
+
+    def add(self, alias: str, columns: list[str]) -> int:
+        self.entries.append((alias, columns))
+        return self.width - 1
+
+    def slot(self, ref: ColumnRef) -> int:
+        scope: Optional[_Scope] = self
+        while scope is not None:
+            for offset, (alias, columns) in enumerate(scope.entries):
+                if ref.table in (None, alias) and ref.column in columns:
+                    return scope.base + offset
+            scope = scope.outer
+        raise SQLError(f"unknown column {ref!r}")
+
+    def null_rows(self, start: int) -> list[dict]:
+        """All-NULL rows for the entries from slot ``start`` on."""
+        return [dict.fromkeys(columns) for _alias, columns in self.entries[start - self.base:]]
+
+
+class _Scan:
+    """How one table of a FROM clause (or a DML target) is read: through the
+    table's hash index when a top-level conjunct of the WHERE pins one of
+    its columns to values that are fixed while the clause is evaluated,
+    otherwise row by row.  A probe only narrows the candidates — the whole
+    WHERE still runs on them."""
+
+    __slots__ = ("table", "slot", "column", "keys")
+
+    def __init__(self, table: Table, slot: int):
+        self.table = table
+        self.slot = slot
+        self.column: str | None = None
+        self.keys: list[Compiled] = []
+
+    def choose(self, where: SqlExpr | None, scope: _Scope) -> None:
+        """Called once every entry of the FROM clause is in ``scope``."""
+        for conjunct in _conjuncts(where):
+            found = self._pinned(conjunct, scope)
+            if found is not None:
+                self.column, keys = found
+                self.keys = [_expr(key, scope) for key in keys]
+                return
+
+    def _pinned(self, expr: SqlExpr, scope: _Scope) -> tuple[str, list[SqlExpr]] | None:
+        """``(column, keys)`` when ``expr`` is ``column = key``, an OR of
+        those on one column, or ``column IN (keys)``."""
+        def mine(ref) -> bool:
+            return isinstance(ref, ColumnRef) and scope.slot(ref) == self.slot
+
+        def fixed(key) -> bool:
+            return isinstance(key, (Param, SqlLiteral)) or (
+                isinstance(key, ColumnRef) and scope.slot(key) < scope.base)
+
+        if isinstance(expr, BinOp) and expr.op == "OR":
+            left, right = self._pinned(expr.left, scope), self._pinned(expr.right, scope)
+            if left and right and left[0] == right[0]:
+                return left[0], left[1] + right[1]
+        elif isinstance(expr, BinOp) and expr.op == "=":
+            for ref, key in ((expr.left, expr.right), (expr.right, expr.left)):
+                if mine(ref) and fixed(key):
+                    return ref.column, [key]
+        elif isinstance(expr, InList) and not expr.negated and mine(expr.operand) \
+                and all(fixed(value) for value in expr.values):
+            return expr.operand.column, list(expr.values)
+        return None
+
+    def pairs(self, env: list) -> list[tuple[int, dict]]:
+        """The candidate rows, with their positions, in table order."""
+        if self.column is None:
+            return list(enumerate(self.table.rows))
+        return self.table.probe(self.column, [key(env) for key in self.keys])
+
+    def rows(self, env: list) -> list[dict]:
+        if self.column is None:
+            return self.table.rows
+        return [row for _position, row in self.pairs(env)]
+
+
+def _conjuncts(expr: SqlExpr | None) -> list[SqlExpr]:
+    if isinstance(expr, BinOp) and expr.op == "AND":
+        return _conjuncts(expr.left) + _conjuncts(expr.right)
+    return [] if expr is None else [expr]
+
+
+# ---------------------------------------------------------------------------
+# SELECT
+# ---------------------------------------------------------------------------
+
+
+def _select(stmt: Select, outer: _Scope | None, lookup: Callable | None = None) -> Callable:
+    """Compile a (sub)query into ``run(env) -> rows``; ``env`` is the
+    enclosing query's environment, or the bare fixed slots."""
+    scope = _Scope(outer, lookup)
+    scans: list[_Scan] = []
+    sources = [_from_item(item, scope, scans) for item in stmt.from_items]
+    for scan in scans:
+        scan.choose(stmt.where, scope)
+    where = _expr(stmt.where, scope) if stmt.where is not None else None
+
+    aliases = _output_aliases(stmt.items)
+    items = [(alias, _expr(item.expr, scope)) for alias, item in zip(aliases, stmt.items)]
+    grouped = bool(stmt.group_by) or any(_contains_aggregate(item.expr) for item in stmt.items)
+    group_by = [_expr(expr, scope) for expr in stmt.group_by]
+    having = _expr(stmt.having, scope) if stmt.having is not None else None
+    # an aggregate over no rows still yields one group, of all-NULL rows
+    no_rows = scope.null_rows(scope.base) if grouped and not group_by else None
+
+    window = next((item.expr for item in stmt.items if isinstance(item.expr, RowNumberOver)), None)
+    window_key = None
+    if window is not None:
+        terms = [(_expr(term.expr, scope), term.descending) for term in window.order_by]
+        window_key = lambda env: [_NullKey(fn(env), descending) for fn, descending in terms]
+    window_alias = next((alias for alias, item in zip(aliases, stmt.items)
+                         if item.expr is window), None)
+
+    # ORDER BY may name an output alias or a source expression.
+    own = {alias for alias, _columns in scope.entries}
+    order: list[tuple[Compiled | None, str, bool]] = []
+    for term in stmt.order_by:
+        expr = term.expr
+        by_alias = isinstance(expr, ColumnRef) and expr.column in aliases and (
+            expr.table is None or expr.table not in own)
+        order.append((None if by_alias else _expr(expr, scope),
+                      expr.column if by_alias else "", term.descending))
+
+    def order_key(entry):
+        row, env = entry
+        # NULLs sort first ascending / last descending (stable rule).
+        return [_NullKey(row[name] if fn is None else fn(env), descending)
+                for fn, name, descending in order]
+
+    def project(envs):
+        if window_key is not None:
+            envs = sorted(envs, key=window_key)
+        rows = []
+        for position, env in enumerate(envs, start=1):
+            env[_ROWNUM] = position
+            rows.append(({alias: fn(env) for alias, fn in items}, env))
+        return rows
+
+    def aggregate(envs, outer_env):
+        if group_by:
+            groups: dict[tuple, list] = {}
+            for env in envs:
+                groups.setdefault(tuple(key(env) for key in group_by), []).append(env)
+            partitions = list(groups.values())
         else:
-            rows = self._project(stmt, envs)
+            partitions = [envs]
+        rows = []
+        for group in partitions:
+            representative = list(group[0]) if group else outer_env + no_rows
+            representative[_GROUP] = group
+            if having is not None and not _truth(having(representative)):
+                continue
+            rows.append(({alias: fn(representative) for alias, fn in items}, representative))
+        if window_key is not None:
+            rows.sort(key=lambda entry: window_key(entry[1]))
+            for position, (row, _env) in enumerate(rows, start=1):
+                row[window_alias] = position
+        return rows
 
+    def run(outer_env: list) -> list[dict]:
+        envs = [list(outer_env)]  # project() numbers environments in place
+        for extend in sources:
+            envs = extend(envs)
+        if where is not None:
+            envs = [env for env in envs if _truth(where(env))]
+        rows = aggregate(envs, outer_env) if grouped else project(envs)
         if stmt.distinct:
-            seen: set[tuple] = set()
-            unique = []
-            for row, env, group in rows:
-                key = tuple(sorted(row.items()))
-                if key not in seen:
-                    seen.add(key)
-                    unique.append((row, env, group))
-            rows = unique
-
-        if stmt.order_by:
-            rows = self._order(stmt.order_by, rows)
-
-        result = [row for row, _env, _group in rows]
+            unique: dict[tuple, tuple] = {}
+            for entry in rows:
+                unique.setdefault(tuple(entry[0].values()), entry)
+            rows = list(unique.values())
+        if order:
+            rows.sort(key=order_key)
+        result = [row for row, _env in rows]
         if stmt.fetch is not None:
             offset, count = stmt.fetch
             lo = max(0, offset - 1)
             result = result[lo:] if count is None else result[lo : max(lo, offset - 1 + count)]
         return result
 
-    def _project(self, stmt: Select, envs: list[_Env]):
-        aliases = _output_aliases(stmt.items)
-        window = _find_window(stmt.items)
-        if window is not None:
-            envs = self._sorted_envs(envs, window.order_by)
-        rows = []
-        for position, env in enumerate(envs, start=1):
-            env.rownum = position
-            row = {}
-            for alias, item in zip(aliases, stmt.items):
-                row[alias] = self._eval(item.expr, env, position=position)
-            rows.append((row, env, None))
-        return rows
+    return run
 
-    def _aggregate(self, stmt: Select, envs: list[_Env]):
-        aliases = _output_aliases(stmt.items)
-        if stmt.group_by:
-            groups: dict[tuple, list[_Env]] = {}
-            order: list[tuple] = []
-            for env in envs:
-                key = tuple(_hashable(self._eval(expr, env)) for expr in stmt.group_by)
-                if key not in groups:
-                    groups[key] = []
-                    order.append(key)
-                groups[key].append(env)
-            grouped = [groups[key] for key in order]
-        else:
-            grouped = [envs]
-        window = _find_window(stmt.items)
-        window_alias = None
-        if window is not None:
-            for alias, item in zip(aliases, stmt.items):
-                if item.expr is window:
-                    window_alias = alias
-        rows = []
-        for group in grouped:
-            representative = group[0] if group else _Env({})
-            if stmt.having is not None:
-                if not self._truth(self._eval(stmt.having, representative, group=group)):
-                    continue
-            row = {}
-            for alias, item in zip(aliases, stmt.items):
-                if isinstance(item.expr, RowNumberOver):
-                    row[alias] = None  # filled after window ordering
-                    continue
-                row[alias] = self._eval(item.expr, representative, group=group)
-            rows.append((row, representative, group))
-        if window is not None and window_alias is not None:
-            def window_key(entry):
-                _row, env, group = entry
-                return [
-                    _NullKey(self._eval(o.expr, env, group=group), o.descending)
-                    for o in window.order_by
-                ]
 
-            rows.sort(key=window_key)
-            for position, (row, _env, _group) in enumerate(rows, start=1):
-                row[window_alias] = position
-        return rows
+# -- FROM ---------------------------------------------------------------------
 
-    def _order(self, order_by: list[OrderItem], rows):
-        def key_for(entry):
-            row, env, group = entry
-            keys = []
-            for item in order_by:
-                value = self._order_key(item.expr, row, env, group)
-                # NULLs sort first ascending / last descending (stable rule).
-                keys.append((_NullKey(value, item.descending)))
-            return keys
 
-        return sorted(rows, key=key_for)
+def _from_item(item: FromItem, scope: _Scope, scans: list[_Scan]) -> Callable:
+    """Compile a FROM item into ``extend(envs) -> envs``: every environment
+    extended by every combination of rows the item binds, in order."""
+    if isinstance(item, TableRef):
+        table = scope.lookup(item.name)
+        scan = _Scan(table, scope.add(item.alias, table.column_names()))
+        scans.append(scan)
+        return lambda envs: [env + [row] for env in envs for row in scan.rows(env)]
+    if isinstance(item, SubqueryRef):
+        subquery = _select(item.subquery, scope)
+        scope.add(item.alias, _output_aliases(item.subquery.items))
+        return lambda envs: [env + [row] for env in envs for row in subquery(env)]
+    if isinstance(item, Join):
+        return _join(item, scope, scans)
+    raise SQLError(f"cannot evaluate FROM item {type(item).__name__}")
 
-    def _order_key(self, expr: SqlExpr, row: dict, env: _Env, group):
-        # ORDER BY may reference output aliases or source expressions.
-        if isinstance(expr, ColumnRef) and expr.column in row and (
-            expr.table is None or expr.table not in env.bindings
-        ):
-            return row[expr.column]
-        return self._eval(expr, env, group=group)
 
-    def _sorted_envs(self, envs: list[_Env], order_by: list[OrderItem]) -> list[_Env]:
-        def key_for(env: _Env):
-            return [_NullKey(self._eval(item.expr, env), item.descending) for item in order_by]
+def _join(join: Join, scope: _Scope, scans: list[_Scan]) -> Callable:
+    """Left-order-preserving join: for each left binding, all matching
+    right bindings are emitted contiguously, in right order.  This is what
+    keeps pushed outer joins clustered on the outer key.  When a conjunct
+    of the condition equates a left column with a right column, the right
+    input is hashed on it once and only the bucket of the left row's key
+    is tested against the condition; otherwise every pair is."""
+    left = _from_item(join.left, scope, scans)
+    split = scope.width
+    right = _from_item(join.right, scope, scans)
+    null_right = scope.null_rows(split)
+    left_outer = join.kind == "left"
 
-        return sorted(envs, key=key_for)
+    # without an equality to hash on, every right row lands in one bucket
+    left_key = right_key = lambda env: True
+    for conjunct in _conjuncts(join.condition):
+        if isinstance(conjunct, BinOp) and conjunct.op == "=" \
+                and isinstance(conjunct.left, ColumnRef) and isinstance(conjunct.right, ColumnRef):
+            sides = sorted((conjunct.left, conjunct.right), key=scope.slot)
+            if scope.slot(sides[0]) < split <= scope.slot(sides[1]):
+                left_key, right_key = _expr(sides[0], scope), _expr(sides[1], scope)
+                break
+    condition = _expr(join.condition, scope) if join.condition is not None else None
 
-    # -- FROM ----------------------------------------------------------------------
+    def extend(envs):
+        out = []
+        for env in envs:
+            buckets: dict = {}
+            # the right input sees the left slots empty: it cannot refer to them
+            for right_env in right([env + [None] * (split - len(env))]):
+                key = right_key(right_env)
+                if key is not None:
+                    buckets.setdefault(key, []).append(right_env[split:])
+            for left_env in left([env]):
+                key = left_key(left_env)
+                matched = False
+                for tail in buckets.get(key, ()) if key is not None else ():
+                    merged = left_env + tail
+                    if condition is None or _truth(condition(merged)):
+                        matched = True
+                        out.append(merged)
+                if left_outer and not matched:
+                    out.append(left_env + null_right)
+        return out
 
-    def _from(self, items: list[FromItem], outer: Optional[_Env]) -> list[_Env]:
-        if not items:
-            return [_Env({}, outer=outer)]
-        envs = [_Env({}, outer=outer)]
-        for item in items:
-            expanded: list[_Env] = []
-            for env in envs:
-                for bindings in self._from_item(item, env):
-                    merged = dict(env.bindings)
-                    merged.update(bindings)
-                    expanded.append(_Env(merged, outer=outer))
-            envs = expanded
-        return envs
+    return extend
 
-    def _from_item(self, item: FromItem, env: _Env) -> Iterable[dict[str, dict]]:
-        if isinstance(item, TableRef):
-            table = self._table(item.name)
-            return ({item.alias: row} for row in table.rows)
-        if isinstance(item, SubqueryRef):
-            rows = self.select(item.subquery, outer=env)
-            return ({item.alias: row} for row in rows)
-        if isinstance(item, Join):
-            return self._join(item, env)
-        raise SQLError(f"cannot evaluate FROM item {type(item).__name__}")
 
-    def _join(self, join: Join, env: _Env) -> Iterable[dict[str, dict]]:
-        """Left-order-preserving join: for each left binding, all matching
-        right bindings are emitted contiguously.  This is what keeps pushed
-        outer joins clustered on the outer key."""
-        left_bindings = list(self._from_item(join.left, env))
-        right_bindings = list(self._from_item(join.right, env))
-        null_right = self._null_bindings(join.right)
-        for left in left_bindings:
-            matched = False
-            for right in right_bindings:
-                merged = dict(left)
-                merged.update(right)
-                if join.condition is None or self._truth(
-                    self._eval(join.condition, _Env(merged, outer=env))
-                ):
-                    matched = True
-                    yield merged
-            if not matched and join.kind == "left":
-                merged = dict(left)
-                merged.update(null_right)
-                yield merged
+# -- DML ------------------------------------------------------------------------
 
-    def _null_bindings(self, item: FromItem) -> dict[str, dict]:
-        if isinstance(item, TableRef):
-            table = self._table(item.name)
-            return {item.alias: {c: None for c in table.column_names()}}
-        if isinstance(item, SubqueryRef):
-            aliases = _output_aliases(item.subquery.items)
-            return {item.alias: {a: None for a in aliases}}
-        if isinstance(item, Join):
-            merged = self._null_bindings(item.left)
-            merged.update(self._null_bindings(item.right))
-            return merged
-        raise SQLError(f"cannot null-extend {type(item).__name__}")
 
-    # -- DML -------------------------------------------------------------------------
+def _insert(stmt: Insert, lookup: Callable) -> Callable:
+    table = lookup(stmt.table)
+    if len(stmt.columns) != len(stmt.values):
+        raise SQLError("INSERT: column/value count mismatch")
+    scope = _Scope(None, lookup)
+    values = [(column, _expr(expr, scope)) for column, expr in zip(stmt.columns, stmt.values)]
 
-    def _insert(self, stmt: Insert) -> int:
-        table = self._table(stmt.table)
-        if len(stmt.columns) != len(stmt.values):
-            raise SQLError("INSERT: column/value count mismatch")
-        values = {}
-        env = _Env({})
-        for column, expr in zip(stmt.columns, stmt.values):
-            values[column] = self._eval(expr, env)
-        table.insert(values)
+    def run(env: list) -> int:
+        table.insert({column: fn(env) for column, fn in values})
         return 1
 
-    def _update(self, stmt: Update) -> int:
-        table = self._table(stmt.table)
-        count = 0
-        for index, row in enumerate(table.rows):
-            env = _Env({stmt.table: row})
-            if stmt.where is None or self._truth(self._eval(stmt.where, env)):
-                changes = {
-                    column: self._eval(expr, env) for column, expr in stmt.assignments
-                }
-                table.update_at(index, changes)
-                count += 1
-        return count
+    return run
 
-    def _delete(self, stmt: Delete) -> int:
-        table = self._table(stmt.table)
-        keep = []
-        removed = 0
-        for row in table.rows:
-            env = _Env({stmt.table: row})
-            if stmt.where is None or self._truth(self._eval(stmt.where, env)):
-                removed += 1
-            else:
-                keep.append(row)
-        table.restore(keep)
-        return removed
 
-    # -- expressions ------------------------------------------------------------------
+def _update_or_delete(stmt: Update | Delete, lookup: Callable) -> Callable:
+    table = lookup(stmt.table)
+    scope = _Scope(None, lookup)
+    scan = _Scan(table, scope.add(stmt.table, table.column_names()))
+    scan.choose(stmt.where, scope)
+    where = _expr(stmt.where, scope) if stmt.where is not None else None
+    assignments = [(column, _expr(expr, scope)) for column, expr in stmt.assignments] \
+        if isinstance(stmt, Update) else None
 
-    def _eval(self, expr: SqlExpr, env: _Env, group: list[_Env] | None = None,
-              position: int | None = None):
-        if isinstance(expr, SqlLiteral):
-            return expr.value
-        if isinstance(expr, Param):
-            try:
-                return self.params[expr.index]
-            except IndexError:
-                raise SQLError(f"missing parameter {expr.index + 1}") from None
-        if isinstance(expr, ColumnRef):
-            return env.resolve(expr.table, expr.column)
-        if isinstance(expr, BinOp):
-            return self._binop(expr, env, group, position)
-        if isinstance(expr, NotExpr):
-            value = self._eval(expr.operand, env, group, position)
-            return None if value is None else not self._truth(value)
-        if isinstance(expr, IsNull):
-            value = self._eval(expr.operand, env, group, position)
-            return (value is not None) if expr.negated else (value is None)
-        if isinstance(expr, InList):
-            return self._in_list(expr, env, group, position)
-        if isinstance(expr, FuncCall):
-            return self._func(expr, env, group, position)
-        if isinstance(expr, AggCall):
-            return self._agg(expr, env, group)
-        if isinstance(expr, CaseExpr):
-            for condition, value in expr.whens:
-                if self._truth(self._eval(condition, env, group, position)):
-                    return self._eval(value, env, group, position)
-            if expr.else_value is not None:
-                return self._eval(expr.else_value, env, group, position)
-            return None
-        if isinstance(expr, ExistsExpr):
-            rows = self.select(expr.subquery, outer=env)
-            found = len(rows) > 0
-            return (not found) if expr.negated else found
-        if isinstance(expr, ScalarSubquery):
-            rows = self.select(expr.subquery, outer=env)
-            if not rows:
-                return None
-            if len(rows) > 1:
-                raise SQLError("scalar subquery returned more than one row")
-            return next(iter(rows[0].values()))
-        if isinstance(expr, RowNumExpr):
-            if position is None and env.rownum is None:
-                raise SQLError("ROWNUM used outside a SELECT list")
-            return position if position is not None else env.rownum
-        if isinstance(expr, RowNumberOver):
-            if position is None:
-                raise SQLError("ROW_NUMBER() used outside a SELECT list")
-            return position
-        raise SQLError(f"cannot evaluate {type(expr).__name__}")
+    def run(env: list) -> int:
+        hits = [(position, env + [row]) for position, row in scan.pairs(env)]
+        if where is not None:
+            hits = [hit for hit in hits if _truth(where(hit[1]))]
+        if assignments is not None:
+            for position, row_env in hits:
+                table.update_at(position, {column: fn(row_env) for column, fn in assignments})
+        elif hits:
+            doomed = {position for position, _row_env in hits}
+            table.restore([row for position, row in enumerate(table.rows)
+                           if position not in doomed])
+        return len(hits)
 
-    def _binop(self, expr: BinOp, env: _Env, group, position):
-        op = expr.op
-        if op in ("AND", "OR"):
-            left = self._eval(expr.left, env, group, position)
-            right = self._eval(expr.right, env, group, position)
-            lt = None if left is None else self._truth(left)
-            rt = None if right is None else self._truth(right)
-            if op == "AND":
-                if lt is False or rt is False:
-                    return False
-                if lt is None or rt is None:
-                    return None
-                return True
-            if lt is True or rt is True:
-                return True
-            if lt is None or rt is None:
-                return None
-            return False
-        left = self._eval(expr.left, env, group, position)
-        right = self._eval(expr.right, env, group, position)
-        if op == "||":
-            if left is None or right is None:
-                return None
-            return str(left) + str(right)
-        if left is None or right is None:
-            return None
-        if op == "=":
-            return left == right
-        if op == "<>":
-            return left != right
-        if op in ("<", "<=", ">", ">="):
-            _check_comparable(left, right)
-            if op == "<":
-                return left < right
-            if op == "<=":
-                return left <= right
-            if op == ">":
-                return left > right
-            return left >= right
-        if op == "+":
-            if isinstance(left, str) and isinstance(right, str):
-                return left + right  # SQL Server string '+'
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise SQLError("division by zero")
-            return left / right
-        if op == "%":
-            return left % right
-        if op == "LIKE":
-            return _like(str(left), str(right))
-        raise SQLError(f"unknown operator {op}")
+    return run
 
-    def _in_list(self, expr: InList, env: _Env, group, position):
-        value = self._eval(expr.operand, env, group, position)
+
+# ---------------------------------------------------------------------------
+# Expressions
+# ---------------------------------------------------------------------------
+
+
+def _expr(node: SqlExpr, scope: _Scope) -> Compiled:
+    compiler = _COMPILERS.get(type(node))
+    if compiler is None:
+        raise SQLError(f"cannot evaluate {type(node).__name__}")
+    return compiler(node, scope)
+
+
+def _literal(node: SqlLiteral, scope: _Scope) -> Compiled:
+    value = node.value
+    return lambda env: value
+
+
+def _param(node: Param, scope: _Scope) -> Compiled:
+    index = node.index
+
+    def param(env):
+        try:
+            return env[_PARAMS][index]
+        except IndexError:
+            raise SQLError(f"missing parameter {index + 1}") from None
+
+    return param
+
+
+def _column(node: ColumnRef, scope: _Scope) -> Compiled:
+    slot, column = scope.slot(node), node.column
+    return lambda env: env[slot][column]
+
+
+def _binary(node: BinOp, scope: _Scope) -> Compiled:
+    left, right = _expr(node.left, scope), _expr(node.right, scope)
+    if node.op in ("AND", "OR"):
+        # Kleene: the deciding value (False for AND, True for OR) on either
+        # side wins over unknown; short of that, unknown wins.
+        deciding = node.op == "OR"
+
+        def connective(env):
+            a = left(env)
+            if a is not None and _truth(a) is deciding:
+                return deciding
+            b = right(env)
+            if b is not None and _truth(b) is deciding:
+                return deciding
+            return None if a is None or b is None else not deciding
+
+        return connective
+    apply = _BINARY.get(node.op)
+    if apply is None:
+        raise SQLError(f"unknown operator {node.op}")
+
+    def strict(env):
+        a, b = left(env), right(env)
+        return None if a is None or b is None else apply(a, b)
+
+    return strict
+
+
+def _not(node: NotExpr, scope: _Scope) -> Compiled:
+    operand = _expr(node.operand, scope)
+
+    def negate(env):
+        value = operand(env)
+        return None if value is None else not _truth(value)
+
+    return negate
+
+
+def _is_null(node: IsNull, scope: _Scope) -> Compiled:
+    operand, negated = _expr(node.operand, scope), node.negated
+    return lambda env: (operand(env) is None) is not negated
+
+
+def _in_list(node: InList, scope: _Scope) -> Compiled:
+    operand, negated = _expr(node.operand, scope), node.negated
+    candidates = [_expr(value, scope) for value in node.values]
+
+    def member(env):
+        value = operand(env)
         if value is None:
             return None
-        found = any(
-            self._eval(candidate, env, group, position) == value
-            for candidate in expr.values
-        )
-        return (not found) if expr.negated else found
+        unknown = False
+        for candidate in candidates:
+            other = candidate(env)
+            if other is None:
+                unknown = True  # value = NULL is unknown, not false
+            elif other == value:
+                return not negated
+        return None if unknown else negated
 
-    def _func(self, expr: FuncCall, env: _Env, group, position):
-        args = [self._eval(a, env, group, position) for a in expr.args]
-        name = expr.name.upper()
-        if any(a is None for a in args) and name not in ("COALESCE", "NVL"):
-            return None
-        if name == "UPPER":
-            return str(args[0]).upper()
-        if name == "LOWER":
-            return str(args[0]).lower()
-        if name in ("LENGTH", "LEN"):
-            return len(str(args[0]))
-        if name in ("SUBSTR", "SUBSTRING"):
-            text = str(args[0])
-            start = int(args[1])
-            lo = max(0, start - 1)
-            if len(args) > 2:
-                return text[lo : lo + int(args[2])]
-            return text[lo:]
-        if name == "ABS":
-            return abs(args[0])
-        if name in ("CEIL", "CEILING"):
-            import math
+    return member
 
-            return math.ceil(args[0])
-        if name == "FLOOR":
-            import math
 
-            return math.floor(args[0])
-        if name == "ROUND":
-            import math
+def _function(node: FuncCall, scope: _Scope) -> Compiled:
+    name = node.name.upper()
+    args = [_expr(arg, scope) for arg in node.args]
+    if name in ("COALESCE", "NVL"):
+        return lambda env: next((v for arg in args if (v := arg(env)) is not None), None)
+    apply = _FUNCTIONS.get(name)
+    if apply is None:
+        raise SQLError(f"unknown SQL function {node.name}")
 
-            return math.floor(args[0] + 0.5)
-        if name in ("COALESCE", "NVL"):
-            for value in args:
-                if value is not None:
-                    return value
-            return None
-        if name == "CONCAT":
-            return "".join(str(a) for a in args)
-        raise SQLError(f"unknown SQL function {expr.name}")
+    def call(env):
+        values = [arg(env) for arg in args]
+        return None if None in values else apply(*values)
 
-    def _agg(self, expr: AggCall, env: _Env, group: list[_Env] | None):
+    return call
+
+
+def _aggregate_call(node: AggCall, scope: _Scope) -> Compiled:
+    name, distinct = node.name, node.distinct
+    fold = _AGGREGATES.get(name)
+    if fold is None or (node.arg is None and name != "COUNT"):
+        raise SQLError(f"unknown aggregate {name}")
+    arg = _expr(node.arg, scope) if node.arg is not None else None
+
+    def call(env):
+        group = env[_GROUP]
         if group is None:
-            raise SQLError(f"aggregate {expr.name} outside grouping context")
-        if expr.name == "COUNT" and expr.arg is None:
-            return len(group)
-        values = []
-        for member in group:
-            value = self._eval(expr.arg, member)
-            if value is not None:
-                values.append(value)
-        if expr.distinct:
+            raise SQLError(f"aggregate {name} outside grouping context")
+        if arg is None:
+            return len(group)  # COUNT(*)
+        values = [v for member in group if (v := arg(member)) is not None]
+        if distinct:
             values = list(dict.fromkeys(values))
-        if expr.name == "COUNT":
-            return len(values)
-        if not values:
-            return None
-        if expr.name == "SUM":
-            return sum(values)
-        if expr.name == "AVG":
-            return sum(values) / len(values)
-        if expr.name == "MIN":
-            return min(values)
-        if expr.name == "MAX":
-            return max(values)
-        raise SQLError(f"unknown aggregate {expr.name}")
+        return fold(values) if values or name == "COUNT" else None
 
-    @staticmethod
-    def _truth(value) -> bool:
-        if value is None:
-            return False
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, (int, float)):
-            return value != 0
-        raise SQLError(f"non-boolean WHERE value {value!r}")
+    return call
+
+
+def _case(node: CaseExpr, scope: _Scope) -> Compiled:
+    whens = [(_expr(condition, scope), _expr(value, scope)) for condition, value in node.whens]
+    otherwise = _expr(node.else_value, scope) if node.else_value is not None else None
+
+    def case(env):
+        for condition, value in whens:
+            if _truth(condition(env)):
+                return value(env)
+        return otherwise(env) if otherwise is not None else None
+
+    return case
+
+
+def _exists(node: ExistsExpr, scope: _Scope) -> Compiled:
+    subquery, negated = _select(node.subquery, scope), node.negated
+    return lambda env: bool(subquery(env)) is not negated
+
+
+def _scalar_subquery(node: ScalarSubquery, scope: _Scope) -> Compiled:
+    subquery = _select(node.subquery, scope)
+
+    def scalar(env):
+        rows = subquery(env)
+        if len(rows) > 1:
+            raise SQLError("scalar subquery returned more than one row")
+        return next(iter(rows[0].values())) if rows else None
+
+    return scalar
+
+
+def _rownum(node: RowNumExpr | RowNumberOver, scope: _Scope) -> Compiled:
+    # ROW_NUMBER() may be read early: a grouped select numbers its rows only
+    # after ordering them, and overwrites the NULL it got here
+    must_be_set = isinstance(node, RowNumExpr)
+
+    def rownum(env):
+        if must_be_set and env[_ROWNUM] is None:
+            raise SQLError("ROWNUM used outside a SELECT list")
+        return env[_ROWNUM]
+
+    return rownum
+
+
+_COMPILERS: dict[type, Callable[..., Compiled]] = {
+    SqlLiteral: _literal,
+    Param: _param,
+    ColumnRef: _column,
+    BinOp: _binary,
+    NotExpr: _not,
+    IsNull: _is_null,
+    InList: _in_list,
+    FuncCall: _function,
+    AggCall: _aggregate_call,
+    CaseExpr: _case,
+    ExistsExpr: _exists,
+    ScalarSubquery: _scalar_subquery,
+    RowNumExpr: _rownum,
+    RowNumberOver: _rownum,
+}
+
+
+def _truth(value) -> bool:
+    if value is None:
+        return False
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, (int, float)):
+        return value != 0
+    raise SQLError(f"non-boolean WHERE value {value!r}")
+
+
+def _ordered(compare: Callable) -> Callable:
+    def checked(left, right):
+        if isinstance(left, str) != isinstance(right, str):
+            raise SQLError(f"cannot compare {type(left).__name__} with {type(right).__name__}")
+        return compare(left, right)
+
+    return checked
+
+
+def _divide(left, right):
+    if right == 0:
+        raise SQLError("division by zero")
+    return left / right
+
+
+@lru_cache(maxsize=256)
+def _like_regex(pattern: str) -> re.Pattern:
+    """One regex per distinct LIKE pattern; ``%`` also matches a newline."""
+    return re.compile(re.escape(pattern).replace("%", ".*").replace("_", "."), re.DOTALL)
+
+
+def _substr(text, start, length=None):
+    lo = max(0, int(start) - 1)
+    return str(text)[lo:] if length is None else str(text)[lo : lo + int(length)]
+
+
+#: operators on two non-NULL values (NULL in, NULL out is the caller's rule)
+_BINARY: dict[str, Callable] = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": _ordered(operator.lt),
+    "<=": _ordered(operator.le),
+    ">": _ordered(operator.gt),
+    ">=": _ordered(operator.ge),
+    "+": operator.add,  # also SQL Server's string '+'
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _divide,
+    "%": operator.mod,
+    "||": lambda left, right: str(left) + str(right),
+    "LIKE": lambda text, pattern: _like_regex(str(pattern)).fullmatch(str(text)) is not None,
+}
+
+#: scalar functions on non-NULL arguments
+_FUNCTIONS: dict[str, Callable] = {
+    "UPPER": lambda text: str(text).upper(),
+    "LOWER": lambda text: str(text).lower(),
+    "LENGTH": lambda text: len(str(text)),
+    "LEN": lambda text: len(str(text)),
+    "SUBSTR": _substr,
+    "SUBSTRING": _substr,
+    "ABS": abs,
+    "CEIL": math.ceil,
+    "CEILING": math.ceil,
+    "FLOOR": math.floor,
+    "ROUND": lambda number: math.floor(number + 0.5),
+    "CONCAT": lambda *parts: "".join(str(part) for part in parts),
+}
+
+#: aggregates over the non-NULL values of a group (empty -> NULL, COUNT -> 0)
+_AGGREGATES: dict[str, Callable] = {
+    "COUNT": len,
+    "SUM": sum,
+    "AVG": lambda values: sum(values) / len(values),
+    "MIN": min,
+    "MAX": max,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -560,22 +719,6 @@ def _contains_aggregate(expr) -> bool:
     return False
 
 
-def _find_window(items: list[SelectItem]) -> RowNumberOver | None:
-    for item in items:
-        if isinstance(item.expr, RowNumberOver):
-            return item.expr
-    return None
-
-
-def _hashable(value):
-    return value
-
-
-def _check_comparable(left, right) -> None:
-    if isinstance(left, str) != isinstance(right, str):
-        raise SQLError(f"cannot compare {type(left).__name__} with {type(right).__name__}")
-
-
 class _NullKey:
     """Sort key wrapper implementing NULLS FIRST (asc) and reversal."""
 
@@ -599,8 +742,3 @@ class _NullKey:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, _NullKey) and self.value == other.value
-
-
-def _like(text: str, pattern: str) -> bool:
-    regex = re.escape(pattern).replace("%", ".*").replace("_", ".")
-    return re.fullmatch(regex, text) is not None

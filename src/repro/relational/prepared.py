@@ -5,8 +5,9 @@ caching — pays a full parse on each roundtrip.  Real engines amortize that
 cost with prepared statements: parse (and name-resolve) once, execute many
 times with fresh parameter bindings.  :class:`StatementCache` reproduces
 that economics for the simulated backends: an LRU keyed by SQL text whose
-entries hold the parsed AST plus executor-side pre-resolution (the table
-objects the statement references, validated at prepare time).
+entries hold the parsed AST plus the executor's compiled plan (names
+resolved to tables and column slots, access paths chosen — all validated
+at prepare time).
 
 The cache is *per database* — statements are parsed in the context of one
 source's schema, so DDL on that source (``create_table`` / ``drop_table``)
@@ -21,16 +22,8 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 from ..concurrency import RACE, TrackedRLock, guarded_by
-from ..sql.ast_nodes import (
-    Delete,
-    FromItem,
-    Insert,
-    Join,
-    Select,
-    SubqueryRef,
-    TableRef,
-    Update,
-)
+from ..sql.ast_nodes import Select
+from .executor import compile_statement
 from .sqlparser import parse_sql
 
 if TYPE_CHECKING:
@@ -45,19 +38,21 @@ class PreparedStatement:
     """A parsed, pre-resolved statement bound to one database.
 
     ``stmt`` is the parsed AST (shared across executions — executors never
-    mutate it); ``tables`` maps each table name the statement's FROM/DML
-    clauses reference to its resolved :class:`Table`, so execution skips
-    the per-statement name lookup and a missing table fails at prepare
+    mutate it) and ``plan`` its compiled form, ``plan(params)`` (see
+    :func:`~repro.relational.executor.compile_statement`); ``tables`` maps
+    each table name the statement references to the :class:`Table` the
+    plan resolved it to, so a missing table or column fails at prepare
     time, the way a real prepare call would.
     """
 
-    __slots__ = ("sql", "stmt", "is_query", "tables")
+    __slots__ = ("sql", "stmt", "is_query", "tables", "plan")
 
-    def __init__(self, sql: str, stmt, tables: "dict[str, Table]"):
+    def __init__(self, sql: str, stmt, tables: "dict[str, Table]", plan):
         self.sql = sql
         self.stmt = stmt
         self.is_query = isinstance(stmt, Select)
         self.tables = tables
+        self.plan = plan
 
     def __repr__(self) -> str:
         kind = "query" if self.is_query else "dml"
@@ -121,10 +116,10 @@ class StatementCache:
         self.db.stats.bump(parses=1)
         if self.db.latency.parse_ms:
             self.db.clock.charge_ms(self.db.latency.parse_ms)
-        tables = {
-            name: self.db.table(name) for name in _referenced_tables(stmt)
-        }
-        return PreparedStatement(sql, stmt, tables)
+        tables: dict[str, Table] = {}
+        plan = compile_statement(
+            stmt, lambda name: tables.setdefault(name, self.db.table(name)))
+        return PreparedStatement(sql, stmt, tables, plan)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -167,28 +162,3 @@ class StatementCache:
                 "invalidations": self.invalidations,
                 "parses": stats.parses,
             }
-
-
-def _referenced_tables(stmt) -> set[str]:
-    """Table names a statement's FROM / DML target clauses reference.
-
-    Subqueries inside WHERE (EXISTS, scalar) are resolved lazily by the
-    executor; pre-resolution covers the common scan/join shape."""
-    if isinstance(stmt, (Insert, Update, Delete)):
-        return {stmt.table}
-    names: set[str] = set()
-    if isinstance(stmt, Select):
-        for item in stmt.from_items:
-            _collect_from_item(item, names)
-    return names
-
-
-def _collect_from_item(item: FromItem, names: set[str]) -> None:
-    if isinstance(item, TableRef):
-        names.add(item.name)
-    elif isinstance(item, Join):
-        _collect_from_item(item.left, names)
-        _collect_from_item(item.right, names)
-    elif isinstance(item, SubqueryRef):
-        for inner in item.subquery.from_items:
-            _collect_from_item(inner, names)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ..concurrency import RACE, TrackedRLock, guarded_by
 from ..errors import SQLError
 
 #: SQL type name -> (python check, xs: type for the XML-ification)
@@ -66,9 +68,20 @@ class ForeignKey:
     ref_columns: tuple[str, ...]
 
 
+@guarded_by("_lock")
 class Table:
-    """An in-memory table with primary-key enforcement and a hash index on
-    the primary key (used by the executor for point lookups)."""
+    """An in-memory table with primary-key enforcement and hash indexes the
+    executor probes for ``col = constant`` predicates and point lookups.
+
+    An index (:class:`_HashIndex`) maps the key of ``columns`` to the
+    ascending positions of the rows holding it; a key with a NULL in it is
+    never entered.  It is built on the first probe of its columns — the
+    primary key's on the first insert — kept current by :meth:`insert` and
+    :meth:`update_at`, and dropped by whatever shifts row positions
+    (:meth:`delete_at`, :meth:`restore`).  ``_lock`` makes a probe see rows
+    and index of one moment; full scans read ``rows`` without it, as they
+    always have.
+    """
 
     def __init__(
         self,
@@ -88,7 +101,8 @@ class Table:
         self.primary_key = tuple(primary_key)
         self.foreign_keys = list(foreign_keys)
         self.rows: list[dict] = []
-        self._pk_index: dict[tuple, int] = {}
+        self._lock = TrackedRLock(f"Table.{name}")
+        self._indexes: dict[tuple[str, ...], _HashIndex] = {}
 
     # -- schema ---------------------------------------------------------------
 
@@ -104,12 +118,42 @@ class Table:
     def has_column(self, name: str) -> bool:
         return name in self._column_index
 
-    # -- data -----------------------------------------------------------------
+    # -- indexes --------------------------------------------------------------
 
-    def _pk_of(self, row: dict) -> tuple | None:
-        if not self.primary_key:
-            return None
-        return tuple(row.get(c) for c in self.primary_key)
+    def _index(self, columns: tuple[str, ...]) -> "_HashIndex":  # caller-holds: _lock
+        index = self._indexes.get(columns)
+        if index is None:
+            index = _HashIndex()
+            for position, row in enumerate(self.rows):
+                index.add(_index_key(row, columns), position)
+            self._indexes[columns] = index
+            RACE.detector.on_access(self, "_indexes", True)
+        return index
+
+    def probe(self, column: str, values: Sequence) -> list[tuple[int, dict]]:
+        """``(position, row)`` of the rows whose ``column`` equals one of
+        ``values``, in table order.  A NULL value matches nothing."""
+        with self._lock:
+            index = self._index((column,))
+            RACE.detector.on_access(self, "_indexes", False)
+            positions = [
+                position
+                for value in dict.fromkeys(values)
+                for position in index.positions(value)
+            ]
+            if len(values) > 1:
+                positions.sort()
+            rows = self.rows
+            return [(position, rows[position]) for position in positions]
+
+    def lookup_pk(self, key: tuple) -> dict | None:
+        with self._lock:
+            if len(key) == 1:
+                key = key[0]
+            positions = self._index(self.primary_key).positions(key)
+            return self.rows[positions[0]] if positions else None
+
+    # -- data -----------------------------------------------------------------
 
     def insert(self, values: dict) -> dict:
         row = {}
@@ -118,54 +162,96 @@ class Table:
         unknown = set(values) - set(self._column_index)
         if unknown:
             raise SQLError(f"table {self.name}: unknown columns {sorted(unknown)}")
-        pk = self._pk_of(row)
-        if pk is not None:
-            if any(v is None for v in pk):
-                raise SQLError(f"table {self.name}: NULL in primary key")
-            if pk in self._pk_index:
-                raise SQLError(f"table {self.name}: duplicate primary key {pk}")
-            self._pk_index[pk] = len(self.rows)
-        self.rows.append(row)
+        with self._lock:
+            if self.primary_key:
+                pk = _index_key(row, self.primary_key)
+                if pk is None:
+                    raise SQLError(f"table {self.name}: NULL in primary key")
+                if pk in self._index(self.primary_key):
+                    raise SQLError(f"table {self.name}: duplicate primary key {pk}")
+            position = len(self.rows)
+            self.rows.append(row)
+            for columns, index in self._indexes.items():
+                index.add(_index_key(row, columns), position)
+            RACE.detector.on_access(self, "_indexes", True)
         return row
 
     def delete_at(self, index: int) -> dict:
-        row = self.rows.pop(index)
-        self._rebuild_pk_index()
+        with self._lock:
+            row = self.rows.pop(index)
+            self._indexes = {}
+            RACE.detector.on_access(self, "_indexes", True)
         return row
 
     def update_at(self, index: int, changes: dict) -> dict:
-        row = dict(self.rows[index])
-        for name, value in changes.items():
-            row[name] = self.column(name).check(value)
-        old_pk = self._pk_of(self.rows[index])
-        new_pk = self._pk_of(row)
-        if new_pk != old_pk and new_pk in self._pk_index:
-            raise SQLError(f"table {self.name}: duplicate primary key {new_pk}")
-        self.rows[index] = row
-        if new_pk != old_pk:
-            self._rebuild_pk_index()
+        with self._lock:
+            old = self.rows[index]
+            row = dict(old)
+            for name, value in changes.items():
+                row[name] = self.column(name).check(value)
+            if self.primary_key:
+                pk = _index_key(row, self.primary_key)
+                if pk != _index_key(old, self.primary_key) \
+                        and pk in self._index(self.primary_key):
+                    raise SQLError(f"table {self.name}: duplicate primary key {pk}")
+            self.rows[index] = row
+            for columns, positions_of in self._indexes.items():
+                before, after = _index_key(old, columns), _index_key(row, columns)
+                if before != after:
+                    positions_of.discard(before, index)
+                    positions_of.add(after, index)
+            RACE.detector.on_access(self, "_indexes", True)
         return row
 
-    def lookup_pk(self, key: tuple) -> dict | None:
-        index = self._pk_index.get(key)
-        return self.rows[index] if index is not None else None
-
-    def _rebuild_pk_index(self) -> None:
-        if not self.primary_key:
-            return
-        self._pk_index = {
-            self._pk_of(row): i for i, row in enumerate(self.rows)  # type: ignore[misc]
-        }
-
     def snapshot(self) -> list[dict]:
-        return [dict(row) for row in self.rows]
+        with self._lock:
+            return [dict(row) for row in self.rows]
 
     def restore(self, rows: Iterable[dict]) -> None:
-        self.rows = [dict(row) for row in rows]
-        self._rebuild_pk_index()
+        with self._lock:
+            self.rows = [dict(row) for row in rows]
+            self._indexes = {}
+            RACE.detector.on_access(self, "_indexes", True)
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def __repr__(self) -> str:
         return f"Table({self.name}, {len(self.rows)} rows)"
+
+
+def _index_key(row: dict, columns: tuple[str, ...]):
+    """The index key of ``row``: the value of a single column, a tuple for
+    more; None when any key column is NULL."""
+    if len(columns) == 1:
+        return row[columns[0]]
+    key = tuple(row[c] for c in columns)
+    return None if None in key else key
+
+
+class _HashIndex(dict):
+    """Index key -> ascending positions of the rows holding it.  A key held
+    by one row maps to the bare position: most keys are unique, and a list
+    apiece would weigh more than the keys.  The NULL key holds nothing."""
+
+    def add(self, key, position: int) -> None:
+        if key is None:
+            return
+        held = self.get(key)
+        if held is None:
+            self[key] = position
+        elif isinstance(held, list):
+            insort(held, position)
+        else:
+            self[key] = sorted((held, position))
+
+    def discard(self, key, position: int) -> None:
+        held = self.get(key)
+        if isinstance(held, list) and len(held) > 1:
+            held.remove(position)
+        elif held is not None:
+            del self[key]
+
+    def positions(self, key) -> Sequence[int]:
+        held = self.get(key, ())
+        return held if isinstance(held, (list, tuple)) else (held,)

@@ -30,10 +30,9 @@ class Transaction:
         if table_name not in self._snapshots:
             self._snapshots[table_name] = self.db.table(table_name).snapshot()
 
-    def execute(self, stmt, params: Sequence | None = None,
-                tables: dict | None = None):
-        """Execute a statement inside this transaction.  ``tables`` is the
-        pre-resolved table map of a prepared statement, when one exists."""
+    def execute(self, stmt, params: Sequence | None = None, plan=None):
+        """Execute a statement inside this transaction.  ``plan`` is the
+        compiled form of a prepared statement, when one exists."""
         from .executor import Executor
 
         if self.state != "active":
@@ -42,7 +41,7 @@ class Transaction:
         if table_name is not None:
             self._snapshot(table_name)
         try:
-            return Executor(self.db, params, tables=tables).execute(stmt)
+            return Executor(self.db, params, plan=plan).execute(stmt)
         except SQLError:
             self._failed = True
             raise

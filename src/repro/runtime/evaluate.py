@@ -47,7 +47,7 @@ from ..xquery.functions import (
 from .context import DynamicContext
 from .operators.group import GroupStats, clustered_groups, sorted_groups
 from .operators.ppk import ppk_extend
-from .operators.pushedsql import apply_template, execute_pushed
+from .operators.pushedsql import execute_pushed, template_fn
 
 Env = dict
 
@@ -806,6 +806,7 @@ class Evaluator:
         from .operators.pushedsql import bind_parameters, render_pushed
 
         pushed = clause.pushed
+        builders = [(var, template_fn(template)) for var, template in clause.var_templates]
         for env in tuples:
             values = bind_parameters(pushed, env, self)
             params = [values[i] for i in param_order(pushed.select)]
@@ -823,8 +824,8 @@ class Evaluator:
             self.ctx.stats.bump(pushed_queries=1)
             for row in rows:
                 extended = dict(env)
-                for var, template in clause.var_templates:
-                    extended[var] = apply_template(template, row, [row], self)
+                for var, build in builders:
+                    extended[var] = build(row, [row])
                 yield extended
 
     # -- pushed region as an expression ----------------------------------------------------------
@@ -838,12 +839,12 @@ class Evaluator:
 # ---------------------------------------------------------------------------
 
 
-def construct_element_content(name: str, attributes: list[AttributeNode],
+def construct_element_content(name: str | QName, attributes: list[AttributeNode],
                               content: list[Item]) -> ElementNode:
     """XQuery element construction: attribute nodes in content become
     attributes, adjacent atomic values merge into one text node separated
     by spaces, nodes are deep-copied."""
-    element = ElementNode(QName(name))
+    element = ElementNode(name if isinstance(name, QName) else QName(name))
     for attr in attributes:
         element.add_attribute(AttributeNode(attr.name, attr.value))
     pending_atoms: list[AtomicValue] = []

@@ -2,13 +2,13 @@
 
 from .group import GroupStats, clustered_groups, sorted_groups
 from .ppk import ppk_extend
-from .pushedsql import apply_template, execute_pushed
+from .pushedsql import execute_pushed, template_fn
 
 __all__ = [
     "GroupStats",
     "clustered_groups",
     "sorted_groups",
     "ppk_extend",
-    "apply_template",
     "execute_pushed",
+    "template_fn",
 ]

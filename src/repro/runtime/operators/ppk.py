@@ -59,7 +59,7 @@ from ...errors import DynamicError, SourceError
 from ...sql.ast_nodes import BinOp, Param, Select, param_order
 from ...xml.items import Item
 from ...xquery.functions import atomize
-from .pushedsql import apply_template, bind_parameters
+from .pushedsql import bind_parameters, template_fn
 
 if TYPE_CHECKING:
     from ..evaluate import Evaluator
@@ -350,11 +350,12 @@ def _join_block(clause: PPkLetClause, block: list[dict],
     with ctx.tracer.start("ppk.join", op=getattr(clause, "op_id", None),
                           tuples=len(block)):
         ctx.clock.charge_ms(ctx.middleware.ppk_join_ms_per_tuple * len(block))
+    build = template_fn(clause.pushed.template)
     for env, key in zip(block, keys):
         matches = rows_by_key.get(key, [])
         items: list[Item] = []
         for row in matches:
-            items.extend(apply_template(clause.pushed.template, row, [row], evaluator))
+            items.extend(build(row, [row]))
         extended = dict(env)
         extended[clause.var] = items
         yield extended

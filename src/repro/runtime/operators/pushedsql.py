@@ -9,7 +9,7 @@ contains a regrouped (left outer join / group-scan) shape.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from ...compiler.algebra import ColumnSlot, GroupSlot, NestedSlot, PushedSQL
 from ...errors import DynamicError, SourceError
@@ -79,8 +79,8 @@ def render_pushed(pushed: PushedSQL, evaluator: "Evaluator") -> str:
 
 def rebuild(pushed: PushedSQL, rows: list[dict], evaluator: "Evaluator") -> Iterator[Item]:
     """Apply the reconstruction template to the fetched rows."""
+    build = template_fn(pushed.template)
     if pushed.regroup is None:
-        template = pushed.template
         size = evaluator.ctx.batch_size
         if size > 1 and len(rows) > 1:
             # Batch-protocol materialization: rebuild batch_size rows per
@@ -89,79 +89,111 @@ def rebuild(pushed: PushedSQL, rows: list[dict], evaluator: "Evaluator") -> Iter
             for start in range(0, len(rows), size):
                 items: list[Item] = []
                 for row in rows[start:start + size]:
-                    items.extend(apply_template(template, row, [row], evaluator))
+                    items.extend(build(row, [row]))
                 yield from items
             return
         for row in rows:
-            yield from apply_template(template, row, [row], evaluator)
+            yield from build(row, [row])
         return
     keys = pushed.regroup
     for _key, group in clustered_groups(rows, lambda r: tuple(r[a] for a in keys)):
-        yield from apply_template(pushed.template, group[0], group, evaluator)
+        yield from build(group[0], group)
 
 
-def apply_template(template: ast.AstNode, row: dict, group: list[dict],
-                   evaluator: "Evaluator") -> list[Item]:
-    """Rebuild data-model items from one row (or row group)."""
+#: a compiled reconstruction template: (row, rows of its group) -> items
+TemplateFn = Callable[[dict, list[dict]], list[Item]]
+
+
+def template_fn(template: ast.AstNode) -> TemplateFn:
+    """The template compiled to closures, once per template node (memoized
+    on the node like ``_sql_text`` on the region; a concurrent first call
+    compiles an equivalent closure and the last write wins)."""
+    fn = getattr(template, "_template_fn", None)
+    if fn is None:
+        fn = template._template_fn = _compile_template(template)
+    return fn
+
+
+def _compile_template(template: ast.AstNode) -> TemplateFn:
     if isinstance(template, ColumnSlot):
-        return _column_value(template, row)
-    if isinstance(template, NestedSlot):
-        items: list[Item] = []
-        for member in group:
-            if member.get(template.probe_alias) is None:
-                continue
-            items.extend(apply_template(template.template, member, [member], evaluator))
-        return items
-    if isinstance(template, GroupSlot):
-        items = []
-        for member in group:
-            items.extend(apply_template(template.template, member, [member], evaluator))
-        return items
+        return _column_slot(template)
+    if isinstance(template, (NestedSlot, GroupSlot)):
+        inner = _compile_template(template.template)
+        # a nested slot skips the null-extended rows of a left outer join
+        probe = template.probe_alias if isinstance(template, NestedSlot) else None
+
+        def members(row, group):
+            items: list[Item] = []
+            for member in group:
+                if probe is None or member.get(probe) is not None:
+                    items.extend(inner(member, [member]))
+            return items
+
+        return members
     if isinstance(template, ast.Literal):
-        return [template.value]
+        value = template.value
+        return lambda row, group: [value]
     if isinstance(template, ast.EmptySequence):
-        return []
+        return lambda row, group: []
     if isinstance(template, ast.SequenceExpr):
-        items = []
-        for part in template.items:
-            items.extend(apply_template(part, row, group, evaluator))
-        return items
+        return _concat([_compile_template(part) for part in template.items])
     if isinstance(template, ast.ElementCtor):
-        return [_build_element(template, row, group, evaluator)]
+        return _element_ctor(template)
     raise DynamicError(f"unexpected template node {type(template).__name__}")
 
 
-def _column_value(slot: ColumnSlot, row: dict) -> list[Item]:
-    value = row.get(slot.alias)
-    if value is None:
-        return []  # NULLs are missing elements/values (section 4.4)
-    atom = AtomicValue(value, slot.xs_type)
+def _concat(parts: list[TemplateFn]) -> TemplateFn:
+    def concat(row, group):
+        items: list[Item] = []
+        for part in parts:
+            items.extend(part(row, group))
+        return items
+
+    return concat
+
+
+def _column_slot(slot: ColumnSlot) -> TemplateFn:
+    alias, xs_type = slot.alias, slot.xs_type
     if slot.element_name is None:
-        return [atom]
-    element = ElementNode(QName(slot.element_name), type_annotation=slot.xs_type)
-    element.add_child(TextNode(atom.string_value()))
-    return [element]
+        def atom(row, group):
+            value = row.get(alias)
+            # NULLs are missing elements/values (section 4.4)
+            return [] if value is None else [AtomicValue(value, xs_type)]
+
+        return atom
+    name = QName(slot.element_name)
+
+    def element(row, group):
+        value = row.get(alias)
+        if value is None:
+            return []
+        node = ElementNode(name, type_annotation=xs_type)
+        node.add_child(TextNode(AtomicValue(value, xs_type).string_value()))
+        return [node]
+
+    return element
 
 
-def _build_element(template: ast.ElementCtor, row: dict, group: list[dict],
-                   evaluator: "Evaluator") -> ElementNode:
+def _element_ctor(template: ast.ElementCtor) -> TemplateFn:
+    from ...xquery.functions import atomize
     from ..evaluate import construct_element_content
 
-    attributes = []
-    for attr in template.attributes:
-        values = apply_template(attr.value, row, group, evaluator)
-        if not values:
-            if attr.optional:
-                continue
-            attributes.append(AttributeNode(QName(attr.name), AtomicValue("", "xs:string")))
-            continue
-        from ...xquery.functions import atomize
+    name = QName(template.name)
+    attribute_parts = [(QName(attr.name), attr.optional, _compile_template(attr.value))
+                       for attr in template.attributes]
+    content = _concat([_compile_template(part) for part in template.content])
 
-        atoms = atomize(values)
-        text = " ".join(a.string_value() for a in atoms)
-        type_name = atoms[0].type_name if len(atoms) == 1 else "xs:string"
-        attributes.append(AttributeNode(QName(attr.name), AtomicValue(text, type_name)))
-    content: list[Item] = []
-    for part in template.content:
-        content.extend(apply_template(part, row, group, evaluator))
-    return construct_element_content(template.name, attributes, content)
+    def element(row, group):
+        attributes = []
+        for attr_name, optional, value in attribute_parts:
+            values = value(row, group)
+            if values:
+                atoms = atomize(values)
+                text = " ".join(a.string_value() for a in atoms)
+                type_name = atoms[0].type_name if len(atoms) == 1 else "xs:string"
+                attributes.append(AttributeNode(attr_name, AtomicValue(text, type_name)))
+            elif not optional:
+                attributes.append(AttributeNode(attr_name, AtomicValue("", "xs:string")))
+        return [construct_element_content(name, attributes, content(row, group))]
+
+    return element

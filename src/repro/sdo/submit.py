@@ -150,7 +150,7 @@ class SubmitEngine:
 
         def attempt() -> int:
             database.check_call()
-            return txn.execute(prepared.stmt, tables=prepared.tables)
+            return txn.execute(prepared.stmt, plan=prepared.plan)
 
         if self.resilience is None:
             return attempt()

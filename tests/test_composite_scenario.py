@@ -4,6 +4,7 @@ CSV file, and a Web service) with layered data services — the "composite
 application development" the paper's introduction motivates.
 """
 
+from pathlib import Path
 
 from repro import Database, Platform, serialize
 from repro.clock import VirtualClock
@@ -205,3 +206,55 @@ class TestCompositeScenario:
         assert result.rows_updated == 1
         assert invdb.table("STOCK").lookup_pk(("S1", "west"))["QTY"] == 99
         assert invdb.table("STOCK").lookup_pk(("S1", "east"))["QTY"] == 5
+
+
+SALES_VELOCITY = '''
+    for $p in PRODUCT()
+    let $sold := sum(for $s in SALE() where $s/SKU eq $p/SKU
+                     return $s/UNITS)
+    order by $sold descending
+    return <VELOCITY>{ data($p/SKU), $sold }</VELOCITY>
+'''
+
+
+def backend_fingerprint(tmp_path) -> str:
+    """Everything the simulated backends contribute to what a user can see:
+    results, explain/profile text, the SQL shipped, the source counters and
+    the virtual-clock total.  How fast the simulator computes a result must
+    never show here (DESIGN.md, P-BACKEND)."""
+    platform, invdb, salesdb = build_scenario(tmp_path)
+    lines = [
+        serialize(platform.call("productInfo")),
+        serialize(platform.call("replenishmentReport")),
+        serialize(platform.execute(SALES_VELOCITY)),
+        platform.explain("replenishmentReport()"),
+        platform.profile(SALES_VELOCITY).text,
+    ]
+    platform.deploy('''
+        (::pragma function kind="read" ::)
+        declare function stockRows() as element(STOCK_ROW)* {
+          for $s in STOCK()
+          return <STOCK_ROW><SKU>{data($s/SKU)}</SKU>
+            <WAREHOUSE>{data($s/WAREHOUSE)}</WAREHOUSE><QTY>{data($s/QTY)}</QTY></STOCK_ROW>
+        };
+    ''', name="Stock")
+    target = platform.read_for_update("Stock", "stockRows")[1]
+    target.set("QTY", 99)
+    lines.append(f"rows_updated={platform.submit(target).rows_updated}")
+    lines.append(serialize(platform.call("productInfo")))
+    for db in (invdb, salesdb):
+        stats = db.stats
+        lines.append(f"{db.name}: roundtrips={stats.roundtrips} rows_shipped={stats.rows_shipped} "
+                     f"parses={stats.parses} cache_hits={stats.stmt_cache_hits} "
+                     f"cache_misses={stats.stmt_cache_misses}")
+        lines.extend(stats.statements)
+    lines.append(f"virtual_ms={platform.clock.now_ms():.6f}")
+    return "\n".join(lines) + "\n"
+
+
+def test_backend_fingerprint_matches_golden(tmp_path):
+    """The golden file was written by this function at the commit before the
+    backend got compiled plans and hash access paths; it must never need
+    regenerating for a change that only makes the simulator faster."""
+    golden = Path(__file__).parent / "golden" / "composite_backend.txt"
+    assert backend_fingerprint(tmp_path) == golden.read_text()

@@ -72,6 +72,85 @@ class TestTable:
         assert Column("X", "DOUBLE").xs_type == "xs:double"
 
 
+class TestIndexFreshness:
+    """A keyed read is served from Table's hash index through a cached,
+    compiled statement; whatever wrote in between, the next read is right
+    and in table order."""
+
+    BY_V = 'SELECT t1."ID" AS c1 FROM "T" t1 WHERE t1."V" = ?'
+
+    def setup_method(self):
+        self.db = Database("d")
+        self.create(["a", "b", "a", "b", "a"])
+        self.conn = Connection(self.db)
+
+    def create(self, values):
+        self.db.create_table("T", [("ID", "INTEGER", False), ("V", "VARCHAR")],
+                             primary_key=["ID"])
+        self.db.load("T", [{"ID": i, "V": v} for i, v in enumerate(values)])
+
+    def ids(self, value):
+        return [row["c1"] for row in self.conn.execute_query(self.BY_V, [value])]
+
+    def test_first_probe_builds_the_index(self):
+        table = self.db.table("T")
+        assert ("V",) not in table._indexes
+        assert self.ids("a") == [0, 2, 4]
+        assert table._indexes[("V",)] == {"a": [0, 2, 4], "b": [1, 3]}
+
+    def test_update_at_moves_a_row_between_keys(self):
+        assert self.ids("a") == [0, 2, 4]
+        self.db.table("T").update_at(1, {"V": "a"})
+        assert self.ids("a") == [0, 1, 2, 4]
+        assert self.ids("b") == [3]
+        self.db.table("T").update_at(3, {"V": None})
+        assert self.ids("b") == []
+        assert self.ids(None) == []  # NULL matches nothing, not the NULL row
+
+    def test_keyed_update_and_insert_through_sql(self):
+        assert self.ids("b") == [1, 3]
+        assert self.conn.execute_update('UPDATE "T" SET "V" = ? WHERE "V" = ?', ["c", "b"]) == 2
+        assert self.ids("b") == []
+        assert self.ids("c") == [1, 3]
+        self.conn.execute_update('INSERT INTO "T" ("ID", "V") VALUES (?, ?)', [5, "c"])
+        assert self.ids("c") == [1, 3, 5]
+
+    def test_renumbering_the_primary_key(self):
+        by_id = 'SELECT t1."V" AS c1 FROM "T" t1 WHERE t1."ID" = ?'
+        assert self.conn.execute_query(by_id, [4]) == [{"c1": "a"}]
+        self.db.table("T").update_at(4, {"ID": 9})
+        assert self.conn.execute_query(by_id, [4]) == []
+        assert self.conn.execute_query(by_id, [9]) == [{"c1": "a"}]
+        assert self.db.table("T").lookup_pk((4,)) is None
+        self.db.table("T").insert({"ID": 4, "V": "z"})  # the old key is free again
+
+    def test_deletes_shift_positions(self):
+        assert self.ids("a") == [0, 2, 4]
+        self.db.table("T").delete_at(0)
+        assert self.ids("a") == [2, 4]
+        assert self.conn.execute_update('DELETE FROM "T" WHERE "V" = ?', ["b"]) == 2
+        assert self.ids("b") == []
+        assert self.ids("a") == [2, 4]
+        assert [row["ID"] for row in self.db.table("T").rows] == [2, 4]
+
+    def test_rollback_restores_the_old_keys(self):
+        assert self.ids("a") == [0, 2, 4]
+        self.conn.begin()
+        self.conn.execute_update('UPDATE "T" SET "V" = ? WHERE "ID" = ?', ["b", 0])
+        assert self.ids("a") == [2, 4]
+        self.conn._txn.rollback()
+        self.conn.end()
+        assert self.ids("a") == [0, 2, 4]
+        assert self.ids("b") == [1, 3]
+
+    def test_drop_and_recreate_the_table(self):
+        assert self.ids("a") == [0, 2, 4]
+        self.db.drop_table("T")
+        self.create(["b", "a"])
+        assert self.ids("a") == [1]
+        assert self.ids("b") == [0]
+
+
 class TestDatabase:
     def test_create_and_load(self):
         db = Database("d")

@@ -119,6 +119,21 @@ class TestSelect:
                        "WHERE t1.\"LAST_NAME\" LIKE 'Jo%'")
         assert len(rows) == 2
 
+    def test_in_list_with_a_null_candidate_is_unknown(self, db):
+        # SINCE is 100, 200, NULL.  x NOT IN (.., NULL) is never true;
+        # x IN (.., NULL) is true on a match and unknown -- not false -- otherwise
+        select = 'SELECT t1."CID" AS c FROM "CUSTOMER" t1 WHERE '
+        assert run(db, select + 't1."SINCE" NOT IN (100, NULL)') == []
+        assert run(db, select + 'NOT (t1."SINCE" IN (100, NULL))') == []
+        assert run(db, select + 't1."SINCE" IN (100, NULL)') == [{"c": "C1"}]
+        assert [r["c"] for r in run(db, select + 't1."SINCE" NOT IN (100)')] == ["C2"]
+
+    def test_like_percent_matches_a_newline(self, db):
+        run(db, 'UPDATE "CUSTOMER" SET "LAST_NAME" = ? WHERE "CID" = ?', ["Jo\nnes", "C1"])
+        rows = run(db, 'SELECT t1."CID" AS c FROM "CUSTOMER" t1 '
+                       "WHERE t1.\"LAST_NAME\" LIKE 'Jo%s'")
+        assert [r["c"] for r in rows] == ["C1", "C3"]
+
     def test_is_null(self, db):
         rows = run(db, 'SELECT t1."CID" AS c FROM "CUSTOMER" t1 WHERE t1."SINCE" IS NULL')
         assert rows == [{"c": "C3"}]

@@ -195,6 +195,46 @@ class TestStress:
             platform.set_replan_threshold(None)
         assert_race_free(detector)
 
+    def test_keyed_readers_race_a_renaming_writer(self, stressed, round):
+        """The backend's hash access paths under fire: a writer flips C1's
+        LAST_NAME between two values — every UPDATE moves a row from one
+        bucket of the LAST_NAME index to another, and finds its row
+        through the primary-key index — while readers probe both
+        buckets.  A reader must see one of the two legal states, never a
+        lost or duplicated row, and always in table order."""
+        from repro import serialize
+        from repro.relational import Connection
+
+        platform, detector = stressed
+        custdb = platform.ctx.databases["custdb"]
+        by_name = "for $c in CUSTOMER() where $c/LAST_NAME eq $n return $c/CID"
+        legal = {
+            "Jones": {"<CID>C1</CID>", ""},
+            "Smith": {"<CID>C2</CID>", "<CID>C1</CID><CID>C2</CID>"},
+        }
+
+        def worker(index):
+            if index == 0:
+                writer = Connection(custdb)
+                for i in range(4 * OPS_PER_THREAD):
+                    assert writer.execute_update(
+                        'UPDATE "CUSTOMER" SET "LAST_NAME" = ? WHERE "CID" = ?',
+                        ["Jones" if i % 2 else "Smith", "C1"]) == 1
+                return
+            name = "Jones" if index % 2 else "Smith"
+            for _ in range(OPS_PER_THREAD):
+                seen = serialize(platform.execute(by_name, {"n": [_string(name)]}))
+                assert seen in legal[name], seen
+                assert len(platform.call("getProfileByID", [_string("C1")])) == 1
+
+        hammer(platform, worker)
+        assert_race_free(detector)
+        customers = custdb.table("CUSTOMER")
+        assert {("CID",), ("LAST_NAME",)} <= set(customers._indexes)
+        # the writer's last rename put Jones back
+        for name, cids in (("Jones", "<CID>C1</CID>"), ("Smith", "<CID>C2</CID>")):
+            assert serialize(platform.execute(by_name, {"n": [_string(name)]})) == cids
+
     def test_counters_are_exact_under_contention(self, stressed, round):
         platform, detector = stressed
         runs_per_thread = 8
