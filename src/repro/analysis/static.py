@@ -64,6 +64,7 @@ REGISTRY: dict[str, tuple[str, ...]] = {
     "runtime/operators/group.py": ("GroupStats",),
     "server/admission.py": ("AdmissionController", "TokenBucket"),
     "server/session.py": ("SessionManager",),
+    "sources/files.py": ("FileAdaptor",),
 }
 
 #: counter fields owned by the synchronized stats objects; writing them

@@ -35,12 +35,11 @@ from typing import Iterator
 from ..concurrency import RACE, TrackedRLock, guarded_by
 from ..errors import DynamicError
 from ..xquery import ast_nodes as ast
-from ..xquery.functions import atomize, effective_boolean_value
 from .batch import BatchBuilder, TupleBatch
 from .evaluate import Env, Evaluator, _clause_groups, _OrderKey
 from .operators.group import clustered_groups, sorted_groups
 from .operators.ppk import ppk_extend
-from .rowcompile import rowfn
+from .rowcompile import MANY, atomfn, rowfn, truthfn
 
 try:
     from ..compiler.algebra import (
@@ -216,27 +215,40 @@ def _for_batches(run: _BatchRun, clause: ast.ForClause,
     ev, size = run.ev, run.size
     var, pos_var = clause.var, clause.pos_var
     builder = BatchBuilder(size, owned=True)
+    added = (var, pos_var) if pos_var else (var,)
     for batch in batches:
-        for env in batch.env_rows():
+        envs = batch.env_rows()
+        if not envs:
+            continue
+        names = _names_with(envs[0], added)
+        for env in envs:
             items = expr_fn(ev, env)
             if pos_var:
                 for position, item in enumerate(items, start=1):
                     extended = dict(env)
                     extended[var] = [item]
                     extended[pos_var] = [_position_value(position)]
-                    out = builder.add(extended)
+                    out = builder.add(extended, names)
                     if out is not None:
                         yield out
             else:
                 for item in items:
                     extended = dict(env)
                     extended[var] = [item]
-                    out = builder.add(extended)
+                    out = builder.add(extended, names)
                     if out is not None:
                         yield out
     tail = builder.flush()
     if tail is not None:
         yield tail
+
+
+def _names_with(env: Env, added: tuple[str, ...]) -> tuple[str, ...]:
+    """The schema of ``env`` once ``added`` are bound in it, in the order
+    dict assignment gives.  Rows of one batch share a schema, so
+    multiplying operators work this out once per input batch instead of
+    leaving ``BatchBuilder.add`` to recompute it for every output row."""
+    return tuple(dict.fromkeys((*env, *added)))
 
 
 def _position_value(position: int):
@@ -256,12 +268,11 @@ def _let_batches(run: _BatchRun, clause: ast.LetClause,
 
 def _where_batches(run: _BatchRun, clause: ast.WhereClause,
                    batches: Iterator[TupleBatch]) -> Iterator[TupleBatch]:
-    condition_fn = rowfn(clause.condition)
+    condition_fn = truthfn(clause.condition)
     ev = run.ev
     for batch in batches:
         envs = batch.env_rows()
-        kept = [i for i, env in enumerate(envs)
-                if effective_boolean_value(condition_fn(ev, env))]
+        kept = [i for i, env in enumerate(envs) if condition_fn(ev, env)]
         if not kept:
             continue
         if len(kept) == batch.length:
@@ -277,8 +288,8 @@ def _index_join_batches(run: _BatchRun, clause,
     ``middleware_join_probes`` bump per batch instead of per tuple."""
     ev, ctx = run.ev, run.ctx
     var = clause.var
-    probe_fn = rowfn(clause.outer_key)
-    inner_fn = rowfn(clause.inner_key)
+    probe_fn = atomfn(clause.outer_key)
+    inner_fn = atomfn(clause.inner_key)
     index: dict | None = None
     builder = BatchBuilder(run.size, owned=True)
     for batch in batches:
@@ -290,20 +301,21 @@ def _index_join_batches(run: _BatchRun, clause,
                     "index-join.build", var,
                     op=getattr(clause, "op_id", None)) as span:
                 for item in ev.iter_eval(clause.expr, envs[0]):
-                    key_atoms = atomize(inner_fn(ev, {var: [item]}))
-                    if len(key_atoms) != 1:
+                    key = inner_fn(ev, {var: [item]})
+                    if key is None or type(key) is MANY:
                         continue  # empty/multi keys never equi-join
-                    index.setdefault(key_atoms[0].value, []).append(item)
+                    index.setdefault(key.value, []).append(item)
                 span.set(index_size=sum(len(v) for v in index.values()))
         ctx.stats.bump(middleware_join_probes=len(envs))
+        names = _names_with(envs[0], (var,)) if envs else ()
         for env in envs:
-            probe_atoms = atomize(probe_fn(ev, env))
-            if len(probe_atoms) != 1:
+            key = probe_fn(ev, env)
+            if key is None or type(key) is MANY:
                 continue
-            for item in index.get(probe_atoms[0].value, []):  # type: ignore[union-attr]
+            for item in index.get(key.value, ()):  # type: ignore[union-attr]
                 extended = dict(env)
                 extended[var] = [item]
-                out = builder.add(extended)
+                out = builder.add(extended, names)
                 if out is not None:
                     yield out
     tail = builder.flush()
@@ -317,7 +329,7 @@ def _index_join_batches(run: _BatchRun, clause,
 def _order_batches(run: _BatchRun, clause: ast.OrderByClause,
                    batches: Iterator[TupleBatch]) -> Iterator[TupleBatch]:
     ev = run.ev
-    key_fns = [(rowfn(spec.key), spec.descending, spec.empty_greatest)
+    key_fns = [(atomfn(spec.key), spec.descending, spec.empty_greatest)
                for spec in clause.specs]
     with ev.ctx.tracer.start("order-by",
                              op=getattr(clause, "op_id", None)) as span:
@@ -330,11 +342,11 @@ def _order_batches(run: _BatchRun, clause: ast.OrderByClause,
         def sort_key(env: Env):
             keys = []
             for key_fn, descending, empty_greatest in key_fns:
-                atoms = atomize(key_fn(ev, env))
-                if len(atoms) > 1:
+                atom = key_fn(ev, env)
+                if type(atom) is MANY:
                     raise DynamicError("order by key with more than one item")
-                value = atoms[0].value if atoms else None
-                keys.append(_OrderKey(value, descending, empty_greatest))
+                keys.append(_OrderKey(None if atom is None else atom.value,
+                                      descending, empty_greatest))
             return keys
 
         materialized.sort(key=sort_key)
@@ -345,7 +357,7 @@ def _order_batches(run: _BatchRun, clause: ast.OrderByClause,
 def _group_batches(run: _BatchRun, clause: ast.GroupByClause,
                    batches: Iterator[TupleBatch]) -> Iterator[TupleBatch]:
     ev = run.ev
-    key_fns = [rowfn(expr) for expr, _var in clause.keys]
+    key_fns = [atomfn(expr) for expr, _var in clause.keys]
 
     def key_of(env_and_keys):
         return env_and_keys[1]
@@ -355,10 +367,10 @@ def _group_batches(run: _BatchRun, clause: ast.GroupByClause,
             for env in batch.env_rows():
                 key_values = []
                 for key_fn in key_fns:
-                    atoms = atomize(key_fn(ev, env))
-                    if len(atoms) > 1:
+                    atom = key_fn(ev, env)
+                    if type(atom) is MANY:
                         raise DynamicError("group by key with more than one item")
-                    key_values.append(atoms[0].value if atoms else None)
+                    key_values.append(None if atom is None else atom.value)
                 yield env, tuple(key_values)
 
     base_grouper = clustered_groups if getattr(clause, "pre_clustered", False) \

@@ -39,6 +39,7 @@ from ..xml.qname import QName
 from ..xquery import ast_nodes as ast
 from ..xquery.functions import (
     all_builtins,
+    arithmetic_value,
     atomize,
     compare_atomics,
     effective_boolean_value,
@@ -104,23 +105,29 @@ class Evaluator:
         return []
 
     def _eval_VarRef(self, node: ast.VarRef, env: Env) -> list[Item]:
-        if node.name in env:
-            return list(env[node.name])
-        if node.name in self.ctx.external_variables:
-            return list(self.ctx.external_variables[node.name])
+        return list(self.variable(node.name, env))
+
+    def variable(self, name: str, env: Env) -> list[Item]:
+        """The sequence bound to ``$name`` — the binding itself, not a
+        copy: callers that hand it on must copy it first."""
+        if name in env:
+            return env[name]
+        externals = self.ctx.external_variables
+        if name in externals:
+            return externals[name]
         # Module-level variable declarations (evaluated lazily, cached).
-        if self.ctx.module is not None and node.name in self.ctx.module.variables:
-            decl = self.ctx.module.variables[node.name]
+        if self.ctx.module is not None and name in self.ctx.module.variables:
+            decl = self.ctx.module.variables[name]
             cached = getattr(decl, "_cached_value", None)
             if cached is None:
                 if decl.value is None:
                     raise DynamicError(
-                        f"external variable ${node.name} was not bound"
+                        f"external variable ${name} was not bound"
                     )
                 cached = self.eval(decl.value, {})
                 decl._cached_value = cached
-            return list(cached)
-        raise DynamicError(f"unbound variable ${node.name}")
+            return cached
+        raise DynamicError(f"unbound variable ${name}")
 
     def _eval_ContextItem(self, node, env) -> list[Item]:
         if "." not in env:
@@ -142,32 +149,7 @@ class Evaluator:
         right = self._single_numeric(node.right, env, node.op)
         if left is None or right is None:
             return []
-        op = node.op
-        if op == "+":
-            value = left + right
-        elif op == "-":
-            value = left - right
-        elif op == "*":
-            value = left * right
-        elif op == "div":
-            if right == 0:
-                raise DynamicError("division by zero")
-            value = left / right
-        elif op == "idiv":
-            if right == 0:
-                raise DynamicError("division by zero")
-            value = int(left / right) if (left < 0) != (right < 0) and left % right else left // right
-            value = int(value)
-        elif op == "mod":
-            if right == 0:
-                raise DynamicError("division by zero")
-            value = math.fmod(left, right)
-            if isinstance(left, int) and isinstance(right, int):
-                value = int(value)
-        else:
-            raise DynamicError(f"unknown arithmetic operator {op}")
-        type_name = "xs:integer" if isinstance(value, int) else "xs:double"
-        return [AtomicValue(value, type_name)]
+        return [arithmetic_value(node.op, left, right)]
 
     def _eval_UnaryMinus(self, node: ast.UnaryMinus, env: Env) -> list[Item]:
         value = self._single_numeric(node.operand, env, "unary -")

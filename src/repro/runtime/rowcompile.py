@@ -4,18 +4,38 @@ The tuple-at-a-time interpreter pays a ``getattr`` dispatch, a generator
 wrap and a ``list()`` materialization on *every* sub-expression of every
 row.  The batch engine amortizes per-clause setup across a whole batch,
 so it can afford to compile each clause expression **once** into a chain
-of plain closures ``f(evaluator, env) -> list[Item]`` and call that per
-row — no dispatch, no generator frames.
+of plain closures and call that per row — no dispatch, no generator
+frames.  A compiled expression has two calling conventions:
+
+* the **list form** ``f(evaluator, env) -> list[Item]`` — every shape has
+  it, and it returns a **fresh list** per call (callers and builtin
+  evaluators may extend or hold the result);
+* the **atom lane** ``f.atom(evaluator, env) -> AtomicValue | None |
+  MANY`` — the atomized value of the expression when it has at most one
+  atom: the atom, ``None`` for the empty sequence, or a :class:`MANY`
+  holding the atoms when there are two or more.  Scalar work (arithmetic
+  and comparison operands, ``where`` conditions, group/order/join keys)
+  runs on the lane and never builds, copies, re-atomizes or re-counts an
+  item list (the paper's typed token stream, sections 5.1-5.2, serves the
+  same end).  Each consumer turns ``MANY`` into the error the list form
+  raises for a multi-item operand, in the same left-to-right order.
+
+``Literal``, ``Arithmetic``, ``UnaryMinus``, ``Comparison``, ``And/Or``
+and ``fn:data`` are *atomic* shapes — their items are their atoms — so the
+lane is their only body and :func:`_from_lane` derives the list form from
+it (``f.atomic`` is true).  ``VarRef`` has a lane of its own beside its
+list form (the bound items may be nodes).  For every other shape
+:func:`atomfn` derives the lane from the list form.
 
 Semantics are byte-identical to the interpreter by construction: every
 compiled shape reuses the *same* helper functions the interpreter calls
-(:func:`~repro.xquery.functions.atomize`, ``compare_atomics``,
-``effective_boolean_value``, ``_coerce``, ``_axis``,
+(:func:`~repro.xquery.functions.atomize`, ``arithmetic_value``,
+``compare_atomics``, ``effective_boolean_value``, ``_coerce``, ``_axis``,
 ``construct_element_content``, the evaluator's ``_filter``), and every
 shape the compiler does not understand falls back to a bridge closure
-that simply calls ``evaluator.eval`` — the interpreter itself.  The
-equivalence suite (``tests/test_batch_equivalence.py``) asserts the
-end-to-end identity.
+that simply calls ``evaluator.eval`` — the interpreter itself
+(:func:`bridged` lists them).  The equivalence suite
+(``tests/test_batch_equivalence.py``) asserts the end-to-end identity.
 
 Compiled closures are cached on the AST node (``node._rowfn``), like the
 memoized SQL renderings on pushed regions (``_sql_text``).  Closures
@@ -23,14 +43,10 @@ capture no evaluator or context, so plans shared through the plan cache
 reuse them safely across platforms and threads; concurrent first
 compilations produce equivalent closures and the last write wins (benign,
 same contract as ``_sql_text``).
-
-Every compiled closure returns a **fresh list** per call — callers (and
-builtin evaluators) may extend or hold the result.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 from ..errors import DynamicError
@@ -39,6 +55,8 @@ from ..xml.qname import QName
 from ..xquery import ast_nodes as ast
 from ..xquery.functions import (
     all_builtins,
+    arithmetic_value,
+    atom_boolean_value,
     atomize,
     compare_atomics,
     effective_boolean_value,
@@ -46,6 +64,17 @@ from ..xquery.functions import (
 )
 
 RowFn = Callable
+
+
+class MANY(list):
+    """Atom-lane outcome for two or more atoms (the atoms themselves, so
+    ``fn:data`` and general comparison need no second evaluation)."""
+
+    __slots__ = ()
+
+
+_TRUE = AtomicValue(True, "xs:boolean")
+_FALSE = AtomicValue(False, "xs:boolean")
 
 
 def rowfn(node: ast.AstNode) -> RowFn:
@@ -59,6 +88,39 @@ def rowfn(node: ast.AstNode) -> RowFn:
             fn = _bridge(node)
         node._rowfn = fn
     return fn
+
+
+def atomfn(node: ast.AstNode) -> RowFn:
+    """The atom lane of ``node``: its own where the shape has one, else
+    derived from (and cached on) the list form."""
+    fn = rowfn(node)
+    atom = getattr(fn, "atom", None)
+    if atom is None:
+        def atom(evaluator, env):
+            return _one_atom(fn(evaluator, env))
+
+        fn.atom = atom
+    return atom
+
+
+def truthfn(node: ast.AstNode) -> Callable:
+    """``(evaluator, env) -> bool``: the effective boolean value of
+    ``node``, on the lane when its items are atoms (a node is true
+    whatever it atomizes to, so other shapes keep their item list)."""
+    fn = rowfn(node)
+    if not getattr(fn, "atomic", False):
+        return lambda evaluator, env: effective_boolean_value(fn(evaluator, env))
+    atom = fn.atom
+
+    def truth(evaluator, env):
+        value = atom(evaluator, env)
+        if value is None:
+            return False
+        if type(value) is MANY:
+            raise DynamicError("effective boolean value of multi-item atomic sequence")
+        return atom_boolean_value(value)
+
+    return truth
 
 
 def compile_rowfn(node: ast.AstNode) -> RowFn | None:
@@ -80,19 +142,86 @@ def _bridge(node: ast.AstNode) -> RowFn:
     return call
 
 
+#: plan operators the interpreter owns under either engine: nothing in
+#: them is row-expression work the compiler could have taken
+_SOURCE_OPERATORS = frozenset({"PushedSQL", "SourceCall"})
+
+
+def bridged(node: ast.AstNode) -> list[str]:
+    """AST type names of the expressions under ``node`` that run on the
+    interpreter: shapes :func:`rowfn` bridges (reported once, at the root
+    of the interpreted subtree) and predicates, which ``Evaluator._filter``
+    evaluates.  Empty means every row expression of the plan is compiled."""
+    names: list[str] = []
+
+    def visit(n: ast.AstNode) -> None:
+        if type(n).__name__ in _SOURCE_OPERATORS:
+            return
+        if isinstance(n, (ast.Step, ast.FilterExpr)):
+            names.extend(type(p).__name__ for p in n.predicates)
+            if isinstance(n, ast.FilterExpr):
+                visit(n.base)
+            return
+        # FLWORs, clauses and order specs are pipeline operators: their
+        # expressions are what gets compiled
+        if not isinstance(n, (ast.FLWOR, ast.Clause, ast.OrderSpec)) \
+                and compile_rowfn(n) is None:
+            names.append(type(n).__name__)
+            return
+        for child in n.children():
+            visit(child)
+
+    visit(node)
+    return names
+
+
 def _sub(node: ast.AstNode) -> RowFn:
     return rowfn(node)
 
 
+def _one_atom(items):
+    """The atom-lane outcome for an item sequence."""
+    if len(items) == 1:
+        atoms = items[0].atomize()
+    else:
+        atoms = atomize(items)
+    if len(atoms) == 1:
+        return atoms[0]
+    return MANY(atoms) if atoms else None
+
+
+def _from_lane(atom: RowFn) -> RowFn:
+    """The list form of an atomic shape, defined from its lane."""
+
+    def call(evaluator, env):
+        value = atom(evaluator, env)
+        if value is None:
+            return []
+        return list(value) if type(value) is MANY else [value]
+
+    call.atom = atom
+    call.atomic = True
+    return call
+
+
+def _number(value, op: str):
+    """``numeric_value`` of a lane outcome; None (empty) stays None."""
+    if value is None:
+        return None
+    if type(value) is MANY:
+        raise DynamicError(f"{op}: operand has more than one item")
+    return numeric_value(value)
+
+
 # ---------------------------------------------------------------------------
-# Shape compilers.  Each mirrors the corresponding Evaluator._eval_* method
-# line for line; when editing one, edit both.
+# Shape compilers.  Each has one body; value semantics live in the helpers
+# shared with the corresponding Evaluator._eval_* method.
 # ---------------------------------------------------------------------------
 
 
 def _c_Literal(node: ast.Literal) -> RowFn:
     value = node.value
-    return lambda evaluator, env: [value]
+    return _from_lane(lambda evaluator, env: value)
 
 
 def _c_EmptySequence(node) -> RowFn:
@@ -102,12 +231,26 @@ def _c_EmptySequence(node) -> RowFn:
 def _c_VarRef(node: ast.VarRef) -> RowFn:
     name = node.name
 
-    def call(evaluator, env):
-        if name in env:
-            return list(env[name])
-        # external / module variables: rare, interpreter handles them
-        return evaluator._eval_VarRef(node, env)
+    # A name the tuple does not bind is an external or module variable:
+    # every row of a parameterised query reads its parameters this way, so
+    # the lookup hands back the binding itself and only the list form
+    # copies it.
 
+    def call(evaluator, env):
+        items = env.get(name)
+        if items is None:
+            items = evaluator.variable(name, env)
+        return list(items)
+
+    def atom(evaluator, env):
+        items = env.get(name)
+        if items is None:
+            items = evaluator.variable(name, env)
+        if len(items) == 1 and type(items[0]) is AtomicValue:
+            return items[0]
+        return _one_atom(items)
+
+    call.atom = atom
     return call
 
 
@@ -136,21 +279,12 @@ def _c_SequenceExpr(node: ast.SequenceExpr) -> RowFn | None:
     return call
 
 
-def _single_numeric(evaluator, fn: RowFn, env, op: str):
-    atoms = atomize(fn(evaluator, env))
-    if not atoms:
-        return None
-    if len(atoms) > 1:
-        raise DynamicError(f"{op}: operand has more than one item")
-    return numeric_value(atoms[0])
-
-
 def _c_RangeTo(node: ast.RangeTo) -> RowFn:
-    start_fn, end_fn = _sub(node.start), _sub(node.end)
+    start_fn, end_fn = atomfn(node.start), atomfn(node.end)
 
     def call(evaluator, env):
-        start = _single_numeric(evaluator, start_fn, env, "range")
-        end = _single_numeric(evaluator, end_fn, env, "range")
+        start = _number(start_fn(evaluator, env), "range")
+        end = _number(end_fn(evaluator, env), "range")
         if start is None or end is None:
             return []
         return [AtomicValue(i, "xs:integer") for i in range(int(start), int(end) + 1)]
@@ -159,108 +293,81 @@ def _c_RangeTo(node: ast.RangeTo) -> RowFn:
 
 
 def _c_Arithmetic(node: ast.Arithmetic) -> RowFn:
-    left_fn, right_fn = _sub(node.left), _sub(node.right)
+    left_fn, right_fn = atomfn(node.left), atomfn(node.right)
     op = node.op
 
-    def call(evaluator, env):
-        left = _single_numeric(evaluator, left_fn, env, op)
-        right = _single_numeric(evaluator, right_fn, env, op)
+    def atom(evaluator, env):
+        left = _number(left_fn(evaluator, env), op)
+        right = _number(right_fn(evaluator, env), op)
         if left is None or right is None:
-            return []
-        if op == "+":
-            value = left + right
-        elif op == "-":
-            value = left - right
-        elif op == "*":
-            value = left * right
-        elif op == "div":
-            if right == 0:
-                raise DynamicError("division by zero")
-            value = left / right
-        elif op == "idiv":
-            if right == 0:
-                raise DynamicError("division by zero")
-            value = int(left / right) if (left < 0) != (right < 0) and left % right else left // right
-            value = int(value)
-        elif op == "mod":
-            if right == 0:
-                raise DynamicError("division by zero")
-            value = math.fmod(left, right)
-            if isinstance(left, int) and isinstance(right, int):
-                value = int(value)
-        else:
-            raise DynamicError(f"unknown arithmetic operator {op}")
-        type_name = "xs:integer" if isinstance(value, int) else "xs:double"
-        return [AtomicValue(value, type_name)]
+            return None
+        return arithmetic_value(op, left, right)
 
-    return call
+    return _from_lane(atom)
 
 
 def _c_UnaryMinus(node: ast.UnaryMinus) -> RowFn:
-    operand_fn = _sub(node.operand)
+    operand_fn = atomfn(node.operand)
 
-    def call(evaluator, env):
-        value = _single_numeric(evaluator, operand_fn, env, "unary -")
+    def atom(evaluator, env):
+        value = _number(operand_fn(evaluator, env), "unary -")
         if value is None:
-            return []
-        return [AtomicValue(-value, "xs:integer" if isinstance(value, int) else "xs:double")]
+            return None
+        return AtomicValue(-value, "xs:integer" if isinstance(value, int) else "xs:double")
 
-    return call
+    return _from_lane(atom)
 
 
 def _c_Comparison(node: ast.Comparison) -> RowFn:
     from .evaluate import _coerce
 
-    left_fn, right_fn = _sub(node.left), _sub(node.right)
-    op, general = node.op, node.general
+    left_fn, right_fn = atomfn(node.left), atomfn(node.right)
+    op = node.op
 
-    def call(evaluator, env):
-        left = atomize(left_fn(evaluator, env))
-        right = atomize(right_fn(evaluator, env))
-        if general:
+    def general(evaluator, env):
+        left = left_fn(evaluator, env)
+        right = right_fn(evaluator, env)
+        if left is None or right is None:
+            return _FALSE
+        if type(left) is not MANY and type(right) is not MANY:
+            result = compare_atomics(op, _coerce(left, right), _coerce(right, left))
+        else:
             result = any(
                 compare_atomics(op, _coerce(a, b), _coerce(b, a))
-                for a in left
-                for b in right
+                for a in (left if type(left) is MANY else (left,))
+                for b in (right if type(right) is MANY else (right,))
             )
-            return [AtomicValue(result, "xs:boolean")]
-        if not left or not right:
-            return []
-        if len(left) > 1 or len(right) > 1:
+        return _TRUE if result else _FALSE
+
+    def value(evaluator, env):
+        left = left_fn(evaluator, env)
+        right = right_fn(evaluator, env)
+        if left is None or right is None:
+            return None
+        if type(left) is MANY or type(right) is MANY:
             raise DynamicError("value comparison over multi-item sequence")
-        return [AtomicValue(compare_atomics(op, left[0], right[0]), "xs:boolean")]
+        return _TRUE if compare_atomics(op, left, right) else _FALSE
 
-    return call
-
-
-def _c_AndExpr(node: ast.AndExpr) -> RowFn:
-    left_fn, right_fn = _sub(node.left), _sub(node.right)
-
-    def call(evaluator, env):
-        value = effective_boolean_value(left_fn(evaluator, env)) and \
-            effective_boolean_value(right_fn(evaluator, env))
-        return [AtomicValue(value, "xs:boolean")]
-
-    return call
+    return _from_lane(general if node.general else value)
 
 
-def _c_OrExpr(node: ast.OrExpr) -> RowFn:
-    left_fn, right_fn = _sub(node.left), _sub(node.right)
-
-    def call(evaluator, env):
-        value = effective_boolean_value(left_fn(evaluator, env)) or \
-            effective_boolean_value(right_fn(evaluator, env))
-        return [AtomicValue(value, "xs:boolean")]
-
-    return call
+def _c_Logical(node: ast.AndExpr | ast.OrExpr) -> RowFn:
+    left_fn, right_fn = truthfn(node.left), truthfn(node.right)
+    if isinstance(node, ast.AndExpr):
+        def atom(evaluator, env):
+            return _TRUE if left_fn(evaluator, env) and right_fn(evaluator, env) else _FALSE
+    else:
+        def atom(evaluator, env):
+            return _TRUE if left_fn(evaluator, env) or right_fn(evaluator, env) else _FALSE
+    return _from_lane(atom)
 
 
 def _c_IfExpr(node: ast.IfExpr) -> RowFn:
-    condition_fn = _sub(node.condition)
+    condition_fn = truthfn(node.condition)
     then_fn, else_fn = _sub(node.then_branch), _sub(node.else_branch)
 
     def call(evaluator, env):
-        if effective_boolean_value(condition_fn(evaluator, env)):
+        if condition_fn(evaluator, env):
             return then_fn(evaluator, env)
         return else_fn(evaluator, env)
 
@@ -392,6 +499,8 @@ def _c_FunctionCall(node: ast.FunctionCall) -> RowFn | None:
         return focus
     if name in _SPECIAL_CALLS:
         return None  # service-quality calls: spans/branch accounting
+    if name == "fn:data" and len(node.args) == 1:
+        return _from_lane(atomfn(node.args[0]))  # atomization is the lane
     builtin = all_builtins().get(name)
     if builtin is None or builtin.evaluator is None or builtin.lazy:
         return None  # user functions (cache/recursion) and lazy builtins
@@ -419,8 +528,8 @@ _COMPILERS: dict[str, Callable] = {
     "Arithmetic": _c_Arithmetic,
     "UnaryMinus": _c_UnaryMinus,
     "Comparison": _c_Comparison,
-    "AndExpr": _c_AndExpr,
-    "OrExpr": _c_OrExpr,
+    "AndExpr": _c_Logical,
+    "OrExpr": _c_Logical,
     "IfExpr": _c_IfExpr,
     "PathExpr": _c_PathExpr,
     "FilterExpr": _c_FilterExpr,

@@ -14,6 +14,8 @@ data services — :mod:`repro.services.introspect`) and this runtime side.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from ..clock import Clock, VirtualClock
 from ..errors import SourceError
 from ..relational.database import SourceStats
@@ -82,14 +84,18 @@ class Adaptor:
         try:
             params = self.translate_parameters(args)
             raw = self.call(connection, params)
-            items = self.translate_result(raw)
+            tokens = self.result_tokens(raw)
         finally:
             self.close(connection)
+        return tokens_to_items(tokens)
+
+    def result_tokens(self, raw: object) -> Sequence[Token]:
+        """Step 4 as the runtime sees it: the source result as a typed
+        token stream, the form in which data enters the ALDSP runtime
+        (section 5.1).  ``invoke`` builds fresh items from it per call."""
+        items = self.translate_result(raw)
         if self.faults is not None:
             items, dropped = self.faults.on_result(self.name, items)
             if dropped is not None:
                 raise dropped
-        # Round-trip through the typed token stream: this is the form in
-        # which data enters the ALDSP runtime (section 5.1).
-        tokens: list[Token] = list(items_to_tokens(items))
-        return tokens_to_items(tokens)
+        return list(items_to_tokens(items))

@@ -11,20 +11,31 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
+from typing import Sequence
 
 from ..clock import Clock
+from ..concurrency import TrackedRLock, guarded_by
 from ..errors import SourceError
 from ..schema.builder import validate
 from ..schema.types import ComplexContent, ElementItemType, SimpleContent
 from ..xml.items import ElementNode, Item, TextNode
 from ..xml.parser import parse_document
 from ..xml.qname import QName
+from ..xml.tokens import Token
 from .adaptor import Adaptor
 
 
-class XMLFileAdaptor(Adaptor):
-    """Serves the row/record elements of an XML file, validated against the
-    registration-time schema."""
+@guarded_by("_lock")
+class FileAdaptor(Adaptor):
+    """What the file sources share: every call charges ``latency_ms`` and
+    reads the whole file; subclasses turn the text into validated records.
+
+    Validation is a function of the text alone, so the adaptor keeps the
+    typed token stream of the last content that validated and, while the
+    text just read is equal to it, hands those (immutable) tokens straight
+    to ``invoke``'s item builder: no parse, no record construction, no
+    ``validate``, no tokenizing.  Changed content, content that failed to
+    validate and any installed ``FaultInjector`` take every step."""
 
     def __init__(self, name: str, path: str | Path, record_shape: ElementItemType,
                  clock: Clock | None = None, latency_ms: float = 2.0):
@@ -32,18 +43,35 @@ class XMLFileAdaptor(Adaptor):
         self.path = Path(path)
         self.record_shape = record_shape
         self.latency_ms = latency_ms
+        self._lock = TrackedRLock(f"FileAdaptor:{name}")
+        #: (text, its tokens) for the last content read that validated
+        self._memo: tuple[object, tuple[Token, ...]] | None = None
 
     def call(self, connection: object, params: list[object]) -> object:
         self.clock.charge_ms(self.latency_ms)
         try:
-            text = self.path.read_text()
+            return self.path.read_text()
         except OSError as exc:
             raise SourceError(f"cannot read {self.path}: {exc}") from exc
-        return parse_document(text)
+
+    def result_tokens(self, raw: object) -> Sequence[Token]:
+        if self.faults is not None:
+            return super().result_tokens(raw)
+        memo = self._memo
+        if memo is not None and memo[0] == raw:
+            return memo[1]
+        tokens = tuple(super().result_tokens(raw))
+        with self._lock:
+            self._memo = (raw, tokens)
+        return tokens
+
+
+class XMLFileAdaptor(FileAdaptor):
+    """Serves the row/record elements of an XML file, validated against the
+    registration-time schema."""
 
     def translate_result(self, result: object) -> list[Item]:
-        document = result
-        root = document.root_element()  # type: ignore[union-attr]
+        root = parse_document(str(result)).root_element()
         records = [c for c in root.children() if isinstance(c, ElementNode)]
         if not records and self.record_shape.name == root.name.local:
             records = [root]
@@ -52,7 +80,7 @@ class XMLFileAdaptor(Adaptor):
         return list(records)
 
 
-class CSVFileAdaptor(Adaptor):
+class CSVFileAdaptor(FileAdaptor):
     """Serves the rows of a delimited file as typed row elements.
 
     The record shape must be flat (simple-content leaves only); column
@@ -62,12 +90,9 @@ class CSVFileAdaptor(Adaptor):
     def __init__(self, name: str, path: str | Path, record_shape: ElementItemType,
                  delimiter: str = ",", has_header: bool = True,
                  clock: Clock | None = None, latency_ms: float = 2.0):
-        super().__init__(name, clock)
-        self.path = Path(path)
-        self.record_shape = record_shape
+        super().__init__(name, path, record_shape, clock, latency_ms)
         self.delimiter = delimiter
         self.has_header = has_header
-        self.latency_ms = latency_ms
         self._fields = self._field_spec(record_shape)
 
     @staticmethod
@@ -84,14 +109,6 @@ class CSVFileAdaptor(Adaptor):
             assert item_type.name is not None
             fields.append((item_type.name, item_type.content.type_name))
         return fields
-
-    def call(self, connection: object, params: list[object]) -> object:
-        self.clock.charge_ms(self.latency_ms)
-        try:
-            text = self.path.read_text()
-        except OSError as exc:
-            raise SourceError(f"cannot read {self.path}: {exc}") from exc
-        return text
 
     def translate_result(self, result: object) -> list[Item]:
         reader = csv.reader(io.StringIO(str(result)), delimiter=self.delimiter)

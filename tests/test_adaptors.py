@@ -180,3 +180,128 @@ class TestFileAdaptors:
         nested = shape("ROW", [group("INNER", [leaf("X", "xs:string")])])
         with pytest.raises(SourceError):
             CSVFileAdaptor("rows", tmp_path / "x.csv", nested)
+
+
+class TestFileMemo:
+    """The file adaptors keep the tokens of the last content that
+    validated; a call whose text is unchanged skips parse/validate only."""
+
+    @staticmethod
+    def _csv(tmp_path, text="ID,NAME\n1,alpha\n2,beta\n"):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        clock = VirtualClock()
+        return path, clock, CSVFileAdaptor("rows", path, RECORD, clock=clock,
+                                           latency_ms=3.0)
+
+    def test_rewritten_file_is_seen_by_the_next_call(self, tmp_path):
+        import os
+
+        path, _clock, adaptor = self._csv(tmp_path)
+        assert serialize(adaptor.invoke([])[0]) == "<ROW><ID>1</ID><NAME>alpha</NAME></ROW>"
+        stamp = os.stat(path)
+        path.write_text("ID,NAME\n1,gamma\n2,beta\n")  # same length
+        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))  # same second
+        assert os.stat(path).st_size == stamp.st_size
+        assert serialize(adaptor.invoke([])[0]) == "<ROW><ID>1</ID><NAME>gamma</NAME></ROW>"
+
+    def test_xml_rewritten_file_is_seen_by_the_next_call(self, tmp_path):
+        path = tmp_path / "data.xml"
+        path.write_text("<ROWS><ROW><ID>1</ID><NAME>a</NAME></ROW></ROWS>")
+        adaptor = XMLFileAdaptor("rows", path, RECORD, VirtualClock())
+        first = adaptor.invoke([])
+        assert serialize(adaptor.invoke([])) == serialize(first)
+        path.write_text("<ROWS><ROW><ID>1</ID><NAME>b</NAME></ROW></ROWS>")
+        assert serialize(adaptor.invoke([])) == "<ROW><ID>1</ID><NAME>b</NAME></ROW>"
+
+    def test_unchanged_text_skips_validation_only(self, tmp_path, monkeypatch):
+        from repro.sources import files
+
+        calls = []
+        real = files.validate
+        monkeypatch.setattr(files, "validate",
+                            lambda elem, shape_: calls.append(1) or real(elem, shape_))
+        path, _clock, adaptor = self._csv(tmp_path)
+        first = adaptor.invoke([])
+        assert len(calls) == 2
+        second = adaptor.invoke([])
+        assert len(calls) == 2  # memo hit: nothing validated again
+        assert serialize(second) == serialize(first)
+        assert second[0].child_elements()[0].typed_value()[0] == AtomicValue(1, "xs:integer")
+        path.write_text("ID,NAME\n1,alpha\n")
+        adaptor.invoke([])
+        assert len(calls) == 3
+
+    def test_invalid_after_valid_raises_then_recovers(self, tmp_path):
+        path, _clock, adaptor = self._csv(tmp_path)
+        good = path.read_text()
+        expected = serialize(adaptor.invoke([]))
+        path.write_text("ID,NAME\nnot-a-number,alpha\n")
+        for _ in range(2):  # a failure is never remembered as a result
+            with pytest.raises(SchemaError):
+                adaptor.invoke([])
+        path.write_text("ID,NAME\n1,a,EXTRA\n")
+        with pytest.raises(SourceError):
+            adaptor.invoke([])
+        path.write_text(good)
+        assert serialize(adaptor.invoke([])) == expected
+
+    def test_fault_plan_behaves_as_before(self, tmp_path):
+        from repro.resilience import FaultInjector
+
+        _path, _clock, adaptor = self._csv(tmp_path)
+        expected = serialize(adaptor.invoke([]))  # memo is warm
+        injector = FaultInjector().drop_mid_result(keep_rows=1).attach(adaptor)
+        with pytest.raises(SourceError, match="dropped mid-result after 1 of 2 rows"):
+            adaptor.invoke([])
+        assert injector.injected_drops == 1
+        adaptor.faults = None
+        assert serialize(adaptor.invoke([])) == expected
+        FaultInjector().fail_first(1).attach(adaptor)
+        with pytest.raises(SourceError, match="injected fault"):
+            adaptor.invoke([])
+        assert serialize(adaptor.invoke([])) == expected
+
+    def test_calls_share_no_node(self, tmp_path):
+        _path, _clock, adaptor = self._csv(tmp_path)
+        first = adaptor.invoke([])
+        second = adaptor.invoke([])  # memo hit
+        ids = [{n.node_id for row in rows for n in [row, *row.children()]}
+               for rows in (first, second)]
+        assert not ids[0] & ids[1]
+        second[0].add_child(element("EXTRA", "x"))
+        second[0].child_elements()[0].children()[0].content = "999"
+        third = adaptor.invoke([])
+        assert serialize(third) == serialize(first)
+        assert serialize(third) != serialize(second)
+
+    def test_clock_charged_once_per_call_hit_or_miss(self, tmp_path):
+        path, clock, adaptor = self._csv(tmp_path)
+        adaptor.invoke([])
+        assert clock.now_ms() == 3.0
+        adaptor.invoke([])  # hit
+        assert clock.now_ms() == 6.0
+        path.write_text("ID,NAME\n5,eps\n")
+        adaptor.invoke([])  # miss
+        assert clock.now_ms() == 9.0
+        assert adaptor.invocations == 3
+
+    def test_memo_swap_is_lock_guarded(self):
+        """``repro lint --concurrency`` checks the memo: the class is
+        registered, clean as written, and flagged once the lock goes."""
+        from pathlib import Path
+
+        from repro.analysis import REGISTRY, analyze_source
+        from repro.sources import files
+
+        assert REGISTRY["sources/files.py"] == ("FileAdaptor",)
+        source = Path(files.__file__).read_text()
+
+        def errors(text):
+            return analyze_source(text, "sources/files.py",
+                                  classes=("FileAdaptor",)).errors
+
+        assert errors(source) == []
+        unguarded = source.replace("        with self._lock:\n            self._memo",
+                                   "        if True:\n            self._memo")
+        assert unguarded != source and errors(unguarded)

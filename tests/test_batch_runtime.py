@@ -182,6 +182,267 @@ class TestKnobAndStamp:
         assert "<R>-3 -1</R>" in outputs.pop()
 
 
+    def test_integer_mod_and_idiv_are_exact_beyond_2_to_the_53(self):
+        """Both engines share one kernel that never detours through
+        floats (``math.fmod``/``int(a / b)`` lose the low digits)."""
+        from repro import serialize
+        from repro.xquery.functions import arithmetic_value
+
+        query = ("for $i in (1) return <R>{100000000000000001 mod 7} "
+                 "{-100000000000000001 mod 7} {-100000000000000001 idiv 7} "
+                 "{100000000000000001 idiv -7}</R>")
+        for size in (1, 256):
+            platform = build_demo_platform(customers=2, orders_per_customer=0)
+            platform.set_batch_size(size)
+            assert serialize(platform.execute(query)) == (
+                "<R>6 -6 -14285714285714285 -14285714285714285</R>")
+        big = 2 ** 80 + 1
+        assert arithmetic_value("mod", big, 2 ** 40).value == 1
+        assert arithmetic_value("idiv", -big, 2 ** 40).value == -(2 ** 40)
+        # floats keep fmod/truncation semantics
+        assert arithmetic_value("mod", -7.5, 2).value == -1.5
+        assert arithmetic_value("idiv", -7.5, 2).value == -3
+
+
+# ---------------------------------------------------------------------------
+# The atom lane: compiled vs interpreter over every operand cardinality
+# ---------------------------------------------------------------------------
+
+def _untyped(text: str):
+    """An element whose atomization is one ``xs:untypedAtomic``."""
+    from repro.xml import element
+    from repro.xml.items import TextNode
+
+    node = element("V")
+    if text:
+        node.add_child(TextNode(text))
+    return node
+
+
+def _atom(value, type_name):
+    from repro.xml import AtomicValue
+
+    return AtomicValue(value, type_name)
+
+
+#: operand bindings: empty, one typed atom, one untyped node, multi-item,
+#: and the values the error paths need
+OPERANDS = {
+    "empty": [],
+    "int": [_atom(7, "xs:integer")],
+    "zero": [_atom(0, "xs:integer")],
+    "double": [_atom(2.5, "xs:double")],
+    "string": [_atom("7", "xs:string")],
+    "bool": [_atom(True, "xs:boolean")],
+    "untyped": [_untyped("7")],
+    "many": [_atom(1, "xs:integer"), _atom(7, "xs:integer")],
+    "nodes": [_untyped("7"), _untyped("8")],
+}
+
+#: one expression per lane-bearing shape (and per consumer of a lane)
+LANE_EXPRESSIONS = [
+    "$a + $b", "$a - 1", "3 * $b", "$a div $b", "$a idiv $b", "$a mod $b",
+    "-$a", "$a eq $b", "$a ne 7", "$a lt $b", "$a = $b", "$a != $b",
+    "$a < 8", "$a and $b", "$a or $b", "fn:data($a)", "fn:data($a) + $b",
+    "($a + $b) mod 5 eq 4", "if ($a eq $b) then 1 else 2",
+    "if (fn:data($a)) then 1 else 2",
+]
+
+#: FLWORs consuming the expression as a return value, a let column, a
+#: where condition, a group key and an order key
+LANE_CONTEXTS = [
+    "for $i in (1 to 3) return <R>{{ {0} }}</R>",
+    "for $i in (1 to 3) let $v := {0} return <R>{{$v}}</R>",
+    "for $i in (1 to 3) where {0} return $i",
+    "for $i in (1 to 3) group $i as $is by ({0}) as $k "
+    "return <G>{{$k}}{{fn:count($is)}}</G>",
+    "for $i in (1 to 3) order by {0} descending return $i",
+]
+
+
+@pytest.fixture(scope="module")
+def lane_platforms():
+    platforms = {}
+    for size in (1, 2, 7, 256):
+        platforms[size] = build_demo_platform(customers=2, orders_per_customer=0)
+        platforms[size].set_batch_size(size)
+    return platforms
+
+
+def _outcome(platform, query: str, variables: dict) -> str:
+    from repro import serialize
+    from repro.errors import DynamicError
+
+    try:
+        return serialize(platform.execute(query, variables))
+    except DynamicError as exc:
+        return f"DynamicError: {exc}"
+
+
+class TestAtomLane:
+    @pytest.mark.parametrize("context", LANE_CONTEXTS)
+    @pytest.mark.parametrize("expression", LANE_EXPRESSIONS)
+    def test_compiled_matches_interpreter(self, lane_platforms, context, expression):
+        """Identical results *and* identical error text for every pair of
+        operand cardinalities, at every batch size."""
+        query = context.format(expression)
+        errors = set()
+        for a_kind, a in OPERANDS.items():
+            for b_kind, b in OPERANDS.items():
+                variables = {"a": a, "b": b}
+                expected = _outcome(lane_platforms[1], query, variables)
+                for size in (2, 7, 256):
+                    assert _outcome(lane_platforms[size], query, variables) \
+                        == expected, (query, a_kind, b_kind, size)
+                if expected.startswith("DynamicError"):
+                    errors.add(expected)
+        # the sweep is not vacuous: multi-item operands do raise
+        if expression in ("$a + $b", "$a eq $b"):
+            assert errors
+
+    @pytest.mark.parametrize("query, variables, message", [
+        ("for $i in (1 to 3) return $a + $i", {"a": OPERANDS["many"]},
+         "+: operand has more than one item"),
+        ("for $i in (1 to 3) return $i mod $a", {"a": OPERANDS["nodes"]},
+         "mod: operand has more than one item"),
+        ("for $i in (1 to 3) return -$a", {"a": OPERANDS["many"]},
+         "unary -: operand has more than one item"),
+        ("for $i in (1 to 3) where $a eq $i return $i", {"a": OPERANDS["many"]},
+         "value comparison over multi-item sequence"),
+        ("for $i in (1 to 3) group $i as $is by $a as $k return $k",
+         {"a": OPERANDS["many"]}, "group by key with more than one item"),
+        ("for $i in (1 to 3) order by $a return $i", {"a": OPERANDS["nodes"]},
+         "order by key with more than one item"),
+        ("for $i in (1 to 3) return $a + $i", {"a": OPERANDS["bool"]},
+         "boolean is not numeric"),
+        ("for $i in (1 to 3) return $i idiv $a", {"a": OPERANDS["zero"]},
+         "division by zero"),
+        ("for $i in (1 to 3) where fn:data($a) return $i", {"a": OPERANDS["many"]},
+         "effective boolean value of multi-item atomic sequence"),
+        # left-to-right: the left operand's error wins over the right's
+        ("for $i in (1 to 3) return $a + $b",
+         {"a": OPERANDS["many"], "b": OPERANDS["bool"]},
+         "+: operand has more than one item"),
+        ("for $i in (1 to 3) return $b + $a",
+         {"a": OPERANDS["many"], "b": OPERANDS["bool"]},
+         "boolean is not numeric"),
+    ])
+    def test_error_text(self, lane_platforms, query, variables, message):
+        for platform in lane_platforms.values():
+            assert _outcome(platform, query, variables).endswith(message)
+
+    def test_untyped_operands_promote(self, lane_platforms):
+        """``xs:untypedAtomic`` promotes to the other operand's type in
+        value and general comparison, on the lane as in the interpreter."""
+        variables = {"a": OPERANDS["untyped"], "b": OPERANDS["int"]}
+        for platform in lane_platforms.values():
+            assert _outcome(platform, "for $i in (1) return <R>{$a eq $b} {$a = $b} "
+                            "{$a lt 10} {$a = (1, 7)} {$a + 1}</R>", variables) \
+                == "<R>true true true true 8</R>"
+
+    @pytest.mark.parametrize("value, through_data, bare", [
+        ([_atom(0, "xs:integer")], False, False),
+        ([_atom(3, "xs:integer")], True, True),
+        ([_atom("", "xs:string")], False, False),
+        ([_atom("x", "xs:string")], True, True),
+        ([_atom(float("nan"), "xs:double")], False, False),
+        # a node is true whatever it holds; its (empty) atom is not
+        ([_untyped("")], False, True),
+        ([_untyped("0")], True, True),
+        ([], False, False),
+    ])
+    def test_where_over_non_boolean_atoms(self, lane_platforms, value,
+                                          through_data, bare):
+        for platform in lane_platforms.values():
+            kept = _outcome(platform, "for $i in (1 to 2) where fn:data($a) return $i",
+                            {"a": value})
+            assert kept == ("1 2" if through_data else ""), value
+            kept = _outcome(platform, "for $i in (1 to 2) where $a return $i",
+                            {"a": value})
+            assert kept == ("1 2" if bare else ""), value
+
+    def test_lane_outcomes(self):
+        """The contract itself: one atom, None for empty, MANY for more;
+        atomic shapes define their list form from the lane."""
+        from repro.runtime.rowcompile import MANY, atomfn, rowfn
+        from repro.xquery.parser import parse_expression
+
+        platform = build_demo_platform(customers=2, orders_per_customer=0)
+        ev = platform.evaluator
+        lane = atomfn(parse_expression("$a"))
+        assert lane(ev, {"a": []}) is None
+        assert lane(ev, {"a": OPERANDS["int"]}) is OPERANDS["int"][0]
+        assert lane(ev, {"a": OPERANDS["untyped"]}).type_name == "xs:untypedAtomic"
+        many = lane(ev, {"a": OPERANDS["nodes"]})
+        assert type(many) is MANY and [a.value for a in many] == ["7", "8"]
+        # a shape without a lane of its own gets one derived from its items
+        derived = atomfn(parse_expression("($a, $a)"))
+        assert type(derived(ev, {"a": OPERANDS["int"]})) is MANY
+        assert derived(ev, {"a": []}) is None
+        for text in ("$a + 1", "-$a", "$a eq 1", "$a = 1", "$a and $a", "fn:data($a)", "1"):
+            fn = rowfn(parse_expression(text))
+            assert fn.atomic and fn(ev, {"a": []}) in ([], [fn.atom(ev, {"a": []})])
+        data = rowfn(parse_expression("fn:data($a)"))
+        assert data(ev, {"a": OPERANDS["nodes"]}) == list(many)
+        assert not getattr(rowfn(parse_expression("$a")), "atomic", False)
+
+
+# ---------------------------------------------------------------------------
+# The bridge report: a shape that drops to the interpreter shows up in CI
+# ---------------------------------------------------------------------------
+
+class TestBridgeReport:
+    #: the four ``midtier_flwor`` shapes of the layered benchmark
+    MIDTIER_SHAPES = [
+        ("for $i in (1 to 40) where ($i mod 7) eq $r return $i", ("r",)),
+        ("for $i in (1 to 40) let $k := ($i + $s) mod 50 "
+         "group $i as $is by $k as $g order by $g return "
+         "<G><K>{$g}</K><N>{fn:count($is)}</N><S>{fn:sum($is)}</S></G>", ("s",)),
+        ("for $i in (1 to 40) let $a := $i + $s let $b := $a * 2 "
+         "let $c := $b - $i let $d := $c mod 9 where $d ne 5 return $d", ("s",)),
+        ("for $i in (1 to 40) for $r in REGIONS() "
+         'let $k := fn:concat("C", (($i + $s) mod 3) + 1) '
+         "where $r/CID eq $k return $r/REGION", ("s",)),
+    ]
+
+    @pytest.fixture()
+    def platform(self, tmp_path):
+        from repro.schema import leaf, shape
+
+        platform = build_demo_platform(customers=3, orders_per_customer=2)
+        path = tmp_path / "regions.csv"
+        path.write_text("CID,REGION\nC1,zone0\nC2,zone1\nC3,zone0\n")
+        platform.register_csv_file("REGIONS", path, shape("REGION_ROW", [
+            leaf("CID", "xs:string"), leaf("REGION", "xs:string")]))
+        return platform
+
+    def test_benchmark_shapes_and_running_example_compile_fully(self, platform):
+        from repro.runtime.rowcompile import bridged
+
+        plans = [platform.prepare(query, {name: [] for name in names})
+                 for query, names in self.MIDTIER_SHAPES]
+        plans += [platform.prepare(query) for query in
+                  ("getProfile()", 'getProfileByID("C1")')]
+        for plan in plans:
+            assert bridged(plan.expr) == [], plan.source
+        # the index join of the fourth shape survives planning, so its
+        # key expressions are among those checked
+        assert "IndexJoinForClause" in {type(n).__name__ for n in plans[3].expr.walk()}
+
+    def test_interpreted_shapes_are_named(self, platform):
+        from repro.runtime.rowcompile import bridged
+
+        def report(query):
+            return bridged(platform.prepare(query).expr)
+
+        assert report("for $i in (1 to 3) return "
+                      "some $j in (1, 2) satisfies $j eq $i") == ["Quantified"]
+        assert report("for $i in (1 to 3) return $i cast as xs:string") == ["CastExpr"]
+        # predicates run through Evaluator._filter, whatever their shape
+        assert report("for $c in CUSTOMER() for $i in (1 to 3) "
+                      "return $c/CID[. eq $i]") == ["Comparison"]
+
+
 # ---------------------------------------------------------------------------
 # Batched serialization
 # ---------------------------------------------------------------------------
