@@ -8,7 +8,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: ci lint lint-concurrency typecheck test bench bench-compare bench-smoke bench-serve chaos test-threaded serve-soak
+.PHONY: ci lint lint-concurrency typecheck test bench bench-compare profile bench-smoke bench-serve chaos test-threaded serve-soak
 
 ci: lint lint-concurrency typecheck test bench-smoke bench-serve test-threaded
 
@@ -51,6 +51,13 @@ bench:
 
 bench-compare:
 	python3 benchmarks/layered/compare.py $(A) $(B)
+
+# The function-level view the layered trace stops short of: replays a
+# seeded workload (W=pushed_scan; R=1 keeps only its second request shape)
+# with every result checked against the benchmark's oracle, then prints
+# per-shape median ms and a cProfile top 30 by self time.
+profile:
+	python3 benchmarks/profile_workload.py --workload $(W) $(if $(R),--request $(R))
 
 # Scripted fault-injection runs only: the resilience layer's chaos suite
 # (deterministic under the virtual clock — same seed, same run).

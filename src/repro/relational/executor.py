@@ -53,7 +53,7 @@ from ..sql.ast_nodes import (
     Update,
 )
 from .database import Database
-from .table import Table
+from .table import SQL_TO_XS, Table
 
 #: the fixed slots of an environment; FROM rows start at ``_ROWS``
 _PARAMS, _GROUP, _ROWNUM, _ROWS = 0, 1, 2, 3
@@ -137,62 +137,94 @@ class _Scope:
 
 
 class _Scan:
-    """How one table of a FROM clause (or a DML target) is read: through the
-    table's hash index when a top-level conjunct of the WHERE pins one of
-    its columns to values that are fixed while the clause is evaluated,
-    otherwise row by row.  A probe only narrows the candidates — the whole
-    WHERE still runs on them."""
+    """How one table of a FROM clause (or a DML target) is read.  When a
+    top-level conjunct of the WHERE pins one of its columns to values that
+    are fixed while the clause is evaluated, through the table's hash
+    index; failing that, when conjuncts bound one of its columns by such
+    values, through the column's ordered index; otherwise row by row.  A
+    probe only narrows the candidates — the whole WHERE still runs on
+    them."""
 
-    __slots__ = ("table", "slot", "column", "keys")
+    __slots__ = ("table", "slot", "column", "keys", "ops")
 
     def __init__(self, table: Table, slot: int):
         self.table = table
         self.slot = slot
         self.column: str | None = None
         self.keys: list[Compiled] = []
+        #: the bound operators beside ``keys`` on a range; None on a pin
+        self.ops: list[str] | None = None
 
     def choose(self, where: SqlExpr | None, scope: _Scope) -> None:
         """Called once every entry of the FROM clause is in ``scope``."""
-        for conjunct in _conjuncts(where):
+        conjuncts = _conjuncts(where)
+        for conjunct in conjuncts:
             found = self._pinned(conjunct, scope)
             if found is not None:
                 self.column, keys = found
                 self.keys = [_expr(key, scope) for key in keys]
                 return
+        bounds = [found for conjunct in conjuncts
+                  if (found := self._bounded(conjunct, scope)) is not None]
+        if bounds:
+            self.column = bounds[0][0]
+            bounds = [bound for bound in bounds if bound[0] == self.column]
+            self.ops = [op for _column, op, _key in bounds]
+            self.keys = [_expr(key, scope) for _column, _op, key in bounds]
+
+    def _mine(self, ref: SqlExpr, scope: _Scope) -> bool:
+        return isinstance(ref, ColumnRef) and scope.slot(ref) == self.slot
+
+    @staticmethod
+    def _fixed(key: SqlExpr, scope: _Scope) -> bool:
+        return isinstance(key, (Param, SqlLiteral)) or (
+            isinstance(key, ColumnRef) and scope.slot(key) < scope.base)
 
     def _pinned(self, expr: SqlExpr, scope: _Scope) -> tuple[str, list[SqlExpr]] | None:
         """``(column, keys)`` when ``expr`` is ``column = key``, an OR of
         those on one column, or ``column IN (keys)``."""
-        def mine(ref) -> bool:
-            return isinstance(ref, ColumnRef) and scope.slot(ref) == self.slot
-
-        def fixed(key) -> bool:
-            return isinstance(key, (Param, SqlLiteral)) or (
-                isinstance(key, ColumnRef) and scope.slot(key) < scope.base)
-
         if isinstance(expr, BinOp) and expr.op == "OR":
             left, right = self._pinned(expr.left, scope), self._pinned(expr.right, scope)
             if left and right and left[0] == right[0]:
                 return left[0], left[1] + right[1]
         elif isinstance(expr, BinOp) and expr.op == "=":
             for ref, key in ((expr.left, expr.right), (expr.right, expr.left)):
-                if mine(ref) and fixed(key):
+                if self._mine(ref, scope) and self._fixed(key, scope):
                     return ref.column, [key]
-        elif isinstance(expr, InList) and not expr.negated and mine(expr.operand) \
-                and all(fixed(value) for value in expr.values):
+        elif isinstance(expr, InList) and not expr.negated and self._mine(expr.operand, scope) \
+                and all(self._fixed(value, scope) for value in expr.values):
             return expr.operand.column, list(expr.values)
+        return None
+
+    def _bounded(self, expr: SqlExpr, scope: _Scope) -> tuple[str, str, SqlExpr] | None:
+        """``(column, op, key)`` when ``expr`` is ``column op key`` or ``key
+        po column`` for an ordering ``op`` (``po`` its mirror image) on a
+        column whose declared type keeps its values mutually comparable."""
+        if isinstance(expr, BinOp) and expr.op in _MIRRORED:
+            for ref, key, op in ((expr.left, expr.right, expr.op),
+                                 (expr.right, expr.left, _MIRRORED[expr.op])):
+                if self._mine(ref, scope) and self._fixed(key, scope) \
+                        and self.table.column(ref.column).sql_type.upper() in SQL_TO_XS:
+                    return ref.column, op, key
         return None
 
     def pairs(self, env: list) -> list[tuple[int, dict]]:
         """The candidate rows, with their positions, in table order."""
         if self.column is None:
             return list(enumerate(self.table.rows))
-        return self.table.probe(self.column, [key(env) for key in self.keys])
+        keys = [key(env) for key in self.keys]
+        if self.ops is None:
+            return self.table.probe(self.column, keys)
+        return self.table.probe_range(self.column, list(zip(self.ops, keys)))
 
     def rows(self, env: list) -> list[dict]:
         if self.column is None:
             return self.table.rows
         return [row for _position, row in self.pairs(env)]
+
+
+#: an ordering operator -> the one that holds with the operands swapped
+_MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 def _conjuncts(expr: SqlExpr | None) -> list[SqlExpr]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -70,13 +70,16 @@ class ForeignKey:
 
 @guarded_by("_lock")
 class Table:
-    """An in-memory table with primary-key enforcement and hash indexes the
-    executor probes for ``col = constant`` predicates and point lookups.
+    """An in-memory table with primary-key enforcement, hash indexes the
+    executor probes for ``col = constant`` predicates and point lookups, and
+    ordered indexes it probes for ``lo <= col < hi`` ranges.
 
-    An index (:class:`_HashIndex`) maps the key of ``columns`` to the
+    A hash index (:class:`_HashIndex`) maps the key of ``columns`` to the
     ascending positions of the rows holding it; a key with a NULL in it is
-    never entered.  It is built on the first probe of its columns — the
-    primary key's on the first insert — kept current by :meth:`insert` and
+    never entered.  An ordered index (:class:`_OrderedIndex`) is the
+    column's comparable values, sorted, beside the positions holding them.
+    Either is built on the first probe of its columns — the primary key's
+    on the first insert — kept current by :meth:`insert` and
     :meth:`update_at`, and dropped by whatever shifts row positions
     (:meth:`delete_at`, :meth:`restore`).  ``_lock`` makes a probe see rows
     and index of one moment; full scans read ``rows`` without it, as they
@@ -103,6 +106,7 @@ class Table:
         self.rows: list[dict] = []
         self._lock = TrackedRLock(f"Table.{name}")
         self._indexes: dict[tuple[str, ...], _HashIndex] = {}
+        self._ordered: dict[str, _OrderedIndex] = {}
 
     # -- schema ---------------------------------------------------------------
 
@@ -146,6 +150,26 @@ class Table:
             rows = self.rows
             return [(position, rows[position]) for position in positions]
 
+    def probe_range(self, column: str, bounds: Sequence[tuple[str, object]]
+                    ) -> list[tuple[int, dict]]:
+        """``(position, row)`` of the rows whose ``column`` satisfies every
+        ``(op, value)`` of ``bounds`` (``op`` one of ``< <= > >=``, read as
+        ``column op value``), in table order.  A NULL bound matches nothing.
+        A bound the column's values cannot be ordered against (a string
+        for numbers) narrows nothing: every row comes back, and the
+        comparison fails on them exactly as it does on a full scan."""
+        with self._lock:
+            index = self._ordered.get(column)
+            if index is None:
+                index = self._ordered[column] = _OrderedIndex(self.rows, column)
+                RACE.detector.on_access(self, "_ordered", True)
+            RACE.detector.on_access(self, "_ordered", False)
+            rows = self.rows
+            positions = index.between(bounds)
+            if positions is None:
+                return list(enumerate(rows))
+            return [(position, rows[position]) for position in positions]
+
     def lookup_pk(self, key: tuple) -> dict | None:
         with self._lock:
             if len(key) == 1:
@@ -173,15 +197,24 @@ class Table:
             self.rows.append(row)
             for columns, index in self._indexes.items():
                 index.add(_index_key(row, columns), position)
+            for column, ordered in self._ordered.items():
+                ordered.add(row[column], position)
             RACE.detector.on_access(self, "_indexes", True)
+            RACE.detector.on_access(self, "_ordered", True)
         return row
 
     def delete_at(self, index: int) -> dict:
         with self._lock:
             row = self.rows.pop(index)
-            self._indexes = {}
-            RACE.detector.on_access(self, "_indexes", True)
+            self._drop_indexes()
         return row
+
+    def _drop_indexes(self) -> None:  # caller-holds: _lock
+        """Row positions moved: every index is rebuilt on its next probe."""
+        self._indexes = {}
+        self._ordered = {}
+        RACE.detector.on_access(self, "_indexes", True)
+        RACE.detector.on_access(self, "_ordered", True)
 
     def update_at(self, index: int, changes: dict) -> dict:
         with self._lock:
@@ -200,7 +233,12 @@ class Table:
                 if before != after:
                     positions_of.discard(before, index)
                     positions_of.add(after, index)
+            for column, ordered in self._ordered.items():
+                if old[column] != row[column]:
+                    ordered.discard(old[column], index)
+                    ordered.add(row[column], index)
             RACE.detector.on_access(self, "_indexes", True)
+            RACE.detector.on_access(self, "_ordered", True)
         return row
 
     def snapshot(self) -> list[dict]:
@@ -210,8 +248,7 @@ class Table:
     def restore(self, rows: Iterable[dict]) -> None:
         with self._lock:
             self.rows = [dict(row) for row in rows]
-            self._indexes = {}
-            RACE.detector.on_access(self, "_indexes", True)
+            self._drop_indexes()
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -255,3 +292,59 @@ class _HashIndex(dict):
     def positions(self, key) -> Sequence[int]:
         held = self.get(key, ())
         return held if isinstance(held, (list, tuple)) else (held,)
+
+
+class _OrderedIndex:
+    """One column's values in ascending order (``values``) beside the
+    positions of the rows holding them (``positions``, ascending within a
+    run of equal values).  NULL is not entered, nor is NaN: neither
+    satisfies any bound, and NaN would break the order."""
+
+    __slots__ = ("values", "positions")
+
+    def __init__(self, rows: list[dict], column: str):
+        entries = sorted((value, position) for position, row in enumerate(rows)
+                         if (value := row[column]) is not None and value == value)
+        self.values = [value for value, _position in entries]
+        self.positions = [position for _value, position in entries]
+
+    def _slot(self, value, position: int) -> int:
+        """Where ``(value, position)`` is, or belongs."""
+        values = self.values
+        return bisect_left(self.positions, position,
+                           bisect_left(values, value), bisect_right(values, value))
+
+    def add(self, value, position: int) -> None:
+        if value is not None and value == value:
+            slot = self._slot(value, position)
+            self.values.insert(slot, value)
+            self.positions.insert(slot, position)
+
+    def discard(self, value, position: int) -> None:
+        if value is not None and value == value:
+            slot = self._slot(value, position)
+            del self.values[slot]
+            del self.positions[slot]
+
+    def between(self, bounds: Sequence[tuple[str, object]]) -> list[int] | None:
+        """Ascending positions of the values inside every bound; None when
+        a bound cannot be ordered against the values."""
+        values = self.values
+        if not values:
+            return []
+        text = isinstance(values[0], str)
+        if any(isinstance(bound, str) != text for _op, bound in bounds if bound is not None):
+            return None
+        lo, hi = 0, len(values)
+        for op, bound in bounds:
+            if bound is None:
+                return []
+            if op == ">=":
+                lo = max(lo, bisect_left(values, bound))
+            elif op == ">":
+                lo = max(lo, bisect_right(values, bound))
+            elif op == "<":
+                hi = min(hi, bisect_left(values, bound))
+            else:
+                hi = min(hi, bisect_right(values, bound))
+        return sorted(self.positions[lo:hi])

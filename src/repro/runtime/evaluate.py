@@ -822,52 +822,50 @@ class Evaluator:
 
 
 def construct_element_content(name: str | QName, attributes: list[AttributeNode],
-                              content: list[Item]) -> ElementNode:
+                              content: list[Item], owned: bool = False) -> ElementNode:
     """XQuery element construction: attribute nodes in content become
     attributes, adjacent atomic values merge into one text node separated
-    by spaces, nodes are deep-copied."""
+    by spaces, nodes are deep-copied.
+
+    ``owned`` is the caller's word that it built every node in
+    ``attributes`` and ``content`` for this call and nothing else refers to
+    them; they are then adopted as they are, with no copy (the pushed
+    region's reconstruction template, DESIGN.md "Owned nodes")."""
     element = ElementNode(name if isinstance(name, QName) else QName(name))
     for attr in attributes:
-        element.add_attribute(AttributeNode(attr.name, attr.value))
+        element.add_attribute(attr if owned else AttributeNode(attr.name, attr.value))
     pending_atoms: list[AtomicValue] = []
     simple_type: str | None = None
+    only_text = True  # no element child so far
 
     def flush() -> None:
         nonlocal simple_type
-        if pending_atoms:
-            element.add_child(
-                TextNode(" ".join(a.string_value() for a in pending_atoms))
-            )
-            if len(pending_atoms) == 1 and not element.child_elements():
-                simple_type = pending_atoms[0].type_name
-            else:
-                simple_type = None
-            pending_atoms.clear()
+        element.add_child(TextNode(" ".join(a.string_value() for a in pending_atoms)))
+        simple_type = pending_atoms[0].type_name if len(pending_atoms) == 1 else None
+        pending_atoms.clear()
 
-    only_text = True
     for item in content:
         if isinstance(item, AtomicValue):
             pending_atoms.append(item)
-        elif isinstance(item, AttributeNode):
+            continue
+        if pending_atoms:
             flush()
-            element.add_attribute(AttributeNode(item.name, item.value))
+        if isinstance(item, AttributeNode):
+            element.add_attribute(item if owned else AttributeNode(item.name, item.value))
         elif isinstance(item, TextNode):
-            flush()
-            element.add_child(TextNode(item.content))
-            only_text = only_text and True
+            element.add_child(item if owned else TextNode(item.content))
         elif isinstance(item, ElementNode):
-            flush()
-            element.add_child(item.deep_copy())
+            element.add_child(item if owned else item.deep_copy())
             only_text = False
         elif isinstance(item, DocumentNode):
-            flush()
             for child in item.children():
                 if isinstance(child, ElementNode):
-                    element.add_child(child.deep_copy())
+                    element.add_child(child if owned else child.deep_copy())
                     only_text = False
         else:
             raise DynamicError(f"cannot construct content from {type(item).__name__}")
-    flush()
+    if pending_atoms:
+        flush()
     # Preserve the content's type annotation for single typed values so that
     # re-atomization keeps its type (ALDSP's typed token streams survive
     # construction, section 3.1).

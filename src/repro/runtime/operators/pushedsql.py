@@ -143,6 +143,9 @@ def _compile_template(template: ast.AstNode) -> TemplateFn:
 
 
 def _concat(parts: list[TemplateFn]) -> TemplateFn:
+    if len(parts) == 1:
+        return parts[0]
+
     def concat(row, group):
         items: list[Item] = []
         for part in parts:
@@ -194,6 +197,7 @@ def _element_ctor(template: ast.ElementCtor) -> TemplateFn:
                 attributes.append(AttributeNode(attr_name, AtomicValue(text, type_name)))
             elif not optional:
                 attributes.append(AttributeNode(attr_name, AtomicValue("", "xs:string")))
-        return [construct_element_content(name, attributes, content(row, group))]
+        # every node the template's closures return was built by that call
+        return [construct_element_content(name, attributes, content(row, group), owned=True)]
 
     return element

@@ -136,7 +136,7 @@ class ElementNode(Node):
     (but the *content* keeps its annotations — ALDSP's structural typing).
     """
 
-    __slots__ = ("name", "attributes", "_children", "type_annotation", "nilled")
+    __slots__ = ("name", "attributes", "_children", "type_annotation")
 
     def __init__(
         self,
@@ -150,7 +150,6 @@ class ElementNode(Node):
         self.attributes: list[AttributeNode] = []
         self._children: list[Node] = []
         self.type_annotation = type_annotation
-        self.nilled = False
         for attr in attributes:
             self.add_attribute(attr)
         for child in children:

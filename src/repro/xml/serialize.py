@@ -16,42 +16,58 @@ from .items import (
 
 
 def escape_text(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    # most text has nothing to escape: three scans beat three copies
+    if "&" in text or "<" in text or ">" in text:
+        return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return text
 
 
 def escape_attribute(text: str) -> str:
     return escape_text(text).replace('"', "&quot;")
 
 
-def serialize_item(item: Item, indent: int | None = None, _level: int = 0) -> str:
-    """Serialize one item.  ``indent`` enables pretty printing."""
-    pad = "" if indent is None else "\n" + " " * (indent * _level)
-    if isinstance(item, AtomicValue):
-        return item.string_value()
-    if isinstance(item, TextNode):
-        return escape_text(item.content)
-    if isinstance(item, AttributeNode):
-        return f'{item.name.lexical}="{escape_attribute(item.string_value())}"'
-    if isinstance(item, DocumentNode):
-        return "".join(serialize_item(c, indent, _level) for c in item.children())
+def _write(item: Item, indent: int | None, level: int, append) -> None:
+    """Append the fragments of ``item``'s serialization, in order.  Every
+    public entry point below funnels through here and joins once."""
     if isinstance(item, ElementNode):
-        attrs = "".join(
-            f' {a.name.lexical}="{escape_attribute(a.string_value())}"'
-            for a in item.attributes
-        )
-        name = item.name.lexical
+        pad = None if indent is None else "\n" + " " * (indent * level)
+        tag = item.name.lexical
+        opening = "<" + tag if pad is None else pad + "<" + tag
+        for attr in item.attributes:
+            opening += f' {attr.name.lexical}="{escape_attribute(attr.string_value())}"'
         children = item.children()
         if not children:
-            return f"{pad}<{name}{attrs}/>" if indent is not None else f"<{name}{attrs}/>"
-        only_text = all(isinstance(c, TextNode) for c in children)
-        inner = "".join(
-            serialize_item(c, None if only_text else indent, _level + 1) for c in children
-        )
-        closing_pad = pad if indent is not None and not only_text else ""
-        if indent is None:
-            return f"<{name}{attrs}>{inner}</{name}>"
-        return f"{pad}<{name}{attrs}>{inner}{closing_pad}</{name}>"
-    raise TypeError(f"cannot serialize {type(item).__name__}")
+            append(opening + "/>")
+            return
+        append(opening + ">")
+        nested = False
+        for child in children:
+            if isinstance(child, TextNode):
+                append(escape_text(child.content))
+            else:
+                nested = True
+                _write(child, indent, level + 1, append)
+        # pretty-printed, the end tag of an element with nested children
+        # goes on a line of its own
+        append(pad + "</" + tag + ">" if nested and pad is not None else "</" + tag + ">")
+    elif isinstance(item, AtomicValue):
+        append(item.string_value())
+    elif isinstance(item, TextNode):
+        append(escape_text(item.content))
+    elif isinstance(item, AttributeNode):
+        append(f'{item.name.lexical}="{escape_attribute(item.string_value())}"')
+    elif isinstance(item, DocumentNode):
+        for child in item.children():
+            _write(child, indent, level, append)
+    else:
+        raise TypeError(f"cannot serialize {type(item).__name__}")
+
+
+def serialize_item(item: Item, indent: int | None = None, _level: int = 0) -> str:
+    """Serialize one item.  ``indent`` enables pretty printing."""
+    parts: list[str] = []
+    _write(item, indent, _level, parts.append)
+    return "".join(parts)
 
 
 def serialize_to_sink(items: Iterable[Item], sink, indent: int | None = None,
@@ -60,18 +76,19 @@ def serialize_to_sink(items: Iterable[Item], sink, indent: int | None = None,
     ``separator`` between items; returns the item count.
 
     ``batch_size > 1`` is the batch engine's token-serialization path: it
-    buffers that many serialized fragments and flushes them with a single
+    buffers the fragments of that many items and flushes them with a single
     ``"".join`` + ``write`` per batch, amortizing the per-token sink call.
     The bytes produced are identical for every batch size.
     """
     count = 0
     buffer: list[str] = []
+    append = buffer.append
     for item in items:
         if count:
-            buffer.append(separator)
-        buffer.append(serialize_item(item, indent))
+            append(separator)
+        _write(item, indent, 0, append)
         count += 1
-        if len(buffer) >= 2 * batch_size:
+        if count % batch_size == 0:
             sink.write("".join(buffer))
             buffer.clear()
     if buffer:
@@ -88,12 +105,13 @@ def serialize(items: Item | Iterable[Item], indent: int | None = None) -> str:
     if isinstance(items, (Node, AtomicValue)):
         items = [items]
     parts: list[str] = []
+    append = parts.append
     previous_atomic = False
     for item in items:
         is_atomic = isinstance(item, AtomicValue)
         if is_atomic and previous_atomic:
-            parts.append(" ")
-        parts.append(serialize_item(item, indent))
+            append(" ")
+        _write(item, indent, 0, append)
         previous_atomic = is_atomic
     text = "".join(parts)
     return text.lstrip("\n") if indent is not None else text

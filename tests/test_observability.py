@@ -399,9 +399,13 @@ class TestAsyncSpanNesting:
             assert branch.parent is group  # explicit handoff, not ambient
             assert branch.find("source-call")
             assert branch.elapsed_ms > 0
-        # both web-service calls slept 5ms; overlap means the group is
-        # well under the 10ms serial cost
-        assert group.elapsed_ms < 9.5
+        # both web-service calls slept 5ms on pool threads.  Overlap is a
+        # fact about the spans, not about how fast the box is today: the
+        # two intervals intersect, so the group costs less than running
+        # its branches one after the other
+        first, second = branches
+        assert max(first.start_ms, second.start_ms) < min(first.end_ms, second.end_ms)
+        assert group.elapsed_ms < first.elapsed_ms + second.elapsed_ms
 
 
 # ---------------------------------------------------------------------------

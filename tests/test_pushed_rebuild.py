@@ -1,0 +1,258 @@
+"""The pushed region's reconstruction template against the constructor rule.
+
+``pushedsql.template_fn`` builds result trees with the *adopting* form of
+``construct_element_content`` (it owns every node it passes in); the
+evaluator and the row compiler use the *copying* form.  One rule, two
+forms: for every template shape the adopted tree must equal the tree the
+copying form builds from the same content, and being copy-free must never
+mean being shared.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+
+from repro.compiler.algebra import ColumnSlot, GroupSlot, NestedSlot
+from repro.runtime import construct_element_content
+from repro.runtime.operators.pushedsql import template_fn
+from repro.xml.items import (
+    AtomicValue,
+    AttributeNode,
+    ElementNode,
+    Node,
+    TextNode,
+    iter_descendants,
+)
+from repro.xml.qname import QName
+from repro.xquery import ast_nodes as ast
+from repro.xquery.functions import atomize
+
+# ---------------------------------------------------------------------------
+# A plain reading of a template, built on the copying constructor
+# ---------------------------------------------------------------------------
+
+
+def reference(template, row: dict, group: list[dict]) -> list:
+    """What the template means, one ``isinstance`` at a time."""
+    if isinstance(template, ColumnSlot):
+        value = row.get(template.alias)
+        if value is None:
+            return []
+        atom = AtomicValue(value, template.xs_type)
+        if template.element_name is None:
+            return [atom]
+        leaf = construct_element_content(template.element_name, [], [atom])
+        leaf.type_annotation = template.xs_type  # a typed leaf, whatever the type
+        return [leaf]
+    if isinstance(template, NestedSlot):
+        return [item for member in group if member.get(template.probe_alias) is not None
+                for item in reference(template.template, member, [member])]
+    if isinstance(template, GroupSlot):
+        return [item for member in group
+                for item in reference(template.template, member, [member])]
+    if isinstance(template, ast.Literal):
+        return [template.value]
+    if isinstance(template, ast.EmptySequence):
+        return []
+    if isinstance(template, ast.SequenceExpr):
+        return [item for part in template.items for item in reference(part, row, group)]
+    assert isinstance(template, ast.ElementCtor), template
+    attributes = []
+    for attr in template.attributes:
+        atoms = atomize(reference(attr.value, row, group))
+        if atoms:
+            attributes.append(AttributeNode(QName(attr.name), AtomicValue(
+                " ".join(a.string_value() for a in atoms),
+                atoms[0].type_name if len(atoms) == 1 else "xs:string")))
+        elif not attr.optional:
+            attributes.append(AttributeNode(QName(attr.name), AtomicValue("", "xs:string")))
+    content = [item for part in template.content for item in reference(part, row, group)]
+    return [construct_element_content(template.name, attributes, content)]
+
+
+def shape(item):
+    """Everything observable about a tree but node identity; checks the
+    parent pointers on the way down."""
+    if isinstance(item, AtomicValue):
+        return ("atom", item.value, item.type_name)
+    if isinstance(item, TextNode):
+        return ("text", item.content)
+    assert isinstance(item, ElementNode), item
+    for attr in item.attributes:
+        assert attr.parent is item
+    for child in item.children():
+        assert child.parent is item
+    return ("element", item.name, item.type_annotation,
+            [(a.name, a.value.value, a.value.type_name) for a in item.attributes],
+            [shape(child) for child in item.children()])
+
+
+def nodes_of(items) -> list[Node]:
+    found = []
+    for item in items:
+        if isinstance(item, ElementNode):
+            found += [item, *item.attributes, *iter_descendants(item)]
+            for inner in iter_descendants(item):
+                found += getattr(inner, "attributes", [])
+        elif isinstance(item, Node):
+            found.append(item)
+    return found
+
+
+# ---------------------------------------------------------------------------
+# Template shapes
+# ---------------------------------------------------------------------------
+
+
+def col(alias, xs_type="xs:string", element=None):
+    return ColumnSlot(alias, xs_type, element)
+
+
+def lit(value, type_name="xs:string"):
+    return ast.Literal(AtomicValue(value, type_name))
+
+
+def el(name, *content, attrs=()):
+    return ast.ElementCtor(name, list(attrs), list(content))
+
+
+TEMPLATES = {
+    "atom run with NULL slots": el("A", col("a", "xs:int"), col("b"), col("c", "xs:int")),
+    "a single typed atom": el("A", col("a", "xs:int")),
+    "element slots": el("A", col("a", "xs:int", "X"), col("b", element="Y"),
+                        col("c", "xs:int", "Z")),
+    "element slot on its own": col("b", element="Y"),
+    "bare atom": col("a", "xs:int"),
+    "nested slot with null-extended rows": el(
+        "OUT", col("a", "xs:int", "ID"),
+        el("INNER", NestedSlot(el("I", col("p", element="P"), col("b")), "p"))),
+    "group slot": el("G", col("a", "xs:int", "K"), el("VS", GroupSlot(col("c", "xs:int"))),
+                     el("ES", GroupSlot(col("b", element="B")))),
+    "optional and required attributes": el(
+        "A", col("b", element="Y"),
+        attrs=[ast.AttributeCtor("req", col("a", "xs:int")),
+               ast.AttributeCtor("opt", col("c", "xs:int"), optional=True),
+               ast.AttributeCtor("two", ast.SequenceExpr([col("a", "xs:int"), col("b")]))]),
+    "nested constructors": el("A", el("B", el("C", col("a", "xs:int")), col("b")),
+                              el("D"), el("E", col("b", element="Y"))),
+    "literals": el("A", lit("x"), col("a", "xs:int"), lit(7, "xs:integer"),
+                   el("B", lit("only")), col("b", element="Y"), lit("tail")),
+    "sequence and empty": ast.SequenceExpr([
+        el("A", ast.EmptySequence(), col("a", "xs:int")), ast.EmptySequence(),
+        col("b", element="Y"), lit("z")]),
+    "text after an element child": el("A", col("b", element="Y"), col("a", "xs:int")),
+}
+
+ROWS = [
+    {"a": 1, "b": "x", "c": 3, "p": "p1"},
+    {"a": 1, "b": None, "c": None, "p": None},
+    {"a": None, "b": "y<&", "c": 0, "p": "p2"},
+    {"a": None, "b": None, "c": None, "p": None},
+]
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATES))
+def test_the_template_builds_what_the_copying_constructor_builds(name):
+    template = TEMPLATES[name]
+    build = template_fn(template)
+    groups = [[row] for row in ROWS] + [ROWS, ROWS[1:3], ROWS[3:]]
+    for group in groups:
+        got = build(group[0], group)
+        want = reference(template, group[0], group)
+        assert [shape(item) for item in got] == [shape(item) for item in want], group
+        assert all(item.parent is None for item in got if isinstance(item, Node))
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATES))
+def test_no_node_is_shared_between_results(name):
+    build = template_fn(TEMPLATES[name])
+    results = [build(row, [row]) for row in ROWS] + [build(ROWS[0], ROWS), build(ROWS[0], ROWS)]
+    everything = [nodes_of(items) for items in results]
+    for one, other in itertools.combinations(everything, 2):
+        assert not {id(node) for node in one} & {id(node) for node in other}
+    for nodes in everything:  # nor twice within one result
+        assert len({id(node) for node in nodes}) == len(nodes)
+
+
+def test_literals_contribute_text_never_a_shared_node():
+    template = TEMPLATES["literals"]
+    literal_atoms = {id(node.value) for node in template.walk() if isinstance(node, ast.Literal)}
+    assert len(literal_atoms) == 4
+    first, second = (template_fn(template)(row, [row])[0] for row in ROWS[:2])
+    assert shape(first)[4][0] == ("text", "x 1 7")  # merged across the slot, as ever
+    texts = [n for n in nodes_of([first, second]) if isinstance(n, TextNode)]
+    assert len({id(t) for t in texts}) == len(texts)
+    # a literal's atom may be handed out as an item, but no tree holds it
+    assert not literal_atoms & {id(node) for node in nodes_of([first, second])}
+
+
+# ---------------------------------------------------------------------------
+# The one constructor rule, both forms
+# ---------------------------------------------------------------------------
+
+
+def content_cases():
+    """Fresh content per call: the adopting form consumes what it is given."""
+    def leaf(name, text, annotation="xs:anyType"):
+        node = ElementNode(QName(name), type_annotation=annotation)
+        node.add_child(TextNode(text))
+        return node
+
+    def atom(value, type_name="xs:string"):
+        return AtomicValue(value, type_name)
+
+    def attr(name, value):
+        return AttributeNode(QName(name), AtomicValue(value, "xs:string"))
+
+    return {
+        "empty": lambda: ([], []),
+        "one typed atom": lambda: ([], [atom(4, "xs:int")]),
+        "one untyped atom": lambda: ([], [atom("u", "xs:untypedAtomic")]),
+        "atoms merge": lambda: ([], [atom(1, "xs:int"), atom("b"), atom(True, "xs:boolean")]),
+        "atom, text, atom": lambda: ([], [atom(1, "xs:int"), TextNode("t"), atom(2, "xs:int")]),
+        "text then one atom": lambda: ([], [TextNode("t"), atom(2, "xs:int")]),
+        "elements": lambda: ([], [leaf("X", "1", "xs:int"), leaf("Y", "y")]),
+        "atom after an element": lambda: ([], [leaf("X", "1"), atom(2, "xs:int")]),
+        "atom before an element": lambda: ([], [atom(2, "xs:int"), leaf("X", "1")]),
+        "attributes both ways": lambda: (
+            [attr("a", "1")], [attr("b", "2"), atom(3, "xs:int"), attr("c", "4"), leaf("X", "x")]),
+        "nested": lambda: ([], [construct_element_content(
+            "M", [attr("k", "v")], [leaf("X", "1", "xs:int"), atom("t")])]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(content_cases()))
+def test_adopting_and_copying_forms_build_identical_trees(name):
+    case = content_cases()[name]
+    attributes, content = case()
+    copied = construct_element_content("E", attributes, content)
+    given = nodes_of(content) + attributes
+    assert not {id(n) for n in given} & {id(n) for n in nodes_of([copied])}
+    assert all(node.parent is None for node in attributes + content if isinstance(node, Node))
+
+    attributes, content = case()
+    adopted = construct_element_content(QName("E"), attributes, content, owned=True)
+    assert shape(adopted) == shape(copied)
+    kept = [node for node in attributes + content if isinstance(node, Node)]
+    assert all(node.parent is adopted for node in kept)
+    assert {id(n) for n in kept} <= {id(n) for n in nodes_of([adopted])}
+
+
+def test_an_evaluator_constructor_still_copies_what_it_does_not_own():
+    """``<W>{$x}</W>`` twice over one bound node: two trees, the original
+    untouched (the copying form is what the evaluator and rowcompile call)."""
+    from repro import Platform, serialize
+
+    platform = Platform()
+    original = ElementNode(QName("X"))
+    original.add_child(TextNode("1"))
+    for batch_size in (1, 256):
+        platform.set_batch_size(batch_size)
+        first, second = platform.execute(
+            "for $i in (1, 2) return <W>{$x}</W>", {"x": [original]})
+        assert serialize([first, second]) == "<W><X>1</X></W><W><X>1</X></W>"
+        assert original.parent is None
+        assert first.children()[0] is not original
+        assert first.children()[0] is not second.children()[0]

@@ -151,6 +151,142 @@ class TestIndexFreshness:
         assert self.ids("b") == [0]
 
 
+class TestOrderedIndexFreshness:
+    """A ranged read is served from Table's ordered index through a cached,
+    compiled statement.  After every kind of write the index either still
+    mirrors the rows or is gone, and the next read equals a plain filter
+    over the rows, in table order."""
+
+    RANGE = 'SELECT t1."ID" AS c1 FROM "T" t1 WHERE t1."V" >= ? AND t1."V" < ?'
+
+    def setup_method(self):
+        self.db = Database("d")
+        self.db.create_table("T", [("ID", "INTEGER", False), ("V", "INTEGER")],
+                             primary_key=["ID"])
+        self.db.load("T", [{"ID": i, "V": v}
+                           for i, v in enumerate([5, 1, None, 5, 9, 1, 5, None, 3])])
+        self.table = self.db.table("T")
+        self.conn = Connection(self.db)
+
+    def check(self, lo=2, hi=9):
+        """The ranged read against the rows; the index against the rows."""
+        got = [row["c1"] for row in self.conn.execute_query(self.RANGE, [lo, hi])]
+        assert got == [row["ID"] for row in self.table.rows
+                       if row["V"] is not None and lo <= row["V"] < hi]
+        index = self.table._ordered["V"]
+        assert list(zip(index.values, index.positions)) == sorted(
+            (row["V"], position) for position, row in enumerate(self.table.rows)
+            if row["V"] is not None)
+        return got
+
+    def test_first_range_builds_the_index(self):
+        assert not self.table._ordered
+        assert self.check() == [0, 3, 6, 8]
+        assert self.table._ordered["V"].values == [1, 1, 3, 5, 5, 5, 9]
+        assert self.table._ordered["V"].positions == [1, 5, 8, 0, 3, 6, 4]
+
+    def test_probe_range_returns_exactly_the_rows_inside_every_bound(self):
+        """The WHERE re-run would hide a probe that narrows too little;
+        asked directly, the probe is exact."""
+        import operator
+
+        holds = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+        values = [None, 0, 1, 3, 4, 5, 9, 10]
+        for op_a in holds:
+            for op_b in holds:
+                for a in values:
+                    for b in values:
+                        bounds = [(op_a, a), (op_b, b)]
+                        expected = [
+                            (position, row) for position, row in enumerate(self.table.rows)
+                            if row["V"] is not None and None not in (a, b)
+                            and holds[op_a](row["V"], a) and holds[op_b](row["V"], b)]
+                        assert self.table.probe_range("V", bounds) == expected, bounds
+        assert self.table.probe_range("V", [(">=", "x")]) == list(enumerate(self.table.rows))
+        assert self.table.probe_range("V", []) == [
+            (position, row) for position, row in enumerate(self.table.rows)
+            if row["V"] is not None]
+
+    def test_insert_lands_in_its_run(self):
+        self.check()
+        self.table.insert({"ID": 20, "V": 5})     # after the other fives
+        self.table.insert({"ID": 21, "V": 0})     # new smallest
+        self.table.insert({"ID": 22, "V": None})  # not entered
+        self.table.insert({"ID": 23, "V": 40})    # new largest
+        assert self.check() == [0, 3, 6, 8, 20]
+        assert self.check(0, 100) == [0, 1, 3, 4, 5, 6, 8, 20, 21, 23]
+
+    def test_update_at_of_the_ranged_column(self):
+        self.check()
+        self.table.update_at(3, {"V": 1})      # into the middle of a run of equals
+        self.check()
+        self.table.update_at(1, {"V": 5})      # out of it, before a higher position
+        self.check()
+        self.table.update_at(4, {"V": None})   # value -> NULL leaves the index
+        self.check(0, 100)
+        self.table.update_at(2, {"V": 7})      # NULL -> value enters it
+        assert self.check() == [0, 1, 2, 6, 8]
+        self.table.update_at(0, {"ID": 50})    # another column: the index is untouched
+        self.check()
+
+    def test_sql_update_of_the_ranged_column_through_the_ranged_target(self):
+        self.check()
+        moved = self.conn.execute_update(
+            'UPDATE "T" SET "V" = "V" + 10 WHERE "V" >= ? AND "V" < ?', [2, 9])
+        assert moved == 4
+        assert self.check() == []
+        assert self.check(10, 20) == [0, 3, 6, 8]
+
+    def test_delete_at_and_sql_delete_shift_positions(self):
+        self.check()
+        self.table.delete_at(0)
+        assert "V" not in self.table._ordered   # dropped, rebuilt by the next read
+        assert self.check() == [3, 6, 8]
+        assert self.conn.execute_update(
+            'DELETE FROM "T" WHERE "V" > ? AND "V" <= ?', [1, 5]) == 3
+        assert self.check(0, 100) == [1, 4, 5]
+
+    def test_rollback_restores_the_old_order(self):
+        before = self.check()
+        self.conn.begin()
+        self.conn.execute_update('UPDATE "T" SET "V" = ? WHERE "ID" = ?', [100, 0])
+        self.conn.execute_update('DELETE FROM "T" WHERE "V" < ?', [2])
+        assert self.check() == [3, 6, 8]
+        self.conn._txn.rollback()
+        self.conn.end()
+        assert self.check() == before
+
+    def test_the_index_is_lock_guarded(self):
+        """``repro lint --concurrency`` checks ``_ordered`` as it does
+        ``_indexes``: clean as written, flagged once the probe's lock goes."""
+        from pathlib import Path
+
+        from repro.analysis import analyze_source
+        from repro.relational import table
+
+        source = Path(table.__file__).read_text()
+
+        def errors(text):
+            return analyze_source(text, "relational/table.py", classes=("Table",)).errors
+
+        assert errors(source) == []
+        guarded = "        with self._lock:\n            index = self._ordered.get(column)"
+        unguarded = source.replace(guarded, guarded.replace("with self._lock", "if True"))
+        assert unguarded != source
+        assert any("_ordered" in error.message for error in errors(unguarded))
+
+    def test_nan_is_indexed_no_more_than_null(self):
+        self.db.create_table("F", [("ID", "INTEGER", False), ("X", "FLOAT")], primary_key=["ID"])
+        nan = float("nan")
+        self.db.load("F", [{"ID": i, "X": x} for i, x in enumerate([2.0, nan, 1.0, nan, 3.0])])
+        ranged = 'SELECT t1."ID" AS c1 FROM "F" t1 WHERE t1."X" >= ?'
+        assert [r["c1"] for r in self.conn.execute_query(ranged, [1.5])] == [0, 4]
+        assert self.db.table("F")._ordered["X"].values == [1.0, 2.0, 3.0]
+        self.db.table("F").update_at(1, {"X": 2.5})
+        self.db.table("F").update_at(0, {"X": nan})
+        assert [r["c1"] for r in self.conn.execute_query(ranged, [1.5])] == [1, 4]
+
+
 class TestDatabase:
     def test_create_and_load(self):
         db = Database("d")

@@ -1,5 +1,7 @@
 """SQL parser + executor tests over the simulated engine."""
 
+import random
+
 import pytest
 
 from repro.errors import SQLError
@@ -231,3 +233,174 @@ def test_parse_sql_returns_shared_ast(db):
     stmt = parse_sql('SELECT t1."CID" AS c FROM "CUSTOMER" t1')
     assert isinstance(stmt, Select)
     assert stmt.items[0].alias == "c"
+
+
+# ---------------------------------------------------------------------------
+# The ordered access path: a ranged statement against the same statement
+# with every bound wrapped so that _Scan cannot take it for one
+# ---------------------------------------------------------------------------
+
+
+def ranged_db(seed: int, rows: int = 60) -> Database:
+    """NULLs, duplicates, an integer, a float and a string column."""
+    rng = random.Random(f"ranged:{seed}")
+    db = Database("ranged")
+    db.create_table("T", [("ID", "INTEGER", False), ("N", "INTEGER"),
+                          ("F", "FLOAT"), ("S", "VARCHAR")], primary_key=["ID"])
+    db.load("T", [{
+        "ID": i,
+        "N": None if rng.random() < 0.15 else rng.randrange(12),
+        "F": None if rng.random() < 0.15 else rng.choice([0.5, 1, 2.25, 3, 7.5]),
+        "S": None if rng.random() < 0.15 else rng.choice("abcdefg") * rng.randrange(1, 3),
+    } for i in range(rows)])
+    return db
+
+
+def where(conjuncts: list[str], wrapped: bool) -> str:
+    """``x OR 1 = 0`` is ``x`` under three-valued logic, raises what ``x``
+    raises, and is not a bound as far as the access-path chooser can see."""
+    return " AND ".join(f"({c} OR 1 = 0)" if wrapped else c for c in conjuncts)
+
+
+def both_ways(seed, statement, conjuncts, params, ranged=True):
+    """Run ``statement`` (a template with ``{where}``) against two equal
+    databases, ordered index available / bypassed (``ranged`` says whether
+    the plain form should take it at all); returns both outcomes as (result
+    or error text, final rows of T)."""
+    outcomes = []
+    for wrapped in (False, True):
+        db = ranged_db(seed)
+        table, probes = db.table("T"), []
+        probe_range = table.probe_range
+        table.probe_range = lambda *args: probes.append(args) or probe_range(*args)
+        try:
+            result = run(db, statement.format(where=where(conjuncts, wrapped)), params)
+        except SQLError as exc:
+            result = f"SQLError: {exc}"
+        assert bool(probes) is (not wrapped and ranged)
+        outcomes.append((result, table.snapshot()))
+    return outcomes
+
+
+#: value sets per column: present, absent, duplicated in the data, out of range
+BOUNDS = {
+    "N": [-1, 0, 3, 3, 7, 11, 12],
+    "F": [0, 0.5, 1.5, 3, 3.0, 7.5, 9],
+    "S": ["", "a", "bb", "c", "cc", "g", "zz"],
+}
+SELECT_IDS = 'SELECT t1."ID" AS id FROM "T" t1 WHERE {where}'
+
+
+class TestOrderedAccessPath:
+    @pytest.mark.parametrize("column", sorted(BOUNDS))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_select_every_mix_of_bounds(self, seed, column):
+        rng = random.Random(f"{seed}:{column}")
+        ref = f't1."{column}"'
+        cases = 0
+        for lower in (None, ">", ">="):
+            for upper in (None, "<", "<="):
+                if lower is None and upper is None:
+                    continue
+                for _ in range(6):
+                    lo, hi = rng.choice(BOUNDS[column]), rng.choice(BOUNDS[column])
+                    conjuncts, params = [], []
+                    if lower:
+                        conjuncts.append(f"{ref} {lower} ?")
+                        params.append(lo)
+                    if upper:
+                        # written from the other side: ? > col is col < ?
+                        mirrored = {"<": ">", "<=": ">="}[upper]
+                        conjuncts.append(f"? {mirrored} {ref}" if rng.random() < 0.5
+                                         else f"{ref} {upper} ?")
+                        params.append(hi)
+                    (fast, _), (slow, _) = both_ways(seed, SELECT_IDS, conjuncts, params)
+                    assert fast == slow, (conjuncts, params)
+                    ids = [row["id"] for row in fast]
+                    assert ids == sorted(ids)  # unordered results keep table order
+                    cases += bool(ids)
+        assert cases > 10  # the bounds are not all empty ranges
+
+    def test_bounds_against_the_data_by_hand(self):
+        db = ranged_db(1)
+        rows = db.table("T").rows
+        got = run(db, 'SELECT t1."ID" AS id FROM "T" t1 WHERE t1."N" >= ? AND t1."N" < ?', [3, 7])
+        assert [r["id"] for r in got] == [
+            r["ID"] for r in rows if r["N"] is not None and 3 <= r["N"] < 7]
+        got = run(db, 'SELECT t1."ID" AS id FROM "T" t1 WHERE ? < t1."S"', ["c"])
+        assert [r["id"] for r in got] == [
+            r["ID"] for r in rows if r["S"] is not None and r["S"] > "c"]
+
+    @pytest.mark.parametrize("conjuncts, params", [
+        (['t1."N" >= ?', 't1."N" < ?'], [7, 3]),             # empty: lo > hi
+        (['t1."N" > ?', 't1."N" < ?'], [3, 3]),              # empty: open at both ends
+        (['t1."N" >= ?', 't1."N" <= ?'], [3, 3]),            # one value, held by many rows
+        (['t1."N" >= ?', 't1."N" < ?'], [None, 5]),          # NULL bound: nothing
+        (['t1."N" >= ?', 't1."N" < ?'], [2, None]),
+        (['t1."N" >= ?', 't1."N" >= ?', 't1."N" < ?'], [2, 5, 9]),   # the tighter one wins
+        (['t1."N" < ?', 't1."N" <= ?', 't1."N" > ?'], [9, 4, 0]),
+        (['t1."N" >= 2', 't1."S" >= \'b\'', 't1."N" < 9'], []),      # two ranged columns
+        (['t1."F" > ?', 't1."F" <= ?'], [1, 3]),             # int bounds on a float column
+        (['t1."N" > ?'], [2.5]),                             # float bound on an int column
+    ])
+    def test_select_corner_bounds(self, conjuncts, params):
+        for seed in (1, 2):
+            (fast, _), (slow, _) = both_ways(seed, SELECT_IDS, conjuncts, params)
+            assert fast == slow and not isinstance(fast, str)
+
+    @pytest.mark.parametrize("conjuncts, params", [
+        (['t1."N" >= ?'], ["x"]),
+        (['? <= t1."N"'], ["x"]),
+        (['t1."N" >= ?', 't1."N" < ?'], [2, "x"]),
+        (['t1."N" < ?', 't1."N" >= ?'], [None, "x"]),  # unknown AND <error> still raises
+        (['t1."S" < ?'], [5]),
+    ])
+    def test_a_bound_of_the_wrong_type_raises_both_ways(self, conjuncts, params):
+        (fast, _), (slow, _) = both_ways(1, SELECT_IDS, conjuncts, params)
+        assert fast == slow
+        assert fast.startswith("SQLError: cannot compare")
+
+    def test_an_equality_pin_is_preferred_to_a_range(self):
+        conjuncts = ['t1."N" >= 0', 't1."N" < 12', 't1."S" = \'a\'']
+        (fast, _), (slow, _) = both_ways(1, SELECT_IDS, conjuncts, [], ranged=False)
+        assert fast == slow and fast
+
+    def test_an_error_the_scan_never_reaches_is_not_raised_by_the_index_either(self):
+        # no row passes N >= 99, so N < 'x' is evaluated for none
+        conjuncts, params = ['t1."N" >= ?', 't1."N" < ?'], [99, "x"]
+        (fast, _), (slow, _) = both_ways(1, SELECT_IDS, conjuncts, params)
+        assert fast == slow == []
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_update_and_delete_targets(self, seed):
+        update = 'UPDATE "T" SET "N" = "N" + 100, "S" = \'hit\' WHERE {where}'
+        delete = 'DELETE FROM "T" WHERE {where}'
+        for statement in (update, delete):
+            for conjuncts, params in [
+                (['"N" >= ?', '"N" < ?'], [3, 8]),
+                (['? < "F"'], [1]),
+                (['"S" > ?', '"S" <= ?'], ["b", "e"]),
+                (['"N" > ?'], [None]),
+                (['"N" >= ?', '"N" < ?'], [8, 3]),
+            ]:
+                fast, slow = both_ways(seed, statement, conjuncts, params)
+                assert fast == slow, (statement, conjuncts, params)
+        (count, _), _ = both_ways(seed, delete, ['"N" >= ?', '"N" < ?'], [3, 8])
+        assert count > 0
+
+    def test_correlated_range_in_a_subquery(self):
+        # the bound is a column of the enclosing query: fixed per outer row
+        sql = ('SELECT t1."ID" AS id FROM "T" t1 WHERE EXISTS ('
+               'SELECT 1 AS one FROM "T" t2 WHERE {where})')
+        conjuncts = ['t2."N" > t1."N"', 't2."ID" < t1."ID"']
+        for seed in (1, 2):
+            (fast, _), (slow, _) = both_ways(seed, sql, conjuncts, [])
+            assert fast == slow and fast
+
+    def test_an_untyped_column_is_never_ranged(self):
+        db = Database("loose")
+        db.create_table("T", [("ID", "INTEGER", False), ("X", "ANYTHING")], primary_key=["ID"])
+        db.load("T", [{"ID": 0, "X": 1}, {"ID": 1, "X": "one"}])  # no check, no common order
+        with pytest.raises(SQLError, match="cannot compare"):
+            run(db, 'SELECT t1."ID" AS id FROM "T" t1 WHERE t1."X" >= 0')
+        assert not db.table("T")._ordered

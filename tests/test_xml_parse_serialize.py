@@ -1,5 +1,8 @@
 """XML text parser and serializer tests."""
 
+import io
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +14,9 @@ from repro.xml import (
     parse_element_text,
     serialize,
 )
+from repro.xml.items import AttributeNode, DocumentNode, ElementNode, TextNode
+from repro.xml.qname import QName
+from repro.xml.serialize import serialize_item, serialize_to_sink
 
 
 class TestParser:
@@ -107,3 +113,121 @@ def xml_trees(draw, depth=2):
 def test_property_parse_serialize_roundtrip(tree):
     text = serialize(tree)
     assert serialize(parse_element_text(text)) == text
+
+
+# ---------------------------------------------------------------------------
+# The single-buffer writer against a node-at-a-time reference
+# ---------------------------------------------------------------------------
+
+
+def reference_item(item, indent=None, level=0) -> str:
+    """One string per node, joined on the way up: slow and obvious."""
+    def text(s):
+        return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+    def attribute(a):
+        return f'{a.name.lexical}="{text(a.string_value()).replace(chr(34), "&quot;")}"'
+
+    if isinstance(item, AtomicValue):
+        return item.string_value()
+    if isinstance(item, TextNode):
+        return text(item.content)
+    if isinstance(item, AttributeNode):
+        return attribute(item)
+    if isinstance(item, DocumentNode):
+        return "".join(reference_item(c, indent, level) for c in item.children())
+    pad = "" if indent is None else "\n" + " " * (indent * level)
+    opening = "".join([item.name.lexical] + [" " + attribute(a) for a in item.attributes])
+    children = item.children()
+    if not children:
+        return f"{pad}<{opening}/>"
+    only_text = all(isinstance(c, TextNode) for c in children)
+    inner = "".join(reference_item(c, None if only_text else indent, level + 1)
+                    for c in children)
+    return f"{pad}<{opening}>{inner}{'' if only_text else pad}</{item.name.lexical}>"
+
+
+def reference_sequence(items, indent=None) -> str:
+    out = ""
+    for previous, item in zip([None] + items, items):
+        if isinstance(previous, AtomicValue) and isinstance(item, AtomicValue):
+            out += " "
+        out += reference_item(item, indent)
+    return out.lstrip("\n") if indent is not None else out
+
+
+_SPECIAL_TEXT = ["x", "a&b", "1 < 2", "2 > 1", "<&>", 'say "hi"', "it's", "  ", "\n", "é✓"]
+
+
+def random_tree(rng, depth=3):
+    node = ElementNode(QName(rng.choice(["a", "b", "row"]), prefix=rng.choice(["", "", "p"])))
+    for name in rng.sample(["k", "id", "t"], rng.randrange(3)):
+        node.add_attribute(AttributeNode(
+            QName(name), AtomicValue(rng.choice(_SPECIAL_TEXT), "xs:string")))
+    for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+        if depth and rng.random() < 0.6:
+            node.add_child(random_tree(rng, depth - 1))
+        else:
+            node.add_child(TextNode(rng.choice(_SPECIAL_TEXT)))
+    return node
+
+
+def random_sequence(rng):
+    items = []
+    for _ in range(rng.randrange(1, 7)):
+        kind = rng.random()
+        if kind < 0.45:
+            items.append(random_tree(rng))
+        elif kind < 0.75:  # runs of atoms happen: the draw repeats
+            items.append(rng.choice([AtomicValue(7, "xs:integer"), AtomicValue("a<b", "xs:string"),
+                                     AtomicValue(True, "xs:boolean"), AtomicValue(1.5, "xs:double")]))
+        elif kind < 0.85:
+            items.append(TextNode(rng.choice(_SPECIAL_TEXT)))
+        elif kind < 0.92:
+            items.append(AttributeNode(QName("loose"), AtomicValue('q"<', "xs:string")))
+        else:
+            items.append(DocumentNode([random_tree(rng, 1), random_tree(rng, 2)]))
+    return items
+
+
+class TestWriterAgainstReference:
+    @pytest.mark.parametrize("indent", [None, 0, 2])
+    def test_generated_sequences(self, indent):
+        for seed in range(150):
+            items = random_sequence(random.Random(f"serialize:{seed}"))
+            want = reference_sequence(items, indent)
+            assert serialize(items, indent) == want, seed
+            if len(items) == 1:
+                assert serialize(items[0], indent) == want
+            for item in items:
+                assert serialize_item(item, indent) == reference_item(item, indent)
+                assert serialize_item(item, indent, 2) == reference_item(item, indent, 2)
+
+    @pytest.mark.parametrize("batch_size", [1, 256])
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_sink_at_every_batch_size(self, indent, batch_size):
+        rng = random.Random("sink")
+        items = [item for _ in range(120) for item in random_sequence(rng)]
+        assert len(items) > 256
+        sink = io.StringIO()
+        assert serialize_to_sink(iter(items), sink, indent, "|", batch_size) == len(items)
+        assert sink.getvalue() == "|".join(reference_item(item, indent) for item in items)
+        empty = io.StringIO()
+        assert serialize_to_sink(iter([]), empty, indent, "|", batch_size) == 0
+        assert empty.getvalue() == ""
+
+    def test_pinned_bytes(self):
+        tree = element("a", element("b", "1 < 2"), "t&t", element("c"),
+                       attrs={"k": 'x"<y>&'})
+        assert serialize(tree) == \
+            '<a k="x&quot;&lt;y&gt;&amp;"><b>1 &lt; 2</b>t&amp;t<c/></a>'
+        assert serialize(tree, indent=2) == \
+            '<a k="x&quot;&lt;y&gt;&amp;">\n  <b>1 &lt; 2</b>t&amp;t\n  <c/>\n</a>'
+        assert serialize(tree, indent=0) == \
+            '<a k="x&quot;&lt;y&gt;&amp;">\n<b>1 &lt; 2</b>t&amp;t\n<c/>\n</a>'
+        assert serialize([AtomicValue("a<b", "xs:string"), AtomicValue(2, "xs:integer"),
+                          element("e"), AtomicValue(3, "xs:integer")]) == "a<b 2<e/>3"
+
+    def test_unknown_item_kinds_are_rejected(self):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            serialize([object()])

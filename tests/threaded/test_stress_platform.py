@@ -235,6 +235,52 @@ class TestStress:
         for name, cids in (("Jones", "<CID>C1</CID>"), ("Smith", "<CID>C2</CID>")):
             assert serialize(platform.execute(by_name, {"n": [_string(name)]})) == cids
 
+    def test_range_readers_race_a_writer_of_the_ranged_column(self, stressed, round):
+        """The backend's ordered access path under fire: a writer moves
+        C1's SINCE in and out of the window the readers scan — every
+        UPDATE takes one entry out of the SINCE index and puts another in,
+        through ``update_at`` — and now and then inserts a customer, which
+        lands in it too.  A reader sees C1 inside the window or not at
+        all, the other customers always, and always in table order."""
+        from repro import serialize
+        from repro.relational import Connection
+
+        platform, detector = stressed
+        custdb = platform.ctx.databases["custdb"]
+        step = 864000  # SINCE of customer i is step * i
+        window = ("for $c in CUSTOMER() where $c/SINCE ge $lo and $c/SINCE lt $hi "
+                  "return $c/CID")
+        bounds = {"lo": [_integer(step)], "hi": [_integer(3 * step)]}
+        legal = {"<CID>C1</CID><CID>C2</CID>", "<CID>C2</CID>"}
+        extra = "".join(f"<CID>X{i}</CID>" for i in range(4))
+
+        def worker(index):
+            if index == 0:
+                writer = Connection(custdb)
+                for i in range(4 * OPS_PER_THREAD):
+                    assert writer.execute_update(
+                        'UPDATE "CUSTOMER" SET "SINCE" = ? WHERE "CID" = ?',
+                        [step if i % 2 else 10 * step, "C1"]) == 1
+                    if i % OPS_PER_THREAD == 0:
+                        writer.execute_update(
+                            'INSERT INTO "CUSTOMER" ("CID", "SINCE") VALUES (?, ?)',
+                            [f"X{i // OPS_PER_THREAD}", 2 * step])
+                return
+            for _ in range(OPS_PER_THREAD):
+                seen = serialize(platform.execute(window, bounds))
+                core = seen.split("<CID>X", 1)[0]
+                assert core in legal and extra.startswith(seen[len(core):]), seen
+
+        hammer(platform, worker)
+        assert_race_free(detector)
+        customers = custdb.table("CUSTOMER")
+        index = customers._ordered["SINCE"]
+        assert list(zip(index.values, index.positions)) == sorted(
+            (row["SINCE"], position) for position, row in enumerate(customers.rows))
+        # the writer's last move put C1 back inside the window
+        assert serialize(platform.execute(window, bounds)) == \
+            "<CID>C1</CID><CID>C2</CID>" + extra
+
     def test_counters_are_exact_under_contention(self, stressed, round):
         platform, detector = stressed
         runs_per_thread = 8
@@ -254,6 +300,12 @@ class TestStress:
         snapshot = platform.metrics_snapshot()
         assert snapshot["concurrency.races"] == 0
         assert snapshot["concurrency.guarded_accesses"] > 0
+
+
+def _integer(value: int):
+    from repro.xml.items import AtomicValue
+
+    return AtomicValue(value, "xs:integer")
 
 
 def _string(value: str):
