@@ -9,6 +9,13 @@ shape, then a ``cProfile`` top 30 by self time over a second replay.
 
     make profile W=pushed_scan          # every shape of the workload
     make profile W=pushed_scan R=1      # only its second request shape
+    python3 benchmarks/profile_workload.py --workload cold_compile --phases
+
+``--phases`` splits each shape's time instead of profiling it: median ms
+of ``Platform.prepare`` on the request's text, of the first
+``stream`` + ``serialize`` on the plan that produced, and of the same
+request run again at once (compile / first run / steady state).  On a
+workload whose texts repeat, only the first operation compiles anything.
 
 Times here are raw (one process, profiler off for the medians, no
 calibration loop): use them to find *where* time goes, and the benchmark
@@ -35,18 +42,33 @@ from oracle import Oracle  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
-def replay(driver: Driver, ops: range, only: int | None, timings: dict | None) -> None:
-    """Execute operations ``ops``; a mismatch with the oracle raises."""
+def replay(driver: Driver, ops: range, only: int | None, timings: dict | None,
+           phases: bool = False) -> None:
+    """Execute operations ``ops``; a mismatch with the oracle raises.
+
+    ``timings`` is keyed by request position (a workload may put a fresh
+    literal in every text) and holds the first text seen there as the
+    label, then one sample per operation: the request's ms, or with
+    ``phases`` a (prepare, first run, warm re-run) triple."""
     for i in ops:
         for position, request in enumerate(driver.workload.requests(i)):
             if only is not None and position != only:
                 continue
             start = time.perf_counter()
-            driver.execute(request)
+            if phases:
+                driver.platform.prepare(request.text, request.variables)
+                prepared = time.perf_counter()
+                driver.execute(request)
+                first = time.perf_counter()
+                driver.execute(request)
+                sample = ((prepared - start) * 1000.0, (first - prepared) * 1000.0,
+                          (time.perf_counter() - first) * 1000.0)
+            else:
+                driver.execute(request)
+                sample = (time.perf_counter() - start) * 1000.0
             if timings is not None:
                 label = request.text[:70] or "read_for_update / set / submit"
-                timings.setdefault((position, label), []).append(
-                    (time.perf_counter() - start) * 1000.0)
+                timings.setdefault(position, (label, []))[1].append(sample)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -58,9 +80,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--ops", type=int, default=30,
                         help="operations per replay (default 30)")
     parser.add_argument("--sizes", choices=sorted(SIZES), default="full")
+    parser.add_argument("--phases", action="store_true",
+                        help="per shape: median ms of prepare, first run and warm "
+                             "re-run, in place of the cProfile table")
     args = parser.parse_args(argv)
-    if args.request is not None and args.workload == "read_write_mix":
-        parser.error("read_write_mix reads what its own writes renamed: run every shape")
+    if args.workload == "read_write_mix" and (args.request is not None or args.phases):
+        parser.error("read_write_mix reads what its own writes renamed: "
+                     "run every shape, once each")
 
     fed = build_federation(args.seed, SIZES[args.sizes], OUT)
     try:
@@ -70,25 +96,37 @@ def main(argv: list[str] | None = None) -> int:
         gc.collect()
         gc.freeze()
 
-        timings: dict[tuple[int, str], list[float]] = {}
-        replay(driver, range(1, args.ops + 1), args.request, timings)
+        timings: dict[int, tuple[str, list]] = {}
+        replay(driver, range(1, args.ops + 1), args.request, timings, args.phases)
         print(f"{args.workload}, seed {args.seed}, {args.ops} operations, "
               "every result checked against the oracle")
-        print(f"{'request':>7}  {'median ms':>9}  {'min ms':>8}  shape")
-        for (position, label), values in sorted(timings.items()):
-            print(f"{position:>7}  {statistics.median(values):>9.2f}  "
-                  f"{min(values):>8.2f}  {label}")
+        if args.phases:
+            print(f"{'request':>7}  {'prepare':>8}  {'first run':>9}  {'warm run':>8}  "
+                  "shape (median ms)")
+            for position, (label, samples) in sorted(timings.items()):
+                prepare, first, warm = (statistics.median(column)
+                                        for column in zip(*samples))
+                print(f"{position:>7}  {prepare:>8.2f}  {first:>9.2f}  {warm:>8.2f}  "
+                      f"{label}")
+        else:
+            print(f"{'request':>7}  {'median ms':>9}  {'min ms':>8}  shape")
+            for position, (label, values) in sorted(timings.items()):
+                print(f"{position:>7}  {statistics.median(values):>9.2f}  "
+                      f"{min(values):>8.2f}  {label}")
 
-        profile = cProfile.Profile()
-        profile.enable()
-        replay(driver, range(args.ops + 1, 2 * args.ops + 1), args.request, None)
-        profile.disable()
+        profile = None
+        if not args.phases:
+            profile = cProfile.Profile()
+            profile.enable()
+            replay(driver, range(args.ops + 1, 2 * args.ops + 1), args.request, None)
+            profile.disable()
         mismatched = workload.final_mismatches()
     finally:
         fed.close()
     if mismatched:
         raise SystemExit(f"{args.workload}: end-of-run state differs from the oracle's")
-    pstats.Stats(profile).sort_stats("tottime").print_stats(30)
+    if profile is not None:
+        pstats.Stats(profile).sort_stats("tottime").print_stats(30)
     return 0
 
 

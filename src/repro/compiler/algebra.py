@@ -40,6 +40,11 @@ class TableMeta:
     def column_names(self) -> list[str]:
         return [name for name, _t in self.columns]
 
+    def __deepcopy__(self, memo) -> "TableMeta":
+        # introspection output, read by every plan over the table and
+        # written by none: a copied tree shares it
+        return self
+
 
 class SourceCall(ast.FunctionCall):
     """A call to an external source function, resolved against metadata.

@@ -44,7 +44,6 @@ to it, replacing its hand-tuned weights.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -410,7 +409,7 @@ class _CostingPass:
         """The region's base select as a plain full scan: the correlation
         predicate is *not* baked into the select (the PP-k executor adds
         it per block), so dropping the correlation is the whole scan."""
-        scan = copy.deepcopy(unit.pushed)
+        scan = unit.pushed.clone()
         scan.correlation = None
         return scan
 
@@ -424,7 +423,7 @@ class _CostingPass:
         var = unit.for_clause.var
         join = IndexJoinForClause(
             var, self._scan_of(unit), self._item_key(unit, var),
-            copy.deepcopy(unit.pushed.correlation.outer_key))
+            unit.pushed.correlation.outer_key.clone())
         # runner-up twin for the runtime's index -> PP-k re-plan
         join.replan_ppk = unit.let
         return join
@@ -433,7 +432,7 @@ class _CostingPass:
                                                    ast.WhereClause]:
         var = unit.for_clause.var
         condition = ast.Comparison(
-            "eq", copy.deepcopy(unit.pushed.correlation.outer_key),
+            "eq", unit.pushed.correlation.outer_key.clone(),
             self._item_key(unit, var), general=False)
         return ast.ForClause(var, self._scan_of(unit)), \
             ast.WhereClause(condition)

@@ -72,22 +72,38 @@ class InverseRegistry:
         function; the optimizer's inlining + cancellation passes then reduce
         it to a pushable predicate.
         """
-        node = node.transform_children(self.apply_transforms)
-        if not isinstance(node, ast.Comparison):
-            return node
-        for left_first in (True, False):
-            side = node.left if left_first else node.right
-            other = node.right if left_first else node.left
-            call = _unwrap_data(side)
-            if isinstance(call, ast.FunctionCall):
-                op = node.op if left_first else _mirror(node.op)
-                replacement = self.rule_for(op, call.name)
-                if replacement is not None:
-                    return ast.FunctionCall(replacement, [side, other])
-        return node
+        return self.transformed(node)[0]
+
+    def transformed(self, node: ast.AstNode) -> tuple[ast.AstNode, bool]:
+        """:meth:`apply_transforms`, plus whether any rule fired (with no
+        rule registered the tree is not walked at all)."""
+        if not self._rules:
+            return node, False
+        fired = False
+
+        def visit(current: ast.AstNode) -> ast.AstNode:
+            nonlocal fired
+            current = current.transform_children(visit)
+            if not isinstance(current, ast.Comparison):
+                return current
+            for left_first in (True, False):
+                side = current.left if left_first else current.right
+                other = current.right if left_first else current.left
+                call = _unwrap_data(side)
+                if isinstance(call, ast.FunctionCall):
+                    op = current.op if left_first else _mirror(current.op)
+                    replacement = self.rule_for(op, call.name)
+                    if replacement is not None:
+                        fired = True
+                        return ast.FunctionCall(replacement, [side, other])
+            return current
+
+        return visit(node), fired
 
     def cancel_inverses(self, node: ast.AstNode) -> ast.AstNode:
         """Rewrite ``g(f(x)) -> x`` for declared inverse pairs."""
+        if not self._inverses:
+            return node
         node = node.transform_children(self.cancel_inverses)
         if isinstance(node, ast.FunctionCall) and len(node.args) == 1:
             inner = _unwrap_data(node.args[0])

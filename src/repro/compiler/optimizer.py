@@ -23,8 +23,6 @@ SQL pushdown itself runs after these passes (:mod:`repro.sql.generate`).
 
 from __future__ import annotations
 
-import copy
-
 from typing import TYPE_CHECKING
 
 from ..xquery import ast_nodes as ast
@@ -62,10 +60,11 @@ class Optimizer:
     def optimize(self, expr: ast.AstNode) -> ast.AstNode:
         expr = self.resolve_sources(expr)
         expr = self.inline_functions(expr)
-        expr = self.inverses.apply_transforms(expr)
-        # Transformation rules introduce replacement-function calls that must
-        # themselves be unfolded before cancellation can fire.
-        expr = self.inline_functions(expr)
+        expr, fired = self.inverses.transformed(expr)
+        if fired:
+            # Transformation rules introduce replacement-function calls that
+            # must themselves be unfolded before cancellation can fire.
+            expr = self.inline_functions(expr)
         expr = self.simplify(expr)
         if self.inverses.rules():
             # Simplification (constructor-navigation elimination in
@@ -102,37 +101,43 @@ class Optimizer:
         decl = self.module.function(node.name, len(node.args))
         if decl is None or decl.body is None or decl.errors:
             return node
-        body = self._view_body(decl, depth)
-        body = _alpha_rename(body)
-        # Bind parameters with let clauses (simplification may inline them).
-        if decl.params:
-            rename = {}
-            lets: list[ast.Clause] = []
-            for param, arg in zip(decl.params, node.args):
-                fresh = fresh_var(param.name)
-                rename[param.name] = fresh
-                lets.append(ast.LetClause(fresh, arg))
-            body = _rename_free_vars(body, rename)
-            result: ast.AstNode = ast.FLWOR(lets, body)
-        else:
-            result = body
+        view, bound = self._view_body(decl, depth)
+        # Every variable bound inside the body gets a fresh name (uniform
+        # renaming preserves shadowing, and fresh names are globally
+        # unique, so the body can be spliced into any context); the
+        # parameters become let clauses (simplification may inline them).
+        rename = {name: fresh_var(name.lstrip("#")) for name in bound}
+        lets: list[ast.Clause] = []
+        for param, arg in zip(decl.params, node.args):
+            fresh = fresh_var(param.name)
+            rename.setdefault(param.name, fresh)
+            lets.append(ast.LetClause(fresh, arg))
+        # one pass: the private copy comes out already renamed
+        body = view.clone(rename)
+        result: ast.AstNode = ast.FLWOR(lets, body) if lets else body
         result.static_type = node.static_type
         return result
 
-    def _view_body(self, decl: ast.FunctionDecl, depth: int) -> ast.AstNode:
+    def _view_body(self, decl: ast.FunctionDecl,
+                   depth: int) -> tuple[ast.AstNode, tuple[str, ...]]:
         """The query-independent part of view optimization is performed once
-        and cached (section 4.2's view sub-optimizer)."""
+        and cached (section 4.2's view sub-optimizer): the partially
+        optimized body and the names it binds.  The body is shared by every
+        compile that hits the cache, so the caller clones it and never
+        mutates it."""
+        key = (decl.name, decl.arity())
         if self.view_cache is not None:
-            cached = self.view_cache.get(decl.name, decl.arity())
+            cached = self.view_cache.get(*key)
             if cached is not None:
-                return copy.deepcopy(cached)
-        body = copy.deepcopy(decl.body)
+                return cached
+        body = decl.body.clone()
         body = self.resolve_sources(body)
         body = self.inline_functions(body, depth + 1)
         body = self.simplify(body)
+        entry = (body, _bound_vars(body))
         if self.view_cache is not None:
-            self.view_cache.put(decl.name, decl.arity(), copy.deepcopy(body))
-        return body
+            self.view_cache.put(*key, entry)
+        return entry
 
     # -- simplification rules -------------------------------------------------------
 
@@ -204,7 +209,7 @@ class Optimizer:
                 clauses: list[ast.Clause] = [ast.ForClause(var, node.base)]
                 for pred in node.predicates:
                     clauses.append(ast.WhereClause(
-                        _substitute_context(copy.deepcopy(pred), ast.VarRef(var))
+                        _substitute_context(pred.clone(), ast.VarRef(var))
                     ))
                 self._changed = True
                 return ast.FLWOR(clauses, ast.VarRef(var))
@@ -217,7 +222,7 @@ class Optimizer:
             if _is_positional(pred):
                 remaining.append(pred)
                 continue
-            condition = _substitute_context(copy.deepcopy(pred), flwor.return_expr)
+            condition = _substitute_context(pred.clone(), flwor.return_expr)
             flwor.clauses.append(ast.WhereClause(condition))
         if remaining:
             if len(remaining) == len(node.predicates):
@@ -291,9 +296,7 @@ class Optimizer:
                 ):
                     index += 1
                     continue
-                uses = sum(_count_var_uses(c, clause.var) for c in later)
-                uses += _count_var_uses(node.return_expr, clause.var)
-                rebound = any(_binds_var(c, clause.var) for c in later)
+                uses, rebound = _uses_and_rebinds(later, node.return_expr, clause.var)
                 if uses == 0 and not rebound:
                     del node.clauses[index]
                     self._changed = True
@@ -379,44 +382,23 @@ class Optimizer:
 # ---------------------------------------------------------------------------
 
 
-def _alpha_rename(node: ast.AstNode) -> ast.AstNode:
-    """Uniformly rename every variable *bound inside* ``node`` to a fresh
-    name (free variables are untouched).  Uniform renaming preserves
-    shadowing, and fresh names are globally unique, so inlined bodies can
-    be spliced into any context."""
-    bound: set[str] = set()
+def _bound_vars(node: ast.AstNode) -> tuple[str, ...]:
+    """Every variable *bound inside* ``node`` (free variables are not),
+    once each, in pre-order."""
+    bound: dict[str, None] = {}
     for sub in node.walk():
         if isinstance(sub, ast.ForClause):
-            bound.add(sub.var)
+            bound[sub.var] = None
             if sub.pos_var:
-                bound.add(sub.pos_var)
+                bound[sub.pos_var] = None
         elif isinstance(sub, ast.LetClause):
-            bound.add(sub.var)
+            bound[sub.var] = None
         elif isinstance(sub, ast.GroupByClause):
-            bound.update(target for _s, target in sub.grouped)
-            bound.update(var for _e, var in sub.keys)
+            bound.update((target, None) for _s, target in sub.grouped)
+            bound.update((var, None) for _e, var in sub.keys)
         elif isinstance(sub, ast.Quantified):
-            bound.update(var for var, _e in sub.bindings)
-    mapping = {name: fresh_var(name.lstrip("#")) for name in bound}
-    return _rename_all_vars(node, mapping)
-
-
-def _rename_all_vars(node: ast.AstNode, mapping: dict[str, str]) -> ast.AstNode:
-    node = node.transform_children(lambda c: _rename_all_vars(c, mapping))
-    if isinstance(node, ast.VarRef) and node.name in mapping:
-        node.name = mapping[node.name]
-    elif isinstance(node, ast.ForClause):
-        node.var = mapping.get(node.var, node.var)
-        if node.pos_var:
-            node.pos_var = mapping.get(node.pos_var, node.pos_var)
-    elif isinstance(node, ast.LetClause):
-        node.var = mapping.get(node.var, node.var)
-    elif isinstance(node, ast.GroupByClause):
-        node.grouped = [(mapping.get(s, s), mapping.get(t, t)) for s, t in node.grouped]
-        node.keys = [(e, mapping.get(v, v)) for e, v in node.keys]
-    elif isinstance(node, ast.Quantified):
-        node.bindings = [(mapping.get(v, v), e) for v, e in node.bindings]
-    return node
+            bound.update((var, None) for var, _e in sub.bindings)
+    return tuple(bound)
 
 
 def canonicalize_gensyms(node: ast.AstNode) -> ast.AstNode:
@@ -462,18 +444,9 @@ def canonicalize_gensyms(node: ast.AstNode) -> ast.AstNode:
             for var, _expr in sub.bindings:
                 visit_name(var)
     reset_gensym_scope(len(mapping) + 1)
-    if not mapping:
-        return node
-    return _rename_all_vars(node, mapping)
-
-
-def _rename_free_vars(node: ast.AstNode, mapping: dict[str, str]) -> ast.AstNode:
-    """Rename free variable references (used for parameter binding; bound
-    names inside the body were already alpha-renamed to fresh names, so no
-    capture is possible)."""
-    node = node.transform_children(lambda c: _rename_free_vars(c, mapping))
-    if isinstance(node, ast.VarRef) and node.name in mapping:
-        node.name = mapping[node.name]
+    if mapping:
+        for sub in node.walk():
+            sub.rename_vars(mapping)
     return node
 
 
@@ -491,7 +464,7 @@ def _substitute_navigated_uses(node: ast.AstNode, name: str,
             and current.base.name == name
         ):
             changed = True
-            current.base = copy.deepcopy(replacement)
+            current.base = replacement.clone()
         return current
 
     return visit(node), changed
@@ -500,14 +473,14 @@ def _substitute_navigated_uses(node: ast.AstNode, name: str,
 def _substitute_var(node: ast.AstNode, name: str, replacement: ast.AstNode) -> ast.AstNode:
     node = node.transform_children(lambda c: _substitute_var(c, name, replacement))
     if isinstance(node, ast.VarRef) and node.name == name:
-        return copy.deepcopy(replacement)
+        return replacement.clone()
     return node
 
 
 def _substitute_context(node: ast.AstNode, replacement: ast.AstNode) -> ast.AstNode:
     node = node.transform_children(lambda c: _substitute_context(c, replacement))
     if isinstance(node, ast.ContextItem):
-        return copy.deepcopy(replacement)
+        return replacement.clone()
     return node
 
 
@@ -522,19 +495,24 @@ def _uses_only_navigated(node: ast.AstNode, name: str) -> bool:
     return all(_uses_only_navigated(child, name) for child in node.children())
 
 
-def _count_var_uses(node: ast.AstNode, name: str) -> int:
-    count = 0
-    for sub in node.walk():
+def _uses_and_rebinds(later: list[ast.Clause], return_expr: ast.AstNode,
+                      name: str) -> tuple[int, bool]:
+    """References to ``$name`` in the clauses after a let and in the
+    return expression, and whether one of those clauses binds the name
+    again — one walk of what follows the let."""
+    uses = 0
+    rebound = False
+    for clause in later:
+        for sub in clause.walk():
+            if isinstance(sub, ast.VarRef):
+                if sub.name == name:
+                    uses += 1
+            elif isinstance(sub, (ast.ForClause, ast.LetClause)) and sub.var == name:
+                rebound = True
+    for sub in return_expr.walk():
         if isinstance(sub, ast.VarRef) and sub.name == name:
-            count += 1
-    return count
-
-
-def _binds_var(node: ast.AstNode, name: str) -> bool:
-    for sub in node.walk():
-        if isinstance(sub, (ast.ForClause, ast.LetClause)) and sub.var == name:
-            return True
-    return False
+            uses += 1
+    return uses, rebound
 
 
 def _is_cheap(expr: ast.AstNode) -> bool:

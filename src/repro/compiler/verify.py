@@ -36,8 +36,6 @@ recovery.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from ..diagnostics import DiagnosticReport, make
 from ..schema.structural import intersects, needs_typematch
 from ..sql.ast_nodes import CaseExpr, FuncCall, Join, Param, Select
@@ -80,10 +78,11 @@ class PlanVerifier:
 
     def verify(self, expr: ast.AstNode) -> DiagnosticReport:
         self.report = DiagnosticReport()
+        index = iter_with_path(expr)  # one traversal, shared by passes 2-4
         self.check_scopes(expr)
-        self.check_pushdown_safety(expr)
-        self.check_types(expr)
-        self.check_plan_shape(expr)
+        self.check_pushdown_safety(index)
+        self.check_types(expr, index)
+        self.check_plan_shape(expr, index)
         return self.report
 
     def _emit(self, code: str, message: str, path: str,
@@ -237,9 +236,9 @@ class PlanVerifier:
     # Pass 2: pushdown-safety auditor
     # ------------------------------------------------------------------------
 
-    def check_pushdown_safety(self, expr: ast.AstNode) -> None:
+    def check_pushdown_safety(self, index: PlanIndex) -> None:
         audited: set[int] = set()
-        for node, path in iter_with_path(expr):
+        for node, path, _in_pushed in index:
             if isinstance(node, PPkLetClause):
                 audited.add(id(node.pushed))
                 self._audit_region(node.pushed, f"{path}/PushedSQL",
@@ -264,7 +263,8 @@ class PlanVerifier:
             )
 
         # Re-validate the SQL AST operation by operation (Tables 1-2).
-        for sql_node in _sql_nodes(pushed.select):
+        sql_nodes = _sql_nodes(pushed.select)
+        for sql_node in sql_nodes:
             if isinstance(sql_node, FuncCall):
                 mapped = caps.function_map.get(sql_node.name, sql_node.name)
                 if sql_node.name in caps.unpushable_functions \
@@ -297,7 +297,7 @@ class PlanVerifier:
 
         # Parameter slots must line up with middleware expressions.
         declared = len(pushed.param_exprs)
-        used = {n.index for n in _sql_nodes(pushed.select) if isinstance(n, Param)}
+        used = {n.index for n in sql_nodes if isinstance(n, Param)}
         out_of_range = sorted(i for i in used if i < 0 or i >= declared)
         if out_of_range:
             self._emit(
@@ -362,9 +362,13 @@ class PlanVerifier:
     # Pass 3: type-annotation consistency
     # ------------------------------------------------------------------------
 
-    def check_types(self, expr: ast.AstNode) -> None:
+    def check_types(self, expr: ast.AstNode, index: PlanIndex) -> None:
         unannotated = 0
-        for node, path in iter_with_path(expr, skip_pushed=True):
+        for node, path, in_pushed in index:
+            if in_pushed:
+                # templates and parameter expressions live outside the
+                # middleware type discipline
+                continue
             if isinstance(node, ast.TypeMatch):
                 operand_type = node.operand.static_type
                 if node.target is None:
@@ -401,8 +405,8 @@ class PlanVerifier:
     # Pass 4: plan-shape lints
     # ------------------------------------------------------------------------
 
-    def check_plan_shape(self, expr: ast.AstNode) -> None:
-        for node, path in iter_with_path(expr):
+    def check_plan_shape(self, expr: ast.AstNode, index: PlanIndex) -> None:
+        for node, path, _in_pushed in index:
             if isinstance(node, ast.FLWOR):
                 self._lint_flwor(node, path)
                 self._lint_scatter(node, path)
@@ -411,7 +415,7 @@ class PlanVerifier:
             if isinstance(node, PushedSQL):
                 self._lint_dead_projection(node, path)
         if self.push_enabled:
-            for node, path in iter_with_path(expr):
+            for node, path, _in_pushed in index:
                 if is_table_call(node):
                     self._emit(
                         "ALDSP-W306",
@@ -563,43 +567,57 @@ class PlanVerifier:
 # ---------------------------------------------------------------------------
 
 
-def iter_with_path(node: ast.AstNode, path: str = "",
-                   skip_pushed: bool = False) -> Iterator[tuple[ast.AstNode, str]]:
-    """Pre-order traversal yielding (node, operator-path) pairs.
+#: what :func:`iter_with_path` returns
+PlanIndex = list[tuple[ast.AstNode, str, bool]]
+
+
+def iter_with_path(node: ast.AstNode, path: str = "") -> PlanIndex:
+    """The plan in pre-order as (node, operator-path, inside a pushed
+    region) triples.
 
     FLWOR clauses get indexed path segments so diagnostics are
-    cross-referenceable with ``explain`` output.  ``skip_pushed`` stops the
-    descent at :class:`PushedSQL` boundaries (templates and parameter
-    expressions live outside the middleware type discipline).
+    cross-referenceable with ``explain`` output.  The flag is true for
+    everything *below* a :class:`PushedSQL` (its templates and parameter
+    expressions), not for the region node itself.
     """
-    label = type(node).__name__
-    here = f"{path}/{label}" if path else label
-    yield node, here
-    if skip_pushed and isinstance(node, PushedSQL):
-        return
-    if isinstance(node, ast.FLWOR):
-        for index, clause in enumerate(node.clauses):
-            yield from iter_with_path(clause, f"{here}/clause[{index}]", skip_pushed)
-        yield from iter_with_path(node.return_expr, f"{here}/return", skip_pushed)
-        return
-    for child in node.children():
-        yield from iter_with_path(child, here, skip_pushed)
+    index: PlanIndex = []
+
+    def visit(current: ast.AstNode, path: str, in_pushed: bool) -> None:
+        label = type(current).__name__
+        here = f"{path}/{label}" if path else label
+        index.append((current, here, in_pushed))
+        below = in_pushed or isinstance(current, PushedSQL)
+        if isinstance(current, ast.FLWOR):
+            for position, clause in enumerate(current.clauses):
+                visit(clause, f"{here}/clause[{position}]", below)
+            visit(current.return_expr, f"{here}/return", below)
+            return
+        for child in current.children():
+            visit(child, here, below)
+
+    visit(node, path, False)
+    return index
 
 
 def _root_path(expr: ast.AstNode) -> str:
     return type(expr).__name__
 
 
-def _sql_nodes(obj) -> Iterator[object]:
+def _sql_nodes(obj) -> list[object]:
     """Every dataclass node in a SQL AST, including nested subqueries."""
-    if isinstance(obj, (list, tuple)):
-        for entry in obj:
-            yield from _sql_nodes(entry)
-        return
-    if hasattr(obj, "__dataclass_fields__"):
-        yield obj
-        for name in obj.__dataclass_fields__:
-            yield from _sql_nodes(getattr(obj, name))
+    found: list[object] = []
+
+    def visit(current) -> None:
+        if isinstance(current, (list, tuple)):
+            for entry in current:
+                visit(entry)
+        elif hasattr(current, "__dataclass_fields__"):
+            found.append(current)
+            for name in current.__dataclass_fields__:
+                visit(getattr(current, name))
+
+    visit(obj)
+    return found
 
 
 def _template_aliases(template: ast.AstNode) -> set[str]:

@@ -12,13 +12,15 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from ..concurrency import RACE, TrackedRLock, guarded_by
-from ..xquery import ast_nodes as ast
 
 
 @guarded_by("_lock")
 class ViewPlanCache:
-    """LRU cache mapping (function name, arity) to a partially optimized
-    body.  Stats are exposed for the view-unfolding benchmark.
+    """LRU cache mapping (function name, arity) to what the optimizer
+    stores for the view: its partially optimized body with the variable
+    names the body binds.  Entries are shared by every compile that hits
+    them and are never mutated — the optimizer clones the body it
+    unfolds.  Stats are exposed for the view-unfolding benchmark.
 
     Thread-safety (A-CONC): compilation runs on request threads, so the
     LRU map and counters are guarded like :class:`PlanCache`."""
@@ -28,12 +30,12 @@ class ViewPlanCache:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._lock = TrackedRLock("ViewPlanCache")
-        self._entries: "OrderedDict[tuple[str, int], ast.AstNode]" = OrderedDict()
+        self._entries: "OrderedDict[tuple[str, int], object]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    def get(self, name: str, arity: int) -> ast.AstNode | None:
+    def get(self, name: str, arity: int):
         key = (name, arity)
         with self._lock:
             if key in self._entries:
@@ -44,10 +46,10 @@ class ViewPlanCache:
             self.misses += 1
             return None
 
-    def put(self, name: str, arity: int, body: ast.AstNode) -> None:
+    def put(self, name: str, arity: int, entry) -> None:
         key = (name, arity)
         with self._lock:
-            self._entries[key] = body
+            self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)

@@ -26,6 +26,12 @@ Byte-identity with the tuple engine is structural, not asserted per call:
 Per-operator batch shape (``batch.rows`` / ``batch.count`` instruments
 and the profile's rows-per-batch table) is recorded *outside* the span
 tree so profile/trace output stays byte-identical across batch sizes.
+
+A FLWOR nested in a row expression is entered once per outer row, so what
+an invocation needs is worked out once — its stages per node
+(:func:`_stages`), its instruments per context — and the in-memory ones
+run as a row function over plain lists (:func:`flwor_rowfn`) instead of a
+generator pipeline, with the same observations and counts.
 """
 
 from __future__ import annotations
@@ -86,26 +92,20 @@ class BatchProbe:
 
 
 class _BatchRun:
-    """Per-FLWOR-invocation state: batch size, cached instruments, probe."""
+    """Per-FLWOR-invocation state: batch size and probe."""
 
-    __slots__ = ("ev", "ctx", "size", "probe", "_instruments")
+    __slots__ = ("ev", "ctx", "size", "probe")
 
     def __init__(self, evaluator: Evaluator):
         self.ev = evaluator
         self.ctx = evaluator.ctx
         self.size = self.ctx.batch_size
         self.probe = self.ctx.batch_probe()
-        self._instruments: dict = {}
 
     def observe(self, label: str, rows: int) -> None:
-        pair = self._instruments.get(label)
-        if pair is None:
-            metrics = self.ctx.metrics
-            pair = (metrics.histogram("batch.rows", op=label),
-                    metrics.counter("batch.count", op=label))
-            self._instruments[label] = pair
-        pair[0].observe(rows)
-        pair[1].inc()
+        rows_seen, batches_seen = self.ctx.batch_instruments(label)
+        rows_seen.observe(rows)
+        batches_seen.inc()
         if self.probe is not None:
             self.probe.add(label, rows)
 
@@ -121,15 +121,10 @@ def eval_flwor_batched(evaluator: Evaluator, node: ast.FLWOR,
     """Batch-protocol twin of ``Evaluator._eval_flwor``."""
     run = _BatchRun(evaluator)
     batches: Iterator[TupleBatch] = iter([TupleBatch.initial(env)])
-    ordinal = 0
-    for group in _clause_groups(node.clauses, run.ctx.parallel_regions):
-        ordinal += 1
+    for label, group in _stages(node, run.ctx.parallel_regions):
         if len(group) == 1:
-            clause = group[0]
-            label = f"{_clause_label(clause)}#{ordinal}"
-            batches = _apply_batch_clause(run, clause, batches)
+            batches = _apply_batch_clause(run, group[0], batches)
         else:
-            label = f"scatter#{ordinal}"
             batches = _rebatched(run, evaluator._scatter_tuples(
                 group, _flatten(batches)))
         batches = run.instrumented(label, batches)
@@ -140,6 +135,23 @@ def eval_flwor_batched(evaluator: Evaluator, node: ast.FLWOR,
         run.observe("return", batch.length)
         for row_env in batch.env_rows():
             yield from ret_fn(evaluator, row_env)
+
+
+def _stages(node: ast.FLWOR, parallel_regions: bool) -> list[tuple[str, list]]:
+    """The FLWOR's pipeline stages as (instrument label, clause group)
+    pairs, worked out once per node and scatter setting (a memo like
+    ``_rowfn``: a plan is never rewritten once it runs)."""
+    memo = getattr(node, "_batch_stages", None)
+    if memo is None:
+        memo = node._batch_stages = {}
+    stages = memo.get(parallel_regions)
+    if stages is None:
+        stages = memo[parallel_regions] = [
+            (f"{_clause_label(group[0])}#{ordinal}" if len(group) == 1
+             else f"scatter#{ordinal}", group)
+            for ordinal, group in enumerate(
+                _clause_groups(node.clauses, parallel_regions), start=1)]
+    return stages
 
 
 _CLAUSE_LABELS = {
@@ -321,6 +333,95 @@ def _index_join_batches(run: _BatchRun, clause,
     tail = builder.flush()
     if tail is not None:
         yield tail
+
+
+# -- per-row FLWORs -----------------------------------------------------------
+
+def flwor_rowfn(node: ast.FLWOR):
+    """The row function of a FLWOR of ``for``/``let``/``where`` clauses
+    evaluated inside a row expression — what ``<E?>``, filters rewritten
+    as FLWORs and view unfolding leave in a ``return``
+    (``rowcompile._c_FLWOR`` decides which FLWORs qualify).
+
+    It is entered once per outer row and flows a handful of tuples, so
+    the clause operators run over plain lists of batches, stage by stage,
+    in the pipeline's order of evaluation and with the pipeline's batch
+    boundaries: every ``batch.rows`` / ``batch.count`` observation and
+    ``tuples_flowed`` bump is the one the pipeline would have made."""
+    stages = [(label, _list_stage(group[0]))
+              for label, group in _stages(node, False)]
+    ret_fn = rowfn(node.return_expr)
+
+    def call(evaluator, env):
+        run = _BatchRun(evaluator)
+        batches = [[env]]
+        for label, stage in stages:
+            batches = stage(run, batches)
+            for batch in batches:
+                run.observe(label, len(batch))
+        items: list = []
+        stats = run.ctx.stats
+        for batch in batches:
+            stats.bump(tuples_flowed=len(batch))
+            run.observe("return", len(batch))
+            for row_env in batch:
+                items.extend(ret_fn(evaluator, row_env))
+        return items
+
+    return call
+
+
+def _list_stage(clause):
+    """``(run, batches) -> batches`` over lists of environments: the list
+    twin of the clause's ``_*_batches`` generator (same rows, same batch
+    boundaries, empty batches dropped)."""
+    if isinstance(clause, ast.WhereClause):
+        condition_fn = truthfn(clause.condition)
+
+        def where(run, batches):
+            ev = run.ev
+            kept = ([env for env in batch if condition_fn(ev, env)]
+                    for batch in batches)
+            return [batch for batch in kept if batch]
+
+        return where
+    expr_fn = rowfn(clause.expr)
+    var = clause.var
+    if isinstance(clause, ast.LetClause):
+        def let(run, batches):
+            ev = run.ev
+            out = []
+            for batch in batches:
+                extended_batch = []
+                for env in batch:
+                    extended = dict(env)
+                    extended[var] = expr_fn(ev, env)
+                    extended_batch.append(extended)
+                out.append(extended_batch)
+            return out
+
+        return let
+    pos_var = clause.pos_var
+
+    def for_(run, batches):
+        ev, size = run.ev, run.size
+        out, current = [], []
+        for batch in batches:
+            for env in batch:
+                for position, item in enumerate(expr_fn(ev, env), start=1):
+                    extended = dict(env)
+                    extended[var] = [item]
+                    if pos_var:
+                        extended[pos_var] = [_position_value(position)]
+                    current.append(extended)
+                    if len(current) == size:
+                        out.append(current)
+                        current = []
+        if current:
+            out.append(current)
+        return out
+
+    return for_
 
 
 # -- blocking clauses (span placement mirrors the tuple operators) ----------

@@ -106,6 +106,7 @@ class DynamicContext:
         self.databases: dict[str, Database] = {}
         self._connections: dict[str, Connection] = {}
         self._renderers: dict[str, SqlRenderer] = {}
+        self._batch_instruments: dict[str, tuple] = {}
         self.cache = cache
         self.async_exec = AsyncExecutor(self.clock)
         self.stats = RuntimeStats()
@@ -235,6 +236,18 @@ class DynamicContext:
         if vendor not in self._renderers:
             self._renderers[vendor] = SqlRenderer(capabilities_for(vendor))
         return self._renderers[vendor]
+
+    def batch_instruments(self, label: str) -> tuple:
+        """The ``batch.rows`` histogram and ``batch.count`` counter of one
+        batch-operator label, resolved against the registry once per
+        context (it is never replaced) instead of once per FLWOR
+        invocation.  Racing first calls store the same pair."""
+        pair = self._batch_instruments.get(label)
+        if pair is None:
+            pair = self._batch_instruments[label] = (
+                self.metrics.histogram("batch.rows", op=label),
+                self.metrics.counter("batch.count", op=label))
+        return pair
 
     # -- user functions --------------------------------------------------------------
 

@@ -374,6 +374,69 @@ def _c_IfExpr(node: ast.IfExpr) -> RowFn:
     return call
 
 
+def _c_Quantified(node: ast.Quantified) -> RowFn:
+    """``some``/``every``: the interpreter's ``_quantify``, binding for
+    binding — sequences bind left to right, each item in its own copy of
+    the environment, and the first deciding item ends the scan."""
+    bindings = [(var, _binding_items(expr)) for var, expr in node.bindings]
+    satisfies_fn = truthfn(node.satisfies)
+    some = node.kind == "some"
+    depth = len(bindings)
+
+    def quantify(evaluator, env, index):
+        if index == depth:
+            return satisfies_fn(evaluator, env)
+        var, items_fn = bindings[index]
+        for item in items_fn(evaluator, env):
+            extended = dict(env)
+            extended[var] = [item]
+            if quantify(evaluator, extended, index + 1) == some:
+                return some
+        return not some
+
+    return _from_lane(
+        lambda evaluator, env: _TRUE if quantify(evaluator, env, 0) else _FALSE)
+
+
+def _binding_items(expr: ast.AstNode) -> Callable:
+    """``(evaluator, env) -> iterable of items`` for a quantifier binding.
+    A FLWOR or a pushed region streams, as it does under
+    ``Evaluator.iter_eval``: a deciding item ends the scan before the
+    rest of the sequence is produced."""
+    if type(expr).__name__ in ("FLWOR", "PushedSQL"):
+        return lambda evaluator, env: evaluator.iter_eval(expr, env)
+    return _sub(expr)
+
+
+_ROW_CLAUSES = (ast.ForClause, ast.LetClause, ast.WhereClause)
+
+
+def _c_FLWOR(node: ast.FLWOR) -> RowFn | None:
+    """A FLWOR inside a row expression runs as a row function when it —
+    and every FLWOR nested in it — is made only of ``for``/``let``/
+    ``where`` over sequences already in memory.  A source access, a
+    service-quality call or a user function (cache, spans) anywhere under
+    it has effects whose timing the generator pipeline's pull order
+    decides, so such a FLWOR keeps the pipeline (the bridge)."""
+    from .batchexec import flwor_rowfn
+
+    if not getattr(node, "batch_capable", False):
+        return None  # the tuple engine's, under every batch size
+    builtins = all_builtins()
+    for sub in node.walk():
+        if isinstance(sub, ast.FLWOR):
+            if not all(type(clause) in _ROW_CLAUSES
+                       and getattr(clause, "scatter_group", None) is None
+                       for clause in sub.clauses):
+                return None
+        elif type(sub).__name__ in _SOURCE_OPERATORS:
+            return None
+        elif isinstance(sub, ast.FunctionCall) and (
+                sub.name in _SPECIAL_CALLS or sub.name not in builtins):
+            return None
+    return flwor_rowfn(node)
+
+
 def _c_PathExpr(node: ast.PathExpr) -> RowFn:
     base_fn = _sub(node.base)
     step_fns = [_c_step(step) for step in node.steps]
@@ -531,6 +594,8 @@ _COMPILERS: dict[str, Callable] = {
     "AndExpr": _c_Logical,
     "OrExpr": _c_Logical,
     "IfExpr": _c_IfExpr,
+    "Quantified": _c_Quantified,
+    "FLWOR": _c_FLWOR,
     "PathExpr": _c_PathExpr,
     "FilterExpr": _c_FilterExpr,
     "AttributeCtor": _c_AttributeCtor,

@@ -940,10 +940,9 @@ class Platform:
             )
         # Optimize (unfold views, resolve sources) but do not push SQL.
         from ..compiler.optimizer import Optimizer
-        import copy
 
         optimizer = Optimizer(self.registry, self.module, self.inverses)
-        body = optimizer.optimize(copy.deepcopy(decl.body))
+        body = optimizer.optimize(decl.body.clone())
         lineage = LineageAnalyzer(self.inverses).analyze(body)
         self._lineage_cache[service_name] = lineage
         return lineage

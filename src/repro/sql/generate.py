@@ -25,7 +25,6 @@ Two cooperating pieces:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 from ..compiler.algebra import (
@@ -605,7 +604,7 @@ class RegionCompiler:
             raise self._fail("quantified expression over a non-table source")
         assert isinstance(source, SourceCall) and source.table_meta is not None
         flwor = ast.FLWOR(
-            [ast.ForClause(var, source), ast.WhereClause(copy.deepcopy(expr.satisfies))],
+            [ast.ForClause(var, source), ast.WhereClause(expr.satisfies.clone())],
             ast.Literal(__import__("repro.xml.items", fromlist=["AtomicValue"]).AtomicValue(1, "xs:integer")),
         )
         exists = self._exists_subquery_from_flwor(flwor)

@@ -24,8 +24,6 @@ Strategy per FLWOR:
 
 from __future__ import annotations
 
-import copy
-
 from ..compiler.algebra import PPkLetClause, PushedSQL, PushedTupleForClause, SourceCall
 from ..xml.items import AtomicValue
 from ..xquery import ast_nodes as ast
@@ -499,7 +497,7 @@ class PushdownRewriter:
         if expr.kind == "every":
             satisfies = ast.FunctionCall("fn:not", [satisfies])
         probe = ast.FLWOR(
-            [ast.ForClause(var, source), ast.WhereClause(copy.deepcopy(satisfies))],
+            [ast.ForClause(var, source), ast.WhereClause(satisfies.clone())],
             ast.Literal(AtomicValue(1, "xs:integer")),
         )
         if free_vars(probe) - bound_now:

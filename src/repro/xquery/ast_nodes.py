@@ -10,11 +10,20 @@ SQL queries, typematch...) subclass :class:`AstNode` in
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Iterator, Optional
 
 from ..schema.types import SequenceType
 from ..xml.items import AtomicValue
 from .lexer import Pragma
+
+
+#: node-attached memos: closures and text compiled *for one tree*
+#: (``rowcompile.rowfn``, ``pushedsql.render_pushed`` / ``template_fn``,
+#: ``batchexec._stages``).  A copy never carries them — they would keep
+#: evaluating or rendering the original's children after the copy is
+#: rewritten.
+MEMO_ATTRS = frozenset({"_rowfn", "_sql_text", "_template_fn", "_batch_stages"})
 
 
 class AstNode:
@@ -32,26 +41,77 @@ class AstNode:
 
     # -- traversal ----------------------------------------------------------
 
-    def children(self) -> Iterator["AstNode"]:
+    def children(self) -> list["AstNode"]:
+        """Direct children, in field order."""
+        found: list[AstNode] = []
         for field in self._fields:
             value = getattr(self, field)
-            yield from _iter_nodes(value)
+            if isinstance(value, AstNode):
+                found.append(value)
+            elif value:
+                _collect_nodes(value, found)
+        return found
 
     def transform_children(self, fn: Callable[["AstNode"], "AstNode"]) -> "AstNode":
         """Return self with each direct child replaced by ``fn(child)``.
 
         Mutates in place (the compiler owns the tree) and returns self for
-        chaining.
+        chaining.  A field none of whose children ``fn`` replaced keeps the
+        container it had.
         """
         for field in self._fields:
-            setattr(self, field, _map_nodes(getattr(self, field), fn))
+            value = getattr(self, field)
+            if isinstance(value, AstNode):
+                mapped = fn(value)
+            elif value and isinstance(value, (list, tuple)):
+                mapped = _map_nodes(value, fn)
+            else:
+                continue
+            if mapped is not value:
+                setattr(self, field, mapped)
         return self
 
     def walk(self) -> Iterator["AstNode"]:
         """Pre-order traversal including self."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        stack = [self]
+        pop = stack.pop
+        while stack:
+            node = pop()
+            yield node
+            children = node.children()
+            if children:
+                children.reverse()
+                stack.extend(children)
+
+    # -- copying --------------------------------------------------------------
+
+    def clone(self, rename: Optional[dict[str, str]] = None) -> "AstNode":
+        """A private copy of this tree: the one way to copy a tree.
+
+        Nodes, and the lists and tuples that hold them, are copied; what
+        is immutable is *shared* (static types, atomic values, name tests,
+        table metadata, strings); every plan stamp (``op_id``,
+        ``batch_capable``, scatter groups, cost estimates) is kept; the
+        :data:`MEMO_ATTRS` are dropped.  With ``rename``, every variable
+        name in the copy — binders and references alike — is replaced as
+        the mapping says, in the same pass."""
+        new = object.__new__(self.__class__)
+        state = new.__dict__
+        for key, value in self.__dict__.items():
+            if key in MEMO_ATTRS:
+                continue
+            state[key] = value if value.__class__ in _SHARED_LEAVES \
+                else _clone_value(value, rename)
+        if rename:
+            new.rename_vars(rename)
+        return new
+
+    def __deepcopy__(self, memo) -> "AstNode":
+        return self.clone()
+
+    def rename_vars(self, mapping: dict[str, str]) -> None:
+        """Rename, in place, the variable names *this node* holds (binders
+        and references override; children are not visited)."""
 
     def at(self, line: Optional[int]) -> "AstNode":
         self.line = line
@@ -67,22 +127,49 @@ class AstNode:
         return f"{name}({', '.join(bits)})"
 
 
-def _iter_nodes(value) -> Iterator[AstNode]:
+def _collect_nodes(value, found: list) -> None:
     if isinstance(value, AstNode):
-        yield value
+        found.append(value)
     elif isinstance(value, (list, tuple)):
         for entry in value:
-            yield from _iter_nodes(entry)
+            _collect_nodes(entry, found)
 
 
 def _map_nodes(value, fn: Callable[[AstNode], AstNode]):
+    """The list or tuple ``value`` with every node in it replaced by
+    ``fn(node)``; the very same object when ``fn`` returned every node
+    unchanged."""
+    changed = False
+    mapped = []
+    for entry in value:
+        if isinstance(entry, AstNode):
+            after = fn(entry)
+        elif isinstance(entry, (list, tuple)):
+            after = _map_nodes(entry, fn)
+        else:
+            after = entry
+        if after is not entry:
+            changed = True
+        mapped.append(after)
+    if not changed:
+        return value
+    return mapped if isinstance(value, list) else tuple(mapped)
+
+
+def _clone_value(value, rename):
     if isinstance(value, AstNode):
-        return fn(value)
-    if isinstance(value, list):
-        return [_map_nodes(entry, fn) for entry in value]
-    if isinstance(value, tuple):
-        return tuple(_map_nodes(entry, fn) for entry in value)
-    return value
+        return value.clone(rename)
+    kind = value.__class__
+    if kind in _SHARED_LEAVES:
+        return value
+    if kind is list:
+        return [_clone_value(entry, rename) for entry in value]
+    if kind is tuple:
+        return tuple(_clone_value(entry, rename) for entry in value)
+    # anything else a node holds (a pushed region's SQL AST, its
+    # correlation record) is copied the general way; classes that are
+    # read-only after construction answer ``__deepcopy__`` with themselves
+    return copy.deepcopy(value)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +195,9 @@ class VarRef(AstNode):
     def __init__(self, name: str):
         super().__init__()
         self.name = name
+
+    def rename_vars(self, mapping):
+        self.name = mapping.get(self.name, self.name)
 
 
 class ContextItem(AstNode):
@@ -209,6 +299,9 @@ class Quantified(AstNode):
         self.bindings = bindings
         self.satisfies = satisfies
 
+    def rename_vars(self, mapping):
+        self.bindings = [(mapping.get(var, var), expr) for var, expr in self.bindings]
+
 
 class FunctionCall(AstNode):
     _fields = ("args",)
@@ -252,6 +345,12 @@ class KindTest:
 
     def __repr__(self) -> str:
         return f"KindTest({self.kind}())"
+
+
+#: what :meth:`AstNode.clone` shares between a tree and its copy: values
+#: nothing mutates once a node holds them
+_SHARED_LEAVES = frozenset({str, int, float, bool, type(None), SequenceType,
+                            AtomicValue, NameTest, KindTest})
 
 
 class Step(AstNode):
@@ -346,6 +445,11 @@ class ForClause(Clause):
         self.expr = expr
         self.declared_type = declared_type
 
+    def rename_vars(self, mapping):
+        self.var = mapping.get(self.var, self.var)
+        if self.pos_var:
+            self.pos_var = mapping.get(self.pos_var, self.pos_var)
+
 
 class LetClause(Clause):
     _fields = ("expr",)
@@ -356,6 +460,9 @@ class LetClause(Clause):
         self.var = var
         self.expr = expr
         self.declared_type = declared_type
+
+    def rename_vars(self, mapping):
+        self.var = mapping.get(self.var, self.var)
 
 
 class WhereClause(Clause):
@@ -383,13 +490,17 @@ class GroupByClause(Clause):
         self.grouped = grouped  # (source var, result var)
         self.keys = keys  # (key expr, result var)
 
-    def children(self) -> Iterator[AstNode]:
-        for expr, _var in self.keys:
-            yield expr
+    def children(self) -> list[AstNode]:
+        return [expr for expr, _var in self.keys]
 
     def transform_children(self, fn):
-        self.keys = [(fn(expr), var) for expr, var in self.keys]
+        self.keys = _map_nodes(self.keys, fn)
         return self
+
+    def rename_vars(self, mapping):
+        self.grouped = [(mapping.get(source, source), mapping.get(target, target))
+                        for source, target in self.grouped]
+        self.keys = [(expr, mapping.get(var, var)) for expr, var in self.keys]
 
 
 class OrderSpec(AstNode):
@@ -438,15 +549,13 @@ class TypeswitchExpr(AstNode):
         self.default_var = default_var
         self.default_expr = default_expr
 
-    def children(self) -> Iterator[AstNode]:
-        yield self.operand
-        for _var, _st, expr in self.cases:
-            yield expr
-        yield self.default_expr
+    def children(self) -> list[AstNode]:
+        return [self.operand, *(expr for _var, _st, expr in self.cases),
+                self.default_expr]
 
     def transform_children(self, fn):
         self.operand = fn(self.operand)
-        self.cases = [(var, st, fn(expr)) for var, st, expr in self.cases]
+        self.cases = _map_nodes(self.cases, fn)
         self.default_expr = fn(self.default_expr)
         return self
 

@@ -106,8 +106,76 @@ def observe_operator_zoo(batch_size: int) -> dict:
     return out
 
 
+#: quantifiers in where and return position, and FLWORs nested in a
+#: return — in-memory ones (row functions) beside ones that must keep the
+#: generator pipeline (a source clause, a group-by, an order-by)
+QUANTIFIER_AND_NESTED_QUERIES = {
+    "some": ("for $c in CUSTOMER() where (some $z in (\"C2\", \"C4\", \"C9\") "
+             "satisfies $c/CID eq $z) return $c/LAST_NAME"),
+    "every": ("for $c in CUSTOMER() return <E>{$c/CID}{every $o in "
+              "(for $i in (1 to 3) return $i) satisfies $o lt 4}</E>"),
+    "two_bindings": ("for $i in (1 to 12) where (some $x in (1, 2, 3), $y in (4, 5) "
+                     "satisfies $x * $y eq $i) return $i"),
+    "optional": ("for $c in CUSTOMER() return <P>{$c/CID}"
+                 "<F?>{fn:data($c[LAST_NAME eq \"Smith\"]/FIRST_NAME)}</F></P>"),
+    "nested_filter": ("for $i in (1 to 20) return <R>{ for $x in (1 to 9) "
+                      "let $y := $x * $i where $y mod 4 eq 0 return $y }</R>"),
+    "nested_empty": ("for $i in (1 to 5) return <R>{ for $x in () return $x }"
+                     "{ for $x in (1 to 3) where $x gt $i + 9 return $x }</R>"),
+    "nested_source": ("for $c in CUSTOMER() return <P>{ for $o in ORDER() "
+                      "where $o/CID eq $c/CID return $o/AMOUNT }</P>"),
+    "nested_group": ("for $i in (1 to 4) return <G>{ for $x in (1 to 6) "
+                     "group $x as $xs by $x mod $i as $k order by $k "
+                     "return <K>{$k}{fn:count($xs)}</K> }</G>"),
+}
+
+
+def observe_quantifiers_and_nested(batch_size: int, configure=None) -> dict:
+    platform = build_demo_platform(customers=6, orders_per_customer=2)
+    platform.set_batch_size(batch_size)
+    if configure is not None:
+        configure(platform)
+    out = {}
+    for name, query in QUANTIFIER_AND_NESTED_QUERIES.items():
+        out[name] = serialize(platform.execute(query))
+        out[f"{name}_explain"] = platform.explain(query)
+        out[f"{name}_profile"] = _profile_text(platform.profile(query))
+    out["clock_ms"] = round(platform.clock.now_ms(), 6)
+    out["tuples_flowed"] = platform.ctx.stats.tuples_flowed
+    out["pushed_queries"] = platform.ctx.stats.pushed_queries
+    out["batch_series"] = {key: value for key, value in platform.metrics_snapshot().items()
+                           if key.startswith("batch.")}
+    return out
+
+
 class TestBatchEquivalence:
     """Byte-identical observables across every batch size."""
+
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES[1:])
+    def test_quantifiers_and_nested_flwors_identical(self, batch_size):
+        baseline = observe_quantifiers_and_nested(1)
+        observed = observe_quantifiers_and_nested(batch_size)
+        assert not baseline.pop("batch_series")  # n=1 never enters the batch engine
+        batch_series = observed.pop("batch_series")
+        assert batch_series
+        for key in baseline:
+            assert observed[key] == baseline[key], (batch_size, key)
+
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES[1:])
+    def test_row_functions_observe_what_the_pipeline_observed(self, batch_size,
+                                                             monkeypatch):
+        """With the ``Quantified`` and ``FLWOR`` row compilers taken away —
+        quantifiers back on the interpreter, every nested FLWOR back on the
+        generator pipeline — each ``batch.rows`` / ``batch.count`` series
+        and ``tuples_flowed`` reads exactly the same."""
+        from repro.runtime import rowcompile
+
+        compiled = observe_quantifiers_and_nested(batch_size)
+        monkeypatch.delitem(rowcompile._COMPILERS, "FLWOR")
+        monkeypatch.delitem(rowcompile._COMPILERS, "Quantified")
+        reference = observe_quantifiers_and_nested(batch_size)
+        assert compiled["batch_series"]["batch.count{op=return}"] > 50
+        assert compiled == reference
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES[1:])
     def test_composite_scenario_identical(self, tmp_path, batch_size):

@@ -391,6 +391,127 @@ class TestAtomLane:
 # The bridge report: a shape that drops to the interpreter shows up in CI
 # ---------------------------------------------------------------------------
 
+# ---------------------------------------------------------------------------
+# Compiled quantifiers and per-row FLWORs against the interpreter
+# ---------------------------------------------------------------------------
+
+#: quantifier shapes over the operand bindings ``$a`` / ``$b``
+QUANTIFIED = [
+    "some $x in $a satisfies $x eq $b",
+    "every $x in $a satisfies $x eq $b",
+    "some $x in $a, $y in $b satisfies $x eq $y",
+    "every $x in $a, $y in $b satisfies $x eq $y",
+    # shadowing: the inner $x hides the outer one; $i is rebound too
+    "some $x in $a satisfies (some $x in $b satisfies $x eq 7)",
+    "some $i in $a satisfies $i eq $b",
+    # nested, with the outer variable used two levels down
+    "every $x in $a satisfies (some $y in ($b, 7) satisfies $y eq $x)",
+    # a sequence of atoms as the condition (an error on two atoms)
+    "some $x in (1, 2) satisfies $a",
+    "every $x in (1, 2) satisfies fn:data($b)",
+    # bindings drawn from a FLWOR stream lazily
+    "some $x in (for $k in $a return $k) satisfies $x eq $b",
+    # an error in a later item, behind a deciding earlier one
+    "some $x in ($b, 0) satisfies (7 idiv $x) eq 1",
+    "every $x in ($b, 0) satisfies (7 idiv $x) eq 2",
+]
+
+#: FLWORs nested in a return: what ``<E?>``, filters and unfolding leave
+PER_ROW_FLWORS = [
+    "for $i in (1 to 3) return <R>{ for $x in $a where $x eq $b return $x }</R>",
+    "for $i in (1 to 3) return <R>{ for $x in $a let $y := $x where $y = $b "
+    "return <V>{$y}{$i}</V> }</R>",
+    "for $i in (1 to 3) return <R>{ let $v := fn:data($a) where $v = $b return $v }</R>",
+    "for $i in (1 to 3) return <R>{ for $x at $p in ($a, $b) where $p gt 1 return $p }</R>",
+    # the filter-as-FLWOR and optional-element shapes the optimizer writes
+    "for $i in (1 to 3) return <R><F?>{fn:data($a[. eq $b])}</F></R>",
+    "for $i in (1 to 3) return <R>{ for $x in $a return "
+    "for $y in $b where $x eq $y return ($x, $y) }</R>",
+    # more inner rows than a small batch holds
+    "for $i in (1 to 2) return <R>{ for $x in (1 to 9) where $x mod 2 eq $i - 1 "
+    "return ($x, $a) }</R>",
+]
+
+#: the inner where is false for every row / the inner sequence is empty:
+#: one outcome whatever the operands
+EMPTY_PER_ROW_FLWORS = [
+    "for $i in (1 to 3) return <R>{ for $x in ($a, $b) where $i gt 5 return $x }</R>",
+    "for $i in (1 to 3) return <R>{ for $x in () return $a }</R>",
+]
+
+
+class TestQuantifiedAndPerRowFlwors:
+    @pytest.mark.parametrize("query", [
+        f"for $i in (1 to 3) where {q} return $i" for q in QUANTIFIED
+    ] + [
+        f"for $i in (1 to 3) return <R>{{ {q} }}</R>" for q in QUANTIFIED
+    ] + PER_ROW_FLWORS + EMPTY_PER_ROW_FLWORS)
+    def test_compiled_matches_interpreter(self, lane_platforms, query):
+        """Results and error text for every pair of operand bindings, the
+        empty sequence (``some`` false, ``every`` true), atoms and nodes."""
+        outcomes = set()
+        for a_kind, a in OPERANDS.items():
+            for b_kind, b in OPERANDS.items():
+                variables = {"a": a, "b": b}
+                expected = _outcome(lane_platforms[1], query, variables)
+                outcomes.add(expected)
+                for size in (2, 7, 256):
+                    assert _outcome(lane_platforms[size], query, variables) \
+                        == expected, (query, a_kind, b_kind, size)
+        if query in EMPTY_PER_ROW_FLWORS:
+            assert outcomes == {"<R/><R/><R/>"}
+        else:
+            assert len(outcomes) > 1, query  # the sweep is not vacuous
+
+    def test_empty_binding_sequence(self, lane_platforms):
+        variables = {"a": [], "b": OPERANDS["int"]}
+        for platform in lane_platforms.values():
+            assert _outcome(
+                platform, "for $i in (1) return <R>{some $x in $a satisfies $x eq $b} "
+                "{every $x in $a satisfies $x eq $b}</R>", variables) \
+                == "<R>false true</R>"
+
+    def test_deciding_item_short_circuits_past_a_later_error(self, lane_platforms):
+        variables = {"a": OPERANDS["many"], "b": OPERANDS["int"]}
+        for platform in lane_platforms.values():
+            assert _outcome(platform, "for $i in (1) return "
+                            "some $x in (7, 0) satisfies (7 idiv $x) eq 1", variables) == "true"
+            assert _outcome(platform, "for $i in (1) return "
+                            "every $x in (7, 0) satisfies (7 idiv $x) eq 2", variables) == "false"
+            assert _outcome(platform, "for $i in (1) return "
+                            "some $x in (0, 7) satisfies (7 idiv $x) eq 1", variables) \
+                .endswith("division by zero")
+            # a multi-item atomic condition is an error, as in a where
+            assert _outcome(platform, "for $i in (1) return "
+                            "some $x in (1, 2) satisfies $a", variables) \
+                .endswith("effective boolean value of multi-item atomic sequence")
+
+    def test_which_flwors_run_as_row_functions(self, tmp_path):
+        """In-memory for/let/where FLWORs compile; one that touches a
+        source, groups or orders keeps the generator pipeline."""
+        from repro.runtime.rowcompile import compile_rowfn
+
+        platform = build_demo_platform(customers=3, orders_per_customer=2)
+        platform.set_pushdown_enabled(False)  # keep source clauses mid-tier
+
+        def nested(query):
+            outer = platform.prepare(query).expr
+            inner = [n for n in outer.return_expr.walk() if isinstance(n, ast.FLWOR)]
+            return [compile_rowfn(node) is not None for node in inner]
+
+        assert nested("for $i in (1 to 3) return <R>{ for $x in (1, 2) where $x eq $i "
+                      "return $x }</R>") == [True]
+        assert nested("for $i in (1 to 3) return <R>{ for $c in CUSTOMER() "
+                      "return $c/CID }</R>") == [False]
+        assert nested("for $i in (1 to 3) return <R>{ for $x in (2, 1) order by $x "
+                      "return $x }</R>") == [False]
+        assert nested("for $i in (1 to 3) return <R>{ for $x in (1, 1) group $x as $xs "
+                      "by $x as $k return $k }</R>") == [False]
+        # a source one level further down disqualifies the enclosing FLWOR too
+        assert nested("for $i in (1 to 3) return <R>{ for $x in (1, 2) return "
+                      "<S>{ for $c in CUSTOMER() return $c/CID }</S> }</R>") == [False, False]
+
+
 class TestBridgeReport:
     #: the four ``midtier_flwor`` shapes of the layered benchmark
     MIDTIER_SHAPES = [
@@ -405,11 +526,37 @@ class TestBridgeReport:
          "where $r/CID eq $k return $r/REGION", ("s",)),
     ]
 
+    #: the six ``cold_compile`` templates, with one literal each
+    COLD_COMPILE_SHAPES = [
+        'getProfileByID("C2")',
+        "for $s in STORE() where $s/SALES gt 842 and $s/SALES lt 10000000001 "
+        "return <S>{$s/SID}{$s/SALES}</S>",
+        "for $s in STORE() where $s/SALES gt 842 and $s/SALES lt 10000000001 "
+        "group $s as $ss by $s/RID as $rid order by $rid "
+        "return <G><RID>{$rid}</RID><N>{fn:count($ss)}</N></G>",
+        "for $r in REGION() where $r/ZONE lt 10000000001 and "
+        "(some $z in (0, 14, 3) satisfies $r/ZONE eq $z) return $r/NAME",
+        "for $r in REGION() where $r/ZONE lt 13 and $r/ZONE lt 10000000001 "
+        "return <P>{$r/RID}<F?>{fn:data($r[ZONE eq 3]/NAME)}</F></P>",
+        "for $s in STORE(), $r in REGION() where $s/RID eq $r/RID "
+        "and $s/SALES gt 842 and $s/SALES lt 10000000001 "
+        "return <S>{$s/SID}{$r/NAME}</S>",
+    ]
+
     @pytest.fixture()
     def platform(self, tmp_path):
+        from repro import Database
         from repro.schema import leaf, shape
 
         platform = build_demo_platform(customers=3, orders_per_customer=2)
+        refdb = Database("refdb", vendor="sqlserver", clock=platform.clock)
+        refdb.create_table(
+            "REGION", [("RID", "VARCHAR", False), ("NAME", "VARCHAR"),
+                       ("ZONE", "INTEGER")], primary_key=["RID"])
+        refdb.create_table(
+            "STORE", [("SID", "VARCHAR", False), ("RID", "VARCHAR"),
+                      ("SALES", "INTEGER")], primary_key=["SID"])
+        platform.register_database(refdb)
         path = tmp_path / "regions.csv"
         path.write_text("CID,REGION\nC1,zone0\nC2,zone1\nC3,zone0\n")
         platform.register_csv_file("REGIONS", path, shape("REGION_ROW", [
@@ -422,7 +569,7 @@ class TestBridgeReport:
         plans = [platform.prepare(query, {name: [] for name in names})
                  for query, names in self.MIDTIER_SHAPES]
         plans += [platform.prepare(query) for query in
-                  ("getProfile()", 'getProfileByID("C1")')]
+                  ("getProfile()", 'getProfileByID("C1")', *self.COLD_COMPILE_SHAPES)]
         for plan in plans:
             assert bridged(plan.expr) == [], plan.source
         # the index join of the fourth shape survives planning, so its
@@ -435,8 +582,6 @@ class TestBridgeReport:
         def report(query):
             return bridged(platform.prepare(query).expr)
 
-        assert report("for $i in (1 to 3) return "
-                      "some $j in (1, 2) satisfies $j eq $i") == ["Quantified"]
         assert report("for $i in (1 to 3) return $i cast as xs:string") == ["CastExpr"]
         # predicates run through Evaluator._filter, whatever their shape
         assert report("for $c in CUSTOMER() for $i in (1 to 3) "

@@ -184,3 +184,87 @@ class TestViewPlanCache:
         cache.put("f", 0, parse_expression("1"))
         cache.invalidate("f", 0)
         assert cache.get("f", 0) is None
+
+
+class TestCachedViewIsNeverMutated:
+    """A view-cache hit hands every compile the *same* body object; each
+    compile clones it (renamed, in one pass) and must leave it as it is."""
+
+    MODULE = TestViewUnfolding.MODULE
+
+    def cached_bodies(self, cache):
+        return {key: repr(entry) for key, entry in cache._entries.items()}
+
+    def test_cached_body_unchanged_after_many_hits(self):
+        cache = ViewPlanCache()
+        first = optimize('byId("C1")', module_text=self.MODULE, view_cache=cache)
+        snapshot = self.cached_bodies(cache)
+        assert set(snapshot) == {("byId", 1), ("getAll", 0)}
+        for i in range(10):
+            again = optimize(f'byId("C{i}")', module_text=self.MODULE, view_cache=cache)
+            assert type(again) is type(first)
+        optimize("for $p in getAll() where $p/NAME eq 'x' return $p/CID",
+                 module_text=self.MODULE, view_cache=cache)
+        assert cache.hits >= 11
+        assert self.cached_bodies(cache) == snapshot
+
+    def test_each_hit_gets_private_renamed_nodes(self):
+        cache = ViewPlanCache()
+        optimize("getAll()", module_text=self.MODULE, view_cache=cache)
+        body, bound = cache.get("getAll", 0)
+        one = optimize("getAll()", module_text=self.MODULE, view_cache=cache)
+        two = optimize("getAll()", module_text=self.MODULE, view_cache=cache)
+        shared = {id(n) for n in body.walk()}
+        assert not shared & {id(n) for n in one.walk()}
+        assert not {id(n) for n in one.walk()} & {id(n) for n in two.walk()}
+        # the binders were renamed away from the cached names
+        assert bound and not set(bound) & {c.var for c in one.clauses
+                                           if isinstance(c, ast.ForClause)}
+
+    def test_two_threads_compile_against_one_cache(self):
+        """Concurrent compiles hit the same cached ``getProfileByID`` body
+        under the lockset detector: no race, identical plans, body intact."""
+        import sys
+        import threading
+
+        from repro.analysis import LocksetDetector
+        from repro.concurrency import set_race_detector
+        from repro.demo import build_demo_platform
+
+        platform = build_demo_platform(customers=3, orders_per_customer=2)
+        reference = repr(platform.prepare('getProfileByID("C1")').expr)
+        snapshot = self.cached_bodies(platform.view_cache)
+        detector = LocksetDetector(capture_stacks=False)
+        previous = set_race_detector(detector)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(5e-6)
+        plans, errors = [], []
+
+        def compile_many(index):
+            try:
+                for i in range(15):
+                    # a fresh text each time: always a plan-cache miss
+                    text = f'getProfileByID("C1")[{index * 100 + i + 1} gt 0]'
+                    platform.prepare(text)
+                    compiler = platform._compiler()
+                    plans.append(repr(compiler.compile_expression(
+                        'getProfileByID("C1")').expr))
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        try:
+            threads = [threading.Thread(target=compile_many, args=(i,))
+                       for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            set_race_detector(previous)
+            platform.close()
+        assert not errors, errors[0]
+        assert detector.races == [], detector.report_text()
+        assert len(plans) == 30 and set(plans) == {reference}
+        assert self.cached_bodies(platform.view_cache) == snapshot

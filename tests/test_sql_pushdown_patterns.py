@@ -17,8 +17,7 @@ from repro.xml import serialize
 from repro.xquery.typecheck import FunctionSignature
 
 
-@pytest.fixture
-def env():
+def build_env():
     clock = VirtualClock()
     db = Database("custdb", vendor="oracle", clock=clock)
     db.create_table(
@@ -54,6 +53,11 @@ def env():
     ctx = DynamicContext(registry, clock=clock)
     ctx.attach_database(db)
     return compiler, Evaluator(ctx), ctx, db
+
+
+@pytest.fixture
+def env():
+    return build_env()
 
 
 def compile_and_run(env, query):
