@@ -14,8 +14,12 @@ shape, then a ``cProfile`` top 30 by self time over a second replay.
 ``--phases`` splits each shape's time instead of profiling it: median ms
 of ``Platform.prepare`` on the request's text, of the first
 ``stream`` + ``serialize`` on the plan that produced, and of the same
-request run again at once (compile / first run / steady state).  On a
-workload whose texts repeat, only the first operation compiles anything.
+request run again at once (compile / first run / steady state), beside
+how many compiler runs and how many plan-cache *shape hits* (an unseen text
+served by a cached shape: scan, lookup, bind) the shape's prepares cost over
+the replay.  On a workload whose texts repeat, only the first operation
+compiles anything; on ``cold_compile`` the warm-up compiles each shape
+twice and every later text is a shape hit.
 
 Times here are raw (one process, profiler off for the medians, no
 calibration loop): use them to find *where* time goes, and the benchmark
@@ -49,20 +53,25 @@ def replay(driver: Driver, ops: range, only: int | None, timings: dict | None,
     ``timings`` is keyed by request position (a workload may put a fresh
     literal in every text) and holds the first text seen there as the
     label, then one sample per operation: the request's ms, or with
-    ``phases`` a (prepare, first run, warm re-run) triple."""
+    ``phases`` (prepare ms, first run ms, warm re-run ms, compiler runs,
+    shape hits)."""
+    cache = driver.platform.plan_cache
     for i in ops:
         for position, request in enumerate(driver.workload.requests(i)):
             if only is not None and position != only:
                 continue
             start = time.perf_counter()
             if phases:
+                compiles, shape_hits = cache.compiles, cache.shape_hits
                 driver.platform.prepare(request.text, request.variables)
                 prepared = time.perf_counter()
+                compiles, shape_hits = (cache.compiles - compiles,
+                                        cache.shape_hits - shape_hits)
                 driver.execute(request)
                 first = time.perf_counter()
                 driver.execute(request)
                 sample = ((prepared - start) * 1000.0, (first - prepared) * 1000.0,
-                          (time.perf_counter() - first) * 1000.0)
+                          (time.perf_counter() - first) * 1000.0, compiles, shape_hits)
             else:
                 driver.execute(request)
                 sample = (time.perf_counter() - start) * 1000.0
@@ -102,12 +111,12 @@ def main(argv: list[str] | None = None) -> int:
               "every result checked against the oracle")
         if args.phases:
             print(f"{'request':>7}  {'prepare':>8}  {'first run':>9}  {'warm run':>8}  "
-                  "shape (median ms)")
+                  f"{'compiles':>8}  {'shape hits':>10}  shape (median ms; totals)")
             for position, (label, samples) in sorted(timings.items()):
-                prepare, first, warm = (statistics.median(column)
-                                        for column in zip(*samples))
+                *times, compiles, shape_hits = zip(*samples)
+                prepare, first, warm = (statistics.median(column) for column in times)
                 print(f"{position:>7}  {prepare:>8.2f}  {first:>9.2f}  {warm:>8.2f}  "
-                      f"{label}")
+                      f"{sum(compiles):>8}  {sum(shape_hits):>10}  {label}")
         else:
             print(f"{'request':>7}  {'median ms':>9}  {'min ms':>8}  shape")
             for position, (label, values) in sorted(timings.items()):

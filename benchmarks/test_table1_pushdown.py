@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.compiler import PushedSQL
+from repro.compiler.pipeline import inline_binds
 from repro.demo import build_demo_platform
 
 PATTERNS = {
@@ -56,7 +57,12 @@ def test_table1_pattern(platform, benchmark, report, name):
     query, sql_markers = PATTERNS[name]
     plan = platform.prepare(query)
     assert isinstance(plan.expr, PushedSQL), f"{name}: plan did not fully push"
-    sql = platform.ctx.renderer(plan.expr.vendor).render(plan.expr.select)
+    # the plan cache serves the query's literals as binds (``= ?``): Table 1
+    # prints them inline, so render each bind back as its literal
+    select, _params = inline_binds(
+        plan.expr.select, plan.expr.param_exprs,
+        {bind: items[0] for bind, items in plan.binds.items()})
+    sql = platform.ctx.renderer(plan.expr.vendor).render(select)
     for marker in sql_markers:
         assert marker in sql, f"{name}: expected {marker!r} in {sql}"
 

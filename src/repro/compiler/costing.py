@@ -100,23 +100,15 @@ class CostingOptions:
     ppk_join_ms_per_tuple: float = 0.01
 
 
-def plan_fingerprint_for(source: str, externals) -> str:
-    """The plan fingerprint the runtime will observe this plan under —
-    replicates ``Platform.plan_key`` (query text + external names)."""
-    from ..observability import plan_fingerprint
-
-    names = tuple(sorted(externals)) if externals else ()
-    key = source if not names else f"{source}\n#externals:{','.join(names)}"
-    return plan_fingerprint(key)
-
-
-def apply_costing(expr: ast.AstNode, source: str, externals,
+def apply_costing(expr: ast.AstNode, plan_key: str,
                   options: CostingOptions) -> ast.AstNode:
-    """Run the costing pass over a pushed plan (in place) and return it."""
+    """Run the costing pass over a pushed plan (in place) and return it.
+    ``plan_key`` is what the runtime will observe the plan under."""
     if options.catalog is None:
         return expr
-    fingerprint = plan_fingerprint_for(source, externals)
-    _CostingPass(options, fingerprint).run(expr)
+    from ..observability import plan_fingerprint
+
+    _CostingPass(options, plan_fingerprint(plan_key)).run(expr)
     return expr
 
 

@@ -417,12 +417,14 @@ def canonicalize_gensyms(node: ast.AstNode) -> ast.AstNode:
     the current scope), so a name-keyed total rename cannot merge or
     capture binders.
     """
-    from ..xquery.parser import reset_gensym_scope
+    from ..xquery.parser import LIFTED_PREFIX, reset_gensym_scope
 
     mapping: dict[str, str] = {}
 
     def visit_name(name: str | None) -> None:
-        if name and name.startswith("#") and name not in mapping:
+        # (a lifted literal's ``$#litK`` is an external, not a gensym)
+        if name and name.startswith("#") and name not in mapping \
+                and not name.startswith(LIFTED_PREFIX):
             prefix = name[1:].rstrip("0123456789") or "g"
             mapping[name] = f"#{prefix}{len(mapping) + 1}"
 

@@ -6,19 +6,24 @@ recovery), 5. optimization (view unfolding, simplification, inverse
 functions, SQL pushdown), 6. code generation (the optimized tree is the
 interpretable plan), 7. execution (:mod:`repro.runtime.evaluate`).
 
-A :class:`PlanCache` keyed on query text avoids recompiling popular
+A :class:`PlanCache` keyed on query text, then on query *shape* (the text
+with its liftable literals turned into binds), avoids recompiling popular
 queries (section 2.2's query plan cache).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..concurrency import RACE, TrackedRLock, guarded_by
+from ..errors import StaticError
+from ..schema.types import ITEM_STAR, atomic
 from ..xquery import ast_nodes as ast
 from ..xquery.normalize import normalize, normalize_module
 from ..xquery.parser import Parser, gensym_scope
+from ..xquery.shape import bind_value, kinds, lift, lifted_name, rebuild, scan
 from ..xquery.typecheck import FunctionTable, TypeChecker
 from .inverse import InverseRegistry
 from .optimizer import Optimizer
@@ -61,6 +66,14 @@ class CompiledPlan:
     source: str = ""
     #: plan-verifier findings (None when verification was disabled)
     diagnostics: object | None = None
+    #: a plan served by the plan cache carries the values of the literals
+    #: that were lifted out of its text (``$#litK`` -> items), bound as
+    #: external variables at execution beside the caller's own
+    binds: dict = field(default_factory=dict)
+    #: what identifies the plan (:func:`plan_key_text`): the query text —
+    #: for a parameterised plan the *shape-level* text, lifted literals
+    #: spelled ``$#litK`` — plus the external names
+    plan_key: str = ""
 
 
 class Compiler:
@@ -113,14 +126,18 @@ class Compiler:
             return self.compile_tree(expr, source=text, externals=externals)
 
     def compile_tree(self, expr: ast.AstNode, source: str = "",
-                     externals: dict | None = None) -> CompiledPlan:
+                     externals: dict | None = None,
+                     plan_key: str | None = None) -> CompiledPlan:
+        """``plan_key`` names the plan (:func:`plan_key_text` of the source
+        and external names unless given): the plan carries it, and the
+        costing pass reads the plan's observed actuals under it."""
         with gensym_scope():
-            return self._compile_tree(expr, source, externals)
+            return self._compile_tree(
+                expr, source, externals,
+                plan_key or plan_key_text(source, externals))
 
     def _compile_tree(self, expr: ast.AstNode, source: str,
-                      externals: dict | None) -> CompiledPlan:
-        from ..schema.types import ITEM_STAR
-
+                      externals: dict | None, plan_key: str) -> CompiledPlan:
         expr = normalize(expr)
         checker = TypeChecker(self._function_table(self.module), self.options.mode)
         env = dict(externals or {})
@@ -149,10 +166,9 @@ class Compiler:
         if cost is not None and getattr(cost, "enabled", False):
             from .costing import apply_costing
 
-            # fingerprint on the user-visible externals only (module
-            # variables are not part of Platform.plan_key)
-            expr = apply_costing(expr, source, frozenset(externals or {}),
-                                 cost)
+            # (keyed on the user-visible externals only: module variables
+            # are not part of the plan key)
+            expr = apply_costing(expr, plan_key, cost)
         from .scatter import stamp_scatter_groups
 
         stamp_scatter_groups(expr)
@@ -164,7 +180,8 @@ class Compiler:
         from .batching import stamp_batch_capability
 
         stamp_batch_capability(expr)
-        plan = CompiledPlan(expr, self.module, list(checker.errors), source)
+        plan = CompiledPlan(expr, self.module, list(checker.errors), source,
+                            plan_key=plan_key)
         if self.options.verify and not plan.errors:
             from .verify import verify_plan
 
@@ -179,8 +196,6 @@ class Compiler:
     def compile_call(self, function_name: str, arity: int) -> CompiledPlan:
         """Compile a data-service method invocation ``f($p1, ...)`` with the
         arguments supplied as external variables at execution time."""
-        from ..schema.types import ITEM_STAR
-
         params = [f"__arg{i}" for i in range(arity)]
         args = ", ".join(f"${p}" for p in params)
         call_source = f"{function_name}({args})"
@@ -194,22 +209,168 @@ class Compiler:
         return FunctionTable(module, self.registry.signatures())
 
 
+def plan_key_text(source: str, externals=()) -> str:
+    """The text a plan is identified by — in the plan cache, and (hashed
+    by :func:`~repro.observability.plan_fingerprint`) in the flight
+    recorder, the plan-stats store and the costing pass: the source plus
+    the sorted *names* of its external variables."""
+    names = sorted(externals) if externals else ()
+    return source if not names else f"{source}\n#externals:{','.join(names)}"
+
+
+# ---------------------------------------------------------------------------
+# Plan agreement: is a parameterised plan the inline plan modulo binds?
+# ---------------------------------------------------------------------------
+
+
+def inline_binds(select, param_exprs: list, binds: dict):
+    """A pushed region's SQL with every lifted bind rendered back as its
+    literal: ``(select, remaining param_exprs)``, the remaining parameters
+    renumbered densely in their original order."""
+    from ..sql.ast_nodes import Param, SqlLiteral
+
+    renumber: dict[int, int] = {}
+    remaining = []
+    for index, expr in enumerate(param_exprs):
+        if not (isinstance(expr, ast.VarRef) and expr.name in binds):
+            renumber[index] = len(remaining)
+            remaining.append(expr)
+
+    def swap(node):
+        if isinstance(node, Param):
+            if node.index in renumber:
+                return Param(renumber[node.index])
+            return SqlLiteral(binds[param_exprs[node.index].name].value)
+        if isinstance(node, list):
+            return [swap(entry) for entry in node]
+        if isinstance(node, tuple):
+            return tuple(swap(entry) for entry in node)
+        if dataclasses.is_dataclass(node):
+            return dataclasses.replace(node, **{
+                f.name: swap(getattr(node, f.name))
+                for f in dataclasses.fields(node)})
+        return node
+
+    return swap(select), remaining
+
+
+def plans_agree(inline, served, binds: dict) -> bool:
+    """Is ``served`` (compiled with lifted literals as the externals
+    ``binds``: name -> the literal's :class:`AtomicValue`) the plan
+    ``inline`` modulo binds?  The same operator tree, stamps and
+    templates, a ``$#litK`` reference exactly where ``inline`` holds that
+    literal, and every pushed region's SQL equal once each lifted bind is
+    rendered back as its literal (so no pushdown, ``LIMIT`` or predicate
+    was lost to parameterisation)."""
+    if isinstance(served, ast.VarRef) and served.name in binds:
+        return isinstance(inline, ast.Literal) and inline.value == binds[served.name]
+    if inline.__class__ is not served.__class__:
+        return False
+    if isinstance(inline, ast.AstNode):
+        mine, theirs = inline.__dict__, served.__dict__
+        # (``_``-prefixed attributes are node-attached runtime memos)
+        names = {name for name in mine.keys() | theirs.keys()
+                 if not name.startswith("_")}
+        if "select" in names and "param_exprs" in names:  # a pushed region
+            select, params = inline_binds(served.select, served.param_exprs, binds)
+            if inline.select != select or \
+                    not plans_agree(inline.param_exprs, params, binds):
+                return False
+            names -= {"select", "param_exprs"}
+        return all(name in mine and name in theirs
+                   and plans_agree(mine[name], theirs[name], binds)
+                   for name in names)
+    if isinstance(inline, (list, tuple)):
+        return len(inline) == len(served) and all(
+            plans_agree(a, b, binds) for a, b in zip(inline, served))
+    if inline == served:
+        return True
+    # plain records (a step's NameTest, a region's Correlation and its
+    # outer-key expression): field by field
+    state = getattr(inline, "__dict__", None)
+    return state is not None and state.keys() == vars(served).keys() and all(
+        plans_agree(value, getattr(served, name), binds)
+        for name, value in state.items())
+
+
+# ---------------------------------------------------------------------------
+# The plan cache: text -> shape -> plan
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Variant:
+    """One parameterisation of a shape: which candidates are lifted, the
+    text of every pinned one, and the plan — None when the shape is
+    *unparameterisable* under these pinned values (nothing liftable, or
+    the parameterised plan disagreed with the inline one)."""
+
+    #: candidate index -> text, for every candidate that is not lifted
+    pinned: dict[int, str]
+    plan: CompiledPlan | None = None
+    #: per lifted literal: (``#litK``, candidate index, placeholder kind)
+    lifted: tuple[tuple[str, int, str], ...] = ()
+
+    def matches(self, candidates: list[str]) -> bool:
+        return all(candidates[index] == raw for index, raw in self.pinned.items())
+
+    def bind(self, query: str, candidates: list[str]) -> CompiledPlan:
+        """The plan bound to this text's lifted values."""
+        binds = {name: [bind_value(kind, candidates[index])]
+                 for name, index, kind in self.lifted}
+        return dataclasses.replace(self.plan, source=query, binds=binds)
+
+
+def _match(variants, candidates: list[str]) -> _Variant | None:
+    return next((v for v in variants if v.matches(candidates)), None)
+
+
+#: parameterisations kept per shape; past it a new pinned value (a page
+#: size, a ``[N]``) is served text-keyed without a second compile
+_MAX_VARIANTS = 8
+
+
 @guarded_by("_lock")
 class PlanCache:
-    """LRU cache of compiled query plans keyed by source text.
+    """Two-level LRU cache of compiled query plans (section 2.2).
 
-    Thread-safety (A-CONC): ``_lock`` guards the LRU map and the hit/miss
-    counters — every request thread goes through :meth:`get` before
-    compiling."""
+    * **Front**: the exact text (plus external names) -> the plan bound to
+      that text's literals; a repeated text costs one ``dict`` get.
+    * **Shape**: on a text miss, :func:`repro.xquery.shape.scan` gives the
+      text's shape key and its literal candidates; the shape's
+      :class:`_Variant` whose pinned candidates match serves every text
+      that differs only in *lifted* literals, which are bound as the typed
+      externals ``$#litK`` — scan, lookup, bind, no compile.
+
+    The first sighting of a shape compiles twice: inline, exactly as
+    ``Compiler.compile_expression`` always has, and with the liftable
+    literals lifted; the parameterised plan is kept only if
+    :func:`plans_agree` says it is the inline plan modulo binds.  A
+    parameterised plan is correct for every binding by the
+    external-variable semantics; the check guards plan *quality*.
+
+    ``capacity`` counts front entries and shapes together.  ``hits`` and
+    ``misses`` keep their text-level meaning; ``shape_hits`` counts text
+    misses served by a shape, ``compiles`` compiler runs and
+    ``unparameterisable`` text misses whose shape holds no plan for them.
+
+    Thread-safety (A-CONC): ``_lock`` guards the one LRU map (front
+    entries keyed by ``str``, shapes by tuple) and the counters — every
+    request thread goes through :meth:`prepare`.  Compiles run outside
+    the lock; of two concurrent first sightings the first insert wins."""
 
     def __init__(self, capacity: int = 256):
         self.capacity = capacity
         self._lock = TrackedRLock("PlanCache")
-        self._plans: "OrderedDict[str, CompiledPlan]" = OrderedDict()
+        self._plans: "OrderedDict[str | tuple, CompiledPlan | list[_Variant]]" = \
+            OrderedDict()
         self.hits = 0
         self.misses = 0
+        self.shape_hits = 0
+        self.compiles = 0
+        self.unparameterisable = 0
 
-    def get(self, key: str) -> CompiledPlan | None:
+    def get(self, key):
         with self._lock:
             if key in self._plans:
                 self._plans.move_to_end(key)
@@ -219,13 +380,63 @@ class PlanCache:
             self.misses += 1
             return None
 
-    def put(self, key: str, plan: CompiledPlan) -> None:
+    def put(self, key, entry, compiles: int = 0) -> None:
+        """Insert ``entry``, which took ``compiles`` compiler runs to make."""
         with self._lock:
-            self._plans[key] = plan
+            self.compiles += compiles
+            self._plans[key] = entry
             self._plans.move_to_end(key)
             while len(self._plans) > self.capacity:
                 self._plans.popitem(last=False)
             RACE.detector.on_access(self, "_plans", True)
+
+    def prepare(self, query: str, names: tuple[str, ...], compiler) -> CompiledPlan:
+        """The plan for ``query`` with externals ``names``, bound to the
+        query's own literals; ``compiler()`` makes the compiler on a miss."""
+        key = plan_key_text(query, names)
+        plan = self.get(key)
+        if plan is None:
+            plan, compiles = self._text_miss(query, names, compiler)
+            self.put(key, plan, compiles)
+        return plan
+
+    def _text_miss(self, query: str, names: tuple[str, ...],
+                   compiler) -> tuple[CompiledPlan, int]:
+        shape_key, candidates = scan(query)
+        shape = (shape_key, names)
+        with self._lock:
+            variants = self._plans.get(shape, ())
+            if variants:
+                self._plans.move_to_end(shape)
+            variant = _match(variants, candidates)
+            if variant is not None and variant.plan is not None:
+                self.shape_hits += 1
+                return variant.bind(query, candidates), 0
+        compiler = compiler()
+        externals = dict.fromkeys(names, ITEM_STAR)
+        plan = compiler.compile_expression(query, externals=externals or None)
+        compiles = 1
+        first_sighting = variant is None and bool(candidates) \
+            and len(variants) < _MAX_VARIANTS
+        if first_sighting:
+            variant, extra = _parameterise(
+                compiler, plan, externals, shape_key, candidates)
+            compiles += extra
+        with self._lock:
+            if first_sighting:
+                variants = self._plans.get(shape)
+                if variants is None:
+                    self.put(shape, variants := [])
+                winner = _match(variants, candidates)  # a concurrent sighting
+                if winner is None:
+                    variants.append(variant)
+                else:
+                    variant = winner
+            if variant is not None and variant.plan is not None:
+                plan = variant.bind(query, candidates)
+            elif candidates:
+                self.unparameterisable += 1
+        return plan, compiles
 
     def clear(self) -> None:
         with self._lock:
@@ -236,7 +447,50 @@ class PlanCache:
         with self._lock:
             self.hits = 0
             self.misses = 0
+            self.shape_hits = 0
+            self.compiles = 0
+            self.unparameterisable = 0
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._plans)
+
+
+def _parameterise(compiler: Compiler, inline: CompiledPlan, externals: dict,
+                  shape_key: str, candidates: list[str]) -> tuple[_Variant, int]:
+    """The first sighting's second compile: ``(variant, compiles run)``."""
+    query = inline.source
+    negative = _Variant(dict(enumerate(candidates)))
+    if inline.errors or "(::pragma" in query:
+        return negative, 0
+    with gensym_scope():
+        parser = Parser(query, compiler.options.mode)
+        expr, lifted = lift(parser.parse_main_expression(), parser.literals, query)
+        if not lifted:
+            return negative, 0
+        shape_kinds = kinds(shape_key)
+        variant = _Variant(
+            {index: raw for index, raw in enumerate(candidates)
+             if index not in lifted},
+            lifted=tuple((lifted_name(k), index, shape_kinds[index])
+                         for k, index in enumerate(lifted)))
+        binds = {name: bind_value(kind, candidates[index])
+                 for name, index, kind in variant.lifted}
+        typed = dict(externals)
+        typed.update((name, atomic(value.type_name)) for name, value in binds.items())
+        # the shape-level text: lifted literals spelled as their externals
+        spelled = list(candidates)
+        for name, index, _kind in variant.lifted:
+            spelled[index] = "$" + name
+        source = rebuild(shape_key, spelled)
+        # a lifted literal's type is part of what names the plan
+        key = plan_key_text(source, [
+            f"{name} as {typed[name].show()}" if name in binds else name
+            for name in typed])
+        try:
+            plan = compiler.compile_tree(expr, source, typed, plan_key=key)
+        except StaticError:
+            return variant, 1
+    if not plan.errors and plans_agree(inline.expr, plan.expr, binds):
+        variant.plan = plan
+    return variant, 1

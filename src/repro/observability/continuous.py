@@ -51,7 +51,7 @@ from __future__ import annotations
 import contextvars
 import hashlib
 import random
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -483,17 +483,43 @@ class PlanOperatorStats:
         }
 
 
+@dataclass
+class _PlanStats:
+    """What the store keeps per plan fingerprint."""
+
+    estimate: float | None = None
+    operators: dict[int, PlanOperatorStats] = field(default_factory=dict)
+
+
 @guarded_by("_lock")
 class PlanStatsStore:
     """Per-plan, per-operator observed actuals next to the admission
     path's cost estimate — the store ROADMAP item 1's cost-based
-    optimizer reads estimated-vs-actual deltas from."""
+    optimizer reads estimated-vs-actual deltas from.
 
-    def __init__(self):
+    Bounded: the ``capacity`` most recently written plan fingerprints are
+    kept (LRU), so ad hoc traffic cannot grow it without limit; the
+    platform sizes it like its plan cache."""
+
+    def __init__(self, capacity: int = 256):
+        self.capacity = capacity
         self._lock = TrackedRLock("PlanStatsStore")
-        self._operators: dict[tuple[str, int], PlanOperatorStats] = {}
-        self._estimates: dict[str, float] = {}
+        #: fingerprint -> its estimate and operator EWMAs, in LRU order
+        self._plans: "OrderedDict[str, _PlanStats]" = OrderedDict()
         self.traces_observed = 0
+
+    def _entry(self, fingerprint: str) -> _PlanStats:
+        """The (touched) entry of ``fingerprint``."""
+        with self._lock:
+            entry = self._plans.get(fingerprint)
+            if entry is None:
+                entry = self._plans[fingerprint] = _PlanStats()
+                while len(self._plans) > self.capacity:
+                    self._plans.popitem(last=False)
+            else:
+                self._plans.move_to_end(fingerprint)
+            RACE.detector.on_access(self, "_plans", True)
+            return entry
 
     def observe(self, fingerprint: str,
                 aggregates: "dict[int, OperatorActuals]") -> None:
@@ -502,41 +528,37 @@ class PlanStatsStore:
             return
         with self._lock:
             self.traces_observed += 1
+            operators = self._entry(fingerprint).operators
             for op_id, actuals in aggregates.items():
-                stats = self._operators.setdefault(
-                    (fingerprint, op_id), PlanOperatorStats())
+                stats = operators.setdefault(op_id, PlanOperatorStats())
                 stats.update(actuals.rows, actuals.elapsed_ms,
                              actuals.roundtrips)
-            RACE.detector.on_access(self, "_operators", True)
 
     def set_estimate(self, fingerprint: str, cost: float) -> None:
         """Record the plan's static cost estimate (admission path)."""
         with self._lock:
-            self._estimates[fingerprint] = cost
-            RACE.detector.on_access(self, "_estimates", True)
+            self._entry(fingerprint).estimate = cost
 
     def operators(self, fingerprint: str) -> dict[int, PlanOperatorStats]:
         with self._lock:
-            return {op_id: stats
-                    for (fp, op_id), stats in self._operators.items()
-                    if fp == fingerprint}
+            entry = self._plans.get(fingerprint)
+            return dict(entry.operators) if entry is not None else {}
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._plans)
 
     def snapshot(self) -> dict:
         with self._lock:
-            fingerprints = sorted(
-                {fp for fp, _ in self._operators} | set(self._estimates))
             return {
                 "traces_observed": self.traces_observed,
                 "plans": {
                     fp: {
-                        "estimate": self._estimates.get(fp),
-                        "operators": {
-                            op_id: self._operators[(fp, op_id)].to_dict()
-                            for _fp, op_id in sorted(self._operators)
-                            if _fp == fp
-                        },
+                        "estimate": entry.estimate,
+                        "operators": {op_id: entry.operators[op_id].to_dict()
+                                      for op_id in sorted(entry.operators)},
                     }
-                    for fp in fingerprints
+                    for fp, entry in sorted(self._plans.items())
                 },
             }
 

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..compiler.pipeline import plan_key_text
 from ..errors import AdmissionError, DeadlineExceededError
 from ..observability import (
     NOOP_SPAN,
@@ -148,8 +149,19 @@ class DataServer:
         bindings = dict(session.variables)
         if variables:
             bindings.update(variables)
-        fingerprint = plan_fingerprint(
-            self.platform.plan_key(query, bindings or None))
+        start = self.clock.now_ms()
+        # one cache lookup per request: the plan (with this text's binds)
+        # keys the observation, prices admission and is what executes
+        plan, invalid = None, None
+        try:
+            plan = self.platform.prepare(query, bindings or None)
+            key = plan.plan_key
+        except Exception as exc:
+            # a compile error is recorded below as ``invalid``, under the
+            # text-level key (there is no plan to name it by)
+            invalid = exc
+            key = plan_key_text(query, bindings)
+        fingerprint = plan_fingerprint(key)
         tracer = self.platform.tracer
         handle = None
         if isinstance(tracer, ContinuousTracer):
@@ -161,7 +173,6 @@ class DataServer:
             request_span = tracer.start(
                 "server.request", query, tenant=session.tenant,
                 fingerprint=fingerprint)
-        start = self.clock.now_ms()
         phases: dict[str, float] = {}
         cost = 0.0
         outcome = "invalid"
@@ -170,7 +181,8 @@ class DataServer:
         items: list[Item] = []
         degradations: list[DegradationRecord] = []
         try:
-            plan = self.platform.prepare(query, bindings or None)
+            if invalid is not None:
+                raise invalid
             cost = estimate_cost(plan.expr)
             self.platform.plan_stats_store.set_estimate(fingerprint, cost)
             phases["prepare_ms"] = self.clock.now_ms() - start
@@ -194,7 +206,7 @@ class DataServer:
                     self.metrics.gauge("server.in_flight").set(
                         self.admission.depth)
                     items = self.platform.execute(
-                        query, bindings or None, user=session.user,
+                        plan, bindings or None, user=session.user,
                         budget_ms=budget)
                     degradations = list(self.platform.last_degradations)
             except DeadlineExceededError as exc:

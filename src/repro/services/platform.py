@@ -74,6 +74,15 @@ if TYPE_CHECKING:
     from ..diagnostics import DiagnosticReport
 
 
+def _binds_footer(plan: CompiledPlan) -> str:
+    """``explain``/``profile`` footer: the values this text binds to the
+    literals its plan was parameterised over."""
+    if not plan.binds:
+        return ""
+    return "\nbinds: " + ", ".join(
+        f"${name} = {items[0].value!r}" for name, items in plan.binds.items())
+
+
 class Platform:
     """An ALDSP server instance."""
 
@@ -98,8 +107,9 @@ class Platform:
         self._closed = False
         #: the §9 observed-cost feedback store (O-CONT): per-(plan
         #: fingerprint, operator) EWMA actuals next to cost estimates;
-        #: fed by the continuous tracer and by profile()
-        self.plan_stats_store = PlanStatsStore()
+        #: fed by the continuous tracer and by profile(); bounded like the
+        #: plan cache whose plans it describes
+        self.plan_stats_store = PlanStatsStore(self.plan_cache.capacity)
         #: the P-COST statistics layer: cardinality/selectivity sketches
         #: over the registered sources plus per-source latency fits
         self.statistics = StatisticsCatalog(self.ctx.databases,
@@ -557,18 +567,18 @@ class Platform:
         token = self.ctx.set_batch_probe(probe)
         start = self.clock.now_ms()
         try:
-            items = list(self.stream(query, variables, user))
+            plan = self.prepare(query, variables)
+            items = list(self.stream(plan, variables, user))
         finally:
             self.ctx.set_tracer(previous)
             self.ctx.reset_batch_probe(token)
         elapsed = self.clock.now_ms() - start
-        plan = self.prepare(query, variables)
         text, aggregates = profile_render(plan.expr, tracer)
         # profiling observes the same actuals the continuous plane would:
         # feed the plan-stats store so explicit profile runs warm it too
-        self.plan_stats_store.observe(
-            plan_fingerprint(self.plan_key(query, variables)), aggregates)
-        return QueryProfile(text=text, root=tracer.last_root, tracer=tracer,
+        self.plan_stats_store.observe(plan_fingerprint(plan.plan_key), aggregates)
+        return QueryProfile(text=text + _binds_footer(plan),
+                            root=tracer.last_root, tracer=tracer,
                             items=len(items), elapsed_ms=elapsed,
                             aggregates=aggregates, batches=probe.snapshot())
 
@@ -637,6 +647,9 @@ class Platform:
         series["group.groups_emitted"] = group.groups_emitted
         series["plan_cache.hits"] = self.plan_cache.hits
         series["plan_cache.misses"] = self.plan_cache.misses
+        series["plan_cache.shape_hits"] = self.plan_cache.shape_hits
+        series["plan_cache.compiles"] = self.plan_cache.compiles
+        series["plan_cache.unparameterisable"] = self.plan_cache.unparameterisable
         series["plan_cache.size"] = len(self.plan_cache)
         series["async.groups_run"] = self.ctx.async_exec.groups_run
         series["async.branches_run"] = self.ctx.async_exec.branches_run
@@ -733,37 +746,37 @@ class Platform:
         the query may reference; values are bound per execution, so the same
         plan serves every binding (section 3.3: plans are executed
         "repeatedly, possibly with different parameter bindings each time").
+        The query's own liftable literals are bindings too: texts of one
+        *shape* share a plan, and the returned plan carries this text's
+        literal values in ``binds`` (and its shape-level ``plan_key``).
+        :meth:`execute` and :meth:`stream` accept it in place of the text.
         """
-        from ..schema.types import ITEM_STAR
-
         self._check_open()
-        key = self.plan_key(query, variables)
-        plan = self.plan_cache.get(key)
-        if plan is None:
-            names = tuple(sorted(variables)) if variables else ()
-            externals = {name: ITEM_STAR for name in names}
-            plan = self._compiler().compile_expression(query, externals=externals or None)
-            self.plan_cache.put(key, plan)
-        return plan
+        names = tuple(sorted(variables)) if variables else ()
+        return self.plan_cache.prepare(query, names, self._compiler)
 
     def plan_key(self, query: str,
                  variables: dict[str, list[Item]] | None = None) -> str:
-        """The plan-cache key for a query: the text plus the *names* of
-        its external variables.  Also the input to
-        :func:`~repro.observability.plan_fingerprint`, so the flight
-        recorder and plan-stats store key plans the same way the cache
-        does."""
-        names = tuple(sorted(variables)) if variables else ()
-        return query if not names else f"{query}\n#externals:{','.join(names)}"
+        """What identifies the query's plan: the *shape-level* text (the
+        literals the plan cache lifted spelled ``$#litK``) plus the names
+        of its external variables — texts that share a plan share a key.
+        Also the input to :func:`~repro.observability.plan_fingerprint`,
+        so the flight recorder, the plan-stats store and the costing pass
+        aggregate per plan, the way the cache does.  Compiles (and caches)
+        a query the cache has not seen."""
+        return self.prepare(query, variables).plan_key
 
-    def execute(self, query: str, variables: dict[str, list[Item]] | None = None,
+    def execute(self, query: str | CompiledPlan,
+                variables: dict[str, list[Item]] | None = None,
                 user: User = ADMIN, budget_ms: float | None = None) -> list[Item]:
-        """Execute an ad hoc query; results are fully materialized (the
-        client-server APIs are stateless, section 2.2) and security
-        filtering is applied post-cache (section 7)."""
+        """Execute an ad hoc query (or a plan :meth:`prepare` returned);
+        results are fully materialized (the client-server APIs are
+        stateless, section 2.2) and security filtering is applied
+        post-cache (section 7)."""
         return list(self.stream(query, variables, user, budget_ms=budget_ms))
 
-    def stream(self, query: str, variables: dict[str, list[Item]] | None = None,
+    def stream(self, query: str | CompiledPlan,
+               variables: dict[str, list[Item]] | None = None,
                user: User = ADMIN, budget_ms: float | None = None) -> Iterator[Item]:
         """The server-side incremental API: results stream without being
         materialized first (section 2.2).
@@ -776,8 +789,11 @@ class Platform:
         roundtrips and fails with
         :class:`~repro.errors.DeadlineExceededError`."""
         self._check_open()
-        plan = self.prepare(query, variables)
-        self.ctx.external_variables = dict(variables or {})
+        plan = query if isinstance(query, CompiledPlan) \
+            else self.prepare(query, variables)
+        # the text's lifted literals are bound beside the caller's variables
+        self.ctx.external_variables = {**variables, **plan.binds} if variables \
+            else plan.binds
         self.ctx.resilience.begin_query()
         token = None
         if budget_ms is not None:
@@ -788,11 +804,10 @@ class Platform:
         if isinstance(tracer, ContinuousTracer) and not tracer.in_request():
             # nested under a server request the outer request already
             # owns the sampling decision (and paid for the fingerprint)
-            handle = tracer.begin_request(
-                plan_fingerprint(self.plan_key(query, variables)))
+            handle = tracer.begin_request(plan_fingerprint(plan.plan_key))
         outcome = "completed"
         try:
-            with tracer.start("query", query) as span:
+            with tracer.start("query", plan.source) as span:
                 count = 0
                 for item in self.evaluator.iter_eval(plan.expr, {}):
                     filtered = self.security.filter_items([item], user)
@@ -825,7 +840,7 @@ class Platform:
         if plan.diagnostics is not None and len(plan.diagnostics):
             text += ("\nDIAGNOSTICS (" + plan.diagnostics.summary() + ")\n"
                      + plan.diagnostics.render_text(prefix="  "))
-        return text
+        return text + _binds_footer(plan)
 
     def lint(self, query: str,
              variables: dict[str, list[Item]] | None = None) -> "DiagnosticReport":
@@ -874,7 +889,7 @@ class Platform:
         plan = self.plan_cache.get(key)
         if plan is None:
             plan = self._compiler().compile_call(function_name, arity)
-            self.plan_cache.put(key, plan)
+            self.plan_cache.put(key, plan, compiles=1)
         self.ctx.external_variables = {
             f"__arg{i}": list(arg) for i, arg in enumerate(args)
         }
@@ -888,7 +903,7 @@ class Platform:
             call_text = (f"{function_name}"
                          f"({', '.join(f'$__arg{i}' for i in range(arity))})")
             handle = tracer.begin_request(
-                plan_fingerprint(self.plan_key(call_text, None)))
+                plan_fingerprint(call_text))
         outcome = "completed"
         try:
             with tracer.start("query", function_name) as span:

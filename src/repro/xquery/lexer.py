@@ -29,25 +29,48 @@ DOUBLE = "double"
 SYMBOL = "symbol"
 EOF = "eof"
 
-#: Multi-character symbols first (maximal munch).
-_SYMBOLS = [
+#: Symbols by first character, longest first (maximal munch).
+_SYMBOLS: dict[str, tuple[str, ...]] = {}
+for _symbol in (
     ":=", "!=", "<=", ">=", "<<", ">>", "//", "..", "::",
     "(", ")", "[", "]", "{", "}", ",", ";", "=", "<", ">",
     "+", "-", "*", "/", "?", "@", "$", ".", "|",
-]
+):
+    _SYMBOLS[_symbol[0]] = _SYMBOLS.get(_symbol[0], ()) + (_symbol,)
+del _symbol
 
 _NCNAME = r"[A-Za-z_][A-Za-z0-9_\-.]*"
 _NAME_RE = re.compile(rf"{_NCNAME}(?::{_NCNAME})?")
-_NUMBER_RE = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
+NUMBER_PATTERN = r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?"
+_NUMBER_RE = re.compile(NUMBER_PATTERN)
 
 
-@dataclass(frozen=True, slots=True)
+def line_col(text: str, pos: int) -> tuple[int, int]:
+    """1-based (line, column) of character offset ``pos``."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
 class LexToken:
-    kind: str
-    value: str
-    line: int
-    column: int
-    pos: int  # character offset of the token start
+    """One token: its kind, value and ``[pos, end)`` character span.  Line
+    and column are derived from the span on demand (errors, and the few
+    nodes that record ``.line``), never per token."""
+
+    __slots__ = ("kind", "value", "pos", "end", "_text")
+
+    def __init__(self, kind: str, value: str, pos: int, end: int, text: str):
+        self.kind = kind
+        self.value = value
+        self.pos = pos  # character offset of the token start
+        self.end = end
+        self._text = text
+
+    @property
+    def line(self) -> int:
+        return line_col(self._text, self.pos)[0]
+
+    @property
+    def column(self) -> int:
+        return line_col(self._text, self.pos)[1]
 
     def __repr__(self) -> str:
         return f"{self.kind}:{self.value!r}@{self.line}:{self.column}"
@@ -79,10 +102,7 @@ class Lexer:
     # -- position helpers ---------------------------------------------------
 
     def line_col(self, pos: int | None = None) -> tuple[int, int]:
-        pos = self.pos if pos is None else pos
-        line = self.text.count("\n", 0, pos) + 1
-        last_nl = self.text.rfind("\n", 0, pos)
-        return line, pos - last_nl
+        return line_col(self.text, self.pos if pos is None else pos)
 
     @property
     def char_pos(self) -> int:
@@ -147,56 +167,59 @@ class Lexer:
 
     def next_token(self) -> LexToken:
         self._skip_trivia()
-        line, col = self.line_col()
         start = self.pos
         text = self.text
-        if self.pos >= len(text):
-            return LexToken(EOF, "", line, col, start)
-        ch = text[self.pos]
+        if start >= len(text):
+            return LexToken(EOF, "", start, start, text)
+        ch = text[start]
 
         # String literals with doubled-quote escapes.
-        if ch in ("'", '"'):
-            return self._lex_string(ch, line, col, start)
+        if ch == "'" or ch == '"':
+            return self._lex_string(ch, start)
 
         # Numbers.
-        if ch.isdigit() or (ch == "." and self.pos + 1 < len(text) and text[self.pos + 1].isdigit()):
-            match = _NUMBER_RE.match(text, self.pos)
+        if ch.isdigit() or (ch == "." and text[start + 1:start + 2].isdigit()):
+            match = _NUMBER_RE.match(text, start)
             assert match
-            self.pos = match.end()
-            literal = match.group()
-            if match.group(2):
-                return LexToken(DOUBLE, literal, line, col, start)
-            if "." in literal:
-                return LexToken(DECIMAL, literal, line, col, start)
-            return LexToken(INTEGER, literal, line, col, start)
+            end = self.pos = match.end()
+            return LexToken(number_kind(match), match.group(), start, end, text)
 
         # Names / QNames.
-        match = _NAME_RE.match(text, self.pos)
+        match = _NAME_RE.match(text, start)
         if match:
-            self.pos = match.end()
-            return LexToken(NAME, match.group(), line, col, start)
+            end = self.pos = match.end()
+            return LexToken(NAME, match.group(), start, end, text)
 
         # Symbols.
-        for symbol in _SYMBOLS:
-            if text.startswith(symbol, self.pos):
-                self.pos += len(symbol)
-                return LexToken(SYMBOL, symbol, line, col, start)
+        for symbol in _SYMBOLS.get(ch, ()):
+            if text.startswith(symbol, start):
+                end = self.pos = start + len(symbol)
+                return LexToken(SYMBOL, symbol, start, end, text)
 
         raise self.error(f"unexpected character {ch!r}")
 
-    def _lex_string(self, quote: str, line: int, col: int, start: int) -> LexToken:
+    def _lex_string(self, quote: str, start: int) -> LexToken:
         text = self.text
-        pos = self.pos + 1
-        parts: list[str] = []
-        while pos < len(text):
-            ch = text[pos]
-            if ch == quote:
-                if text.startswith(quote * 2, pos):
-                    parts.append(quote)
-                    pos += 2
-                    continue
-                self.pos = pos + 1
-                return LexToken(STRING, "".join(parts), line, col, start)
-            parts.append(ch)
-            pos += 1
-        raise self.error("unterminated string literal")
+        pos = start + 1
+        while True:
+            pos = text.find(quote, pos)
+            if pos < 0:
+                raise self.error("unterminated string literal")
+            if text.startswith(quote, pos + 1):
+                pos += 2
+                continue
+            end = self.pos = pos + 1
+            return LexToken(STRING, string_value(text[start:end]), start, end, text)
+
+
+def number_kind(match: re.Match) -> str:
+    """Token kind of a :data:`_NUMBER_RE` match."""
+    if match.group(2):
+        return DOUBLE
+    return DECIMAL if "." in match.group() else INTEGER
+
+
+def string_value(raw: str) -> str:
+    """The value of a string literal as written, quotes included."""
+    quote = raw[0]
+    return raw[1:-1].replace(quote + quote, quote)

@@ -17,7 +17,7 @@ Makes implicit operations explicit so later stages see a uniform tree:
 from __future__ import annotations
 
 from . import ast_nodes as ast
-from .parser import fresh_var
+from .parser import LIFTED_PREFIX, fresh_var
 
 _ATOMIC_RESULT_FUNCTIONS = {
     "fn:data", "fn:count", "fn:sum", "fn:avg", "fn:min", "fn:max",
@@ -111,6 +111,9 @@ def _atomized(expr: ast.AstNode) -> ast.AstNode:
 def _is_atomic_producer(expr: ast.AstNode) -> bool:
     if isinstance(expr, ast.Literal):
         return True
+    if isinstance(expr, ast.VarRef):
+        # a lifted literal (plan shapes) is still one typed atom
+        return expr.name.startswith(LIFTED_PREFIX)
     if isinstance(expr, (ast.Arithmetic, ast.UnaryMinus, ast.Comparison,
                          ast.AndExpr, ast.OrExpr, ast.Quantified, ast.RangeTo)):
         return True

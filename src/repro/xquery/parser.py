@@ -51,6 +51,11 @@ _RESERVED_FUNCTION_NAMES = {
 
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
 
+#: reserved prefix of the typed externals that lifted literals become
+#: (:mod:`repro.xquery.shape`): ``#`` cannot be spelled in a query, and
+#: :func:`fresh_var` never draws a name under it
+LIFTED_PREFIX = "#lit"
+
 #: process-global fallback counter, used only *outside* a compilation
 #: scope (ad hoc parsing in tests, deploy-time initializer optimization)
 _gensym = itertools.count(1)
@@ -63,6 +68,20 @@ _gensym_scope: contextvars.ContextVar = contextvars.ContextVar(
 )
 
 
+#: literal token kind -> the xs: type of its value
+LITERAL_TYPES = {STRING: "xs:string", INTEGER: "xs:integer",
+                 DECIMAL: "xs:decimal", DOUBLE: "xs:double"}
+
+
+def literal_value(kind: str, value: str) -> AtomicValue:
+    """The typed value of a literal token (``value`` is the token's: a
+    string's is already unquoted)."""
+    if kind == STRING:
+        return AtomicValue(value, "xs:string")
+    return AtomicValue(int(value) if kind == INTEGER else float(value),
+                       LITERAL_TYPES[kind])
+
+
 def fresh_var(prefix: str = "g") -> str:
     """Generate a compiler-internal variable name.
 
@@ -73,6 +92,8 @@ def fresh_var(prefix: str = "g") -> str:
     counter = _gensym_scope.get()
     if counter is None:
         counter = _gensym
+    if prefix.startswith("lit"):
+        prefix = "v" + prefix  # keep LIFTED_PREFIX out of the gensyms
     return f"#{prefix}{next(counter)}"
 
 
@@ -111,6 +132,10 @@ class Parser:
             raise ValueError(f"bad parser mode {mode!r}")
         self.lexer = Lexer(text)
         self.mode = mode
+        #: ``(start, end, node)`` of every :class:`~ast.Literal` made from
+        #: a literal *token*, in source order (plan-shape lifting matches
+        #: them against the scan's candidates)
+        self.literals: list[tuple[int, int, ast.Literal]] = []
         self.tok: LexToken = self.lexer.next_token()
 
     # -- token plumbing -----------------------------------------------------
@@ -718,18 +743,11 @@ class Parser:
 
     def _parse_primary(self) -> ast.AstNode:
         tok = self.tok
-        if tok.kind == STRING:
+        if tok.kind in LITERAL_TYPES:
             self._advance()
-            return self._add_predicates(ast.Literal(AtomicValue(tok.value, "xs:string")))
-        if tok.kind == INTEGER:
-            self._advance()
-            return self._add_predicates(ast.Literal(AtomicValue(int(tok.value), "xs:integer")))
-        if tok.kind == DECIMAL:
-            self._advance()
-            return self._add_predicates(ast.Literal(AtomicValue(float(tok.value), "xs:decimal")))
-        if tok.kind == DOUBLE:
-            self._advance()
-            return self._add_predicates(ast.Literal(AtomicValue(float(tok.value), "xs:double")))
+            literal = ast.Literal(literal_value(tok.kind, tok.value))
+            self.literals.append((tok.pos, tok.end, literal))
+            return self._add_predicates(literal)
         if self._at_symbol("$"):
             self._advance()
             name = ast.local_name(self._expect_name().value)

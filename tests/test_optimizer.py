@@ -232,7 +232,9 @@ class TestCachedViewIsNeverMutated:
         from repro.demo import build_demo_platform
 
         platform = build_demo_platform(customers=3, orders_per_customer=2)
-        reference = repr(platform.prepare('getProfileByID("C1")').expr)
+        # (the inline compile: the plan cache serves the parameterised twin)
+        reference = repr(platform._compiler().compile_expression(
+            'getProfileByID("C1")').expr)
         snapshot = self.cached_bodies(platform.view_cache)
         detector = LocksetDetector(capture_stacks=False)
         previous = set_race_detector(detector)

@@ -56,37 +56,41 @@ def describe(plan) -> str:
     return "\n".join(lines)
 
 
-def _platform_entry(platform, query: str, variables=None) -> str:
-    """Cold view cache, then warm: one text, the same both times."""
-    platform.plan_cache.clear()
-    platform.view_cache.clear()
-    cold = platform.prepare(query, variables)
-    explained = platform.explain(query, variables)
-    platform.plan_cache.clear()
-    warm = platform.prepare(query, variables)
+def _entry(subject, query: str, variables=None) -> str:
+    """Cold view cache, then warm: one text, the same both times.
+
+    Pinned to the *inline* compile (``Compiler.compile_expression``, what
+    the plan cache compiles first and checks its parameterised plans
+    against); ``tests/test_plan_shapes.py`` holds the served plans to it.
+    ``subject`` is a platform or, for the pushdown patterns, a compiler."""
+    externals = {name: ITEM_STAR for name in sorted(variables)} \
+        if variables else None
+    if hasattr(subject, "view_cache"):
+        subject.view_cache.clear()
+    make = getattr(subject, "_compiler", lambda: subject)
+    cold = make().compile_expression(query, externals=externals)
+    warm = make().compile_expression(query, externals=externals)
     assert warm is not cold
     text = describe(cold)
     assert describe(warm) == text, f"warm view cache changed the plan of {query!r}"
-    assert explained in text
     names = ",".join(sorted(variables or ()))
     return f"== {query.strip()}\n-- externals: {names}\n{text}\n"
 
 
-def _running_example() -> list[str]:
+def _running_example():
     from repro.xml.items import AtomicValue
     from tests.conftest import build_platform
 
     platform = build_platform()
     c1 = {"id": [AtomicValue("C1", "xs:string")]}
-    return [
-        _platform_entry(platform, "getProfile()"),
-        _platform_entry(platform, 'getProfileByID("C1")'),
-        _platform_entry(platform, "getProfileByID($id)", c1),
-        _platform_entry(platform, "for $p in getProfile() return $p/LAST_NAME"),
-    ]
+    for query, variables in (
+            ("getProfile()", None), ('getProfileByID("C1")', None),
+            ("getProfileByID($id)", c1),
+            ("for $p in getProfile() return $p/LAST_NAME", None)):
+        yield "", platform, query, variables
 
 
-def _benchmark_shapes(tmp_path) -> list[str]:
+def _benchmark_shapes(tmp_path):
     """The request shapes of all seven layered-benchmark workloads
     (``cold_compile``'s six templates among them), over its federation."""
     sys.path.insert(0, str(LAYERED))
@@ -98,16 +102,14 @@ def _benchmark_shapes(tmp_path) -> list[str]:
         sys.path.remove(str(LAYERED))
     fed = build_federation(1, SIZES["smoke"], tmp_path, virtual=True)
     try:
-        entries, seen = [], set()
+        seen = set()
         for name, cls in WORKLOADS.items():
             workload = cls(fed, Oracle(fed.rows), 1)
             for request in workload.requests(3):
                 key = (request.text, tuple(sorted(request.variables or ())))
                 if request.text and key not in seen:
                     seen.add(key)
-                    entries.append(f"## {name}\n" + _platform_entry(
-                        fed.platform, request.text, request.variables))
-        return entries
+                    yield f"## {name}\n", fed.platform, request.text, request.variables
     finally:
         fed.close()
 
@@ -129,58 +131,62 @@ def _pushdown_pattern_queries() -> list[str]:
     return queries
 
 
-def _pushdown_patterns() -> list[str]:
+def _pushdown_patterns():
     import re
 
     from tests.test_sql_pushdown_patterns import build_env
 
     compiler = build_env()[0]
-    entries = []
     for query in _pushdown_pattern_queries():
-        externals = None
+        variables = None
         try:
-            plan = compiler.compile_expression(query)
+            compiler.compile_expression(query)
         except StaticError:
-            externals = {name: ITEM_STAR for name in re.findall(r"\$(\w+)", query)}
-            plan = compiler.compile_expression(query, externals=externals)
-        names = ",".join(sorted(externals or ()))
-        entries.append(f"== {query.strip()}\n-- externals: {names}\n{describe(plan)}\n")
-    return entries
+            variables = dict.fromkeys(re.findall(r"\$(\w+)", query))
+        yield "", compiler, query, variables
 
 
-def _composite_scenario(tmp_path) -> list[str]:
+def _composite_scenario(tmp_path):
     from tests.test_composite_scenario import SALES_VELOCITY, build_scenario
 
     platform = build_scenario(tmp_path)[0]
-    return [_platform_entry(platform, query) for query in
-            ("productInfo()", "replenishmentReport()", SALES_VELOCITY)]
+    for query in ("productInfo()", "replenishmentReport()", SALES_VELOCITY):
+        yield "", platform, query, None
 
 
-def _inverse_rules() -> list[str]:
+def _inverse_rules():
     """A transform rule and an inverse pair are registered, so the
     optimizer's non-empty-registry path is the one that runs."""
     from tests.test_inverse_functions import platform_with_inverses
 
     platform = platform_with_inverses()
-    return [_platform_entry(platform, query) for query in (
-        "for $v in getSince() where $v/SINCE gt int2date(2500000) return $v/CID",
-        "for $c in CUSTOMER() where int2date($c/SINCE) gt int2date(2500000) "
-        "return $c/CID",
-        "for $c in CUSTOMER() return date2int(int2date($c/SINCE))",
-        "getSince()",
-    )]
+    for query in (
+            "for $v in getSince() where $v/SINCE gt int2date(2500000) return $v/CID",
+            "for $c in CUSTOMER() where int2date($c/SINCE) gt int2date(2500000) "
+            "return $c/CID",
+            "for $c in CUSTOMER() return date2int(int2date($c/SINCE))",
+            "getSince()"):
+        yield "", platform, query, None
 
 
-def plan_identity_text(tmp_path) -> str:
-    sections = [
+def plan_corpus(tmp_path):
+    """``(section, cases)`` per section of the golden file; a case is
+    ``(heading, platform or compiler, query, variables)``."""
+    return [
         ("running example", _running_example()),
         ("layered benchmark shapes", _benchmark_shapes(tmp_path)),
         ("tests/test_sql_pushdown_patterns.py", _pushdown_patterns()),
         ("tests/test_composite_scenario.py", _composite_scenario(tmp_path)),
         ("inverse and transform rules registered", _inverse_rules()),
     ]
-    return "".join(f"#### {title}\n" + "\n".join(entries) + "\n"
-                   for title, entries in sections)
+
+
+def plan_identity_text(tmp_path) -> str:
+    return "".join(
+        f"#### {title}\n" + "\n".join(
+            heading + _entry(subject, query, variables)
+            for heading, subject, query, variables in cases) + "\n"
+        for title, cases in plan_corpus(tmp_path))
 
 
 def test_plans_match_golden(tmp_path):
