@@ -474,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-parallel-regions", action="store_true",
                         help="disable scatter execution of independent regions")
     parser.add_argument("--batch-size", type=int, default=0,
-                        help="rows per batch for the batch engine "
-                             "(1 = tuple-at-a-time, 0 = default 256)")
+                        help="rows one pull moves through the FLWOR pipeline "
+                             "(1 = a batch of one, 0 = default 256)")
     parser.add_argument("--cost-based", action="store_true",
                         help="choose join strategies and join order from "
                              "statistics instead of the fixed heuristics "

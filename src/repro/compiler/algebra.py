@@ -134,6 +134,9 @@ class Correlation:
     column_alias: str
     #: middleware expression computing A's join key per outer tuple
     outer_key: ast.AstNode
+    #: the predicate was a general comparison (``=``): an outer key of
+    #: several atoms joins on any of them; under ``eq`` it is an error
+    general: bool = False
 
 
 class PushedSQL(ast.AstNode):
@@ -230,16 +233,19 @@ class IndexJoinForClause(ast.Clause):
     variables): it is evaluated once and indexed by ``inner_key``
     (evaluated with ``$var`` bound per inner item); each outer tuple then
     probes with ``outer_key``.  Outer order is preserved, so downstream
-    grouping on the outer key needs no sort.
+    grouping on the outer key needs no sort.  ``general`` is the replaced
+    comparison's flag: keys of several atoms join on any pair under ``=``
+    and are the nested loop's error under ``eq``.
     """
 
     _fields = ("expr", "inner_key", "outer_key")
     _attrs = ("var",)
 
     def __init__(self, var: str, expr: ast.AstNode, inner_key: ast.AstNode,
-                 outer_key: ast.AstNode):
+                 outer_key: ast.AstNode, general: bool = False):
         super().__init__()
         self.var = var
         self.expr = expr
         self.inner_key = inner_key
         self.outer_key = outer_key
+        self.general = general

@@ -1,17 +1,16 @@
-"""Batch-capability stamping (P-BATCH).
+"""Batch-capability stamping (P-BATCH) — written, no longer read.
 
-A FLWOR node runs under the batch protocol only when every one of its
-clauses has a batch operator.  The set below is exhaustive today, so the
-stamp is effectively always true for compiler-produced pipelines — but
-the gate keeps the runtime honest if a future clause type lands before
-its batch twin does, and gives tests a per-node switch to poke.
+The FLWOR runtime (``runtime/batchexec.py``) runs every FLWOR, stamped or
+not, so nothing under ``runtime/`` consults ``batch_capable`` or
+``batch_supported`` any more.  The stage stays for two outside readers
+that a runtime change may not edit: the layered benchmark wraps
+``stamp_batch_capability`` by module path (``benchmarks/layered/trace.py``)
+and ``tests/golden/plan_identity.txt`` pins the stamps.  ROADMAP item 3
+records the ``[benchmark]`` PR that lets the module, its call in
+``pipeline.py`` and the stamps go together.
 
 The stamp is runtime-only metadata, like ``op_id``: it is **not**
-rendered in ``explain`` output (explain must stay byte-identical across
-batch sizes).  Bodies of non-inlined user functions never pass through
-this stage, carry no stamp, and therefore run on the tuple engine —
-correct, just unaccelerated (most calls are unfolded into the main
-expression by the optimizer and get stamped there).
+rendered in ``explain`` output.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 from ..xquery import ast_nodes as ast
 from .algebra import IndexJoinForClause, PPkLetClause, PushedTupleForClause
 
-#: clause types the batch engine (runtime/batchexec.py) can execute
+#: the clause types of the FLWOR runtime (runtime/batchexec.py)
 _BATCH_CLAUSES = (
     ast.ForClause,
     ast.LetClause,

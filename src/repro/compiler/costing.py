@@ -413,9 +413,10 @@ class _CostingPass:
 
     def _make_index_join(self, unit: _Unit) -> IndexJoinForClause:
         var = unit.for_clause.var
+        correlation = unit.pushed.correlation
         join = IndexJoinForClause(
             var, self._scan_of(unit), self._item_key(unit, var),
-            unit.pushed.correlation.outer_key.clone())
+            correlation.outer_key.clone(), correlation.general)
         # runner-up twin for the runtime's index -> PP-k re-plan
         join.replan_ppk = unit.let
         return join
@@ -423,9 +424,10 @@ class _CostingPass:
     def _make_ship_all(self, unit: _Unit) -> tuple[ast.ForClause,
                                                    ast.WhereClause]:
         var = unit.for_clause.var
+        correlation = unit.pushed.correlation
         condition = ast.Comparison(
-            "eq", unit.pushed.correlation.outer_key.clone(),
-            self._item_key(unit, var), general=False)
+            "eq", correlation.outer_key.clone(),
+            self._item_key(unit, var), general=correlation.general)
         return ast.ForClause(var, self._scan_of(unit)), \
             ast.WhereClause(condition)
 

@@ -1,232 +1,56 @@
-"""The batch-at-a-time tuple container (P-BATCH).
+"""What flows between FLWOR clause operators: batches of binding tuples (P-BATCH).
 
 The paper's runtime streams binding tuples through token iterators
-(section 5.2); the batch engine keeps that pull-based shape but moves
-*batches* of tuples per pull, amortizing Python's per-tuple dispatch the
-way Apache VXQuery's batched columnar execution does for XQuery.
+(section 5.2); this runtime keeps that pull-based shape but moves a *batch*
+of tuples per pull, amortizing Python's per-tuple dispatch the way Apache
+VXQuery's frame-at-a-time execution does for XQuery.
 
-A :class:`TupleBatch` is a fixed schema (``names``, the bound variable
-names in binding order) over column-major lists keyed by variable name.
-Two physical views co-exist and convert lazily:
+A batch is a non-empty list of rows, and a row is one environment dict
+(variable name -> bound sequence), the currency the expression evaluator
+speaks.  Two facts about the rows reaching a pipeline stage are known when
+the stages are built (``batchexec._stages``) rather than carried on the
+batch:
 
-* the **columnar view** — one list per variable.  Derived batches share
-  parent column lists outright (copy-on-write: extending a batch with a
-  new variable touches no existing column), which is what makes
-  ``let``-style extension O(1) per column instead of O(rows) dict copies;
-* the **row view** — one environment dict per tuple, the currency the
-  expression evaluator speaks.  It is materialized once per batch and
-  cached; ``owned`` marks row dicts created by the batch pipeline itself
-  (never seen by user code that could retain them), which extension is
-  allowed to reuse *in place* — the "reused frames" path that eliminates
-  the per-tuple ``dict(env)`` copy of the tuple-at-a-time engine.
-
-Batches are immutable once emitted downstream except through
-:meth:`extended`, which documents itself as *consuming* the receiver.
-A batch never mutates a column list another batch can see.
+* **owned** — the dicts were created by this pipeline (a ``for``, a join, a
+  ``let``, a group-by upstream), so nothing else can hold them and a ``let``
+  may bind into them *in place*.  Only the FLWOR's initial environment is
+  the caller's, and is copied by the first clause that extends it;
+* **mixed** — a group-by upstream may have emitted rows of different schemas
+  (an outer binding survives a group only if all its members share it).
+  Rows of one batch always share a schema, so downstream of a group-by a
+  schema change closes the batch; elsewhere schemas cannot differ and are
+  never looked at.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-#: default rows per batch (``Platform.set_batch_size``); 1 disables the
-#: batch engine entirely and reproduces the tuple-at-a-time runtime
+#: default rows per batch (``Platform.set_batch_size``): how many rows one
+#: pull moves through the FLWOR pipeline.  1 is a batch of one — the same
+#: pipeline at its laziest, not another runtime
 DEFAULT_BATCH_SIZE = 256
 
 Env = dict
+Batch = list
 
 
-class TupleBatch:
-    """A batch of binding tuples with one column list per variable."""
-
-    __slots__ = ("names", "length", "owned", "_columns", "_envs")
-
-    def __init__(self, names: tuple[str, ...], length: int, owned: bool,
-                 columns: dict[str, list] | None, envs: list[Env] | None):
-        self.names = names
-        self.length = length
-        self.owned = owned
-        self._columns = columns
-        self._envs = envs
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_columns(cls, names: tuple[str, ...], columns: dict[str, list],
-                     length: int) -> "TupleBatch":
-        return cls(names, length, True, columns, None)
-
-    @classmethod
-    def from_rows(cls, envs: list[Env], owned: bool,
-                  names: tuple[str, ...] | None = None) -> "TupleBatch":
-        if names is None:
-            names = tuple(envs[0]) if envs else ()
-        return cls(names, len(envs), owned, None, envs)
-
-    @classmethod
-    def initial(cls, env: Env) -> "TupleBatch":
-        """The FLWOR's initial single-tuple batch.  The dict belongs to
-        the caller, so it is never reused in place (``owned=False``)."""
-        return cls.from_rows([env], owned=False)
-
-    # -- views -------------------------------------------------------------
-
-    def env_rows(self) -> list[Env]:
-        """The row view (cached): one environment dict per tuple."""
-        envs = self._envs
-        if envs is None:
-            columns = self._columns
-            assert columns is not None
-            names = self.names
-            envs = [dict(zip(names, row))
-                    for row in zip(*(columns[name] for name in names))]
-            if not names:  # zip(*()) yields nothing; keep the row count
-                envs = [{} for _ in range(self.length)]
-            self._envs = envs
-        return envs
-
-    def column(self, name: str) -> list:
-        """One column (value sequences for ``name``, row order)."""
-        columns = self._columns
-        if columns is not None and name in columns:
-            return columns[name]
-        if name not in self.names:
-            raise KeyError(name)
-        column = [env[name] for env in self.env_rows()]
-        if columns is None:
-            self._columns = columns = {}
-        columns[name] = column
-        return column
-
-    def columns(self) -> dict[str, list]:
-        """The full columnar view (materialized on demand)."""
-        return {name: self.column(name) for name in self.names}
-
-    # -- transforms --------------------------------------------------------
-
-    def extended(self, additions: list[tuple[str, list]]) -> "TupleBatch":
-        """A batch with the given ``(name, column)`` bindings added (or
-        replaced).  **Consumes the receiver**: the owned row path reuses
-        the row dicts in place, so the original batch must not be read
-        afterwards.  Each column list must have ``length`` entries."""
-        names = self.names
-        new_names = names + tuple(n for n, _c in additions if n not in names)
-        envs = self._envs
-        if envs is not None:
-            if self.owned:
-                # Reused frames: the pipeline created these dicts, nothing
-                # else can hold them — extend without copying.
-                for name, column in additions:
-                    for env, value in zip(envs, column):
-                        env[name] = value
-                return TupleBatch(new_names, self.length, True, None, envs)
-            rows = [dict(env) for env in envs]
-            for name, column in additions:
-                for env, value in zip(rows, column):
-                    env[name] = value
-            return TupleBatch(new_names, self.length, True, None, rows)
-        # Columnar copy-on-write: share every existing column untouched.
-        columns = dict(self._columns)  # type: ignore[arg-type]
-        for name, column in additions:
-            columns[name] = column
-        return TupleBatch(new_names, self.length, True, columns, None)
-
-    def select(self, indices: list[int]) -> "TupleBatch":
-        """The sub-batch at the given row indices (in order)."""
-        envs = self._envs
-        if envs is not None:
-            return TupleBatch(self.names, len(indices), self.owned, None,
-                              [envs[i] for i in indices])
-        columns = {name: [column[i] for i in indices]
-                   for name, column in self._columns.items()}  # type: ignore[union-attr]
-        return TupleBatch(self.names, len(indices), True, columns, None)
-
-    def slice(self, start: int, stop: int) -> "TupleBatch":
-        """Rows ``start:stop`` — cheap list slices, shared row dicts."""
-        envs = self._envs
-        if envs is not None:
-            part = envs[start:stop]
-            return TupleBatch(self.names, len(part), self.owned, None, part)
-        columns = {name: column[start:stop]
-                   for name, column in self._columns.items()}  # type: ignore[union-attr]
-        length = max((len(c) for c in columns.values()), default=0)
-        return TupleBatch(self.names, length, True, columns, None)
-
-    @classmethod
-    def concat(cls, batches: "Iterable[TupleBatch]") -> "TupleBatch":
-        """One batch holding every row of ``batches`` (same schema)."""
-        batches = list(batches)
-        if not batches:
-            return cls.from_rows([], owned=True)
-        names = batches[0].names
-        rows: list[Env] = []
-        owned = True
-        for batch in batches:
-            if batch.names != names:
-                raise ValueError("concat over mismatched batch schemas")
-            rows.extend(batch.env_rows())
-            owned = owned and batch.owned
-        return cls.from_rows(rows, owned, names)
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"TupleBatch({self.length}x{list(self.names)!r})"
-
-
-class BatchBuilder:
-    """Accumulates row dicts into batches of at most ``capacity`` rows.
-
-    Rows with different schemas never share a batch: a schema change
-    (e.g. group-by emitting heterogeneous surviving bindings) flushes the
-    pending rows first, so every emitted batch has one ``names`` tuple.
-    ``owned`` declares whether the rows fed to this builder are
-    pipeline-created dicts (reusable frames) — the default, since every
-    multiplying operator constructs fresh dicts per output row.
-    """
-
-    __slots__ = ("capacity", "owned", "_rows", "_names")
-
-    def __init__(self, capacity: int, owned: bool = True):
-        self.capacity = capacity
-        self.owned = owned
-        self._rows: list[Env] = []
-        self._names: tuple[str, ...] | None = None
-
-    def add(self, env: Env, names: tuple[str, ...] | None = None) -> TupleBatch | None:
-        """Append one row; returns the completed previous batch when the
-        buffer was full or the schema changed, else None.  (Emission is
-        deferred to the next ``add``/``flush`` so a schema change and a
-        capacity fill can never both complete a batch in one call.)"""
-        if names is None:
-            names = tuple(env)
-        out = None
-        if self._rows and (len(self._rows) >= self.capacity
-                           or names != self._names):
-            out = TupleBatch.from_rows(self._rows, self.owned, self._names)
-            self._rows = []
-        self._names = names
-        self._rows.append(env)
-        return out
-
-    def flush(self) -> TupleBatch | None:
-        """The pending partial batch, if any."""
-        if not self._rows:
-            return None
-        batch = TupleBatch.from_rows(self._rows, self.owned, self._names)
-        self._rows = []
-        return batch
-
-
-def rebatch(rows: Iterator[Env], capacity: int,
-            owned: bool = True) -> Iterator[TupleBatch]:
-    """Chop a row-dict stream into schema-uniform batches lazily."""
-    builder = BatchBuilder(capacity, owned)
+def batched(rows: Iterable[Env], size: int, mixed: bool) -> Iterator[Batch]:
+    """Cut a row stream into batches of ``size``.  A batch goes downstream
+    the moment it fills — not when the next row arrives — so no row is
+    pulled from ``rows`` that the consumer has not asked for."""
+    batch: Batch = []
+    names = None
     for env in rows:
-        batch = builder.add(env)
-        if batch is not None:
+        if mixed:
+            schema = tuple(env)
+            if batch and schema != names:
+                yield batch
+                batch = []
+            names = schema
+        batch.append(env)
+        if len(batch) == size:
             yield batch
-    tail = builder.flush()
-    if tail is not None:
-        yield tail
+            batch = []
+    if batch:
+        yield batch

@@ -1,60 +1,60 @@
-"""Batch-at-a-time FLWOR execution (P-BATCH).
+"""The FLWOR runtime (P-BATCH): batches of binding tuples pulled through
+clause operators.
 
-``eval_flwor_batched`` mirrors :meth:`Evaluator._eval_flwor` with
-:class:`~repro.runtime.batch.TupleBatch` flowing between clause operators
-instead of single binding tuples.  Laziness is preserved at batch
-granularity: each operator is a generator of batches that pulls from
-upstream on demand, so LIMIT-style early exit stops the pipeline after at
-most one in-flight batch per stage.
+Every FLWOR the engine evaluates runs here, at every ``ctx.batch_size``
+(``Evaluator._eval_flwor`` is a call into :func:`eval_flwor`); one row per
+batch is the same pipeline at its laziest.  What a batch is, and the two
+facts about a stage's rows that are fixed when its stages are built
+(``owned``, ``mixed``), is in :mod:`repro.runtime.batch`.
 
-Byte-identity with the tuple engine is structural, not asserted per call:
+Each clause has one implementation.  ``for``, ``let`` and ``where`` are
+*kernels* — plain functions over rows, their expressions compiled by
+:mod:`repro.runtime.rowcompile` — with two drivers:
 
-* the **narrowing/extending** clauses (for / let / where and the return
-  stage) evaluate their expressions through the row-expression compiler
-  (:mod:`repro.runtime.rowcompile`), whose closures reuse the
-  interpreter's own helpers and bridge anything they don't understand;
-* the **source-touching and stateful** operators (PP-k, pushed tuple
-  joins, index joins, scatter groups, grouping) reuse the interpreter's
-  tuple implementations verbatim over a lazily flattened row stream and
-  rebatch their output — identical SQL, spans, virtual-clock charges and
-  stats by construction (PP-k additionally batches its outer-key
-  extraction internally when ``ctx.batch_size > 1``);
-* spans open and close at the same pipeline points: order-by drains its
-  upstream inside the ``order-by`` span, group-by holds its span open
-  across emitted groups, exactly as the tuple operators do.
+* the **lazy driver** (:func:`eval_flwor`): every stage is a generator of
+  batches pulling from the one upstream, so a consumer that stops early
+  stops the pipeline.  It runs top-level FLWORs and any FLWOR with a source
+  access, a blocking clause or an effect whose timing the pull order
+  decides, and it alone has the other operators: order-by, group-by, the
+  index nested-loop join (P-COST re-plan buffer included), the pushed
+  tuple-``for``, scatter groups and PP-k;
+* the **eager driver** (:func:`flwor_rowfn`): a FLWOR of in-memory
+  ``for``/``let``/``where`` nested in a row expression is entered once per
+  outer row and flows a handful of tuples, so the same kernels run over
+  plain lists, stage by stage, with no generator per invocation.
 
-Per-operator batch shape (``batch.rows`` / ``batch.count`` instruments
-and the profile's rows-per-batch table) is recorded *outside* the span
-tree so profile/trace output stays byte-identical across batch sizes.
+**Emit on fill.**  A multiplying operator hands a batch on the moment it
+fills and pulls its input — a streamed ``for`` sequence included — only as
+far as the open batch has room.  At one row per batch that is exactly
+tuple-at-a-time laziness; at n rows a stage is at most one batch ahead.
+Batch boundaries depend only on the rows, so the two drivers observe the
+same ``batch.rows`` / ``batch.count`` series and ``tuples_flowed``.
 
-A FLWOR nested in a row expression is entered once per outer row, so what
-an invocation needs is worked out once — its stages per node
-(:func:`_stages`), its instruments per context — and the in-memory ones
-run as a row function over plain lists (:func:`flwor_rowfn`) instead of a
-generator pipeline, with the same observations and counts.
+Spans open and close at fixed pipeline points: order-by drains its upstream
+inside the ``order-by`` span, group-by holds its span open across the groups
+it emits.  Per-operator batch shape (the ``batch.*`` instruments and the
+profile's rows-per-batch table) is recorded *outside* the span tree, so
+profile and trace output do not depend on the batch size.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import math
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, NamedTuple
 
+from ..compiler.algebra import IndexJoinForClause, PPkLetClause, PushedTupleForClause
 from ..concurrency import RACE, TrackedRLock, guarded_by
-from ..errors import DynamicError
+from ..errors import DynamicError, SourceError
+from ..sql.ast_nodes import param_order
+from ..xml.items import AtomicValue, Item
 from ..xquery import ast_nodes as ast
-from .batch import BatchBuilder, TupleBatch
-from .evaluate import Env, Evaluator, _clause_groups, _OrderKey
+from .batch import Batch, Env, batched
+from .evaluate import Evaluator, _as_atomic_value, _OrderKey
 from .operators.group import clustered_groups, sorted_groups
 from .operators.ppk import ppk_extend
-from .rowcompile import MANY, atomfn, rowfn, truthfn
-
-try:
-    from ..compiler.algebra import (
-        IndexJoinForClause,
-        PPkLetClause,
-        PushedTupleForClause,
-    )
-except ImportError:  # pragma: no cover - algebra is a hard dependency
-    raise
+from .operators.pushedsql import bind_parameters, render_pushed, template_fn
+from .rowcompile import MANY, atomfn, many_values, rowfn, streamfn, truthfn
 
 
 @guarded_by("_lock")
@@ -91,7 +91,7 @@ class BatchProbe:
             }
 
 
-class _BatchRun:
+class _Run:
     """Per-FLWOR-invocation state: batch size and probe."""
 
     __slots__ = ("ev", "ctx", "size", "probe")
@@ -109,254 +109,112 @@ class _BatchRun:
         if self.probe is not None:
             self.probe.add(label, rows)
 
-    def instrumented(self, label: str,
-                     batches: Iterator[TupleBatch]) -> Iterator[TupleBatch]:
+    def instrumented(self, label: str, batches: Iterator[Batch]) -> Iterator[Batch]:
         for batch in batches:
-            self.observe(label, batch.length)
+            self.observe(label, len(batch))
             yield batch
 
 
-def eval_flwor_batched(evaluator: Evaluator, node: ast.FLWOR,
-                       env: Env) -> Iterator:
-    """Batch-protocol twin of ``Evaluator._eval_flwor``."""
-    run = _BatchRun(evaluator)
-    batches: Iterator[TupleBatch] = iter([TupleBatch.initial(env)])
-    for label, group in _stages(node, run.ctx.parallel_regions):
-        if len(group) == 1:
-            batches = _apply_batch_clause(run, group[0], batches)
+class _Stage(NamedTuple):
+    """One pipeline stage of a FLWOR, fixed when the plan first runs."""
+
+    #: instrument label, ``<operator>#<ordinal>``
+    label: str
+    #: the lazy operator: ``(run, stage, batches) -> batches``
+    operator: Callable
+    #: the clause, or the ``let`` clauses of one scatter group
+    clauses: list
+    #: the rows reaching this stage were created by the pipeline
+    owned: bool
+    #: the rows reaching this stage may differ in schema
+    mixed: bool
+
+
+def _clause_groups(clauses: list[ast.Clause],
+                   parallel_regions: bool) -> list[list[ast.Clause]]:
+    """Partition a FLWOR's clauses into singleton groups plus runs of
+    consecutive clauses sharing a compiler-stamped ``scatter_group`` id
+    (empty when scatter execution is administratively disabled)."""
+    groups: list[list[ast.Clause]] = []
+    for clause in clauses:
+        group_id = getattr(clause, "scatter_group", None) if parallel_regions else None
+        if (group_id is not None and groups
+                and getattr(groups[-1][0], "scatter_group", None) == group_id):
+            groups[-1].append(clause)
         else:
-            batches = _rebatched(run, evaluator._scatter_tuples(
-                group, _flatten(batches)))
-        batches = run.instrumented(label, batches)
-    ret_fn = rowfn(node.return_expr)
-    stats = run.ctx.stats
-    for batch in batches:
-        stats.bump(tuples_flowed=batch.length)
-        run.observe("return", batch.length)
-        for row_env in batch.env_rows():
-            yield from ret_fn(evaluator, row_env)
+            groups.append([clause])
+    return groups
 
 
-def _stages(node: ast.FLWOR, parallel_regions: bool) -> list[tuple[str, list]]:
-    """The FLWOR's pipeline stages as (instrument label, clause group)
-    pairs, worked out once per node and scatter setting (a memo like
-    ``_rowfn``: a plan is never rewritten once it runs)."""
+def _stages(node: ast.FLWOR, parallel_regions: bool) -> list[_Stage]:
+    """The FLWOR's pipeline stages, worked out once per node and scatter
+    setting (a memo like ``_rowfn``: a plan is never rewritten once it
+    runs)."""
     memo = getattr(node, "_batch_stages", None)
     if memo is None:
         memo = node._batch_stages = {}
     stages = memo.get(parallel_regions)
     if stages is None:
-        stages = memo[parallel_regions] = [
-            (f"{_clause_label(group[0])}#{ordinal}" if len(group) == 1
-             else f"scatter#{ordinal}", group)
-            for ordinal, group in enumerate(
-                _clause_groups(node.clauses, parallel_regions), start=1)]
+        stages = []
+        owned = mixed = False  # the initial environment is the caller's
+        for ordinal, group in enumerate(
+                _clause_groups(node.clauses, parallel_regions), start=1):
+            kind = type(group[0])
+            if kind not in _OPERATORS:
+                raise DynamicError(f"cannot execute clause {kind.__name__}")
+            name, operator = ("scatter", _scatter_batches) if len(group) > 1 \
+                else _OPERATORS[kind]
+            stages.append(_Stage(f"{name}#{ordinal}", operator, group, owned, mixed))
+            # where and order-by hand on the rows they were given
+            owned = owned or kind not in (ast.WhereClause, ast.OrderByClause)
+            mixed = mixed or kind is ast.GroupByClause
+        memo[parallel_regions] = stages
     return stages
 
 
-_CLAUSE_LABELS = {
-    "ForClause": "for",
-    "LetClause": "let",
-    "WhereClause": "where",
-    "OrderByClause": "order-by",
-    "GroupByClause": "group-by",
-    "PPkLetClause": "ppk",
-    "PushedTupleForClause": "pushed-join",
-    "IndexJoinForClause": "index-join",
-}
-
-
-def _clause_label(clause) -> str:
-    return _CLAUSE_LABELS.get(type(clause).__name__,
-                              type(clause).__name__.lower())
-
-
-def _apply_batch_clause(run: _BatchRun, clause,
-                        batches: Iterator[TupleBatch]) -> Iterator[TupleBatch]:
-    if isinstance(clause, ast.ForClause):
-        return _for_batches(run, clause, batches)
-    if isinstance(clause, ast.LetClause):
-        return _let_batches(run, clause, batches)
-    if isinstance(clause, ast.WhereClause):
-        return _where_batches(run, clause, batches)
-    if isinstance(clause, ast.OrderByClause):
-        return _order_batches(run, clause, batches)
-    if isinstance(clause, ast.GroupByClause):
-        return _group_batches(run, clause, batches)
-    # Source-touching operators: reuse the tuple implementations over a
-    # lazily flattened stream (identical spans/SQL/stats), rebatch after.
-    if isinstance(clause, PPkLetClause):
-        return _rebatched(run, ppk_extend(clause, _flatten(batches), run.ev))
-    if isinstance(clause, PushedTupleForClause):
-        return _rebatched(run, run.ev._pushed_tuple_for(clause, _flatten(batches)))
-    if isinstance(clause, IndexJoinForClause):
-        if (run.ctx.replan_threshold is not None
-                and getattr(clause, "replan_ppk", None) is not None
-                and getattr(clause, "est_outer", None) is not None):
-            # re-planning armed (P-COST): the tuple implementation owns the
-            # buffer-then-commit decision; rebatch its output
-            return _rebatched(
-                run, run.ev._index_join_tuples(clause, _flatten(batches)))
-        return _index_join_batches(run, clause, batches)
-    raise DynamicError(f"cannot execute clause {type(clause).__name__}")
-
-
-def _flatten(batches: Iterator[TupleBatch]) -> Iterator[Env]:
+def eval_flwor(evaluator: Evaluator, node: ast.FLWOR, env: Env) -> Iterator[Item]:
+    """The lazy driver: ``node``'s items, produced as they are pulled."""
+    run = _Run(evaluator)
+    batches: Iterator[Batch] = iter(([env],))
+    for stage in _stages(node, run.ctx.parallel_regions):
+        batches = run.instrumented(stage.label, stage.operator(run, stage, batches))
+    items_fn = streamfn(node.return_expr)
+    stats = run.ctx.stats
     for batch in batches:
-        yield from batch.env_rows()
+        stats.bump(tuples_flowed=len(batch))
+        run.observe("return", len(batch))
+        for row in batch:
+            yield from items_fn(evaluator, row)
 
 
-def _rebatched(run: _BatchRun, rows: Iterator[Env],
-               owned: bool = True) -> Iterator[TupleBatch]:
-    builder = BatchBuilder(run.size, owned)
-    for env in rows:
-        batch = builder.add(env)
-        if batch is not None:
-            yield batch
-    tail = builder.flush()
-    if tail is not None:
-        yield tail
-
-
-# -- narrowing / extending clauses (row-compiled inner loops) ---------------
-
-
-def _for_batches(run: _BatchRun, clause: ast.ForClause,
-                 batches: Iterator[TupleBatch]) -> Iterator[TupleBatch]:
-    expr_fn = rowfn(clause.expr)
-    ev, size = run.ev, run.size
-    var, pos_var = clause.var, clause.pos_var
-    builder = BatchBuilder(size, owned=True)
-    added = (var, pos_var) if pos_var else (var,)
-    for batch in batches:
-        envs = batch.env_rows()
-        if not envs:
-            continue
-        names = _names_with(envs[0], added)
-        for env in envs:
-            items = expr_fn(ev, env)
-            if pos_var:
-                for position, item in enumerate(items, start=1):
-                    extended = dict(env)
-                    extended[var] = [item]
-                    extended[pos_var] = [_position_value(position)]
-                    out = builder.add(extended, names)
-                    if out is not None:
-                        yield out
-            else:
-                for item in items:
-                    extended = dict(env)
-                    extended[var] = [item]
-                    out = builder.add(extended, names)
-                    if out is not None:
-                        yield out
-    tail = builder.flush()
-    if tail is not None:
-        yield tail
-
-
-def _names_with(env: Env, added: tuple[str, ...]) -> tuple[str, ...]:
-    """The schema of ``env`` once ``added`` are bound in it, in the order
-    dict assignment gives.  Rows of one batch share a schema, so
-    multiplying operators work this out once per input batch instead of
-    leaving ``BatchBuilder.add`` to recompute it for every output row."""
-    return tuple(dict.fromkeys((*env, *added)))
-
-
-def _position_value(position: int):
-    from ..xml.items import AtomicValue
-
-    return AtomicValue(position, "xs:integer")
-
-
-def _let_batches(run: _BatchRun, clause: ast.LetClause,
-                 batches: Iterator[TupleBatch]) -> Iterator[TupleBatch]:
-    expr_fn = rowfn(clause.expr)
-    ev, var = run.ev, clause.var
-    for batch in batches:
-        column = [expr_fn(ev, env) for env in batch.env_rows()]
-        yield batch.extended([(var, column)])
-
-
-def _where_batches(run: _BatchRun, clause: ast.WhereClause,
-                   batches: Iterator[TupleBatch]) -> Iterator[TupleBatch]:
-    condition_fn = truthfn(clause.condition)
-    ev = run.ev
-    for batch in batches:
-        envs = batch.env_rows()
-        kept = [i for i, env in enumerate(envs) if condition_fn(ev, env)]
-        if not kept:
-            continue
-        if len(kept) == batch.length:
-            yield batch
-        else:
-            yield batch.select(kept)
-
-
-def _index_join_batches(run: _BatchRun, clause,
-                        batches: Iterator[TupleBatch]) -> Iterator[TupleBatch]:
-    """Batch twin of ``Evaluator._index_join_tuples``: identical index
-    build (span, facts, stats), row-compiled probe keys, and one
-    ``middleware_join_probes`` bump per batch instead of per tuple."""
-    ev, ctx = run.ev, run.ctx
-    var = clause.var
-    probe_fn = atomfn(clause.outer_key)
-    inner_fn = atomfn(clause.inner_key)
-    index: dict | None = None
-    builder = BatchBuilder(run.size, owned=True)
-    for batch in batches:
-        envs = batch.env_rows()
-        if envs and index is None:
-            index = {}
-            ctx.stats.bump(index_joins_built=1)
-            with ctx.tracer.start(
-                    "index-join.build", var,
-                    op=getattr(clause, "op_id", None)) as span:
-                for item in ev.iter_eval(clause.expr, envs[0]):
-                    key = inner_fn(ev, {var: [item]})
-                    if key is None or type(key) is MANY:
-                        continue  # empty/multi keys never equi-join
-                    index.setdefault(key.value, []).append(item)
-                span.set(index_size=sum(len(v) for v in index.values()))
-        ctx.stats.bump(middleware_join_probes=len(envs))
-        names = _names_with(envs[0], (var,)) if envs else ()
-        for env in envs:
-            key = probe_fn(ev, env)
-            if key is None or type(key) is MANY:
-                continue
-            for item in index.get(key.value, ()):  # type: ignore[union-attr]
-                extended = dict(env)
-                extended[var] = [item]
-                out = builder.add(extended, names)
-                if out is not None:
-                    yield out
-    tail = builder.flush()
-    if tail is not None:
-        yield tail
-
-
-# -- per-row FLWORs -----------------------------------------------------------
-
-def flwor_rowfn(node: ast.FLWOR):
-    """The row function of a FLWOR of ``for``/``let``/``where`` clauses
-    evaluated inside a row expression — what ``<E?>``, filters rewritten
-    as FLWORs and view unfolding leave in a ``return``
+def flwor_rowfn(node: ast.FLWOR) -> Callable:
+    """The eager driver: the row function of a FLWOR of ``for``/``let``/
+    ``where`` clauses evaluated inside a row expression — what ``<E?>``,
+    filters rewritten as FLWORs and view unfolding leave in a ``return``
     (``rowcompile._c_FLWOR`` decides which FLWORs qualify).
 
-    It is entered once per outer row and flows a handful of tuples, so
-    the clause operators run over plain lists of batches, stage by stage,
-    in the pipeline's order of evaluation and with the pipeline's batch
-    boundaries: every ``batch.rows`` / ``batch.count`` observation and
-    ``tuples_flowed`` bump is the one the pipeline would have made."""
-    stages = [(label, _list_stage(group[0]))
-              for label, group in _stages(node, False)]
+    The stages run one after the other over lists of batches, with the
+    lazy driver's batch boundaries: every ``batch.rows`` / ``batch.count``
+    observation and ``tuples_flowed`` bump is the one it would have made."""
+    stages = [(stage.label, _row_kernel(stage),
+               rowfn(stage.clauses[0].expr) if isinstance(stage.clauses[0], ast.ForClause)
+               else None)
+              for stage in _stages(node, False)]
     ret_fn = rowfn(node.return_expr)
 
     def call(evaluator, env):
-        run = _BatchRun(evaluator)
+        run = _Run(evaluator)
+        size = run.size
         batches = [[env]]
-        for label, stage in stages:
-            batches = stage(run, batches)
+        for label, kernel, items_fn in stages:
+            if items_fn is None:  # let, where: batch in, batch out
+                batches = [out for batch in batches if (out := kernel(evaluator, batch))]
+            else:
+                rows: Batch = []
+                for batch in batches:
+                    for row in batch:
+                        kernel(row, items_fn(evaluator, row), 1, rows)
+                batches = [rows[start:start + size] for start in range(0, len(rows), size)]
             for batch in batches:
                 run.observe(label, len(batch))
         items: list = []
@@ -364,81 +222,291 @@ def flwor_rowfn(node: ast.FLWOR):
         for batch in batches:
             stats.bump(tuples_flowed=len(batch))
             run.observe("return", len(batch))
-            for row_env in batch:
-                items.extend(ret_fn(evaluator, row_env))
+            for row in batch:
+                items.extend(ret_fn(evaluator, row))
         return items
 
     return call
 
 
-def _list_stage(clause):
-    """``(run, batches) -> batches`` over lists of environments: the list
-    twin of the clause's ``_*_batches`` generator (same rows, same batch
-    boundaries, empty batches dropped)."""
+# -- the kernels: for, let, where ------------------------------------------------
+
+
+def _for_kernel(var: str, pos_var: str | None) -> Callable:
+    """``bind(row, items, position, out)``: append to ``out`` one copy of
+    ``row`` per item, the item bound to ``var`` (and its position, counted
+    from ``position``, to ``pos_var``)."""
+
+    def bind(row, items, position, out):
+        for position, item in enumerate(items, position):
+            extended = dict(row)
+            extended[var] = [item]
+            if pos_var:
+                extended[pos_var] = [AtomicValue(position, "xs:integer")]
+            out.append(extended)
+
+    return bind
+
+
+def _row_kernel(stage: _Stage) -> Callable:
+    """The kernel of a ``for``/``let``/``where`` stage: :func:`_for_kernel`,
+    or for the other two ``(evaluator, batch) -> batch``, empty when no row
+    is left."""
+    clause = stage.clauses[0]
+    if isinstance(clause, ast.ForClause):
+        return _for_kernel(clause.var, clause.pos_var)
     if isinstance(clause, ast.WhereClause):
         condition_fn = truthfn(clause.condition)
+        return lambda evaluator, batch: [row for row in batch
+                                         if condition_fn(evaluator, row)]
+    expr_fn, var, owned = rowfn(clause.expr), clause.var, stage.owned
 
-        def where(run, batches):
-            ev = run.ev
-            kept = ([env for env in batch if condition_fn(ev, env)]
-                    for batch in batches)
-            return [batch for batch in kept if batch]
+    def let(evaluator, batch):
+        if not owned:  # the caller's environment: bind into a copy
+            batch = [dict(row) for row in batch]
+        for row in batch:
+            row[var] = expr_fn(evaluator, row)
+        return batch
 
-        return where
-    expr_fn = rowfn(clause.expr)
-    var = clause.var
-    if isinstance(clause, ast.LetClause):
-        def let(run, batches):
-            ev = run.ev
-            out = []
-            for batch in batches:
-                extended_batch = []
-                for env in batch:
-                    extended = dict(env)
-                    extended[var] = expr_fn(ev, env)
-                    extended_batch.append(extended)
-                out.append(extended_batch)
-            return out
+    return let
 
-        return let
-    pos_var = clause.pos_var
 
-    def for_(run, batches):
-        ev, size = run.ev, run.size
-        out, current = [], []
+# -- lazy operators ----------------------------------------------------------------
+
+
+def _row_batches(run: _Run, stage: _Stage, batches: Iterator[Batch]) -> Iterator[Batch]:
+    """``let`` / ``where``: a batch in, a batch out — narrowed, never
+    refilled from the next one, and dropped when no row is left."""
+    kernel, ev = _row_kernel(stage), run.ev
+    for batch in batches:
+        out = kernel(ev, batch)
+        if out:
+            yield out
+
+
+def _multiply(run: _Run, stage: _Stage, batches: Iterator[Batch],
+              items_fn: Callable, bind: Callable) -> Iterator[Batch]:
+    """The lazy driver of a multiplying clause: each input row becomes one
+    output row per element of ``items_fn(evaluator, row)``, made by
+    ``bind`` (the signature of :func:`_for_kernel`).  A batch goes
+    downstream the moment it fills, and the sequence — which may be a
+    stream — is pulled only as far as the open batch has room."""
+    ev, size, mixed = run.ev, run.size, stage.mixed
+    out: Batch = []
+    names = None
+    for batch in batches:
+        for row in batch:
+            if mixed:  # rows of one batch share a schema
+                schema = tuple(row)
+                if out and schema != names:
+                    yield out
+                    out = []
+                names = schema
+            items = iter(items_fn(ev, row))
+            position = 1
+            while True:
+                room = size - len(out)
+                chunk = list(islice(items, room))
+                bind(row, chunk, position, out)
+                if len(chunk) < room:
+                    break  # the sequence is exhausted
+                yield out
+                out = []
+                position += room
+    if out:
+        yield out
+
+
+def _for_batches(run: _Run, stage: _Stage, batches: Iterator[Batch]) -> Iterator[Batch]:
+    clause = stage.clauses[0]
+    return _multiply(run, stage, batches, streamfn(clause.expr),
+                     _for_kernel(clause.var, clause.pos_var))
+
+
+def _scatter_batches(run: _Run, stage: _Stage, batches: Iterator[Batch]) -> Iterator[Batch]:
+    """Evaluate a compiler-stamped scatter group (P-ADAPT): the lets are
+    data independent, so their source fetches run as one parallel group
+    — the virtual clock charges the max of the branches, not the sum.
+    Per-source errors degrade inside each branch exactly as they would
+    serially (``execute_pushed`` / table scans absorb their own faults)."""
+    clauses = stage.clauses
+
+    def gather(ev, row):
+        return (ev.ctx.async_exec.run_parallel(
+            [lambda c=clause: ev.eval(c.expr, row) for clause in clauses]),)
+
+    def bind(row, gathered, _position, out):
+        for values in gathered:
+            extended = dict(row)
+            for clause, value in zip(clauses, values):
+                extended[clause.var] = value
+            out.append(extended)
+
+    return _multiply(run, stage, batches, gather, bind)
+
+
+def _pushed_for_batches(run: _Run, stage: _Stage,
+                        batches: Iterator[Batch]) -> Iterator[Batch]:
+    """A same-database join pushed as one statement, shipped once per
+    outer row: each fetched row binds all of the clause's variables."""
+    clause, ctx = stage.clauses[0], run.ctx
+    pushed = clause.pushed
+    builders = [(var, template_fn(template)) for var, template in clause.var_templates]
+
+    def fetch(ev, row):
+        values = bind_parameters(pushed, row, ev)
+        params = [values[i] for i in param_order(pushed.select)]
+        sql = render_pushed(pushed, ev)
+        with ctx.tracer.start("pushed-join", pushed.database,
+                              op=getattr(clause, "op_id", None)) as span:
+            try:
+                fetched = ctx.connection(pushed.database).execute_query(sql, params)
+            except SourceError as exc:
+                if ctx.resilience.absorb(pushed.database, exc):
+                    span.set(degraded=True)
+                    return ()  # degraded: this outer row joins to nothing
+                raise
+            span.set(rows=len(fetched))
+        ctx.stats.bump(pushed_queries=1)
+        return fetched
+
+    def bind(row, fetched, _position, out):
+        for record in fetched:
+            extended = dict(row)
+            for var, build in builders:
+                extended[var] = build(record, [record])
+            out.append(extended)
+
+    return _multiply(run, stage, batches, fetch, bind)
+
+
+def _flatten(batches: Iterator[Batch]) -> Iterator[Env]:
+    for batch in batches:
+        yield from batch
+
+
+def _ppk_batches(run: _Run, stage: _Stage, batches: Iterator[Batch]) -> Iterator[Batch]:
+    """PP-k cuts its input into blocks of k rows, not into batches, and
+    prefetches across them (``operators/ppk.py``), so it takes the rows as
+    one stream: the one place the pipeline flattens its batches and forms
+    them again."""
+    rows = ppk_extend(stage.clauses[0], _flatten(batches), run.ev)
+    return batched(rows, run.size, stage.mixed)
+
+
+def _index_join_batches(run: _Run, stage: _Stage,
+                        batches: Iterator[Batch]) -> Iterator[Batch]:
+    """Index nested-loop join (section 5.2): hash the loop-invariant
+    inner sequence once, then probe per outer row (order-preserving)."""
+    clause, ev, ctx = stage.clauses[0], run.ev, run.ctx
+    replan = getattr(clause, "replan_ppk", None)
+    threshold = ctx.replan_threshold
+    est_outer = getattr(clause, "est_outer", None)
+    if replan is not None and threshold is not None and est_outer is not None:
+        # Mid-query re-planning (P-COST): the index join was chosen for
+        # a large estimated outer.  Hold the build until the outer has
+        # produced at least est/threshold rows; if the stream ends
+        # first, the estimate was off by more than the threshold and
+        # the runner-up PP-k twin serves the buffered rows instead —
+        # no source query has been issued yet, so the switch is free.
+        commit_at = max(1, math.ceil(est_outer / threshold))
+        held: list[Batch] = []
+        rows = 0
         for batch in batches:
-            for env in batch:
-                for position, item in enumerate(expr_fn(ev, env), start=1):
-                    extended = dict(env)
-                    extended[var] = [item]
-                    if pos_var:
-                        extended[pos_var] = [_position_value(position)]
-                    current.append(extended)
-                    if len(current) == size:
-                        out.append(current)
-                        current = []
-        if current:
-            out.append(current)
-        return out
+            held.append(batch)
+            rows += len(batch)
+            if rows >= commit_at:
+                break
+        else:
+            if held:
+                yield from _replan_index_to_ppk(run, stage, replan, held)
+            return
+        batches = chain(held, batches)
 
-    return for_
+    var, general = clause.var, clause.general
+    probe_fn, inner_fn = atomfn(clause.outer_key), atomfn(clause.inner_key)
+    index: dict = {}
+    places: dict = {}  # under ``=``: id(item) -> where it occurs in the inner sequence
+    built = multi_inner = False
+
+    def build(row):
+        nonlocal multi_inner
+        ctx.stats.bump(index_joins_built=1)
+        with ctx.tracer.start("index-join.build", var,
+                              op=getattr(clause, "op_id", None)) as span:
+            for place, item in enumerate(ev.iter_eval(clause.expr, row)):
+                key = inner_fn(ev, {var: [item]})
+                if key is None:
+                    continue  # an empty key joins nothing
+                if general:
+                    places.setdefault(id(item), []).append(place)
+                if type(key) is not MANY:
+                    index.setdefault(key.value, []).append(item)
+                elif general:
+                    for value in many_values(key, general):
+                        index.setdefault(value, []).append(item)
+                else:
+                    multi_inner = True  # the error of the first probe to meet it
+            span.set(index_size=sum(len(v) for v in index.values()))
+
+    def probed(batches):
+        """Per batch: the build before the first probe, the probe count."""
+        nonlocal built
+        for batch in batches:
+            if not built:
+                build(batch[0])
+                built = True
+            ctx.stats.bump(middleware_join_probes=len(batch))
+            yield batch
+
+    def matches(ev, row):
+        key = probe_fn(ev, row)
+        if key is None or not (index or multi_inner):
+            return ()  # no atom on one side or the other
+        if type(key) is not MANY and not multi_inner:
+            return index.get(key.value, ())
+        # More than one atom on a side: a value comparison is the nested
+        # loop's error; a general comparison joins on any pair of atoms,
+        # each occurrence of an inner item once and in inner order.
+        found = {place: item
+                 for value in many_values(key, general)
+                 for item in index.get(value, ())
+                 for place in places[id(item)]}
+        return [found[place] for place in sorted(found)]
+
+    yield from _multiply(run, stage, probed(batches), matches,
+                         _for_kernel(var, None))
 
 
-# -- blocking clauses (span placement mirrors the tuple operators) ----------
+def _replan_index_to_ppk(run: _Run, stage: _Stage, replan: PPkLetClause,
+                         held: list[Batch]) -> Iterator[Batch]:
+    """Serve a too-small outer through the region's PP-k twin: one
+    disjunctive block instead of a full inner scan.  The twin's output
+    (group var bound to matched items, table order per key) unnests to
+    exactly the rows the index join would have produced."""
+    clause, ctx = stage.clauses[0], run.ctx
+    ctx.stats.bump(replans=1)
+    with ctx.tracer.start("replan", replan.pushed.database,
+                          op=getattr(clause, "op_id", None),
+                          strategy_from="index-join", strategy_to="ppk"):
+        pass
+    twin = _ppk_batches(run, stage._replace(clauses=[replan]), iter(held))
+    return _multiply(run, stage, twin,
+                     lambda ev, row: row.pop(replan.var),  # PP-k's own rows
+                     _for_kernel(clause.var, None))
 
 
-def _order_batches(run: _BatchRun, clause: ast.OrderByClause,
-                   batches: Iterator[TupleBatch]) -> Iterator[TupleBatch]:
-    ev = run.ev
+# -- blocking clauses ----------------------------------------------------------------
+
+
+def _order_batches(run: _Run, stage: _Stage, batches: Iterator[Batch]) -> Iterator[Batch]:
+    clause, ev = stage.clauses[0], run.ev
     key_fns = [(atomfn(spec.key), spec.descending, spec.empty_greatest)
                for spec in clause.specs]
     with ev.ctx.tracer.start("order-by",
                              op=getattr(clause, "op_id", None)) as span:
-        materialized: list[Env] = []
-        owned = True
-        for batch in batches:  # upstream drains inside the span, as the
-            owned = owned and batch.owned  # tuple operator's list() does
-            materialized.extend(batch.env_rows())
+        # upstream drains inside the span
+        materialized: list[Env] = list(chain.from_iterable(batches))
 
         def sort_key(env: Env):
             keys = []
@@ -452,20 +520,19 @@ def _order_batches(run: _BatchRun, clause: ast.OrderByClause,
 
         materialized.sort(key=sort_key)
         span.set(tuples=len(materialized))
-    yield from _rebatched(run, iter(materialized), owned=owned)
+    yield from batched(materialized, run.size, stage.mixed)
 
 
-def _group_batches(run: _BatchRun, clause: ast.GroupByClause,
-                   batches: Iterator[TupleBatch]) -> Iterator[TupleBatch]:
-    ev = run.ev
+def _group_batches(run: _Run, stage: _Stage, batches: Iterator[Batch]) -> Iterator[Batch]:
+    """The FLWGOR group-by (section 3.1): cluster the rows by the key
+    expressions (sorting first — the generic fallback of section 4.2),
+    then emit one row per group."""
+    clause, ev = stage.clauses[0], run.ev
     key_fns = [atomfn(expr) for expr, _var in clause.keys]
 
-    def key_of(env_and_keys):
-        return env_and_keys[1]
-
-    def annotated():
+    def annotated() -> Iterator[tuple[Env, tuple]]:
         for batch in batches:
-            for env in batch.env_rows():
+            for env in batch:
                 key_values = []
                 for key_fn in key_fns:
                     atom = key_fn(ev, env)
@@ -474,19 +541,55 @@ def _group_batches(run: _BatchRun, clause: ast.GroupByClause,
                     key_values.append(None if atom is None else atom.value)
                 yield env, tuple(key_values)
 
-    base_grouper = clustered_groups if getattr(clause, "pre_clustered", False) \
+    grouper = clustered_groups if getattr(clause, "pre_clustered", False) \
         else sorted_groups
-
-    def grouper(stream, key_fn, stats):
-        # amortize_stats: identical peak_resident, O(groups) locking
-        return base_grouper(stream, key_fn, stats, amortize_stats=True)
     emitted_before = ev.group_stats.groups_emitted
     span = ev.ctx.tracer.start("group-by", op=getattr(clause, "op_id", None))
     try:
-        # The span stays open across emitted batches, exactly like the
-        # tuple operator's generator suspends inside its span.
-        yield from _rebatched(
-            run, ev._grouped_tuples(clause, grouper, annotated(), key_of))
+        # The span stays open across the groups emitted: the generator
+        # suspends inside it.  Group rows differ in schema (what survives
+        # a group depends on its members), whatever came in.
+        yield from batched(
+            _grouped_rows(clause, grouper(annotated(), lambda pair: pair[1],
+                                          ev.group_stats)),
+            run.size, True)
     finally:
         span.set(groups=ev.group_stats.groups_emitted - emitted_before)
         span.end()
+
+
+def _grouped_rows(clause: ast.GroupByClause, groups: Iterable) -> Iterator[Env]:
+    for key, members in groups:
+        result: Env = {}
+        for (_expr, var), value in zip(clause.keys, key):
+            result[var] = [] if value is None else [_as_atomic_value(value)]
+        # Single pass over the members: hoist the annotated-pair
+        # unpacking out of the per-variable loops.
+        envs = [env for env, _k in members]
+        for source, target in clause.grouped:
+            collected: list[Item] = []
+            for env in envs:
+                collected.extend(env.get(source, []))
+            result[target] = collected
+        # Variables not re-exposed by the group clause go out of scope;
+        # outer bindings shared by every member survive.
+        base = envs[0]
+        for name, value in base.items():
+            if name not in result and all(
+                env.get(name) is value for env in envs
+            ):
+                result[name] = value
+        yield result
+
+
+#: clause type -> (instrument label, lazy operator)
+_OPERATORS: dict[type, tuple[str, Callable]] = {
+    ast.ForClause: ("for", _for_batches),
+    ast.LetClause: ("let", _row_batches),
+    ast.WhereClause: ("where", _row_batches),
+    ast.OrderByClause: ("order-by", _order_batches),
+    ast.GroupByClause: ("group-by", _group_batches),
+    PPkLetClause: ("ppk", _ppk_batches),
+    PushedTupleForClause: ("pushed-join", _pushed_for_batches),
+    IndexJoinForClause: ("index-join", _index_join_batches),
+}

@@ -136,8 +136,8 @@ class DynamicContext:
         self._externals: contextvars.ContextVar = contextvars.ContextVar(
             "repro.external_variables", default=None
         )
-        #: rows per batch for the batch-at-a-time engine (P-BATCH); 1
-        #: disables batching and runs the tuple-at-a-time pipeline
+        #: rows one pull moves through the FLWOR pipeline (P-BATCH); a
+        #: value every FLWOR reads, 1 being a batch of one
         self.batch_size = DEFAULT_BATCH_SIZE
         #: rows-per-batch probe installed by ``Platform.profile`` — a
         #: ContextVar so a profiling run never sees batches of a query

@@ -2,27 +2,21 @@
 
 The optimized/pushed tree *is* the executable plan (code generation in
 ALDSP produces "a data structure that can be interpreted efficiently at
-runtime", section 3.3).  FLWOR pipelines are evaluated as streams of
-binding tuples flowing through clause operators — Python generators give
-the same pull-based, pipelined behaviour as the token-iterator runtime of
-section 5.2 — with dedicated operators for pushed SQL regions, PP-k
-blocks, grouping, and the service-quality functions (async / fail-over /
-timeout / cache).
+runtime", section 3.3).  This module interprets *expressions*: paths,
+constructors, comparisons, function and source calls, pushed SQL regions
+and the service-quality functions (async / fail-over / timeout / cache).
+A FLWOR is handed to the FLWOR runtime (:mod:`repro.runtime.batchexec`),
+the one pull-based pipeline of clause operators (section 5.2), which
+compiles the clause expressions (:mod:`repro.runtime.rowcompile`) and
+comes back here for the shapes that compiler bridges.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 from ..clock import VirtualClock
-from ..compiler.algebra import (
-    IndexJoinForClause,
-    PPkLetClause,
-    PushedSQL,
-    PushedTupleForClause,
-    SourceCall,
-)
+from ..compiler.algebra import PushedSQL, SourceCall
 from ..errors import DynamicError, SourceError, TypeMatchError
 from ..schema.dynamic import value_matches
 from ..xml.items import (
@@ -46,27 +40,10 @@ from ..xquery.functions import (
     numeric_value,
 )
 from .context import DynamicContext
-from .operators.group import GroupStats, clustered_groups, sorted_groups
-from .operators.ppk import ppk_extend
-from .operators.pushedsql import execute_pushed, template_fn
+from .operators.group import GroupStats
+from .operators.pushedsql import execute_pushed
 
 Env = dict
-
-
-def _clause_groups(clauses: list[ast.Clause],
-                   parallel_regions: bool) -> list[list[ast.Clause]]:
-    """Partition a FLWOR's clauses into singleton groups plus runs of
-    consecutive clauses sharing a compiler-stamped ``scatter_group`` id
-    (empty when scatter execution is administratively disabled)."""
-    groups: list[list[ast.Clause]] = []
-    for clause in clauses:
-        group_id = getattr(clause, "scatter_group", None) if parallel_regions else None
-        if (group_id is not None and groups
-                and getattr(groups[-1][0], "scatter_group", None) == group_id):
-            groups[-1].append(clause)
-        else:
-            groups.append([clause])
-    return groups
 
 
 class Evaluator:
@@ -570,245 +547,13 @@ class Evaluator:
             items.append(_row_element(meta, row))
         return items
 
-    # -- FLWOR pipeline -------------------------------------------------------------------------
+    # -- FLWORs ------------------------------------------------------------------------------
 
     def _eval_flwor(self, node: ast.FLWOR, env: Env) -> Iterator[Item]:
-        if self.ctx.batch_size > 1 and getattr(node, "batch_capable", False):
-            from .batchexec import eval_flwor_batched
+        """Every FLWOR, at every batch size, runs the FLWOR runtime."""
+        from .batchexec import eval_flwor  # function-level: it imports this module
 
-            yield from eval_flwor_batched(self, node, env)
-            return
-        tuples: Iterator[Env] = iter([env])
-        for group in _clause_groups(node.clauses, self.ctx.parallel_regions):
-            if len(group) == 1:
-                tuples = self._apply_clause(group[0], tuples)
-            else:
-                tuples = self._scatter_tuples(group, tuples)
-        for tuple_env in tuples:
-            self.ctx.stats.bump(tuples_flowed=1)
-            yield from self.iter_eval(node.return_expr, tuple_env)
-
-    def _scatter_tuples(self, clauses: list[ast.LetClause],
-                        tuples: Iterator[Env]) -> Iterator[Env]:
-        """Evaluate a compiler-stamped scatter group (P-ADAPT): the lets are
-        data independent, so their source fetches run as one parallel group
-        — the virtual clock charges the max of the branches, not the sum.
-        Per-source errors degrade inside each branch exactly as they would
-        serially (``execute_pushed`` / table scans absorb their own faults)."""
-        for env in tuples:
-            values = self.ctx.async_exec.run_parallel(
-                [lambda c=clause: self.eval(c.expr, env) for clause in clauses]
-            )
-            extended = dict(env)
-            for clause, value in zip(clauses, values):
-                extended[clause.var] = value
-            yield extended
-
-    def _apply_clause(self, clause: ast.Clause, tuples: Iterator[Env]) -> Iterator[Env]:
-        if isinstance(clause, ast.ForClause):
-            return self._for_tuples(clause, tuples)
-        if isinstance(clause, ast.LetClause):
-            return self._let_tuples(clause, tuples)
-        if isinstance(clause, ast.WhereClause):
-            return self._where_tuples(clause, tuples)
-        if isinstance(clause, ast.OrderByClause):
-            return self._order_tuples(clause, tuples)
-        if isinstance(clause, ast.GroupByClause):
-            return self._group_tuples(clause, tuples)
-        if isinstance(clause, PPkLetClause):
-            return ppk_extend(clause, tuples, self)
-        if isinstance(clause, PushedTupleForClause):
-            return self._pushed_tuple_for(clause, tuples)
-        if isinstance(clause, IndexJoinForClause):
-            return self._index_join_tuples(clause, tuples)
-        raise DynamicError(f"cannot execute clause {type(clause).__name__}")
-
-    def _index_join_tuples(self, clause: IndexJoinForClause,
-                           tuples: Iterator[Env]) -> Iterator[Env]:
-        """Index nested-loop join (section 5.2): hash the loop-invariant
-        inner sequence once, then probe per outer tuple (order-preserving)."""
-        replan = getattr(clause, "replan_ppk", None)
-        threshold = self.ctx.replan_threshold
-        est_outer = getattr(clause, "est_outer", None)
-        if replan is not None and threshold is not None and est_outer is not None:
-            # Mid-query re-planning (P-COST): the index join was chosen for
-            # a large estimated outer.  Hold the build until the outer has
-            # produced at least est/threshold tuples; if the stream ends
-            # first, the estimate was off by more than the threshold and
-            # the runner-up PP-k twin serves the buffered tuples instead —
-            # no source query has been issued yet, so the switch is free.
-            from itertools import chain, islice
-
-            commit_at = max(1, math.ceil(est_outer / threshold))
-            buffered = list(islice(tuples, commit_at))
-            if len(buffered) < commit_at:
-                if buffered:
-                    yield from self._replan_index_to_ppk(
-                        clause, replan, buffered)
-                return
-            tuples = chain(buffered, tuples)
-        index: dict | None = None
-        for env in tuples:
-            if index is None:
-                index = {}
-                self.ctx.stats.bump(index_joins_built=1)
-                with self.ctx.tracer.start(
-                        "index-join.build", clause.var,
-                        op=getattr(clause, "op_id", None)) as span:
-                    for item in self.iter_eval(clause.expr, env):
-                        key_atoms = atomize(self.eval(clause.inner_key, {clause.var: [item]}))
-                        if len(key_atoms) != 1:
-                            continue  # empty/multi keys never equi-join
-                        index.setdefault(key_atoms[0].value, []).append(item)
-                    span.set(index_size=sum(len(v) for v in index.values()))
-            self.ctx.stats.bump(middleware_join_probes=1)
-            probe_atoms = atomize(self.eval(clause.outer_key, env))
-            if len(probe_atoms) != 1:
-                continue
-            for item in index.get(probe_atoms[0].value, []):
-                extended = dict(env)
-                extended[clause.var] = [item]
-                yield extended
-
-    def _replan_index_to_ppk(self, clause: IndexJoinForClause,
-                             replan: PPkLetClause,
-                             buffered: list[Env]) -> Iterator[Env]:
-        """Serve a too-small outer through the region's PP-k twin: one
-        disjunctive block instead of a full inner scan.  The twin's output
-        (group var bound to matched items, table order per key) unnests to
-        exactly the tuples the index join would have produced."""
-        self.ctx.stats.bump(replans=1)
-        with self.ctx.tracer.start("replan", replan.pushed.database,
-                                   op=getattr(clause, "op_id", None),
-                                   strategy_from="index-join",
-                                   strategy_to="ppk"):
-            pass
-        for env in ppk_extend(replan, iter(buffered), self):
-            items = env.get(replan.var, [])
-            for item in items:
-                extended = dict(env)
-                del extended[replan.var]
-                extended[clause.var] = [item]
-                yield extended
-
-    def _for_tuples(self, clause: ast.ForClause, tuples: Iterator[Env]) -> Iterator[Env]:
-        for env in tuples:
-            for position, item in enumerate(self.iter_eval(clause.expr, env), start=1):
-                extended = dict(env)
-                extended[clause.var] = [item]
-                if clause.pos_var:
-                    extended[clause.pos_var] = [AtomicValue(position, "xs:integer")]
-                yield extended
-
-    def _let_tuples(self, clause: ast.LetClause, tuples: Iterator[Env]) -> Iterator[Env]:
-        for env in tuples:
-            extended = dict(env)
-            extended[clause.var] = self.eval(clause.expr, env)
-            yield extended
-
-    def _where_tuples(self, clause: ast.WhereClause, tuples: Iterator[Env]) -> Iterator[Env]:
-        for env in tuples:
-            if effective_boolean_value(self.eval(clause.condition, env)):
-                yield env
-
-    def _order_tuples(self, clause: ast.OrderByClause, tuples: Iterator[Env]) -> Iterator[Env]:
-        with self.ctx.tracer.start("order-by",
-                                   op=getattr(clause, "op_id", None)) as span:
-            materialized = list(tuples)
-
-            def sort_key(env: Env):
-                keys = []
-                for spec in clause.specs:
-                    atoms = atomize(self.eval(spec.key, env))
-                    if len(atoms) > 1:
-                        raise DynamicError("order by key with more than one item")
-                    value = atoms[0].value if atoms else None
-                    keys.append(_OrderKey(value, spec.descending, spec.empty_greatest))
-                return keys
-
-            materialized.sort(key=sort_key)
-            span.set(tuples=len(materialized))
-        return iter(materialized)
-
-    def _group_tuples(self, clause: ast.GroupByClause, tuples: Iterator[Env]) -> Iterator[Env]:
-        """The FLWGOR group-by (section 3.1): cluster the tuple stream by
-        the key expressions (sorting first — the generic fallback of
-        section 4.2), then emit one binding tuple per group."""
-
-        def key_of(env_and_keys):
-            return env_and_keys[1]
-
-        def annotated() -> Iterator[tuple[Env, tuple]]:
-            for env in tuples:
-                key_values = []
-                for expr, _var in clause.keys:
-                    atoms = atomize(self.eval(expr, env))
-                    if len(atoms) > 1:
-                        raise DynamicError("group by key with more than one item")
-                    key_values.append(atoms[0].value if atoms else None)
-                yield env, tuple(key_values)
-
-        grouper = clustered_groups if getattr(clause, "pre_clustered", False) else sorted_groups
-        emitted_before = self.group_stats.groups_emitted
-        span = self.ctx.tracer.start("group-by",
-                                     op=getattr(clause, "op_id", None))
-        try:
-            yield from self._grouped_tuples(clause, grouper, annotated(), key_of)
-        finally:
-            span.set(groups=self.group_stats.groups_emitted - emitted_before)
-            span.end()
-
-    def _grouped_tuples(self, clause: ast.GroupByClause, grouper, stream,
-                        key_of) -> Iterator[Env]:
-        for key, members in grouper(stream, key_of, self.group_stats):
-            result: Env = {}
-            for (_expr, var), value in zip(clause.keys, key):
-                result[var] = [] if value is None else [_as_atomic_value(value)]
-            # Single pass over the members: hoist the annotated-pair
-            # unpacking out of the per-variable loops.
-            envs = [env for env, _k in members]
-            for source, target in clause.grouped:
-                collected: list[Item] = []
-                for env in envs:
-                    collected.extend(env.get(source, []))
-                result[target] = collected
-            # Variables not re-exposed by the group clause go out of scope;
-            # outer bindings shared by every member survive.
-            base = envs[0]
-            for name, value in base.items():
-                if name not in result and all(
-                    env.get(name) is value for env in envs
-                ):
-                    result[name] = value
-            yield result
-
-    def _pushed_tuple_for(self, clause: PushedTupleForClause,
-                          tuples: Iterator[Env]) -> Iterator[Env]:
-        from ..sql.ast_nodes import param_order
-        from .operators.pushedsql import bind_parameters, render_pushed
-
-        pushed = clause.pushed
-        builders = [(var, template_fn(template)) for var, template in clause.var_templates]
-        for env in tuples:
-            values = bind_parameters(pushed, env, self)
-            params = [values[i] for i in param_order(pushed.select)]
-            sql = render_pushed(pushed, self)
-            with self.ctx.tracer.start("pushed-join", pushed.database,
-                                       op=getattr(clause, "op_id", None)) as span:
-                try:
-                    rows = self.ctx.connection(pushed.database).execute_query(sql, params)
-                except SourceError as exc:
-                    if self.ctx.resilience.absorb(pushed.database, exc):
-                        span.set(degraded=True)
-                        continue  # degraded: this outer tuple joins to nothing
-                    raise
-                span.set(rows=len(rows))
-            self.ctx.stats.bump(pushed_queries=1)
-            for row in rows:
-                extended = dict(env)
-                for var, build in builders:
-                    extended[var] = build(row, [row])
-                yield extended
+        return eval_flwor(self, node, env)
 
     # -- pushed region as an expression ----------------------------------------------------------
 

@@ -45,16 +45,14 @@ def clustered_groups(
     stream: Iterable[T],
     key_of: Callable[[T], Key],
     stats: GroupStats | None = None,
-    amortize_stats: bool = False,
 ) -> Iterator[tuple[Key, list[T]]]:
     """Form groups from pre-clustered input: one group is resident at a
     time (constant memory in the number of groups).
 
-    ``amortize_stats`` (the batch engine's mode) records residency once
-    per *group* instead of once per appended tuple — the running maximum
-    over a group's appends equals its final length, so ``peak_resident``
-    is identical while the locked observe drops from O(tuples) to
-    O(groups)."""
+    Residency is recorded once per *group*, not once per appended tuple:
+    the running maximum over a group's appends equals its final length,
+    so ``peak_resident`` is the same while the locked observe is
+    O(groups) instead of O(tuples)."""
     current_key: Key | None = None
     current: list[T] = []
     started = False
@@ -62,20 +60,16 @@ def clustered_groups(
         key = key_of(item)
         if started and key != current_key:
             if stats is not None:
-                if amortize_stats:
-                    stats.observe(len(current))
+                stats.observe(len(current))
                 stats.bump(groups_emitted=1)
             yield current_key, current  # type: ignore[misc]
             current = []
         current_key = key
         current.append(item)
         started = True
-        if stats is not None and not amortize_stats:
-            stats.observe(len(current))
     if started:
         if stats is not None:
-            if amortize_stats:
-                stats.observe(len(current))
+            stats.observe(len(current))
             stats.bump(groups_emitted=1)
         yield current_key, current  # type: ignore[misc]
 
@@ -84,7 +78,6 @@ def sorted_groups(
     stream: Iterable[T],
     key_of: Callable[[T], Key],
     stats: GroupStats | None = None,
-    amortize_stats: bool = False,
 ) -> Iterator[tuple[Key, list[T]]]:
     """The fallback: sort to provide clustering, then stream groups.
 
@@ -96,7 +89,7 @@ def sorted_groups(
     if stats is not None:
         stats.observe(len(materialized))
     materialized.sort(key=lambda item: _orderable(key_of(item)))
-    yield from clustered_groups(materialized, key_of, stats, amortize_stats)
+    yield from clustered_groups(materialized, key_of, stats)
 
 
 def _orderable(key: Key) -> tuple:

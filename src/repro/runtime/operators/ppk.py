@@ -58,7 +58,7 @@ from ...compiler.algebra import PPkLetClause, PushedSQL
 from ...errors import DynamicError, SourceError
 from ...sql.ast_nodes import BinOp, Param, Select, param_order
 from ...xml.items import Item
-from ...xquery.functions import atomize
+from ..rowcompile import MANY, atomfn, many_values
 from .pushedsql import bind_parameters, template_fn
 
 if TYPE_CHECKING:
@@ -139,7 +139,7 @@ def _extend_with_replan(clause: PPkLetClause, blocks, threshold: float,
 
 
 def _replan_fetch_scan(clause: PPkLetClause, env: dict,
-                       evaluator: "Evaluator") -> dict:
+                       evaluator: "Evaluator") -> "_Partition":
     """Fetch the region's base select once (the correlation disjunction is
     added per block, so the base select *is* the full scan) and partition
     the rows by the correlation column — the index-join build, done as a
@@ -150,7 +150,6 @@ def _replan_fetch_scan(clause: PPkLetClause, env: dict,
     correlation = pushed.correlation
     ctx = evaluator.ctx
     ctx.stats.bump(replans=1)
-    rows_by_key: dict[object, list[dict]] = {}
     with ctx.tracer.start("replan", pushed.database,
                           op=getattr(clause, "op_id", None),
                           strategy_from="ppk", strategy_to="scan") as span:
@@ -169,27 +168,36 @@ def _replan_fetch_scan(clause: PPkLetClause, env: dict,
         else:
             ctx.stats.bump(pushed_queries=1)
             span.set(rows=len(rows))
-        for row in rows:
-            if correlation.column_alias not in row:
-                raise DynamicError(
-                    f"PP-k correlation alias {correlation.column_alias!r} "
-                    f"missing from fetched row (columns: {sorted(row)})"
-                )
-            rows_by_key.setdefault(row[correlation.column_alias], []).append(row)
-    return rows_by_key
+        return _Partition(rows, correlation.column_alias)
 
 
-def _join_scan(clause: PPkLetClause, block: list[dict], rows_by_key: dict,
+def _join_scan(clause: PPkLetClause, block: list[dict], rows_by_key: "_Partition",
                evaluator: "Evaluator") -> Iterator[dict]:
     """Join one block of tuples against the re-plan scan's partitioned
     rows — key computation and per-key row order match the PP-k blocks,
     so the output stream is item-identical to the abandoned strategy."""
+    keys = _outer_keys(clause, block, evaluator)
+    yield from _join_block(clause, block, (keys, rows_by_key), evaluator)
+
+
+def _outer_keys(clause: PPkLetClause, block: list[dict],
+                evaluator: "Evaluator") -> list:
+    """Each tuple's join key, computed in the middleware on the row
+    compiler's atom lane: ``None`` for the empty sequence, the atom's
+    value, or — several atoms under a general comparison, which joins on
+    any of them — a tuple of values.  Several atoms under a value
+    comparison raise the nested loop's error (the nested loop would need
+    a row of the inner table with a non-NULL key to get that far)."""
     correlation = clause.pushed.correlation
+    key_fn = atomfn(correlation.outer_key)
     keys = []
     for env in block:
-        atoms = atomize(evaluator.eval(correlation.outer_key, env))
-        keys.append(atoms[0].value if atoms else None)
-    yield from _join_block(clause, block, (keys, rows_by_key), evaluator)
+        atom = key_fn(evaluator, env)
+        if type(atom) is MANY:
+            keys.append(many_values(atom, correlation.general))
+        else:
+            keys.append(None if atom is None else atom.value)
+    return keys
 
 
 def _block_sizer(clause: PPkLetClause, ctx):
@@ -276,7 +284,7 @@ def _join_thunk(clause: PPkLetClause, pending: list[tuple[list[dict], int]],
 
 
 def _fetch_block(clause: PPkLetClause, block: list[dict], capacity: int,
-                 evaluator: "Evaluator") -> tuple[list, dict]:
+                 evaluator: "Evaluator") -> "tuple[list, _Partition]":
     """Issue the block's disjunctive query; returns the per-tuple join keys
     and the fetched rows hash-partitioned by the correlation column."""
     pushed = clause.pushed
@@ -288,26 +296,11 @@ def _fetch_block(clause: PPkLetClause, block: list[dict], capacity: int,
     with ctx.tracer.start("ppk.fetch", pushed.database,
                           op=getattr(clause, "op_id", None),
                           tuples=len(block), k=capacity) as span:
-        # Compute each tuple's join key in the middleware.  Under the
-        # batch engine the key expression is row-compiled once and swept
-        # over the block in one pass (identical values: the compiled
-        # closure bridges to the interpreter for anything non-trivial).
-        if ctx.batch_size > 1:
-            from ..rowcompile import rowfn  # function-level: avoids an
-            # import cycle (evaluate -> ppk at module load)
-
-            key_fn = rowfn(correlation.outer_key)
-            keys = [atoms[0].value if atoms else None
-                    for atoms in (atomize(key_fn(evaluator, env))
-                                  for env in block)]
-        else:
-            keys = []
-            for env in block:
-                atoms = atomize(evaluator.eval(correlation.outer_key, env))
-                keys.append(atoms[0].value if atoms else None)
-
-        distinct_keys = [key for key in dict.fromkeys(keys) if key is not None]
-        rows_by_key: dict[object, list[dict]] = {}
+        keys = _outer_keys(clause, block, evaluator)
+        distinct_keys = list(dict.fromkeys(
+            value for key in keys if key is not None
+            for value in (key if type(key) is tuple else (key,))))
+        rows: list[dict] = []
         if distinct_keys:
             bucket = _bucket_size(len(distinct_keys), capacity)
             sql, order = _bucketed_sql(pushed, correlation, bucket, evaluator)
@@ -321,22 +314,37 @@ def _fetch_block(clause: PPkLetClause, block: list[dict], capacity: int,
             try:
                 rows = ctx.connection(pushed.database).execute_query(sql, params)
             except SourceError as exc:
-                if ctx.resilience.absorb(pushed.database, exc):
-                    # Degraded block: every tuple left-outer joins to nothing.
-                    span.set(degraded=True)
-                    return keys, rows_by_key
-                raise
-            ctx.stats.bump(pushed_queries=1)
-            span.set(rows=len(rows))
-            # Hash join: partition the fetched rows by the correlation column.
-            for row in rows:
-                if correlation.column_alias not in row:
-                    raise DynamicError(
-                        f"PP-k correlation alias {correlation.column_alias!r} missing "
-                        f"from fetched row (columns: {sorted(row)})"
-                    )
-                rows_by_key.setdefault(row[correlation.column_alias], []).append(row)
-    return keys, rows_by_key
+                if not ctx.resilience.absorb(pushed.database, exc):
+                    raise
+                # Degraded block: every tuple left-outer joins to nothing.
+                span.set(degraded=True)
+                rows = []
+            else:
+                ctx.stats.bump(pushed_queries=1)
+                span.set(rows=len(rows))
+        return keys, _Partition(rows, correlation.column_alias)
+
+
+class _Partition(dict):
+    """The hash join's build side: fetched rows partitioned by the
+    correlation column (key value -> rows, each list in fetch order)."""
+
+    def __init__(self, rows: list[dict], alias: str):
+        super().__init__()
+        self.rows, self.alias = rows, alias
+        for row in rows:
+            if alias not in row:
+                raise DynamicError(
+                    f"PP-k correlation alias {alias!r} missing "
+                    f"from fetched row (columns: {sorted(row)})"
+                )
+            self.setdefault(row[alias], []).append(row)
+
+    def any_of(self, keys: tuple) -> list[dict]:
+        """The rows matching any value of a multi-atom key: each row once
+        (it has one key), in fetch order."""
+        alias = self.alias
+        return [row for row in self.rows if row[alias] in keys]
 
 
 def _join_block(clause: PPkLetClause, block: list[dict],
@@ -352,7 +360,10 @@ def _join_block(clause: PPkLetClause, block: list[dict],
         ctx.clock.charge_ms(ctx.middleware.ppk_join_ms_per_tuple * len(block))
     build = template_fn(clause.pushed.template)
     for env, key in zip(block, keys):
-        matches = rows_by_key.get(key, [])
+        if type(key) is tuple:
+            matches = rows_by_key.any_of(key)
+        else:
+            matches = rows_by_key.get(key, [])
         items: list[Item] = []
         for row in matches:
             items.extend(build(row, [row]))

@@ -17,6 +17,7 @@ from ...xml.items import AtomicValue, AttributeNode, ElementNode, Item, TextNode
 from ...xml.qname import QName
 from ...xquery import ast_nodes as ast
 from ..operators.group import clustered_groups
+from ..rowcompile import MANY, atomfn
 
 if TYPE_CHECKING:
     from ..evaluate import Evaluator
@@ -51,20 +52,11 @@ def bind_parameters(pushed: PushedSQL, env: dict, evaluator: "Evaluator") -> lis
     :func:`repro.sql.ast_nodes.param_order` before shipping)."""
     params = []
     for expr in pushed.param_exprs:
-        params.append(single_param_value(evaluator.eval(expr, env)))
+        atom = atomfn(expr)(evaluator, env)
+        if type(atom) is MANY:
+            raise DynamicError("SQL parameter bound to a multi-item sequence")
+        params.append(None if atom is None else atom.value)
     return params
-
-
-def single_param_value(items: list[Item]):
-    """Project one middleware value onto a SQL parameter."""
-    from ...xquery.functions import atomize
-
-    atoms = atomize(items)
-    if not atoms:
-        return None
-    if len(atoms) > 1:
-        raise DynamicError("SQL parameter bound to a multi-item sequence")
-    return atoms[0].value
 
 
 def render_pushed(pushed: PushedSQL, evaluator: "Evaluator") -> str:
@@ -81,19 +73,14 @@ def rebuild(pushed: PushedSQL, rows: list[dict], evaluator: "Evaluator") -> Iter
     """Apply the reconstruction template to the fetched rows."""
     build = template_fn(pushed.template)
     if pushed.regroup is None:
+        # Rebuild a batch of rows per pull into one flat item list: one
+        # generator resumption per batch instead of per row.
         size = evaluator.ctx.batch_size
-        if size > 1 and len(rows) > 1:
-            # Batch-protocol materialization: rebuild batch_size rows per
-            # pull into one flat item list (identical stream, one
-            # generator resumption per batch instead of per row).
-            for start in range(0, len(rows), size):
-                items: list[Item] = []
-                for row in rows[start:start + size]:
-                    items.extend(build(row, [row]))
-                yield from items
-            return
-        for row in rows:
-            yield from build(row, [row])
+        for start in range(0, len(rows), size):
+            items: list[Item] = []
+            for row in rows[start:start + size]:
+                items.extend(build(row, [row]))
+            yield from items
         return
     keys = pushed.regroup
     for _key, group in clustered_groups(rows, lambda r: tuple(r[a] for a in keys)):

@@ -1,11 +1,12 @@
 """Row-expression compiler (P-BATCH): AST shapes become closures.
 
-The tuple-at-a-time interpreter pays a ``getattr`` dispatch, a generator
-wrap and a ``list()`` materialization on *every* sub-expression of every
-row.  The batch engine amortizes per-clause setup across a whole batch,
-so it can afford to compile each clause expression **once** into a chain
-of plain closures and call that per row — no dispatch, no generator
-frames.  A compiled expression has two calling conventions:
+The interpreter (``Evaluator.eval``) pays a ``getattr`` dispatch, a
+generator wrap and a ``list()`` materialization on *every* sub-expression
+of every row.  The FLWOR runtime (:mod:`repro.runtime.batchexec`) sets a
+clause up once for all the rows it will see, so every clause expression of
+every FLWOR is compiled **once** into a chain of plain closures and called
+per row — no dispatch, no generator frames.  A compiled expression has two
+calling conventions:
 
 * the **list form** ``f(evaluator, env) -> list[Item]`` — every shape has
   it, and it returns a **fresh list** per call (callers and builtin
@@ -34,8 +35,10 @@ compiled shape reuses the *same* helper functions the interpreter calls
 ``construct_element_content``, the evaluator's ``_filter``), and every
 shape the compiler does not understand falls back to a bridge closure
 that simply calls ``evaluator.eval`` — the interpreter itself
-(:func:`bridged` lists them).  The equivalence suite
-(``tests/test_batch_equivalence.py``) asserts the end-to-end identity.
+(:func:`bridged` lists them).  ``tests/test_flwor_differential.py`` and
+the lane matrices of ``tests/test_batch_runtime.py`` hold the compiled
+forms to the interpreter, driven by the reference FLWOR driver under
+``tests/``.
 
 Compiled closures are cached on the AST node (``node._rowfn``), like the
 memoized SQL renderings on pushed regions (``_sql_text``).  Closures
@@ -71,6 +74,16 @@ class MANY(list):
     ``fn:data`` and general comparison need no second evaluation)."""
 
     __slots__ = ()
+
+
+def many_values(atoms: MANY, general: bool) -> tuple:
+    """The distinct values of a join key with more than one atom, for the
+    operators that hash join keys (PP-k, the index nested-loop join).  A
+    general comparison (``=``) joins on any of them; a value comparison
+    (``eq``) over them is the error the nested loop raises."""
+    if not general:
+        raise DynamicError("value comparison over multi-item sequence")
+    return tuple(dict.fromkeys(atom.value for atom in atoms))
 
 
 _TRUE = AtomicValue(True, "xs:boolean")
@@ -142,8 +155,8 @@ def _bridge(node: ast.AstNode) -> RowFn:
     return call
 
 
-#: plan operators the interpreter owns under either engine: nothing in
-#: them is row-expression work the compiler could have taken
+#: plan operators the interpreter owns: nothing in them is row-expression
+#: work the compiler could have taken
 _SOURCE_OPERATORS = frozenset({"PushedSQL", "SourceCall"})
 
 
@@ -378,7 +391,7 @@ def _c_Quantified(node: ast.Quantified) -> RowFn:
     """``some``/``every``: the interpreter's ``_quantify``, binding for
     binding — sequences bind left to right, each item in its own copy of
     the environment, and the first deciding item ends the scan."""
-    bindings = [(var, _binding_items(expr)) for var, expr in node.bindings]
+    bindings = [(var, streamfn(expr)) for var, expr in node.bindings]
     satisfies_fn = truthfn(node.satisfies)
     some = node.kind == "some"
     depth = len(bindings)
@@ -398,14 +411,16 @@ def _c_Quantified(node: ast.Quantified) -> RowFn:
         lambda evaluator, env: _TRUE if quantify(evaluator, env, 0) else _FALSE)
 
 
-def _binding_items(expr: ast.AstNode) -> Callable:
-    """``(evaluator, env) -> iterable of items`` for a quantifier binding.
-    A FLWOR or a pushed region streams, as it does under
-    ``Evaluator.iter_eval``: a deciding item ends the scan before the
-    rest of the sequence is produced."""
+def streamfn(expr: ast.AstNode) -> Callable:
+    """``(evaluator, env) -> iterable of items``, for a consumer that may
+    stop early: a quantifier binding, a ``for`` sequence or the ``return``
+    of the lazy FLWOR driver.  A FLWOR or a pushed region streams, as it
+    does under ``Evaluator.iter_eval`` — a deciding item, or an abandoned
+    result, ends the scan before the rest of the sequence is produced;
+    any other shape is its row function's list."""
     if type(expr).__name__ in ("FLWOR", "PushedSQL"):
         return lambda evaluator, env: evaluator.iter_eval(expr, env)
-    return _sub(expr)
+    return rowfn(expr)
 
 
 _ROW_CLAUSES = (ast.ForClause, ast.LetClause, ast.WhereClause)
@@ -416,12 +431,10 @@ def _c_FLWOR(node: ast.FLWOR) -> RowFn | None:
     and every FLWOR nested in it — is made only of ``for``/``let``/
     ``where`` over sequences already in memory.  A source access, a
     service-quality call or a user function (cache, spans) anywhere under
-    it has effects whose timing the generator pipeline's pull order
-    decides, so such a FLWOR keeps the pipeline (the bridge)."""
+    it has effects whose timing the lazy driver's pull order decides, so
+    such a FLWOR is bridged to ``Evaluator.eval``, which runs it there."""
     from .batchexec import flwor_rowfn
 
-    if not getattr(node, "batch_capable", False):
-        return None  # the tuple engine's, under every batch size
     builtins = all_builtins()
     for sub in node.walk():
         if isinstance(sub, ast.FLWOR):

@@ -271,12 +271,13 @@ class Platform:
         self.ctx.ppk_prefetch_window = window
 
     def set_batch_size(self, n: int) -> None:
-        """Rows per batch for the batch-at-a-time engine (P-BATCH,
-        default 256).  ``n=1`` disables batching entirely and runs the
-        original tuple-at-a-time pipeline — the A/B ablation baseline;
-        results, explain, profile trees and virtual-clock charges are
-        byte-identical either way.  A runtime knob: compiled plans carry
-        only a batch-capability stamp and are unaffected."""
+        """How many rows one pull moves through the FLWOR pipeline
+        (P-BATCH, default 256).  A value, not a switch: every FLWOR runs
+        the one pipeline at every ``n``, and ``n=1`` is a batch of one.
+        Results, explain, profile trees and virtual-clock charges are
+        byte-identical at every size; a batch is handed on when it fills,
+        so ``n`` trades time to the first item against per-row dispatch.
+        Read at run time: compiled plans do not depend on it."""
         if n < 1:
             raise ValueError("batch size must be >= 1")
         self.ctx.batch_size = n

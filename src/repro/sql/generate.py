@@ -260,7 +260,8 @@ class RegionCompiler:
                     xs_type = binding.meta.column_type(column) or "xs:string"
                     column_expr = ColumnRef(binding.alias, column)
                     alias = self._add_select(column_expr, hidden=True)
-                    self.correlation = Correlation(column_expr, alias, other_side)
+                    self.correlation = Correlation(column_expr, alias, other_side,
+                                                   conjunct_.general)
                     return None
         expr, _t = self._scalar(conjunct, allow_agg=False)
         return expr

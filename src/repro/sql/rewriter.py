@@ -415,7 +415,8 @@ class PushdownRewriter:
                 outer_free = free_vars(outer_side)
                 if inner_free == {var} and outer_free and outer_free <= bound_now:
                     conjuncts.remove(conjunct)
-                    return IndexJoinForClause(var, clause.expr, inner_side, outer_side)
+                    return IndexJoinForClause(var, clause.expr, inner_side, outer_side,
+                                              conjunct.general)
         return None
 
     def _try_scan(self, call: ast.AstNode, conjuncts: list[ast.AstNode],

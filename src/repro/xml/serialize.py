@@ -75,9 +75,8 @@ def serialize_to_sink(items: Iterable[Item], sink, indent: int | None = None,
     """Stream ``items`` into ``sink`` (a writable text file object),
     ``separator`` between items; returns the item count.
 
-    ``batch_size > 1`` is the batch engine's token-serialization path: it
-    buffers the fragments of that many items and flushes them with a single
-    ``"".join`` + ``write`` per batch, amortizing the per-token sink call.
+    The fragments of ``batch_size`` items are buffered and flushed with a
+    single ``"".join`` + ``write``, amortizing the per-token sink call.
     The bytes produced are identical for every batch size.
     """
     count = 0

@@ -1,11 +1,11 @@
-"""Units for the batch-at-a-time execution core (P-BATCH).
+"""Units for the FLWOR runtime (P-BATCH).
 
-Covers the :class:`TupleBatch` container and :class:`BatchBuilder`
-accumulator, the row-expression compiler's edge semantics, the
-``set_batch_size`` knob, compiler batch-capability stamping, batched
-serialization, the adaptive-PP-k/batch-size interaction, and the
-``BatchProbe`` observability surface.  End-to-end byte-identity lives in
-``tests/test_batch_equivalence.py``.
+Covers what a batch is (row ownership, emit-on-fill, schema-uniform
+batches), the row-expression compiler's edge semantics against the
+reference driver of ``tests/flwor_reference.py``, the ``set_batch_size``
+value, batched serialization, the adaptive-PP-k/batch-size interaction,
+and the ``BatchProbe`` observability surface.  End-to-end byte-identity
+lives in ``tests/test_batch_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -16,97 +16,99 @@ import pytest
 
 from repro.demo import build_demo_platform
 from repro.relational import LatencyModel
-from repro.runtime.batch import DEFAULT_BATCH_SIZE, BatchBuilder, TupleBatch, rebatch
+from repro.runtime.batch import DEFAULT_BATCH_SIZE, batched
 from repro.xml.serialize import serialize_to_sink
 from repro.xquery import ast_nodes as ast
 
+from .flwor_reference import reference_execute
+
 
 # ---------------------------------------------------------------------------
-# TupleBatch
+# Batches: lists of row dicts
 # ---------------------------------------------------------------------------
+
+def _let_stages(query: str):
+    """``(evaluator, [(stage, kernel)])`` of the query's FLWOR."""
+    from repro.runtime.batchexec import _row_kernel, _stages
+    from repro.xquery.parser import parse_expression
+
+    platform = build_demo_platform(customers=2, orders_per_customer=0)
+    stages = _stages(parse_expression(query), True)
+    return platform.evaluator, [(stage, _row_kernel(stage)) for stage in stages]
+
 
 class TestTupleBatch:
     def test_initial_holds_the_callers_env_unowned(self):
-        env = {"x": [1]}
-        batch = TupleBatch.initial(env)
-        assert batch.length == 1
-        assert batch.env_rows()[0] is env
-        assert not batch.owned
+        _ev, [(first, _kernel)] = _let_stages("let $b := 9 return $b")
+        assert not first.owned and not first.mixed
 
     def test_extended_owned_reuses_frames_in_place(self):
+        ev, [(_for, _bind), (let, kernel)] = _let_stages(
+            "for $a in (1, 2) let $b := 10 return $b")
+        assert let.owned  # the for made these rows
         rows = [{"a": [1]}, {"a": [2]}]
-        batch = TupleBatch.from_rows(rows, owned=True)
-        extended = batch.extended([("b", [[10], [20]])])
+        extended = kernel(ev, rows)
         # the same dict objects were extended — no per-tuple copies
-        assert extended.env_rows()[0] is rows[0]
-        assert rows[0] == {"a": [1], "b": [10]}
-        assert extended.names == ("a", "b")
+        assert extended is rows and extended[0] is rows[0]
+        assert list(rows[0]) == ["a", "b"] and rows[0]["b"][0].value == 10
 
     def test_extended_unowned_copies_the_frames(self):
+        ev, [(first, kernel), (second, _kernel)] = _let_stages(
+            "let $b := 9 let $c := 8 return $b")
         rows = [{"a": [1]}]
-        batch = TupleBatch.from_rows(rows, owned=False)
-        extended = batch.extended([("b", [[9]])])
+        extended = kernel(ev, rows)
         assert rows[0] == {"a": [1]}  # caller's dict untouched
-        assert extended.env_rows()[0] == {"a": [1], "b": [9]}
-        assert extended.owned  # the copies belong to the pipeline now
+        assert list(extended[0]) == ["a", "b"]
+        assert second.owned  # the copies belong to the pipeline now
 
-    def test_columnar_extension_shares_existing_columns(self):
-        batch = TupleBatch.from_columns(("a",), {"a": [[1], [2]]}, 2)
-        column_a = batch.column("a")
-        extended = batch.extended([("b", [[3], [4]])])
-        assert extended.column("a") is column_a  # copy-on-write share
-        assert extended.column("b") == [[3], [4]]
+    def test_where_and_order_by_hand_on_the_rows_they_were_given(self):
+        """The pushdown pass moves a ``where`` above a ``let``: the rows
+        that reach the ``let`` are then still the caller's."""
+        from repro.runtime.batchexec import _stages
+        from repro.xquery.parser import parse_expression
 
-    def test_row_view_is_materialized_once_and_cached(self):
-        batch = TupleBatch.from_columns(("a", "b"),
-                                        {"a": [[1], [2]], "b": [[3], [4]]}, 2)
-        rows = batch.env_rows()
-        assert rows == [{"a": [1], "b": [3]}, {"a": [2], "b": [4]}]
-        assert batch.env_rows() is rows
-
-    def test_select_and_slice_preserve_row_identity(self):
-        rows = [{"a": [i]} for i in range(5)]
-        batch = TupleBatch.from_rows(rows, owned=True)
-        picked = batch.select([0, 3])
-        assert [env["a"] for env in picked.env_rows()] == [[0], [3]]
-        assert picked.env_rows()[1] is rows[3]
-        window = batch.slice(1, 3)
-        assert len(window) == 2
-        assert window.env_rows()[0] is rows[1]
-
-    def test_concat_merges_same_schema_batches(self):
-        one = TupleBatch.from_rows([{"a": [1]}], owned=True)
-        two = TupleBatch.from_rows([{"a": [2]}, {"a": [3]}], owned=True)
-        merged = TupleBatch.concat([one, two])
-        assert merged.length == 3
-        assert merged.owned
-        with pytest.raises(ValueError):
-            TupleBatch.concat([one, TupleBatch.from_rows([{"b": [1]}], owned=True)])
+        flwor = parse_expression("let $b := 1 where $a return $b")
+        flwor.clauses.reverse()
+        assert [stage.owned for stage in _stages(flwor, True)] == [False, False]
+        flwor = parse_expression("for $a in (1, 2) let $b := 1 where $a order by $a return $b")
+        assert [stage.owned for stage in _stages(flwor, True)] == [False, True, True, True]
 
 
 class TestBatchBuilder:
-    def test_capacity_flush_is_deferred_one_add(self):
-        builder = BatchBuilder(capacity=2)
-        assert builder.add({"a": [1]}) is None
-        assert builder.add({"a": [2]}) is None
-        # the full batch is emitted by the add that overflows it
-        emitted = builder.add({"a": [3]})
-        assert emitted is not None and emitted.length == 2
-        tail = builder.flush()
-        assert tail is not None and tail.length == 1
+    def test_a_batch_is_emitted_when_it_fills(self):
+        """Not when the next row arrives: the source is read no further
+        than the rows handed on."""
+        source = iter([{"a": [i]} for i in range(5)])
+        batches = batched(source, 2, mixed=False)
+        assert len(next(batches)) == 2
+        assert next(source) == {"a": [2]}  # the third row was never pulled
+        assert [len(b) for b in batches] == [2]
 
     def test_schema_change_flushes_pending_rows(self):
-        builder = BatchBuilder(capacity=10)
-        builder.add({"a": [1]})
-        emitted = builder.add({"a": [1], "b": [2]})
-        assert emitted is not None
-        assert emitted.names == ("a",) and emitted.length == 1
+        rows = [{"a": [1]}, {"a": [1], "b": [2]}, {"a": [3], "b": [4]}]
+        assert [len(b) for b in batched(rows, 10, mixed=True)] == [1, 2]
+        # one row per batch: a schema change cannot close an empty batch
+        assert [len(b) for b in batched(rows, 1, mixed=True)] == [1, 1, 1]
+        # where schemas cannot differ they are not looked at
+        assert [len(b) for b in batched(rows, 10, mixed=False)] == [3]
 
     def test_rebatch_round_trips_a_row_stream(self):
         rows = [{"a": [i]} for i in range(7)]
-        batches = list(rebatch(iter(rows), capacity=3))
-        assert [b.length for b in batches] == [3, 3, 1]
-        assert [env["a"][0] for b in batches for env in b.env_rows()] == list(range(7))
+        batches = list(batched(iter(rows), 3, mixed=False))
+        assert [len(b) for b in batches] == [3, 3, 1]
+        assert [env["a"][0] for b in batches for env in b] == list(range(7))
+
+    def test_group_by_output_is_cut_at_schema_changes(self):
+        """A group of one keeps its members' other bindings, a larger one
+        does not: downstream batches never mix the two."""
+        platform = build_demo_platform(customers=2, orders_per_customer=0)
+        profile = platform.profile(
+            "for $x in (1, 2, 2, 3, 3, 4) group $x as $xs by $x as $k "
+            "order by $k return fn:count($xs)")
+        # groups 1 | 2 2 | 3 3 | 4 -> schemas A B B A -> three batches
+        assert profile.batches["group-by#2"]["batches"] == 3
+        assert profile.batches["order-by#3"]["batches"] == 3
+        assert profile.batches["return"] == {"batches": 3, "rows": 4, "rows_per_batch": 1.33}
 
 
 # ---------------------------------------------------------------------------
@@ -152,20 +154,16 @@ class TestKnobAndStamp:
         _flwor_nodes(plan.expr, flwors)
         assert flwors and all(f.batch_capable for f in flwors)
 
-    def test_batch_size_one_never_imports_the_batch_engine(self):
-        """n=1 is the honest ablation: the legacy pipeline runs untouched."""
-        import sys
+    def test_batch_size_selects_no_code_path(self):
+        """Rows per pull is a value: the source reads it only to size a
+        batch (and, in ``_block_sizer``, to cap an adaptive PP-k block)."""
+        from pathlib import Path
 
-        preserved = {name: sys.modules.pop(name) for name in list(sys.modules)
-                     if name.endswith(("runtime.batchexec", "runtime.rowcompile"))}
-        try:
-            platform = build_demo_platform(customers=2, orders_per_customer=1)
-            platform.set_batch_size(1)
-            platform.execute("for $c in CUSTOMER() order by $c/CID return $c/CID")
-            assert not any(name.endswith("runtime.batchexec")
-                           for name in sys.modules)
-        finally:
-            sys.modules.update(preserved)
+        import repro
+
+        hits = [path.name for path in Path(repro.__file__).parent.rglob("*.py")
+                for line in path.read_text().splitlines() if "batch_size > 1" in line]
+        assert hits == ["ppk.py"]
 
     def test_idiv_and_mod_match_across_engines(self):
         """Row-compiled arithmetic keeps XQuery (truncating) semantics for
@@ -183,8 +181,9 @@ class TestKnobAndStamp:
 
 
     def test_integer_mod_and_idiv_are_exact_beyond_2_to_the_53(self):
-        """Both engines share one kernel that never detours through
-        floats (``math.fmod``/``int(a / b)`` lose the low digits)."""
+        """The interpreter and the row compiler share one kernel that never
+        detours through floats (``math.fmod``/``int(a / b)`` lose the low
+        digits)."""
         from repro import serialize
         from repro.xquery.functions import arithmetic_value
 
@@ -205,7 +204,8 @@ class TestKnobAndStamp:
 
 
 # ---------------------------------------------------------------------------
-# The atom lane: compiled vs interpreter over every operand cardinality
+# The atom lane: compiled vs the reference driver (the interpreter, one tuple
+# at a time) over every operand cardinality
 # ---------------------------------------------------------------------------
 
 def _untyped(text: str):
@@ -260,23 +260,34 @@ LANE_CONTEXTS = [
 ]
 
 
+LANE_SIZES = (1, 2, 7, 256)
+
+
 @pytest.fixture(scope="module")
 def lane_platforms():
     platforms = {}
-    for size in (1, 2, 7, 256):
+    for size in LANE_SIZES:
         platforms[size] = build_demo_platform(customers=2, orders_per_customer=0)
         platforms[size].set_batch_size(size)
+    platforms["reference"] = build_demo_platform(customers=2, orders_per_customer=0)
     return platforms
 
 
-def _outcome(platform, query: str, variables: dict) -> str:
+def _outcome(platform, query: str, variables: dict, execute=None) -> str:
     from repro import serialize
     from repro.errors import DynamicError
 
     try:
-        return serialize(platform.execute(query, variables))
+        return serialize((execute or platform.execute)(query, variables))
     except DynamicError as exc:
         return f"DynamicError: {exc}"
+
+
+def _reference_outcome(lane_platforms, query: str, variables: dict) -> str:
+    """The reference driver's outcome, over the plan the engine runs."""
+    platform = lane_platforms["reference"]
+    return _outcome(platform, query, variables,
+                    lambda q, v: reference_execute(platform, q, v))
 
 
 class TestAtomLane:
@@ -290,8 +301,8 @@ class TestAtomLane:
         for a_kind, a in OPERANDS.items():
             for b_kind, b in OPERANDS.items():
                 variables = {"a": a, "b": b}
-                expected = _outcome(lane_platforms[1], query, variables)
-                for size in (2, 7, 256):
+                expected = _reference_outcome(lane_platforms, query, variables)
+                for size in LANE_SIZES:
                     assert _outcome(lane_platforms[size], query, variables) \
                         == expected, (query, a_kind, b_kind, size)
                 if expected.startswith("DynamicError"):
@@ -328,6 +339,7 @@ class TestAtomLane:
          "boolean is not numeric"),
     ])
     def test_error_text(self, lane_platforms, query, variables, message):
+        assert _reference_outcome(lane_platforms, query, variables).endswith(message)
         for platform in lane_platforms.values():
             assert _outcome(platform, query, variables).endswith(message)
 
@@ -392,7 +404,7 @@ class TestAtomLane:
 # ---------------------------------------------------------------------------
 
 # ---------------------------------------------------------------------------
-# Compiled quantifiers and per-row FLWORs against the interpreter
+# Compiled quantifiers and per-row FLWORs against the reference driver
 # ---------------------------------------------------------------------------
 
 #: quantifier shapes over the operand bindings ``$a`` / ``$b``
@@ -453,9 +465,9 @@ class TestQuantifiedAndPerRowFlwors:
         for a_kind, a in OPERANDS.items():
             for b_kind, b in OPERANDS.items():
                 variables = {"a": a, "b": b}
-                expected = _outcome(lane_platforms[1], query, variables)
+                expected = _reference_outcome(lane_platforms, query, variables)
                 outcomes.add(expected)
-                for size in (2, 7, 256):
+                for size in LANE_SIZES:
                     assert _outcome(lane_platforms[size], query, variables) \
                         == expected, (query, a_kind, b_kind, size)
         if query in EMPTY_PER_ROW_FLWORS:
@@ -487,8 +499,8 @@ class TestQuantifiedAndPerRowFlwors:
                 .endswith("effective boolean value of multi-item atomic sequence")
 
     def test_which_flwors_run_as_row_functions(self, tmp_path):
-        """In-memory for/let/where FLWORs compile; one that touches a
-        source, groups or orders keeps the generator pipeline."""
+        """In-memory for/let/where FLWORs compile (the eager driver); one
+        that touches a source, groups or orders keeps the lazy driver."""
         from repro.runtime.rowcompile import compile_rowfn
 
         platform = build_demo_platform(customers=3, orders_per_customer=2)
@@ -668,11 +680,15 @@ class TestBatchObservability:
         # narrows each batch in place without re-chunking
         assert returned["batches"] == 3
 
-    def test_profile_batches_empty_under_tuple_engine(self):
+    def test_profile_reports_one_row_per_batch_at_size_one(self):
         platform = build_demo_platform(customers=4, orders_per_customer=2)
         platform.set_batch_size(1)
-        profile = platform.profile("for $i in (1 to 50) return $i")
-        assert profile.batches == {}
+        profile = platform.profile("for $i in (1 to 50) where $i mod 5 eq 0 return $i")
+        assert profile.batches == {
+            "for#1": {"batches": 50, "rows": 50, "rows_per_batch": 1.0},
+            "where#2": {"batches": 10, "rows": 10, "rows_per_batch": 1.0},
+            "return": {"batches": 10, "rows": 10, "rows_per_batch": 1.0},
+        }
 
     def test_metrics_gain_batch_instruments(self):
         platform = build_demo_platform(customers=4, orders_per_customer=2)
@@ -680,3 +696,56 @@ class TestBatchObservability:
         snapshot = platform.metrics_snapshot()
         assert any(name.startswith("batch.rows") for name in snapshot)
         assert any(name.startswith("batch.count") for name in snapshot)
+
+
+# ---------------------------------------------------------------------------
+# A FLWOR the compiler never stamped: the body of a non-inlined function
+# ---------------------------------------------------------------------------
+
+class TestUnstampedFlwor:
+    """View unfolding stops at a recursion depth; the calls left run the
+    declared body, which no compiler pass has visited.  It runs the one
+    pipeline like any other FLWOR."""
+
+    SERVICE = '''
+        declare namespace t = "urn:t";
+        declare function t:down($n as xs:integer) as element(D)* {
+          for $i in (1 to $n) where $i eq $n
+          return (<D>{$i}{ for $j in (1 to $i) where $j mod 2 eq 0 return $j }</D>,
+                  t:down($n - 1))
+        };
+    '''
+    EXPECTED = "".join(
+        f"<D>{n}{''.join(f' {j}' for j in range(2, n + 1, 2))}</D>"
+        for n in range(9, 0, -1))
+
+    def _platform(self, size: int):
+        platform = build_demo_platform(customers=2, orders_per_customer=0)
+        platform.deploy(self.SERVICE, name="Down")
+        platform.set_batch_size(size)
+        return platform
+
+    @pytest.mark.parametrize("size", LANE_SIZES)
+    def test_recursive_function_body_runs_the_pipeline(self, size):
+        from repro import serialize
+        from repro.xml import AtomicValue
+
+        platform = self._platform(size)
+        assert serialize(platform.execute("down(9)")) == self.EXPECTED
+        body = platform.ctx.user_function("down", 1).body
+        assert isinstance(body, ast.FLWOR) and not hasattr(body, "batch_capable")
+        # the plan still calls the function, so the declared body did run
+        assert any(isinstance(n, ast.FunctionCall) and n.name.endswith("down")
+                   for n in platform.prepare("down(9)").expr.walk())
+        before = platform.metrics_snapshot()["batch.count{op=where#2}"]
+        platform.evaluator.eval(body, {"n": [AtomicValue(2, "xs:integer")]})
+        after = platform.metrics_snapshot()["batch.count{op=where#2}"]
+        assert after > before  # the body's own stages record batch.* series
+
+    def test_its_nested_flwor_is_compiled_and_not_bridged(self):
+        from repro.runtime.rowcompile import bridged, compile_rowfn
+
+        body = self._platform(256).ctx.user_function("down", 1).body
+        nested = [n for n in body.return_expr.walk() if isinstance(n, ast.FLWOR)]
+        assert len(nested) == 1 and compile_rowfn(nested[0]) is not None
+        assert bridged(body) == ["FunctionCall"]  # only the recursive call

@@ -137,8 +137,8 @@ class TestStress:
         assert_race_free(detector)
 
     def test_batched_operators_under_contention(self, stressed, round):
-        """The batch engine's shared surfaces under fire: one thread flips
-        the engine between tuple (n=1) and batch (n=256) mid-workload,
+        """The FLWOR runtime's shared surfaces under fire: one thread flips
+        the batch size between 1 and 256 mid-workload,
         another profiles (per-thread ``BatchProbe`` via the context var),
         the rest hammer the batch group/order/where operators and the
         row-compiler's per-node closure cache — results must stay
