@@ -65,6 +65,7 @@ REGISTRY: dict[str, tuple[str, ...]] = {
     "server/admission.py": ("AdmissionController", "TokenBucket"),
     "server/session.py": ("SessionManager",),
     "sources/files.py": ("FileAdaptor",),
+    "xml/items.py": ("DeferredElement",),
 }
 
 #: counter fields owned by the synchronized stats objects; writing them
@@ -162,6 +163,13 @@ class _ClassModel:
                 yield item
 
     def _scan_locks_and_guards(self) -> None:
+        # one lock for every instance (``_lock = TrackedRLock(...)`` in the
+        # class body): what a class of many small objects can afford
+        for stmt in self.node.body:
+            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
+                    and isinstance(stmt.targets[0], ast.Name) \
+                    and self._is_lock_value(stmt.value, ""):
+                self.locks.add(stmt.targets[0].id)
         for method in self._methods():
             init = method.name in ("__init__", "__post_init__")
             for stmt in ast.walk(method):

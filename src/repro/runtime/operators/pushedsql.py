@@ -4,17 +4,29 @@ A :class:`~repro.compiler.algebra.PushedSQL` node is evaluated by binding
 its middleware parameters, rendering the select for the target vendor,
 shipping it through the JDBC-style connection, and rebuilding XML mid-tier
 from the template — per row, or per cluster of rows when the region
-contains a regrouped (left outer join / group-scan) shape.
+contains a regrouped (left outer join / group-scan) shape.  A template is
+compiled twice, to a builder of trees and to a writer of their text; which
+one runs for an element is decided by whether anything reads it (DESIGN.md
+"Deferred content").
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from ...compiler.algebra import ColumnSlot, GroupSlot, NestedSlot, PushedSQL
 from ...errors import DynamicError, SourceError
-from ...xml.items import AtomicValue, AttributeNode, ElementNode, Item, TextNode
+from ...xml.items import (
+    AtomicValue,
+    AttributeNode,
+    DeferredElement,
+    ElementNode,
+    Item,
+    TextNode,
+    lexical,
+)
 from ...xml.qname import QName
+from ...xml.serialize import escape_attribute, escape_text
 from ...xquery import ast_nodes as ast
 from ..operators.group import clustered_groups
 from ..rowcompile import MANY, atomfn
@@ -89,34 +101,77 @@ def rebuild(pushed: PushedSQL, rows: list[dict], evaluator: "Evaluator") -> Iter
 
 #: a compiled reconstruction template: (row, rows of its group) -> items
 TemplateFn = Callable[[dict, list[dict]], list[Item]]
+#: its other rendering: (row, group, append) appends, as text fragments,
+#: exactly ``serialize(build(row, group))`` for ``indent`` None
+WriterFn = Callable[[dict, list[dict], Callable[[str], None]], None]
 
 
 def template_fn(template: ast.AstNode) -> TemplateFn:
     """The template compiled to closures, once per template node (memoized
     on the node like ``_sql_text`` on the region; a concurrent first call
-    compiles an equivalent closure and the last write wins)."""
+    compiles an equivalent closure and the last write wins).  An element at
+    the root of a result is a :class:`DeferredElement`."""
     fn = getattr(template, "_template_fn", None)
     if fn is None:
-        fn = template._template_fn = _compile_template(template)
+        fn = template._template_fn = _deferring(template)
     return fn
+
+
+class _Deferred(NamedTuple):
+    """What a deferred element keeps of its template: the builder of its
+    tree, the writer of its text, and every element path the tree can
+    hold (local names from the element itself down)."""
+
+    build: TemplateFn
+    write: WriterFn
+    paths: frozenset
+
+
+def _deferring(template: ast.AstNode) -> TemplateFn:
+    """The template's builder, with every element at the root of a result
+    left deferred; atoms, literals and sequences are built as they are."""
+    if isinstance(template, (NestedSlot, GroupSlot)):
+        return _members(template, _deferring(template.template))
+    build = _compile_template(template)
+    if isinstance(template, ColumnSlot) and template.element_name is not None:
+        alias, name = template.alias, template.element_name
+    elif isinstance(template, ast.ElementCtor):
+        alias, name = None, template.name
+    else:
+        return build
+    pieces = _content([template])
+    if pieces is None:
+        return build  # an element only its tree can render
+    qname = QName(name)
+    deferred = _Deferred(build, _run(pieces), frozenset(_paths(template, ())))
+
+    def element(row, group):
+        if alias is not None and row.get(alias) is None:
+            return []
+        return [DeferredElement(qname, (deferred, row, group))]
+
+    return element
+
+
+def _members(slot: NestedSlot | GroupSlot, inner: TemplateFn) -> TemplateFn:
+    # a nested slot skips the null-extended rows of a left outer join
+    probe = slot.probe_alias if isinstance(slot, NestedSlot) else None
+
+    def members(row, group):
+        items: list[Item] = []
+        for member in group:
+            if probe is None or member.get(probe) is not None:
+                items.extend(inner(member, [member]))
+        return items
+
+    return members
 
 
 def _compile_template(template: ast.AstNode) -> TemplateFn:
     if isinstance(template, ColumnSlot):
         return _column_slot(template)
     if isinstance(template, (NestedSlot, GroupSlot)):
-        inner = _compile_template(template.template)
-        # a nested slot skips the null-extended rows of a left outer join
-        probe = template.probe_alias if isinstance(template, NestedSlot) else None
-
-        def members(row, group):
-            items: list[Item] = []
-            for member in group:
-                if probe is None or member.get(probe) is not None:
-                    items.extend(inner(member, [member]))
-            return items
-
-        return members
+        return _members(template, _compile_template(template.template))
     if isinstance(template, ast.Literal):
         value = template.value
         return lambda row, group: [value]
@@ -188,3 +243,177 @@ def _element_ctor(template: ast.ElementCtor) -> TemplateFn:
         return [construct_element_content(name, attributes, content(row, group), owned=True)]
 
     return element
+
+
+# -- the writer: the same templates, rendered as text ------------------------------
+#
+# A rendering is a list of pieces: static markup is a ``str``, whatever
+# depends on the row a ``WriterFn``; ``_run`` joins neighbouring strings once,
+# when the template is compiled.  None stands for a template the writer
+# does not render: its elements are built eagerly, as they always were.
+
+
+def _run(pieces: list) -> WriterFn:
+    steps: list[tuple[str, WriterFn]] = []
+    text = ""
+    for piece in pieces:
+        if isinstance(piece, str):
+            text += piece
+        else:
+            steps.append((text, piece))
+            text = ""
+    tail = text
+
+    def write(row, group, append):
+        for text, step in steps:
+            if text:
+                append(text)
+            step(row, group, append)
+        if tail:
+            append(tail)
+
+    return write
+
+
+def _flat(parts: list[ast.AstNode]) -> Iterator[ast.AstNode]:
+    for part in parts:
+        if isinstance(part, ast.SequenceExpr):
+            yield from _flat(part.items)
+        elif not isinstance(part, ast.EmptySequence):
+            yield part
+
+
+def _atoms(parts: list[ast.AstNode]) -> Callable | None:
+    """``(row, group) -> lexical forms`` of parts that produce only atoms
+    (the builder's combinators over strings); None if one can produce a node."""
+    fns = []
+    for part in _flat(parts):
+        if isinstance(part, ColumnSlot) and part.element_name is None:
+            fns.append(_lexical_slot(part.alias))
+        elif isinstance(part, ast.Literal):
+            fns.append(lambda row, group, text=(part.value.string_value(),): text)
+        elif isinstance(part, (NestedSlot, GroupSlot)) \
+                and (inner := _atoms([part.template])) is not None:
+            fns.append(_members(part, inner))
+        else:
+            return None
+    return _concat(fns)
+
+
+def _lexical_slot(alias: str) -> Callable:
+    def slot(row, group):
+        value = row.get(alias)
+        return () if value is None else (lexical(value),)
+
+    return slot
+
+
+def _text(atoms: Callable, escape: Callable, before: str, after: str, absent: str) -> WriterFn:
+    """Adjacent atoms make one space-joined text (or attribute value)
+    between ``before`` and ``after``; no atom at all writes ``absent``."""
+    def text(row, group, append):
+        texts = atoms(row, group)
+        if texts:
+            append(before + escape(" ".join(texts)) + after)
+        elif absent:
+            append(absent)
+
+    return text
+
+
+def _content(parts: list[ast.AstNode], repeated: bool = False) -> list | None:
+    """The pieces of a constructor's content, or of a slot's member
+    template (``repeated``: atoms of one member would merge with the next
+    member's, which only the tree path gets right)."""
+    pieces: list = []
+    run: list[Callable] = []  # adjacent atom-only parts: one text node
+
+    def close_run() -> None:
+        if run:
+            pieces.append(_text(_concat(run[:]), escape_text, "", "", ""))
+            run.clear()
+
+    for part in _flat(parts):
+        atoms = _atoms([part])
+        if atoms is not None:
+            if repeated:
+                return None
+            run.append(atoms)
+            continue
+        close_run()
+        if isinstance(part, ast.ElementCtor):
+            sub = _element(part)
+        elif isinstance(part, ColumnSlot):
+            tag = QName(part.element_name).lexical
+            sub = [_text(_lexical_slot(part.alias), escape_text, f"<{tag}>", f"</{tag}>", "")]
+        elif isinstance(part, (NestedSlot, GroupSlot)):
+            sub = _content([part.template], repeated=True)
+            sub = sub and [_members_writer(part, _run(sub))]
+        else:
+            sub = None
+        if sub is None:
+            return None
+        pieces += sub
+    close_run()
+    return pieces
+
+
+def _members_writer(slot: NestedSlot | GroupSlot, inner: WriterFn) -> WriterFn:
+    probe = slot.probe_alias if isinstance(slot, NestedSlot) else None
+
+    def members(row, group, append):
+        for member in group:
+            if probe is None or member.get(probe) is not None:
+                inner(member, [member], append)
+
+    return members
+
+
+def _element(ctor: ast.ElementCtor) -> list | None:
+    tag = QName(ctor.name).lexical
+    names = [attr.name for attr in ctor.attributes]
+    if len(set(names)) < len(names):
+        return None  # the builder raises on a duplicate: the error stays where it was
+    head: list = [f"<{tag}"]
+    for attr in ctor.attributes:
+        atoms = _atoms([attr.value])
+        if atoms is None:
+            return None
+        name = QName(attr.name).lexical
+        head.append(_text(atoms, escape_attribute, f' {name}="', '"',
+                          "" if attr.optional else f' {name}=""'))
+    closing = f"</{tag}>"
+    atoms = _atoms(ctor.content)
+    if atoms is not None:  # simple content: one text node, or none
+        return head + [_text(atoms, escape_text, ">", closing, "/>")]
+    pieces = _content(ctor.content)
+    if pieces is None:
+        return None
+    if any(isinstance(part, ast.ElementCtor) for part in _flat(ctor.content)):
+        return head + [">", *pieces, closing]  # a constructor is always a child
+    inner = _run(pieces)
+
+    def element(row, group, append):
+        children: list[str] = []
+        inner(row, group, children.append)
+        append(">" + "".join(children) + closing if children else "/>")
+
+    return head + [element]
+
+
+def _paths(template: ast.AstNode, above: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
+    """The path of every element the template can build, as the security
+    service spells a resource: local names from the root element down."""
+    if isinstance(template, ColumnSlot):
+        if template.element_name is not None:
+            yield above + (QName(template.element_name).local,)
+    elif isinstance(template, (NestedSlot, GroupSlot)):
+        yield from _paths(template.template, above)
+    elif isinstance(template, ast.SequenceExpr):
+        for part in template.items:
+            yield from _paths(part, above)
+    elif isinstance(template, ast.ElementCtor):
+        here = above + (QName(template.name).local,)
+        yield here
+        for part in template.content:
+            yield from _paths(part, here)

@@ -95,8 +95,7 @@ class DataObject:
         if old == value:
             return
         text = AtomicValue(value).string_value() if not isinstance(value, str) else value
-        leaf._children = [TextNode(text)]
-        leaf._children[0].parent = leaf
+        leaf.replace_children([TextNode(text)])
         self._changes.append(Change(self._full_path(path), old, value))
 
     # -- typed accessors (Figure 5 style) ------------------------------------------------

@@ -123,7 +123,15 @@ class SecurityService:
         result: list[Item] = []
         for item in items:
             if isinstance(item, ElementNode):
-                filtered = self._filter_element(item.deep_copy(), (item.name.local,), user)
+                filtered = item.deep_copy()
+                # an element no one has read yet knows every path its
+                # template can produce: with no denied resource among them
+                # the copy goes out as it is, its tree never built
+                source = filtered._source
+                if source is None or any(
+                        resource.path in source[0].paths and not resource.permits(user)
+                        for resource in self._resources):
+                    filtered = self._filter_element(filtered, (item.name.local,), user)
                 if filtered is not None:
                     result.append(filtered)
             else:
@@ -147,15 +155,12 @@ class SecurityService:
                     kept.append(filtered)
             else:
                 kept.append(child)
-        element._children = kept
-        for child in kept:
-            child.parent = element
+        element.replace_children(kept)
         return element
 
 
 def _replace_content(element: ElementNode, replacement) -> ElementNode:
     value = replacement if replacement is not None else ""
     text = AtomicValue(value).string_value() if not isinstance(value, str) else value
-    element._children = [TextNode(text)]
-    element._children[0].parent = element
+    element.replace_children([TextNode(text)])
     return element

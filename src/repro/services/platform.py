@@ -808,13 +808,20 @@ class Platform:
             handle = tracer.begin_request(plan_fingerprint(plan.plan_key))
         outcome = "completed"
         try:
+            # decided once per request: an administrator, or a platform
+            # with no element policy, has nothing to filter
+            filtering = self.security.has_element_policies() \
+                and "admin" not in user.roles
             with tracer.start("query", plan.source) as span:
                 count = 0
                 for item in self.evaluator.iter_eval(plan.expr, {}):
-                    filtered = self.security.filter_items([item], user)
-                    for out in filtered:
+                    if filtering:
+                        for out in self.security.filter_items([item], user):
+                            count += 1
+                            yield out
+                    else:
                         count += 1
-                        yield out
+                        yield item
                 span.set(items=count)
         except DeadlineExceededError:
             outcome = "deadline"

@@ -8,13 +8,11 @@ static analyzer retains the structural type of their content (section 3.1).
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Iterator, Sequence
 
+from ..concurrency import RACE, TrackedRLock, guarded_by
 from ..errors import DynamicError, XMLError
 from .qname import QName
-
-_node_ids = itertools.count(1)
 
 #: Type-annotation name for unvalidated content.
 UNTYPED = "xs:untypedAtomic"
@@ -34,6 +32,13 @@ class Item:
         raise NotImplementedError
 
 
+def lexical(value) -> str:
+    """The lexical form of an atomic value's Python representation."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
 class AtomicValue(Item):
     """A typed atomic value, e.g. ``42`` as ``xs:integer``.
 
@@ -50,9 +55,7 @@ class AtomicValue(Item):
         self.type_name = type_name
 
     def string_value(self) -> str:
-        if isinstance(self.value, bool):
-            return "true" if self.value else "false"
-        return str(self.value)
+        return lexical(self.value)
 
     def atomize(self) -> "list[AtomicValue]":
         return [self]
@@ -72,12 +75,12 @@ class AtomicValue(Item):
 
 
 class Node(Item):
-    """Base class for XML nodes.  Nodes have identity and document order."""
+    """Base class for XML nodes.  A node's identity is the object's own
+    (``is``); its position is its place among its parent's children."""
 
-    __slots__ = ("node_id", "parent")
+    __slots__ = ("parent",)
 
     def __init__(self):
-        self.node_id = next(_node_ids)
         self.parent: Node | None = None
 
     def children(self) -> "Sequence[Node]":
@@ -138,6 +141,9 @@ class ElementNode(Node):
 
     __slots__ = ("name", "attributes", "_children", "type_annotation")
 
+    #: set only on a :class:`DeferredElement` nobody has read yet
+    _source = None
+
     def __init__(
         self,
         name: QName,
@@ -170,6 +176,13 @@ class ElementNode(Node):
 
     def children(self) -> Sequence[Node]:
         return self._children
+
+    def replace_children(self, children: list[Node]) -> None:
+        """Adopt ``children`` as the whole content (security redaction and
+        the SDO setters rewrite content in place)."""
+        for child in children:
+            child.parent = self
+        self._children = children
 
     def child_elements(self, name: QName | None = None) -> list["ElementNode"]:
         """Child axis with an optional name test (namespace-insensitive match
@@ -227,6 +240,64 @@ class ElementNode(Node):
 
     def __repr__(self) -> str:
         return f"<ElementNode {self.name} children={len(self._children)}>"
+
+
+@guarded_by("_lock")
+class DeferredElement(ElementNode):
+    """The element a reconstruction template builds from a row, until
+    someone reads it (DESIGN.md "Deferred content").
+
+    ``_source`` is the ``(template, row, group)`` it comes from;
+    ``attributes``, ``_children`` and ``type_annotation`` are left unset, so
+    the first read of any of them lands in ``__getattr__``, which builds
+    the content once, adopts it and drops the source: from then on it is
+    an ordinary element.  Several threads may read a cached one: content is
+    built under the class's lock and each slot published complete, so a
+    reader that finds a slot set needs no lock."""
+
+    __slots__ = ("_source",)
+    _lock = TrackedRLock("DeferredElement")
+
+    def __init__(self, name: QName, source: tuple):
+        self.parent = None
+        self.name = name
+        self._source = source
+
+    def __getattr__(self, slot: str):
+        if slot not in ("attributes", "_children", "type_annotation"):
+            raise AttributeError(slot)
+        self._materialise()
+        return object.__getattribute__(self, slot)
+
+    def _materialise(self) -> None:
+        with self._lock:
+            source = self._source
+            if source is None:
+                return  # another reader built it while this one waited
+            template, row, group = source
+            [built] = template.build(row, group)
+            for node in built.attributes + built._children:
+                node.parent = self
+            self.attributes = built.attributes
+            self._children = built._children
+            self.type_annotation = built.type_annotation
+            self._source = None
+            RACE.detector.on_access(self, "_source", True)
+
+    def replace_children(self, children: list[Node]) -> None:
+        self._materialise()
+        super().replace_children(children)
+
+    def deep_copy(self) -> ElementNode:
+        source = self._source
+        if source is None:
+            return super().deep_copy()
+        return DeferredElement(self.name, source)
+
+    def __repr__(self) -> str:
+        if self._source is None:
+            return super().__repr__()
+        return f"<ElementNode {self.name} deferred>"
 
 
 class DocumentNode(Node):

@@ -30,6 +30,12 @@ def _write(item: Item, indent: int | None, level: int, append) -> None:
     """Append the fragments of ``item``'s serialization, in order.  Every
     public entry point below funnels through here and joins once."""
     if isinstance(item, ElementNode):
+        source = item._source
+        if source is not None and indent is None:
+            # a template's element nobody has read: its text comes straight
+            # from the row, and the tree is never built
+            source[0].write(source[1], source[2], append)
+            return
         pad = None if indent is None else "\n" + " " * (indent * level)
         tag = item.name.lexical
         opening = "<" + tag if pad is None else pad + "<" + tag

@@ -266,7 +266,7 @@ class TestFileMemo:
         _path, _clock, adaptor = self._csv(tmp_path)
         first = adaptor.invoke([])
         second = adaptor.invoke([])  # memo hit
-        ids = [{n.node_id for row in rows for n in [row, *row.children()]}
+        ids = [{id(n) for row in rows for n in [row, *row.children()]}
                for rows in (first, second)]
         assert not ids[0] & ids[1]
         second[0].add_child(element("EXTRA", "x"))

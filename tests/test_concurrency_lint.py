@@ -30,6 +30,20 @@ class Box:
 """)
         assert report.codes() == []
 
+    def test_a_lock_in_the_class_body_guards_every_instance(self):
+        source = """
+@guarded_by("_lock")
+class Cell:
+    _lock = TrackedRLock("Cell")
+    def __init__(self):
+        self.value = None
+    def fill(self, value):
+        %s
+            self.value = value
+"""
+        assert lint(source % "with self._lock:").codes() == []
+        assert lint(source % "if True:").codes() == ["ALDSP-C401"]
+
     def test_c401_unguarded_write(self):
         report = lint("""
 class Box:
@@ -236,7 +250,8 @@ class TestRepoAtHead:
 
 class TestMutationIsCaught:
     @pytest.mark.parametrize("relative", ["runtime/cache.py",
-                                          "relational/prepared.py"])
+                                          "relational/prepared.py",
+                                          "xml/items.py"])
     def test_removing_one_lock_trips_the_lint(self, relative):
         """Seeded static mutation: neutralize the first ``with self._lock:``
         and the lint must report an unguarded mutation."""

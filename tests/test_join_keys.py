@@ -18,11 +18,12 @@ import pytest
 from repro import serialize
 from repro.demo import build_demo_platform
 from repro.errors import DynamicError
+from repro.xml.items import AtomicValue
 
 
-def outcome(platform, query: str) -> str:
+def outcome(platform, query: str, variables: dict | None = None) -> str:
     try:
-        return serialize(platform.execute(query))
+        return serialize(platform.execute(query, variables))
     except DynamicError as exc:
         return f"DynamicError: {exc}"
 
@@ -148,3 +149,43 @@ class TestIndexJoin:
                  "where $b/K = $a return $b")
         assert outcome(demo(nested_loop), query) == "<B><K>2</K></B><B><K>3.0</K></B>"
         assert outcome(demo(), query) == outcome(demo(nested_loop), query)
+
+
+#: a multi-item key that reaches a pushed region as a SQL *parameter*
+#: (no PP-k correlation, no index join): query, external variables
+PARAMETER_KEYS = {
+    "external variable": (
+        "for $c in CUSTOMER() where $c/CID {} $ids return $c/LAST_NAME",
+        {"ids": [AtomicValue("C1", "xs:string"), AtomicValue("C2", "xs:string")]}),
+    "correlated outer key": (
+        "for $r in (<R><CID>C1</CID><CID>C2</CID></R>) return <X>{{ fn:count("
+        "for $c in CUSTOMER() where $c/CID {} $r/CID return $c) }}</X>", None),
+}
+
+
+class TestPushedParameters:
+    """The other half of the family: the key is bound to a ``?`` of the
+    pushed statement, one value per parameter."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "EXPERIMENTS.md, Deviations: a pushed comparison ships its middleware "
+        "operand as one SQL parameter; '=' over several atoms needs an IN list "
+        "of variable arity"))
+    @pytest.mark.parametrize("form", PARAMETER_KEYS)
+    def test_a_general_comparison_joins_on_any_atom(self, form):
+        text, variables = PARAMETER_KEYS[form]
+        query = text.format("=")
+        expected = outcome(demo(nested_loop), query, variables)
+        assert expected in ("<LAST_NAME>Jones</LAST_NAME><LAST_NAME>Smith</LAST_NAME>",
+                            "<X>2</X>")
+        assert "PUSHED SQL" in demo().explain(query, variables)
+        assert outcome(demo(), query, variables) == expected
+
+    @pytest.mark.parametrize("form", PARAMETER_KEYS)
+    def test_a_value_comparison_raises_pushed_or_not(self, form):
+        text, variables = PARAMETER_KEYS[form]
+        query = text.format("eq")
+        assert outcome(demo(nested_loop), query, variables) == \
+            "DynamicError: value comparison over multi-item sequence"
+        assert outcome(demo(), query, variables) == \
+            "DynamicError: SQL parameter bound to a multi-item sequence"

@@ -256,3 +256,111 @@ def test_an_evaluator_constructor_still_copies_what_it_does_not_own():
         assert original.parent is None
         assert first.children()[0] is not original
         assert first.children()[0] is not second.children()[0]
+
+
+# ---------------------------------------------------------------------------
+# One template, two renderings: the writer against the builder
+# ---------------------------------------------------------------------------
+#
+# An element at the root of a template result is deferred: serialized
+# unread it is written from the row by the template's *writer*, read it is
+# built by the *builder* above.  The writer's bytes must be the serialized
+# builder's tree for every template and every row, and the tree a first read
+# builds must be the one the copying constructor builds.
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro.errors import XMLError  # noqa: E402
+from repro.runtime.operators.pushedsql import _compile_template  # noqa: E402
+from repro.xml.items import DeferredElement  # noqa: E402
+from repro.xml.serialize import serialize  # noqa: E402
+
+VALUES = st.one_of(
+    st.none(), st.none(), st.booleans(), st.integers(-1000, 1000),
+    st.sampled_from([0.5, -2.25, 1e21, 3.0]),
+    st.sampled_from(["", " ", "x", "a&b", "1 < 2", "2 > 1", 'say "hi"', "é✓", "]]>"]))
+ROW = st.fixed_dictionaries({alias: VALUES for alias in "abcdp"})
+TYPES = st.sampled_from(["xs:string", "xs:int", "xs:boolean", "xs:double"])
+ATOM_SLOTS = st.builds(col, st.sampled_from("abcd"), TYPES)
+LITERALS = st.one_of(
+    st.builds(lit, st.sampled_from(["x", "", "a&b <c>", 'q"'])),
+    st.just(lit(7, "xs:integer")), st.just(lit(True, "xs:boolean")))
+ATOMS = st.one_of(ATOM_SLOTS, ATOM_SLOTS, LITERALS,
+                  st.builds(ast.SequenceExpr, st.lists(ATOM_SLOTS | LITERALS, max_size=3)))
+
+
+@st.composite
+def attributes(draw):
+    names = draw(st.lists(st.sampled_from(["k", "id", "p:t"]), unique=True, max_size=3))
+    return [ast.AttributeCtor(name, draw(ATOMS), optional=draw(st.booleans()))
+            for name in names]
+
+
+def parts(depth: int):
+    """Anything a constructor's content (or a slot's member template) holds."""
+    flat = st.one_of(
+        ATOM_SLOTS, LITERALS, st.just(ast.EmptySequence()),
+        st.builds(col, st.sampled_from("abcd"), TYPES, st.sampled_from(["X", "Y", "p:Z"])))
+    if depth == 0:
+        return flat
+    inner = st.deferred(lambda: parts(depth - 1))
+    return st.one_of(
+        flat, flat, elements(depth - 1),
+        st.builds(ast.SequenceExpr, st.lists(inner, max_size=3)),
+        st.builds(NestedSlot, inner, st.just("p")), st.builds(GroupSlot, inner))
+
+
+def elements(depth: int):
+    return st.builds(lambda name, attrs, content: el(name, *content, attrs=attrs),
+                     st.sampled_from(["A", "B", "p:C"]), attributes(),
+                     st.lists(parts(depth), max_size=4))
+
+
+#: what ``template_fn`` is given: mostly the shapes it defers
+TEMPLATE = st.one_of(
+    elements(2), elements(2),
+    st.builds(col, st.sampled_from("abcd"), TYPES, st.just("LEAF")),
+    st.builds(NestedSlot, elements(1), st.just("p")), st.builds(GroupSlot, elements(1)),
+    parts(2))
+
+
+def unread(item) -> bool:
+    return isinstance(item, DeferredElement) and item._source is not None
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(TEMPLATE, st.lists(ROW, min_size=1, max_size=3))
+def test_the_writer_writes_what_the_builder_builds(template, group):
+    items = template_fn(template)(group[0], group)
+    eager = _compile_template(template)(group[0], group)  # deferral bypassed
+    written = serialize(items)
+    assert all(unread(item) for item in items if isinstance(item, DeferredElement))
+    assert written == serialize(eager)
+    # ... and under a constructed parent, where the copy is written instead
+    wrapped = construct_element_content("W", [], items)
+    assert serialize(wrapped) == serialize(construct_element_content("W", [], eager))
+    assert all(unread(child) for child in wrapped.children()
+               if isinstance(child, DeferredElement))
+    # the first read builds the tree the copying constructor builds
+    want = reference(template, group[0], group)
+    assert [shape(item) for item in items] == [shape(item) for item in want]
+    assert not any(map(unread, items))
+    assert all(item.parent is None for item in items if isinstance(item, Node))
+    assert serialize(items) == written
+
+
+def test_a_template_the_writer_does_not_render_keeps_the_tree_path():
+    """Members that mix atoms and elements would merge an atom with the next
+    member's; a duplicate attribute name is the builder's error, raised when
+    the element is created.  Neither is deferred."""
+    mixed = el("A", GroupSlot(ast.SequenceExpr([col("a", "xs:int"), col("b", element="Y")])))
+    [built] = template_fn(mixed)(ROWS[0], ROWS[:2])
+    assert type(built) is ElementNode
+    assert serialize(built) == "<A>1<Y>x</Y>1</A>"
+    twice = el("A", attrs=[ast.AttributeCtor("k", col("a", "xs:int")),
+                           ast.AttributeCtor("k", col("c", "xs:int"), optional=True)])
+    build = template_fn(twice)
+    assert serialize(build(ROWS[1], ROWS[1:2])) == '<A k="1"/>'
+    with pytest.raises(XMLError, match="duplicate attribute"):
+        build(ROWS[0], ROWS[:1])

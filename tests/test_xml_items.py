@@ -102,7 +102,7 @@ class TestElementNode:
     def test_deep_copy_is_detached_and_equal_text(self):
         original = element("P", element("A", "x"), attrs={"k": "v"})
         copy = original.deep_copy()
-        assert copy.node_id != original.node_id
+        assert copy is not original
         assert copy.string_value() == original.string_value()
         copy.child_elements()[0]._children = []
         assert original.string_value() == "x"

@@ -190,6 +190,44 @@ def random_sequence(rng):
     return items
 
 
+def template_sequences(seed: str):
+    """One generated sequence twice: with the template results deferred
+    (``template_fn``) and built eagerly (the builder called directly), at
+    top level, under a constructed parent, and between ordinary items."""
+    from repro.runtime import construct_element_content
+    from repro.runtime.operators.pushedsql import _compile_template, template_fn
+    from tests.test_pushed_rebuild import ROWS, TEMPLATES
+
+    def sequence(compiled):
+        rng = random.Random(seed)
+        items = []
+        for _ in range(rng.randrange(1, 5)):
+            name = rng.choice(sorted(TEMPLATES))
+            group = rng.sample(ROWS, rng.randrange(1, len(ROWS) + 1))
+            built = compiled(TEMPLATES[name])(group[0], group)
+            kind = rng.random()
+            if kind < 0.4:
+                items += built
+            elif kind < 0.8:  # the copying constructor: its children are copies
+                items.append(construct_element_content(
+                    "W", [], [random_tree(rng, 1), *built, AtomicValue(2, "xs:integer")]))
+            else:
+                items += [AtomicValue(1.5, "xs:double"), *built, random_tree(rng, 2)]
+        return items
+
+    return sequence(template_fn), sequence(_compile_template)
+
+
+def unread_at_first(items):
+    from repro.xml.items import DeferredElement
+
+    for item in items:
+        if isinstance(item, DeferredElement):
+            yield item
+        elif isinstance(item, ElementNode) and item.name.local == "W":
+            yield from unread_at_first(item.children())
+
+
 class TestWriterAgainstReference:
     @pytest.mark.parametrize("indent", [None, 0, 2])
     def test_generated_sequences(self, indent):
@@ -215,6 +253,31 @@ class TestWriterAgainstReference:
         empty = io.StringIO()
         assert serialize_to_sink(iter([]), empty, indent, "|", batch_size) == 0
         assert empty.getvalue() == ""
+
+    @pytest.mark.parametrize("indent", [None, 0, 2])
+    def test_unread_template_elements(self, indent):
+        """Elements fresh from a reconstruction template are written from
+        their row, not walked (DESIGN.md "Deferred content"): the bytes are
+        the reference's over the eagerly built twin."""
+        for seed in range(80):
+            items, twins = template_sequences(f"deferred:{seed}")
+            assert serialize(items, indent) == reference_sequence(twins, indent), seed
+            for item, twin in zip(items, twins):
+                assert serialize_item(item, indent) == reference_item(twin, indent)
+                assert serialize_item(item, indent, 2) == reference_item(twin, indent, 2)
+            if indent is None:  # nothing above built a tree
+                assert all(item._source is not None for item in unread_at_first(items))
+
+    @pytest.mark.parametrize("batch_size", [1, 256])
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_unread_template_elements_into_a_sink(self, indent, batch_size):
+        pairs = [template_sequences(f"sink:{seed}") for seed in range(120)]
+        items = [item for sequence, _twins in pairs for item in sequence]
+        twins = [twin for _sequence, sequence in pairs for twin in sequence]
+        assert len(items) > 256
+        sink = io.StringIO()
+        assert serialize_to_sink(iter(items), sink, indent, "|", batch_size) == len(items)
+        assert sink.getvalue() == "|".join(reference_item(twin, indent) for twin in twins)
 
     def test_pinned_bytes(self):
         tree = element("a", element("b", "1 < 2"), "t&t", element("c"),

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import sys
 import threading
+import time
 
 import pytest
 
@@ -280,6 +281,54 @@ class TestStress:
         # the writer's last move put C1 back inside the window
         assert serialize(platform.execute(window, bounds)) == \
             "<CID>C1</CID><CID>C2</CID>" + extra
+
+    def test_readers_first_touch_one_cached_deferred_result(self, stressed, round):
+        """A function-cache entry is handed to every caller as it is
+        (``FunctionCache.get``), so an element nobody has read yet
+        (DESIGN.md "Deferred content") gets its first read from several
+        threads at once: one tree is built, once, and every reader sees it."""
+        from repro.xml.items import DeferredElement
+
+        platform, detector = stressed
+        builds = []
+
+        def counted(template):
+            def build(row, group):
+                builds.append(row)  # list.append is atomic
+                time.sleep(0.0002)  # the other readers arrive while this one builds
+                return template.build(row, group)
+
+            return template._replace(build=build)
+
+        rows = []
+        for _ in range(8):
+            for row in platform.execute("CUSTOMER()"):
+                template, *source = row._source
+                rows.append(DeferredElement(row.name, (counted(template), *source)))
+        assert len(rows) == 32
+        platform.cache.enable("rows", ttl_ms=60_000.0)
+        platform.cache.put("rows", "[]", rows)
+        seen = [None] * 8
+
+        def worker(index):
+            cached = platform.cache.get("rows", "[]")
+            assert all(one is other for one, other in zip(cached, rows))
+            # half the readers come from the other end, to meet in the middle
+            order = cached if index % 2 else cached[::-1]
+            trees = {id(row): (row.attributes, row.children(), row.type_annotation,
+                               row.string_value())
+                     for row in order}
+            seen[index] = [trees[id(row)] for row in cached]
+
+        hammer(platform, worker, threads=8)
+        assert_race_free(detector)
+        assert len(builds) == len(rows)  # one tree per element, built once
+        for other in seen[1:]:
+            for (attrs, children, annotation, text), theirs in zip(seen[0], other):
+                assert attrs is theirs[0] and children is theirs[1]
+                assert (annotation, text) == theirs[2:]
+        assert all(child.parent is row for row in rows for child in row.children())
+        assert all(row._source is None for row in rows)
 
     def test_counters_are_exact_under_contention(self, stressed, round):
         platform, detector = stressed
