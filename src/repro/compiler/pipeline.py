@@ -140,11 +140,21 @@ class Compiler:
                       externals: dict | None, plan_key: str) -> CompiledPlan:
         expr = normalize(expr)
         checker = TypeChecker(self._function_table(self.module), self.options.mode)
+        env = self._static_env(externals)
+        checker.infer(expr, env)
+        return self._plan(expr, env, list(checker.errors), source, plan_key)
+
+    def _static_env(self, externals: dict | None) -> dict:
         env = dict(externals or {})
         if self.module is not None:
             for name, var in self.module.variables.items():
                 env.setdefault(name, var.declared_type or ITEM_STAR)
-        checker.infer(expr, env)
+        return env
+
+    def _plan(self, expr: ast.AstNode, env: dict, errors: list[str],
+              source: str, plan_key: str) -> CompiledPlan:
+        """Stages 5-6 over an analyzed tree whose free variables are the
+        names of ``env``."""
         optimizer = Optimizer(
             self.registry,
             self.module,
@@ -180,8 +190,7 @@ class Compiler:
         from .batching import stamp_batch_capability
 
         stamp_batch_capability(expr)
-        plan = CompiledPlan(expr, self.module, list(checker.errors), source,
-                            plan_key=plan_key)
+        plan = CompiledPlan(expr, self.module, errors, source, plan_key=plan_key)
         if self.options.verify and not plan.errors:
             from .verify import verify_plan
 
@@ -204,6 +213,30 @@ class Compiler:
             expr = parser.parse_main_expression()
             externals = {p: ITEM_STAR for p in params}
             return self.compile_tree(expr, source=call_source, externals=externals)
+
+    def compile_body(self, decl: ast.FunctionDecl) -> CompiledPlan:
+        """The plan of one call of ``decl`` that the optimizer left in place
+        (a function whose results are cached, recursion past the unfolding
+        depth): its body — analyzed when it was deployed — optimized and
+        pushed like any query, the parameters being external variables
+        the call binds.  The function itself stays a call in its own body,
+        so one runtime call is one level of recursion."""
+        key = (decl.name, decl.arity())
+        source = f"{decl.name}#{decl.arity()} body"
+        # (no shared view cache: bodies unfolded with ``decl`` pinned are
+        # not the ones other plans unfold)
+        options = dataclasses.replace(
+            self.options, no_inline=self.options.no_inline | {key})
+        pinned = Compiler(self.registry, self.module, self.inverses, None, options)
+        env = self._static_env(
+            {param.name: param.declared_type or ITEM_STAR for param in decl.params})
+        with gensym_scope():
+            plan = pinned._plan(decl.body.clone(), env, [], source, source)
+        for node in plan.expr.walk():
+            # operator ids name the operators of the *calling* plan in its
+            # explain, profile and trace; a body's spans carry none
+            node.__dict__.pop("op_id", None)
+        return plan
 
     def _function_table(self, module: ast.Module | None) -> FunctionTable:
         return FunctionTable(module, self.registry.signatures())

@@ -3,7 +3,8 @@
 from .asyncexec import AsyncExecutor
 from .cache import CacheStats, FunctionCache
 from .context import DynamicContext, RuntimeStats
-from .evaluate import Evaluator, construct_element_content
+from .evaluate import Evaluator
+from .kernels import construct_element_content
 from .observed import CostEstimate, ObservedCostModel
 
 __all__ = [

@@ -2,7 +2,7 @@
 clause operators.
 
 Every FLWOR the engine evaluates runs here, at every ``ctx.batch_size``
-(``Evaluator._eval_flwor`` is a call into :func:`eval_flwor`); one row per
+(``Evaluator.iter_eval`` hands a FLWOR to :func:`eval_flwor`); one row per
 batch is the same pipeline at its laziest.  What a batch is, and the two
 facts about a stage's rows that are fixed when its stages are built
 (``owned``, ``mixed``), is in :mod:`repro.runtime.batch`.
@@ -41,20 +41,23 @@ from __future__ import annotations
 
 import math
 from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from ..compiler.algebra import IndexJoinForClause, PPkLetClause, PushedTupleForClause
 from ..concurrency import RACE, TrackedRLock, guarded_by
 from ..errors import DynamicError, SourceError
 from ..sql.ast_nodes import param_order
-from ..xml.items import AtomicValue, Item
+from ..xml.items import UNTYPED, AtomicValue, Item
 from ..xquery import ast_nodes as ast
 from .batch import Batch, Env, batched
-from .evaluate import Evaluator, _as_atomic_value, _OrderKey
+from .kernels import _as_atomic_value, _coerce, _OrderKey
 from .operators.group import clustered_groups, sorted_groups
 from .operators.ppk import ppk_extend
 from .operators.pushedsql import bind_parameters, render_pushed, template_fn
-from .rowcompile import MANY, atomfn, many_values, rowfn, streamfn, truthfn
+from .rowcompile import MANY, atomfn, rowfn, streamfn, truthfn
+
+if TYPE_CHECKING:
+    from .evaluate import Evaluator
 
 
 @guarded_by("_lock")
@@ -426,6 +429,9 @@ def _index_join_batches(run: _Run, stage: _Stage,
     var, general = clause.var, clause.general
     probe_fn, inner_fn = atomfn(clause.outer_key), atomfn(clause.inner_key)
     index: dict = {}
+    # under ``=`` an untyped atom meets a typed one as the type it is
+    # promoted to: untyped inner atoms, by what they promote to
+    promoted: dict = {}
     places: dict = {}  # under ``=``: id(item) -> where it occurs in the inner sequence
     built = multi_inner = False
 
@@ -438,15 +444,19 @@ def _index_join_batches(run: _Run, stage: _Stage,
                 key = inner_fn(ev, {var: [item]})
                 if key is None:
                     continue  # an empty key joins nothing
-                if general:
-                    places.setdefault(id(item), []).append(place)
-                if type(key) is not MANY:
-                    index.setdefault(key.value, []).append(item)
-                elif general:
-                    for value in many_values(key, general):
-                        index.setdefault(value, []).append(item)
-                else:
-                    multi_inner = True  # the error of the first probe to meet it
+                if not general:  # ``eq``: a key is its value
+                    if type(key) is MANY:
+                        multi_inner = True  # the error of the first probe to meet it
+                    else:
+                        index.setdefault(key.value, []).append(item)
+                    continue
+                places.setdefault(id(item), []).append(place)
+                atoms = key if type(key) is MANY else (key,)
+                for value in dict.fromkeys(map(_hashed, atoms)):
+                    index.setdefault(value, []).append(item)
+                for value in dict.fromkeys(
+                        value for atom in atoms for value in _promotions(atom)):
+                    promoted.setdefault(value, []).append(item)
             span.set(index_size=sum(len(v) for v in index.values()))
 
     def probed(batches):
@@ -464,18 +474,57 @@ def _index_join_batches(run: _Run, stage: _Stage,
         if key is None or not (index or multi_inner):
             return ()  # no atom on one side or the other
         if type(key) is not MANY and not multi_inner:
-            return index.get(key.value, ())
+            if not general:
+                return index.get(key.value, ())
+            if not promoted and key.type_name != UNTYPED:
+                return index.get(_hashed(key), ())
         # More than one atom on a side: a value comparison is the nested
-        # loop's error; a general comparison joins on any pair of atoms,
-        # each occurrence of an inner item once and in inner order.
+        # loop's error; a general comparison joins on any pair of atoms —
+        # an untyped one as what the other promotes it to — each
+        # occurrence of an inner item once and in inner order.
+        if not general:
+            raise DynamicError("value comparison over multi-item sequence")
+        buckets = [bucket
+                   for atom in (key if type(key) is MANY else (key,))
+                   for bucket in (index.get(_hashed(atom)), promoted.get(_hashed(atom)),
+                                  *map(index.get, _promotions(atom)))
+                   if bucket]
+        if len(buckets) < 2:  # as it was indexed: in inner order already
+            return buckets[0] if buckets else ()
         found = {place: item
-                 for value in many_values(key, general)
-                 for item in index.get(value, ())
+                 for bucket in buckets for item in bucket
                  for place in places[id(item)]}
         return [found[place] for place in sorted(found)]
 
     yield from _multiply(run, stage, probed(batches), matches,
                          _for_kernel(var, None))
+
+
+def _hashed(atom: AtomicValue):
+    """What the index join hashes an atom under for ``=``: its value — a
+    boolean kept apart from the numbers Python says it equals."""
+    value = atom.value
+    return ("xs:boolean", value) if value is True or value is False else value
+
+
+#: one typed atom of each kind :func:`~repro.runtime.kernels._coerce` tells apart
+_PROMOTION_TARGETS = (AtomicValue(True, "xs:boolean"), AtomicValue(0, "xs:integer"))
+
+
+def _promotions(atom: AtomicValue) -> list:
+    """The typed values an untyped atom equals under ``=`` (none for a
+    typed one): what ``_coerce`` makes of it against a boolean and against
+    a number.  Against a string or another untyped atom it is its text,
+    which is what it is hashed under.  Text that is no number meets no
+    number: the nested loop raises there, the index skips (XQuery 2.3.4)."""
+    values = []
+    if atom.type_name == UNTYPED:
+        for target in _PROMOTION_TARGETS:
+            try:
+                values.append(_hashed(_coerce(atom, target)))
+            except DynamicError:
+                pass
+    return values
 
 
 def _replan_index_to_ppk(run: _Run, stage: _Stage, replan: PPkLetClause,

@@ -255,3 +255,11 @@ class DynamicContext:
         if self.module is None:
             return None
         return self.module.function(name, arity)
+
+    def body_plan(self, decl):
+        """What a call of ``decl`` that the optimizer left in place
+        executes.  A :class:`~repro.services.platform.Platform` installs
+        its compiler here (``Platform._body_plan``: sources resolved, SQL
+        pushed, cached with the plans); a bare context has no compiler
+        and runs the body as declared."""
+        return decl.body

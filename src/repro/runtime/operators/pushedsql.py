@@ -28,6 +28,7 @@ from ...xml.items import (
 from ...xml.qname import QName
 from ...xml.serialize import escape_attribute, escape_text
 from ...xquery import ast_nodes as ast
+from ..kernels import construct_element_content
 from ..operators.group import clustered_groups
 from ..rowcompile import MANY, atomfn
 
@@ -221,7 +222,6 @@ def _column_slot(slot: ColumnSlot) -> TemplateFn:
 
 def _element_ctor(template: ast.ElementCtor) -> TemplateFn:
     from ...xquery.functions import atomize
-    from ..evaluate import construct_element_content
 
     name = QName(template.name)
     attribute_parts = [(QName(attr.name), attr.optional, _compile_template(attr.value))

@@ -1,12 +1,13 @@
-"""Row-expression compiler (P-BATCH): AST shapes become closures.
+"""The expression compiler (P-BATCH): every AST shape becomes a closure.
 
-The interpreter (``Evaluator.eval``) pays a ``getattr`` dispatch, a
-generator wrap and a ``list()`` materialization on *every* sub-expression
-of every row.  The FLWOR runtime (:mod:`repro.runtime.batchexec`) sets a
-clause up once for all the rows it will see, so every clause expression of
-every FLWOR is compiled **once** into a chain of plain closures and called
-per row — no dispatch, no generator frames.  A compiled expression has two
-calling conventions:
+The optimized tree is the plan (section 3.3), and an expression of it is
+evaluated one way: :func:`rowfn` compiles it **once** into a chain of plain
+closures — no per-node dispatch, no generator frames — and every caller
+runs that.  ``Evaluator.eval`` is ``rowfn(node)(evaluator, env)``; the FLWOR
+runtime (:mod:`repro.runtime.batchexec`) sets a clause up once for all the
+rows it will see and calls its closures per row.  :data:`_COMPILERS` is
+total over the expression classes.  A compiled expression has two calling
+conventions:
 
 * the **list form** ``f(evaluator, env) -> list[Item]`` — every shape has
   it, and it returns a **fresh list** per call (callers and builtin
@@ -21,28 +22,34 @@ calling conventions:
   same end).  Each consumer turns ``MANY`` into the error the list form
   raises for a multi-item operand, in the same left-to-right order.
 
-``Literal``, ``Arithmetic``, ``UnaryMinus``, ``Comparison``, ``And/Or``
-and ``fn:data`` are *atomic* shapes — their items are their atoms — so the
-lane is their only body and :func:`_from_lane` derives the list form from
-it (``f.atomic`` is true).  ``VarRef`` has a lane of its own beside its
-list form (the bound items may be nodes).  For every other shape
-:func:`atomfn` derives the lane from the list form.
+``Literal``, ``Arithmetic``, ``UnaryMinus``, ``Comparison``, ``And/Or``,
+``cast``/``castable``/``instance of`` and ``fn:data`` are *atomic* shapes —
+their items are their atoms — so the lane is their only body and
+:func:`_from_lane` derives the list form from it (``f.atomic`` is true).
+``VarRef`` has a lane of its own beside its list form (the bound items may
+be nodes).  For every other shape :func:`atomfn` derives the lane from the
+list form.
 
-Semantics are byte-identical to the interpreter by construction: every
-compiled shape reuses the *same* helper functions the interpreter calls
-(:func:`~repro.xquery.functions.atomize`, ``arithmetic_value``,
-``compare_atomics``, ``effective_boolean_value``, ``_coerce``, ``_axis``,
-``construct_element_content``, the evaluator's ``_filter``), and every
-shape the compiler does not understand falls back to a bridge closure
-that simply calls ``evaluator.eval`` — the interpreter itself
-(:func:`bridged` lists them).  ``tests/test_flwor_differential.py`` and
-the lane matrices of ``tests/test_batch_runtime.py`` hold the compiled
-forms to the interpreter, driven by the reference FLWOR driver under
-``tests/``.
+**Building a closure never raises.**  What is wrong with an expression — an
+arity error, an unknown function, an ``ErrorExpr`` — is raised when the
+closure is *called*, operands left to right, so a branch that is never
+taken never fails.
+
+**Closures compute; the evaluator acts.**  What an expression *does* — a
+source call, a pushed region, a call of a function the optimizer left in
+place (cache, recursion guard), ``fn-bea:async`` / ``fail-over`` /
+``timeout`` — exists once, on :class:`~repro.runtime.evaluate.Evaluator`:
+the closure evaluates the operands (or wraps them as thunks) and calls it.
+Value semantics are the kernels of :mod:`repro.runtime.kernels`, shared
+with the reference interpreter under ``tests/`` (``tests/expr_reference.py``)
+that ``tests/test_flwor_differential.py`` and the lane matrices of
+``tests/test_batch_runtime.py`` hold every compiled form to.
 
 Compiled closures are cached on the AST node (``node._rowfn``), like the
 memoized SQL renderings on pushed regions (``_sql_text``).  Closures
-capture no evaluator or context, so plans shared through the plan cache
+capture plan nodes and constants only — declarations, sources, cache and
+tracer are read through ``evaluator.ctx`` at call time, the recursion
+depth through the evaluator — so plans shared through the plan cache
 reuse them safely across platforms and threads; concurrent first
 compilations produce equivalent closures and the last write wins (benign,
 same contract as ``_sql_text``).
@@ -52,7 +59,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..errors import DynamicError
+from ..errors import DynamicError, TypeMatchError
+from ..schema.dynamic import value_matches
 from ..xml.items import AtomicValue, AttributeNode, ElementNode, Node
 from ..xml.qname import QName
 from ..xquery import ast_nodes as ast
@@ -64,6 +72,13 @@ from ..xquery.functions import (
     compare_atomics,
     effective_boolean_value,
     numeric_value,
+)
+from .kernels import (
+    _async_call_of,
+    _axis,
+    _coerce,
+    _convert_atomic,
+    construct_element_content,
 )
 
 RowFn = Callable
@@ -77,8 +92,7 @@ class MANY(list):
 
 
 def many_values(atoms: MANY, general: bool) -> tuple:
-    """The distinct values of a join key with more than one atom, for the
-    operators that hash join keys (PP-k, the index nested-loop join).  A
+    """The distinct values of a PP-k join key with more than one atom.  A
     general comparison (``=``) joins on any of them; a value comparison
     (``eq``) over them is the error the nested loop raises."""
     if not general:
@@ -91,15 +105,14 @@ _FALSE = AtomicValue(False, "xs:boolean")
 
 
 def rowfn(node: ast.AstNode) -> RowFn:
-    """The compiled row function for ``node`` (cached on the node).
-
-    Always succeeds: unsupported shapes get the interpreter bridge."""
+    """The compiled form of ``node`` (cached on the node).  Always
+    succeeds: a node that is not an expression (a clause, a step, a
+    template slot) gets a closure that says so when it is called."""
     fn = getattr(node, "_rowfn", None)
     if fn is None:
-        fn = compile_rowfn(node)
-        if fn is None:
-            fn = _bridge(node)
-        node._rowfn = fn
+        handler = _COMPILERS.get(type(node).__name__)
+        fn = node._rowfn = handler(node) if handler is not None else _raises(
+            DynamicError, f"cannot evaluate {type(node).__name__}")
     return fn
 
 
@@ -136,60 +149,20 @@ def truthfn(node: ast.AstNode) -> Callable:
     return truth
 
 
-def compile_rowfn(node: ast.AstNode) -> RowFn | None:
-    """Compile ``node`` if its *root* shape is supported, else None.
-    Unsupported sub-expressions inside a supported root are bridged
-    individually, so partial compilation still pays off."""
-    handler = _COMPILERS.get(type(node).__name__)
-    if handler is None:
-        return None
-    return handler(node)
-
-
-def _bridge(node: ast.AstNode) -> RowFn:
-    """Fallback: defer to the interpreter (exact by definition)."""
+def _raises(error: type, message: str) -> RowFn:
+    """An expression whose evaluation is an error: raised per call, so one
+    under a branch that is never taken costs nothing."""
 
     def call(evaluator, env):
-        return evaluator.eval(node, env)
+        raise error(message)
 
     return call
 
 
-#: plan operators the interpreter owns: nothing in them is row-expression
-#: work the compiler could have taken
-_SOURCE_OPERATORS = frozenset({"PushedSQL", "SourceCall"})
-
-
-def bridged(node: ast.AstNode) -> list[str]:
-    """AST type names of the expressions under ``node`` that run on the
-    interpreter: shapes :func:`rowfn` bridges (reported once, at the root
-    of the interpreted subtree) and predicates, which ``Evaluator._filter``
-    evaluates.  Empty means every row expression of the plan is compiled."""
-    names: list[str] = []
-
-    def visit(n: ast.AstNode) -> None:
-        if type(n).__name__ in _SOURCE_OPERATORS:
-            return
-        if isinstance(n, (ast.Step, ast.FilterExpr)):
-            names.extend(type(p).__name__ for p in n.predicates)
-            if isinstance(n, ast.FilterExpr):
-                visit(n.base)
-            return
-        # FLWORs, clauses and order specs are pipeline operators: their
-        # expressions are what gets compiled
-        if not isinstance(n, (ast.FLWOR, ast.Clause, ast.OrderSpec)) \
-                and compile_rowfn(n) is None:
-            names.append(type(n).__name__)
-            return
-        for child in n.children():
-            visit(child)
-
-    visit(node)
-    return names
-
-
-def _sub(node: ast.AstNode) -> RowFn:
-    return rowfn(node)
+def _streamed(node: ast.AstNode) -> RowFn:
+    """The list form of a FLWOR on the lazy driver or of a pushed region:
+    both enter through ``Evaluator.iter_eval``, nested or at the root."""
+    return lambda evaluator, env: list(evaluator.iter_eval(node, env))
 
 
 def _one_atom(items):
@@ -227,8 +200,8 @@ def _number(value, op: str):
 
 
 # ---------------------------------------------------------------------------
-# Shape compilers.  Each has one body; value semantics live in the helpers
-# shared with the corresponding Evaluator._eval_* method.
+# Shape compilers.  Each has one body; value semantics live in the kernels
+# shared with the reference interpreter (``tests/expr_reference.py``).
 # ---------------------------------------------------------------------------
 
 
@@ -276,20 +249,47 @@ def _c_ContextItem(node) -> RowFn:
     return call
 
 
-def _c_SequenceExpr(node: ast.SequenceExpr) -> RowFn | None:
-    from .evaluate import _async_call_of
+def _parts(parts: list[ast.AstNode]) -> RowFn:
+    """Sibling expressions — a comma sequence, a constructor's content —
+    evaluated left to right into one list.  Two or more sibling
+    ``fn-bea:async`` calls are overlapped (section 5.4), which is decided
+    here, when the closure is built: a sibling counts as asynchronous if it
+    *is* an ``fn-bea:async`` call or is a constructor whose sole content is
+    one — the common ``<X>{fn-bea:async(...)}</X>`` dashboard pattern."""
+    fns = [rowfn(part) for part in parts]
+    # (a malformed call is no branch: it raises its arity error where it stands)
+    targets = [target if target is not None and len(target.args) == 1 else None
+               for target in map(_async_call_of, parts)]
+    if sum(target is not None for target in targets) < 2:
+        def call(evaluator, env):
+            items = []
+            for fn in fns:
+                items.extend(fn(evaluator, env))
+            return items
 
-    if sum(1 for part in node.items if _async_call_of(part) is not None) > 1:
-        return None  # sibling async overlap: interpreter only
-    fns = [_sub(part) for part in node.items]
+        return call
+    branch_fns = [rowfn(target.args[0]) for target in targets if target is not None]
 
-    def call(evaluator, env):
+    def overlapped(evaluator, env):
+        # the branches run first, as one group; then every sibling in
+        # order, an asynchronous one taking its branch's result
+        results = iter(evaluator.overlap(
+            [lambda fn=fn: fn(evaluator, env) for fn in branch_fns]))
         items = []
-        for fn in fns:
-            items.extend(fn(evaluator, env))
+        for part, target, fn in zip(parts, targets, fns):
+            if target is None:
+                items.extend(fn(evaluator, env))
+            elif part is target:
+                items.extend(next(results))
+            else:  # the constructor around the call
+                items.extend(fn(evaluator, env, next(results)))
         return items
 
-    return call
+    return overlapped
+
+
+def _c_SequenceExpr(node: ast.SequenceExpr) -> RowFn:
+    return _parts(node.items)
 
 
 def _c_RangeTo(node: ast.RangeTo) -> RowFn:
@@ -332,8 +332,6 @@ def _c_UnaryMinus(node: ast.UnaryMinus) -> RowFn:
 
 
 def _c_Comparison(node: ast.Comparison) -> RowFn:
-    from .evaluate import _coerce
-
     left_fn, right_fn = atomfn(node.left), atomfn(node.right)
     op = node.op
 
@@ -377,7 +375,7 @@ def _c_Logical(node: ast.AndExpr | ast.OrExpr) -> RowFn:
 
 def _c_IfExpr(node: ast.IfExpr) -> RowFn:
     condition_fn = truthfn(node.condition)
-    then_fn, else_fn = _sub(node.then_branch), _sub(node.else_branch)
+    then_fn, else_fn = rowfn(node.then_branch), rowfn(node.else_branch)
 
     def call(evaluator, env):
         if condition_fn(evaluator, env):
@@ -388,9 +386,8 @@ def _c_IfExpr(node: ast.IfExpr) -> RowFn:
 
 
 def _c_Quantified(node: ast.Quantified) -> RowFn:
-    """``some``/``every``: the interpreter's ``_quantify``, binding for
-    binding — sequences bind left to right, each item in its own copy of
-    the environment, and the first deciding item ends the scan."""
+    """``some``/``every``: sequences bind left to right, each item in its
+    own copy of the environment, and the first deciding item ends the scan."""
     bindings = [(var, streamfn(expr)) for var, expr in node.bindings]
     satisfies_fn = truthfn(node.satisfies)
     some = node.kind == "some"
@@ -424,16 +421,18 @@ def streamfn(expr: ast.AstNode) -> Callable:
 
 
 _ROW_CLAUSES = (ast.ForClause, ast.LetClause, ast.WhereClause)
+#: plan operators: an access to a source, whatever their operands compute
+_SOURCE_OPERATORS = frozenset({"PushedSQL", "SourceCall"})
 
 
-def _c_FLWOR(node: ast.FLWOR) -> RowFn | None:
-    """A FLWOR inside a row expression runs as a row function when it —
+def _c_FLWOR(node: ast.FLWOR) -> RowFn:
+    """A FLWOR inside a row expression runs on the eager driver when it —
     and every FLWOR nested in it — is made only of ``for``/``let``/
     ``where`` over sequences already in memory.  A source access, a
     service-quality call or a user function (cache, spans) anywhere under
     it has effects whose timing the lazy driver's pull order decides, so
-    such a FLWOR is bridged to ``Evaluator.eval``, which runs it there."""
-    from .batchexec import flwor_rowfn
+    such a FLWOR is a closure over the lazy driver."""
+    from .batchexec import flwor_rowfn  # function-level: it imports this module
 
     builtins = all_builtins()
     for sub in node.walk():
@@ -441,17 +440,17 @@ def _c_FLWOR(node: ast.FLWOR) -> RowFn | None:
             if not all(type(clause) in _ROW_CLAUSES
                        and getattr(clause, "scatter_group", None) is None
                        for clause in sub.clauses):
-                return None
+                return _streamed(node)
         elif type(sub).__name__ in _SOURCE_OPERATORS:
-            return None
+            return _streamed(node)
         elif isinstance(sub, ast.FunctionCall) and (
                 sub.name in _SPECIAL_CALLS or sub.name not in builtins):
-            return None
+            return _streamed(node)
     return flwor_rowfn(node)
 
 
 def _c_PathExpr(node: ast.PathExpr) -> RowFn:
-    base_fn = _sub(node.base)
+    base_fn = rowfn(node.base)
     step_fns = [_c_step(step) for step in node.steps]
 
     def call(evaluator, env):
@@ -464,9 +463,7 @@ def _c_PathExpr(node: ast.PathExpr) -> RowFn:
 
 
 def _c_step(step: ast.Step):
-    from .evaluate import _axis
-
-    predicates = step.predicates
+    predicates = [_predicate(predicate) for predicate in step.predicates]
     if (step.axis == "child" and isinstance(step.test, ast.NameTest)
             and step.test.name != "*" and not predicates):
         # The hot shape ($var/CHILD): inline the axis + name test.
@@ -491,28 +488,56 @@ def _c_step(step: ast.Step):
             if not isinstance(item, Node):
                 raise DynamicError("path step applied to an atomic value")
             results.extend(_axis(item, step))
-        for predicate in predicates:
-            results = evaluator._filter(results, predicate, env)
+        for keep in predicates:
+            results = keep(evaluator, env, results)
         return results
 
     return generic
 
 
+def _predicate(predicate: ast.AstNode) -> Callable:
+    """``(evaluator, env, items) -> the items the predicate keeps``: each
+    item in turn is the focus (``.``, ``fn:position()``, ``fn:last()``); a
+    numeric predicate value selects by position, any other by its
+    effective boolean value."""
+    value_fn = rowfn(predicate)
+
+    def keep(evaluator, env, items):
+        kept = []
+        size = AtomicValue(len(items), "xs:integer")
+        for position, item in enumerate(items, start=1):
+            inner = dict(env)
+            inner["."] = [item]
+            inner["#position"] = AtomicValue(position, "xs:integer")
+            inner["#last"] = size
+            value = value_fn(evaluator, inner)
+            if len(value) == 1 and isinstance(value[0], AtomicValue) and \
+                    isinstance(value[0].value, (int, float)) and \
+                    not isinstance(value[0].value, bool):
+                if value[0].value == position:
+                    kept.append(item)
+            elif effective_boolean_value(value):
+                kept.append(item)
+        return kept
+
+    return keep
+
+
 def _c_FilterExpr(node: ast.FilterExpr) -> RowFn:
-    base_fn = _sub(node.base)
-    predicates = node.predicates
+    base_fn = rowfn(node.base)
+    predicates = [_predicate(predicate) for predicate in node.predicates]
 
     def call(evaluator, env):
         items = base_fn(evaluator, env)
-        for predicate in predicates:
-            items = evaluator._filter(items, predicate, env)
+        for keep in predicates:
+            items = keep(evaluator, env, items)
         return items
 
     return call
 
 
 def _c_AttributeCtor(node: ast.AttributeCtor) -> RowFn:
-    value_fn = _sub(node.value)
+    value_fn = rowfn(node.value)
     qname, optional = QName(node.name), node.optional
 
     def call(evaluator, env):
@@ -526,17 +551,15 @@ def _c_AttributeCtor(node: ast.AttributeCtor) -> RowFn:
     return call
 
 
-def _c_ElementCtor(node: ast.ElementCtor) -> RowFn | None:
-    from .evaluate import _async_call_of, construct_element_content
-
-    if sum(1 for part in node.content if _async_call_of(part) is not None) > 1:
-        return None  # sibling async overlap: interpreter only
-    attr_specs = [(QName(attr.name), attr.optional, _sub(attr.value))
+def _c_ElementCtor(node: ast.ElementCtor) -> RowFn:
+    attr_specs = [(QName(attr.name), attr.optional, rowfn(attr.value))
                   for attr in node.attributes]
-    content_fns = [_sub(part) for part in node.content]
+    content_fn = _parts(node.content)
     name, optional = node.name, node.optional
 
-    def call(evaluator, env):
+    # ``content``: the content already evaluated, when the constructor
+    # wraps a sibling ``fn-bea:async`` that ``_parts`` overlapped
+    def call(evaluator, env, content=None):
         attributes = []
         for qname, attr_optional, value_fn in attr_specs:
             atoms = atomize(value_fn(evaluator, env))
@@ -548,22 +571,27 @@ def _c_ElementCtor(node: ast.ElementCtor) -> RowFn | None:
             text = " ".join(a.string_value() for a in atoms)
             type_name = atoms[0].type_name if len(atoms) == 1 else "xs:string"
             attributes.append(AttributeNode(qname, AtomicValue(text, type_name)))
-        content = []
-        for content_fn in content_fns:
-            content.extend(content_fn(evaluator, env))
+        if content is None:
+            content = content_fn(evaluator, env)
         element = construct_element_content(name, attributes, content)
         if optional and not element.children():
+            # Residual optional constructors (outside normalized pipelines).
             return []
         return [element]
 
     return call
 
 
-_SPECIAL_CALLS = frozenset({"fn-bea:async", "fn-bea:fail-over", "fn-bea:timeout"})
+#: service-quality function -> the ``Evaluator`` effect that runs it
+_SPECIAL_CALLS = {"fn-bea:async": "async_call", "fn-bea:fail-over": "fail_over",
+                  "fn-bea:timeout": "timeout"}
 
 
-def _c_FunctionCall(node: ast.FunctionCall) -> RowFn | None:
+def _c_FunctionCall(node: ast.FunctionCall) -> RowFn:
     name = node.name
+    builtin = all_builtins().get(name)
+    if builtin is not None and not builtin.min_args <= len(node.args) <= builtin.max_args:
+        return _raises(DynamicError, f"{name}: wrong number of arguments")
     if name in ("fn:position", "fn:last"):
         key = "#position" if name == "fn:position" else "#last"
 
@@ -573,16 +601,22 @@ def _c_FunctionCall(node: ast.FunctionCall) -> RowFn | None:
             return [env[key]]
 
         return focus
-    if name in _SPECIAL_CALLS:
-        return None  # service-quality calls: spans/branch accounting
     if name == "fn:data" and len(node.args) == 1:
         return _from_lane(atomfn(node.args[0]))  # atomization is the lane
-    builtin = all_builtins().get(name)
-    if builtin is None or builtin.evaluator is None or builtin.lazy:
-        return None  # user functions (cache/recursion) and lazy builtins
-    if not builtin.min_args <= len(node.args) <= builtin.max_args:
-        return None  # let the interpreter raise its arity error
-    arg_fns = [_sub(arg) for arg in node.args]
+    arg_fns = [rowfn(arg) for arg in node.args]
+    if name in _SPECIAL_CALLS:
+        # service-quality calls: each operand is a thunk, run — or not —
+        # by the effect, which owns the span and the branch accounting
+        effect = _SPECIAL_CALLS[name]
+
+        def special(evaluator, env):
+            return getattr(evaluator, effect)(
+                node, *[lambda fn=fn: fn(evaluator, env) for fn in arg_fns])
+
+        return special
+    if builtin is None:  # a user function the optimizer left as a call
+        return lambda evaluator, env: evaluator.call_user_function(
+            node, (fn(evaluator, env) for fn in arg_fns))
     evaluator_fn = builtin.evaluator
     if len(arg_fns) == 1:
         arg0 = arg_fns[0]
@@ -592,6 +626,85 @@ def _c_FunctionCall(node: ast.FunctionCall) -> RowFn | None:
         return evaluator_fn(*[fn(evaluator, env) for fn in arg_fns])
 
     return call
+
+
+def _c_SourceCall(node) -> RowFn:
+    arg_fns = [rowfn(arg) for arg in node.args]
+    return lambda evaluator, env: evaluator.call_source(
+        node, (fn(evaluator, env) for fn in arg_fns))
+
+
+def _c_CastExpr(node: ast.CastExpr) -> RowFn:
+    operand_fn, target, kind = rowfn(node.operand), node.target, node.kind
+    if kind == "instance":
+        return _from_lane(lambda evaluator, env: _TRUE if value_matches(
+            operand_fn(evaluator, env), target) else _FALSE)
+    if kind == "treat":
+        return _matching(operand_fn, target, DynamicError,
+                         f"treat as {target.show()}: value does not match")
+
+    def cast(value):
+        atom = _one_atom(value)
+        if atom is None:
+            if target.allows_empty():
+                return None
+            raise DynamicError("cast of empty sequence to non-optional type")
+        if type(atom) is MANY:
+            raise DynamicError("cast of multi-item sequence")
+        return _convert_atomic(atom, getattr(target.alternatives[0], "name", "xs:string"))
+
+    if kind == "cast":
+        return _from_lane(lambda evaluator, env: cast(operand_fn(evaluator, env)))
+
+    def castable(evaluator, env):
+        value = operand_fn(evaluator, env)  # an error in the operand is not the cast's
+        try:
+            cast(value)
+        except DynamicError:
+            return _FALSE
+        return _TRUE
+
+    return _from_lane(castable)
+
+
+def _matching(operand_fn: RowFn, target, error: type, message: str) -> RowFn:
+    """``treat as`` and the compiler's ``typematch`` (section 4.1): the
+    operand's value, which must match ``target``."""
+
+    def call(evaluator, env):
+        value = operand_fn(evaluator, env)
+        if not value_matches(value, target):
+            raise error(message)
+        return value
+
+    return call
+
+
+def _c_TypeMatch(node: ast.TypeMatch) -> RowFn:
+    return _matching(
+        rowfn(node.operand), node.target, TypeMatchError,
+        f"runtime type check failed: value does not match {node.target.show()}")
+
+
+def _c_TypeswitchExpr(node: ast.TypeswitchExpr) -> RowFn:
+    operand_fn = rowfn(node.operand)
+    cases = [(var, case_type, rowfn(expr)) for var, case_type, expr in node.cases]
+    default = (node.default_var, None, rowfn(node.default_expr))
+
+    def call(evaluator, env):
+        value = operand_fn(evaluator, env)
+        var, _type, branch_fn = next(
+            (case for case in cases if value_matches(value, case[1])), default)
+        inner = dict(env)
+        if var is not None:
+            inner[var] = value
+        return branch_fn(evaluator, inner)
+
+    return call
+
+
+def _c_ErrorExpr(node: ast.ErrorExpr) -> RowFn:
+    return _raises(DynamicError, f"evaluation of erroneous expression: {node.message}")
 
 
 _COMPILERS: dict[str, Callable] = {
@@ -614,4 +727,10 @@ _COMPILERS: dict[str, Callable] = {
     "AttributeCtor": _c_AttributeCtor,
     "ElementCtor": _c_ElementCtor,
     "FunctionCall": _c_FunctionCall,
+    "CastExpr": _c_CastExpr,
+    "TypeswitchExpr": _c_TypeswitchExpr,
+    "TypeMatch": _c_TypeMatch,
+    "ErrorExpr": _c_ErrorExpr,
+    "SourceCall": _c_SourceCall,
+    "PushedSQL": _streamed,
 }

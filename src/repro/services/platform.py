@@ -98,6 +98,7 @@ class Platform:
         self.cache = FunctionCache(self.clock, backing=cache_backing)
         self.security = SecurityService()
         self.ctx = DynamicContext(self.registry, self.module, self.clock, self.cache)
+        self.ctx.body_plan = self._body_plan
         self.evaluator = Evaluator(self.ctx)
         self.services: dict[str, DataService] = {}
         self._lineage_cache: dict[str, LineageMap] = {}
@@ -735,6 +736,21 @@ class Platform:
         return Compiler(self.registry, self.module, self.inverses,
                         self.view_cache, self.options)
 
+    def _keyed_plan(self, key: str,
+                    make: Callable[[Compiler], CompiledPlan]) -> CompiledPlan:
+        """A plan the platform names itself (a method call, a function
+        body): compiled once, cached and invalidated with the query plans."""
+        plan = self.plan_cache.get(key)
+        if plan is None:
+            plan = make(self._compiler())
+            self.plan_cache.put(key, plan, compiles=1)
+        return plan
+
+    def _body_plan(self, decl: ast.FunctionDecl) -> ast.AstNode:
+        """``DynamicContext.body_plan``: what a call left in a plan runs."""
+        return self._keyed_plan(f"#body:{decl.name}#{decl.arity()}",
+                                lambda compiler: compiler.compile_body(decl)).expr
+
     # ------------------------------------------------------------------------
     # Query execution (client APIs, section 2.2)
     # ------------------------------------------------------------------------
@@ -893,11 +909,9 @@ class Platform:
         self._check_open()
         self.security.check_call(function_name, user)
         arity = len(args)
-        key = f"#call:{function_name}#{arity}"
-        plan = self.plan_cache.get(key)
-        if plan is None:
-            plan = self._compiler().compile_call(function_name, arity)
-            self.plan_cache.put(key, plan, compiles=1)
+        plan = self._keyed_plan(
+            f"#call:{function_name}#{arity}",
+            lambda compiler: compiler.compile_call(function_name, arity))
         self.ctx.external_variables = {
             f"__arg{i}": list(arg) for i, arg in enumerate(args)
         }

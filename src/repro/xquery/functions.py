@@ -144,8 +144,8 @@ def numeric_value(atom: AtomicValue) -> float | int:
 
 def arithmetic_value(op: str, left: float | int, right: float | int) -> AtomicValue:
     """One binary arithmetic step over two numbers (``numeric_value``
-    results): the only implementation, shared by the interpreter and the
-    row compiler.  Exact for ``int`` operands of any size: ``idiv``
+    results): the only implementation, shared by the expression compiler
+    and the reference interpreter under ``tests/``.  Exact for ``int`` operands of any size: ``idiv``
     truncates towards zero and ``mod`` takes the dividend's sign without a
     detour through floats."""
     if op == "+":

@@ -4,8 +4,9 @@ This is the tuple pipeline the engine ran at ``set_batch_size(1)`` until the
 batch runtime became its only FLWOR runtime, moved here (method bodies
 verbatim) as the oracle of ``tests/test_flwor_differential.py`` and of the
 lane and quantifier matrices in ``tests/test_batch_runtime.py``.  Every
-expression — nested FLWORs included — goes through ``Evaluator.eval``, the
-interpreter, so nothing here touches the row compiler or the batch runtime.
+expression — nested FLWORs included — goes through the reference
+interpreter of ``tests/expr_reference.py``, so nothing here touches the
+expression compiler or the batch runtime.
 It executes plans made of plain ``for``/``let``/``where``/``order by``/
 ``group by`` clauses (any in-memory FLWOR; with pushdown off, every query)
 and lives under ``tests/`` on purpose: ``src/`` must not import it.
@@ -16,14 +17,17 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.errors import DynamicError
-from repro.runtime.evaluate import Env, Evaluator, _as_atomic_value, _OrderKey
+from repro.runtime.evaluate import Env
+from repro.runtime.kernels import _as_atomic_value, _OrderKey
 from repro.runtime.operators.group import clustered_groups, sorted_groups
 from repro.xml.items import AtomicValue, Item
 from repro.xquery import ast_nodes as ast
 from repro.xquery.functions import atomize, effective_boolean_value
 
+from .expr_reference import ReferenceInterpreter
 
-class ReferenceEvaluator(Evaluator):
+
+class ReferenceEvaluator(ReferenceInterpreter):
     def _eval_flwor(self, node: ast.FLWOR, env: Env) -> Iterator[Item]:
         tuples: Iterator[Env] = iter([env])
         for clause in node.clauses:

@@ -214,3 +214,67 @@ class TestFunctionCache:
         platform.clock.charge_ms(100)
         platform.execute(query)
         assert platform.ctx.stats.service_calls == 2
+
+
+class TestCachedDataServiceFunction:
+    """Section 5.5's own use case: the cache on a *data-service* function.
+    The call stays a call, and what it runs is the body compiled like any
+    plan — sources resolved, SQL pushed — not the body as declared."""
+
+    CALLS = [("getProfile", 0, "getProfile()"),
+             ("getProfileByID", 1, 'getProfileByID("C1")')]
+
+    @staticmethod
+    def _shipped(platform) -> dict:
+        return {name: list(db.stats.statements)
+                for name, db in platform.ctx.databases.items()}
+
+    @pytest.mark.parametrize("name, arity, query", CALLS)
+    def test_a_miss_is_the_uncached_run_and_a_hit_ships_nothing(self, name, arity, query):
+        plain = build_platform()
+        expected = serialize(plain.execute(query))
+        cached = build_platform()
+        cached.enable_function_cache(name, ttl_ms=10_000, arity=arity)
+        assert serialize(cached.execute(query)) == expected
+        # pushdown applied inside the body: statement for statement
+        assert self._shipped(cached) == self._shipped(plain)
+        assert cached.ctx.stats.service_calls == plain.ctx.stats.service_calls > 0
+        cached.reset_stats()
+        assert serialize(cached.execute(query)) == expected
+        assert self._shipped(cached) == {"custdb": [], "ccdb": []}
+        assert cached.ctx.stats.service_calls == 0
+        assert cached.function_cache_stats()["hits"] == 1
+
+    def test_a_key_per_argument(self):
+        platform = build_platform()
+        platform.enable_function_cache("getProfileByID", ttl_ms=10_000, arity=1)
+        one = serialize(platform.execute('getProfileByID("C1")'))
+        two = serialize(platform.execute('getProfileByID("C2")'))
+        assert "<CID>C1</CID>" in one and "<CID>C2</CID>" in two
+        assert platform.function_cache_stats()["misses"] == 2
+
+    def test_security_filters_after_the_cache(self):
+        from repro.security import User
+
+        platform = build_platform()
+        platform.enable_function_cache("getProfile", ttl_ms=10_000)
+        platform.security.protect_element(
+            ("PROFILE", "RATING"), ["manager"], action="replace", replacement="hidden")
+        manager = serialize(platform.execute("getProfile()", user=User.of("bob", "manager")))
+        agent = serialize(platform.execute("getProfile()", user=User.of("alice", "agent")))
+        assert platform.function_cache_stats()["hits"] == 1  # one entry, both users
+        assert "<RATING>701</RATING>" in manager and "hidden" not in manager
+        assert "<RATING>hidden</RATING>" in agent and "701" not in agent
+
+    def test_the_body_plan_is_invalidated_with_the_plans(self):
+        platform = build_platform()
+        platform.enable_function_cache("getProfile", ttl_ms=10.0)
+        expected = serialize(platform.execute("getProfile()"))
+        assert platform.plan_cache.get("#body:getProfile#0") is not None
+        pushed = platform.ctx.stats.pushed_queries
+        assert pushed > 0
+        platform.set_pushdown_enabled(False)
+        assert platform.plan_cache.get("#body:getProfile#0") is None
+        platform.clock.charge_ms(100)  # the entry is stale: the body runs again
+        assert serialize(platform.execute("getProfile()")) == expected
+        assert platform.ctx.stats.pushed_queries == pushed  # as recompiled: nothing pushed

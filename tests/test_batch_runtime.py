@@ -27,6 +27,20 @@ from .flwor_reference import reference_execute
 # Batches: lists of row dicts
 # ---------------------------------------------------------------------------
 
+@pytest.fixture()
+def streamed(monkeypatch) -> list:
+    """Every node that entered ``Evaluator.iter_eval`` — the lazy FLWOR
+    driver and the pushed regions — in order."""
+    from repro.runtime.evaluate import Evaluator
+
+    seen: list = []
+    iter_eval = Evaluator.iter_eval
+    monkeypatch.setattr(
+        Evaluator, "iter_eval",
+        lambda self, node, env: seen.append(node) or iter_eval(self, node, env))
+    return seen
+
+
 def _let_stages(query: str):
     """``(evaluator, [(stage, kernel)])`` of the query's FLWOR."""
     from repro.runtime.batchexec import _row_kernel, _stages
@@ -181,9 +195,8 @@ class TestKnobAndStamp:
 
 
     def test_integer_mod_and_idiv_are_exact_beyond_2_to_the_53(self):
-        """The interpreter and the row compiler share one kernel that never
-        detours through floats (``math.fmod``/``int(a / b)`` lose the low
-        digits)."""
+        """The one arithmetic kernel never detours through floats
+        (``math.fmod``/``int(a / b)`` lose the low digits)."""
         from repro import serialize
         from repro.xquery.functions import arithmetic_value
 
@@ -400,10 +413,6 @@ class TestAtomLane:
 
 
 # ---------------------------------------------------------------------------
-# The bridge report: a shape that drops to the interpreter shows up in CI
-# ---------------------------------------------------------------------------
-
-# ---------------------------------------------------------------------------
 # Compiled quantifiers and per-row FLWORs against the reference driver
 # ---------------------------------------------------------------------------
 
@@ -498,18 +507,18 @@ class TestQuantifiedAndPerRowFlwors:
                             "some $x in (1, 2) satisfies $a", variables) \
                 .endswith("effective boolean value of multi-item atomic sequence")
 
-    def test_which_flwors_run_as_row_functions(self, tmp_path):
-        """In-memory for/let/where FLWORs compile (the eager driver); one
-        that touches a source, groups or orders keeps the lazy driver."""
-        from repro.runtime.rowcompile import compile_rowfn
-
+    def test_which_flwors_run_as_row_functions(self, streamed):
+        """In-memory for/let/where FLWORs run the eager driver; one that
+        touches a source, groups or orders enters the lazy driver, through
+        ``Evaluator.iter_eval`` like a FLWOR at the root."""
         platform = build_demo_platform(customers=3, orders_per_customer=2)
         platform.set_pushdown_enabled(False)  # keep source clauses mid-tier
 
         def nested(query):
             outer = platform.prepare(query).expr
             inner = [n for n in outer.return_expr.walk() if isinstance(n, ast.FLWOR)]
-            return [compile_rowfn(node) is not None for node in inner]
+            platform.execute(query)
+            return [not any(node is seen for seen in streamed) for node in inner]
 
         assert nested("for $i in (1 to 3) return <R>{ for $x in (1, 2) where $x eq $i "
                       "return $x }</R>") == [True]
@@ -524,80 +533,64 @@ class TestQuantifiedAndPerRowFlwors:
                       "<S>{ for $c in CUSTOMER() return $c/CID }</S> }</R>") == [False, False]
 
 
-class TestBridgeReport:
-    #: the four ``midtier_flwor`` shapes of the layered benchmark
-    MIDTIER_SHAPES = [
-        ("for $i in (1 to 40) where ($i mod 7) eq $r return $i", ("r",)),
-        ("for $i in (1 to 40) let $k := ($i + $s) mod 50 "
-         "group $i as $is by $k as $g order by $g return "
-         "<G><K>{$g}</K><N>{fn:count($is)}</N><S>{fn:sum($is)}</S></G>", ("s",)),
-        ("for $i in (1 to 40) let $a := $i + $s let $b := $a * 2 "
-         "let $c := $b - $i let $d := $c mod 9 where $d ne 5 return $d", ("s",)),
-        ("for $i in (1 to 40) for $r in REGIONS() "
-         'let $k := fn:concat("C", (($i + $s) mod 3) + 1) '
-         "where $r/CID eq $k return $r/REGION", ("s",)),
-    ]
+# ---------------------------------------------------------------------------
+# One evaluator: the expression compiler is total
+# ---------------------------------------------------------------------------
 
-    #: the six ``cold_compile`` templates, with one literal each
-    COLD_COMPILE_SHAPES = [
-        'getProfileByID("C2")',
-        "for $s in STORE() where $s/SALES gt 842 and $s/SALES lt 10000000001 "
-        "return <S>{$s/SID}{$s/SALES}</S>",
-        "for $s in STORE() where $s/SALES gt 842 and $s/SALES lt 10000000001 "
-        "group $s as $ss by $s/RID as $rid order by $rid "
-        "return <G><RID>{$rid}</RID><N>{fn:count($ss)}</N></G>",
-        "for $r in REGION() where $r/ZONE lt 10000000001 and "
-        "(some $z in (0, 14, 3) satisfies $r/ZONE eq $z) return $r/NAME",
-        "for $r in REGION() where $r/ZONE lt 13 and $r/ZONE lt 10000000001 "
-        "return <P>{$r/RID}<F?>{fn:data($r[ZONE eq 3]/NAME)}</F></P>",
-        "for $s in STORE(), $r in REGION() where $s/RID eq $r/RID "
-        "and $s/SALES gt 842 and $s/SALES lt 10000000001 "
-        "return <S>{$s/SID}{$r/NAME}</S>",
-    ]
+class TestEveryExpressionCompiles:
+    """``Evaluator.eval`` is ``rowfn(node)(evaluator, env)`` and nothing
+    else: every expression class has a compiler, building a closure never
+    raises, and what is wrong with an expression is raised when it runs."""
 
-    @pytest.fixture()
-    def platform(self, tmp_path):
-        from repro import Database
-        from repro.schema import leaf, shape
+    @staticmethod
+    def _expression_classes() -> list[type]:
+        from repro.compiler import algebra
+        from tests.test_ast_clone import node_classes
 
-        platform = build_demo_platform(customers=3, orders_per_customer=2)
-        refdb = Database("refdb", vendor="sqlserver", clock=platform.clock)
-        refdb.create_table(
-            "REGION", [("RID", "VARCHAR", False), ("NAME", "VARCHAR"),
-                       ("ZONE", "INTEGER")], primary_key=["RID"])
-        refdb.create_table(
-            "STORE", [("SID", "VARCHAR", False), ("RID", "VARCHAR"),
-                      ("SALES", "INTEGER")], primary_key=["SID"])
-        platform.register_database(refdb)
-        path = tmp_path / "regions.csv"
-        path.write_text("CID,REGION\nC1,zone0\nC2,zone1\nC3,zone0\n")
-        platform.register_csv_file("REGIONS", path, shape("REGION_ROW", [
-            leaf("CID", "xs:string"), leaf("REGION", "xs:string")]))
-        return platform
+        #: what a path, an order-by and a reconstruction template are made of
+        parts = (ast.Step, ast.OrderSpec, algebra.ColumnSlot, algebra.NestedSlot,
+                 algebra.GroupSlot)
+        return [cls for cls in node_classes()
+                if cls is not ast.AstNode and not issubclass(cls, (ast.Clause, *parts))]
 
-    def test_benchmark_shapes_and_running_example_compile_fully(self, platform):
-        from repro.runtime.rowcompile import bridged
+    def test_every_expression_class_has_a_compiler(self):
+        from repro.runtime import rowcompile
+        from tests.test_ast_clone import SAMPLES
 
-        plans = [platform.prepare(query, {name: [] for name in names})
-                 for query, names in self.MIDTIER_SHAPES]
-        plans += [platform.prepare(query) for query in
-                  ("getProfile()", 'getProfileByID("C1")', *self.COLD_COMPILE_SHAPES)]
-        for plan in plans:
-            assert bridged(plan.expr) == [], plan.source
-        # the index join of the fourth shape survives planning, so its
-        # key expressions are among those checked
-        assert "IndexJoinForClause" in {type(n).__name__ for n in plans[3].expr.walk()}
+        classes = self._expression_classes()
+        assert len(classes) == 25  # Literal … ErrorExpr, SourceCall, PushedSQL
+        assert {cls.__name__ for cls in classes} == set(rowcompile._COMPILERS)
+        for cls in classes:
+            assert callable(rowcompile.rowfn(SAMPLES[cls]())), cls.__name__
 
-    def test_interpreted_shapes_are_named(self, platform):
-        from repro.runtime.rowcompile import bridged
+    @pytest.mark.parametrize("broken, message", [
+        (lambda: ast.FunctionCall("fn:count", []), "fn:count: wrong number of arguments"),
+        (lambda: ast.FunctionCall("fn-bea:async", []),
+         "fn-bea:async: wrong number of arguments"),
+        (lambda: ast.SequenceExpr([ast.FunctionCall("fn-bea:async", []),
+                                   ast.FunctionCall("fn-bea:async", [])]),
+         "fn-bea:async: wrong number of arguments"),
+        # an unknown function fails before its arguments are evaluated
+        (lambda: ast.FunctionCall("nope", [ast.ErrorExpr("argument")]),
+         "unknown function nope#1"),
+        (lambda: ast.ErrorExpr("broken"), "evaluation of erroneous expression: broken"),
+        (lambda: ast.Step("child", ast.NameTest("A")), "cannot evaluate Step"),
+    ])
+    def test_an_error_is_raised_when_the_closure_runs_not_when_it_is_built(
+            self, broken, message):
+        from repro.errors import DynamicError
+        from repro.xml import AtomicValue
 
-        def report(query):
-            return bridged(platform.prepare(query).expr)
+        def choose(flag: bool):
+            return ast.IfExpr(ast.Literal(AtomicValue(flag, "xs:boolean")), broken(),
+                              ast.Literal(AtomicValue(1, "xs:integer")))
 
-        assert report("for $i in (1 to 3) return $i cast as xs:string") == ["CastExpr"]
-        # predicates run through Evaluator._filter, whatever their shape
-        assert report("for $c in CUSTOMER() for $i in (1 to 3) "
-                      "return $c/CID[. eq $i]") == ["Comparison"]
+        evaluator = build_demo_platform(customers=1, orders_per_customer=0).evaluator
+        # a branch that is never taken never fails
+        assert [item.value for item in evaluator.eval(choose(False), {})] == [1]
+        with pytest.raises(DynamicError) as raised:
+            evaluator.eval(choose(True), {})
+        assert str(raised.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -742,10 +735,15 @@ class TestUnstampedFlwor:
         after = platform.metrics_snapshot()["batch.count{op=where#2}"]
         assert after > before  # the body's own stages record batch.* series
 
-    def test_its_nested_flwor_is_compiled_and_not_bridged(self):
-        from repro.runtime.rowcompile import bridged, compile_rowfn
+    def test_its_nested_flwor_runs_the_eager_driver(self, streamed):
+        from repro.xml import AtomicValue
 
-        body = self._platform(256).ctx.user_function("down", 1).body
+        platform = self._platform(256)
+        body = platform.ctx.user_function("down", 1).body
         nested = [n for n in body.return_expr.walk() if isinstance(n, ast.FLWOR)]
-        assert len(nested) == 1 and compile_rowfn(nested[0]) is not None
-        assert bridged(body) == ["FunctionCall"]  # only the recursive call
+        assert len(nested) == 1
+        platform.evaluator.eval(body, {"n": [AtomicValue(1, "xs:integer")]})
+        # the body holds a user call, so it takes the lazy driver; the FLWOR
+        # in its return is in-memory for/where and does not
+        assert any(node is body for node in streamed)
+        assert not any(node is nested[0] for node in streamed)

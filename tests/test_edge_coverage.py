@@ -77,7 +77,7 @@ class TestChangeLogKinds:
 
 class TestAsyncSequences:
     def test_sibling_async_in_sequence_expression(self):
-        # _eval_parts also powers the comma operator
+        # rowcompile._parts also powers the comma operator
         out = values(run("(fn-bea:async(1), fn-bea:async(2), 3)"))
         assert out == [1, 2, 3]
 

@@ -141,14 +141,45 @@ class TestIndexJoin:
             query = template.format(outer.format("A"), inner.format("B"))
             assert outcome(demo(), query) == outcome(demo(nested_loop), query) == ""
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "EXPERIMENTS.md, Deviations: the index join hashes the raw atom value, "
-        "the nested loop promotes an untyped atom to the other operand's type"))
     def test_untyped_keys_promote_as_in_the_nested_loop(self):
+        """Under ``=`` an untyped atom meets a typed one as the nested loop's
+        ``_coerce`` says: a number by its value, a string by its text."""
         query = ("for $a in (1, 2, 3) for $b in (<B><K>2</K></B>, <B><K>3.0</K></B>) "
                  "where $b/K = $a return $b")
+        assert "INDEX NESTED-LOOP JOIN" in demo().explain(query)
         assert outcome(demo(nested_loop), query) == "<B><K>2</K></B><B><K>3.0</K></B>"
         assert outcome(demo(), query) == outcome(demo(nested_loop), query)
+
+    @pytest.mark.parametrize("outer, inner", [
+        # an untyped atom meets a number as the number it spells, on either side
+        ("(<A>3.0</A>, <A>2</A>, <A>5</A>)", "(3, 2.0, 2, 7)"),
+        ("(3, 2.0, 7)", "(<B>3.0</B>, <B>2</B>, <B>2</B>)"),
+        # a string, and another untyped atom, by its text
+        ("(<A>x</A>, <A>3.0</A>)", '("x", "3", "3.0")'),
+        ("(<A>3.0</A>, <A>3</A>)", "(<B>3</B>, <B>3.0</B>, <B>03</B>)"),
+        # a boolean as true/1 — and a boolean is not the number Python says it equals
+        ("(<A>1</A>, <A>true</A>, <A>0</A>, <A>x</A>)", "(fn:true(), fn:false())"),
+        ("(fn:true(), fn:false())", "(<B>1</B>, <B>no</B>, <B> true </B>)"),
+        # several atoms on a side, untyped among them: each pair once, inner order
+        ("(<A><K>2.0</K><K>3</K></A>, <A><K>3</K></A>)", "(3, 2, 3.0, 4)"),
+    ])
+    def test_untyped_atoms_meet_typed_ones_on_either_side(self, outer, inner):
+        key = "$a/K" if "<K>" in outer else "fn:data($a)"
+        query = (f"for $a at $p in {outer} for $b in {inner} "
+                 f"where {key} = fn:data($b) return <P>{{$p}}{{$b}}</P>")
+        assert "INDEX NESTED-LOOP JOIN" in demo().explain(query)
+        expected = outcome(demo(nested_loop), query)
+        assert expected and not expected.startswith("DynamicError")
+        assert outcome(demo(), query) == expected
+
+    def test_the_index_skips_a_pair_the_nested_loop_cannot_compare(self):
+        """XQuery 2.3.4: an index may avoid the error of a pair it never
+        forms — text that spells no number, against a number."""
+        query = ("for $a in (<A>x</A>, <A>2</A>) for $b in (2, 3) "
+                 "where fn:data($a) = $b return $b")
+        assert outcome(demo(nested_loop), query) == \
+            "DynamicError: cannot treat 'x' as a number"
+        assert outcome(demo(), query) == "2"
 
 
 #: a multi-item key that reaches a pushed region as a SQL *parameter*

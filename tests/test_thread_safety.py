@@ -286,3 +286,62 @@ class TestExternalVariableIsolation:
             assert seen == [[1, 2, 3], [1, 2, 3]]
         finally:
             executor.shutdown()
+
+
+class TestRecursionDepthIsolation:
+    """The recursion guard counts the calls open on *one* request: the
+    depth travels with the request's context, like its external variables,
+    not on the evaluator every request shares."""
+
+    SERVICE = '''
+        declare namespace t = "urn:t";
+        declare function t:deep($n as xs:integer) as xs:integer* {
+          if ($n le 0) then park() else t:deep($n - 1)
+        };
+    '''
+
+    def _platform(self, park):
+        from repro.compiler.optimizer import _MAX_INLINE_DEPTH
+        from tests.conftest import build_platform
+
+        platform = build_platform(deploy_profile=False)
+        platform.register_java_function("park", park, [], "xs:integer")
+        platform.deploy(self.SERVICE, name="Deep")
+        # the optimizer unfolds the first levels; each one below is a call:
+        # eleven of them for this query, under a limit of fifteen
+        platform.ctx.max_recursion = 15
+        return platform, f"deep({_MAX_INLINE_DEPTH + 10})"
+
+    def test_a_parked_request_does_not_count_against_another(self):
+        parked, release = threading.Event(), threading.Event()
+
+        def park():
+            if not parked.is_set():  # the first request stops here, eleven calls deep
+                parked.set()
+                assert release.wait(10)
+            return 7
+
+        platform, query = self._platform(park)
+        outcome = {}
+        first = threading.Thread(
+            target=lambda: outcome.update(first=platform.execute(query)))
+        first.start()
+        try:
+            assert parked.wait(10)
+            assert [item.value for item in platform.execute(query)] == [7]
+        finally:
+            release.set()
+            first.join()
+        assert [item.value for item in outcome["first"]] == [7]
+        assert platform.evaluator._depth.get() == 0
+
+    def test_one_request_still_meets_the_limit(self):
+        from repro.errors import DynamicError
+
+        platform, query = self._platform(lambda: 7)
+        platform.ctx.max_recursion = 10
+        with pytest.raises(DynamicError, match="recursion limit exceeded calling deep"):
+            platform.execute(query)
+        assert platform.evaluator._depth.get() == 0  # unwound
+        platform.ctx.max_recursion = 11
+        assert [item.value for item in platform.execute(query)] == [7]

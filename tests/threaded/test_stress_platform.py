@@ -300,18 +300,21 @@ class TestStress:
 
             return template._replace(build=build)
 
-        rows = []
-        for _ in range(8):
-            for row in platform.execute("CUSTOMER()"):
-                template, *source = row._source
-                rows.append(DeferredElement(row.name, (counted(template), *source)))
-        assert len(rows) == 32
-        platform.cache.enable("rows", ttl_ms=60_000.0)
-        platform.cache.put("rows", "[]", rows)
+        platform.deploy("""
+            declare namespace t = "urn:t";
+            declare function t:rows() as element(CUSTOMER)* {
+              for $i in (1 to 8) return CUSTOMER()
+            };""", name="Rows")
+        platform.enable_function_cache("rows", ttl_ms=60_000.0)
+        rows = platform.execute("rows()")  # the miss: the pushed body fills the cache
+        assert len(rows) == 32 and all(isinstance(row, DeferredElement) for row in rows)
+        for row in rows:
+            template, *source = row._source  # unread, as the cache holds it
+            row._source = (counted(template), *source)
         seen = [None] * 8
 
         def worker(index):
-            cached = platform.cache.get("rows", "[]")
+            cached = platform.execute("rows()")
             assert all(one is other for one, other in zip(cached, rows))
             # half the readers come from the other end, to meet in the middle
             order = cached if index % 2 else cached[::-1]
@@ -322,6 +325,7 @@ class TestStress:
 
         hammer(platform, worker, threads=8)
         assert_race_free(detector)
+        assert platform.function_cache_stats()["hits"] == 8
         assert len(builds) == len(rows)  # one tree per element, built once
         for other in seen[1:]:
             for (attrs, children, annotation, text), theirs in zip(seen[0], other):
