@@ -34,9 +34,10 @@ test:
 # pushdown economics, failover economics) gate the build alongside the
 # unit tests.
 # (the serving ramp runs real threads for wall seconds, so it has its
-# own target, bench-serve, and is excluded here; the continuous-plane
-# gates — tracing overhead, tail retention, trace determinism — run in
-# benchmarks/test_continuous.py and refresh BENCH_continuous.json)
+# own target, bench-serve, and is excluded here.  Six of the seven
+# BENCH_*.json files are gates, not outputs: a benchmark fails if an
+# exact figure moved, and `python benchmarks/test_<name>.py` regenerates
+# its file on purpose; only bench-serve still writes BENCH_serving.json)
 bench-smoke:
 	$(PYTHON) -m pytest -x -q benchmarks --ignore=benchmarks/test_serving.py
 

@@ -50,6 +50,9 @@ REGISTRY: dict[str, tuple[str, ...]] = {
         "WindowedCounter", "WindowedHistogram", "FlightRecorder",
         "PlanStatsStore"),
     "observability/metrics.py": ("MetricsRegistry", "Counter", "Gauge", "Histogram"),
+    # (``Request`` is not here: its fields are written by the thread that
+    # runs the request only, and the one thing its pool branches write —
+    # the degradation list — is appended under ResilienceManager's lock)
     "observability/tracer.py": ("QueryTracer",),
     "relational/database.py": ("SourceStats",),
     "relational/prepared.py": ("StatementCache",),

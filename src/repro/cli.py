@@ -238,10 +238,7 @@ def _cmd_stats(args) -> int:
 
     platform = _build(args)
     try:
-        if args.window:
-            platform.set_continuous(sample_rate=1.0)
-        else:
-            platform.set_tracing(True)
+        platform.set_tracing(True)
         if args.xquery:
             platform.execute(args.xquery)
         else:
@@ -425,7 +422,7 @@ def _cmd_flight(args) -> int:
                 "records": [record.to_dict() for record in records],
                 "flight": server.flight_recorder.snapshot(),
                 "admission": server.admission.snapshot(),
-                "continuous": platform.continuous.snapshot(),
+                "continuous": platform.tracer.snapshot(),
             }, indent=2, sort_keys=True))
             return 0
         for record in records:

@@ -316,6 +316,13 @@ class PlanVerifier:
 
         # Correlation / regroup aliases must actually be projected.
         aliases = {item.alias for item in pushed.select.items if item.alias}
+        if not pushed.select.items:
+            self._emit(
+                "ALDSP-E111",
+                "pushed SQL has an empty select list (a return that reads "
+                "no column projects a hidden constant)",
+                path, database=pushed.database,
+            )
         if require_correlation and pushed.correlation is None:
             self._emit(
                 "ALDSP-E110",
@@ -517,8 +524,10 @@ class PlanVerifier:
                     )
 
     def _lint_dead_projection(self, pushed: PushedSQL, path: str) -> None:
-        if pushed.select.distinct:
-            return  # every projected column affects DISTINCT semantics
+        if pushed.select.distinct or len(pushed.select.items) == 1:
+            # every projected column affects DISTINCT semantics, and a
+            # select list cannot lose its last column
+            return
         used = _template_aliases(pushed.template)
         used.update(pushed.regroup or ())
         if pushed.correlation is not None:

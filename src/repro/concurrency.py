@@ -39,8 +39,8 @@ class NoopRaceDetector:
     ``calls`` counts how many times the engine crossed an instrumentation
     point (lock acquire/release, guarded access); paired with the class
     attributes below — no races, no tracked accesses — it makes the
-    detector-off contract checkable the way ``NoopTracer.calls`` does for
-    tracing.  The counter is deliberately a plain int: it is approximate
+    detector-off contract checkable the way the engine tracer's ``calls``
+    does for tracing.  The counter is deliberately a plain int: it is approximate
     under threads and exists only to prove the callsites are unconditional.
     """
 

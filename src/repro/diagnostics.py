@@ -74,6 +74,7 @@ CODE_REGISTRY: dict[str, str] = {
     "ALDSP-E108": "target dialect failed to render the pushed SQL statement",
     "ALDSP-W109": "unknown vendor: capabilities fell back to the base SQL92 dialect",
     "ALDSP-E110": "PP-k clause over a pushed region without a correlation predicate",
+    "ALDSP-E111": "pushed SQL has an empty select list",
     # -- static-type consistency (verifier pass 3) --
     "ALDSP-W201": "redundant typematch: operand's static type already matches",
     "ALDSP-W202": "unsatisfiable typematch: operand type cannot match the target",

@@ -10,7 +10,6 @@ from .continuous import (
     FlightRecorder,
     PlanOperatorStats,
     PlanStatsStore,
-    RequestTrace,
     TraceSampler,
     WindowedCounter,
     WindowedHistogram,
@@ -39,7 +38,7 @@ from .profile import (
     make_annotator,
     profile_render,
 )
-from .tracer import NOOP_SPAN, NoopTracer, QueryTracer, Span
+from .tracer import NOOP_SPAN, QueryTracer, Request, Span
 
 __all__ = [
     "NOOP_SPAN",
@@ -51,13 +50,12 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NoopTracer",
     "OperatorActuals",
     "PlanOperatorStats",
     "PlanStatsStore",
     "QueryProfile",
     "QueryTracer",
-    "RequestTrace",
+    "Request",
     "Span",
     "TraceSampler",
     "WindowedCounter",

@@ -1,26 +1,29 @@
 """Continuous production observability (O-CONT).
 
-The PR-4 plane is all-or-nothing: ``set_tracing(True)`` records every
-span of every query, which is exactly right for debugging one query and
-exactly wrong under the serving layer's sustained concurrent load.  This
-module makes observation *continuous* — always on, bounded, and cheap —
-in four pieces:
+Recording every span of every query is exactly right for debugging one
+query and exactly wrong under the serving layer's sustained concurrent
+load.  This module makes observation *continuous* — always on, bounded,
+and cheap — in four pieces:
 
 * :class:`TraceSampler` — seeded head sampling.  One RNG draw per
   request decides whether a full span tree is recorded; the stream is
   drawn under a lock in request order, so virtual-clock runs (which are
   serial) make byte-identical decisions every time.
-* :class:`ContinuousTracer` — the tracer installed by
-  ``Platform.set_continuous()``.  Unsampled requests cross every
-  instrumentation point on the :data:`~repro.observability.tracer.
-  NOOP_SPAN` fast path (a counter bump, no allocation); sampled requests
-  get a private per-request :class:`~repro.observability.tracer.
-  QueryTracer` carried in a ``ContextVar`` so concurrent requests —
-  and their async-pool branches, which inherit the caller's context —
-  never interleave span trees.  **Tail-based retention** then decides
-  what to keep: slow (over ``slow_ms``), errored, degraded or shed
-  requests keep their full tree in a bounded ring; fast-and-healthy
-  trees are summarized (plan stats, windowed latency) and dropped.
+* :class:`ContinuousTracer` — the one engine tracer, created with the
+  ``DynamicContext`` and never replaced; ``Platform.set_continuous()``
+  sets its policy and ``set_tracing(True)`` is the policy "sample
+  everything, retain everything".  It opens the request scope
+  (:class:`~repro.observability.tracer.Request`): unrecorded requests
+  cross every instrumentation point on the
+  :data:`~repro.observability.tracer.NOOP_SPAN` fast path (a counter
+  bump, no allocation); a sampled request gets a private
+  :class:`~repro.observability.tracer.QueryTracer` on its ``Request``,
+  so concurrent requests — and their async-pool branches, which run in
+  a copy of the caller's context — never interleave span trees.
+  **Tail-based retention** then decides what to keep: slow (over
+  ``slow_ms``), errored, degraded or shed requests keep their full tree
+  in a bounded ring; fast-and-healthy trees are summarized (plan stats,
+  windowed latency) and dropped.
 * :class:`WindowedMetrics` — a ring-of-buckets rolling window next to
   the cumulative registry.  Bucket ``epoch = floor(now_ms / bucket_ms)``
   maps to slot ``epoch % nbuckets``; writes lazily reset a slot whose
@@ -36,7 +39,7 @@ in four pieces:
   counters even after eviction.
 * :class:`PlanStatsStore` — the §9 observed-cost feedback store: EWMA
   rows/elapsed/roundtrips keyed by ``(plan fingerprint, operator id)``,
-  fed from every retained *or* summarized trace and from ``profile()``,
+  fed from every recorded request as it ends (``profile()`` included),
   with the admission-path cost estimate recorded alongside so a
   cost-based optimizer can consume estimated-vs-actual deltas.
 
@@ -48,7 +51,6 @@ their registry's lock exactly like the cumulative ones do.
 
 from __future__ import annotations
 
-import contextvars
 import hashlib
 import random
 from collections import OrderedDict, deque
@@ -59,7 +61,7 @@ from ..clock import Clock
 from ..concurrency import RACE, TrackedRLock, guarded_by
 from .metrics import Histogram, nearest_rank, series_name
 from .profile import aggregate_operators
-from .tracer import NOOP_SPAN, QueryTracer, Span
+from .tracer import NOOP_SPAN, REQUEST, QueryTracer, Request, Span
 
 if TYPE_CHECKING:
     from .metrics import MetricsRegistry
@@ -564,155 +566,136 @@ class PlanStatsStore:
 
 
 # ---------------------------------------------------------------------------
-# The continuous tracer
+# The engine tracer
 # ---------------------------------------------------------------------------
-
-
-#: the per-request tracer for the *calling context*; async-pool branches
-#: inherit it because the executor runs thunks in a copy of the caller's
-#: context (the same mechanism that carries external-variable bindings).
-#: Three states: None = no open request; UNSAMPLED = a request is open
-#: but head sampling declined it (instrumentation stays on the no-op
-#: fast path, and nested begin_request calls know not to re-draw);
-#: a QueryTracer = open and sampled.
-_ACTIVE_TRACER: contextvars.ContextVar = contextvars.ContextVar(
-    "repro.continuous_tracer", default=None
-)
-
-#: sentinel marking "request open, not sampled" in _ACTIVE_TRACER
-UNSAMPLED = object()
-
-
-class RequestTrace:
-    """The handle ``begin_request`` returns; pass it to ``end_request``."""
-
-    __slots__ = ("fingerprint", "sampled", "start_ms", "tracer", "_token")
-
-    def __init__(self, fingerprint: str | None, sampled: bool,
-                 start_ms: float, tracer: QueryTracer | None, token):
-        self.fingerprint = fingerprint
-        self.sampled = sampled
-        self.start_ms = start_ms
-        self.tracer = tracer
-        self._token = token
 
 
 @guarded_by("_lock")
 class ContinuousTracer:
-    """Always-on sampled tracing with tail-based retention.
+    """The one engine tracer: created with the dynamic context, never
+    replaced.
 
-    Implements the tracer protocol (``start``/``instant``/``current``/
-    ``roots``/``last_root``), so every existing instrumentation point
-    works unchanged: calls outside a sampled request return
-    :data:`~repro.observability.tracer.NOOP_SPAN`; calls inside one
-    delegate to that request's private :class:`QueryTracer`.
+    Every instrumentation point calls ``start``/``instant``/``current``
+    unconditionally; what happens is decided by the request the calling
+    context is running (:data:`~repro.observability.tracer.REQUEST`): a
+    recorded request's private :class:`QueryTracer` gets the span, any
+    other crossing returns :data:`~repro.observability.tracer.NOOP_SPAN`
+    and bumps ``calls``.  :meth:`request` opens the scope; its policy
+    (``config``) decides sampling when the request begins and retention
+    when it ends.  No policy is "off": nothing is sampled, nothing is
+    counted, and only a request that forces recording
+    (``Platform.profile``) has a recorder.
     """
 
-    enabled = True
-
-    def __init__(self, clock: Clock, sampler: TraceSampler,
-                 config: ContinuousConfig, plan_stats: PlanStatsStore,
+    def __init__(self, clock: Clock, config: ContinuousConfig | None = None,
+                 plan_stats: PlanStatsStore | None = None,
                  window: WindowedMetrics | None = None,
                  metrics: "Optional[MetricsRegistry]" = None):
         self.clock = clock
-        self.sampler = sampler
-        self.config = config
-        self.plan_stats = plan_stats
+        self.plan_stats = plan_stats if plan_stats is not None \
+            else PlanStatsStore()
         self.window = window
         self.metrics = metrics
         self._lock = TrackedRLock("ContinuousTracer")
-        self._retained: deque[Span] = deque(maxlen=config.retain_capacity)
-        #: unsampled instrumentation crossings (the NOOP_SPAN fast path);
-        #: approximate by design — see NoopTracer.calls
-        self.calls = 0
-        self.spans_allocated = 0
-        self.traces_retained = 0
-        self.traces_summarized = 0
+        self.configure(config)
+
+    def configure(self, config: ContinuousConfig | None) -> None:
+        """Install a sampling/retention policy (None: off).  The sampler,
+        the retention ring and the counters start over."""
+        with self._lock:
+            self.config = config
+            self.sampler = None if config is None \
+                else TraceSampler(config.sample_rate, config.seed)
+            self._retained: deque[Span] = deque(
+                maxlen=config.retain_capacity if config is not None else 1)
+            #: unrecorded instrumentation crossings (the NOOP_SPAN fast
+            #: path); a plain integer bumped without the lock, so
+            #: approximate under threads by design
+            self.calls = 0
+            self.spans_allocated = 0
+            self.traces_retained = 0
+            self.traces_summarized = 0
+
+    @property
+    def enabled(self) -> bool:
+        return self.config is not None
 
     # -- the tracer protocol (unconditional callsites) -----------------------
 
     def start(self, kind: str, name: str | None = None,
               parent: Span | None = None, **attrs):
-        tracer = _ACTIVE_TRACER.get()
-        if tracer is None or tracer is UNSAMPLED:
-            self.calls += 1  # race-ok: monitoring counter; same contract as NoopTracer.calls
+        request = REQUEST.get()
+        recorder = request.recorder if request is not None else None
+        if recorder is None:
+            self.calls += 1  # race-ok: monitoring counter, approximate by design
             return NOOP_SPAN
-        return tracer.start(kind, name, parent, **attrs)
+        return recorder.start(kind, name, parent, **attrs)
 
     def instant(self, kind: str, name: str | None = None, **attrs):
-        tracer = _ACTIVE_TRACER.get()
-        if tracer is None or tracer is UNSAMPLED:
-            self.calls += 1  # race-ok: monitoring counter; same contract as NoopTracer.calls
+        request = REQUEST.get()
+        recorder = request.recorder if request is not None else None
+        if recorder is None:
+            self.calls += 1  # race-ok: monitoring counter, approximate by design
             return NOOP_SPAN
-        return tracer.instant(kind, name, **attrs)
+        return recorder.instant(kind, name, **attrs)
 
     def current(self) -> Span | None:
-        tracer = _ACTIVE_TRACER.get()
-        if tracer is None or tracer is UNSAMPLED:
-            return None
-        return tracer.current()
+        request = REQUEST.get()
+        recorder = request.recorder if request is not None else None
+        return recorder.current() if recorder is not None else None
 
     # -- request lifecycle ---------------------------------------------------
 
-    def in_request(self) -> bool:
-        """True iff this context is inside an open request (sampled or
-        not) — callers skip fingerprinting work when it would be nested."""
-        return _ACTIVE_TRACER.get() is not None
+    def request(self, plan_key: str | None = None, bindings=None,
+                budget_ms: float | None = None, probe=None,
+                forced: bool = False) -> Request:
+        """One request's scope: ``with tracer.request(...) as request``.
+        ``plan_key`` names the plan its actuals are filed under (hashed
+        only if the request is recorded), ``budget_ms`` becomes its
+        absolute deadline, ``forced`` records it whatever the policy."""
+        return Request(
+            self, plan_key, bindings,
+            None if budget_ms is None else self.clock.now_ms() + budget_ms,
+            probe, forced)
 
-    def begin_request(self, fingerprint: str | None = None) -> RequestTrace | None:
-        """Start one request's observation; returns None when called
-        inside an already-open request (the server wraps the platform's
-        own query path — the outer request owns the trace and the one
-        sampling decision)."""
-        if _ACTIVE_TRACER.get() is not None:
-            return None
-        # request counts fall out of the sampler's own counters
-        # (requests == decisions), so this path takes exactly one lock
-        sampled = self.sampler.decide()
-        tracer = None
-        if sampled:
-            # a private tracer per request: span ids restart at 1, so a
-            # retained tree is identical no matter what ran concurrently
-            tracer = QueryTracer(self.clock, None)
-            token = _ACTIVE_TRACER.set(tracer)
-        else:
-            # mark the request open even when unsampled, so the nested
-            # platform-level begin_request neither re-draws the sampler
-            # nor double-counts the request
-            token = _ACTIVE_TRACER.set(UNSAMPLED)
-        return RequestTrace(fingerprint, sampled, self.clock.now_ms(),
-                            tracer, token)
+    def _begin(self, request: Request) -> None:
+        """A request with its own account begins: one sampler draw (the
+        request count falls out of the sampler's counters, so this path
+        takes exactly one lock), one private recorder if it hit."""
+        sampler = self.sampler
+        if request.forced or (sampler is not None and sampler.decide()):
+            # span ids restart at 1 per request, so a retained tree is
+            # identical no matter what ran concurrently
+            request.recorder = QueryTracer(self.clock, self.metrics)
+            request.sampled = True
+        elif sampler is None:
+            return  # off: nothing to time, nothing to end
+        request.start_ms = self.clock.now_ms()
 
-    def end_request(self, handle: RequestTrace | None,
-                    outcome: str = "completed", degraded: int = 0,
-                    force_retain: bool = False) -> bool:
-        """Close one request: feed summary stats, then apply tail
+    def _end(self, request: Request) -> bool:
+        """The request ended: feed summary stats, then apply tail
         retention.  Returns True iff the span tree was retained."""
-        if handle is None:
+        if request.start_ms is None:
             return False
-        if handle._token is not None:
-            _ACTIVE_TRACER.reset(handle._token)
-        elapsed = self.clock.now_ms() - handle.start_ms
-        window = self.window
-        if window is not None:
-            window.observe_request(elapsed, outcome)
-        if not handle.sampled:
+        config = self.config
+        elapsed = self.clock.now_ms() - request.start_ms
+        if config is not None and self.window is not None:
+            self.window.observe_request(elapsed, request.outcome)
+        recorder = request.recorder
+        if recorder is None:
             return False
-        tracer = handle.tracer
-        if handle.fingerprint is not None:
-            self.plan_stats.observe(handle.fingerprint,
-                                    aggregate_operators(tracer.roots))
-        slow = elapsed >= self.config.slow_ms
-        retain = (force_retain or slow or degraded > 0
-                  or outcome != "completed")
+        if request.plan_key is not None:
+            self.plan_stats.observe(plan_fingerprint(request.plan_key),
+                                    aggregate_operators(recorder.roots))
+        retain = config is not None and bool(recorder.roots) and (
+            elapsed >= config.slow_ms or bool(request.degradations)
+            or request.outcome != "completed")
         with self._lock:
-            self.spans_allocated += tracer.spans_allocated
-            if retain and tracer.roots:
+            self.spans_allocated += recorder.spans_allocated
+            if retain:
                 self.traces_retained += 1
-                for root in tracer.roots:
-                    self._retained.append(root)
+                self._retained.extend(recorder.roots)
             else:
-                retain = False
                 self.traces_summarized += 1
             RACE.detector.on_access(self, "spans_allocated", True)
         return retain
@@ -734,13 +717,13 @@ class ContinuousTracer:
             return self._retained[-1] if self._retained else None
 
     def snapshot(self) -> dict:
-        sampler = self.sampler.snapshot()
+        sampler = self.sampler.snapshot() if self.sampler is not None else {}
         with self._lock:
             return {
                 "sampler": sampler,
-                "slow_ms": self.config.slow_ms,
-                "requests": sampler["decisions"],
-                "requests_sampled": sampler["sampled"],
+                "slow_ms": self.config.slow_ms if self.config else None,
+                "requests": sampler.get("decisions", 0),
+                "requests_sampled": sampler.get("sampled", 0),
                 "traces_retained": self.traces_retained,
                 "traces_summarized": self.traces_summarized,
                 "retained_in_ring": len(self._retained),

@@ -1,7 +1,8 @@
 """``explain analyze``: the plan render annotated with observed actuals.
 
-``Platform.profile(query)`` executes the query with a fresh
-:class:`~repro.observability.tracer.QueryTracer` installed and re-renders
+``Platform.profile(query)`` executes the query as a request whose
+recording is forced, reads that request's own
+:class:`~repro.observability.tracer.QueryTracer` back and re-renders
 the compiled plan through :func:`repro.compiler.explain.explain`, passing
 an annotator that joins the span tree back to the plan by **operator id**
 — the stable pre-order ids the compiler stamps on operator nodes

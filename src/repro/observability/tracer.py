@@ -1,21 +1,24 @@
-"""Query tracing: a span tree mirroring the executed plan (O-OBS).
+"""Query tracing: one request, one span tree mirroring the executed plan
+(O-OBS).
 
 Section 9's "observed cost" pitch is about *instrumenting the system* and
-optimizing from what is actually measured.  The tracer is that
-instrumentation: when enabled, every operator instance the runtime
-executes — pushed SQL region, PP-k block fetch/join, index join build,
-group-by, async branch, cache lookup, SDO submit — records a
-:class:`Span`, with child spans for each source roundtrip, retry attempt
-and breaker rejection.  Timestamps come from the platform's active
-:class:`~repro.clock.Clock`, so traces are **deterministic** under the
-virtual clock (same query + same seed => byte-identical export) and real
-under a wall clock.
+optimizing from what is actually measured.  The runtime crosses an
+instrumentation point at every operator instance it executes — pushed SQL
+region, PP-k block fetch/join, index join build, group-by, async branch,
+cache lookup, SDO submit — and at each source roundtrip, retry attempt and
+breaker rejection below them.  What a crossing does is decided by the
+:class:`Request` the calling context is running: a request that is being
+recorded owns a :class:`QueryTracer` and gets a :class:`Span`; any other
+crossing gets the shared :data:`NOOP_SPAN`.  Timestamps come from the
+platform's active :class:`~repro.clock.Clock`, so traces are
+**deterministic** under the virtual clock (same query + same seed =>
+byte-identical export) and real under a wall clock.
 
 Overhead contract
 -----------------
-Tracing is off by default.  The disabled path is a :class:`NoopTracer`
-whose ``start``/``instant`` methods allocate **nothing**: they return a
-module-level immutable :data:`NOOP_SPAN` singleton and bump a plain
+A crossing outside a recorded request allocates **nothing**: the engine
+tracer (:class:`~repro.observability.continuous.ContinuousTracer`) returns
+the module-level immutable :data:`NOOP_SPAN` singleton and bumps a plain
 integer call counter.  That counter is the auditable part of the
 contract: benchmarks assert ``calls > 0 and spans_allocated == 0`` to
 prove the hot path crossed the instrumentation points without creating a
@@ -36,11 +39,14 @@ in its cursor rather than asserting LIFO.
 
 from __future__ import annotations
 
+import contextvars
 import threading
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Optional
 
 from ..clock import Clock
 from ..concurrency import TrackedRLock, guarded_by
+from ..errors import DeadlineExceededError
 
 if TYPE_CHECKING:
     from .metrics import MetricsRegistry
@@ -84,7 +90,10 @@ class Span:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc is not None and "error" not in self.attrs:
+        if exc_type is GeneratorExit:
+            # the consumer closed the stream early: not a failure
+            self.attrs["abandoned"] = True
+        elif exc is not None and "error" not in self.attrs:
             self.attrs["error"] = type(exc).__name__
         self.end()
         return False
@@ -143,42 +152,13 @@ class _NoopSpan:
         return False
 
 
-#: the singleton every NoopTracer.start() returns — no allocation, ever
+#: the singleton every unrecorded crossing returns — no allocation, ever
 NOOP_SPAN = _NoopSpan()
-
-
-class NoopTracer:
-    """Tracing disabled: zero span allocation, one counter.
-
-    ``calls`` counts how many times the hot path *would* have started a
-    span; paired with ``spans_allocated`` (always 0) it makes the
-    overhead-off contract checkable instead of hand-waved.
-    """
-
-    __slots__ = ("calls",)
-
-    enabled = False
-    spans_allocated = 0
-    roots: list = []
-
-    def __init__(self) -> None:
-        self.calls = 0
-
-    def start(self, kind: str, name: str | None = None,
-              parent: object | None = None, **attrs) -> _NoopSpan:
-        self.calls += 1
-        return NOOP_SPAN
-
-    def instant(self, kind: str, name: str | None = None, **attrs) -> None:
-        self.calls += 1
-
-    def current(self) -> None:
-        return None
 
 
 @guarded_by("_lock")
 class QueryTracer:
-    """Tracing enabled: records a span tree per query.
+    """The span recorder of one recorded request.
 
     Spans started on a thread parent to that thread's innermost open span;
     a span started with an explicit ``parent`` (the async-pool handoff)
@@ -186,8 +166,6 @@ class QueryTracer:
     allocated sequentially under a lock, so virtual-clock runs (which are
     sequential) produce identical ids every time.
     """
-
-    enabled = True
 
     def __init__(self, clock: Clock, metrics: "Optional[MetricsRegistry]" = None):
         self.clock = clock
@@ -258,3 +236,106 @@ class QueryTracer:
     @property
     def last_root(self) -> Span | None:
         return self.roots[-1] if self.roots else None
+
+
+# ---------------------------------------------------------------------------
+# The request scope
+# ---------------------------------------------------------------------------
+
+
+#: the request the calling context ran most recently.  Its own code is
+#: executing (``running``), or it is suspended at a stream's ``yield``, or
+#: it has ended and stays only so ``Platform.last_degradations`` can
+#: answer.  Async-pool thunks run in a copy of the caller's context, so a
+#: request's branches see the same object.
+REQUEST: contextvars.ContextVar = contextvars.ContextVar(
+    "repro.request", default=None)
+
+_NO_BINDINGS = MappingProxyType({})
+
+
+class Request:
+    """What one request owns — bindings (the caller's variables beside the
+    plan's lifted literals), absolute deadline, degradation records, span
+    recorder (None: not sampled), batch probe — and the scope that puts
+    it on the calling context: ``with tracer.request(...) as request``.
+
+    **Nesting is decided by what is running.**  A request opened while
+    another request's code is executing in this context is its child: it
+    shares the parent's recorder, sampling decision, degradation list and
+    probe, keeps the tighter of the two deadlines, carries its own
+    bindings, and the parent is current again when it ends.  A request
+    opened while another is merely suspended at a ``yield`` is
+    independent.  A stream clears ``running`` before each ``yield`` to its
+    client and, on resume, re-installs itself only if something displaced
+    it (``Platform.stream``).
+
+    Fields are written by the thread running the request only; the one
+    thing its pool branches write is the degradation *list*, appended
+    under the resilience manager's lock."""
+
+    __slots__ = ("tracer", "plan_key", "bindings", "deadline_ms", "probe",
+                 "forced", "degradations", "recorder", "sampled", "start_ms",
+                 "parent", "running", "outcome", "retained")
+
+    def __init__(self, tracer, plan_key: str | None, bindings,
+                 deadline_ms: float | None, probe, forced: bool):
+        self.tracer = tracer
+        self.plan_key = plan_key
+        self.bindings = bindings if bindings is not None else _NO_BINDINGS
+        self.deadline_ms = deadline_ms
+        self.probe = probe
+        #: recording is forced (``Platform.profile``): the request keeps
+        #: its own account even when opened under a running request
+        self.forced = forced
+        self.recorder: QueryTracer | None = None
+        self.sampled = False
+        #: when it began, if anything will be told how long it took
+        self.start_ms: float | None = None
+        self.parent: Request | None = None
+        self.running = False
+        #: set by a caller with a richer taxonomy than the exception
+        #: mapping below (the server's ``shed`` / ``invalid``)
+        self.outcome: str | None = None
+        self.retained = False
+
+    def __enter__(self) -> "Request":
+        parent = REQUEST.get()
+        while parent is not None and not parent.running:
+            parent = parent.parent
+        self.parent = parent
+        if parent is not None and parent.deadline_ms is not None and (
+                self.deadline_ms is None
+                or parent.deadline_ms < self.deadline_ms):
+            self.deadline_ms = parent.deadline_ms
+        if parent is None or self.forced:  # an account of its own
+            self.degradations: list = []
+            self.tracer._begin(self)
+        else:
+            self.degradations = parent.degradations
+            self.recorder = parent.recorder
+            if self.probe is None:
+                self.probe = parent.probe
+        self.running = True
+        REQUEST.set(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.running = False
+        # (not a token reset: a stream may be closed, or collected, from
+        # another context than the one that opened it)
+        if self.parent is not None and REQUEST.get() is self:
+            REQUEST.set(self.parent)
+        if self.parent is None or self.forced:
+            if self.outcome is None:
+                if exc_type is None or exc_type is GeneratorExit:
+                    self.outcome = "completed"
+                elif issubclass(exc_type, DeadlineExceededError):
+                    self.outcome = "deadline"
+                else:
+                    self.outcome = "error"
+            self.retained = self.tracer._end(self)
+            # what is left on the context answers last_degradations and
+            # nothing else: no late span, no stale deadline
+            self.recorder = self.deadline_ms = None
+        return False

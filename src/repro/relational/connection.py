@@ -13,20 +13,16 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..errors import SourceError
-from ..observability.tracer import NoopTracer
+from ..observability.continuous import ContinuousTracer
 from .database import Database
 from .executor import Executor
 from .prepared import PreparedStatement
 from .txn import Transaction
 
-#: shared do-nothing tracer for connections outside a DynamicContext
-_NOOP_TRACER = NoopTracer()
-
-
 class Connection:
     """A connection to one simulated database."""
 
-    def __init__(self, database: Database):
+    def __init__(self, database: Database, tracer=None):
         self.db = database
         self._txn: Transaction | None = None
         #: optional instrumentation hook: fn(database_name, rows, elapsed_ms)
@@ -37,8 +33,10 @@ class Connection:
         #: optional ResilienceManager applying the database's source policy
         #: (retry / breaker / timeout) to every statement (R-RESIL)
         self.resilience = None
-        #: query tracer (records one ``source.roundtrip`` span per attempt)
-        self.tracer = _NOOP_TRACER
+        #: the engine tracer (one ``source.roundtrip`` span per attempt);
+        #: a connection outside a DynamicContext gets one that is off
+        self.tracer = tracer if tracer is not None \
+            else ContinuousTracer(database.clock)
 
     def prepare(self, sql: str | PreparedStatement) -> PreparedStatement:
         """Prepare a statement (or pass one through), consulting the

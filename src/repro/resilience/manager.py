@@ -22,7 +22,6 @@ aborting (section 5.6's middleware-keeps-answering story).
 
 from __future__ import annotations
 
-import contextvars
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -35,7 +34,8 @@ from ..errors import (
     SourceError,
     SourceTimeoutError,
 )
-from ..observability.tracer import NoopTracer
+from ..observability.continuous import ContinuousTracer
+from ..observability.tracer import REQUEST
 from .policy import CircuitBreaker, SourcePolicy
 
 
@@ -65,12 +65,12 @@ class SourceGuard:
     counter updates go through the stats object's synchronized ``bump``."""
 
     def __init__(self, name: str, policy: SourcePolicy, clock: Clock, stats,
-                 tracer=None):
+                 tracer):
         self.name = name
         self.policy = policy
         self.clock = clock
         self.stats = stats
-        self.tracer = tracer if tracer is not None else NoopTracer()
+        self.tracer = tracer
         self.rng = random.Random(policy.retry.seed if policy.retry else 0)
         self.breaker = (CircuitBreaker(policy.breaker, clock)
                         if policy.breaker else None)
@@ -211,56 +211,38 @@ class ResilienceManager:
     #: policy key applying to every source without an explicit policy
     DEFAULT = "*"
 
-    def __init__(self, clock: Clock):
+    def __init__(self, clock: Clock, tracer=None):
         self.clock = clock
         self.partial_results = False
         self._policies: dict[str, SourcePolicy] = {}
         self._guards: dict[str, SourceGuard] = {}
         self._stats: dict[str, object] = {}
         self._lock = TrackedRLock("ResilienceManager")
-        #: records absorbed during the current *request* (partial-results
-        #: mode) — a ContextVar so concurrent requests on one shared
-        #: manager each see only their own degradations; async branch
-        #: threads inherit the submitting request's list (the executor
-        #: copies the caller's context, and the list object is shared)
-        self._degradations: contextvars.ContextVar = contextvars.ContextVar(
-            "repro.degradations", default=None
-        )
-        #: the calling request's absolute deadline in clock-ms (R-SERVE) —
-        #: a ContextVar for the same per-request isolation, flowing into
-        #: every attempt budget and retry decision below
-        self._deadline: contextvars.ContextVar = contextvars.ContextVar(
-            "repro.deadline", default=None
-        )
-        #: query tracer, propagated to every guard (DynamicContext.set_tracer)
-        self.tracer = NoopTracer()
+        #: the engine tracer, handed to every guard (a bare manager gets
+        #: one that is off)
+        self.tracer = tracer if tracer is not None else ContinuousTracer(clock)
 
     # -- per-request state ----------------------------------------------------
+    # The degradation records and the deadline live on the calling
+    # context's request (observability.tracer.Request): concurrent
+    # requests on one shared manager each see only their own, and async
+    # branch threads see their request's (the executor copies the
+    # caller's context; the record list is the same object).
 
     @property
     def degradations(self) -> list[DegradationRecord]:
-        """Degradation records of the calling request's context."""
-        records = self._degradations.get()
-        return records if records is not None else []
-
-    def set_deadline(self, at_ms: float | None):
-        """Install the calling request's absolute deadline (clock-ms);
-        returns a token for :meth:`reset_deadline`.  ``None`` clears it."""
-        return self._deadline.set(at_ms)
-
-    def reset_deadline(self, token) -> None:
-        self._deadline.reset(token)
-
-    def deadline_ms(self) -> float | None:
-        """The calling request's absolute deadline, if one is set."""
-        return self._deadline.get()
+        """Degradation records of the calling context's most recent
+        request."""
+        request = REQUEST.get()
+        return request.degradations if request is not None else []
 
     def remaining_ms(self) -> float | None:
-        """Clock-ms left before the calling request's deadline."""
-        at_ms = self._deadline.get()
-        if at_ms is None:
+        """Clock-ms left before the calling request's deadline (R-SERVE),
+        which flows into every attempt budget and retry decision below."""
+        request = REQUEST.get()
+        if request is None or request.deadline_ms is None:
             return None
-        return at_ms - self.clock.now_ms()
+        return request.deadline_ms - self.clock.now_ms()
 
     def check_deadline(self, source: str) -> None:
         """Raise :class:`DeadlineExceededError` if the request's deadline
@@ -319,19 +301,13 @@ class ResilienceManager:
                 if policy is None:
                     return None
                 guard = SourceGuard(name, policy, self.clock,
-                                    self._stats.get(name), tracer=self.tracer)
+                                    self._stats.get(name), self.tracer)
                 self._guards[name] = guard
             elif guard.stats is None and name in self._stats:
                 guard.stats = self._stats[name]
-            guard.tracer = self.tracer  # follow tracer swaps (profile runs)
             return guard
 
     # -- graceful degradation ------------------------------------------------
-
-    def begin_query(self) -> None:
-        """Start a fresh degradation list for the calling request's
-        context (other in-flight requests keep their own lists)."""
-        self._degradations.set([])
 
     def absorb(self, source: str, exc: SourceError) -> bool:
         """In partial-results mode, record the failure and report True (the
@@ -346,14 +322,10 @@ class ResilienceManager:
             attempts=getattr(exc, "resilience_attempts", 1),
             elapsed_ms=getattr(exc, "resilience_elapsed_ms", 0.0),
         )
-        records = self._degradations.get()
-        if records is None:
-            records = []
-            self._degradations.set(records)
         with self._lock:
             # The list is per-request, but a request's async branches may
             # absorb concurrently — the manager lock covers the append.
-            records.append(record)
+            self.degradations.append(record)
             stats = self._stats.get(source)
         if stats is not None:
             stats.bump(degraded=1)
@@ -385,4 +357,5 @@ class ResilienceManager:
     def reset_stats(self) -> None:
         """Clear the calling context's degradation records (breaker state
         is live and survives)."""
-        self._degradations.set([])
+        with self._lock:
+            del self.degradations[:]

@@ -39,7 +39,7 @@ from typing import Callable, TypeVar
 from ..clock import Clock, VirtualClock
 from ..concurrency import TrackedRLock, guarded_by
 from ..errors import PlatformClosedError
-from ..observability.tracer import NoopTracer
+from ..observability.continuous import ContinuousTracer
 
 T = TypeVar("T")
 
@@ -54,7 +54,7 @@ class AsyncExecutor:
     the lock — a worker draining its queue may re-enter the executor, and
     joining it while holding ``_lock`` would deadlock."""
 
-    def __init__(self, clock: Clock, max_workers: int = 8):
+    def __init__(self, clock: Clock, max_workers: int = 8, tracer=None):
         self.clock = clock
         self.max_workers = max_workers
         self._lock = TrackedRLock("AsyncExecutor")
@@ -63,8 +63,8 @@ class AsyncExecutor:
         #: how many parallel groups were executed (bench observability)
         self.groups_run = 0
         self.branches_run = 0
-        #: query tracer (DynamicContext.set_tracer installs the real one)
-        self.tracer = NoopTracer()
+        #: the engine tracer (a bare executor gets one that is off)
+        self.tracer = tracer if tracer is not None else ContinuousTracer(clock)
 
     # -- thread-ownership contract -------------------------------------------
 
@@ -185,8 +185,9 @@ class AsyncExecutor:
     def _run_threads(self, thunks: list[Callable[[], T]]) -> list[T]:
         pool = self._ensure_pool()
         # Each branch runs inside a copy of the submitting thread's
-        # contextvars context, so per-execution state (the context's
-        # external-variable bindings) is visible on the pool thread.
+        # contextvars context, so the request it works for (bindings,
+        # deadline, degradations, span recorder) is visible on the pool
+        # thread.
         futures = [pool.submit(contextvars.copy_context().run, thunk)
                    for thunk in thunks]
         # Same contract as _run_virtual: every branch runs to completion

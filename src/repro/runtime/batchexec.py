@@ -64,8 +64,8 @@ if TYPE_CHECKING:
 class BatchProbe:
     """Per-query collector of rows-per-batch by operator label.
 
-    Installed by :meth:`Platform.profile` through the dynamic context;
-    one probe may be shared by parallel scatter branches, so access is
+    Carried by the request :meth:`Platform.profile` opens; one probe
+    may be shared by parallel scatter branches, so access is
     lock-guarded (A-CONC discipline)."""
 
     def __init__(self) -> None:

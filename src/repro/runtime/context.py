@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import contextvars
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..clock import Clock, VirtualClock
 from ..concurrency import SyncCounters
 from ..errors import SourceError
-from ..observability import MetricsRegistry, NoopTracer, WindowedMetrics
+from ..observability import ContinuousTracer, MetricsRegistry, WindowedMetrics
+from ..observability.tracer import REQUEST
 from ..relational.connection import Connection
 from ..relational.database import Database
 from ..resilience import ResilienceManager
@@ -108,7 +108,21 @@ class DynamicContext:
         self._renderers: dict[str, SqlRenderer] = {}
         self._batch_instruments: dict[str, tuple] = {}
         self.cache = cache
-        self.async_exec = AsyncExecutor(self.clock)
+        #: the unified metrics plane (O-OBS): one snapshot over every
+        #: stats surface, plus live instruments the tracer feeds
+        self.metrics = MetricsRegistry()
+        #: the rolling-window plane (O-CONT): ring-of-buckets counters
+        #: and histograms so rates/percentiles reflect the last N seconds
+        #: of this clock, not process lifetime; always on (writes are a
+        #: lock + an array slot)
+        self.window = WindowedMetrics(self.clock)
+        #: the one engine tracer: every instrumentation point holds this
+        #: object for the life of the context; whether a crossing records
+        #: is decided by the request running on the calling context
+        #: (``Platform.set_continuous`` sets its policy)
+        self.tracer = ContinuousTracer(self.clock, window=self.window,
+                                       metrics=self.metrics)
+        self.async_exec = AsyncExecutor(self.clock, tracer=self.tracer)
         self.stats = RuntimeStats()
         self.middleware = MiddlewareCostModel()
         #: prefetch block N+1 while block N joins (section 5.4 overlap)
@@ -129,70 +143,33 @@ class DynamicContext:
         #: observed per-source cost samples (section 9's future-work
         #: optimizer — populated by the connections' instrumentation hook)
         self.observed = ObservedCostModel()
-        #: bound external variables for the current execution — stored in a
-        #: ContextVar so concurrent request threads each see their own
-        #: bindings (A-CONC); the async executor copies the caller's
-        #: context into pool threads, so branches inherit the bindings
-        self._externals: contextvars.ContextVar = contextvars.ContextVar(
-            "repro.external_variables", default=None
-        )
         #: rows one pull moves through the FLWOR pipeline (P-BATCH); a
         #: value every FLWOR reads, 1 being a batch of one
         self.batch_size = DEFAULT_BATCH_SIZE
-        #: rows-per-batch probe installed by ``Platform.profile`` — a
-        #: ContextVar so a profiling run never sees batches of a query
-        #: racing on another thread
-        self._batch_probe: contextvars.ContextVar = contextvars.ContextVar(
-            "repro.batch_probe", default=None
-        )
         #: per-source retry/breaker/timeout policies + partial-results mode
-        self.resilience = ResilienceManager(self.clock)
+        self.resilience = ResilienceManager(self.clock, tracer=self.tracer)
         #: functions for which caching is administratively enabled
         self.max_recursion = 64
-        #: the unified metrics plane (O-OBS): one snapshot over every
-        #: stats surface, plus live instruments the tracer feeds
-        self.metrics = MetricsRegistry()
-        #: the rolling-window plane (O-CONT): ring-of-buckets counters
-        #: and histograms so rates/percentiles reflect the last N seconds
-        #: of this clock, not process lifetime; always on (writes are a
-        #: lock + an array slot)
-        self.window = WindowedMetrics(self.clock)
-        #: query tracer — a no-op by default (tracing is opt-in); install
-        #: a QueryTracer via :meth:`set_tracer` / ``Platform.set_tracing``
-        self.tracer = NoopTracer()
-        self.async_exec.tracer = self.tracer
-        self.resilience.tracer = self.tracer
 
-    # -- per-execution bindings -----------------------------------------------
+    # -- per-request state ------------------------------------------------------
 
     @property
-    def external_variables(self) -> dict[str, list]:
-        """External-variable bindings for the *calling thread's* execution.
-
-        Each request thread (strictly: each ``contextvars`` context) sees
-        only the bindings it set — concurrent queries on one shared context
-        cannot clobber each other's parameters.  Async branch threads
-        inherit the submitting thread's bindings because
+    def external_variables(self):
+        """The bindings of the request running on the calling context —
+        the caller's variables beside the plan's lifted literals; empty
+        outside a request.  Requests on other threads, and a request
+        opened while this one is suspended at a ``yield``, carry their
+        own; async branch threads see their request's because
         :class:`AsyncExecutor` runs every pool thunk inside a copy of the
-        caller's context.
-        """
-        value = self._externals.get()
-        return value if value is not None else {}
-
-    @external_variables.setter
-    def external_variables(self, value: dict[str, list]) -> None:
-        self._externals.set(dict(value))
+        caller's context."""
+        request = REQUEST.get()
+        return request.bindings if request is not None else {}
 
     def batch_probe(self):
-        """The calling context's rows-per-batch probe, if one is installed."""
-        return self._batch_probe.get()
-
-    def set_batch_probe(self, probe) -> object:
-        """Install ``probe`` for this context; returns a reset token."""
-        return self._batch_probe.set(probe)
-
-    def reset_batch_probe(self, token) -> None:
-        self._batch_probe.reset(token)
+        """The calling request's rows-per-batch probe, if it carries one
+        (``Platform.profile``)."""
+        request = REQUEST.get()
+        return request.probe if request is not None else None
 
     # -- databases ----------------------------------------------------------------
 
@@ -201,23 +178,11 @@ class DynamicContext:
         database.clock = self.clock
         database.statements.enabled = self.statement_cache_enabled
         self.databases[database.name] = database
-        connection = Connection(database)
+        connection = Connection(database, tracer=self.tracer)
         connection.observer = self.observed.record
         connection.resilience = self.resilience
-        connection.tracer = self.tracer
         self.resilience.register_stats(database.name, database.stats)
         self._connections[database.name] = connection
-
-    def set_tracer(self, tracer) -> None:
-        """Install a tracer on every instrumentation point in one step —
-        the async executor, the resilience guards and each connection hold
-        their own reference (no thread-local ambient state)."""
-        AsyncExecutor.assert_owner("DynamicContext.set_tracer")
-        self.tracer = tracer
-        self.async_exec.tracer = tracer
-        self.resilience.tracer = tracer
-        for connection in self._connections.values():
-            connection.tracer = tracer
 
     def connection(self, database_name: str) -> Connection:
         try:

@@ -43,7 +43,7 @@ class Evaluator:
     def __init__(self, ctx: DynamicContext):
         self.ctx = ctx
         #: user-function calls open on the calling request: a ContextVar,
-        #: like the external variables, so the requests sharing this
+        #: like the request itself, so the requests sharing this
         #: evaluator each count their own (``fn-bea:async`` branches
         #: inherit the depth they were started at)
         self._depth: contextvars.ContextVar = contextvars.ContextVar(

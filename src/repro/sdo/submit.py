@@ -42,8 +42,8 @@ class SubmitEngine:
         databases: dict[str, Database],
         inverse_of: Callable[[str], Optional[str]],
         resolver: Callable[[str, object], object],
+        tracer,
         resilience=None,
-        tracer=None,
     ):
         self.databases = databases
         self.inverse_of = inverse_of
@@ -53,10 +53,6 @@ class SubmitEngine:
         #: atomic, so an exhausted retry aborts (and rolls back) the whole
         #: submit rather than silently skipping a statement.
         self.resilience = resilience
-        if tracer is None:
-            from ..observability.tracer import NoopTracer
-
-            tracer = NoopTracer()
         self.tracer = tracer
 
     def submit(

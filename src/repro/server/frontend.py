@@ -14,9 +14,9 @@ Request path, in order:
    (:mod:`repro.server.admission`); sheds raise structured
    :class:`~repro.errors.AdmissionError`\\ s with a retry-after hint;
 5. **execute under deadline** — admitted requests run under the worker
-   semaphore with the request budget installed as a resilience-manager
-   deadline, so retries/backoffs/attempts inside PP-k blocks and scatter
-   branches stop the moment the request is doomed.
+   semaphore with the request budget as the deadline of the platform's
+   (nested) request, so retries/backoffs/attempts inside PP-k blocks and
+   scatter branches stop the moment the request is doomed.
 
 Everything the server observes lands in the platform's unified metrics
 plane under the ``server.*`` family, and — O-CONT — in three continuous
@@ -24,10 +24,9 @@ surfaces: the same ``server.*`` series feed the rolling
 :class:`~repro.observability.WindowedMetrics` window, every request
 (admitted, shed or failed) leaves a structured
 :class:`~repro.observability.FlightRecord` with its per-phase latency
-breakdown in the bounded flight recorder, and when the platform runs a
-:class:`~repro.observability.ContinuousTracer` the server opens the
-request's observation *before* admission — so a shed request still has a
-span tree for tail retention to keep.
+breakdown in the bounded flight recorder, and the server opens the
+request's scope (``tracer.request``) *before* admission — so a shed
+request, if sampled, still has a span tree for tail retention to keep.
 
 Flight-recorder outcome taxonomy (the ledger reconciles against the
 admission counters):
@@ -45,9 +44,9 @@ have no tenant and are not flight-recorded.
 Thread-safety (A-CONC): the server itself is stateless between requests
 apart from its components, each synchronized on its own lock (sessions,
 admission, metrics, windowed instruments, the flight recorder); per-
-request state rides the engine's existing contextvars (bindings,
-degradations, deadline) so concurrent requests on one platform never see
-each other's.
+request state (bindings, degradations, deadline, span recorder) is one
+:class:`~repro.observability.Request` on the calling context, so
+concurrent requests on one platform never see each other's.
 """
 
 from __future__ import annotations
@@ -56,13 +55,7 @@ from dataclasses import dataclass, field
 
 from ..compiler.pipeline import plan_key_text
 from ..errors import AdmissionError, DeadlineExceededError
-from ..observability import (
-    NOOP_SPAN,
-    ContinuousTracer,
-    FlightRecord,
-    FlightRecorder,
-    plan_fingerprint,
-)
+from ..observability import FlightRecord, FlightRecorder, plan_fingerprint
 from ..resilience import DegradationRecord
 from ..services.platform import Platform
 from ..xml.items import Item
@@ -163,16 +156,6 @@ class DataServer:
             key = plan_key_text(query, bindings)
         fingerprint = plan_fingerprint(key)
         tracer = self.platform.tracer
-        handle = None
-        if isinstance(tracer, ContinuousTracer):
-            # open the observation before admission: a shed request still
-            # records a span tree for tail retention to keep
-            handle = tracer.begin_request(fingerprint)
-        request_span = NOOP_SPAN
-        if handle is not None:
-            request_span = tracer.start(
-                "server.request", query, tenant=session.tenant,
-                fingerprint=fingerprint)
         phases: dict[str, float] = {}
         cost = 0.0
         outcome = "invalid"
@@ -180,90 +163,93 @@ class DataServer:
         error_text: str | None = None
         items: list[Item] = []
         degradations: list[DegradationRecord] = []
+        # the request opens before admission: a shed request still records
+        # a span tree for tail retention to keep; the platform's own
+        # request nests under it
+        request = tracer.request(key)
         try:
-            if invalid is not None:
-                raise invalid
-            cost = estimate_cost(plan.expr)
-            self.platform.plan_stats_store.set_estimate(fingerprint, cost)
-            phases["prepare_ms"] = self.clock.now_ms() - start
-            admit_start = self.clock.now_ms()
-            try:
-                ticket = self.admission.admit(session.tenant, cost)
-            except AdmissionError as exc:
-                self.metrics.counter("server.shed", reason=exc.reason).inc()
-                self.window.counter("server.shed", reason=exc.reason).inc()
-                outcome = "shed"
-                admission_decision = f"shed:{exc.reason}"
-                error_text = str(exc)
-                raise
-            admission_decision = "admitted"
-            phases["admit_ms"] = self.clock.now_ms() - admit_start
-            budget = budget_ms if budget_ms is not None \
-                else self.default_budget_ms
-            execute_start = self.clock.now_ms()
-            try:
-                with ticket:
-                    self.metrics.gauge("server.in_flight").set(
-                        self.admission.depth)
-                    items = self.platform.execute(
-                        plan, bindings or None, user=session.user,
-                        budget_ms=budget)
-                    degradations = list(self.platform.last_degradations)
-            except DeadlineExceededError as exc:
-                self.metrics.counter("server.deadline_exceeded").inc()
-                outcome = "deadline"
-                error_text = str(exc)
-                raise
-            except AdmissionError:
-                raise
-            except Exception as exc:
-                self.metrics.counter("server.errors").inc()
-                outcome = "error"
-                error_text = str(exc)
-                raise
-            phases["execute_ms"] = self.clock.now_ms() - execute_start
-            outcome = "completed"
-            elapsed = self.clock.now_ms() - start
-            self.admission.observe_service_ms(elapsed)
-            self.metrics.counter("server.completed").inc()
-            self.window.counter("server.completed").inc()
-            kind = "lookup" if cost <= self.admission.cost_threshold else "scan"
-            self.metrics.histogram("server.latency_ms", kind=kind) \
-                .observe(elapsed)
-            self.window.histogram("server.latency_ms", kind=kind) \
-                .observe(elapsed)
-            return ServerResponse(items=items, elapsed_ms=elapsed, cost=cost,
-                                  session_id=session_id,
-                                  degradations=degradations,
-                                  fingerprint=fingerprint,
-                                  phases=dict(phases))
-        except Exception as exc:
-            if outcome == "invalid":
-                # failed before the admission decision (compile error,
-                # security violation): neither admitted nor shed
-                error_text = str(exc)
-            raise
+            with request, tracer.start(
+                    "server.request", query, tenant=session.tenant,
+                    fingerprint=fingerprint) as request_span:
+                try:
+                    if invalid is not None:
+                        raise invalid
+                    cost = estimate_cost(plan.expr)
+                    self.platform.plan_stats_store.set_estimate(fingerprint, cost)
+                    phases["prepare_ms"] = self.clock.now_ms() - start
+                    admit_start = self.clock.now_ms()
+                    try:
+                        ticket = self.admission.admit(session.tenant, cost)
+                    except AdmissionError as exc:
+                        self.metrics.counter("server.shed", reason=exc.reason).inc()
+                        self.window.counter("server.shed", reason=exc.reason).inc()
+                        outcome = "shed"
+                        admission_decision = f"shed:{exc.reason}"
+                        error_text = str(exc)
+                        raise
+                    admission_decision = "admitted"
+                    phases["admit_ms"] = self.clock.now_ms() - admit_start
+                    budget = budget_ms if budget_ms is not None \
+                        else self.default_budget_ms
+                    execute_start = self.clock.now_ms()
+                    try:
+                        with ticket:
+                            self.metrics.gauge("server.in_flight").set(
+                                self.admission.depth)
+                            items = self.platform.execute(
+                                plan, bindings or None, user=session.user,
+                                budget_ms=budget)
+                            degradations = list(request.degradations)
+                    except DeadlineExceededError as exc:
+                        self.metrics.counter("server.deadline_exceeded").inc()
+                        outcome = "deadline"
+                        error_text = str(exc)
+                        raise
+                    except AdmissionError:
+                        raise
+                    except Exception as exc:
+                        self.metrics.counter("server.errors").inc()
+                        outcome = "error"
+                        error_text = str(exc)
+                        raise
+                    phases["execute_ms"] = self.clock.now_ms() - execute_start
+                    outcome = "completed"
+                    elapsed = self.clock.now_ms() - start
+                    self.admission.observe_service_ms(elapsed)
+                    self.metrics.counter("server.completed").inc()
+                    self.window.counter("server.completed").inc()
+                    kind = "lookup" if cost <= self.admission.cost_threshold \
+                        else "scan"
+                    self.metrics.histogram("server.latency_ms", kind=kind) \
+                        .observe(elapsed)
+                    self.window.histogram("server.latency_ms", kind=kind) \
+                        .observe(elapsed)
+                    return ServerResponse(items=items, elapsed_ms=elapsed,
+                                          cost=cost, session_id=session_id,
+                                          degradations=degradations,
+                                          fingerprint=fingerprint,
+                                          phases=dict(phases))
+                except Exception as exc:
+                    if outcome == "invalid":
+                        # failed before the admission decision (compile
+                        # error, security violation): neither admitted nor
+                        # shed
+                        error_text = str(exc)
+                    raise
+                finally:
+                    request.outcome = outcome
+                    request_span.set(outcome=outcome, cost=cost)
+                    if error_text is not None:
+                        request_span.set(error=error_text)
         finally:
-            elapsed = self.clock.now_ms() - start
-            if request_span is not NOOP_SPAN:
-                request_span.set(outcome=outcome, cost=cost)
-                if error_text is not None:
-                    request_span.set(error=error_text)
-                request_span.end()
-            retained = False
-            if handle is not None:
-                retained = tracer.end_request(
-                    handle, outcome=outcome, degraded=len(degradations),
-                    force_retain=(outcome == "shed"))
             self.flight_recorder.record(FlightRecord(
                 tenant=session.tenant, session_id=session_id,
                 fingerprint=fingerprint, cost=cost,
                 admission=admission_decision, outcome=outcome,
-                elapsed_ms=elapsed, ts_ms=start, phases=phases,
-                degradations=len(degradations), items=len(items),
-                error=error_text,
-                sampled=handle.sampled if handle is not None else False,
-                retained=retained))
+                elapsed_ms=self.clock.now_ms() - start, ts_ms=start,
+                phases=phases, degradations=len(degradations),
+                items=len(items), error=error_text,
+                sampled=request.sampled, retained=request.retained))
 
     # -- introspection --------------------------------------------------------
 

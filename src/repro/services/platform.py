@@ -19,7 +19,6 @@ from ..concurrency import NOOP_DETECTOR, RACE, set_race_detector
 from ..compiler.pipeline import CompiledPlan, Compiler, CompilerOptions, PlanCache
 from ..compiler.views import ViewPlanCache
 from ..errors import (
-    DeadlineExceededError,
     ObservabilityError,
     PlatformClosedError,
     StaticError,
@@ -29,16 +28,13 @@ from ..observability import (
     ContinuousConfig,
     ContinuousTracer,
     MetricsRegistry,
-    NoopTracer,
     PlanStatsStore,
     QueryProfile,
-    QueryTracer,
-    TraceSampler,
     WindowedMetrics,
-    plan_fingerprint,
     profile_render,
     series_name,
 )
+from ..observability.tracer import REQUEST
 from ..relational.database import Database
 from ..resilience import (
     CircuitBreakerConfig,
@@ -108,9 +104,10 @@ class Platform:
         self._closed = False
         #: the §9 observed-cost feedback store (O-CONT): per-(plan
         #: fingerprint, operator) EWMA actuals next to cost estimates;
-        #: fed by the continuous tracer and by profile(); bounded like the
+        #: fed by every recorded request as it ends; bounded like the
         #: plan cache whose plans it describes
         self.plan_stats_store = PlanStatsStore(self.plan_cache.capacity)
+        self.ctx.tracer.plan_stats = self.plan_stats_store
         #: the P-COST statistics layer: cardinality/selectivity sketches
         #: over the registered sources plus per-source latency fits
         self.statistics = StatisticsCatalog(self.ctx.databases,
@@ -118,8 +115,6 @@ class Platform:
         self.options.cost = CostingOptions(
             catalog=self.statistics, store=self.plan_stats_store,
             ppk_join_ms_per_tuple=self.ctx.middleware.ppk_join_ms_per_tuple)
-        #: the installed ContinuousTracer, if set_continuous() is on
-        self._continuous: ContinuousTracer | None = None
         #: administrative gate: set_tracing_allowed(False) makes every
         #: tracing enable fail with a stable ALDSP-E501 diagnostic
         self._tracing_allowed = True
@@ -423,7 +418,8 @@ class Platform:
 
     @property
     def last_degradations(self) -> list[DegradationRecord]:
-        """Degradation records collected during the most recent query."""
+        """Degradation records collected by the calling context's most
+        recent request."""
         return list(self.ctx.resilience.degradations)
 
     def source_health(self) -> dict[str, dict]:
@@ -454,30 +450,24 @@ class Platform:
         return self.ctx.metrics
 
     @property
-    def tracer(self):
-        """The active tracer (a no-op unless tracing is enabled)."""
+    def tracer(self) -> ContinuousTracer:
+        """The engine tracer (records nothing unless a policy is set)."""
         return self.ctx.tracer
 
     def set_tracing(self, enabled: bool) -> None:
-        """Toggle full query tracing.  Off (the default) installs the
-        no-op tracer: the hot path crosses the instrumentation points but
-        allocates no spans.  On installs a :class:`QueryTracer` driven by
-        the platform clock, feeding span durations into the metrics
-        registry.  For production use prefer :meth:`set_continuous`,
-        which samples instead of recording everything."""
-        if enabled:
-            self._check_tracing_allowed()
-            self.ctx.set_tracer(QueryTracer(self.clock, self.ctx.metrics))
-        else:
-            self.ctx.set_tracer(NoopTracer())
-        self._continuous = None
+        """Toggle full query tracing: every request recorded, every span
+        tree retained (in the bounded ring ``tracer.roots`` reads) — a
+        spelling of ``set_continuous(sample_rate=1.0, slow_ms=0.0)``.
+        For production use prefer :meth:`set_continuous`, which samples
+        instead of recording everything."""
+        self.set_continuous(enabled, sample_rate=1.0, slow_ms=0.0)
 
     def set_tracing_allowed(self, allowed: bool) -> None:
         """Administrative gate over every tracing surface: when off,
         :meth:`set_tracing`, :meth:`set_continuous` and :meth:`profile`
         fail with a stable ``ALDSP-E501``
         :class:`~repro.errors.ObservabilityError` instead of silently
-        recording (already-installed tracers are not torn down)."""
+        recording (a policy already set is not torn down)."""
         self._tracing_allowed = allowed
 
     def _check_tracing_allowed(self) -> None:
@@ -493,40 +483,29 @@ class Platform:
                        seed: int | None = None,
                        slow_ms: float | None = None,
                        retain_capacity: int | None = None):
-        """Toggle continuous production observability: head-sampled
-        tracing with tail-based retention (slow/errored/degraded/shed
-        requests always keep their full span tree), summary feeding of
-        the plan-stats store and the rolling metrics window.  Returns the
-        installed :class:`ContinuousTracer` (None when disabling)."""
+        """Set the engine tracer's policy: head-sampled tracing with
+        tail-based retention (slow/errored/degraded/shed requests always
+        keep their full span tree), summary feeding of the plan-stats
+        store and the rolling metrics window.  Off (the default) the hot
+        path crosses the instrumentation points but allocates no spans.
+        Returns the tracer (None when disabling)."""
         if not enabled:
-            self.ctx.set_tracer(NoopTracer())
-            self._continuous = None
+            self.ctx.tracer.configure(None)
             return None
         self._check_tracing_allowed()
         overrides = {
             "sample_rate": sample_rate, "seed": seed, "slow_ms": slow_ms,
             "retain_capacity": retain_capacity,
         }
-        config = ContinuousConfig(
+        self.ctx.tracer.configure(ContinuousConfig(
             **{key: value for key, value in overrides.items()
-               if value is not None})
-        tracer = ContinuousTracer(
-            self.clock, TraceSampler(config.sample_rate, config.seed),
-            config, self.plan_stats_store,
-            window=self.ctx.window, metrics=self.ctx.metrics)
-        self.ctx.set_tracer(tracer)
-        self._continuous = tracer
-        return tracer
-
-    @property
-    def continuous(self) -> ContinuousTracer | None:
-        """The installed continuous tracer (None unless enabled)."""
-        return self._continuous
+               if value is not None}))
+        return self.ctx.tracer
 
     def plan_stats(self) -> dict:
         """The observed-cost feedback store: per-plan cost estimates next
         to per-operator EWMA actuals (rows, elapsed, roundtrips) from
-        every retained-or-summarized trace and every profile run."""
+        every recorded request, profile runs included."""
         return self.plan_stats_store.snapshot()
 
     @property
@@ -539,8 +518,7 @@ class Platform:
         accumulated windowed state starts over)."""
         AsyncExecutor.assert_owner("Platform.set_metrics_window")
         self.ctx.window = WindowedMetrics(self.clock, window_s, nbuckets)
-        if self._continuous is not None:
-            self._continuous.window = self.ctx.window
+        self.ctx.tracer.window = self.ctx.window
 
     def window_snapshot(self) -> dict:
         """Every rolling-window series, sorted by name."""
@@ -548,39 +526,32 @@ class Platform:
 
     @property
     def last_trace(self):
-        """The root span of the most recent traced query (None when
+        """The root span of the most recent retained trace (None when
         tracing is off or nothing ran)."""
-        return getattr(self.ctx.tracer, "last_root", None)
+        return self.ctx.tracer.last_root
 
     def profile(self, query: str, variables: dict[str, list[Item]] | None = None,
                 user: User = ADMIN) -> QueryProfile:
-        """``explain analyze``: execute the query with tracing enabled and
-        render its plan annotated with per-operator actuals (elapsed, rows,
-        roundtrips, retries, cache hits, degradations).  The installed
-        tracer is restored afterwards, so profiling composes with an
-        explicitly enabled (or disabled) tracing mode."""
+        """``explain analyze``: execute the query as a request whose
+        recording is forced and render its plan annotated with the
+        per-operator actuals (elapsed, rows, roundtrips, retries, cache
+        hits, degradations) of that request's own recorder — whatever the
+        tracer's policy, whatever runs beside it.  Ending the request
+        feeds the plan-stats store like any recorded request."""
         from ..runtime.batchexec import BatchProbe
 
         self._check_tracing_allowed()
-        previous = self.ctx.tracer
-        tracer = QueryTracer(self.clock, self.ctx.metrics)
-        self.ctx.set_tracer(tracer)
         probe = BatchProbe()
-        token = self.ctx.set_batch_probe(probe)
         start = self.clock.now_ms()
-        try:
-            plan = self.prepare(query, variables)
+        plan = self.prepare(query, variables)
+        with self.ctx.tracer.request(plan.plan_key, probe=probe,
+                                     forced=True) as request:
+            recorder = request.recorder
             items = list(self.stream(plan, variables, user))
-        finally:
-            self.ctx.set_tracer(previous)
-            self.ctx.reset_batch_probe(token)
         elapsed = self.clock.now_ms() - start
-        text, aggregates = profile_render(plan.expr, tracer)
-        # profiling observes the same actuals the continuous plane would:
-        # feed the plan-stats store so explicit profile runs warm it too
-        self.plan_stats_store.observe(plan_fingerprint(plan.plan_key), aggregates)
+        text, aggregates = profile_render(plan.expr, recorder)
         return QueryProfile(text=text + _binds_footer(plan),
-                            root=tracer.last_root, tracer=tracer,
+                            root=recorder.last_root, tracer=recorder,
                             items=len(items), elapsed_ms=elapsed,
                             aggregates=aggregates, batches=probe.snapshot())
 
@@ -799,59 +770,49 @@ class Platform:
         materialized first (section 2.2).
 
         ``budget_ms`` is the request's deadline budget (R-SERVE): the
-        deadline is installed on the resilience manager for this request's
-        context, capping every source attempt and retry backoff — PP-k
-        blocks and scatter branches inherit it through the executor's
-        context propagation — so a doomed query stops consuming source
-        roundtrips and fails with
-        :class:`~repro.errors.DeadlineExceededError`."""
+        deadline rides on the request, capping every source attempt and
+        retry backoff — PP-k blocks and scatter branches see it through
+        the executor's context propagation — so a doomed query stops
+        consuming source roundtrips and fails with
+        :class:`~repro.errors.DeadlineExceededError`.
+
+        The request is on the calling context only while its own code
+        runs: between two items the client may run anything, another
+        request included, and each keeps its own bindings, deadline,
+        degradations and span tree."""
         self._check_open()
         plan = query if isinstance(query, CompiledPlan) \
             else self.prepare(query, variables)
-        # the text's lifted literals are bound beside the caller's variables
-        self.ctx.external_variables = {**variables, **plan.binds} if variables \
-            else plan.binds
-        self.ctx.resilience.begin_query()
-        token = None
-        if budget_ms is not None:
-            token = self.ctx.resilience.set_deadline(
-                self.clock.now_ms() + budget_ms)
         tracer = self.ctx.tracer
-        handle = None
-        if isinstance(tracer, ContinuousTracer) and not tracer.in_request():
-            # nested under a server request the outer request already
-            # owns the sampling decision (and paid for the fingerprint)
-            handle = tracer.begin_request(plan_fingerprint(plan.plan_key))
-        outcome = "completed"
-        try:
+        # the text's lifted literals are bound beside the caller's variables
+        with tracer.request(
+                plan.plan_key,
+                {**variables, **plan.binds} if variables else plan.binds,
+                budget_ms) as request:
+            items = self.evaluator.iter_eval(plan.expr, {})
             # decided once per request: an administrator, or a platform
             # with no element policy, has nothing to filter
-            filtering = self.security.has_element_policies() \
-                and "admin" not in user.roles
+            if self.security.has_element_policies() \
+                    and "admin" not in user.roles:
+                items = (out for item in items
+                         for out in self.security.filter_items([item], user))
+            current, install = REQUEST.get, REQUEST.set
             with tracer.start("query", plan.source) as span:
                 count = 0
-                for item in self.evaluator.iter_eval(plan.expr, {}):
-                    if filtering:
-                        for out in self.security.filter_items([item], user):
-                            count += 1
-                            yield out
-                    else:
+                try:
+                    for item in items:
                         count += 1
+                        # the client's turn: whatever it opens is not ours,
+                        # and we re-install only if it displaced us
+                        request.running = False
                         yield item
+                        if current() is not request:
+                            install(request)
+                        request.running = True
+                except GeneratorExit:
+                    span.set(items=count)  # abandoned: what was delivered
+                    raise
                 span.set(items=count)
-        except DeadlineExceededError:
-            outcome = "deadline"
-            raise
-        except BaseException:
-            outcome = "error"
-            raise
-        finally:
-            if token is not None:
-                self.ctx.resilience.reset_deadline(token)
-            if handle is not None:
-                tracer.end_request(
-                    handle, outcome=outcome,
-                    degraded=len(self.ctx.resilience.degradations))
 
     def explain(self, query: str,
                 variables: dict[str, list[Item]] | None = None) -> str:
@@ -912,34 +873,16 @@ class Platform:
         plan = self._keyed_plan(
             f"#call:{function_name}#{arity}",
             lambda compiler: compiler.compile_call(function_name, arity))
-        self.ctx.external_variables = {
-            f"__arg{i}": list(arg) for i, arg in enumerate(args)
-        }
-        self.ctx.resilience.begin_query()
         tracer = self.ctx.tracer
-        handle = None
-        if isinstance(tracer, ContinuousTracer) and not tracer.in_request():
-            # fingerprint by the canonical call text, not the internal
-            # plan-cache key, so `call("getProfile")` and an ad hoc
-            # `getProfile()` observe as one plan in the stats store
-            call_text = (f"{function_name}"
-                         f"({', '.join(f'$__arg{i}' for i in range(arity))})")
-            handle = tracer.begin_request(
-                plan_fingerprint(call_text))
-        outcome = "completed"
-        try:
+        # filed under the canonical call text (the plan's source), not the
+        # internal plan-cache key, so `call("getProfile")` and an ad hoc
+        # `getProfile()` observe as one plan in the stats store
+        with tracer.request(plan.source, {
+                f"__arg{i}": list(arg) for i, arg in enumerate(args)}):
             with tracer.start("query", function_name) as span:
                 result = self.evaluator.eval(plan.expr, {})
                 span.set(items=len(result))
             return self.security.filter_items(result, user)
-        except BaseException:
-            outcome = "error"
-            raise
-        finally:
-            if handle is not None:
-                tracer.end_request(
-                    handle, outcome=outcome,
-                    degraded=len(self.ctx.resilience.degradations))
 
     def call_python(self, function_name: str, *args, user: User = ADMIN) -> list[Item]:
         """Convenience: call with plain Python argument values."""

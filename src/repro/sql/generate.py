@@ -703,6 +703,15 @@ class RegionCompiler:
             select.items = list(self.select_items)
             self.regroup = regroup_aliases
 
+        if not select.items:
+            # the return reads no column: project a hidden constant (under
+            # DISTINCT, the keys it stands for), so the region still ships
+            # one row per template instance
+            for expr in ([key for key, _t in self.group_by_keys]
+                         if select.distinct else [SqlLiteral(1)]):
+                self._add_select(expr, hidden=True)
+            select.items = list(self.select_items)
+
         if self._fetch is not None:
             caps = capabilities_for(self.vendor)
             if caps.pagination is not None and self.regroup is None:

@@ -116,5 +116,6 @@ def reference_platform(**demo):
 def reference_execute(platform, query: str, variables: dict | None = None) -> list[Item]:
     """``query`` on the reference driver, over ``platform``'s plan for it."""
     plan = platform.prepare(query, variables)
-    platform.ctx.external_variables = {**(variables or {}), **plan.binds}
-    return ReferenceEvaluator(platform.ctx).eval(plan.expr, {})
+    with platform.ctx.tracer.request(
+            bindings={**(variables or {}), **plan.binds}):
+        return ReferenceEvaluator(platform.ctx).eval(plan.expr, {})

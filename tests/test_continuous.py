@@ -343,21 +343,18 @@ def make_tracer(sample_rate=1.0, seed=0, slow_ms=250.0, retain_capacity=8,
     clock = VirtualClock()
     config = ContinuousConfig(sample_rate=sample_rate, seed=seed,
                               slow_ms=slow_ms, retain_capacity=retain_capacity)
-    tracer = ContinuousTracer(
-        clock, TraceSampler(config.sample_rate, config.seed), config,
-        PlanStatsStore(), window=window)
-    return clock, tracer
+    return clock, ContinuousTracer(clock, config, window=window)
 
 
 class TestContinuousTracer:
     def test_unsampled_requests_allocate_nothing(self):
         clock, tracer = make_tracer(sample_rate=0.0)
-        handle = tracer.begin_request("fp")
-        assert handle is not None and not handle.sampled
-        assert tracer.start("query", "q") is NOOP_SPAN
-        assert tracer.instant("mark") is NOOP_SPAN
-        assert tracer.current() is None
-        assert tracer.end_request(handle) is False
+        with tracer.request("fp") as request:
+            assert not request.sampled
+            assert tracer.start("query", "q") is NOOP_SPAN
+            assert tracer.instant("mark") is NOOP_SPAN
+            assert tracer.current() is None
+        assert request.retained is False
         snap = tracer.snapshot()
         assert snap["spans_allocated"] == 0
         assert snap["unsampled_calls"] == 2
@@ -365,10 +362,9 @@ class TestContinuousTracer:
 
     def test_fast_healthy_is_summarized_not_retained(self):
         clock, tracer = make_tracer(slow_ms=1000.0)
-        handle = tracer.begin_request("fp")
-        with tracer.start("query", "q"):
+        with tracer.request("fp") as request, tracer.start("query", "q"):
             clock.charge_ms(5.0)
-        assert tracer.end_request(handle) is False
+        assert request.retained is False
         snap = tracer.snapshot()
         assert snap["traces_summarized"] == 1
         assert snap["traces_retained"] == 0
@@ -376,10 +372,9 @@ class TestContinuousTracer:
 
     def test_slow_request_is_retained(self):
         clock, tracer = make_tracer(slow_ms=10.0)
-        handle = tracer.begin_request("fp")
-        with tracer.start("query", "q"):
+        with tracer.request("fp") as request, tracer.start("query", "q"):
             clock.charge_ms(50.0)
-        assert tracer.end_request(handle) is True
+        assert request.retained is True
         roots = tracer.retained_roots()
         assert len(roots) == 1 and roots[0].name == "q"
         assert tracer.last_root is roots[0]
@@ -388,51 +383,54 @@ class TestContinuousTracer:
         {"outcome": "error"},
         {"outcome": "deadline"},
         {"degraded": 2},
-        {"force_retain": True},
+        {"outcome": "shed"},
     ])
     def test_unhealthy_requests_always_retained(self, kwargs):
         clock, tracer = make_tracer(slow_ms=1e9)
-        handle = tracer.begin_request("fp")
-        with tracer.start("query", "q"):
+        with tracer.request("fp") as request, tracer.start("query", "q"):
             clock.charge_ms(1.0)
-        assert tracer.end_request(handle, **kwargs) is True
+            request.outcome = kwargs.get("outcome")
+            request.degradations.extend(range(kwargs.get("degraded", 0)))
+        assert request.retained is True
 
     def test_retention_needs_a_span_tree(self):
         # a sampled request that never opened a span has nothing to keep
         clock, tracer = make_tracer(slow_ms=0.0)
-        handle = tracer.begin_request("fp")
-        assert tracer.end_request(handle, outcome="error") is False
+        with tracer.request("fp") as request:
+            request.outcome = "error"
+        assert request.retained is False
         assert tracer.snapshot()["traces_summarized"] == 1
 
     def test_retained_ring_is_bounded(self):
         clock, tracer = make_tracer(slow_ms=0.0, retain_capacity=2)
         for i in range(5):
-            handle = tracer.begin_request("fp")
-            with tracer.start("query", f"q{i}"):
+            with tracer.request("fp"), tracer.start("query", f"q{i}"):
                 clock.charge_ms(1.0)
-            tracer.end_request(handle)
         assert tracer.snapshot()["traces_retained"] == 5
         assert [root.name for root in tracer.retained_roots()] == ["q3", "q4"]
 
     def test_nested_begin_request_is_a_noop(self):
         clock, tracer = make_tracer()
-        outer = tracer.begin_request("fp")
-        assert tracer.begin_request("fp2") is None
-        assert tracer.end_request(None) is False
-        with tracer.start("query", "q"):
-            clock.charge_ms(1.0)
-        tracer.end_request(outer, outcome="error")
+        with pytest.raises(ValueError):
+            with tracer.request("fp") as outer:
+                with tracer.request("fp2") as inner:
+                    # the child shares the outer request's account
+                    assert inner.recorder is outer.recorder
+                    assert inner.degradations is outer.degradations
+                with tracer.start("query", "q"):
+                    clock.charge_ms(1.0)
+                raise ValueError("boom")
+        assert outer.outcome == "error" and inner.outcome is None
         assert tracer.snapshot()["requests"] == 1
 
     def test_window_fed_for_every_request_sampled_or_not(self):
         clock = VirtualClock()
         window = WindowedMetrics(clock, window_s=60.0)
-        config = ContinuousConfig(sample_rate=0.0)
-        tracer = ContinuousTracer(clock, TraceSampler(0.0), config,
-                                  PlanStatsStore(), window=window)
-        handle = tracer.begin_request("fp")
-        clock.charge_ms(3.0)
-        tracer.end_request(handle, outcome="shed")
+        tracer = ContinuousTracer(clock, ContinuousConfig(sample_rate=0.0),
+                                  window=window)
+        with tracer.request("fp") as request:
+            clock.charge_ms(3.0)
+            request.outcome = "shed"
         snap = window.snapshot()
         assert snap["trace.requests"]["window_total"] == 1
         assert snap["trace.latency_ms"]["count"] == 1
@@ -526,9 +524,9 @@ class TestPlatformContinuous:
     def test_set_continuous_off_restores_noop(self):
         platform = build_demo_platform(customers=1, clock=VirtualClock())
         platform.set_continuous(sample_rate=1.0)
-        assert platform.continuous is not None
+        assert platform.tracer.enabled
         assert platform.set_continuous(enabled=False) is None
-        assert platform.continuous is None
+        assert not platform.tracer.enabled
         platform.execute(SCAN)  # runs untraced
 
 

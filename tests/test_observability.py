@@ -19,8 +19,8 @@ from repro import Platform
 from repro.clock import VirtualClock, WallClock
 from repro.observability import (
     NOOP_SPAN,
+    ContinuousTracer,
     MetricsRegistry,
-    NoopTracer,
     QueryTracer,
     chrome_trace,
     chrome_trace_json,
@@ -121,13 +121,16 @@ class TestQueryTracer:
         assert span.elapsed_ms == 0 and span.end_ms is not None
 
 
-class TestNoopTracer:
+class TestTracerOff:
+    """The engine tracer with no policy (what ``NoopTracer`` was)."""
+
     def test_disabled_contract_counts_calls_allocates_nothing(self):
-        tracer = NoopTracer()
+        tracer = ContinuousTracer(VirtualClock())
         assert tracer.enabled is False
-        with tracer.start("pushed-sql", "custdb", rows=1) as span:
-            span.set(rows=2).add("n")
-        tracer.instant("breaker.rejected")
+        with tracer.request():
+            with tracer.start("pushed-sql", "custdb", rows=1) as span:
+                span.set(rows=2).add("n")
+            tracer.instant("breaker.rejected")
         assert tracer.calls == 2
         assert tracer.spans_allocated == 0
         assert tracer.start("x") is NOOP_SPAN  # the shared singleton

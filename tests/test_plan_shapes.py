@@ -407,7 +407,7 @@ def test_served_plans_are_the_inline_plans_modulo_binds(tmp_path):
                 assert run(platform, text, variables) == \
                     run(platform, inline, variables), text
                 checked += 1
-    assert checked == 46 * 3
+    assert checked == 47 * 3
     assert parameterised >= 40  # most texts with a constant are shape-served
 
 

@@ -19,8 +19,8 @@ def run(text, env=None, **external):
     externals = {name: ITEM_STAR for name in external}
     plan = compiler.compile_expression(text, externals=externals or None)
     ctx = DynamicContext(MetadataRegistry())
-    ctx.external_variables = {k: v for k, v in external.items()}
-    return Evaluator(ctx).eval(plan.expr, env or {})
+    with ctx.tracer.request(bindings=external):
+        return Evaluator(ctx).eval(plan.expr, env or {})
 
 
 def values(result):

@@ -251,11 +251,58 @@ class TestMorePushables:
         ''', externals={"threshold": atomic("xs:integer")})
         from repro.xml import AtomicValue
 
-        ctx.external_variables = {"threshold": [AtomicValue(150, "xs:integer")]}
         assert isinstance(plan.expr, PushedSQL)
         assert len(plan.expr.param_exprs) == 1
-        out = serialize(evaluator.eval(plan.expr, {}))
+        with ctx.tracer.request(bindings={
+                "threshold": [AtomicValue(150, "xs:integer")]}):
+            out = serialize(evaluator.eval(plan.expr, {}))
         assert out == "<CID>C2</CID><CID>C3</CID>"
+
+
+#: returns that read no column of the row they are evaluated for
+COLUMNLESS_RETURNS = [
+    "for $c in CUSTOMER() return <R/>",
+    'for $c in CUSTOMER() return <R>{"A"}</R>',
+    "for $c in CUSTOMER() return <R>{1}</R>",
+    'for $c in CUSTOMER() return "A"',
+]
+
+
+class TestColumnlessReturn:
+    """A region whose ``return`` reads no column used to ship
+    ``SELECT  FROM "CUSTOMER" t1``; it projects a hidden constant and
+    returns one template instance per row."""
+
+    def test_hidden_constant_is_projected(self, env):
+        sql, out, _ = compile_and_run(env, "for $c in CUSTOMER() return <R/>")
+        assert sql == 'SELECT 1 AS c1 FROM "CUSTOMER" t1'
+        assert out == "<R/><R/><R/>"
+
+    @pytest.mark.parametrize("vendor", ["oracle", "db2", "sqlserver", "sybase"])
+    @pytest.mark.parametrize("query", COLUMNLESS_RETURNS)
+    def test_one_instance_per_row_in_every_dialect(self, query, vendor):
+        from repro import Platform
+        from tests.conftest import build_custdb
+
+        def run(pushdown):
+            clock = VirtualClock()
+            platform = Platform(clock=clock)
+            platform.register_database(
+                build_custdb(clock, customers=3, vendor=vendor))
+            platform.set_pushdown_enabled(pushdown)
+            return platform, platform.execute(query)
+
+        platform, pushed = run(True)
+        assert f"sql[{vendor}]: SELECT 1 AS c1 FROM" in platform.explain(query)
+        assert len(pushed) == 3
+        assert serialize(pushed) == serialize(run(False)[1])
+
+    def test_group_keys_stand_in_under_distinct(self, env):
+        compiler, evaluator, _, _ = env
+        query = "for $c in CUSTOMER() group by $c/LAST_NAME as $k return <R/>"
+        plan = compiler.compile_expression(query)
+        assert isinstance(plan.expr, PushedSQL) and plan.expr.select.distinct
+        assert serialize(evaluator.eval(plan.expr, {})) == "<R/><R/>"
 
 
 class TestNonPushable:

@@ -210,9 +210,6 @@ class TestAsyncExecutorContract:
         platform = build_platform(deploy_profile=False)
         executor = AsyncExecutor(WallClock(), max_workers=2)
         try:
-            with pytest.raises(RuntimeError, match="set_tracer"):
-                executor.run_parallel(
-                    [lambda: platform.ctx.set_tracer(None), lambda: None])
             with pytest.raises(RuntimeError, match="attach_database"):
                 executor.run_parallel(
                     [lambda: platform.ctx.attach_database(_fast_db("x")),
@@ -277,12 +274,12 @@ class TestExternalVariableIsolation:
         from tests.conftest import build_platform
 
         platform = build_platform(customers=2, ws_latency_ms=0.0)
-        platform.ctx.external_variables = {"x": [1, 2, 3]}
         executor = AsyncExecutor(WC(), max_workers=2)
         try:
-            seen = executor.run_parallel(
-                [lambda: platform.ctx.external_variables.get("x"),
-                 lambda: platform.ctx.external_variables.get("x")])
+            with platform.ctx.tracer.request(bindings={"x": [1, 2, 3]}):
+                seen = executor.run_parallel(
+                    [lambda: platform.ctx.external_variables.get("x"),
+                     lambda: platform.ctx.external_variables.get("x")])
             assert seen == [[1, 2, 3], [1, 2, 3]]
         finally:
             executor.shutdown()

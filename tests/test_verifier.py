@@ -265,6 +265,14 @@ class TestPushdownAuditor:
         report = verify_plan(make_pushed(correlation=correlation))
         assert report.by_code("ALDSP-E107")
 
+    def test_empty_select_list(self):
+        pushed = make_pushed()
+        pushed.select.items = []
+        pushed.template = ast.ElementCtor("R", [], [])
+        report = verify_plan(pushed)
+        assert report.by_code("ALDSP-E111")
+        assert report.has_errors
+
     def test_ppk_without_correlation(self):
         flwor = ast.FLWOR(
             [ast.ForClause("x", parsed("(1, 2)")),

@@ -167,6 +167,44 @@ class TestStress:
             platform.set_batch_size(256)
         assert_race_free(detector)
 
+    def test_profile_sees_only_its_own_request(self, stressed, round):
+        """``profile()`` is a request that records for itself: while other
+        threads execute other queries it sees exactly its own root and its
+        own operator ids, and feeds the plan-stats store its own
+        fingerprint only.  (It used to swap the engine's tracer for
+        everyone: the other threads' spans landed in the profile, small
+        per-plan operator ids and all.)"""
+        from repro.observability import plan_fingerprint
+
+        platform, detector = stressed
+        profiled = ("for $c in CUSTOMER() where $c/CID eq 'C1' "
+                    "return $c/LAST_NAME")
+        others = ("getProfile()", "for $o in ORDER() return $o/AMOUNT",
+                  "for $c in CUSTOMER() for $cc in CREDIT_CARD() "
+                  "where $cc/CID eq $c/CID return $cc/NUMBER")
+        plan = platform.prepare(profiled)
+        own_ops = {node.op_id for node in plan.expr.walk()
+                   if getattr(node, "op_id", None) is not None}
+        profiles = []
+
+        def worker(index):
+            for i in range(OPS_PER_THREAD):
+                if index == 0:
+                    profiles.append(platform.profile(profiled))
+                else:
+                    platform.execute(others[(index + i) % len(others)])
+
+        hammer(platform, worker)
+        assert_race_free(detector)
+        assert len(profiles) == OPS_PER_THREAD
+        for profile in profiles:
+            [root] = profile.tracer.roots
+            assert (root.kind, root.name) == ("query", plan.source)
+            assert profile.items == 1 and set(profile.aggregates) == own_ops
+        stats = platform.plan_stats()
+        assert set(stats["plans"]) == {plan_fingerprint(plan.plan_key)}
+        assert stats["traces_observed"] == OPS_PER_THREAD
+
     def test_cost_based_toggle_under_contention(self, stressed, round):
         """P-COST's knobs under fire: one thread flips cost-based planning
         on and off mid-workload (each flip invalidates the plan cache and
