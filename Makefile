@@ -26,8 +26,9 @@ typecheck:
 		echo "typecheck: mypy not installed, skipping"; \
 	fi
 
+# (--durations: the next 15-second test shows in `make ci` the day it lands)
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --durations=5
 
 # The benchmark corpus in smoke mode: every paper-artifact bench runs once
 # and its assertions (statement-cache parse counts, PP-k pipelining wins,

@@ -68,7 +68,9 @@ print(" ", serialize(platform.call("reuser"))[:120], "...")
 print("\n== observed cost-based tuning (section 9) ==")
 for db in platform.ctx.databases.values():
     db.latency = LatencyModel(roundtrip_ms=60.0, per_row_ms=0.2)
-platform.observed.clear()  # the latency regime just changed
+# the latency regime just changed: drop the fits, because the two samples
+# per source below cannot out-vote the decayed history of the old regime
+platform.observed.clear()
 
 # ordinary traffic doubles as instrumentation
 platform.execute("for $c in CUSTOMER() return $c/CID")

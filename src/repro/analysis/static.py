@@ -47,8 +47,7 @@ REGISTRY: dict[str, tuple[str, ...]] = {
     "concurrency.py": ("SyncCounters",),
     "observability/continuous.py": (
         "ContinuousTracer", "TraceSampler", "WindowedMetrics",
-        "WindowedCounter", "WindowedHistogram", "FlightRecorder",
-        "PlanStatsStore"),
+        "WindowedCounter", "WindowedHistogram", "FlightRecorder"),
     "observability/metrics.py": ("MetricsRegistry", "Counter", "Gauge", "Histogram"),
     # (``Request`` is not here: its fields are written by the thread that
     # runs the request only, and the one thing its pool branches write —
@@ -63,7 +62,7 @@ REGISTRY: dict[str, tuple[str, ...]] = {
     "runtime/batchexec.py": ("BatchProbe",),
     "runtime/cache.py": ("FunctionCache", "CacheStats"),
     "runtime/context.py": ("RuntimeStats",),
-    "runtime/observed.py": ("ObservedCostModel",),
+    "runtime/observed.py": ("ObservedStatistics",),
     "runtime/operators/group.py": ("GroupStats",),
     "server/admission.py": ("AdmissionController", "TokenBucket"),
     "server/session.py": ("SessionManager",),

@@ -17,10 +17,12 @@ join repertoire —
 and stamps the winner into the plan, transforming the region when a
 non-PP-k strategy wins.  Inputs come from the
 :class:`~repro.compiler.stats.StatisticsCatalog` (cardinalities,
-selectivities, latency fits) and — for recurring plan fingerprints — from
-the :class:`~repro.observability.continuous.PlanStatsStore` EWMAs
-(warm-start costing: the second compilation of a repeated query estimates
-from *observed* rows).  Runs of adjacent independent single-match units
+selectivities, and source latency — observed where the runtime's fit
+identified it, declared where it did not) and — for recurring plan
+fingerprints — from the operator actuals of
+:class:`~repro.runtime.observed.ObservedStatistics` (warm-start costing:
+the second compilation of a repeated query estimates from *observed*
+rows).  Runs of adjacent independent single-match units
 are additionally reordered greedily by the classic predicate-ordering
 rank (cheapest-and-most-selective first).
 
@@ -90,7 +92,7 @@ class CostingOptions:
     enabled: bool = False
     #: the statistics layer (:class:`~repro.compiler.stats.StatisticsCatalog`)
     catalog: object = None
-    #: plan-stats feedback store for warm-start costing (may be None)
+    #: the observed-statistics store, for warm-start costing (may be None)
     store: object = None
     #: force one strategy on every convertible region (ablation/benchmarks)
     force: str | None = None
@@ -204,12 +206,10 @@ class _CostingPass:
     def _scan_estimate(self, pushed: PushedSQL, n: float) -> float | None:
         """Estimated rows per evaluation of an uncorrelated pushed region;
         stamps ``est_*`` on the node.  None when the source is unknown."""
-        info = self._table_info(pushed)
-        latency = self.catalog.latency(pushed.database)
-        if info is None or latency is None:
+        info = self._source_info(pushed)
+        if info is None:
             return None
-        _db, _table, stats = info
-        rt, pr = latency
+        stats, rt, pr = info
         rows = float(stats.rows)
         if pushed.param_exprs or pushed.select.where is not None:
             rows = max(rows * DEFAULT_SELECTIVITY, 1.0) if rows > 0 else 0.0
@@ -223,16 +223,19 @@ class _CostingPass:
         pushed.est_via = via
         return rows
 
-    def _table_info(self, pushed: PushedSQL):
+    def _source_info(self, pushed: PushedSQL):
+        """(table statistics, roundtrip ms, per-row ms) of a single-table
+        region; None when the catalog cannot see the table or its source."""
         select = pushed.select
         if len(select.from_items) != 1 or \
                 not isinstance(select.from_items[0], TableRef):
             return None
-        table = select.from_items[0].name
-        stats = self.catalog.table_stats(pushed.database, table)
-        if stats is None:
+        stats = self.catalog.table_stats(pushed.database,
+                                         select.from_items[0].name)
+        latency = self.catalog.latency(pushed.database)
+        if stats is None or latency is None:
             return None
-        return pushed.database, table, stats
+        return (stats, *latency)
 
     # -- candidate regions ---------------------------------------------------
 
@@ -265,11 +268,10 @@ class _CostingPass:
         # pair is an inner equi-join and every strategy is equivalent
         if _var_uses(flwor, clause.var) != 1:
             return None
-        info = self._table_info(pushed)
-        latency = self.catalog.latency(pushed.database)
-        if info is None or latency is None:
+        info = self._source_info(pushed)
+        if info is None:
             return None  # unknown source: keep the heuristic plan untouched
-        _db, _table, stats = info
+        stats, rt, pr = info
         column = getattr(pushed.correlation.column_expr, "column", None)
         if column is None:
             return None
@@ -279,8 +281,8 @@ class _CostingPass:
             m_eff = max(rows * DEFAULT_SELECTIVITY, 1.0) if rows > 0 else 0.0
         return _Unit(
             let=clause, for_clause=nxt, rows=rows, m_eff=m_eff,
-            sel=clamp_selectivity(stats, column), rt=latency[0],
-            pr=latency[1], key_column=column,
+            sel=clamp_selectivity(stats, column), rt=rt, pr=pr,
+            key_column=column,
             key_element=_key_element(pushed.template,
                                      pushed.correlation.column_alias),
             single_match=stats.unique_columns == (column,),

@@ -2,17 +2,18 @@
 
 The paper's section 4.3/9 vision is an optimizer that chooses distributed
 access strategies from *costs* rather than fixed heuristics.  This module
-supplies the inputs: per-table cardinality and per-column selectivity
-sketches (distinct-value counts over the registered sources' live tables),
-per-source latency fits (roundtrip + per-row, from the runtime's
-:class:`~repro.runtime.observed.ObservedCostModel`, falling back to the
-source's declared :class:`~repro.relational.database.LatencyModel`), and
-manual overrides so benchmarks and tests can make the statistics
-deliberately wrong.
+supplies what is *declared*: per-table cardinality and per-column
+selectivity sketches (distinct-value counts over the registered sources'
+live tables), each source's declared
+:class:`~repro.relational.database.LatencyModel`, and manual overrides so
+benchmarks and tests can make the statistics deliberately wrong.  What is
+*observed* lives in the runtime's
+:class:`~repro.runtime.observed.ObservedStatistics`; :meth:`StatisticsCatalog.latency`
+is the one place the two are weighed, component by component.
 
 The catalog computes table statistics fresh per request (tables in the
 simulated sources are small, and compilation is amortized by the plan
-cache); only the overrides and the latency samples carry state.
+cache); only the overrides carry state.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class StatisticsCatalog:
     def __init__(self, databases, observed):
         #: live view of the platform's registered databases (name -> Database)
         self._databases = databases
-        #: the runtime's per-source latency observations
+        #: the runtime's observed-statistics store (its per-source fits)
         self._observed = observed
         self._lock = TrackedRLock("StatisticsCatalog")
         #: manual overrides: (database, table) -> TableStats
@@ -105,16 +106,24 @@ class StatisticsCatalog:
         return clamp_selectivity(stats, column)
 
     def latency(self, source: str) -> tuple[float, float] | None:
-        """(roundtrip_ms, per_row_ms) for a source: the observed fit when
-        samples exist, else the source's declared latency model, else None
-        for an unknown source."""
-        estimate = self._observed.estimate(source) if self._observed else None
-        if estimate is not None and estimate.samples >= 2:
-            return estimate.roundtrip_ms, estimate.per_row_ms
+        """(roundtrip_ms, per_row_ms) for a source, each component observed
+        where the fit identified it, declared where not; None for an
+        unknown source.  Traffic that always ships the same number of rows
+        (keyed lookups) identifies only the sum at that row count: per-row
+        stays declared, the roundtrip is the observed mean less the declared
+        per-row share.  (Read as "rows are free", such a fit prices a
+        full-table index join below PP-k.)"""
         db = self._databases.get(source)
         if db is None:
             return None
-        return db.latency.roundtrip_ms, db.latency.per_row_ms
+        estimate = self._observed.estimate(source)
+        if estimate is None or estimate.samples < 2:
+            return db.latency.roundtrip_ms, db.latency.per_row_ms
+        if estimate.identified:
+            return estimate.roundtrip_ms, estimate.per_row_ms
+        per_row = db.latency.per_row_ms
+        return max(estimate.roundtrip_ms - estimate.mean_rows * per_row,
+                   0.0), per_row
 
 
 def clamp_selectivity(stats: TableStats, column: str) -> float:

@@ -8,8 +8,6 @@ from .continuous import (
     ContinuousTracer,
     FlightRecord,
     FlightRecorder,
-    PlanOperatorStats,
-    PlanStatsStore,
     TraceSampler,
     WindowedCounter,
     WindowedHistogram,
@@ -51,8 +49,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "OperatorActuals",
-    "PlanOperatorStats",
-    "PlanStatsStore",
     "QueryProfile",
     "QueryTracer",
     "Request",

@@ -37,11 +37,11 @@ and cheap — in four pieces:
   *every* request, sampled or not.  Cumulative per-outcome counters sit
   next to the ring so the ledger reconciles exactly with the admission
   counters even after eviction.
-* :class:`PlanStatsStore` — the §9 observed-cost feedback store: EWMA
-  rows/elapsed/roundtrips keyed by ``(plan fingerprint, operator id)``,
-  fed from every recorded request as it ends (``profile()`` included),
-  with the admission-path cost estimate recorded alongside so a
-  cost-based optimizer can consume estimated-vs-actual deltas.
+
+Every recorded request, as it ends (``profile()`` included), also feeds its
+per-operator actuals to the engine's one observed-statistics store
+(:class:`~repro.runtime.observed.ObservedStatistics`), keyed by
+``(plan fingerprint, operator id)``.
 
 Thread-safety (A-CONC): every class here is crossed by request threads
 and pool threads; all shared state is lock-disciplined (``@guarded_by``,
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -64,8 +64,8 @@ from .profile import aggregate_operators
 from .tracer import NOOP_SPAN, REQUEST, QueryTracer, Request, Span
 
 if TYPE_CHECKING:
+    from ..runtime.observed import ObservedStatistics
     from .metrics import MetricsRegistry
-    from .profile import OperatorActuals
 
 
 def plan_fingerprint(plan_key: str) -> str:
@@ -447,125 +447,6 @@ class FlightRecorder:
 
 
 # ---------------------------------------------------------------------------
-# Plan-stats feedback store
-# ---------------------------------------------------------------------------
-
-
-#: smoothing factor for the per-operator EWMAs (matches the admission
-#: controller's service-time smoothing)
-EWMA_ALPHA = 0.2
-
-
-@dataclass
-class PlanOperatorStats:
-    """EWMA actuals for one (plan fingerprint, operator id) pair."""
-
-    observations: int = 0
-    ewma_rows: float = 0.0
-    ewma_elapsed_ms: float = 0.0
-    ewma_roundtrips: float = 0.0
-
-    def update(self, rows: float, elapsed_ms: float, roundtrips: float) -> None:
-        self.observations += 1
-        if self.observations == 1:
-            self.ewma_rows = float(rows)
-            self.ewma_elapsed_ms = float(elapsed_ms)
-            self.ewma_roundtrips = float(roundtrips)
-        else:
-            self.ewma_rows += EWMA_ALPHA * (rows - self.ewma_rows)
-            self.ewma_elapsed_ms += EWMA_ALPHA * (elapsed_ms - self.ewma_elapsed_ms)
-            self.ewma_roundtrips += EWMA_ALPHA * (roundtrips - self.ewma_roundtrips)
-
-    def to_dict(self) -> dict:
-        return {
-            "observations": self.observations,
-            "ewma_rows": round(self.ewma_rows, 3),
-            "ewma_elapsed_ms": round(self.ewma_elapsed_ms, 3),
-            "ewma_roundtrips": round(self.ewma_roundtrips, 3),
-        }
-
-
-@dataclass
-class _PlanStats:
-    """What the store keeps per plan fingerprint."""
-
-    estimate: float | None = None
-    operators: dict[int, PlanOperatorStats] = field(default_factory=dict)
-
-
-@guarded_by("_lock")
-class PlanStatsStore:
-    """Per-plan, per-operator observed actuals next to the admission
-    path's cost estimate — the store ROADMAP item 1's cost-based
-    optimizer reads estimated-vs-actual deltas from.
-
-    Bounded: the ``capacity`` most recently written plan fingerprints are
-    kept (LRU), so ad hoc traffic cannot grow it without limit; the
-    platform sizes it like its plan cache."""
-
-    def __init__(self, capacity: int = 256):
-        self.capacity = capacity
-        self._lock = TrackedRLock("PlanStatsStore")
-        #: fingerprint -> its estimate and operator EWMAs, in LRU order
-        self._plans: "OrderedDict[str, _PlanStats]" = OrderedDict()
-        self.traces_observed = 0
-
-    def _entry(self, fingerprint: str) -> _PlanStats:
-        """The (touched) entry of ``fingerprint``."""
-        with self._lock:
-            entry = self._plans.get(fingerprint)
-            if entry is None:
-                entry = self._plans[fingerprint] = _PlanStats()
-                while len(self._plans) > self.capacity:
-                    self._plans.popitem(last=False)
-            else:
-                self._plans.move_to_end(fingerprint)
-            RACE.detector.on_access(self, "_plans", True)
-            return entry
-
-    def observe(self, fingerprint: str,
-                aggregates: "dict[int, OperatorActuals]") -> None:
-        """Fold one trace's per-operator actuals into the EWMAs."""
-        if not aggregates:
-            return
-        with self._lock:
-            self.traces_observed += 1
-            operators = self._entry(fingerprint).operators
-            for op_id, actuals in aggregates.items():
-                stats = operators.setdefault(op_id, PlanOperatorStats())
-                stats.update(actuals.rows, actuals.elapsed_ms,
-                             actuals.roundtrips)
-
-    def set_estimate(self, fingerprint: str, cost: float) -> None:
-        """Record the plan's static cost estimate (admission path)."""
-        with self._lock:
-            self._entry(fingerprint).estimate = cost
-
-    def operators(self, fingerprint: str) -> dict[int, PlanOperatorStats]:
-        with self._lock:
-            entry = self._plans.get(fingerprint)
-            return dict(entry.operators) if entry is not None else {}
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._plans)
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "traces_observed": self.traces_observed,
-                "plans": {
-                    fp: {
-                        "estimate": entry.estimate,
-                        "operators": {op_id: entry.operators[op_id].to_dict()
-                                      for op_id in sorted(entry.operators)},
-                    }
-                    for fp, entry in sorted(self._plans.items())
-                },
-            }
-
-
-# ---------------------------------------------------------------------------
 # The engine tracer
 # ---------------------------------------------------------------------------
 
@@ -588,12 +469,13 @@ class ContinuousTracer:
     """
 
     def __init__(self, clock: Clock, config: ContinuousConfig | None = None,
-                 plan_stats: PlanStatsStore | None = None,
+                 observed: "Optional[ObservedStatistics]" = None,
                  window: WindowedMetrics | None = None,
                  metrics: "Optional[MetricsRegistry]" = None):
         self.clock = clock
-        self.plan_stats = plan_stats if plan_stats is not None \
-            else PlanStatsStore()
+        #: where a recorded request's operator actuals go as it ends
+        #: (None: a bare tracer in a test keeps span trees only)
+        self.observed = observed
         self.window = window
         self.metrics = metrics
         self._lock = TrackedRLock("ContinuousTracer")
@@ -684,9 +566,9 @@ class ContinuousTracer:
         recorder = request.recorder
         if recorder is None:
             return False
-        if request.plan_key is not None:
-            self.plan_stats.observe(plan_fingerprint(request.plan_key),
-                                    aggregate_operators(recorder.roots))
+        if request.plan_key is not None and self.observed is not None:
+            self.observed.observe(plan_fingerprint(request.plan_key),
+                                  aggregate_operators(recorder.roots))
         retain = config is not None and bool(recorder.roots) and (
             elapsed >= config.slow_ms or bool(request.degradations)
             or request.outcome != "completed")

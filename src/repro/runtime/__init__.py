@@ -5,7 +5,7 @@ from .cache import CacheStats, FunctionCache
 from .context import DynamicContext, RuntimeStats
 from .evaluate import Evaluator
 from .kernels import construct_element_content
-from .observed import CostEstimate, ObservedCostModel
+from .observed import CostEstimate, ObservedStatistics
 
 __all__ = [
     "AsyncExecutor",
@@ -15,6 +15,6 @@ __all__ = [
     "RuntimeStats",
     "Evaluator",
     "CostEstimate",
-    "ObservedCostModel",
+    "ObservedStatistics",
     "construct_element_content",
 ]

@@ -18,7 +18,7 @@ from ..sql.dialects import SqlRenderer, capabilities_for
 from .asyncexec import AsyncExecutor
 from .batch import DEFAULT_BATCH_SIZE
 from .cache import FunctionCache
-from .observed import ObservedCostModel
+from .observed import ObservedStatistics
 
 if TYPE_CHECKING:
     from ..xquery.ast_nodes import Module
@@ -62,7 +62,7 @@ class AdaptivePPkConfig:
     """Closed-loop PP-k block sizing (P-ADAPT).
 
     When enabled, :func:`~repro.runtime.operators.ppk.ppk_extend` re-sizes
-    each block from :meth:`ObservedCostModel.recommend_ppk` as roundtrip
+    each block from :meth:`ObservedStatistics.recommend_ppk` as roundtrip
     observations accumulate — the compiler's static k is only the
     cold-start value.  ``overhead_target`` is the share of the per-tuple
     cost allowed to go to roundtrip overhead; the default is far stricter
@@ -99,6 +99,7 @@ class DynamicContext:
         module: "Optional[Module]" = None,
         clock: Clock | None = None,
         cache: FunctionCache | None = None,
+        plan_capacity: int = 256,
     ):
         self.registry = registry
         self.module = module
@@ -116,11 +117,17 @@ class DynamicContext:
         #: of this clock, not process lifetime; always on (writes are a
         #: lock + an array slot)
         self.window = WindowedMetrics(self.clock)
+        #: everything the engine has observed (section 9): per-source
+        #: latency fits, written by the connections' per-roundtrip hook, and
+        #: per-plan operator actuals, written by the tracer at request end;
+        #: bounded like the plan cache whose plans it describes
+        self.observed = ObservedStatistics(plan_capacity)
         #: the one engine tracer: every instrumentation point holds this
         #: object for the life of the context; whether a crossing records
         #: is decided by the request running on the calling context
         #: (``Platform.set_continuous`` sets its policy)
-        self.tracer = ContinuousTracer(self.clock, window=self.window,
+        self.tracer = ContinuousTracer(self.clock, observed=self.observed,
+                                       window=self.window,
                                        metrics=self.metrics)
         self.async_exec = AsyncExecutor(self.clock, tracer=self.tracer)
         self.stats = RuntimeStats()
@@ -140,9 +147,6 @@ class DynamicContext:
         self.replan_threshold: float | None = None
         #: default for the per-database prepared-statement caches
         self.statement_cache_enabled = True
-        #: observed per-source cost samples (section 9's future-work
-        #: optimizer — populated by the connections' instrumentation hook)
-        self.observed = ObservedCostModel()
         #: rows one pull moves through the FLWOR pipeline (P-BATCH); a
         #: value every FLWOR reads, 1 being a batch of one
         self.batch_size = DEFAULT_BATCH_SIZE

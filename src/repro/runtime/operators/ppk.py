@@ -33,7 +33,7 @@ Two adaptive behaviours generalize that further (P-ADAPT):
 
 * **Adaptive block sizing** — when ``ctx.adaptive_ppk`` is enabled, each
   block's capacity is re-derived from
-  :meth:`~repro.runtime.observed.ObservedCostModel.recommend_ppk` as
+  :meth:`~repro.runtime.observed.ObservedStatistics.recommend_ppk` as
   roundtrip observations accumulate: each block's elapsed feeds the model
   that sizes the next, with the compiler's static ``k`` as the cold-start
   value.  The chosen capacity is recorded per block as a tracer span fact
@@ -204,7 +204,7 @@ def _block_sizer(clause: PPkLetClause, ctx):
     """``next_k()`` callback deciding the next block's capacity.
 
     With adaptation off this is the compiler's static ``clause.k``.  With
-    it on, each call consults the observed cost model — by construction
+    it on, each call consults the observed-statistics fit — by construction
     *after* the previous round's fetches were recorded, which closes the
     observe→decide loop at block granularity."""
     config = ctx.adaptive_ppk

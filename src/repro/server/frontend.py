@@ -175,7 +175,7 @@ class DataServer:
                     if invalid is not None:
                         raise invalid
                     cost = estimate_cost(plan.expr)
-                    self.platform.plan_stats_store.set_estimate(fingerprint, cost)
+                    self.platform.observed.set_estimate(fingerprint, cost)
                     phases["prepare_ms"] = self.clock.now_ms() - start
                     admit_start = self.clock.now_ms()
                     try:

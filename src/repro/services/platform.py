@@ -28,7 +28,6 @@ from ..observability import (
     ContinuousConfig,
     ContinuousTracer,
     MetricsRegistry,
-    PlanStatsStore,
     QueryProfile,
     WindowedMetrics,
     profile_render,
@@ -93,7 +92,8 @@ class Platform:
         self.options = CompilerOptions(mode=mode)
         self.cache = FunctionCache(self.clock, backing=cache_backing)
         self.security = SecurityService()
-        self.ctx = DynamicContext(self.registry, self.module, self.clock, self.cache)
+        self.ctx = DynamicContext(self.registry, self.module, self.clock, self.cache,
+                                  plan_capacity=self.plan_cache.capacity)
         self.ctx.body_plan = self._body_plan
         self.evaluator = Evaluator(self.ctx)
         self.services: dict[str, DataService] = {}
@@ -102,18 +102,13 @@ class Platform:
         #: set (once) by close(); queries submitted after raise
         #: PlatformClosedError instead of hitting a torn-down executor
         self._closed = False
-        #: the §9 observed-cost feedback store (O-CONT): per-(plan
-        #: fingerprint, operator) EWMA actuals next to cost estimates;
-        #: fed by every recorded request as it ends; bounded like the
-        #: plan cache whose plans it describes
-        self.plan_stats_store = PlanStatsStore(self.plan_cache.capacity)
-        self.ctx.tracer.plan_stats = self.plan_stats_store
-        #: the P-COST statistics layer: cardinality/selectivity sketches
-        #: over the registered sources plus per-source latency fits
+        #: the P-COST statistics layer: what is *declared* about the
+        #: registered sources (cardinality/selectivity sketches, latency
+        #: models), resolved against what ``ctx.observed`` has identified
         self.statistics = StatisticsCatalog(self.ctx.databases,
                                             self.ctx.observed)
         self.options.cost = CostingOptions(
-            catalog=self.statistics, store=self.plan_stats_store,
+            catalog=self.statistics, store=self.ctx.observed,
             ppk_join_ms_per_tuple=self.ctx.middleware.ppk_join_ms_per_tuple)
         #: administrative gate: set_tracing_allowed(False) makes every
         #: tracing enable fail with a stable ALDSP-E501 diagnostic
@@ -319,8 +314,8 @@ class Platform:
 
     @property
     def observed(self):
-        """The observed per-source cost model (samples accumulate as
-        queries run)."""
+        """The observed-statistics store: per-source latency fits and
+        per-plan operator actuals (both accumulate as queries run)."""
         return self.ctx.observed
 
     def recommended_ppk(self, database_name: str) -> int | None:
@@ -355,7 +350,7 @@ class Platform:
         """Toggle cost-based plan choice (P-COST): the compiler costs
         PP-k vs index-join vs ship-all per source-touching region (and
         greedily orders independent single-match joins) from the
-        statistics catalog and the plan-stats store, replacing the fixed
+        statistics catalog and the observed statistics, replacing the fixed
         heuristics.  Off (the default) compiles byte-identical heuristic
         plans.  ``force`` pins every convertible region to one strategy
         (``"ppk"``, ``"index-join"``, ``"ship-all"``) for ablation."""
@@ -503,10 +498,10 @@ class Platform:
         return self.ctx.tracer
 
     def plan_stats(self) -> dict:
-        """The observed-cost feedback store: per-plan cost estimates next
-        to per-operator EWMA actuals (rows, elapsed, roundtrips) from
-        every recorded request, profile runs included."""
-        return self.plan_stats_store.snapshot()
+        """The plan half of the observed-statistics store: per-plan cost
+        estimates next to per-operator EWMA actuals (rows, elapsed,
+        roundtrips) from every recorded request, profile runs included."""
+        return self.ctx.observed.snapshot()
 
     @property
     def window(self) -> WindowedMetrics:

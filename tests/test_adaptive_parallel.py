@@ -15,7 +15,7 @@ from repro.demo import build_demo_platform
 from repro.relational.database import LatencyModel
 from repro.resilience import FaultInjector
 from repro.runtime.cache import FunctionCache
-from repro.runtime.observed import ObservedCostModel
+from repro.runtime.observed import ObservedStatistics
 from repro.xml import serialize
 from repro.xml.items import AtomicValue
 
@@ -56,14 +56,14 @@ def let_clauses(expr):
 
 class TestRecommendPpkEdges:
     def test_fewer_than_two_samples_recommends_nothing(self):
-        model = ObservedCostModel()
+        model = ObservedStatistics()
         assert model.recommend_ppk("src") is None
         model.record("src", 10, 5.0)
         assert model.recommend_ppk("src") is None
 
     def test_uniform_rows_attribute_everything_to_roundtrip(self):
         # var_rows == 0 -> per_row_ms == 0 -> batch as much as possible
-        model = ObservedCostModel()
+        model = ObservedStatistics()
         model.record("src", 10, 5.0)
         model.record("src", 10, 5.0)
         estimate = model.estimate("src")
@@ -73,7 +73,7 @@ class TestRecommendPpkEdges:
 
     def test_fractional_ideal_rounds_up(self):
         # fit: roundtrip=1.0, per_row=0.3 -> ideal = 1*(1-.5)/(.5*.3) = 3.33
-        model = ObservedCostModel()
+        model = ObservedStatistics()
         model.record("src", 0, 1.0)
         model.record("src", 10, 4.0)
         estimate = model.estimate("src")
@@ -82,11 +82,11 @@ class TestRecommendPpkEdges:
         assert model.recommend_ppk("src") == 4
 
     def test_bounds_are_respected(self):
-        model = ObservedCostModel()
+        model = ObservedStatistics()
         model.record("src", 0, 100.0)
         model.record("src", 10, 101.0)
         assert model.recommend_ppk("src", k_min=5, k_max=50) == 50
-        model2 = ObservedCostModel()
+        model2 = ObservedStatistics()
         model2.record("src", 0, 0.01)
         model2.record("src", 10, 100.0)
         assert model2.recommend_ppk("src", k_min=5, k_max=50) == 5

@@ -23,8 +23,6 @@ from repro.observability import (
     FlightRecord,
     FlightRecorder,
     Histogram,
-    PlanOperatorStats,
-    PlanStatsStore,
     TraceSampler,
     WindowedCounter,
     WindowedHistogram,
@@ -33,7 +31,8 @@ from repro.observability import (
     nearest_rank,
     plan_fingerprint,
 )
-from repro.observability.continuous import EWMA_ALPHA
+from repro.observability.profile import OperatorActuals
+from repro.runtime.observed import DECAY, ObservedStatistics
 from repro.server import AdmissionController, DataServer, TenantQuota
 from repro.xml.items import AtomicValue
 
@@ -297,23 +296,21 @@ class TestFlightRecorder:
 
 class TestPlanStats:
     def test_first_observation_seeds_then_ewma(self):
-        stats = PlanOperatorStats()
-        stats.update(rows=10, elapsed_ms=100.0, roundtrips=2)
-        assert stats.ewma_rows == 10.0
-        stats.update(rows=20, elapsed_ms=100.0, roundtrips=2)
-        assert stats.ewma_rows == pytest.approx(10 + EWMA_ALPHA * 10)
+        store = ObservedStatistics()
+        store.observe("aaa", {1: OperatorActuals(
+            rows=10, elapsed_ms=100.0, roundtrips=2)})
+        assert store.operators("aaa")[1].ewma_rows == 10.0
+        store.observe("aaa", {1: OperatorActuals(
+            rows=20, elapsed_ms=100.0, roundtrips=2)})
+        stats = store.operators("aaa")[1]
+        assert stats.ewma_rows == pytest.approx(10 + DECAY * 10)
         assert stats.ewma_elapsed_ms == pytest.approx(100.0)
 
     def test_store_keys_by_fingerprint_and_operator(self):
-        store = PlanStatsStore()
-
-        class Actuals:
-            rows = 5
-            elapsed_ms = 50.0
-            roundtrips = 1
-
-        store.observe("aaa", {1: Actuals(), 2: Actuals()})
-        store.observe("bbb", {1: Actuals()})
+        store = ObservedStatistics()
+        actuals = OperatorActuals(rows=5, elapsed_ms=50.0, roundtrips=1)
+        store.observe("aaa", {1: actuals, 2: actuals})
+        store.observe("bbb", {1: actuals})
         store.set_estimate("aaa", 25.0)
         assert set(store.operators("aaa")) == {1, 2}
         snap = store.snapshot()
@@ -323,7 +320,7 @@ class TestPlanStats:
         assert snap["plans"]["aaa"]["operators"][1]["observations"] == 1
 
     def test_empty_aggregates_are_not_an_observation(self):
-        store = PlanStatsStore()
+        store = ObservedStatistics()
         store.observe("aaa", {})
         assert store.snapshot()["traces_observed"] == 0
 

@@ -11,7 +11,7 @@ from repro.clock import VirtualClock
 from repro.compiler.stats import (DEFAULT_SELECTIVITY, TableStats,
                                   clamp_selectivity)
 from repro.demo import build_demo_platform
-from repro.relational import Database
+from repro.relational import Database, LatencyModel
 from repro.services import Platform
 
 JOIN_QUERY = ("for $c in CUSTOMER() for $cc in CREDIT_CARD() "
@@ -238,6 +238,55 @@ class TestWarmStart:
         platform.set_cost_based(True)
         other = "for $o in ORDER() return $o/AMOUNT"
         assert "via=observed" not in platform.explain(other)
+
+
+class TestObservedOrDeclaredLatency:
+    """``StatisticsCatalog.latency`` takes each component from the fit only
+    where the traffic identified it."""
+
+    TEN_CUSTOMERS = (
+        'for $c in CUSTOMER(), $cc in CREDIT_CARD() '
+        'where $cc/CID eq $c/CID and $c/CID le "C1006" '
+        'return <R>{$c/CID}{$cc/NUMBER}</R>')
+
+    def platform(self):
+        platform = build_demo_platform(
+            customers=2000, orders_per_customer=0,
+            db_latency=LatencyModel(roundtrip_ms=5.0, per_row_ms=0.5))
+        platform.set_cost_based(True)
+        for cid in ("C1", "C2", "C3"):  # one row each: no row-count variance
+            platform.execute(
+                f'for $cc in CREDIT_CARD() where $cc/CID eq "{cid}" return $cc')
+        return platform
+
+    def test_keyed_lookups_do_not_price_rows_at_zero(self):
+        """Three keyed lookups used to read as (5.5, 0.0) — "rows are
+        free" — and flip this join to a 2,000-row index join: 1,015 virtual
+        ms for a 20 ms query."""
+        platform = self.platform()
+        assert platform.statistics.latency("ccdb") == pytest.approx((5.0, 0.5))
+        assert "strategy=ppk" in platform.explain(self.TEN_CUSTOMERS)
+        ccdb = platform.ctx.databases["ccdb"].stats
+        start, shipped = platform.clock.now_ms(), ccdb.rows_shipped
+        assert len(platform.execute(self.TEN_CUSTOMERS)) == 10
+        assert platform.clock.now_ms() - start <= 25.0
+        assert ccdb.rows_shipped - shipped == 10
+
+    def test_a_scan_identifies_the_fit_and_it_replaces_the_declared_pair(self):
+        platform = self.platform()
+        ccdb = platform.ctx.databases["ccdb"]
+        ccdb.latency = LatencyModel(roundtrip_ms=50.0, per_row_ms=5.0)
+        # not identified: the declared per-row stands, the roundtrip is the
+        # observed mean (5.5 at one row) less the declared per-row share
+        assert platform.statistics.latency("ccdb") == pytest.approx((0.5, 5.0))
+        ccdb.latency = LatencyModel(roundtrip_ms=5.0, per_row_ms=0.5)
+        platform.execute("for $cc in CREDIT_CARD() return $cc/CID")
+        ccdb.latency = LatencyModel(roundtrip_ms=50.0, per_row_ms=5.0)
+        estimate = platform.observed.estimate("ccdb")
+        assert estimate.identified and estimate.samples == 4
+        assert platform.statistics.latency("ccdb") == \
+            (estimate.roundtrip_ms, estimate.per_row_ms)
+        assert platform.statistics.latency("ccdb") == pytest.approx((5.0, 0.5))
 
 
 class TestReplanning:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import SourceError
 from repro.relational import LatencyModel
-from repro.runtime.observed import ObservedCostModel
+from repro.runtime.observed import ObservedStatistics
 from repro.schema import leaf, shape
 from repro.xml import serialize
 
@@ -132,7 +132,7 @@ class TestStoredProcedures:
 
 class TestObservedCostModel:
     def test_fit_recovers_latency_model(self):
-        model = ObservedCostModel()
+        model = ObservedStatistics()
         # elapsed = 10 + 0.5 * rows
         for rows in (0, 10, 20, 40):
             model.record("db", rows, 10 + 0.5 * rows)
@@ -141,7 +141,7 @@ class TestObservedCostModel:
         assert estimate.per_row_ms == pytest.approx(0.5, abs=0.01)
 
     def test_uniform_rows_attributed_to_roundtrip(self):
-        model = ObservedCostModel()
+        model = ObservedStatistics()
         model.record("db", 5, 12)
         model.record("db", 5, 12)
         estimate = model.estimate("db")
@@ -149,26 +149,33 @@ class TestObservedCostModel:
         assert estimate.roundtrip_ms == 12
 
     def test_no_samples_no_estimate(self):
-        assert ObservedCostModel().estimate("db") is None
+        assert ObservedStatistics().estimate("db") is None
 
     def test_recommendation_scales_with_latency(self):
-        slow, fast = ObservedCostModel(), ObservedCostModel()
+        slow, fast = ObservedStatistics(), ObservedStatistics()
         for rows in (0, 10, 20):
             slow.record("db", rows, 50 + 0.5 * rows)   # remote: 50ms roundtrip
             fast.record("db", rows, 1 + 0.5 * rows)    # local: 1ms roundtrip
         assert slow.recommend_ppk("db") > fast.recommend_ppk("db")
 
     def test_recommendation_bounded(self):
-        model = ObservedCostModel()
+        model = ObservedStatistics()
         for rows in (0, 100):
             model.record("db", rows, 1000 + 0.001 * rows)
         assert model.recommend_ppk("db", k_max=200) == 200
 
     def test_sample_window_bounded(self):
-        model = ObservedCostModel(max_samples=10)
-        for i in range(100):
-            model.record("db", i, float(i))
-        assert len(model._samples["db"]) == 10
+        # no window to bound: a source's whole history is six numbers
+        model = ObservedStatistics()
+        for i in range(10_000):
+            model.record("db", i % 50, 3.0 + 0.25 * (i % 50))
+        estimate = model.estimate("db")
+        assert estimate.samples == 10_000
+        assert estimate.roundtrip_ms == pytest.approx(3.0, abs=1e-6)
+        assert estimate.per_row_ms == pytest.approx(0.25, abs=1e-6)
+        state = model._fits["db"]
+        assert len(state) == 6
+        assert all(isinstance(value, (int, float)) for value in state)
 
     def test_platform_observes_and_adapts(self):
         platform = build_platform(customers=30, deploy_profile=False)

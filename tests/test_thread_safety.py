@@ -15,7 +15,7 @@ from repro.concurrency import set_race_detector
 from repro.relational.database import Database, LatencyModel, SourceStats
 from repro.runtime.asyncexec import AsyncExecutor
 from repro.runtime.cache import FunctionCache
-from repro.runtime.observed import ObservedCostModel
+from repro.runtime.observed import ObservedStatistics
 
 FAST_LATENCY = LatencyModel(roundtrip_ms=0.0, per_row_ms=0.0, parse_ms=0.0,
                             connect_timeout_ms=0.0)
@@ -165,7 +165,7 @@ class TestSourceStats:
 
 class TestObservedCostModel:
     def test_concurrent_record_and_estimate(self, detector):
-        model = ObservedCostModel(max_samples=64)
+        model = ObservedStatistics()
 
         def worker(index):
             source = f"src{index % 2}"

@@ -234,6 +234,39 @@ class TestStress:
             platform.set_replan_threshold(None)
         assert_race_free(detector)
 
+    def test_costing_reads_whole_operator_actuals(self, stressed, round):
+        """The observed-statistics store under fire: sampled requests end
+        on every other thread (each folds its operator actuals into the
+        plan's entry) while one thread keeps recompiling the same shape
+        with costing on, which reads that entry.  What it reads is a value
+        copied under the store's lock — the outer scan, which ships four
+        rows every time, is never costed from anything but 4."""
+        import re
+
+        platform, detector = stressed
+        platform.set_continuous(sample_rate=1.0)
+        platform.set_cost_based(True)
+        query = ("for $c in CUSTOMER() for $cc in CREDIT_CARD() "
+                 "where $cc/CID eq $c/CID return $cc/NUMBER")
+        estimates = []
+
+        def worker(index):
+            for _ in range(2 * OPS_PER_THREAD):
+                if index == 0:
+                    platform.set_cost_based(True)  # invalidate -> recompile
+                    estimates.extend(re.findall(
+                        r"-> custdb [^\n]*est_rows=([\d.]+)[^\]]*via=observed",
+                        platform.explain(query)))
+                else:
+                    assert len(platform.execute(query)) == 4
+
+        try:
+            hammer(platform, worker)
+        finally:
+            platform.set_cost_based(False)
+        assert_race_free(detector)
+        assert estimates and set(estimates) == {"4"}
+
     def test_keyed_readers_race_a_renaming_writer(self, stressed, round):
         """The backend's hash access paths under fire: a writer flips C1's
         LAST_NAME between two values — every UPDATE moves a row from one
