@@ -57,10 +57,11 @@ bench-compare:
 # The function-level view the layered trace stops short of: replays a
 # seeded workload (W=pushed_scan; R=1 keeps only its second request shape)
 # with every result checked against the benchmark's oracle, then prints
-# per-shape median ms and a cProfile top 30 by self time.  PHASES=1 prints
+# per-shape median ms and a cProfile top 30 by self time (SORT=cumulative:
+# by time under the function, callees included).  PHASES=1 prints
 # each shape's compile / first-run / warm-run split in place of the profile.
 profile:
-	python3 benchmarks/profile_workload.py --workload $(W) $(if $(R),--request $(R)) $(if $(PHASES),--phases)
+	python3 benchmarks/profile_workload.py --workload $(W) $(if $(R),--request $(R)) $(if $(SORT),--sort $(SORT)) $(if $(PHASES),--phases)
 
 # Scripted fault-injection runs only: the resilience layer's chaos suite
 # (deterministic under the virtual clock — same seed, same run).

@@ -5,10 +5,14 @@ The layered benchmark's trace stops at layer boundaries (``rebuild``,
 operations in one process — importing, never editing, the benchmark's own
 federation, workloads, oracle and request driver, so every result is still
 compared with the oracle — and prints the median wall time of each request
-shape, then a ``cProfile`` top 30 by self time over a second replay.
+shape, then a ``cProfile`` top 30 by self time over a second replay
+(``--sort cumulative``: by time under the function, callees included — the
+view that answers "under what" when a cost is spread over many small
+callees).
 
     make profile W=pushed_scan          # every shape of the workload
     make profile W=pushed_scan R=1      # only its second request shape
+    make profile W=midtier_flwor R=3 SORT=cumulative
     python3 benchmarks/profile_workload.py --workload cold_compile --phases
 
 ``--phases`` splits each shape's time instead of profiling it: median ms
@@ -89,6 +93,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--ops", type=int, default=30,
                         help="operations per replay (default 30)")
     parser.add_argument("--sizes", choices=sorted(SIZES), default="full")
+    parser.add_argument("--sort", choices=("tottime", "cumulative"), default="tottime",
+                        help="order of the cProfile table: self time (default) or "
+                             "time under the function, callees included")
     parser.add_argument("--phases", action="store_true",
                         help="per shape: median ms of prepare, first run and warm "
                              "re-run, in place of the cProfile table")
@@ -135,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
     if mismatched:
         raise SystemExit(f"{args.workload}: end-of-run state differs from the oracle's")
     if profile is not None:
-        pstats.Stats(profile).sort_stats("tottime").print_stats(30)
+        pstats.Stats(profile).sort_stats(args.sort).print_stats(30)
     return 0
 
 

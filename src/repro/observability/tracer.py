@@ -256,8 +256,9 @@ _NO_BINDINGS = MappingProxyType({})
 
 class Request:
     """What one request owns — bindings (the caller's variables beside the
-    plan's lifted literals), absolute deadline, degradation records, span
-    recorder (None: not sampled), batch probe — and the scope that puts
+    plan's lifted literals), the module variables evaluated under them,
+    absolute deadline, degradation records, span recorder (None: not
+    sampled), batch probe — and the scope that puts
     it on the calling context: ``with tracer.request(...) as request``.
 
     **Nesting is decided by what is running.**  A request opened while
@@ -270,19 +271,23 @@ class Request:
     client and, on resume, re-installs itself only if something displaced
     it (``Platform.stream``).
 
-    Fields are written by the thread running the request only; the one
-    thing its pool branches write is the degradation *list*, appended
-    under the resilience manager's lock."""
+    Fields are written by the thread running the request only; what its
+    pool branches write is the degradation *list*, appended under the
+    resilience manager's lock, and ``module_values``, one dict store per
+    name (branches that race compute equal values)."""
 
-    __slots__ = ("tracer", "plan_key", "bindings", "deadline_ms", "probe",
-                 "forced", "degradations", "recorder", "sampled", "start_ms",
-                 "parent", "running", "outcome", "retained")
+    __slots__ = ("tracer", "plan_key", "bindings", "module_values",
+                 "deadline_ms", "probe", "forced", "degradations", "recorder",
+                 "sampled", "start_ms", "parent", "running", "outcome", "retained")
 
     def __init__(self, tracer, plan_key: str | None, bindings,
                  deadline_ms: float | None, probe, forced: bool):
         self.tracer = tracer
         self.plan_key = plan_key
         self.bindings = bindings if bindings is not None else _NO_BINDINGS
+        #: module variables this request has read, by name: their values
+        #: may depend on its bindings (filled by ``Evaluator.variable``)
+        self.module_values: dict = {}
         self.deadline_ms = deadline_ms
         self.probe = probe
         #: recording is forced (``Platform.profile``): the request keeps

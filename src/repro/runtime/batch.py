@@ -14,7 +14,11 @@ batch:
 * **owned** — the dicts were created by this pipeline (a ``for``, a join, a
   ``let``, a group-by upstream), so nothing else can hold them and a ``let``
   may bind into them *in place*.  Only the FLWOR's initial environment is
-  the caller's, and is copied by the first clause that extends it;
+  the caller's, and is copied by the first clause that extends it.  At the
+  root of a plan it is the request's bindings (``Platform.stream`` /
+  ``call`` start on a copy of them), so an external variable or a lifted
+  literal is read from the row like any tuple variable, and a tuple
+  variable of the same name shadows it by overwrite;
 * **mixed** — a group-by upstream may have emitted rows of different schemas
   (an outer binding survives a group only if all its members share it).
   Rows of one batch always share a schema, so downstream of a group-by a

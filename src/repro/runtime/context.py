@@ -157,18 +157,6 @@ class DynamicContext:
 
     # -- per-request state ------------------------------------------------------
 
-    @property
-    def external_variables(self):
-        """The bindings of the request running on the calling context —
-        the caller's variables beside the plan's lifted literals; empty
-        outside a request.  Requests on other threads, and a request
-        opened while this one is suspended at a ``yield``, carry their
-        own; async branch threads see their request's because
-        :class:`AsyncExecutor` runs every pool thunk inside a copy of the
-        caller's context."""
-        request = REQUEST.get()
-        return request.bindings if request is not None else {}
-
     def batch_probe(self):
         """The calling request's rows-per-batch probe, if it carries one
         (``Platform.profile``)."""

@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Iterator
 from ..clock import VirtualClock
 from ..compiler.algebra import PushedSQL, SourceCall
 from ..errors import DynamicError, SourceError
+from ..observability.tracer import REQUEST
 from ..xml.items import Item
 from ..xquery import ast_nodes as ast
 from ..xquery.functions import atomize, numeric_value
@@ -64,27 +65,30 @@ class Evaluator:
         else:
             yield from rowfn(node)(self, env)
 
-    def variable(self, name: str, env: Env) -> list[Item]:
-        """The sequence bound to ``$name`` — the binding itself, not a
-        copy: callers that hand it on must copy it first."""
-        if name in env:
-            return env[name]
-        externals = self.ctx.external_variables
-        if name in externals:
-            return externals[name]
-        # Module-level variable declarations (evaluated lazily, cached).
-        if self.ctx.module is not None and name in self.ctx.module.variables:
-            decl = self.ctx.module.variables[name]
-            cached = getattr(decl, "_cached_value", None)
-            if cached is None:
-                if decl.value is None:
-                    raise DynamicError(
-                        f"external variable ${name} was not bound"
-                    )
-                cached = self.eval(decl.value, {})
-                decl._cached_value = cached
-            return cached
-        raise DynamicError(f"unbound variable ${name}")
+    def variable(self, name: str) -> list[Item]:
+        """The sequence bound to ``$name`` where the row does not bind it
+        (``rowcompile._c_VarRef`` has just looked): an external of the
+        calling request, else a module variable — evaluated at most once
+        per request, since its value may depend on the request's externals.
+        The binding itself, not a copy: callers that hand it on must copy
+        it first."""
+        request = REQUEST.get()
+        if request is None:
+            values = {}  # outside a request nothing is remembered
+        elif name in request.bindings:
+            return request.bindings[name]
+        else:
+            values = request.module_values
+        module = self.ctx.module
+        if module is None or name not in module.variables:
+            raise DynamicError(f"unbound variable ${name}")
+        value = values.get(name)
+        if value is None:
+            decl = module.variables[name]
+            if decl.value is None:
+                raise DynamicError(f"external variable ${name} was not bound")
+            value = values[name] = self.eval(decl.value, {})
+        return value
 
     # -- service-quality functions (sections 5.4, 5.6) ------------------------------
 

@@ -23,12 +23,35 @@ conventions:
   raises for a multi-item operand, in the same left-to-right order.
 
 ``Literal``, ``Arithmetic``, ``UnaryMinus``, ``Comparison``, ``And/Or``,
-``cast``/``castable``/``instance of`` and ``fn:data`` are *atomic* shapes —
-their items are their atoms — so the lane is their only body and
-:func:`_from_lane` derives the list form from it (``f.atomic`` is true).
-``VarRef`` has a lane of its own beside its list form (the bound items may
-be nodes).  For every other shape :func:`atomfn` derives the lane from the
-list form.
+``cast``/``castable``/``instance of``, ``fn:data`` and a call of a *scalar*
+builtin are *atomic* shapes — their items are their atoms — so the lane is
+their only body and :func:`_from_lane` derives the list form from it
+(``f.atomic`` is true).  ``VarRef`` has a lane of its own beside its list
+form (the bound items may be nodes).  For every other shape :func:`atomfn`
+derives the lane from the list form.
+
+The lane carries *typed* scalars all the way (section 5.1: a token's type
+travels with it, so an operator need not rediscover what a value is):
+
+* **kernels guard on the Python type once.**  Arithmetic and comparison
+  test their two lane outcomes once (``type(x) is AtomicValue and
+  type(x.value) is int``; for comparison both ``int`` or both ``str`` —
+  ``type(...) is``, so a ``bool`` is never an ``int``) and compute in place
+  with an ``operator`` function chosen when the closure was built.  Every
+  other operand — a double, untyped text, a boolean, empty, ``MANY``, the
+  ``div``/``idiv`` operators — falls through *in the same closure* to the
+  general kernels below.  A guard, not a mode: nothing selects it but the
+  values;
+* **scalar builtins are lane-native.**  A builtin ``xquery.functions``
+  registers as ``scalar`` has one body over ``AtomicValue | None`` per
+  argument; its call evaluates every argument's lane, rejects the first
+  ``MANY`` and calls the body — no argument lists, no re-atomization;
+* **the general kernels are the semantics.**  ``numeric_value``,
+  ``arithmetic_value``, ``compare_atomics`` and ``_coerce`` define what an
+  operator means, shared with ``tests/expr_reference.py``; a fast path
+  returns exactly what they return — value, type name, error text and
+  error order — which is what makes the differential an independent check
+  of the guards.
 
 **Building a closure never raises.**  What is wrong with an expression — an
 arity error, an unknown function, an ``ErrorExpr`` — is raised when the
@@ -57,6 +80,7 @@ same contract as ``_sql_text``).
 
 from __future__ import annotations
 
+import operator
 from typing import Callable
 
 from ..errors import DynamicError, TypeMatchError
@@ -71,6 +95,7 @@ from ..xquery.functions import (
     atomize,
     compare_atomics,
     effective_boolean_value,
+    number_atom,
     numeric_value,
 )
 from .kernels import (
@@ -217,21 +242,22 @@ def _c_EmptySequence(node) -> RowFn:
 def _c_VarRef(node: ast.VarRef) -> RowFn:
     name = node.name
 
-    # A name the tuple does not bind is an external or module variable:
-    # every row of a parameterised query reads its parameters this way, so
-    # the lookup hands back the binding itself and only the list form
-    # copies it.
+    # A request's bindings are its root row, so the row answers for an
+    # external as for a tuple variable.  A name it misses is a module
+    # variable, or an external read where the row did not descend from the
+    # root one (a user-function body, an index-join key): the lookup hands
+    # back the binding itself and only the list form copies it.
 
     def call(evaluator, env):
         items = env.get(name)
         if items is None:
-            items = evaluator.variable(name, env)
+            items = evaluator.variable(name)
         return list(items)
 
     def atom(evaluator, env):
         items = env.get(name)
         if items is None:
-            items = evaluator.variable(name, env)
+            items = evaluator.variable(name)
         if len(items) == 1 and type(items[0]) is AtomicValue:
             return items[0]
         return _one_atom(items)
@@ -305,13 +331,39 @@ def _c_RangeTo(node: ast.RangeTo) -> RowFn:
     return call
 
 
+#: operator -> what it computes over two ``int``s, always an ``int`` (so the
+#: result is an ``xs:integer``, as ``arithmetic_value`` types it).  Python's
+#: ``%`` is XQuery's ``mod`` only over a non-negative dividend and a positive
+#: divisor (anything else — a sign to carry, a zero — goes to the kernel);
+#: ``div`` and ``idiv`` have no entry and stay on the kernel
+_INT_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                   "mod": operator.mod}
+#: operator -> the Python comparison ``compare_atomics`` ends in when both
+#: values are ``int`` or both ``str``: no promotion applies, whatever the
+#: type names, and general comparison's ``_coerce`` leaves the values alone
+_COMPARISON = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
+               "le": operator.le, "gt": operator.gt, "ge": operator.ge}
+
+
 def _c_Arithmetic(node: ast.Arithmetic) -> RowFn:
     left_fn, right_fn = atomfn(node.left), atomfn(node.right)
     op = node.op
+    int_op, any_sign = _INT_ARITHMETIC.get(op), op != "mod"
 
     def atom(evaluator, env):
-        left = _number(left_fn(evaluator, env), op)
-        right = _number(right_fn(evaluator, env), op)
+        left = left_fn(evaluator, env)
+        if type(left) is AtomicValue and type(left.value) is int:
+            # (an int has no error of its own for the right operand to follow)
+            right = right_fn(evaluator, env)
+            if int_op is not None and type(right) is AtomicValue \
+                    and type(right.value) is int \
+                    and (any_sign or left.value >= 0 < right.value):
+                return AtomicValue(int_op(left.value, right.value), "xs:integer")
+            left = left.value
+        else:
+            left = _number(left, op)
+            right = right_fn(evaluator, env)
+        right = _number(right, op)
         if left is None or right is None:
             return None
         return arithmetic_value(op, left, right)
@@ -326,40 +378,40 @@ def _c_UnaryMinus(node: ast.UnaryMinus) -> RowFn:
         value = _number(operand_fn(evaluator, env), "unary -")
         if value is None:
             return None
-        return AtomicValue(-value, "xs:integer" if isinstance(value, int) else "xs:double")
+        return number_atom(-value)
 
     return _from_lane(atom)
 
 
 def _c_Comparison(node: ast.Comparison) -> RowFn:
     left_fn, right_fn = atomfn(node.left), atomfn(node.right)
-    op = node.op
+    op, general = node.op, node.general
+    compare = _COMPARISON.get(op)
 
-    def general(evaluator, env):
+    def atom(evaluator, env):
         left = left_fn(evaluator, env)
         right = right_fn(evaluator, env)
+        if type(left) is AtomicValue and type(right) is AtomicValue:
+            kind = type(left.value)  # (``type(...) is``: a bool is no int)
+            if (kind is int or kind is str) and type(right.value) is kind \
+                    and compare is not None:
+                return _TRUE if compare(left.value, right.value) else _FALSE
         if left is None or right is None:
-            return _FALSE
+            return _FALSE if general else None
         if type(left) is not MANY and type(right) is not MANY:
-            result = compare_atomics(op, _coerce(left, right), _coerce(right, left))
-        else:
-            result = any(
-                compare_atomics(op, _coerce(a, b), _coerce(b, a))
-                for a in (left if type(left) is MANY else (left,))
-                for b in (right if type(right) is MANY else (right,))
-            )
+            if general:
+                left, right = _coerce(left, right), _coerce(right, left)
+            return _TRUE if compare_atomics(op, left, right) else _FALSE
+        if not general:
+            raise DynamicError("value comparison over multi-item sequence")
+        result = any(
+            compare_atomics(op, _coerce(a, b), _coerce(b, a))
+            for a in (left if type(left) is MANY else (left,))
+            for b in (right if type(right) is MANY else (right,))
+        )
         return _TRUE if result else _FALSE
 
-    def value(evaluator, env):
-        left = left_fn(evaluator, env)
-        right = right_fn(evaluator, env)
-        if left is None or right is None:
-            return None
-        if type(left) is MANY or type(right) is MANY:
-            raise DynamicError("value comparison over multi-item sequence")
-        return _TRUE if compare_atomics(op, left, right) else _FALSE
-
-    return _from_lane(general if node.general else value)
+    return _from_lane(atom)
 
 
 def _c_Logical(node: ast.AndExpr | ast.OrExpr) -> RowFn:
@@ -603,6 +655,19 @@ def _c_FunctionCall(node: ast.FunctionCall) -> RowFn:
         return focus
     if name == "fn:data" and len(node.args) == 1:
         return _from_lane(atomfn(node.args[0]))  # atomization is the lane
+    if builtin is not None and builtin.scalar is not None:
+        # a scalar builtin is lane-native: its body, over the arguments'
+        # atoms — all evaluated, then the first with two or more rejected
+        scalar, atom_fns = builtin.scalar, [atomfn(arg) for arg in node.args]
+        many = f"{name}: sequence of more than one item"
+
+        def atom(evaluator, env):
+            atoms = [fn(evaluator, env) for fn in atom_fns]
+            if MANY in map(type, atoms):
+                raise DynamicError(many)
+            return scalar(*atoms)
+
+        return _from_lane(atom)
     arg_fns = [rowfn(arg) for arg in node.args]
     if name in _SPECIAL_CALLS:
         # service-quality calls: each operand is a thunk, run — or not —

@@ -784,7 +784,9 @@ class Platform:
                 plan.plan_key,
                 {**variables, **plan.binds} if variables else plan.binds,
                 budget_ms) as request:
-            items = self.evaluator.iter_eval(plan.expr, {})
+            # the bindings are the root row — a copy, the pipeline's to
+            # extend: a tuple variable of the same name shadows by overwrite
+            items = self.evaluator.iter_eval(plan.expr, dict(request.bindings))
             # decided once per request: an administrator, or a platform
             # with no element policy, has nothing to filter
             if self.security.has_element_policies() \
@@ -873,9 +875,9 @@ class Platform:
         # internal plan-cache key, so `call("getProfile")` and an ad hoc
         # `getProfile()` observe as one plan in the stats store
         with tracer.request(plan.source, {
-                f"__arg{i}": list(arg) for i, arg in enumerate(args)}):
+                f"__arg{i}": list(arg) for i, arg in enumerate(args)}) as request:
             with tracer.start("query", function_name) as span:
-                result = self.evaluator.eval(plan.expr, {})
+                result = self.evaluator.eval(plan.expr, dict(request.bindings))
                 span.set(items=len(result))
             return self.security.filter_items(result, user)
 

@@ -55,7 +55,8 @@ class AtomicValue(Item):
         self.type_name = type_name
 
     def string_value(self) -> str:
-        return lexical(self.value)
+        value = self.value
+        return value if type(value) is str else lexical(value)
 
     def atomize(self) -> "list[AtomicValue]":
         return [self]

@@ -3,7 +3,15 @@ extensions (sections 5.4 and 5.6).
 
 Each builtin records:
 
-* an evaluator over materialized argument sequences,
+* an evaluator over materialized argument sequences (the *list form*:
+  one item list per argument in, an item list out),
+* for a *scalar* builtin — one whose every parameter is a single optional
+  atom — the body itself, over ``AtomicValue | None`` per argument and
+  returning ``AtomicValue | None`` (``None`` is the empty sequence).  A
+  scalar builtin is written once, in that form; :func:`register` derives
+  the list form from it (atomize each argument, reject one with more than
+  one atom, wrap the result), so the expression compiler can call the body
+  on its atom lane and every other caller keeps the list form,
 * a static result type (or a callable deriving it from argument types),
 * SQL pushdown information consumed by :mod:`repro.sql.pushdown` — the
   paper (section 4.4) enumerates which functions are pushable; non-pushable
@@ -46,6 +54,8 @@ class Builtin:
     #: SQL pushdown info: ("func", SQLNAME) | ("agg", SQLNAME) | ("special", tag) | None
     sql: tuple[str, str] | None = None
     lazy: bool = False
+    #: the scalar body ``evaluator`` was derived from, if there is one
+    scalar: Optional[Callable[..., Optional[AtomicValue]]] = None
 
     def static_result_type(self, arg_types: list[SequenceType]) -> SequenceType:
         if callable(self.result_type):
@@ -63,12 +73,30 @@ def register(
     result_type,
     sql: tuple[str, str] | None = None,
     lazy: bool = False,
+    scalar: bool = False,
 ):
-    def wrap(fn: Evaluator) -> Evaluator:
-        _REGISTRY[name] = Builtin(name, min_args, max_args, fn, result_type, sql, lazy)
+    """Register the decorated function as builtin ``name``: its list form,
+    or with ``scalar`` its body over atoms (see the module docstring)."""
+
+    def wrap(fn):
+        _REGISTRY[name] = Builtin(
+            name, min_args, max_args, _list_form(name, fn) if scalar else fn,
+            result_type, sql, lazy, fn if scalar else None)
         return fn
 
     return wrap
+
+
+def _list_form(name: str, body: Callable) -> Evaluator:
+    """The list form of a scalar builtin: every argument atomized to at
+    most one atom — all of them, left to right, before the body sees any —
+    and the body's atom, or nothing, as a list."""
+
+    def evaluator(*args):
+        result = body(*[_single_atomic(arg, name) for arg in args])
+        return [] if result is None else [result]
+
+    return evaluator
 
 
 def is_builtin(name: str) -> bool:
@@ -176,6 +204,12 @@ def arithmetic_value(op: str, left: float | int, right: float | int) -> AtomicVa
             value = math.fmod(left, right)
     else:
         raise DynamicError(f"unknown arithmetic operator {op}")
+    return number_atom(value)
+
+
+def number_atom(value: float | int) -> AtomicValue:
+    """A computed number as an atom: an ``int`` is an ``xs:integer``, any
+    other an ``xs:double``."""
     return AtomicValue(value, "xs:integer" if isinstance(value, int) else "xs:double")
 
 
@@ -213,20 +247,36 @@ def compare_atomics(op: str, left: AtomicValue, right: AtomicValue) -> bool:
     raise DynamicError(f"unknown comparison operator {op}")
 
 
-def _single_atomic(args: Sequence[Item], name: str, allow_empty: bool = False) -> AtomicValue | None:
+def _single_atomic(args: Sequence[Item], name: str) -> AtomicValue | None:
+    """The one atom of an argument given as an item list, None when it is
+    empty: what the list form of a scalar builtin (:func:`_list_form`) hands
+    the body, and how the non-scalar builtins — ``fn:subsequence``,
+    ``insert-before``, ``remove``, ``string-join``, ``tokenize``, whose
+    first parameter is a sequence — read their scalar parameters."""
     atoms = atomize(args)
-    if not atoms:
-        if allow_empty:
-            return None
-        raise DynamicError(f"{name}: empty sequence not allowed")
     if len(atoms) > 1:
         raise DynamicError(f"{name}: sequence of more than one item")
-    return atoms[0]
+    return atoms[0] if atoms else None
+
+
+def _required(atom: AtomicValue | None, name: str) -> AtomicValue:
+    if atom is None:
+        raise DynamicError(f"{name}: empty sequence not allowed")
+    return atom
+
+
+def _rounded(atom: AtomicValue | None, name: str) -> int:
+    """A required numeric parameter, rounded to the nearest integer."""
+    return int(round(float(numeric_value(_required(atom, name)))))
+
+
+def _text(atom: AtomicValue | None) -> str:
+    """A string parameter: the empty sequence reads as the empty string."""
+    return "" if atom is None else atom.string_value()
 
 
 def _string_of(args: Sequence[Item], name: str) -> str:
-    atom = _single_atomic(args, name, allow_empty=True)
-    return "" if atom is None else atom.string_value()
+    return _text(_single_atomic(args, name))
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +337,7 @@ def _fn_sum(arg, zero=None):
     atoms = atomize(arg)
     if not atoms:
         return list(zero) if zero is not None else [AtomicValue(0, "xs:integer")]
-    total = sum(numeric_value(a) for a in atoms)
-    type_name = "xs:integer" if isinstance(total, int) else "xs:double"
-    return [AtomicValue(total, type_name)]
+    return [number_atom(sum(numeric_value(a) for a in atoms))]
 
 
 @register("fn:avg", 1, 1, _agg_type, sql=("agg", "AVG"))
@@ -330,12 +378,10 @@ def _fn_distinct_values(arg):
 
 @register("fn:subsequence", 2, 3, ITEM_STAR, sql=("special", "subsequence"))
 def _fn_subsequence(arg, start, length=None):
-    start_atom = _single_atomic(start, "fn:subsequence")
-    begin = int(round(float(numeric_value(start_atom))))
+    begin = _rounded(_single_atomic(start, "fn:subsequence"), "fn:subsequence")
     if length is None:
         return list(arg[max(0, begin - 1):])
-    length_atom = _single_atomic(length, "fn:subsequence")
-    count = int(round(float(numeric_value(length_atom))))
+    count = _rounded(_single_atomic(length, "fn:subsequence"), "fn:subsequence")
     lo = max(0, begin - 1)
     hi = max(lo, begin - 1 + count)
     return list(arg[lo:hi])
@@ -348,14 +394,14 @@ def _fn_reverse(arg):
 
 @register("fn:insert-before", 3, 3, ITEM_STAR)
 def _fn_insert_before(target, position, inserts):
-    pos_atom = _single_atomic(position, "fn:insert-before")
+    pos_atom = _required(_single_atomic(position, "fn:insert-before"), "fn:insert-before")
     index = max(0, int(numeric_value(pos_atom)) - 1)
     return list(target[:index]) + list(inserts) + list(target[index:])
 
 
 @register("fn:remove", 2, 2, ITEM_STAR)
 def _fn_remove(target, position):
-    pos_atom = _single_atomic(position, "fn:remove")
+    pos_atom = _required(_single_atomic(position, "fn:remove"), "fn:remove")
     index = int(numeric_value(pos_atom)) - 1
     return [item for i, item in enumerate(target) if i != index]
 
@@ -388,9 +434,10 @@ def _fn_string(arg=None):
     return [AtomicValue(arg[0].string_value(), "xs:string")]
 
 
-@register("fn:concat", 2, 99, atomic("xs:string"), sql=("special", "concat"))
-def _fn_concat(*args):
-    return [AtomicValue("".join(_string_of(a, "fn:concat") for a in args), "xs:string")]
+@register("fn:concat", 2, 99, atomic("xs:string"), sql=("special", "concat"), scalar=True)
+def _fn_concat(*atoms):
+    return AtomicValue("".join([atom.string_value() for atom in atoms if atom is not None]),
+                       "xs:string")
 
 
 @register("fn:string-join", 2, 2, atomic("xs:string"))
@@ -399,76 +446,66 @@ def _fn_string_join(seq, sep):
     return [AtomicValue(separator.join(a.string_value() for a in atomize(seq)), "xs:string")]
 
 
-@register("fn:string-length", 0, 1, atomic("xs:integer"), sql=("func", "LENGTH"))
-def _fn_string_length(arg=None):
-    return [AtomicValue(len(_string_of(arg or [], "fn:string-length")), "xs:integer")]
+@register("fn:string-length", 0, 1, atomic("xs:integer"), sql=("func", "LENGTH"), scalar=True)
+def _fn_string_length(atom=None):
+    return AtomicValue(len(_text(atom)), "xs:integer")
 
 
-@register("fn:upper-case", 1, 1, atomic("xs:string"), sql=("func", "UPPER"))
-def _fn_upper_case(arg):
-    return [AtomicValue(_string_of(arg, "fn:upper-case").upper(), "xs:string")]
+@register("fn:upper-case", 1, 1, atomic("xs:string"), sql=("func", "UPPER"), scalar=True)
+def _fn_upper_case(atom):
+    return AtomicValue(_text(atom).upper(), "xs:string")
 
 
-@register("fn:lower-case", 1, 1, atomic("xs:string"), sql=("func", "LOWER"))
-def _fn_lower_case(arg):
-    return [AtomicValue(_string_of(arg, "fn:lower-case").lower(), "xs:string")]
+@register("fn:lower-case", 1, 1, atomic("xs:string"), sql=("func", "LOWER"), scalar=True)
+def _fn_lower_case(atom):
+    return AtomicValue(_text(atom).lower(), "xs:string")
 
 
-@register("fn:contains", 2, 2, atomic("xs:boolean"), sql=("special", "contains"))
+@register("fn:contains", 2, 2, atomic("xs:boolean"), sql=("special", "contains"), scalar=True)
 def _fn_contains(haystack, needle):
-    return [AtomicValue(
-        _string_of(needle, "fn:contains") in _string_of(haystack, "fn:contains"),
-        "xs:boolean",
-    )]
+    return AtomicValue(_text(needle) in _text(haystack), "xs:boolean")
 
 
-@register("fn:starts-with", 2, 2, atomic("xs:boolean"), sql=("special", "starts-with"))
+@register("fn:starts-with", 2, 2, atomic("xs:boolean"), sql=("special", "starts-with"),
+          scalar=True)
 def _fn_starts_with(haystack, needle):
-    return [AtomicValue(
-        _string_of(haystack, "fn:starts-with").startswith(_string_of(needle, "fn:starts-with")),
-        "xs:boolean",
-    )]
+    return AtomicValue(_text(haystack).startswith(_text(needle)), "xs:boolean")
 
 
-@register("fn:ends-with", 2, 2, atomic("xs:boolean"), sql=("special", "ends-with"))
+@register("fn:ends-with", 2, 2, atomic("xs:boolean"), sql=("special", "ends-with"),
+          scalar=True)
 def _fn_ends_with(haystack, needle):
-    return [AtomicValue(
-        _string_of(haystack, "fn:ends-with").endswith(_string_of(needle, "fn:ends-with")),
-        "xs:boolean",
-    )]
+    return AtomicValue(_text(haystack).endswith(_text(needle)), "xs:boolean")
 
 
-@register("fn:substring", 2, 3, atomic("xs:string"), sql=("func", "SUBSTR"))
-def _fn_substring(source, start, length=None):
-    text = _string_of(source, "fn:substring")
-    begin = int(round(float(numeric_value(_single_atomic(start, "fn:substring")))))
+@register("fn:substring", 2, 3, atomic("xs:string"), sql=("func", "SUBSTR"), scalar=True)
+def _fn_substring(source, start, *length):  # (an empty length is not an absent one)
+    text = _text(source)
+    begin = _rounded(start, "fn:substring")
     lo = max(0, begin - 1)
-    if length is None:
-        return [AtomicValue(text[lo:], "xs:string")]
-    count = int(round(float(numeric_value(_single_atomic(length, "fn:substring")))))
-    hi = max(lo, begin - 1 + count)
-    return [AtomicValue(text[lo:hi], "xs:string")]
+    if not length:
+        return AtomicValue(text[lo:], "xs:string")
+    hi = max(lo, begin - 1 + _rounded(length[0], "fn:substring"))
+    return AtomicValue(text[lo:hi], "xs:string")
 
 
-@register("fn:substring-before", 2, 2, atomic("xs:string"))
+@register("fn:substring-before", 2, 2, atomic("xs:string"), scalar=True)
 def _fn_substring_before(source, sep):
-    text = _string_of(source, "fn:substring-before")
-    needle = _string_of(sep, "fn:substring-before")
+    text, needle = _text(source), _text(sep)
     index = text.find(needle) if needle else -1
-    return [AtomicValue(text[:index] if index >= 0 else "", "xs:string")]
+    return AtomicValue(text[:index] if index >= 0 else "", "xs:string")
 
 
-@register("fn:substring-after", 2, 2, atomic("xs:string"))
+@register("fn:substring-after", 2, 2, atomic("xs:string"), scalar=True)
 def _fn_substring_after(source, sep):
-    text = _string_of(source, "fn:substring-after")
-    needle = _string_of(sep, "fn:substring-after")
+    text, needle = _text(source), _text(sep)
     index = text.find(needle) if needle else -1
-    return [AtomicValue(text[index + len(needle):] if index >= 0 else "", "xs:string")]
+    return AtomicValue(text[index + len(needle):] if index >= 0 else "", "xs:string")
 
 
-@register("fn:normalize-space", 0, 1, atomic("xs:string"))
-def _fn_normalize_space(arg=None):
-    return [AtomicValue(" ".join(_string_of(arg or [], "fn:normalize-space").split()), "xs:string")]
+@register("fn:normalize-space", 0, 1, atomic("xs:string"), scalar=True)
+def _fn_normalize_space(atom=None):
+    return AtomicValue(" ".join(_text(atom).split()), "xs:string")
 
 
 def _xpath_regex(pattern: str, flags: str):
@@ -492,24 +529,20 @@ def _xpath_regex(pattern: str, flags: str):
         raise DynamicError(f"invalid regular expression {pattern!r}: {exc}") from exc
 
 
-@register("fn:matches", 2, 3, atomic("xs:boolean"))
+@register("fn:matches", 2, 3, atomic("xs:boolean"), scalar=True)
 def _fn_matches(text, pattern, flags=None):
-    regex = _xpath_regex(_string_of(pattern, "fn:matches"),
-                         _string_of(flags or [], "fn:matches"))
-    return [AtomicValue(
-        regex.search(_string_of(text, "fn:matches")) is not None, "xs:boolean"
-    )]
+    regex = _xpath_regex(_text(pattern), _text(flags))
+    return AtomicValue(regex.search(_text(text)) is not None, "xs:boolean")
 
 
-@register("fn:replace", 3, 4, atomic("xs:string"))
+@register("fn:replace", 3, 4, atomic("xs:string"), scalar=True)
 def _fn_replace(text, pattern, replacement, flags=None):
-    regex = _xpath_regex(_string_of(pattern, "fn:replace"),
-                         _string_of(flags or [], "fn:replace"))
+    regex = _xpath_regex(_text(pattern), _text(flags))
     # XPath uses $1..$9 for group references; translate to \1..\9.
     import re as _re
 
-    repl = _re.sub(r"\$(\d)", r"\\\1", _string_of(replacement, "fn:replace"))
-    return [AtomicValue(regex.sub(repl, _string_of(text, "fn:replace")), "xs:string")]
+    repl = _re.sub(r"\$(\d)", r"\\\1", _text(replacement))
+    return AtomicValue(regex.sub(repl, _text(text)), "xs:string")
 
 
 @register("fn:tokenize", 2, 3, SequenceType((AtomicItemType("xs:string"),), Occurrence.STAR))
@@ -535,47 +568,41 @@ def _numeric_unary_type(arg_types: list[SequenceType]) -> SequenceType:
     return SequenceType((AtomicItemType("xs:double"),), Occurrence.OPTIONAL)
 
 
-@register("fn:abs", 1, 1, _numeric_unary_type, sql=("func", "ABS"))
-def _fn_abs(arg):
-    atom = _single_atomic(arg, "fn:abs", allow_empty=True)
+@register("fn:abs", 1, 1, _numeric_unary_type, sql=("func", "ABS"), scalar=True)
+def _fn_abs(atom):
     if atom is None:
-        return []
-    return [AtomicValue(abs(numeric_value(atom)), atom.type_name)]
+        return None
+    return AtomicValue(abs(numeric_value(atom)), atom.type_name)
 
 
-@register("fn:floor", 1, 1, _numeric_unary_type, sql=("func", "FLOOR"))
-def _fn_floor(arg):
-    atom = _single_atomic(arg, "fn:floor", allow_empty=True)
+@register("fn:floor", 1, 1, _numeric_unary_type, sql=("func", "FLOOR"), scalar=True)
+def _fn_floor(atom):
     if atom is None:
-        return []
-    return [AtomicValue(math.floor(numeric_value(atom)), "xs:integer")]
+        return None
+    return AtomicValue(math.floor(numeric_value(atom)), "xs:integer")
 
 
-@register("fn:ceiling", 1, 1, _numeric_unary_type, sql=("func", "CEIL"))
-def _fn_ceiling(arg):
-    atom = _single_atomic(arg, "fn:ceiling", allow_empty=True)
+@register("fn:ceiling", 1, 1, _numeric_unary_type, sql=("func", "CEIL"), scalar=True)
+def _fn_ceiling(atom):
     if atom is None:
-        return []
-    return [AtomicValue(math.ceil(numeric_value(atom)), "xs:integer")]
+        return None
+    return AtomicValue(math.ceil(numeric_value(atom)), "xs:integer")
 
 
-@register("fn:round", 1, 1, _numeric_unary_type, sql=("func", "ROUND"))
-def _fn_round(arg):
-    atom = _single_atomic(arg, "fn:round", allow_empty=True)
+@register("fn:round", 1, 1, _numeric_unary_type, sql=("func", "ROUND"), scalar=True)
+def _fn_round(atom):
     if atom is None:
-        return []
-    return [AtomicValue(math.floor(numeric_value(atom) + 0.5), "xs:integer")]
+        return None
+    return AtomicValue(math.floor(numeric_value(atom) + 0.5), "xs:integer")
 
 
-@register("fn:number", 0, 1, atomic("xs:double"))
-def _fn_number(arg=None):
-    atom = _single_atomic(arg or [], "fn:number", allow_empty=True)
-    if atom is None:
-        return [AtomicValue(float("nan"), "xs:double")]
+@register("fn:number", 0, 1, atomic("xs:double"), scalar=True)
+def _fn_number(atom=None):
     try:
-        return [AtomicValue(float(numeric_value(atom)), "xs:double")]
+        value = math.nan if atom is None else float(numeric_value(atom))
     except DynamicError:
-        return [AtomicValue(float("nan"), "xs:double")]
+        value = math.nan
+    return AtomicValue(value, "xs:double")
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,8 @@ class ReferenceInterpreter(Evaluator):
         return []
 
     def _eval_VarRef(self, node: ast.VarRef, env: Env) -> list[Item]:
-        return list(self.variable(node.name, env))
+        items = env.get(node.name)
+        return list(self.variable(node.name) if items is None else items)
 
     def _eval_ContextItem(self, node, env) -> list[Item]:
         if "." not in env:

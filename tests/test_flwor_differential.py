@@ -24,6 +24,18 @@ predicates — boolean, positional, ``fn:position()`` / ``fn:last()``, chained
 ``*`` / ``text()`` steps; the cast family with optional and non-optional
 targets; ``typeswitch``; computed attributes.
 
+The *scalar axes* (:data:`SCALAR_PROBES`) are what the atom lane guards on:
+every arithmetic and comparison operator, value and general, over ``$x``,
+``$b``, a literal and ``()`` on either side, and a call of every builtin
+the engine runs lane-native (``xquery.functions`` ``scalar=True``) with each
+argument in turn bound to zero, one and several atoms.  The generator draws
+from them half the time; :func:`test_scalar_kernels_over_every_operand_kind`
+sweeps each operator and builtin over the cross of :data:`OPERAND_KINDS` —
+int, zero, negative, beyond 2**53, double, string, untyped text that is and
+is not a number, boolean, empty, multi-item — so every fast path is met with
+every kind and compared, value or error text, with the general kernels the
+reference runs.
+
 A second strategy writes equi-joins over keyed nodes with empty and
 multi-item keys — under ``=``, untyped keys against typed ones on either
 side — which the optimizer turns into index nested-loop joins; the
@@ -114,6 +126,8 @@ def node(name: str, *children) -> object:
 
 ITEMS = st.one_of(
     st.integers(-2, 4).map(lambda v: AtomicValue(v, "xs:integer")),
+    st.sampled_from([0, 2 ** 53 + 1]).map(lambda v: AtomicValue(v, "xs:integer")),
+    st.booleans().map(lambda v: AtomicValue(v, "xs:boolean")),
     st.sampled_from([0.5, 2.0]).map(lambda v: AtomicValue(v, "xs:double")),
     st.sampled_from(["", "a", "b", "3"]).map(lambda v: AtomicValue(v, "xs:string")),
     st.sampled_from(["", "3", "2.0", "a"]).map(lambda text: node("V", text)),
@@ -175,6 +189,48 @@ PROBES = [
 ]
 
 
+ARITHMETIC = ("+", "-", "*", "div", "idiv", "mod")
+COMPARISONS = ("eq", "ne", "lt", "le", "gt", "ge", "=", "!=", "<", "<=", ">", ">=")
+
+#: scalar builtin -> a call of it over operands that do not raise
+SCALAR_CALLS = {
+    "fn:concat": ("$x", '"-"'), "fn:string-length": ("$x",), "fn:upper-case": ("$x",),
+    "fn:lower-case": ("$x",), "fn:contains": ("$x", '"a"'),
+    "fn:starts-with": ("$x", '"a"'), "fn:ends-with": ("$x", '"a"'),
+    "fn:substring": ("$x", "2", "1"), "fn:substring-before": ("$x", '"a"'),
+    "fn:substring-after": ("$x", '"a"'), "fn:normalize-space": ("$x",),
+    "fn:matches": ("$x", '"A|3"', '"i"'), "fn:replace": ("$x", '"a|3"', '"[$0]"', '"i"'),
+    "fn:abs": ("$x",), "fn:floor": ("$x",), "fn:ceiling": ("$x",), "fn:round": ("$x",),
+    "fn:number": ("$x",),
+}
+
+
+def calls_varying(operands) -> list[str]:
+    """Each :data:`SCALAR_CALLS` call with each argument in turn replaced
+    by each of ``operands`` (and ``fn:substring`` / ``fn:matches`` /
+    ``fn:replace`` also without their optional last argument)."""
+    out = []
+    for name, full in SCALAR_CALLS.items():
+        shorter = [full[:-1]] if name in ("fn:substring", "fn:matches", "fn:replace") else []
+        for args in [full, *shorter]:
+            for position in range(len(args)):
+                for operand in operands:
+                    varied = [*args[:position], operand, *args[position + 1:]]
+                    out.append(f"{name}({', '.join(varied)})")
+    return list(dict.fromkeys(out))
+
+
+#: the scalar axes: every operator over ``$x`` (one item), ``$b`` (zero to
+#: four), a literal and ``()``, left and right; every lane-native builtin
+#: with zero, one and several atoms per argument
+SCALAR_PROBES = [
+    f"{left} {op} {right}"
+    for op in ARITHMETIC + COMPARISONS
+    for left, right in [("$x", "$b"), ("$b", "$x"), ("$x", "3"), ("3", "$x"),
+                        ("$x", '"a"'), ('"a"', "$x"), ("$x", "()"), ("()", "$x")]
+] + ["-$b", "-()", "-(-$x)"] + calls_varying(["$x", "$b", "()"])
+
+
 @st.composite
 def flwor_cases(draw):
     """``(query, variables)``: one FLWOR with at most one probe."""
@@ -185,7 +241,7 @@ def flwor_cases(draw):
     site = draw(st.sampled_from(
         [None, "let", "where", "return", "group" if grouped else "return",
          "order" if ordered else "where"]))
-    probe = draw(st.sampled_from(PROBES))
+    probe = draw(st.sampled_from(draw(st.sampled_from([PROBES, SCALAR_PROBES]))))
     ints = (["$p"] if at else []) + (["$i"] if second else [])
     keys = ["$x", "fn:data($x)"] + [f"{v} mod 2" for v in ints] + ints
 
@@ -325,6 +381,85 @@ REGRESSIONS: list[tuple[str, dict, str]] = [
 def test_regression_cases():
     for query, variables, reference in REGRESSIONS:
         check(query, variables, reference)
+
+
+# -- the scalar kernels over every kind of operand -------------------------------
+
+#: what an operand can be, for a kernel that guards on the Python type of
+#: its atoms: each kind takes a fast path or must fall to the general kernel
+OPERAND_KINDS = {
+    "empty": [], "int": _atoms(3), "zero": _atoms(0), "negative": _atoms(-2),
+    "beyond 2**53": _atoms(2 ** 53 + 1), "double": [AtomicValue(2.5, "xs:double")],
+    "string": _atoms("a"), "digits": _atoms("3"),
+    "untyped number": [node("V", "3")], "untyped text": [node("V", "a")],
+    "untyped int": [AtomicValue(3, "xs:untypedAtomic")],
+    "boolean": [AtomicValue(True, "xs:boolean")],
+    "two ints": _atoms(1, 3), "int and text": _atoms(3, "a"),
+}
+
+
+def test_scalar_kernels_over_every_operand_kind():
+    """Each operator over the full cross of operand kinds, each lane-native
+    builtin with each argument in turn of every kind (``fn:substring``'s
+    required pair in full: which of two bad arguments is reported), at every
+    batch size, against the reference's general kernels."""
+    kinds = list(OPERAND_KINDS.values())
+    for op in ARITHMETIC + COMPARISONS:
+        query = f"for $i in (1, 2) return <P>{{$l {op} $r}}</P>"
+        for left in kinds:
+            for right in kinds:
+                check(query, {"l": left, "r": right})
+    for call in ["-$l", "fn:substring($l, $r)", *calls_varying(["$l"])]:
+        query = f"for $i in (1, 2) where $i eq 2 return <P>{{{call}}}</P>"
+        for left in kinds:
+            for right in (kinds if "$r" in call else kinds[:1]):
+                check(query, {"l": left, "r": right, "x": _atoms("a3A")})
+
+
+def test_the_left_operand_fails_first():
+    """``_number(left)`` runs before the right operand is evaluated: a left
+    operand of two atoms, a boolean or unparsable text is the error
+    reported, whatever evaluating the right one would have raised."""
+    every = platforms()["same-plan"]
+    bad = [_atoms(1, 2), [AtomicValue(True, "xs:boolean")], _atoms("a")]
+    for op in ARITHMETIC:
+        for right in ("$x", "($x + 1)", "(-$x)", "fn:abs($x)"):
+            query = f"for $i in (1, 2) return <P>{{$b {op} {right}}}</P>"
+            for left in bad:
+                variables = {"b": left, "x": _atoms("z")}
+                check(query, variables)
+                assert "'z'" not in outcome(lambda: every.execute(query, variables))
+
+
+# -- scoping: a request's bindings are the root row ----------------------------
+
+SCOPING: list[tuple[str, dict]] = [
+    # an external shadowed by a ``for``, by a ``let`` (used twice: it stays
+    # a clause) and by a positional variable — and read again where it is not
+    ("for $a in (1, 2) return <R>{$a}{$b}</R>", {"a": _atoms(10, 20), "b": _atoms(7)}),
+    ("for $i in (1, 2) let $a := ($i, $b) return <R>{$a}{fn:count($a)}</R>",
+     {"a": _atoms(10, 20), "b": _atoms(7)}),
+    ("for $i at $a in (5, 6) return <R>{$a}{$b}</R>", {"a": _atoms(10, 20), "b": _atoms(7)}),
+    ("(for $a in (1, 2) return $a + 1, $a)", {"a": _atoms(10, 20)}),
+    # a group-by keeps a ``let`` binding only where one member holds it:
+    # the other groups read the external of the same name again
+    ("for $i in (1, 2, 3) let $b := ($i, $i) group $i as $is by $i idiv 2 as $k "
+     "return <G>{$k}<B>{$b}</B><N>{fn:count($b)}</N></G>", {"b": _atoms(7)}),
+    ("for $i in (1, 2, 3) let $b := ($i, $i) group $i as $is by $i idiv 2 as $k "
+     "order by $k descending return <G>{$k}<B>{$b}</B><N>{fn:count($b)}</N>{$c}</G>",
+     {"b": _atoms(7), "c": _atoms("c")}),
+    # three FLWORs deep, reading a variable of every level and an external
+    ("for $i in (1, 2) return for $j in ($i, $i + 1) return for $k in ($j, $b) "
+     "let $s := $i + $j + $k + $b return <R>{$s}{$i}{$j}{$k}{$b}</R>", {"b": _atoms(7)}),
+    ("for $i in (1, 2) let $v := (for $j in (1 to $i) let $w := "
+     "(for $k in ($j, $b) where $k ne $i return $k * $b) return <W>{$w}{$j}{$i}</W>) "
+     "where fn:count($v) gt 0 return <R>{$v}{$i}{$b}</R>", {"b": _atoms(2)}),
+]
+
+
+def test_scoping_cases():
+    for query, variables in SCOPING:
+        check(query, variables)
 
 
 if __name__ == "__main__":

@@ -230,3 +230,65 @@ class TestUserFunctions:
         ctx = DynamicContext(MetadataRegistry(), module=module)
         with pytest.raises(DynamicError):
             Evaluator(ctx).eval(plan.expr, {})
+
+
+class TestModuleVariables:
+    """A module variable's value may depend on the request's externals, so
+    it is held per request — it used to be memoised on the declaration, for
+    the life of the platform, with the first caller's externals."""
+
+    MODULE = ("declare variable $x external; declare variable $y := $x * 2; "
+              "declare variable $z := 7; declare function t:f($a) { $a + $y + $z };")
+
+    @staticmethod
+    def platform():
+        from repro.demo import build_demo_platform
+
+        platform = build_demo_platform(customers=2, orders_per_customer=0)
+        platform.deploy(TestModuleVariables.MODULE)
+        return platform
+
+    @staticmethod
+    def x(value):
+        return {"x": [AtomicValue(value, "xs:integer")]}
+
+    def test_each_request_sees_its_own_externals(self):
+        platform = self.platform()
+        assert values(platform.execute("t:f(1)", self.x(1))) == [10]
+        assert values(platform.execute("t:f(1)", self.x(100))) == [208]
+        assert values(platform.execute(
+            "for $i in (1, 2) return $i + $y", self.x(5))) == [11, 12]
+
+    def test_an_unbound_external_still_raises(self):
+        platform = self.platform()
+        assert values(platform.execute("t:f(1)", self.x(1))) == [10]
+        with pytest.raises(DynamicError, match=r"external variable \$x was not bound"):
+            platform.execute("t:f(1)")
+
+    def test_evaluated_at_most_once_per_request(self):
+        platform = self.platform()
+        decl = platform.module.variables["y"]
+        evaluations = []
+        plain = platform.evaluator.eval
+
+        def counting(node, env):
+            if node is decl.value:
+                evaluations.append(node)
+            return plain(node, env)
+
+        platform.evaluator.eval = counting
+        assert values(platform.execute(
+            "for $i in (1 to 50) return $i + $y", self.x(1))) == list(range(3, 53))
+        assert len(evaluations) == 1
+        platform.execute("$y", self.x(2))
+        assert len(evaluations) == 2
+
+    def test_interleaved_streams_each_see_their_own(self):
+        platform = self.platform()
+        platform.set_batch_size(1)
+        query = "for $i in (1 to 4) return $i + $y"
+        streams = [platform.stream(query, self.x(10)), platform.stream(query, self.x(20))]
+        seen: list[list] = [[], []]
+        for turn in (0, 1, 1, 0, 0, 1, 0, 1):
+            seen[turn].append(next(streams[turn]).value)
+        assert seen == [[21, 22, 23, 24], [41, 42, 43, 44]]

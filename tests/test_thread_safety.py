@@ -278,8 +278,8 @@ class TestExternalVariableIsolation:
         try:
             with platform.ctx.tracer.request(bindings={"x": [1, 2, 3]}):
                 seen = executor.run_parallel(
-                    [lambda: platform.ctx.external_variables.get("x"),
-                     lambda: platform.ctx.external_variables.get("x")])
+                    [lambda: platform.evaluator.variable("x"),
+                     lambda: platform.evaluator.variable("x")])
             assert seen == [[1, 2, 3], [1, 2, 3]]
         finally:
             executor.shutdown()
