@@ -59,9 +59,10 @@ bench-compare:
 # with every result checked against the benchmark's oracle, then prints
 # per-shape median ms and a cProfile top 30 by self time (SORT=cumulative:
 # by time under the function, callees included).  PHASES=1 prints
-# each shape's compile / first-run / warm-run split in place of the profile.
+# each shape's compile / first-run / warm-run split in place of the profile;
+# BUILDS=1 the row-backed elements whose tree was built per operation.
 profile:
-	python3 benchmarks/profile_workload.py --workload $(W) $(if $(R),--request $(R)) $(if $(SORT),--sort $(SORT)) $(if $(PHASES),--phases)
+	python3 benchmarks/profile_workload.py --workload $(W) $(if $(R),--request $(R)) $(if $(SORT),--sort $(SORT)) $(if $(PHASES),--phases) $(if $(BUILDS),--builds)
 
 # Scripted fault-injection runs only: the resilience layer's chaos suite
 # (deterministic under the virtual clock — same seed, same run).

@@ -25,6 +25,15 @@ the replay.  On a workload whose texts repeat, only the first operation
 compiles anything; on ``cold_compile`` the warm-up compiles each shape
 twice and every later text is a shape hit.
 
+``--builds`` counts trees instead: per shape, how many row-backed elements
+(``DeferredElement``s: a pushed region's, a table scan's or a delimited
+file's records, and their children) had their tree built per operation,
+split into *root* (no row-backed parent: a result's own element) and
+*nested* (a child of one that was built first).  Every other element is
+an ordinary tree and not counted.
+
+    make profile W=cold_compile BUILDS=1
+
 Times here are raw (one process, profiler off for the medians, no
 calibration loop): use them to find *where* time goes, and the benchmark
 itself to claim *how much* it changed.
@@ -48,6 +57,8 @@ from child import OUT, Driver  # noqa: E402
 from federation import SIZES, build_federation  # noqa: E402
 from oracle import Oracle  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
+
+from repro.xml.items import DeferredElement, ElementNode  # noqa: E402
 
 
 def replay(driver: Driver, ops: range, only: int | None, timings: dict | None,
@@ -84,6 +95,50 @@ def replay(driver: Driver, ops: range, only: int | None, timings: dict | None,
                 timings.setdefault(position, (label, []))[1].append(sample)
 
 
+def built_nodes(element) -> int:
+    """The nodes a build created under ``element``: its attributes and
+    children, and the content of every child built with it (a child left
+    unread counts once)."""
+    count = len(element.attributes)
+    for child in element.children():
+        count += 1
+        if isinstance(child, ElementNode) and child._source is None:
+            count += built_nodes(child)
+    return count
+
+
+def count_builds(driver: Driver, ops: range, only: int | None) -> dict:
+    """Replay ``ops`` with the first read of every row-backed element
+    counted: request position -> (label, [root builds, nested builds,
+    nodes those builds created])."""
+    materialise = DeferredElement._materialise
+    counts: dict[int, tuple[str, list[int]]] = {}
+    current = [0, 0, 0]
+
+    def counted(element):
+        unread = element._source is not None
+        materialise(element)
+        if unread:
+            current[isinstance(element.parent, DeferredElement)] += 1
+            current[2] += built_nodes(element)
+
+    DeferredElement._materialise = counted
+    try:
+        for i in ops:
+            for position, request in enumerate(driver.workload.requests(i)):
+                if only is not None and position != only:
+                    continue
+                current[:] = [0, 0, 0]
+                driver.execute(request)
+                label = request.text[:70] or "read_for_update / set / submit"
+                total = counts.setdefault(position, (label, [0, 0, 0]))[1]
+                for n, value in enumerate(current):
+                    total[n] += value
+    finally:
+        DeferredElement._materialise = materialise
+    return counts
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
@@ -99,6 +154,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--phases", action="store_true",
                         help="per shape: median ms of prepare, first run and warm "
                              "re-run, in place of the cProfile table")
+    parser.add_argument("--builds", action="store_true",
+                        help="per shape: row-backed elements whose tree was built, per "
+                             "operation (root / nested), in place of the cProfile table")
     args = parser.parse_args(argv)
     if args.workload == "read_write_mix" and (args.request is not None or args.phases):
         parser.error("read_write_mix reads what its own writes renamed: "
@@ -111,12 +169,23 @@ def main(argv: list[str] | None = None) -> int:
         replay(driver, range(0, 1), args.request, None)  # warm the caches
         gc.collect()
         gc.freeze()
-
         timings: dict[int, tuple[str, list]] = {}
-        replay(driver, range(1, args.ops + 1), args.request, timings, args.phases)
+        if args.builds:
+            counts = count_builds(driver, range(1, args.ops + 1), args.request)
+        else:
+            replay(driver, range(1, args.ops + 1), args.request, timings, args.phases)
         print(f"{args.workload}, seed {args.seed}, {args.ops} operations, "
               "every result checked against the oracle")
-        if args.phases:
+        if args.builds:
+            print(f"{'request':>7}  {'root/op':>8}  {'nested/op':>9}  {'nodes/op':>8}  shape")
+            totals = [0, 0, 0]
+            for position, (label, total) in sorted(counts.items()):
+                root, nested, nodes = (value / args.ops for value in total)
+                print(f"{position:>7}  {root:>8.1f}  {nested:>9.1f}  {nodes:>8.1f}  {label}")
+                totals = [a + b for a, b in zip(totals, total)]
+            root, nested, nodes = (value / args.ops for value in totals)
+            print(f"{'total':>7}  {root:>8.1f}  {nested:>9.1f}  {nodes:>8.1f}")
+        elif args.phases:
             print(f"{'request':>7}  {'prepare':>8}  {'first run':>9}  {'warm run':>8}  "
                   f"{'compiles':>8}  {'shape hits':>10}  shape (median ms; totals)")
             for position, (label, samples) in sorted(timings.items()):
@@ -131,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
                       f"{min(values):>8.2f}  {label}")
 
         profile = None
-        if not args.phases:
+        if not (args.phases or args.builds):
             profile = cProfile.Profile()
             profile.enable()
             replay(driver, range(args.ops + 1, 2 * args.ops + 1), args.request, None)

@@ -296,7 +296,15 @@ class Optimizer:
                 ):
                     index += 1
                     continue
-                uses, rebound = _uses_and_rebinds(later, node.return_expr, clause.var)
+                # Any other group-by ends the let's scope: its keys still
+                # read the let, but after it ``$var`` is an outer binding
+                # of the same name (an external), never the let's value.
+                end = next((i + 1 for i, c in enumerate(later)
+                            if isinstance(c, ast.GroupByClause)), None)
+                later, after = later[:end], later[end:] if end is not None else []
+                tail = node.return_expr if end is None else None
+                in_scope = later if tail is None else [*later, tail]
+                uses, rebound = _uses_and_rebinds(later, tail, clause.var)
                 if uses == 0 and not rebound:
                     del node.clauses[index]
                     self._changed = True
@@ -310,8 +318,7 @@ class Optimizer:
                 # unfolding (section 4.2).
                 multiplies = any(isinstance(c, ast.ForClause) for c in later)
                 navigated_ctor = isinstance(clause.expr, ast.ElementCtor) and all(
-                    _uses_only_navigated(scope, clause.var)
-                    for scope in (*later, node.return_expr)
+                    _uses_only_navigated(scope, clause.var) for scope in in_scope
                 )
                 if not rebound and (
                     _is_cheap(clause.expr)
@@ -322,10 +329,10 @@ class Optimizer:
                     node.clauses = (
                         node.clauses[:index]
                         + [_substitute_var(c, clause.var, replacement) for c in later]
+                        + after
                     )
-                    node.return_expr = _substitute_var(
-                        node.return_expr, clause.var, replacement
-                    )
+                    if tail is not None:
+                        node.return_expr = _substitute_var(tail, clause.var, replacement)
                     self._changed = True
                     continue
                 # Partial substitution: navigated uses of a let-bound
@@ -343,7 +350,7 @@ class Optimizer:
                         changed_any = changed_any or changed
                         new_later.append(rewritten)
                     if changed_any:
-                        node.clauses = node.clauses[:index + 1] + new_later
+                        node.clauses = node.clauses[:index + 1] + new_later + after
                         self._changed = True
             index += 1
         return node
@@ -497,11 +504,11 @@ def _uses_only_navigated(node: ast.AstNode, name: str) -> bool:
     return all(_uses_only_navigated(child, name) for child in node.children())
 
 
-def _uses_and_rebinds(later: list[ast.Clause], return_expr: ast.AstNode,
+def _uses_and_rebinds(later: list[ast.Clause], return_expr: ast.AstNode | None,
                       name: str) -> tuple[int, bool]:
     """References to ``$name`` in the clauses after a let and in the
-    return expression, and whether one of those clauses binds the name
-    again — one walk of what follows the let."""
+    return expression (None: out of the let's scope), and whether one of
+    those clauses binds the name again — one walk of what follows the let."""
     uses = 0
     rebound = False
     for clause in later:
@@ -511,7 +518,7 @@ def _uses_and_rebinds(later: list[ast.Clause], return_expr: ast.AstNode,
                     uses += 1
             elif isinstance(sub, (ast.ForClause, ast.LetClause)) and sub.var == name:
                 rebound = True
-    for sub in return_expr.walk():
+    for sub in return_expr.walk() if return_expr is not None else ():
         if isinstance(sub, ast.VarRef) and sub.name == name:
             uses += 1
     return uses, rebound

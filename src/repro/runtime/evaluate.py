@@ -30,9 +30,8 @@ from ..xquery import ast_nodes as ast
 from ..xquery.functions import atomize, numeric_value
 from .batchexec import eval_flwor
 from .context import DynamicContext
-from .kernels import _row_element
 from .operators.group import GroupStats
-from .operators.pushedsql import execute_pushed
+from .operators.pushedsql import execute_pushed, record_fn
 from .rowcompile import rowfn
 
 Env = dict
@@ -255,7 +254,9 @@ class Evaluator:
                     return []
                 raise
             span.set(rows=len(rows))
+        build = record_fn(meta.element_name,
+                          tuple((name, xs_type, name) for name, xs_type in meta.columns))
         items: list[Item] = []
         for row in rows:
-            items.append(_row_element(meta, row))
+            items.extend(build(row, [row]))
         return items

@@ -1,8 +1,8 @@
 """Value kernels: what an expression's value *is*, apart from who asks.
 
 Element construction, the axes and node tests of a path step, general
-comparison's coercion of untyped atoms, ``cast as``, the order-by sort key
-and the row-to-element mapping of a table scan.  Each exists once, here.
+comparison's coercion of untyped atoms, ``cast as`` and the order-by sort
+key.  Each exists once, here.
 The expression compiler (:mod:`repro.runtime.rowcompile`), the FLWOR
 runtime, the pushed-region templates and the evaluator's effects call
 them, and so does the reference interpreter under ``tests/``, so this
@@ -165,18 +165,6 @@ def _as_atomic_value(value) -> AtomicValue:
     if isinstance(value, float):
         return AtomicValue(value, "xs:double")
     return AtomicValue(str(value), "xs:string")
-
-
-def _row_element(meta, row: dict) -> ElementNode:
-    element = ElementNode(QName(meta.element_name))
-    for column, xs_type in meta.columns:
-        value = row.get(column)
-        if value is None:
-            continue
-        child = ElementNode(QName(column), type_annotation=xs_type)
-        child.add_child(TextNode(AtomicValue(value, xs_type).string_value()))
-        element.add_child(child)
-    return element
 
 
 class _OrderKey:

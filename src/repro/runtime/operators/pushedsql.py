@@ -7,11 +7,17 @@ from the template — per row, or per cluster of rows when the region
 contains a regrouped (left outer join / group-scan) shape.  A template is
 compiled twice, to a builder of trees and to a writer of their text; which
 one runs for an element is decided by whether anything reads it (DESIGN.md
-"Deferred content").
+"Deferred content").  It is analysed once, too: every element it yields is
+row-backed (a :class:`~repro.xml.items.DeferredElement`) at any depth, and
+knows which of its row's columns are the only source of a child of a given
+name, so a child step that is atomized reads the column, not a tree
+(``rowcompile._child_lane``).  :func:`record_fn` is the same machinery for
+a flat record, which is how a table scan and a delimited file build theirs.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from ...compiler.algebra import ColumnSlot, GroupSlot, NestedSlot, PushedSQL
@@ -110,41 +116,62 @@ WriterFn = Callable[[dict, list[dict], Callable[[str], None]], None]
 def template_fn(template: ast.AstNode) -> TemplateFn:
     """The template compiled to closures, once per template node (memoized
     on the node like ``_sql_text`` on the region; a concurrent first call
-    compiles an equivalent closure and the last write wins).  An element at
-    the root of a result is a :class:`DeferredElement`."""
+    compiles an equivalent closure and the last write wins).  An element of
+    a result is a :class:`DeferredElement`, and so is every element child
+    of one once it is read."""
     fn = getattr(template, "_template_fn", None)
     if fn is None:
         fn = template._template_fn = _deferring(template)
     return fn
 
 
+@functools.lru_cache(maxsize=256)
+def record_fn(name: str, fields: tuple[tuple[str, str, str], ...]) -> TemplateFn:
+    """The template of a flat record: ``<name>`` holding, in order, one
+    typed leaf per field ``(alias, xs type, element name)`` whose column is
+    not NULL — a table scan's row and a delimited file's line, row-backed
+    like a pushed region's (compiled once per record shape: a table's
+    columns, a file's fields)."""
+    return template_fn(ast.ElementCtor(name, [], [ColumnSlot(*field) for field in fields]))
+
+
 class _Deferred(NamedTuple):
-    """What a deferred element keeps of its template: the builder of its
-    tree, the writer of its text, and every element path the tree can
-    hold (local names from the element itself down)."""
+    """What a deferred element keeps of its template, analysed once when
+    the template is compiled: the builder of its tree (whose element
+    children are deferred in turn), the writer of its text, every element
+    path the tree can hold (local names from the element itself down), and
+    what a child step can read from the row instead of the tree — ``leaf``,
+    a column leaf's ``(alias, xs type)``, and ``children``, each child
+    local name mapped to the column leaves that are its only source."""
 
     build: TemplateFn
     write: WriterFn
     paths: frozenset
+    leaf: tuple[str, str] | None
+    children: dict[str, tuple[tuple[str, str], ...]]
 
 
 def _deferring(template: ast.AstNode) -> TemplateFn:
-    """The template's builder, with every element at the root of a result
-    left deferred; atoms, literals and sequences are built as they are."""
+    """The template's builder, with every element of a result left
+    deferred; atoms and literals are built as they are."""
     if isinstance(template, (NestedSlot, GroupSlot)):
         return _members(template, _deferring(template.template))
+    if isinstance(template, ast.SequenceExpr):
+        return _concat([_deferring(part) for part in template.items])
     build = _compile_template(template)
     if isinstance(template, ColumnSlot) and template.element_name is not None:
         alias, name = template.alias, template.element_name
+        leaf, children = (alias, template.xs_type), {}
     elif isinstance(template, ast.ElementCtor):
         alias, name = None, template.name
+        leaf, children = None, _child_columns(template.content)
     else:
         return build
     pieces = _content([template])
     if pieces is None:
         return build  # an element only its tree can render
     qname = QName(name)
-    deferred = _Deferred(build, _run(pieces), frozenset(_paths(template, ())))
+    deferred = _Deferred(build, _run(pieces), frozenset(_paths(template, ())), leaf, children)
 
     def element(row, group):
         if alias is not None and row.get(alias) is None:
@@ -152,6 +179,26 @@ def _deferring(template: ast.AstNode) -> TemplateFn:
         return [DeferredElement(qname, (deferred, row, group))]
 
     return element
+
+
+def _child_columns(parts: list[ast.AstNode]) -> dict[str, tuple[tuple[str, str], ...]]:
+    """A constructor's content: each child local name whose only possible
+    source is column leaves, mapped to those leaves' ``(alias, xs type)``
+    in template order.  A name another part can also yield — a nested
+    constructor, a slot's member — is left out, and a part the analysis
+    cannot name leaves out every name."""
+    columns: dict[str, list[tuple[str, str]]] = {}
+    others: set[str] = set()
+    for part in _flat(parts):
+        if isinstance(part, ColumnSlot):
+            if part.element_name is not None:
+                columns.setdefault(QName(part.element_name).local, []).append(
+                    (part.alias, part.xs_type))
+        elif isinstance(part, (ast.ElementCtor, NestedSlot, GroupSlot)):
+            others.update(path[0] for path in _paths(part, ()))
+        elif not isinstance(part, ast.Literal):
+            return {}
+    return {name: tuple(slots) for name, slots in columns.items() if name not in others}
 
 
 def _members(slot: NestedSlot | GroupSlot, inner: TemplateFn) -> TemplateFn:
@@ -169,6 +216,9 @@ def _members(slot: NestedSlot | GroupSlot, inner: TemplateFn) -> TemplateFn:
 
 
 def _compile_template(template: ast.AstNode) -> TemplateFn:
+    """The template's builder with the elements of a result built, and
+    everything below them deferred: what a deferred element's first read
+    runs."""
     if isinstance(template, ColumnSlot):
         return _column_slot(template)
     if isinstance(template, (NestedSlot, GroupSlot)):
@@ -226,7 +276,7 @@ def _element_ctor(template: ast.ElementCtor) -> TemplateFn:
     name = QName(template.name)
     attribute_parts = [(QName(attr.name), attr.optional, _compile_template(attr.value))
                        for attr in template.attributes]
-    content = _concat([_compile_template(part) for part in template.content])
+    content = _concat([_deferring(part) for part in template.content])
 
     def element(row, group):
         attributes = []

@@ -27,8 +27,13 @@ conventions:
 builtin are *atomic* shapes — their items are their atoms — so the lane is
 their only body and :func:`_from_lane` derives the list form from it
 (``f.atomic`` is true).  ``VarRef`` has a lane of its own beside its list
-form (the bound items may be nodes).  For every other shape :func:`atomfn`
-derives the lane from the list form.
+form (the bound items may be nodes), and so has a path whose last step is
+``child::NAME``: an unread element a template built from a row answers it
+from the row's columns, so ``$c/CID eq $k`` or ``fn:data($r/NAME)`` builds
+no tree, while the list form still returns the element's own children
+(section 4.2's constructor-navigation elimination, at run time;
+:func:`_child_lane`).  For every other shape :func:`atomfn` derives the
+lane from the list form.
 
 The lane carries *typed* scalars all the way (section 5.1: a token's type
 travels with it, so an operator need not rediscover what a value is):
@@ -85,7 +90,15 @@ from typing import Callable
 
 from ..errors import DynamicError, TypeMatchError
 from ..schema.dynamic import value_matches
-from ..xml.items import AtomicValue, AttributeNode, ElementNode, Node
+from ..xml.items import (
+    AtomicValue,
+    AttributeNode,
+    DeferredElement,
+    ElementNode,
+    Node,
+    leaf_atom,
+    lexical,
+)
 from ..xml.qname import QName
 from ..xquery import ast_nodes as ast
 from ..xquery.functions import (
@@ -511,7 +524,53 @@ def _c_PathExpr(node: ast.PathExpr) -> RowFn:
             current = step_fn(evaluator, env, current)
         return current
 
+    last = node.steps[-1] if node.steps else None
+    if last is not None and _plain_child(last):
+        call.atom = _child_lane(base_fn, step_fns[:-1], step_fns[-1], last.test.name)
     return call
+
+
+def _plain_child(step: ast.Step) -> bool:
+    """``child::NAME``: no predicate, no wildcard."""
+    return (step.axis == "child" and isinstance(step.test, ast.NameTest)
+            and step.test.name != "*" and not step.predicates)
+
+
+def _child_lane(base_fn: RowFn, inner_fns: list, step_fn: Callable, name: str) -> RowFn:
+    """The atom lane of a path whose last step is ``child::NAME``.  An
+    unread row-backed element whose template names the only sources of a
+    ``NAME`` child answers from its row: a column per source, NULL an
+    absent child, each typed by ``leaf_atom`` — what atomizing its built
+    child would give.  Any other node takes the step and atomizes the
+    children it finds, in the same loop, so a mixed sequence keeps its
+    order; a sequence holding a non-node takes the list form whole, whose
+    step error comes before any atomization error."""
+
+    def atom(evaluator, env):
+        items = base_fn(evaluator, env)
+        for inner_fn in inner_fns:
+            items = inner_fn(evaluator, env, items)
+        for item in items:
+            if not isinstance(item, Node):
+                return _one_atom(step_fn(evaluator, env, items))
+        atoms = []
+        for item in items:
+            # (read once: another reader may be building its tree)
+            source = item._source if type(item) is DeferredElement else None
+            slots = None if source is None else source[0].children.get(name)
+            if slots is None:
+                atoms.extend(atomize(step_fn(evaluator, env, [item])))
+                continue
+            row = source[1]
+            for alias, type_name in slots:
+                value = row.get(alias)
+                if value is not None:
+                    atoms.append(leaf_atom(lexical(value), type_name))
+        if len(atoms) == 1:
+            return atoms[0]
+        return MANY(atoms) if atoms else None
+
+    return atom
 
 
 def _c_step(step: ast.Step):

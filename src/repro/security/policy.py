@@ -123,15 +123,7 @@ class SecurityService:
         result: list[Item] = []
         for item in items:
             if isinstance(item, ElementNode):
-                filtered = item.deep_copy()
-                # an element no one has read yet knows every path its
-                # template can produce: with no denied resource among them
-                # the copy goes out as it is, its tree never built
-                source = filtered._source
-                if source is None or any(
-                        resource.path in source[0].paths and not resource.permits(user)
-                        for resource in self._resources):
-                    filtered = self._filter_element(filtered, (item.name.local,), user)
+                filtered = self._filter_element(item.deep_copy(), (item.name.local,), user)
                 if filtered is not None:
                     result.append(filtered)
             else:
@@ -140,6 +132,16 @@ class SecurityService:
 
     def _filter_element(self, element: ElementNode, path: tuple[str, ...],
                         user: User) -> Optional[ElementNode]:
+        # an element no one has read yet knows every path its template can
+        # produce, from itself down: with no denied resource among them it
+        # stays as it is, its tree never built
+        source = element._source
+        if source is not None and not any(
+                resource.path[:len(path) - 1] == path[:-1]
+                and resource.path[len(path) - 1:] in source[0].paths
+                and not resource.permits(user)
+                for resource in self._resources):
+            return element
         for resource in self._resources:
             if resource.path == path and not resource.permits(user):
                 if resource.action == "remove":

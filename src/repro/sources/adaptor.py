@@ -84,10 +84,16 @@ class Adaptor:
         try:
             params = self.translate_parameters(args)
             raw = self.call(connection, params)
-            tokens = self.result_tokens(raw)
+            items = self.result_items(raw)
         finally:
             self.close(connection)
-        return tokens_to_items(tokens)
+        return items
+
+    def result_items(self, raw: object) -> list[Item]:
+        """Step 4 as ``invoke`` runs it: fresh items for this call, built
+        from the typed token stream (a file adaptor that keeps what
+        validated builds them from that instead)."""
+        return tokens_to_items(self.result_tokens(raw))
 
     def result_tokens(self, raw: object) -> Sequence[Token]:
         """Step 4 as the runtime sees it: the source result as a typed

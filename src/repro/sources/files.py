@@ -3,7 +3,9 @@
 "For files, XML schemas are required at file registration time, and are
 used to validate the data for typed processing" (section 5.3).  These
 sources are *non-queryable*: ALDSP reads the full content and all
-filtering happens in the middleware.
+filtering happens in the middleware.  Validation is remembered per file
+content: an XML file keeps its typed token stream, a delimited file its
+validated rows, from which every call builds row-backed records.
 """
 
 from __future__ import annotations
@@ -11,17 +13,16 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ..clock import Clock
 from ..concurrency import TrackedRLock, guarded_by
 from ..errors import SourceError
 from ..schema.builder import validate
 from ..schema.types import ComplexContent, ElementItemType, SimpleContent
-from ..xml.items import ElementNode, Item, TextNode
+from ..xml.items import ElementNode, Item
 from ..xml.parser import parse_document
-from ..xml.qname import QName
-from ..xml.tokens import Token
+from ..xml.tokens import tokens_to_items
 from .adaptor import Adaptor
 
 
@@ -30,12 +31,13 @@ class FileAdaptor(Adaptor):
     """What the file sources share: every call charges ``latency_ms`` and
     reads the whole file; subclasses turn the text into validated records.
 
-    Validation is a function of the text alone, so the adaptor keeps the
-    typed token stream of the last content that validated and, while the
-    text just read is equal to it, hands those (immutable) tokens straight
-    to ``invoke``'s item builder: no parse, no record construction, no
-    ``validate``, no tokenizing.  Changed content, content that failed to
-    validate and any installed ``FaultInjector`` take every step."""
+    Validation is a function of the text alone, so the adaptor keeps what
+    the last content that validated came to — its typed token stream, or a
+    delimited file's rows — and, while the text just read is equal to it,
+    builds the call's fresh items straight from that (immutable) memo: no
+    parse, no ``validate``, no tokenizing.  Changed content, content that
+    failed to validate and any installed ``FaultInjector`` take every
+    step."""
 
     def __init__(self, name: str, path: str | Path, record_shape: ElementItemType,
                  clock: Clock | None = None, latency_ms: float = 2.0):
@@ -44,8 +46,8 @@ class FileAdaptor(Adaptor):
         self.record_shape = record_shape
         self.latency_ms = latency_ms
         self._lock = TrackedRLock(f"FileAdaptor:{name}")
-        #: (text, its tokens) for the last content read that validated
-        self._memo: tuple[object, tuple[Token, ...]] | None = None
+        #: (text, what it validated to) for the last content read that validated
+        self._memo: tuple[object, Sequence] | None = None
 
     def call(self, connection: object, params: list[object]) -> object:
         self.clock.charge_ms(self.latency_ms)
@@ -54,16 +56,25 @@ class FileAdaptor(Adaptor):
         except OSError as exc:
             raise SourceError(f"cannot read {self.path}: {exc}") from exc
 
-    def result_tokens(self, raw: object) -> Sequence[Token]:
+    def result_items(self, raw: object) -> list[Item]:
         if self.faults is not None:
-            return super().result_tokens(raw)
+            return super().result_items(raw)
         memo = self._memo
         if memo is not None and memo[0] == raw:
-            return memo[1]
-        tokens = tuple(super().result_tokens(raw))
+            return self._items(memo[1])
+        validated = self._validated(raw)
         with self._lock:
-            self._memo = (raw, tokens)
-        return tokens
+            self._memo = (raw, validated)
+        return self._items(validated)
+
+    def _validated(self, raw: object) -> Sequence:
+        """What the memo keeps of content that validated (it raises if the
+        content does not): its typed token stream."""
+        return tuple(self.result_tokens(raw))
+
+    def _items(self, validated: Sequence) -> list[Item]:
+        """One call's fresh items, from what the memo keeps."""
+        return tokens_to_items(validated)
 
 
 class XMLFileAdaptor(FileAdaptor):
@@ -84,16 +95,28 @@ class CSVFileAdaptor(FileAdaptor):
     """Serves the rows of a delimited file as typed row elements.
 
     The record shape must be flat (simple-content leaves only); column
-    order follows the shape's particle order, header row optional.
+    order follows the shape's particle order, header row optional.  A
+    record is row-backed, like a pushed region's: built from the line's
+    fields through one compiled template (``pushedsql.record_fn``), so a
+    child step that is atomized reads the field and builds no tree.  The
+    memo keeps the rows of content that validated, shared by every call
+    and never written; each call builds its own records over them.
     """
 
     def __init__(self, name: str, path: str | Path, record_shape: ElementItemType,
                  delimiter: str = ",", has_header: bool = True,
                  clock: Clock | None = None, latency_ms: float = 2.0):
+        from ..runtime.operators.pushedsql import record_fn  # (the runtime imports sources)
+
         super().__init__(name, path, record_shape, clock, latency_ms)
         self.delimiter = delimiter
         self.has_header = has_header
         self._fields = self._field_spec(record_shape)
+        # positional aliases: two fields may share a name
+        self._aliases = [f"c{index}" for index in range(len(self._fields))]
+        self._record = record_fn(record_shape.name or "RECORD", tuple(
+            (alias, xs_type, field_name)
+            for alias, (field_name, xs_type) in zip(self._aliases, self._fields)))
 
     @staticmethod
     def _field_spec(shape: ElementItemType) -> list[tuple[str, str]]:
@@ -110,27 +133,40 @@ class CSVFileAdaptor(FileAdaptor):
             fields.append((item_type.name, item_type.content.type_name))
         return fields
 
-    def translate_result(self, result: object) -> list[Item]:
-        reader = csv.reader(io.StringIO(str(result)), delimiter=self.delimiter)
-        rows = list(reader)
-        if self.has_header and rows:
-            rows = rows[1:]
-        items: list[Item] = []
-        record_name = self.record_shape.name or "RECORD"
-        for row in rows:
-            if not row:
+    def _rows(self, text: object) -> Iterator[dict]:
+        """The file's lines as rows, alias -> field text; an empty field is
+        NULL, a missing element (ragged data)."""
+        reader = csv.reader(io.StringIO(str(text)), delimiter=self.delimiter)
+        lines = list(reader)
+        if self.has_header and lines:
+            lines = lines[1:]
+        for line in lines:
+            if not line:
                 continue
-            if len(row) != len(self._fields):
+            if len(line) != len(self._fields):
                 raise SourceError(
-                    f"{self.name}: row has {len(row)} fields, expected {len(self._fields)}"
+                    f"{self.name}: row has {len(line)} fields, expected {len(self._fields)}"
                 )
-            element = ElementNode(QName(record_name))
-            for (field_name, _xs_type), raw in zip(self._fields, row):
-                if raw == "":
-                    continue  # missing value -> missing element (ragged data)
-                child = ElementNode(QName(field_name))
-                child.add_child(TextNode(raw))
-                element.add_child(child)
-            validate(element, self.record_shape)
-            items.append(element)
+            yield {alias: field or None for alias, field in zip(self._aliases, line)}
+
+    def _validated_record(self, row: dict) -> ElementNode:
+        [record] = self._record(row, [row])
+        return validate(record, self.record_shape)
+
+    def translate_result(self, result: object) -> list[Item]:
+        return [self._validated_record(row) for row in self._rows(result)]
+
+    def _validated(self, raw: object) -> Sequence:
+        """The rows, each checked once through a tree of its record."""
+        rows = []
+        for row in self._rows(raw):
+            self._validated_record(row)
+            rows.append(row)
+        return tuple(rows)
+
+    def _items(self, validated: Sequence) -> list[Item]:
+        build = self._record
+        items: list[Item] = []
+        for row in validated:
+            items.extend(build(row, [row]))
         return items

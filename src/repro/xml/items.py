@@ -201,16 +201,8 @@ class ElementNode(Node):
         return None
 
     def string_value(self) -> str:
-        parts: list[str] = []
-
-        def walk(node: Node) -> None:
-            if isinstance(node, TextNode):
-                parts.append(node.content)
-            for child in node.children():
-                walk(child)
-
-        walk(self)
-        return "".join(parts)
+        # (each child answers for itself: a row-backed leaf reads its row)
+        return "".join([child.string_value() for child in self._children])
 
     def typed_value(self) -> list[AtomicValue]:
         """fn:data() on an element: if it has element children it is
@@ -221,12 +213,7 @@ class ElementNode(Node):
             raise DynamicError(
                 f"cannot atomize element {self.name} with complex content"
             )
-        text = self.string_value()
-        # Typed sources annotate leaf elements with their column/schema type
-        # so atomization preserves it; otherwise untypedAtomic.
-        if self.type_annotation not in (ANYTYPE, "xs:untyped"):
-            return [AtomicValue(_parse_lexical(text, self.type_annotation), self.type_annotation)]
-        return [AtomicValue(text, UNTYPED)]
+        return [leaf_atom(self.string_value(), self.type_annotation)]
 
     def deep_copy(self) -> "ElementNode":
         copy = ElementNode(self.name, type_annotation=self.type_annotation)
@@ -252,9 +239,12 @@ class DeferredElement(ElementNode):
     ``attributes``, ``_children`` and ``type_annotation`` are left unset, so
     the first read of any of them lands in ``__getattr__``, which builds
     the content once, adopts it and drops the source: from then on it is
-    an ordinary element.  Several threads may read a cached one: content is
+    an ordinary element, whose element children are deferred in turn.  A
+    column leaf's ``string_value`` and ``typed_value`` read the row and
+    build nothing.  Several threads may read a cached one: content is
     built under the class's lock and each slot published complete, so a
-    reader that finds a slot set needs no lock."""
+    reader that finds a slot set needs no lock (and one that reads
+    ``_source`` reads it once)."""
 
     __slots__ = ("_source",)
     _lock = TrackedRLock("DeferredElement")
@@ -284,6 +274,19 @@ class DeferredElement(ElementNode):
             self.type_annotation = built.type_annotation
             self._source = None
             RACE.detector.on_access(self, "_source", True)
+
+    def string_value(self) -> str:
+        source = self._source
+        if source is not None and source[0].leaf is not None:
+            return lexical(source[1][source[0].leaf[0]])
+        return super().string_value()
+
+    def typed_value(self) -> list[AtomicValue]:
+        source = self._source
+        if source is not None and source[0].leaf is not None:
+            alias, type_name = source[0].leaf
+            return [leaf_atom(lexical(source[1][alias]), type_name)]
+        return super().typed_value()
 
     def replace_children(self, children: list[Node]) -> None:
         self._materialise()
@@ -335,6 +338,16 @@ def _name_test(name: QName, test: QName | None) -> bool:
     if test.namespace:
         return name.matches(test)
     return name.local == test.local
+
+
+def leaf_atom(text: str, type_annotation: str) -> AtomicValue:
+    """fn:data() of a leaf element with text ``text``: typed sources
+    annotate leaves with their column or schema type, and atomization keeps
+    it; any other leaf is untypedAtomic.  The one definition, for a built
+    leaf and a row-backed one alike."""
+    if type_annotation not in (ANYTYPE, "xs:untyped"):
+        return AtomicValue(_parse_lexical(text, type_annotation), type_annotation)
+    return AtomicValue(text, UNTYPED)
 
 
 def _parse_lexical(text: str, type_name: str):

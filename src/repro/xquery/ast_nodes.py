@@ -20,10 +20,11 @@ from .lexer import Pragma
 
 #: node-attached memos: closures and text compiled *for one tree*
 #: (``rowcompile.rowfn``, ``pushedsql.render_pushed`` / ``template_fn``,
-#: ``batchexec._stages``).  A copy never carries them — they would keep
-#: evaluating or rendering the original's children after the copy is
-#: rewritten.
-MEMO_ATTRS = frozenset({"_rowfn", "_sql_text", "_template_fn", "_batch_stages"})
+#: ``batchexec._stages``, ``ppk._bucketed_sql``).  A copy never carries
+#: them — they would keep evaluating or rendering the original's children
+#: after the copy is rewritten.
+MEMO_ATTRS = frozenset({"_rowfn", "_sql_text", "_template_fn", "_batch_stages",
+                        "_ppk_sql_cache"})
 
 
 class AstNode:

@@ -17,7 +17,7 @@ from repro.sources import (
     from_python,
     to_python,
 )
-from repro.xml import AtomicValue, element, serialize
+from repro.xml import AtomicValue, ElementNode, element, serialize
 
 
 class TestBaseProtocol:
@@ -305,3 +305,94 @@ class TestFileMemo:
         unguarded = source.replace("        with self._lock:\n            self._memo",
                                    "        if True:\n            self._memo")
         assert unguarded != source and errors(unguarded)
+
+
+TYPED = shape("ROW", [leaf("ID", "xs:integer"), leaf("NAME", "xs:string", "?"),
+                      leaf("PRICE", "xs:decimal", "?"), leaf("OK", "xs:boolean", "?")])
+#: empty fields, a blank line, text to escape, lexical forms a typed value
+#: does not keep ("1.50", "007.0", "0")
+TYPED_TEXT = "ID,NAME,PRICE,OK\n1,alpha,1.50,true\n2,,,0\n3,a&b <c>,007.0,\n\n4, ,2,1\n"
+
+
+class TestRowBackedRecords:
+    """A delimited file's records are built from the memo's rows through a
+    compiled template; each must be the record the typed token stream
+    builds (``Adaptor.result_items``, the path a fault plan takes)."""
+
+    @staticmethod
+    def both(tmp_path, text=TYPED_TEXT):
+        path = tmp_path / "typed.csv"
+        path.write_text(text)
+        adaptor = CSVFileAdaptor("rows", path, TYPED, clock=VirtualClock())
+        return adaptor, Adaptor.result_items(adaptor, text)
+
+    def test_records_serialize_as_the_token_built_ones(self, tmp_path):
+        from repro.xml.items import DeferredElement
+
+        adaptor, tokens = self.both(tmp_path)
+        for _ in range(2):  # a miss, then a memo hit
+            rows = adaptor.invoke([])
+            assert all(type(row) is DeferredElement and row._source is not None
+                       for row in rows)
+            assert serialize(rows) == serialize(tokens)
+        assert serialize(rows[1]) == "<ROW><ID>2</ID><OK>0</OK></ROW>"
+
+    def test_each_field_atomizes_as_the_token_built_one(self, tmp_path):
+        from tests.test_pushed_rebuild import lane, outcome, pairs, shape, stepped
+
+        adaptor, tokens = self.both(tmp_path)
+        rows = adaptor.invoke([])
+        for field in ("ID", "NAME", "PRICE", "OK", "NONE"):
+            for row, token_row in zip(rows, tokens):
+                assert lane(field, [row]) == stepped(field, [token_row]), field
+            assert lane(field, rows) == stepped(field, tokens)
+            # a field of the record is read from the row; NONE needs the tree
+            assert all(row._source is not None for row in rows) == (field != "NONE")
+        assert lane("PRICE", adaptor.invoke([])[:1]) == [(1.5, "xs:decimal")]
+        for mine, theirs in pairs(rows, tokens):  # each leaf, before it is read
+            if isinstance(mine, ElementNode):
+                assert mine.string_value() == theirs.string_value()
+                assert outcome(mine.typed_value) == outcome(theirs.typed_value)
+        assert [shape(row) for row in rows] == [shape(row) for row in tokens]
+
+    @pytest.mark.parametrize("text", [
+        "ID,NAME,PRICE,OK\n1,a,x,true\n",          # not a decimal
+        "ID,NAME,PRICE,OK\n,a,1,true\n",           # a required field left empty
+        "ID,NAME,PRICE,OK\n1,a,1,true\nz,b,2,0\n",  # a later line invalid
+        "ID,NAME,PRICE,OK\nz,a,1,true\n1,2\n",     # invalid before a ragged line
+        "ID,NAME,PRICE,OK\n1,2\nz,a,1,true\n",     # ragged before an invalid line
+    ])
+    def test_content_that_fails_fails_alike_on_every_call(self, tmp_path, text):
+        adaptor, _tokens = self.both(tmp_path)
+        adaptor.invoke([])  # a valid memo first
+        (tmp_path / "typed.csv").write_text(text)
+        with pytest.raises((SchemaError, SourceError)) as tree_path:
+            Adaptor.result_items(adaptor, text)
+        for _ in range(2):
+            with pytest.raises(tree_path.type, match="^" + __import__("re").escape(
+                    str(tree_path.value)) + "$"):
+                adaptor.invoke([])
+
+    def test_an_installed_fault_plan_takes_the_token_path(self, tmp_path):
+        from repro.resilience import FaultInjector
+
+        adaptor, tokens = self.both(tmp_path)
+        adaptor.invoke([])  # the memo is warm
+        FaultInjector().attach(adaptor)
+        rows = adaptor.invoke([])
+        assert all(type(row) is ElementNode for row in rows)
+        assert serialize(rows) == serialize(tokens)
+
+    def test_a_change_to_one_calls_record_leaves_the_next_calls(self, tmp_path):
+        from repro.sdo.dataobject import DataObject
+
+        adaptor, tokens = self.both(tmp_path)
+        first = adaptor.invoke([])
+        record = DataObject(first[0])
+        record.set("NAME", "renamed")
+        record.set("ID", 10)
+        assert serialize(first[0]) == "<ROW><ID>10</ID><NAME>renamed</NAME>" \
+            "<PRICE>1.50</PRICE><OK>true</OK></ROW>"
+        second = adaptor.invoke([])
+        assert serialize(second) == serialize(tokens)
+        assert second[0]._source is not None and first[0]._source is None

@@ -256,6 +256,21 @@ class TestStaleMemos:
         # and the original still runs as it did
         assert serialize(evaluator.eval(plan.expr, {})) == original_out
 
+    def test_a_ppk_region_that_ran_is_cloned_without_its_rendered_buckets(self):
+        """PP-k renders one disjunctive statement per bucket size and keeps
+        them on the region (``_ppk_sql_cache``): a clone whose select is then
+        rewritten must render its own."""
+        platform = build_demo_platform(customers=3, orders_per_customer=2)
+        query = 'getProfileByID("C1")'
+        plan = platform._compiler().compile_expression(query)
+        out = serialize(platform.evaluator.eval(plan.expr, {}))
+        regions = [clause.pushed for clause in plan.expr.walk()
+                   if isinstance(clause, algebra.PPkLetClause)]
+        assert regions and all(vars(region).get("_ppk_sql_cache") for region in regions)
+        clone = plan.expr.clone()
+        assert not any("_ppk_sql_cache" in vars(sub) for sub in clone.walk())
+        assert serialize(platform.evaluator.eval(clone, {})) == out
+
 
 def test_compiling_the_running_example_never_deep_copies_a_node(monkeypatch):
     """Under ``src/repro/compiler``, ``sql`` and ``services`` every copy is

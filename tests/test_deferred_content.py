@@ -16,10 +16,10 @@ import pytest
 
 from repro import serialize
 from repro.demo import build_demo_platform
-from repro.runtime.operators.pushedsql import _compile_template, template_fn
+from repro.runtime.operators.pushedsql import template_fn
 from repro.security.policy import SecurityService, User
 from repro.xml.items import DeferredElement
-from tests.test_pushed_rebuild import ROWS, TEMPLATES
+from tests.test_pushed_rebuild import ROWS, TEMPLATES, reference
 
 LAYERED = Path(__file__).resolve().parent.parent / "benchmarks" / "layered"
 CLERK = User.of("carol", "clerk")
@@ -75,31 +75,38 @@ def layered(tmp_path_factory):
                 del sys.modules[name]
 
 
-#: the cold_compile shapes that navigate their rows mid-tier, by position:
-#: ``getProfileByID`` (a mid-tier constructor over the one customer row),
-#: the quantified ``where`` and the positional predicate ``$r[ZONE eq z]``
-#: (neither is pushed: each fetched <REGION> is read by a path step)
-NAVIGATED = {0: "CUSTOMER", 3: "REGION", 4: "REGION"}
+#: the cold_compile shapes that navigate their rows mid-tier, by position,
+#: and the row element each builds per item it returns.  An atomized child
+#: step reads the row: ``getProfileByID``'s ``fn:data($c/CID)`` and PP-k keys
+#: (it builds no <CUSTOMER>), the quantified ``where`` and the predicate
+#: ``$r[ZONE eq z]``.  A step in list form returns the element's own
+#: children, so ``return $r/NAME`` and ``<P>{$r/RID}…</P>`` build the
+#: <REGION> they return from — its root only: the leaves stay unread
+NAVIGATED = {0: None, 3: "REGION", 4: "REGION"}
 
 
 def test_the_benchmarks_scans_are_streamed_and_serialized_without_a_tree(layered, builds):
     workloads, platform = layered
     scans = workloads["pushed_scan"].requests(1)
-    templates = workloads["cold_compile"].requests(1)
-    assert (len(scans), len(templates)) == (3, 6)
-    deferred = 0
-    for position, request in [(None, scan) for scan in scans] + list(enumerate(templates)):
+    templates = [(position, request) for i in (1, 3)
+                 for position, request in enumerate(workloads["cold_compile"].requests(i))]
+    assert (len(scans), len(templates)) == (3, 12)
+    deferred = navigated = 0
+    for position, request in [(None, scan) for scan in scans] + templates:
         builds.clear()
         items = list(platform.stream(request.text, request.variables))
         assert serialize(items) == request.expected
         if position in NAVIGATED:
-            assert {element.name.local for element in builds} == {NAVIGATED[position]}
+            name = NAVIGATED[position]
+            assert [element.name.local for element in builds] == \
+                [name] * (len(items) if name else 0), request.text
             assert len({id(element) for element in builds}) == len(builds)  # once each
+            navigated += len(builds)
             continue
         assert builds == [], request.text
         assert unread(items), request.text
         deferred += len(items)
-    assert deferred > 100
+    assert deferred > 100 and navigated > 10
 
 
 def test_a_file_of_results_is_written_without_a_tree(builds, tmp_path):
@@ -109,7 +116,8 @@ def test_a_file_of_results_is_written_without_a_tree(builds, tmp_path):
     assert (tmp_path / "out.xml").read_text().replace("\n", "") == \
         serialize(platform.execute(query))
     assert platform.execute_to_file(query, tmp_path / "pretty.xml", indent=2) == 5
-    assert len(builds) == 5  # pretty-printing walks the tree
+    # pretty-printing walks the tree: each <C>, then each of its two leaves
+    assert [element.name.local for element in builds] == ["C", "CID", "LAST_NAME"] * 5
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +141,21 @@ def test_a_path_step_builds_each_row_once(platform, builds):
 
 
 def test_atomization_builds_each_leaf_once(platform, builds):
+    """... at most: a leaf's ``fn:data`` and ``string()`` read its row, and
+    so does an atomized child step on an unread row, so nothing is built."""
     names = platform.execute("for $c in CUSTOMER() return $c/LAST_NAME")
     assert unread(names)
+    want = ["Jones", "Smith", "Nguyen", "Garcia"]
     for _ in range(2):
         atoms = platform.execute("fn:data($n)", {"n": names})
         assert [(atom.value, atom.type_name) for atom in atoms] == \
-            [(name, "xs:string") for name in ("Jones", "Smith", "Nguyen", "Garcia")]
-        assert builds == names
+            [(name, "xs:string") for name in want]
+        strings = platform.execute("for $x in $n return fn:string($x)", {"n": names})
+        assert [atom.value for atom in strings] == want
+    rows = platform.execute("CUSTOMER()")
+    assert [atom.value for atom in platform.execute(
+        "for $c in $r return fn:data($c/LAST_NAME)", {"r": rows})] == want
+    assert builds == [] and unread(names) and unread(rows)
 
 
 def test_the_copying_constructor_copies_without_building(platform, builds):
@@ -164,11 +180,14 @@ def test_an_sdo_reads_its_element_once(platform, builds):
           for $c in CUSTOMER() return $c
         };''', name="Rows")
     objects = platform.read_for_update("Rows", "getRows")
-    assert builds == [obj.element for obj in objects] and len(objects) == 4
+    # the object walks every leaf (is it one?): each element, then its leaves
+    assert builds == [element for obj in objects
+                      for element in (obj.element, *obj.element.children())]
+    assert len(objects) == 4 and len(builds) == 4 * 6
     objects[0].setLAST_NAME("Renamed")
     assert objects[0].getLAST_NAME() == "Renamed"
     assert serialize(objects[0].element).count("<LAST_NAME>Renamed</LAST_NAME>") == 1
-    assert len(builds) == 4
+    assert len(builds) == 4 * 6
 
 
 def test_an_element_policy_builds_only_what_it_can_match(platform, builds):
@@ -194,32 +213,51 @@ def test_an_element_policy_builds_only_what_it_can_match(platform, builds):
 # ---------------------------------------------------------------------------
 
 
-def filtered_with(build, template, path, action):
-    """(bytes, audit log) of the clerk's view of every row group."""
+def filtered_with(items_of, template, path, action):
+    """(bytes, audit log) of the clerk's view of every row group, the
+    items of each built by ``items_of(template, row, group)``."""
     service = SecurityService()
     service.enable_auditing()
     service.protect_element(("PROFILE", "CREDIT_CARDS"), {"analyst"})  # never matches
     service.protect_element(path, {"analyst"}, action, replacement="***")
     out = []
     for group in [[row] for row in ROWS] + [ROWS, ROWS[1:3]]:
-        items = build(template)(group[0], group)
+        items = items_of(template, group[0], group)
         out.append(serialize(service.filter_items(items, CLERK)))
         assert serialize(items) == serialize(service.filter_items(items, User.of("a", "analyst")))
     return out, [(r.kind, r.subject, r.decision) for r in service.audit_log]
 
 
+def deferred(template, row, group):
+    return template_fn(template)(row, group)
+
+
 @pytest.mark.parametrize("action", ["remove", "replace"])
 @pytest.mark.parametrize("name", sorted(TEMPLATES))
 def test_filtering_a_deferred_element_is_filtering_its_tree(name, action, builds):
+    """The eager side is the plain reading of the template, which builds
+    every tree in full; the deferred side builds only the elements a
+    denied path can lie under, at any depth."""
     template = TEMPLATES[name]
     paths = {path for row in ROWS for item in template_fn(template)(row, ROWS)
              if isinstance(item, DeferredElement) for path in item._source[0].paths}
     for path in sorted(paths) + [("NOWHERE",), ("A", "NOWHERE")]:
         builds.clear()
-        got = filtered_with(template_fn, template, path, action)
-        assert got == filtered_with(_compile_template, template, path, action), path
+        got = filtered_with(deferred, template, path, action)
+        assert all(path[:len(built_path(element))] == built_path(element)
+                   for element in builds), path
+        assert got == filtered_with(reference, template, path, action), path
         if path not in paths:
             assert builds == [], path
+
+
+def built_path(element) -> tuple:
+    """Local names from the result's element down to ``element``."""
+    names = []
+    while element is not None:
+        names.append(element.name.local)
+        element = element.parent
+    return tuple(reversed(names))
 
 
 def test_static_paths_are_local_names_from_the_element_down():

@@ -8,8 +8,9 @@ A Hypothesis strategy writes in-memory FLWORs — ``for`` with and without
 keys, ``order by`` (descending, ``empty greatest/least``, two keys), and a
 *probe* in one of their clauses — over generated bindings of ``$a`` and
 ``$b`` (integers, doubles, strings, untyped nodes, the empty sequence,
-multi-item sequences, duplicates) and of ``$n`` (small trees with an
-attribute, repeated and nested children and text).  The property: at each of
+multi-item sequences, duplicates), of ``$n`` (small trees with an
+attribute, repeated and nested children and text) and of ``$v``, the
+external a ``let $v`` shadows until a group-by that does not regroup it.  The property: at each of
 {1, 2, 7, 256} rows per batch the engine's outcome — serialized result or
 ``DynamicError`` text — is the reference's.
 
@@ -261,11 +262,13 @@ def flwor_cases(draw):
     if grouped:
         first = probe if site == "group" else draw(st.sampled_from(keys))
         by = f"{first} as $k" + (f", {draw(st.sampled_from(keys))} as $j" if grouped == 2 else "")
-        also = ", $v as $vs" if has_let else ""
+        # a ``let`` the group-by drops: after it, ``$v`` is the external
+        regrouped = has_let and draw(st.booleans())
+        also = ", $v as $vs" if regrouped else ""
         clauses.append(f"group $x as $xs{also} by {by}")
         keys = ["$k", "fn:count($xs)"] + (["$j"] if grouped == 2 else [])
         shown = "{$k}{fn:count($xs)}{$xs}" + ("{$j}" if grouped == 2 else "") \
-            + ("{$vs}" if has_let else "")
+            + ("{$vs}" if regrouped else "{$v}" if has_let else "")
     else:
         shown = "{$x}" + "".join(f"{{{v}}}" for v in ints) + ("{$v}" if has_let else "")
     if ordered:
@@ -282,7 +285,7 @@ def flwor_cases(draw):
     # an empty ``$a`` flows no tuple at all: possible, but not every other case
     least = draw(st.sampled_from([0, 1, 1, 2]))
     return query, {"a": draw(st.lists(ITEMS, min_size=least, max_size=5)),
-                   "b": draw(SEQUENCES), "n": draw(TREES)}
+                   "b": draw(SEQUENCES), "n": draw(TREES), "v": draw(SEQUENCES)}
 
 
 #: untyped key texts, and the typed keys they meet under ``=``: of one kind
@@ -448,6 +451,15 @@ SCOPING: list[tuple[str, dict]] = [
     ("for $i in (1, 2, 3) let $b := ($i, $i) group $i as $is by $i idiv 2 as $k "
      "order by $k descending return <G>{$k}<B>{$b}</B><N>{fn:count($b)}</N>{$c}</G>",
      {"b": _atoms(7), "c": _atoms("c")}),
+    # a ``let`` no member regroups, read once after the group-by: that is
+    # the external, so the let is not inlined there (and its ``$i`` would
+    # be unbound), while a group key still reads the let
+    ("for $i in (1, 2, 3, 4) let $b := $i mod 2 group $i as $is by $i idiv 3 as $k "
+     "return <G>{$k}{$b}</G>", {"b": _atoms(7)}),
+    ("for $i in (1, 2, 3, 4) let $b := $i mod 2 group $i as $is by $b as $k "
+     "order by $k return <G>{$k}{$b}{fn:count($is)}</G>", {"b": _atoms(7)}),
+    ("for $i in (1, 2, 3) let $b := fn:count(($i, $c)) group $i as $is by $i idiv 2 as $k "
+     "return <G>{$k}{$b}</G>", {"b": _atoms(7), "c": _atoms(1, 2)}),
     # three FLWORs deep, reading a variable of every level and an external
     ("for $i in (1, 2) return for $j in ($i, $i + 1) return for $k in ($j, $b) "
      "let $s := $i + $j + $k + $b return <R>{$s}{$i}{$j}{$k}{$b}</R>", {"b": _atoms(7)}),

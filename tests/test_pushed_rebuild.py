@@ -143,6 +143,13 @@ TEMPLATES = {
         el("A", ast.EmptySequence(), col("a", "xs:int")), ast.EmptySequence(),
         col("b", element="Y"), lit("z")]),
     "text after an element child": el("A", col("b", element="Y"), col("a", "xs:int")),
+    # child names the lane must refuse or read twice: X is also a nested
+    # constructor's, Y also a group member's; Z has two column sources
+    "a name several parts yield": el(
+        "A", col("a", "xs:int", "X"), el("X", col("b")), col("c", "xs:int", "Z"),
+        GroupSlot(col("b", element="Y")), col("a", "xs:int", "Y"), col("a", "xs:int", "Z")),
+    # a string column declared xs:int: its text is no integer
+    "a value invalid for its type": el("A", col("b", "xs:int", "X"), col("a", "xs:double", "D")),
 }
 
 ROWS = [
@@ -364,3 +371,153 @@ def test_a_template_the_writer_does_not_render_keeps_the_tree_path():
     assert serialize(build(ROWS[1], ROWS[1:2])) == '<A k="1"/>'
     with pytest.raises(XMLError, match="duplicate attribute"):
         build(ROWS[0], ROWS[:1])
+
+
+# ---------------------------------------------------------------------------
+# The row answers what the tree answers
+# ---------------------------------------------------------------------------
+#
+# An unread element answers an atomized child step from its row
+# (``rowcompile._child_lane``), and a column leaf its own ``fn:data`` and
+# ``string()``.  Each answer must be the built tree's: value, type name and
+# error text, NULL an absent child, several sources in template order.
+
+from repro.errors import DynamicError  # noqa: E402
+from repro.runtime.rowcompile import MANY, rowfn  # noqa: E402
+
+
+def child_path(name: str):
+    """``$b/NAME``, compiled: the list form, with its atom lane beside it."""
+    return rowfn(ast.PathExpr(ast.VarRef("b"), [ast.Step("child", ast.NameTest(name))]))
+
+
+def outcome(run):
+    try:
+        value = run()
+    except DynamicError as exc:
+        return f"DynamicError: {exc}"
+    if isinstance(value, AtomicValue):
+        value = [value]
+    return [(atom.value, atom.type_name) for atom in value or ()]
+
+
+def lane(name: str, items: list):
+    return outcome(lambda: child_path(name).atom(None, {"b": items}))
+
+
+def stepped(name: str, items: list):
+    """``atomize`` over the list form of the step."""
+    return outcome(lambda: atomize(child_path(name)(None, {"b": items})))
+
+
+def child_names(template) -> set[str]:
+    """Every child name the template's elements can have, one none has
+    (``NONE``) and the name with several sources (``X``)."""
+    names = {"NONE", "X"}
+    for row in ROWS:
+        for item in reference(template, row, ROWS):
+            if isinstance(item, ElementNode):
+                names |= {child.name.local for child in item.child_elements()}
+    return names
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATES))
+def test_a_child_step_on_the_row_is_the_step_on_the_tree(name):
+    template = TEMPLATES[name]
+    build = template_fn(template)
+    for child in sorted(child_names(template)):
+        for group in [[row] for row in ROWS] + [ROWS]:
+            items = build(group[0], group)
+            mapped = [item for item in items if isinstance(item, DeferredElement)
+                      and child in item._source[0].children]
+            want = stepped(child, reference(template, group[0], group))
+            assert lane(child, items) == want, (child, group)
+            if all(isinstance(item, Node) for item in items):  # the row answered
+                assert all(item._source is not None for item in mapped)
+        # a mixed base keeps the order: unread, built, and a plain tree
+        first, second = build(ROWS[0], ROWS[:1]), build(ROWS[2], ROWS[2:3])
+        for item in second:
+            if isinstance(item, ElementNode):
+                item.children()  # built
+        mixed = first + second + reference(template, ROWS[2], ROWS[1:3]) + \
+            build(ROWS[1], ROWS[1:2])
+        want = reference(template, ROWS[0], ROWS[:1]) + reference(template, ROWS[2], ROWS[2:3]) \
+            + reference(template, ROWS[2], ROWS[1:3]) + reference(template, ROWS[1], ROWS[1:2])
+        assert lane(child, mixed) == stepped(child, want), child
+        # a non-node anywhere in the base is the step's error, before any value
+        one = AtomicValue(1, "xs:integer")
+        assert lane(child, build(ROWS[0], ROWS[:1]) + [one]) == \
+            stepped(child, reference(template, ROWS[0], ROWS[:1]) + [one])
+
+
+def test_the_lane_reads_the_row_only_where_the_template_is_the_only_source():
+    [element] = template_fn(TEMPLATES["a name several parts yield"])(ROWS[0], ROWS)
+    assert element._source[0].children == {"Z": (("c", "xs:int"), ("a", "xs:int"))}
+    assert lane("Z", [element]) == [(3, "xs:int"), (1, "xs:int")]  # MANY, template order
+    assert type(child_path("Z").atom(None, {"b": [element]})) is MANY
+    assert element._source is not None  # read from the row
+    assert lane("X", [element]) == [(1, "xs:int"), ("x", "xs:string")]
+    assert element._source is None  # X needed the tree
+    [invalid] = template_fn(TEMPLATES["a value invalid for its type"])(ROWS[0], ROWS)
+    assert lane("X", [invalid]) == "DynamicError: invalid lexical value 'x' for xs:int"
+    assert lane("D", [invalid]) == [(1.0, "xs:double")]
+    assert invalid._source is not None
+
+
+def pairs(got: list, want: list):
+    """The nodes of two equal results side by side, each of ``got``'s
+    yielded before anything reads it."""
+    assert len(got) == len(want)
+    for mine, theirs in zip(got, want):
+        yield mine, theirs
+        if isinstance(mine, ElementNode):
+            yield from pairs(list(mine.children()), list(theirs.children()))
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATES))
+def test_an_unread_leaf_answers_as_its_tree(name):
+    """A deferred leaf's ``typed_value`` and ``string_value`` are its built
+    twin's without building it; a built element's deferred children hang
+    under it (``shape`` checks every parent pointer)."""
+    template = TEMPLATES[name]
+    leaves = 0
+    for group in [[row] for row in ROWS] + [ROWS]:
+        got = template_fn(template)(group[0], group)
+        want = reference(template, group[0], group)
+        for mine, theirs in pairs(got, want):
+            if not isinstance(mine, DeferredElement) or mine._source[0].leaf is None:
+                continue
+            assert mine.string_value() == theirs.string_value()
+            assert outcome(mine.typed_value) == outcome(theirs.typed_value)
+            assert mine._source is not None
+            leaves += 1
+        assert [shape(item) for item in got] == [shape(item) for item in want]
+    assert bool(leaves) == any(isinstance(node, ColumnSlot) and node.element_name
+                               for node in template.walk())
+
+
+def test_a_table_scan_answers_as_the_pushed_region(monkeypatch):
+    """With pushdown off a table function is scanned mid-tier
+    (``Evaluator._scan_table``), its rows built through a record template
+    (``pushedsql.record_fn``): the same bytes and values as pushed."""
+    from repro.demo import build_demo_platform
+    from repro.runtime.evaluate import Evaluator
+
+    queries = [
+        "CUSTOMER()", "for $c in CUSTOMER() return $c/LAST_NAME",
+        "for $c in CUSTOMER() where $c/CID eq 'C2' return fn:data($c/SINCE)",
+        "for $o in ORDER() where $o/AMOUNT gt 100 return <O>{$o/OID}{fn:data($o/AMOUNT)}</O>",
+        "for $c in CUSTOMER() return fn:string($c/FIRST_NAME)",
+        "fn:data(CREDIT_CARD()/NUMBER)"]
+    pushed = build_demo_platform(customers=6, orders_per_customer=2)
+    scanned = build_demo_platform(customers=6, orders_per_customer=2)
+    scanned.set_pushdown_enabled(False)
+    scans = []
+    real = Evaluator._scan_table
+    monkeypatch.setattr(Evaluator, "_scan_table",
+                        lambda self, node: scans.append(node) or real(self, node))
+    for query in queries:
+        assert serialize(scanned.execute(query)) == serialize(pushed.execute(query)), query
+    assert len(scans) == len(queries)
+    rows = scanned.execute("CUSTOMER()")
+    assert all(isinstance(row, DeferredElement) and row._source is not None for row in rows)
