@@ -60,9 +60,10 @@ bench-compare:
 # per-shape median ms and a cProfile top 30 by self time (SORT=cumulative:
 # by time under the function, callees included).  PHASES=1 prints
 # each shape's compile / first-run / warm-run split in place of the profile;
-# BUILDS=1 the row-backed elements whose tree was built per operation.
+# BUILDS=1 the row-backed elements whose tree was built per operation; LANES=1
+# per FLWOR stage the batches the column lane answered vs. ran by rows.
 profile:
-	python3 benchmarks/profile_workload.py --workload $(W) $(if $(R),--request $(R)) $(if $(SORT),--sort $(SORT)) $(if $(PHASES),--phases) $(if $(BUILDS),--builds)
+	python3 benchmarks/profile_workload.py --workload $(W) $(if $(R),--request $(R)) $(if $(SORT),--sort $(SORT)) $(if $(PHASES),--phases) $(if $(BUILDS),--builds) $(if $(LANES),--lanes)
 
 # Scripted fault-injection runs only: the resilience layer's chaos suite
 # (deterministic under the virtual clock — same seed, same run).

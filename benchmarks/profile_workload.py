@@ -34,6 +34,15 @@ an ordinary tree and not counted.
 
     make profile W=cold_compile BUILDS=1
 
+``--lanes`` counts batches instead: per shape and FLWOR stage label
+(``where#3``, ``group-by#2``, ``index-join#2`` …), how many batches per
+operation the column lane answered and how many it handed back to be run
+row by row — every batch of a stage with no column at all counts as by
+rows.  Only the stages that offer the lane a batch appear: ``where``,
+``let``, group and order keys, an ``eq`` index-join probe.
+
+    make profile W=midtier_flwor LANES=1
+
 Times here are raw (one process, profiler off for the medians, no
 calibration loop): use them to find *where* time goes, and the benchmark
 itself to claim *how much* it changed.
@@ -48,6 +57,7 @@ import pstats
 import statistics
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -58,23 +68,27 @@ from federation import SIZES, build_federation  # noqa: E402
 from oracle import Oracle  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
+from repro.runtime import batchexec  # noqa: E402
 from repro.xml.items import DeferredElement, ElementNode  # noqa: E402
 
 
 def replay(driver: Driver, ops: range, only: int | None, timings: dict | None,
-           phases: bool = False) -> None:
+           phases: bool = False, tally: Counter | None = None) -> None:
     """Execute operations ``ops``; a mismatch with the oracle raises.
 
     ``timings`` is keyed by request position (a workload may put a fresh
     literal in every text) and holds the first text seen there as the
-    label, then one sample per operation: the request's ms, or with
-    ``phases`` (prepare ms, first run ms, warm re-run ms, compiler runs,
-    shape hits)."""
+    label, then one sample per operation: the request's ms, with ``phases``
+    (prepare ms, first run ms, warm re-run ms, compiler runs, shape hits),
+    or with a ``tally`` that a ``wrap_*`` function fills, a copy of what the
+    request added to it."""
     cache = driver.platform.plan_cache
     for i in ops:
         for position, request in enumerate(driver.workload.requests(i)):
             if only is not None and position != only:
                 continue
+            if tally is not None:
+                tally.clear()
             start = time.perf_counter()
             if phases:
                 compiles, shape_hits = cache.compiles, cache.shape_hits
@@ -89,7 +103,8 @@ def replay(driver: Driver, ops: range, only: int | None, timings: dict | None,
                           (time.perf_counter() - first) * 1000.0, compiles, shape_hits)
             else:
                 driver.execute(request)
-                sample = (time.perf_counter() - start) * 1000.0
+                sample = (Counter(tally) if tally is not None
+                          else (time.perf_counter() - start) * 1000.0)
             if timings is not None:
                 label = request.text[:70] or "read_for_update / set / submit"
                 timings.setdefault(position, (label, []))[1].append(sample)
@@ -107,36 +122,50 @@ def built_nodes(element) -> int:
     return count
 
 
-def count_builds(driver: Driver, ops: range, only: int | None) -> dict:
-    """Replay ``ops`` with the first read of every row-backed element
-    counted: request position -> (label, [root builds, nested builds,
-    nodes those builds created])."""
+def wrap_builds(tally: Counter):
+    """Count the first read of every row-backed element: ``tally[0]`` root
+    builds, ``tally[1]`` nested builds, ``tally[2]`` the nodes those builds
+    created.  Returns the function that unwraps it."""
     materialise = DeferredElement._materialise
-    counts: dict[int, tuple[str, list[int]]] = {}
-    current = [0, 0, 0]
 
     def counted(element):
         unread = element._source is not None
         materialise(element)
         if unread:
-            current[isinstance(element.parent, DeferredElement)] += 1
-            current[2] += built_nodes(element)
+            tally[isinstance(element.parent, DeferredElement)] += 1
+            tally[2] += built_nodes(element)
 
     DeferredElement._materialise = counted
-    try:
-        for i in ops:
-            for position, request in enumerate(driver.workload.requests(i)):
-                if only is not None and position != only:
-                    continue
-                current[:] = [0, 0, 0]
-                driver.execute(request)
-                label = request.text[:70] or "read_for_update / set / submit"
-                total = counts.setdefault(position, (label, [0, 0, 0]))[1]
-                for n, value in enumerate(current):
-                    total[n] += value
-    finally:
+
+    def unwrap() -> None:
         DeferredElement._materialise = materialise
-    return counts
+
+    return unwrap
+
+
+def wrap_lanes(tally: Counter):
+    """Wrap ``batchexec._lane``, the column lane of a stage, so that each
+    batch offered to it is counted in ``tally[stage label, ran by rows]``.
+    Returns the function that unwraps it.  Wrap before the first compile:
+    the eager driver keeps the lanes its FLWOR was built with."""
+    lane = batchexec._lane
+
+    def counted(stage):
+        stage_lane = lane(stage)
+
+        def call(evaluator, batch):
+            result = None if stage_lane is None else stage_lane(evaluator, batch)
+            tally[stage.label, result is None] += 1
+            return result
+
+        return call
+
+    batchexec._lane = counted
+
+    def unwrap() -> None:
+        batchexec._lane = lane
+
+    return unwrap
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -151,18 +180,27 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sort", choices=("tottime", "cumulative"), default="tottime",
                         help="order of the cProfile table: self time (default) or "
                              "time under the function, callees included")
-    parser.add_argument("--phases", action="store_true",
-                        help="per shape: median ms of prepare, first run and warm "
-                             "re-run, in place of the cProfile table")
-    parser.add_argument("--builds", action="store_true",
-                        help="per shape: row-backed elements whose tree was built, per "
-                             "operation (root / nested), in place of the cProfile table")
+    view = parser.add_mutually_exclusive_group()
+    view.add_argument("--phases", action="store_true",
+                      help="per shape: median ms of prepare, first run and warm "
+                           "re-run, in place of the cProfile table")
+    view.add_argument("--builds", action="store_true",
+                      help="per shape: row-backed elements whose tree was built, per "
+                           "operation (root / nested), in place of the cProfile table")
+    view.add_argument("--lanes", action="store_true",
+                      help="per shape and stage: batches per operation the column lane "
+                           "answered / ran by rows, in place of the cProfile table")
     args = parser.parse_args(argv)
     if args.workload == "read_write_mix" and (args.request is not None or args.phases):
         parser.error("read_write_mix reads what its own writes renamed: "
                      "run every shape, once each")
 
     fed = build_federation(args.seed, SIZES[args.sizes], OUT)
+    tally: Counter | None = None
+    unwrap = None
+    if args.builds or args.lanes:
+        tally = Counter()
+        unwrap = (wrap_builds if args.builds else wrap_lanes)(tally)
     try:
         workload = WORKLOADS[args.workload](fed, Oracle(fed.rows), args.seed)
         driver = Driver(fed, workload, None)
@@ -170,21 +208,27 @@ def main(argv: list[str] | None = None) -> int:
         gc.collect()
         gc.freeze()
         timings: dict[int, tuple[str, list]] = {}
-        if args.builds:
-            counts = count_builds(driver, range(1, args.ops + 1), args.request)
-        else:
-            replay(driver, range(1, args.ops + 1), args.request, timings, args.phases)
+        replay(driver, range(1, args.ops + 1), args.request, timings, args.phases, tally)
         print(f"{args.workload}, seed {args.seed}, {args.ops} operations, "
               "every result checked against the oracle")
         if args.builds:
             print(f"{'request':>7}  {'root/op':>8}  {'nested/op':>9}  {'nodes/op':>8}  shape")
-            totals = [0, 0, 0]
-            for position, (label, total) in sorted(counts.items()):
-                root, nested, nodes = (value / args.ops for value in total)
+            totals: Counter = Counter()
+            for position, (label, samples) in sorted(timings.items()):
+                total = sum(samples, Counter())
+                root, nested, nodes = (total[n] / args.ops for n in range(3))
                 print(f"{position:>7}  {root:>8.1f}  {nested:>9.1f}  {nodes:>8.1f}  {label}")
-                totals = [a + b for a, b in zip(totals, total)]
-            root, nested, nodes = (value / args.ops for value in totals)
+                totals += total
+            root, nested, nodes = (totals[n] / args.ops for n in range(3))
             print(f"{'total':>7}  {root:>8.1f}  {nested:>9.1f}  {nodes:>8.1f}")
+        elif args.lanes:
+            print(f"{'request':>7}  {'stage':<14}  {'column/op':>9}  {'rows/op':>7}  shape")
+            for position, (label, samples) in sorted(timings.items()):
+                total = sum(samples, Counter())
+                for stage in dict.fromkeys(stage for stage, _ in total):  # first offered, first
+                    print(f"{position:>7}  {stage:<14}  {total[stage, False] / args.ops:>9.1f}  "
+                          f"{total[stage, True] / args.ops:>7.1f}  {label}")
+                    label = ""
         elif args.phases:
             print(f"{'request':>7}  {'prepare':>8}  {'first run':>9}  {'warm run':>8}  "
                   f"{'compiles':>8}  {'shape hits':>10}  shape (median ms; totals)")
@@ -200,13 +244,15 @@ def main(argv: list[str] | None = None) -> int:
                       f"{min(values):>8.2f}  {label}")
 
         profile = None
-        if not (args.phases or args.builds):
+        if not (args.phases or args.builds or args.lanes):
             profile = cProfile.Profile()
             profile.enable()
             replay(driver, range(args.ops + 1, 2 * args.ops + 1), args.request, None)
             profile.disable()
         mismatched = workload.final_mismatches()
     finally:
+        if unwrap is not None:
+            unwrap()
         fed.close()
     if mismatched:
         raise SystemExit(f"{args.workload}: end-of-run state differs from the oracle's")

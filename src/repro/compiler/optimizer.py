@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..schema.types import AnyItemType, AtomicItemType
 from ..xquery import ast_nodes as ast
 
 if TYPE_CHECKING:
@@ -217,18 +218,18 @@ class Optimizer:
         flwor = node.base
         if any(isinstance(c, (ast.GroupByClause, ast.OrderByClause)) for c in flwor.clauses):
             return node
-        remaining: list[ast.AstNode] = []
-        for pred in node.predicates:
-            if _is_positional(pred):
-                remaining.append(pred)
-                continue
+        # Only the leading non-positional predicates become `where`s: a
+        # positional one numbers what the predicates before it left, so it
+        # and everything after it stay a filter, in order.
+        leading = next((n for n, pred in enumerate(node.predicates) if _is_positional(pred)),
+                       len(node.predicates))
+        if leading == 0:
+            return node
+        for pred in node.predicates[:leading]:
             condition = _substitute_context(pred.clone(), flwor.return_expr)
             flwor.clauses.append(ast.WhereClause(condition))
-        if remaining:
-            if len(remaining) == len(node.predicates):
-                return node
-            return ast.FilterExpr(flwor, remaining)
-        return flwor
+        remaining = node.predicates[leading:]
+        return ast.FilterExpr(flwor, remaining) if remaining else flwor
 
     def _rewrite_flwor(self, node: ast.FLWOR) -> ast.AstNode:
         clauses: list[ast.Clause] = []
@@ -562,11 +563,30 @@ def _may_contain_elements(expr: ast.AstNode) -> bool:
 
 
 def _is_positional(pred: ast.AstNode) -> bool:
-    """Numeric predicates select by position and cannot become where
-    clauses."""
-    if isinstance(pred, ast.Literal):
-        return pred.value.type_name in ("xs:integer", "xs:decimal", "xs:double")
-    return False
+    """A predicate that may select by position stays a filter, with a focus
+    of its own: one that reads the focus's position or size, or that is not
+    a boolean or nodes only — by its shape, or else by its static type (a
+    rewrite may have left it untyped, and then it may be anything)."""
+    static = pred.static_type
+    boolean_or_nodes = isinstance(pred, _BOOLEAN_SHAPES) or (static is not None and all(
+        alt == _BOOLEAN or not isinstance(alt, (AnyItemType, AtomicItemType))
+        for alt in static.alternatives))
+    return _reads_position(pred) or not boolean_or_nodes
+
+
+_BOOLEAN = AtomicItemType("xs:boolean")
+_BOOLEAN_SHAPES = (ast.Comparison, ast.AndExpr, ast.OrExpr, ast.Quantified, ast.PathExpr)
+
+
+def _reads_position(expr: ast.AstNode) -> bool:
+    """``fn:position()`` / ``fn:last()`` outside a nested predicate (a
+    filter's or a step's predicates have a focus of their own)."""
+    if isinstance(expr, ast.FunctionCall) and expr.name in ("fn:position", "fn:last"):
+        return True
+    if isinstance(expr, ast.Step):
+        return False
+    children = [expr.base] if isinstance(expr, ast.FilterExpr) else expr.children()
+    return any(map(_reads_position, children))
 
 
 def _select_content(ctor: ast.ElementCtor, name: str) -> ast.AstNode | None:

@@ -40,7 +40,7 @@ profile and trace output do not depend on the batch size.
 from __future__ import annotations
 
 import math
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from ..compiler.algebra import IndexJoinForClause, PPkLetClause, PushedTupleForClause
@@ -54,7 +54,7 @@ from .kernels import _as_atomic_value, _coerce, _OrderKey
 from .operators.group import clustered_groups, sorted_groups
 from .operators.ppk import ppk_extend
 from .operators.pushedsql import bind_parameters, render_pushed, template_fn
-from .rowcompile import MANY, atomfn, rowfn, streamfn, truthfn
+from .rowcompile import MANY, atomfn, colfn, rowfn, streamfn, truthfn
 
 if TYPE_CHECKING:
     from .evaluate import Evaluator
@@ -258,20 +258,59 @@ def _row_kernel(stage: _Stage) -> Callable:
     clause = stage.clauses[0]
     if isinstance(clause, ast.ForClause):
         return _for_kernel(clause.var, clause.pos_var)
+    lane = _lane(stage)
     if isinstance(clause, ast.WhereClause):
         condition_fn = truthfn(clause.condition)
-        return lambda evaluator, batch: [row for row in batch
-                                         if condition_fn(evaluator, row)]
+
+        def where(evaluator, batch):
+            columns = lane and lane(evaluator, batch)
+            if columns:  # the mask: a raw value's truth is its effective boolean value
+                return list(compress(batch, columns[0][1]))
+            return [row for row in batch if condition_fn(evaluator, row)]
+
+        return where
     expr_fn, var, owned = rowfn(clause.expr), clause.var, stage.owned
 
     def let(evaluator, batch):
         if not owned:  # the caller's environment: bind into a copy
             batch = [dict(row) for row in batch]
-        for row in batch:
-            row[var] = expr_fn(evaluator, row)
+        columns = lane and lane(evaluator, batch)
+        if columns:
+            [(type_name, values)] = columns
+            for row, value in zip(batch, values):
+                row[var] = [AtomicValue(value, type_name)]
+        else:
+            for row in batch:
+                row[var] = expr_fn(evaluator, row)
         return batch
 
     return let
+
+
+def _lane(stage: _Stage) -> Callable | None:
+    """``(evaluator, batch) -> [(type_name, values), ...] | None``: the
+    columns (``rowcompile.colfn``) of a stage's scalar expressions — a
+    ``where`` condition, a ``let`` value, the group or order keys, an index
+    join's probe key — or None for a batch that leaves the lane, which the
+    consumer then runs by rows; None if one of them has no column."""
+    clause = stage.clauses[0]
+    if isinstance(clause, ast.GroupByClause):
+        exprs = [expr for expr, _var in clause.keys]
+    elif isinstance(clause, ast.OrderByClause):
+        exprs = [spec.key for spec in clause.specs]
+    elif isinstance(clause, IndexJoinForClause):
+        exprs = [clause.outer_key]
+    else:
+        exprs = [clause.condition if isinstance(clause, ast.WhereClause) else clause.expr]
+    columns = [colfn(expr) for expr in exprs]
+    if None in columns:
+        return None
+
+    def lane(evaluator, batch):
+        found = [column(evaluator, batch) for column in columns]
+        return None if None in found else found
+
+    return lane
 
 
 # -- lazy operators ----------------------------------------------------------------
@@ -288,24 +327,25 @@ def _row_batches(run: _Run, stage: _Stage, batches: Iterator[Batch]) -> Iterator
 
 
 def _multiply(run: _Run, stage: _Stage, batches: Iterator[Batch],
-              items_fn: Callable, bind: Callable) -> Iterator[Batch]:
+              sequences: Callable, bind: Callable) -> Iterator[Batch]:
     """The lazy driver of a multiplying clause: each input row becomes one
-    output row per element of ``items_fn(evaluator, row)``, made by
-    ``bind`` (the signature of :func:`_for_kernel`).  A batch goes
-    downstream the moment it fills, and the sequence — which may be a
-    stream — is pulled only as far as the open batch has room."""
+    output row per element of its sequence (``sequences(evaluator,
+    batch)`` yields them in row order), made by ``bind`` (the signature of
+    :func:`_for_kernel`).  A batch goes downstream the moment it fills,
+    and a sequence — which may be a stream — is pulled only as far as the
+    open batch has room."""
     ev, size, mixed = run.ev, run.size, stage.mixed
     out: Batch = []
     names = None
     for batch in batches:
-        for row in batch:
+        for row, sequence in zip(batch, sequences(ev, batch)):
             if mixed:  # rows of one batch share a schema
                 schema = tuple(row)
                 if out and schema != names:
                     yield out
                     out = []
                 names = schema
-            items = iter(items_fn(ev, row))
+            items = iter(sequence)
             position = 1
             while True:
                 room = size - len(out)
@@ -320,9 +360,14 @@ def _multiply(run: _Run, stage: _Stage, batches: Iterator[Batch],
         yield out
 
 
+def _each_row(items_fn: Callable) -> Callable:
+    """The ``sequences`` of :func:`_multiply`: ``items_fn(evaluator, row)``, lazily."""
+    return lambda ev, batch: (items_fn(ev, row) for row in batch)
+
+
 def _for_batches(run: _Run, stage: _Stage, batches: Iterator[Batch]) -> Iterator[Batch]:
     clause = stage.clauses[0]
-    return _multiply(run, stage, batches, streamfn(clause.expr),
+    return _multiply(run, stage, batches, _each_row(streamfn(clause.expr)),
                      _for_kernel(clause.var, clause.pos_var))
 
 
@@ -345,7 +390,7 @@ def _scatter_batches(run: _Run, stage: _Stage, batches: Iterator[Batch]) -> Iter
                 extended[clause.var] = value
             out.append(extended)
 
-    return _multiply(run, stage, batches, gather, bind)
+    return _multiply(run, stage, batches, _each_row(gather), bind)
 
 
 def _pushed_for_batches(run: _Run, stage: _Stage,
@@ -380,7 +425,7 @@ def _pushed_for_batches(run: _Run, stage: _Stage,
                 extended[var] = build(record, [record])
             out.append(extended)
 
-    return _multiply(run, stage, batches, fetch, bind)
+    return _multiply(run, stage, batches, _each_row(fetch), bind)
 
 
 def _flatten(batches: Iterator[Batch]) -> Iterator[Env]:
@@ -496,7 +541,17 @@ def _index_join_batches(run: _Run, stage: _Stage,
                  for place in places[id(item)]}
         return [found[place] for place in sorted(found)]
 
-    yield from _multiply(run, stage, probed(batches), matches,
+    # under ``eq`` a one-atom key is looked up by its value: a column's at once
+    lane = None if general else _lane(stage)
+
+    def sequences(ev, batch):
+        columns = lane and not multi_inner and lane(ev, batch)
+        if columns:
+            get = index.get
+            return [get(value, ()) for value in columns[0][1]]
+        return (matches(ev, row) for row in batch)
+
+    yield from _multiply(run, stage, probed(batches), sequences,
                          _for_kernel(var, None))
 
 
@@ -541,7 +596,7 @@ def _replan_index_to_ppk(run: _Run, stage: _Stage, replan: PPkLetClause,
         pass
     twin = _ppk_batches(run, stage._replace(clauses=[replan]), iter(held))
     return _multiply(run, stage, twin,
-                     lambda ev, row: row.pop(replan.var),  # PP-k's own rows
+                     _each_row(lambda ev, row: row.pop(replan.var)),  # PP-k's own rows
                      _for_kernel(clause.var, None))
 
 
@@ -550,26 +605,20 @@ def _replan_index_to_ppk(run: _Run, stage: _Stage, replan: PPkLetClause,
 
 def _order_batches(run: _Run, stage: _Stage, batches: Iterator[Batch]) -> Iterator[Batch]:
     clause, ev = stage.clauses[0], run.ev
-    key_fns = [(atomfn(spec.key), spec.descending, spec.empty_greatest)
-               for spec in clause.specs]
+    key_fns = [atomfn(spec.key) for spec in clause.specs]
+    directions = [(spec.descending, spec.empty_greatest) for spec in clause.specs]
+
+    def sort_key(pair):
+        return [_OrderKey(value, descending, empty_greatest)
+                for value, (descending, empty_greatest) in zip(pair[1], directions)]
+
     with ev.ctx.tracer.start("order-by",
                              op=getattr(clause, "op_id", None)) as span:
-        # upstream drains inside the span
-        materialized: list[Env] = list(chain.from_iterable(batches))
-
-        def sort_key(env: Env):
-            keys = []
-            for key_fn, descending, empty_greatest in key_fns:
-                atom = key_fn(ev, env)
-                if type(atom) is MANY:
-                    raise DynamicError("order by key with more than one item")
-                keys.append(_OrderKey(None if atom is None else atom.value,
-                                      descending, empty_greatest))
-            return keys
-
-        materialized.sort(key=sort_key)
-        span.set(tuples=len(materialized))
-    yield from batched(materialized, run.size, stage.mixed)
+        # upstream drains inside the span, before any key is computed
+        keyed = list(_keyed(ev, list(batches), _lane(stage), key_fns, "order by"))
+        keyed.sort(key=sort_key)
+        span.set(tuples=len(keyed))
+    yield from batched([env for env, _values in keyed], run.size, stage.mixed)
 
 
 def _group_batches(run: _Run, stage: _Stage, batches: Iterator[Batch]) -> Iterator[Batch]:
@@ -578,18 +627,7 @@ def _group_batches(run: _Run, stage: _Stage, batches: Iterator[Batch]) -> Iterat
     then emit one row per group."""
     clause, ev = stage.clauses[0], run.ev
     key_fns = [atomfn(expr) for expr, _var in clause.keys]
-
-    def annotated() -> Iterator[tuple[Env, tuple]]:
-        for batch in batches:
-            for env in batch:
-                key_values = []
-                for key_fn in key_fns:
-                    atom = key_fn(ev, env)
-                    if type(atom) is MANY:
-                        raise DynamicError("group by key with more than one item")
-                    key_values.append(None if atom is None else atom.value)
-                yield env, tuple(key_values)
-
+    keyed = _keyed(ev, batches, _lane(stage), key_fns, "group by")
     grouper = clustered_groups if getattr(clause, "pre_clustered", False) \
         else sorted_groups
     emitted_before = ev.group_stats.groups_emitted
@@ -599,12 +637,32 @@ def _group_batches(run: _Run, stage: _Stage, batches: Iterator[Batch]) -> Iterat
         # suspends inside it.  Group rows differ in schema (what survives
         # a group depends on its members), whatever came in.
         yield from batched(
-            _grouped_rows(clause, grouper(annotated(), lambda pair: pair[1],
+            _grouped_rows(clause, grouper(keyed, lambda pair: pair[1],
                                           ev.group_stats)),
             run.size, True)
     finally:
         span.set(groups=ev.group_stats.groups_emitted - emitted_before)
         span.end()
+
+
+def _keyed(ev: Evaluator, batches: Iterable[Batch], lane: Callable | None,
+           key_fns: list, clause: str) -> Iterator[tuple[Env, tuple]]:
+    """Each row with the values of its keys (None for an empty key): a
+    batch's from its key columns, when the lane answers it, else row by
+    row on the atom lane."""
+    for batch in batches:
+        columns = lane and lane(ev, batch)
+        if columns:  # the raw values are the key
+            yield from zip(batch, zip(*[values for _type, values in columns]))
+            continue
+        for env in batch:
+            key_values = []
+            for key_fn in key_fns:
+                atom = key_fn(ev, env)
+                if type(atom) is MANY:
+                    raise DynamicError(f"{clause} key with more than one item")
+                key_values.append(None if atom is None else atom.value)
+            yield env, tuple(key_values)
 
 
 def _grouped_rows(clause: ast.GroupByClause, groups: Iterable) -> Iterator[Env]:

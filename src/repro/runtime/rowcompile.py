@@ -5,9 +5,9 @@ evaluated one way: :func:`rowfn` compiles it **once** into a chain of plain
 closures — no per-node dispatch, no generator frames — and every caller
 runs that.  ``Evaluator.eval`` is ``rowfn(node)(evaluator, env)``; the FLWOR
 runtime (:mod:`repro.runtime.batchexec`) sets a clause up once for all the
-rows it will see and calls its closures per row.  :data:`_COMPILERS` is
-total over the expression classes.  A compiled expression has two calling
-conventions:
+rows it will see and calls its closures per row or per batch.
+:data:`_COMPILERS` is total over the expression classes.  A compiled
+expression has three calling conventions:
 
 * the **list form** ``f(evaluator, env) -> list[Item]`` — every shape has
   it, and it returns a **fresh list** per call (callers and builtin
@@ -20,7 +20,15 @@ conventions:
   runs on the lane and never builds, copies, re-atomizes or re-counts an
   item list (the paper's typed token stream, sections 5.1-5.2, serves the
   same end).  Each consumer turns ``MANY`` into the error the list form
-  raises for a multi-item operand, in the same left-to-right order.
+  raises for a multi-item operand, in the same left-to-right order;
+* the **column lane** ``f.column(evaluator, rows) -> (type_name, values) |
+  None`` (:func:`colfn`) — a whole batch at once, one raw Python value per
+  row, each a single atom of ``type_name``.  Only pure scalar shapes have
+  it, and its kernels are *total*: a value off their fast path (a type
+  but ``xs:integer`` / ``xs:string`` in, an empty or multi-item binding, a
+  ``mod`` operand below zero or a zero divisor) makes the call return
+  ``None``, never raise, and the consumer runs that batch on the atom
+  lane, so values, errors and error order are the atom lane's.
 
 ``Literal``, ``Arithmetic``, ``UnaryMinus``, ``Comparison``, ``And/Or``,
 ``cast``/``castable``/``instance of``, ``fn:data`` and a call of a *scalar*
@@ -86,11 +94,14 @@ same contract as ``_sql_text``).
 from __future__ import annotations
 
 import operator
+from operator import itemgetter
 from typing import Callable
 
 from ..errors import DynamicError, TypeMatchError
 from ..schema.dynamic import value_matches
+from ..schema.types import is_atomic_subtype
 from ..xml.items import (
+    UNTYPED,
     AtomicValue,
     AttributeNode,
     DeferredElement,
@@ -185,6 +196,20 @@ def truthfn(node: ast.AstNode) -> Callable:
         return atom_boolean_value(value)
 
     return truth
+
+
+def colfn(node: ast.AstNode) -> RowFn | None:
+    """The column lane of ``node`` (cached on its list form), or None.  Its
+    type is read from the values, once per batch: a static type only
+    approximates them (``$i + $s`` with ``$s`` as ``item()*`` is typed
+    ``xs:double`` and is an ``xs:integer`` at run time)."""
+    fn = rowfn(node)
+    try:
+        return fn.column
+    except AttributeError:
+        compiler = _COLUMNS.get(type(node).__name__)
+        column = fn.column = None if compiler is None else compiler(node)
+        return column
 
 
 def _raises(error: type, message: str) -> RowFn:
@@ -335,13 +360,26 @@ def _c_RangeTo(node: ast.RangeTo) -> RowFn:
     start_fn, end_fn = atomfn(node.start), atomfn(node.end)
 
     def call(evaluator, env):
-        start = _number(start_fn(evaluator, env), "range")
-        end = _number(end_fn(evaluator, env), "range")
+        start = _range_bound(start_fn(evaluator, env))
+        end = _range_bound(end_fn(evaluator, env))
         if start is None or end is None:
             return []
-        return [AtomicValue(i, "xs:integer") for i in range(int(start), int(end) + 1)]
+        return [AtomicValue(i, "xs:integer") for i in range(start, end + 1)]
 
     return call
+
+
+def _range_bound(value) -> int | None:
+    """A range operand as ``xs:integer?``: an untyped atom is cast."""
+    if value is None:
+        return None
+    if type(value) is MANY:
+        raise DynamicError("range: operand has more than one item")
+    if value.type_name == UNTYPED:
+        return _convert_atomic(value, "xs:integer").value
+    if type(value.value) is not int or not is_atomic_subtype(value.type_name, "xs:integer"):
+        raise DynamicError(f"range: an operand of type {value.type_name} is not an xs:integer")
+    return value.value
 
 
 #: operator -> what it computes over two ``int``s, always an ``int`` (so the
@@ -829,6 +867,109 @@ def _c_TypeswitchExpr(node: ast.TypeswitchExpr) -> RowFn:
 
 def _c_ErrorExpr(node: ast.ErrorExpr) -> RowFn:
     return _raises(DynamicError, f"evaluation of erroneous expression: {node.message}")
+
+
+# Column compilers (the contract is the module docstring's).  They compute
+# with the atom lane's operator tables: the lanes cannot disagree on one.
+
+#: the atom types a column gathers from a row -> the Python type of their
+#: values (an ``xs:boolean`` column is only ever a comparison's result)
+_RAW = {"xs:integer": int, "xs:string": str}
+
+
+def _k_Literal(node: ast.Literal):
+    type_name, value = node.value.type_name, node.value.value
+    if type(value) is not _RAW.get(type_name):
+        return None
+    return lambda evaluator, rows: (type_name, [value] * len(rows))
+
+
+def _k_VarRef(node: ast.VarRef):
+    bound = itemgetter(node.name)
+
+    def column(evaluator, rows):
+        try:  # one item per row; a name the rows lack is read by the atom lane
+            atoms = [atom for [atom] in map(bound, rows)]
+        except (KeyError, ValueError):
+            return None
+        type_name = atoms[0].type_name if type(atoms[0]) is AtomicValue else None
+        raw = _RAW.get(type_name)  # every atom of the first one's type
+        values = [atom.value for atom in atoms
+                  if type(atom) is AtomicValue and atom.type_name == type_name
+                  and type(atom.value) is raw]
+        return (type_name, values) if len(values) == len(atoms) else None
+
+    return column
+
+
+def _k_Arithmetic(node: ast.Arithmetic):
+    int_op, any_sign = _INT_ARITHMETIC.get(node.op), node.op != "mod"
+    left_fn, right_fn = colfn(node.left), colfn(node.right)
+    if int_op is None or left_fn is None or right_fn is None:
+        return None
+
+    def column(evaluator, rows):
+        left = left_fn(evaluator, rows)
+        if left is None or left[0] != "xs:integer":
+            return None
+        right = right_fn(evaluator, rows)
+        if right is None or right[0] != "xs:integer":
+            return None
+        left, right = left[1], right[1]
+        if any_sign or min(left) >= 0 < min(right):
+            return "xs:integer", list(map(int_op, left, right))
+        return None
+
+    return column
+
+
+def _k_Comparison(node: ast.Comparison):
+    compare = _COMPARISON.get(node.op)
+    left_fn, right_fn = colfn(node.left), colfn(node.right)
+    if compare is None or left_fn is None or right_fn is None:
+        return None
+
+    def column(evaluator, rows):
+        left = left_fn(evaluator, rows)
+        if left is None or left[0] not in _RAW:
+            return None
+        right = right_fn(evaluator, rows)
+        if right is None or right[0] != left[0]:
+            return None
+        return "xs:boolean", list(map(compare, left[1], right[1]))
+
+    return column
+
+
+def _k_FunctionCall(node: ast.FunctionCall):
+    if node.name == "fn:data" and len(node.args) == 1:
+        return colfn(node.args[0])
+    concat = all_builtins()["fn:concat"]
+    if node.name != concat.name or not concat.min_args <= len(node.args) <= concat.max_args:
+        return None
+    arg_fns = [colfn(arg) for arg in node.args]
+    if None in arg_fns:
+        return None
+
+    def column(evaluator, rows):
+        texts = []  # (an ``xs:integer``'s string value is its ``str``)
+        for arg_fn in arg_fns:
+            arg = arg_fn(evaluator, rows)
+            if arg is None or arg[0] not in _RAW:
+                return None
+            texts.append(arg[1] if arg[0] == "xs:string" else map(str, arg[1]))
+        return "xs:string", list(map("".join, zip(*texts)))
+
+    return column
+
+
+_COLUMNS: dict[str, Callable] = {
+    "Literal": _k_Literal,
+    "VarRef": _k_VarRef,
+    "Arithmetic": _k_Arithmetic,
+    "Comparison": _k_Comparison,
+    "FunctionCall": _k_FunctionCall,
+}
 
 
 _COMPILERS: dict[str, Callable] = {

@@ -32,6 +32,7 @@ from repro.runtime.kernels import (
 )
 from repro.runtime.operators.pushedsql import execute_pushed
 from repro.schema.dynamic import value_matches
+from repro.schema.types import is_atomic_subtype
 from repro.xml.items import AtomicValue, AttributeNode, Item, Node
 from repro.xml.qname import QName
 from repro.xquery import ast_nodes as ast
@@ -88,11 +89,26 @@ class ReferenceInterpreter(Evaluator):
         return self._eval_parts(node.items, env)
 
     def _eval_RangeTo(self, node: ast.RangeTo, env: Env) -> list[Item]:
-        start = self._single_numeric(node.start, env, "range")
-        end = self._single_numeric(node.end, env, "range")
+        start = self._range_bound(node.start, env)
+        end = self._range_bound(node.end, env)
         if start is None or end is None:
             return []
-        return [AtomicValue(i, "xs:integer") for i in range(int(start), int(end) + 1)]
+        return [AtomicValue(i, "xs:integer") for i in range(start, end + 1)]
+
+    def _range_bound(self, expr: ast.AstNode, env: Env) -> int | None:
+        """XQuery's ``xs:integer?`` conversion of a range operand."""
+        atoms = atomize(self.eval(expr, env))
+        if not atoms:
+            return None
+        if len(atoms) > 1:
+            raise DynamicError("range: operand has more than one item")
+        atom = atoms[0]
+        if atom.type_name == "xs:untypedAtomic":
+            return _convert_atomic(atom, "xs:integer").value
+        if isinstance(atom.value, bool) or not isinstance(atom.value, int) \
+                or not is_atomic_subtype(atom.type_name, "xs:integer"):
+            raise DynamicError(f"range: an operand of type {atom.type_name} is not an xs:integer")
+        return atom.value
 
     def _eval_Arithmetic(self, node: ast.Arithmetic, env: Env) -> list[Item]:
         left = self._single_numeric(node.left, env, node.op)

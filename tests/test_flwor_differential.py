@@ -42,6 +42,20 @@ multi-item keys — under ``=``, untyped keys against typed ones on either
 side — which the optimizer turns into index nested-loop joins; the
 reference runs them as the nested loop they were written as.
 
+A third (:func:`column_cases`) holds the *column lane* to the same
+outcomes: up to twelve rows of ``xs:integer`` values in which one or two
+rows hold a value off its fast path (:data:`OFF_PATH`: untyped, double,
+boolean, negative, zero, empty, two atoms, a node), read by each consumer
+of a column — ``where``, ``let``, group and order keys, a nested FLWOR on
+the eager driver and an ``eq`` index-join probe — so at every batch size
+some batches are answered by the column and the batch holding such a row
+falls back to the atom lane, and the values and the first error must
+still be the reference's.
+
+Where the reference shares the engine's plan, it cannot see a wrong plan:
+:data:`POSITIONAL` (filter predicates that may select by position) and
+:func:`test_range_operands_are_integers` assert values written by hand.
+
 The tier-1 slice is derandomized.  For a soak with fresh examples::
 
     PYTHONPATH=src python tests/test_flwor_differential.py 2000
@@ -160,7 +174,8 @@ PROBES = [
     "for $z at $q in $b let $w := ($z, $x) where $q lt 3 return <W>{$w}</W>",
     "<E?>{fn:data($b[. = $x])}</E>",
     # predicates on a filter: boolean, positional, the focus functions, chained
-    # (the optimizer makes a FLWOR of a filter with no numeric literal in it)
+    # (the optimizer makes a FLWOR of a filter whose predicates are boolean or
+    # nodes; :data:`POSITIONAL` holds what the others must select)
     "$b[2]", "$b[fn:true()]", "$b[. instance of xs:integer][2]", "($a, $b)[3][1]",
     "$b[fn:position() gt 1][1]", "$b[2][fn:last()]", "$b[1][. = $x]",
     "$b[fn:position() lt 3]", "$b[fn:last()]", "$n[C = $x]", "$n[2]/C[1]",
@@ -419,6 +434,59 @@ def test_scalar_kernels_over_every_operand_kind():
                 check(query, {"l": left, "r": right, "x": _atoms("a3A")})
 
 
+def expect(query: str, variables: dict, expected: str) -> None:
+    """``query`` gives ``expected`` — a serialized result or an error's
+    text, written by hand — at every batch size, and so does the reference."""
+    check(query, variables)
+    engine = platforms()["same-plan"]
+    assert outcome(lambda: engine.execute(query, variables)) == expected, query
+
+
+#: predicates over ``$b`` = (10, 20, 30) and the items XQuery keeps: a value
+#: that may be numeric selects by position, one that reads the focus sees
+#: its own item's (a nested predicate has a focus of its own), and only a
+#: boolean or a node sequence is read as an effective boolean value
+POSITIONAL = [
+    ("$b[$i]", "20"), ("$b[fn:count((1, 2))]", "20"), ("$b[$i + 1]", "30"),
+    ("$b[fn:position() lt 3]", "10 20"), ("$b[fn:last()]", "30"),
+    ("$b[fn:position() eq fn:last() - 1]", "20"), ("$b[fn:position() gt 1][1]", "20"),
+    ("$b[$i][fn:last()]", "20"), ("$b[$t]", "10 20 30"), ("$b[$e]", ""),
+    ("$b[. gt 15]", "20 30"), ("$b[fn:exists($i)]", "10 20 30"),
+    ("$b[fn:exists($b[fn:position() eq 3])]", "10 20 30"),
+    # a FLWOR base: only the predicates before the first positional one
+    # may become its `where`s
+    ("(for $v in $b return $v + 0)[$i][. gt 15]", "20"),
+    ("(for $v in $b return $v + 0)[. gt 15][$i]", "30"),
+    ("(for $v in $b return $v + 0)[. gt 5][fn:last()][. gt 25]", "30"),
+    ("(for $v in $b return $v + 0)[1][. gt 15]", ""),
+]
+
+
+def test_predicates_that_may_be_numeric_select_by_position():
+    variables = {"b": _atoms(10, 20, 30), "i": _atoms(2), "t": _atoms("x"), "e": []}
+    for predicate, kept in POSITIONAL:
+        expect(f"for $x in (1, 2) return <P>{{{predicate}}}</P>", variables,
+               f"<P>{kept}</P>" * 2 if kept else "<P/><P/>")
+
+
+def test_range_operands_are_integers():
+    """Each operand of ``to`` is converted to ``xs:integer?``: an untyped
+    atom is cast, any other atom that is not an integer is a type error."""
+    variables = {"u": [AtomicValue("2", "xs:untypedAtomic")], "n": [node("V", "2")],
+                 "f": [AtomicValue(True, "xs:boolean")]}
+
+    def wrong(type_name: str) -> str:
+        return f"DynamicError: range: an operand of type {type_name} is not an xs:integer"
+
+    for operands, expected in [
+            ("2 to 4", "<P>2 3 4</P>"), ("$u to 3", "<P>2 3</P>"), ("1 to $n", "<P>1 2</P>"),
+            ("() to 3", "<P/>"), ("1 to ()", "<P/>"), ("1.5 to 3", wrong("xs:decimal")),
+            ("1e0 to 3", wrong("xs:double")), ('"2" to 3', wrong("xs:string")),
+            ("1 to $f", wrong("xs:boolean")),
+            ("1 to (2, 3)", "DynamicError: range: operand has more than one item")]:
+        expect(f"<P>{{{operands}}}</P>", variables, expected)
+
+
 def test_the_left_operand_fails_first():
     """``_number(left)`` runs before the right operand is evaluated: a left
     operand of two atoms, a boolean or unparsable text is the error
@@ -432,6 +500,60 @@ def test_the_left_operand_fails_first():
                 variables = {"b": left, "x": _atoms("z")}
                 check(query, variables)
                 assert "'z'" not in outcome(lambda: every.execute(query, variables))
+
+
+# -- the column lane: batches in which a row leaves it --------------------------
+
+#: what ``$y`` is bound to in a row off the column lane's fast path
+OFF_PATH = {
+    "untyped": [AtomicValue("3", "xs:untypedAtomic")], "double": [AtomicValue(2.5, "xs:double")],
+    "boolean": [AtomicValue(True, "xs:boolean")], "negative": _atoms(-4), "zero": _atoms(0),
+    "empty": [], "two atoms": _atoms(1, 2), "node": [node("V", "3")],
+}
+
+#: each consumer of a column over ``$y``, with what follows it (``$y`` is
+#: read twice, so its ``let`` stays a clause)
+COLUMN_TAILS = [
+    # where: the boolean column is the mask
+    "where ($y mod 3) eq 1 return <R>{$i}{$y}</R>",
+    'where fn:concat("k", $y) ne "k4" return <R>{$i}{$y}</R>',
+    "where (($y mod 3) eq 1) eq ($i gt 4) return <R>{$i}{$y}</R>",  # two boolean columns
+    "where $y mod 3 return <R>{$i}{$y}</R>",  # an integer's effective boolean value
+    # let: one atom boxed per row; ``mod`` with a zero or negative operand
+    "let $z := ($y * 2) - $i return <R>{$z}{$y}</R>",
+    "let $z := 7 mod $y return <R>{$z}{$y}</R>",
+    # group-by: the values are the key
+    "group $i as $is, $y as $ys by $y mod 4 as $k return <G>{$k}{$is}{$ys}</G>",
+    # order-by: the keys a batch at a time, then one sort
+    "order by $y mod 5 descending, $i return <R>{$i}{$y}</R>",
+    # the eager driver: a nested FLWOR's let and where
+    "return <R>{$y}{for $j in (1 to 3) let $w := $y + $j where $w mod 2 eq 0 return $w}</R>",
+]
+
+#: the index-join probe under ``eq``, against typed keys (``eq`` hashes an
+#: untyped key as its text, whatever it meets)
+JOIN_TAIL = "for $r in $rows where $r/K eq $y mod 3 return <R>{$i}{$y}{$r}</R>"
+KEYED_ROWS = [node("R", element("K", key)) for key in (0, 1, 2, 2)]
+
+
+@st.composite
+def column_cases(draw, tails):
+    """``(query, variables)``: up to twelve rows whose ``$y`` is an
+    ``xs:integer`` but in rows ``k1`` and ``k2`` (if they are in range),
+    where it is off the fast path, and a consumer of a column over it."""
+    rows = draw(st.integers(1, 12))
+    k1, k2 = draw(st.integers(0, rows + 1)), draw(st.integers(0, rows + 1))
+    off = st.sampled_from(sorted(OFF_PATH))
+    query = (f"for $i in (1 to {rows}) let $y := if ($i eq {k1}) then $o1 "
+             f"else if ($i eq {k2}) then $o2 else $i + {draw(st.sampled_from([0, 5]))} "
+             + draw(st.sampled_from(tails)))
+    return query, {"o1": OFF_PATH[draw(off)], "o2": OFF_PATH[draw(off)], "rows": KEYED_ROWS}
+
+
+test_the_column_lane_falls_back_a_batch_at_a_time = differential(
+    column_cases(COLUMN_TAILS), "same-plan", 200)
+test_the_column_lane_probe_falls_back_a_batch_at_a_time = differential(
+    column_cases([JOIN_TAIL]), "nested-loop", 60)
 
 
 # -- scoping: a request's bindings are the root row ----------------------------
@@ -478,6 +600,8 @@ if __name__ == "__main__":
     examples = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
     differential(flwor_cases(), "same-plan", examples, derandomize=False)()
     print(f"{examples} generated FLWORs: every batch size equals the reference")
+    differential(column_cases(COLUMN_TAILS), "same-plan", examples // 4, derandomize=False)()
+    print(f"{examples // 4} generated column-lane fallbacks equal the reference")
     if "--no-joins" not in sys.argv:
         differential(join_cases(), "nested-loop", examples // 4, derandomize=False)()
         print(f"{examples // 4} generated index joins equal the nested loop")
