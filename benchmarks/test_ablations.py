@@ -47,9 +47,7 @@ def platform_with(**knobs):
         customers=N, orders_per_customer=3, deploy_profile=False,
         db_latency=LatencyModel(roundtrip_ms=5.0, per_row_ms=0.05),
     )
-    for name, value in knobs.items():
-        setattr(platform.options.push, name, value)
-    platform._invalidate_plans()
+    platform.configure(**knobs)
     return platform
 
 
@@ -67,7 +65,7 @@ def test_a1_pushdown_ablation(benchmark, report):
     from repro.xml import serialize
 
     _p, on_result, on_ms, on_trips, on_rows = measure(JOIN_QUERY)
-    _p, off_result, off_ms, off_trips, off_rows = measure(JOIN_QUERY, enabled=False)
+    _p, off_result, off_ms, off_trips, off_rows = measure(JOIN_QUERY, pushdown=False)
     assert serialize(on_result) == serialize(off_result)
     assert on_trips < off_trips and on_rows < off_rows
     benchmark(lambda: measure(JOIN_QUERY))

@@ -57,7 +57,7 @@ def make_platform(profile: str):
         customers=N_CUSTOMERS, orders_per_customer=0, deploy_profile=False,
         db_latency=LatencyModel(**PROFILES[profile]),
     )
-    platform.set_ppk_block_size(20)
+    platform.configure(ppk_block_size=20)
     return platform
 
 
@@ -77,7 +77,7 @@ def timed(platform) -> dict:
 
 def run_fixed(profile: str, k: int) -> dict:
     platform = make_platform(profile)
-    platform.set_ppk_block_size(k)
+    platform.configure(ppk_block_size=k)
     return {"k": k, **timed(platform)}
 
 
@@ -85,7 +85,7 @@ def run_adaptive(profile: str) -> tuple[dict, dict]:
     """(cold, warm): the warm run re-executes on the same platform, so the
     observed cost model starts with the cold run's samples."""
     platform = make_platform(profile)
-    platform.set_adaptive_ppk(True)
+    platform.configure(adaptive_ppk=True)
     cold = timed(platform)
     warm = timed(platform)
     return cold, warm
@@ -93,14 +93,14 @@ def run_adaptive(profile: str) -> tuple[dict, dict]:
 
 def run_window(profile: str, window: int) -> dict:
     platform = make_platform(profile)
-    platform.set_ppk_prefetch_window(window)
+    platform.configure(ppk_prefetch_window=window)
     return {"window": window, **timed(platform)}
 
 
 def run_scatter(parallel: bool) -> dict:
     platform = build_demo_platform(customers=N_CUSTOMERS, orders_per_customer=0,
                                    deploy_profile=False)
-    platform.set_parallel_regions(parallel)
+    platform.configure(parallel_regions=parallel)
     start = platform.clock.now_ms()
     result = platform.execute(SCATTER_QUERY)
     return {"parallel": parallel, "results": len(result),

@@ -29,7 +29,7 @@ from pathlib import Path
 from repro.clock import VirtualClock
 from repro.demo import build_demo_platform
 from repro.errors import AdmissionError
-from repro.observability import chrome_trace_json
+from repro.observability import ContinuousConfig, chrome_trace_json
 from repro.server import AdmissionController, DataServer, TenantQuota
 from repro.xml.items import AtomicValue
 
@@ -69,15 +69,15 @@ def simulated_cost(platform, server, sid) -> float:
     """Simulated ms of eight mixed requests with tracing off — and, checked
     here, exactly the same with every request sampled (spans never charge
     the virtual clock)."""
-    platform.set_continuous(enabled=False)
+    platform.configure(continuous=None)
     sim_start = platform.clock.now_ms()
     run_mixed(server, sid, 8)
     sim_off = platform.clock.now_ms() - sim_start
-    platform.set_continuous(sample_rate=1.0, slow_ms=1e9)
+    platform.configure(continuous=ContinuousConfig(sample_rate=1.0, slow_ms=1e9))
     sim_start = platform.clock.now_ms()
     run_mixed(server, sid, 8)
     sim_on = platform.clock.now_ms() - sim_start
-    platform.set_continuous(enabled=False)
+    platform.configure(continuous=None)
     assert abs(sim_on - sim_off) < 1e-6, \
         f"continuous tracing changed simulated cost: {sim_off} vs {sim_on}"
     return sim_off
@@ -130,13 +130,13 @@ def test_always_on_overhead_within_gate(report):
         # compare the floors (min is robust to load spikes inflating a pass)
         off_times, on_times = [], []
         for _ in range(INTERLEAVED_TRIALS):
-            platform.set_continuous(enabled=False)
+            platform.configure(continuous=None)
             run_mixed(server, sid, 4)
             off_times.append(timed())
-            platform.set_continuous(sample_rate=SAMPLE_RATE, slow_ms=1e9)
+            platform.configure(continuous=ContinuousConfig(sample_rate=SAMPLE_RATE, slow_ms=1e9))
             run_mixed(server, sid, 4)
             on_times.append(timed())
-        platform.set_continuous(enabled=False)
+        platform.configure(continuous=None)
         return min(off_times), min(on_times)
 
     # the gate claims an upper bound, so one clean round suffices: a busy
@@ -169,8 +169,9 @@ def retention_run():
     platform, server = build_server(
         quota=TenantQuota(capacity=8, refill_per_s=0.0))
     # lookups cost ~5 simulated ms, scans ~257: slow_ms=100 splits them
-    tracer = platform.set_continuous(sample_rate=1.0, slow_ms=100.0,
-                                     retain_capacity=256)
+    platform.configure(continuous=ContinuousConfig(
+        sample_rate=1.0, slow_ms=100.0, retain_capacity=256))
+    tracer = platform.tracer
     session = server.open_session("acme", "pw")
     sheds = 0
     for i in range(12):  # 8 admitted, then the dry quota sheds 4
@@ -243,8 +244,9 @@ def test_tail_retention_and_ledger_reconcile(report):
 def test_retained_traces_byte_deterministic(report):
     def run_once() -> tuple[str, dict]:
         platform, server = build_server()
-        tracer = platform.set_continuous(sample_rate=0.5, seed=29,
-                                         slow_ms=0.0, retain_capacity=256)
+        platform.configure(continuous=ContinuousConfig(
+            sample_rate=0.5, seed=29, slow_ms=0.0, retain_capacity=256))
+        tracer = platform.tracer
         session = server.open_session("acme", "pw")
         run_mixed(server, session.session_id, 16)
         return chrome_trace_json(tracer.retained_roots()), tracer.snapshot()

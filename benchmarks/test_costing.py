@@ -74,7 +74,7 @@ def make_platform(outer: int, inner: int, distinct: int,
              "BALANCE": 10 * i})
     platform.register_database(crm)
     platform.register_database(billing)
-    platform.set_ppk_block_size(20)
+    platform.configure(ppk_block_size=20)
     return platform
 
 
@@ -92,12 +92,12 @@ def chosen_strategy(platform) -> str:
 
 def run_profile(config: dict) -> dict:
     costed = make_platform(**config)
-    costed.set_cost_based(True)
+    costed.configure(cost_based=True)
     row = {"config": config, "chosen": chosen_strategy(costed),
            "costed": timed(costed), "forced": {}}
     for strategy in STRATEGIES:
         platform = make_platform(**config)
-        platform.set_cost_based(True, force=strategy)
+        platform.configure(cost_based=True, force_strategy=strategy)
         row["forced"][strategy] = timed(platform)
     return row
 
@@ -106,9 +106,9 @@ def run_replan() -> dict:
     def lying_platform(threshold):
         platform = make_platform(**REPLAN)
         platform.statistics.set_table_stats("crm", "CUSTOMER", rows=5)
-        platform.set_cost_based(True)
+        platform.configure(cost_based=True)
         if threshold:
-            platform.set_replan_threshold(threshold)
+            platform.configure(replan_threshold=threshold)
         return platform
 
     bad = lying_platform(None)
@@ -120,7 +120,7 @@ def run_replan() -> dict:
     assert replanning.ctx.stats.replans == 1
 
     good = make_platform(**REPLAN)  # honest statistics
-    good.set_cost_based(True)
+    good.configure(cost_based=True)
     good_run = timed(good)
 
     assert bad_run["results"] == replan_run["results"] == good_run["results"]

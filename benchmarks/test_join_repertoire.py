@@ -32,7 +32,7 @@ def platform_with_regions(tmp_path, index_join=True):
     record = shape("REGION_ROW", [leaf("CID", "xs:string"), leaf("REGION", "xs:string")])
     platform.register_csv_file("REGIONS", path, record)
     if not index_join:
-        platform.set_pushdown_enabled(False)  # also disables join rewriting
+        platform.configure(pushdown=False)  # also disables join rewriting
     return platform
 
 

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.demo import build_demo_platform
+from repro.observability import TRACE_ALL
 
 QUERY = '''
 for $c in CUSTOMER()
@@ -48,7 +49,7 @@ def exact_document(platform) -> dict:
     """The contract half: crossings counted with tracing off, spans
     recorded with it on, the simulated cost of both (virtual clock)."""
     # -- off: the contract -------------------------------------------------
-    platform.set_tracing(False)
+    platform.configure(continuous=None)
     platform.reset_stats()
     calls_before = platform.tracer.calls
     sim_start = platform.clock.now_ms()
@@ -60,7 +61,7 @@ def exact_document(platform) -> dict:
     assert platform.tracer.spans_allocated == 0  # off costs no allocation
 
     # -- on: spans recorded, simulated cost unchanged ----------------------
-    platform.set_tracing(True)
+    platform.configure(continuous=TRACE_ALL)
     platform.reset_stats()
     sim_start = platform.clock.now_ms()
     platform.execute(QUERY)
@@ -69,7 +70,7 @@ def exact_document(platform) -> dict:
     assert spans > 0
     # tracing never charges the virtual clock (only float summation noise)
     assert sim_on == pytest.approx(sim_off)
-    platform.set_tracing(False)
+    platform.configure(continuous=None)
     return {
         "workload": f"PP-k credit-card join, {N_CUSTOMERS} customers, k={K}, "
                     f"{REPETITIONS} repetitions",
@@ -83,7 +84,7 @@ def exact_document(platform) -> dict:
 def warm_platform():
     platform = build_demo_platform(customers=N_CUSTOMERS, orders_per_customer=0,
                                    deploy_profile=False)
-    platform.set_ppk_block_size(K)
+    platform.configure(ppk_block_size=K)
     platform.execute(QUERY)  # warm plan cache: measure execution, not parsing
     return platform
 
@@ -95,10 +96,10 @@ def test_tracing_overhead_off_vs_on(benchmark, report):
         f"{BENCH_FILE.name} moved; if it was meant to: python {Path(__file__).name}"
 
     off_wall = wall(lambda: platform.execute(QUERY))
-    platform.set_tracing(True)
+    platform.configure(continuous=TRACE_ALL)
     on_wall = wall(lambda: platform.execute(QUERY))
     benchmark(lambda: platform.execute(QUERY))
-    platform.set_tracing(False)
+    platform.configure(continuous=None)
 
     report("tracing overhead, off vs on (O-OBS)", [
         f"instrumentation crossings/query: "

@@ -34,7 +34,7 @@ def run_once(k):
         customers=N_CUSTOMERS, orders_per_customer=0, deploy_profile=False,
         db_latency=LatencyModel(roundtrip_ms=5.0, per_row_ms=0.05),
     )
-    platform.set_ppk_block_size(k)
+    platform.configure(ppk_block_size=k)
     start = platform.clock.now_ms()
     result = platform.execute(QUERY)
     elapsed = platform.clock.now_ms() - start

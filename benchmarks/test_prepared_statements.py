@@ -39,9 +39,9 @@ def run_once(cache: bool, pipeline: bool) -> dict:
         customers=N_CUSTOMERS, orders_per_customer=0, deploy_profile=False,
         db_latency=LatencyModel(**LATENCY),
     )
-    platform.set_ppk_block_size(K)
-    platform.set_statement_cache_enabled(cache)
-    platform.set_ppk_pipelining(pipeline)
+    platform.configure(ppk_block_size=K)
+    platform.configure(statement_cache=cache)
+    platform.configure(ppk_pipelining=pipeline)
     start = platform.clock.now_ms()
     result = platform.execute(QUERY)
     elapsed = platform.clock.now_ms() - start

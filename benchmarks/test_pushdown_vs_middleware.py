@@ -31,7 +31,7 @@ def run_once(customers, pushdown):
         customers=customers, orders_per_customer=4, deploy_profile=False,
         db_latency=LatencyModel(roundtrip_ms=5.0, per_row_ms=0.05),
     )
-    platform.set_pushdown_enabled(pushdown)
+    platform.configure(pushdown=pushdown)
     start = platform.clock.now_ms()
     result = platform.execute(QUERY)
     custdb = platform.ctx.databases["custdb"]

@@ -40,8 +40,8 @@ def run_once(policy: str) -> dict:
         customers=N_CUSTOMERS, orders_per_customer=0, deploy_profile=False,
         db_latency=LatencyModel(**LATENCY),
     )
-    platform.set_ppk_block_size(K)
-    platform.set_partial_results(True)
+    platform.configure(ppk_block_size=K)
+    platform.configure(partial_results=True)
     if policy == "retry":
         platform.set_source_policy("ccdb", retry=RetryPolicy(
             max_attempts=3, backoff_ms=10.0, multiplier=2.0))

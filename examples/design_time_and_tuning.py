@@ -84,7 +84,7 @@ for name in platform.observed.sources():
           f"per-row={estimate.per_row_ms:.2f}ms "
           f"-> recommended k={platform.recommended_ppk(name)}")
 
-before = platform.options.push.ppk_block_size
+before = platform.config.ppk_block_size
 chosen = platform.adapt_ppk()
 print(f"  PP-k block size adapted: {before} -> {chosen} "
       "(derived from observations, not a cost model)")

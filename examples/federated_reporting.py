@@ -47,7 +47,7 @@ def run_workload(pushdown: bool):
         customers=60, orders_per_customer=4, deploy_profile=False,
         db_latency=LatencyModel(roundtrip_ms=5.0, per_row_ms=0.05),
     )
-    platform.set_pushdown_enabled(pushdown)
+    platform.configure(pushdown=pushdown)
     custdb = platform.ctx.databases["custdb"]
     start = platform.clock.now_ms()
     outputs = {

@@ -12,6 +12,7 @@ Start with :class:`repro.Platform` — see ``examples/quickstart.py``.
 """
 
 from .clock import Clock, VirtualClock, WallClock
+from .config import EngineConfig
 from .diagnostics import Diagnostic, DiagnosticReport, Severity
 from .errors import (
     ConcurrencyError,
@@ -52,6 +53,7 @@ __all__ = [
     "Clock",
     "VirtualClock",
     "WallClock",
+    "EngineConfig",
     "Diagnostic",
     "DiagnosticReport",
     "Severity",

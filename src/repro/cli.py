@@ -20,8 +20,10 @@ All subcommands build the Figure-3 federation of :mod:`repro.demo`
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
+from .config import EngineConfig
 from .demo import build_demo_platform
 from .xml import serialize
 
@@ -32,23 +34,34 @@ def _build(args) -> object:
         orders_per_customer=args.orders,
         ws_latency_ms=args.ws_latency,
     )
-    if args.async_workers:
-        platform.set_async_workers(args.async_workers)
-    if args.ppk_window != 1:
-        platform.set_ppk_prefetch_window(args.ppk_window)
-    if args.adaptive_ppk:
-        platform.set_adaptive_ppk(True)
-    if args.no_parallel_regions:
-        platform.set_parallel_regions(False)
-    if args.batch_size:
-        platform.set_batch_size(args.batch_size)
-    if args.cost_based or args.force_strategy:
-        platform.set_cost_based(True, force=args.force_strategy or None)
-    if args.replan_threshold:
-        platform.set_replan_threshold(args.replan_threshold)
-    if args.no_tracing:
-        platform.set_tracing_allowed(False)
+    platform.configure(**dict(args.set))
     return platform
+
+
+#: how ``--set`` reads a value, per scalar field type of EngineConfig
+_PARSERS = {
+    "bool": lambda raw: {"true": True, "false": False}[raw.lower()],
+    "int": int,
+    "float | None": lambda raw: None if raw.lower() == "none" else float(raw),
+    "str | None": lambda raw: None if raw.lower() == "none" else raw,
+}
+
+
+def _setting(text: str) -> tuple[str, object]:
+    """``--set NAME=VALUE``: one scalar :class:`EngineConfig` field, its
+    value parsed by the field's type and validated as ``configure`` would."""
+    name, sep, raw = text.partition("=")
+    parsers = {f.name: _PARSERS[f.type] for f in dataclasses.fields(EngineConfig)
+               if f.type in _PARSERS}
+    if not sep or name not in parsers:
+        raise argparse.ArgumentTypeError(
+            f"expected NAME=VALUE with NAME one of {', '.join(parsers)}")
+    try:
+        value = parsers[name](raw)
+        dataclasses.replace(EngineConfig(), **{name: value})
+    except (KeyError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"bad value for {name}: {raw!r} ({exc})")
+    return name, value
 
 
 def _cmd_demo(args) -> int:
@@ -143,7 +156,7 @@ def _cmd_health(args) -> int:
     from .resilience import FaultInjector
 
     platform = _build(args)
-    platform.set_partial_results(True)
+    platform.configure(partial_results=True)
     if args.retry or args.breaker or args.timeout:
         platform.set_source_policy(
             "*", retry=args.retry or None, breaker=args.breaker or None,
@@ -206,14 +219,14 @@ def _cmd_trace(args) -> int:
     ``chrome://tracing`` / Perfetto); ``--tree`` prints the span tree and
     ``--profile`` the plan annotated with per-operator actuals.
     """
-    from .observability import chrome_trace_json, render_span_tree
+    from .observability import TRACE_ALL, chrome_trace_json, render_span_tree
 
     platform = _build(args)
     try:
         if args.profile:
             print(platform.profile(args.xquery).text)
             return 0
-        platform.set_tracing(True)
+        platform.configure(continuous=TRACE_ALL)
         platform.execute(args.xquery)
         if args.tree:
             for root in platform.tracer.roots:
@@ -234,11 +247,11 @@ def _cmd_stats(args) -> int:
     seconds of the clock (O-CONT), fed by continuous sampled tracing."""
     import json
 
-    from .observability import render_metrics, render_window
+    from .observability import TRACE_ALL, render_metrics, render_window
 
     platform = _build(args)
     try:
-        platform.set_tracing(True)
+        platform.configure(continuous=TRACE_ALL)
         if args.xquery:
             platform.execute(args.xquery)
         else:
@@ -396,12 +409,13 @@ def _cmd_flight(args) -> int:
     import json
 
     from .errors import AdmissionError
+    from .observability import ContinuousConfig
     from .xml.items import AtomicValue
 
     platform, server = _serving_world(args)
     try:
-        platform.set_continuous(sample_rate=args.sample_rate, seed=args.seed,
-                                slow_ms=args.slow_ms)
+        platform.configure(continuous=ContinuousConfig(
+            sample_rate=args.sample_rate, seed=args.seed, slow_ms=args.slow_ms))
         for tenant, secret in (("acme", "acme-secret"),
                                ("globex", "globex-secret")):
             session = server.open_session(tenant, secret)
@@ -462,32 +476,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="orders per customer")
     parser.add_argument("--ws-latency", type=float, default=30.0,
                         help="web-service latency in simulated ms")
-    parser.add_argument("--async-workers", type=int, default=0,
-                        help="async executor worker-pool size (0 = default)")
-    parser.add_argument("--ppk-window", type=int, default=1,
-                        help="PP-k prefetch window W (block fetches in flight)")
-    parser.add_argument("--adaptive-ppk", action="store_true",
-                        help="re-size PP-k blocks from observed source costs")
-    parser.add_argument("--no-parallel-regions", action="store_true",
-                        help="disable scatter execution of independent regions")
-    parser.add_argument("--batch-size", type=int, default=0,
-                        help="rows one pull moves through the FLWOR pipeline "
-                             "(1 = a batch of one, 0 = default 256)")
-    parser.add_argument("--cost-based", action="store_true",
-                        help="choose join strategies and join order from "
-                             "statistics instead of the fixed heuristics "
-                             "(P-COST)")
-    parser.add_argument("--force-strategy", default="",
-                        choices=["", "ppk", "index-join", "ship-all"],
-                        help="pin every convertible join region to one "
-                             "strategy (implies --cost-based; for ablation)")
-    parser.add_argument("--replan-threshold", type=float, default=0.0,
-                        help="mid-query re-plan when observed cardinality "
-                             "diverges from the estimate by this factor "
-                             "(> 1.0; 0 = off)")
-    parser.add_argument("--no-tracing", action="store_true",
-                        help="administratively disallow tracing on this "
-                             "platform (enabling it fails with ALDSP-E501)")
+    parser.add_argument("--set", type=_setting, action="append", default=[],
+                        metavar="NAME=VALUE",
+                        help="set one engine configuration field (repeatable; "
+                             "see README \"Configuration\"), e.g. "
+                             "batch_size=1, cost_based=true, "
+                             "replan_threshold=none")
     commands = parser.add_subparsers(dest="command", required=True)
 
     commands.add_parser("demo", help="run the Figure-3 running example") \

@@ -11,12 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..config import DEFAULT_PPK_BLOCK_SIZE
 from ..sql.ast_nodes import Select
 from ..xquery import ast_nodes as ast
-
-#: default PP-k block size; "ALDSP uses a medium-sized k value (20) that has
-#: been empirically shown to work well" (section 4.2).
-DEFAULT_PPK_BLOCK_SIZE = 20
 
 
 @dataclass

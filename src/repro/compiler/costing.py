@@ -40,8 +40,8 @@ over the transformed tree, so warm-start lookups join the stats store on
 the ids the executed plan actually carried.
 
 :func:`admission_cost` is the same per-operator time model under cold
-priors, normalized to keyed-lookup units — ``server/cost.py`` delegates
-to it, replacing its hand-tuned weights.
+priors, normalized to keyed-lookup units — what the serving layer's
+admission control prices a request at (``server/frontend.py``).
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from ..config import STRATEGIES
 from ..sql.ast_nodes import TableRef
 from ..xquery import ast_nodes as ast
 from .algebra import (
@@ -66,10 +67,7 @@ from .stats import DEFAULT_SELECTIVITY, clamp_selectivity
 #: middleware hash build/probe CPU per row
 PROBE_MS = 0.001
 
-PPK = "ppk"
-INDEX_JOIN = "index-join"
-SHIP_ALL = "ship-all"
-STRATEGIES = (PPK, INDEX_JOIN, SHIP_ALL)
+PPK, INDEX_JOIN, SHIP_ALL = STRATEGIES
 
 # -- cold priors for the admission estimator (no statistics available) ------
 
@@ -86,31 +84,28 @@ ADMISSION_UNIT_MS = PRIOR_ROUNDTRIP_MS + PRIOR_PER_ROW_MS
 
 @dataclass
 class CostingOptions:
-    """Compiler-side configuration for the costing pass."""
+    """What the costing pass reads besides the plan (whether it runs, and
+    any forced strategy, are ``EngineConfig.cost_based`` and
+    ``force_strategy``)."""
 
-    #: off by default: plans stay byte-identical to the heuristic compiler
-    enabled: bool = False
     #: the statistics layer (:class:`~repro.compiler.stats.StatisticsCatalog`)
     catalog: object = None
     #: the observed-statistics store, for warm-start costing (may be None)
     store: object = None
-    #: force one strategy on every convertible region (ablation/benchmarks)
-    force: str | None = None
-    #: greedy cost-ordered reordering of independent single-match units
-    reorder: bool = True
     #: middleware hash-join CPU charge per PP-k tuple
     ppk_join_ms_per_tuple: float = 0.01
 
 
-def apply_costing(expr: ast.AstNode, plan_key: str,
-                  options: CostingOptions) -> ast.AstNode:
+def apply_costing(expr: ast.AstNode, plan_key: str, options: CostingOptions,
+                  force: str | None = None) -> ast.AstNode:
     """Run the costing pass over a pushed plan (in place) and return it.
-    ``plan_key`` is what the runtime will observe the plan under."""
+    ``plan_key`` is what the runtime will observe the plan under;
+    ``force`` pins every convertible region to one strategy."""
     if options.catalog is None:
         return expr
     from ..observability import plan_fingerprint
 
-    _CostingPass(options, plan_fingerprint(plan_key)).run(expr)
+    _CostingPass(options, plan_fingerprint(plan_key), force).run(expr)
     return expr
 
 
@@ -140,11 +135,12 @@ class _Unit:
 
 
 class _CostingPass:
-    def __init__(self, options: CostingOptions, fingerprint: str):
+    def __init__(self, options: CostingOptions, fingerprint: str,
+                 force: str | None):
         from ..xquery.functions import all_builtins
 
         self.catalog = options.catalog
-        self.options = options
+        self.force = force
         self.join_ms = options.ppk_join_ms_per_tuple
         self._builtins = all_builtins()
         #: observed per-operator EWMAs for this plan's fingerprint
@@ -291,7 +287,7 @@ class _CostingPass:
     # -- decision ------------------------------------------------------------
 
     def _decide_run(self, clauses, i, units, n) -> tuple[int, float]:
-        if self.options.reorder and len(units) > 1:
+        if len(units) > 1:
             units = self._reorder(units, n)
             pairs: list[ast.Clause] = []
             for unit in units:
@@ -360,7 +356,7 @@ class _CostingPass:
         ranked = sorted(STRATEGIES, key=lambda s: costs[s]) if convertible \
             else [PPK]
         winner = ranked[0]
-        force = self.options.force
+        force = self.force
         if force is not None:
             winner = force if (force == PPK or convertible) else PPK
         runner = next((s for s in ranked if s != winner), None)

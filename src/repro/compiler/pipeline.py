@@ -18,6 +18,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..concurrency import RACE, TrackedRLock, guarded_by
+from ..config import EngineConfig
 from ..errors import StaticError
 from ..schema.types import ITEM_STAR, atomic
 from ..xquery import ast_nodes as ast
@@ -30,28 +31,17 @@ from .optimizer import Optimizer
 from .views import ViewPlanCache
 
 
-def _default_push_options():
-    from ..sql.generate import PushOptions
-
-    return PushOptions()
-
-
 @dataclass
 class CompilerOptions:
     #: "runtime" fails on the first error; "design" recovers (section 4.1)
     mode: str = "runtime"
-    push: object = field(default_factory=_default_push_options)
+    #: the engine configuration's compile-time fields shape the plan
+    config: EngineConfig = field(default_factory=EngineConfig)
     #: functions kept as calls (result caching granularity)
     no_inline: set[tuple[str, int]] = field(default_factory=set)
-    #: run the plan verifier (:mod:`repro.compiler.verify`) on every
-    #: compiled plan.  In runtime mode error-severity diagnostics raise
-    #: :class:`~repro.errors.PlanVerificationError`; in design mode they
-    #: are collected on the plan like analysis errors.
-    verify: bool = True
-    #: cost-based plan choice (:mod:`repro.compiler.costing`): a
-    #: :class:`~repro.compiler.costing.CostingOptions` or None.  The pass
-    #: only runs when present *and* enabled, so the default compiler
-    #: produces byte-identical heuristic plans.
+    #: what the costing pass reads (:mod:`repro.compiler.costing`): a
+    #: :class:`~repro.compiler.costing.CostingOptions`, or None for a
+    #: compiler with no statistics (the pass then never runs)
     cost: object = None
 
 
@@ -64,7 +54,8 @@ class CompiledPlan:
     module: ast.Module | None
     errors: list[str] = field(default_factory=list)
     source: str = ""
-    #: plan-verifier findings (None when verification was disabled)
+    #: plan-verifier findings (None when analysis errors stopped the
+    #: compile before the verifier)
     diagnostics: object | None = None
     #: a plan served by the plan cache carries the values of the literals
     #: that were lifted out of its text (``$#litK`` -> items), bound as
@@ -171,14 +162,16 @@ class Compiler:
         expr = canonicalize_gensyms(expr)
         from ..sql.rewriter import push_sql
 
-        expr = push_sql(expr, self.options.push, bound=frozenset(env))
+        config = self.options.config
+        expr = push_sql(expr, config, bound=frozenset(env))
         cost = self.options.cost
-        if cost is not None and getattr(cost, "enabled", False):
+        if cost is not None and (config.cost_based
+                                 or config.force_strategy is not None):
             from .costing import apply_costing
 
             # (keyed on the user-visible externals only: module variables
             # are not part of the plan key)
-            expr = apply_costing(expr, plan_key, cost)
+            expr = apply_costing(expr, plan_key, cost, config.force_strategy)
         from .scatter import stamp_scatter_groups
 
         stamp_scatter_groups(expr)
@@ -191,12 +184,14 @@ class Compiler:
 
         stamp_batch_capability(expr)
         plan = CompiledPlan(expr, self.module, errors, source, plan_key=plan_key)
-        if self.options.verify and not plan.errors:
+        if not plan.errors:
+            # every plan is verified: in runtime mode error-severity
+            # diagnostics raise PlanVerificationError, in design mode they
+            # are collected on the plan like analysis errors
             from .verify import verify_plan
 
-            push_enabled = bool(getattr(self.options.push, "enabled", True))
             report = verify_plan(expr, externals=frozenset(env),
-                                 push_enabled=push_enabled)
+                                 push_enabled=config.pushdown)
             plan.diagnostics = report
             if self.options.mode == "runtime":
                 report.raise_if_errors(source or type(expr).__name__)

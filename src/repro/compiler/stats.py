@@ -97,14 +97,6 @@ class StatisticsCatalog:
         unique = tuple(live.primary_key) if len(live.primary_key) == 1 else ()
         return TableStats(rows=len(live.rows), ndv=ndv, unique_columns=unique)
 
-    def selectivity(self, database: str, table: str, column: str) -> float:
-        """Estimated fraction of the table matching one equality key on
-        ``column`` — 1/ndv, clamped into [1/max(rows, 1), 1]."""
-        stats = self.table_stats(database, table)
-        if stats is None:
-            return DEFAULT_SELECTIVITY
-        return clamp_selectivity(stats, column)
-
     def latency(self, source: str) -> tuple[float, float] | None:
         """(roundtrip_ms, per_row_ms) for a source, each component observed
         where the fit identified it, declared where not; None for an

@@ -4,6 +4,7 @@ sampled tracing, windowed metrics, flight recorder, plan stats).  See
 DESIGN.md sections O-OBS and O-CONT."""
 
 from .continuous import (
+    TRACE_ALL,
     ContinuousConfig,
     ContinuousTracer,
     FlightRecord,
@@ -40,6 +41,7 @@ from .tracer import NOOP_SPAN, QueryTracer, Request, Span
 
 __all__ = [
     "NOOP_SPAN",
+    "TRACE_ALL",
     "ContinuousConfig",
     "ContinuousTracer",
     "Counter",

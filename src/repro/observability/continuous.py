@@ -10,9 +10,9 @@ and cheap — in four pieces:
   drawn under a lock in request order, so virtual-clock runs (which are
   serial) make byte-identical decisions every time.
 * :class:`ContinuousTracer` — the one engine tracer, created with the
-  ``DynamicContext`` and never replaced; ``Platform.set_continuous()``
-  sets its policy and ``set_tracing(True)`` is the policy "sample
-  everything, retain everything".  It opens the request scope
+  ``DynamicContext`` and never replaced; ``EngineConfig.continuous`` is
+  its policy and :data:`TRACE_ALL` the policy "sample everything, retain
+  everything".  It opens the request scope
   (:class:`~repro.observability.tracer.Request`): unrecorded requests
   cross every instrumentation point on the
   :data:`~repro.observability.tracer.NOOP_SPAN` fast path (a counter
@@ -75,9 +75,9 @@ def plan_fingerprint(plan_key: str) -> str:
     return hashlib.sha256(plan_key.encode("utf-8")).hexdigest()[:12]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContinuousConfig:
-    """Knobs for the continuous plane (``Platform.set_continuous``)."""
+    """The continuous plane's policy (``EngineConfig.continuous``)."""
 
     #: head-sampling probability per request (1.0 = trace everything)
     sample_rate: float = 1.0 / 16.0
@@ -93,6 +93,10 @@ class ContinuousConfig:
             raise ValueError("sample_rate must be in [0, 1]")
         if self.retain_capacity < 1:
             raise ValueError("retain_capacity must be >= 1")
+
+
+#: record every request and retain every span tree (full tracing)
+TRACE_ALL = ContinuousConfig(sample_rate=1.0, slow_ms=0.0)
 
 
 @guarded_by("_lock")

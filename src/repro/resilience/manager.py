@@ -13,7 +13,7 @@ With :meth:`set_policy` / a default policy, each source gets a
 and retry/backoff — all waiting charged to the platform clock, all jitter
 seeded, so chaos runs replay deterministically under the virtual clock.
 
-*Partial-results mode* (:attr:`partial_results`) turns a source failure
+*Partial-results mode* (``EngineConfig.partial_results``) turns a source failure
 that survives the guard into graceful degradation: the caller gets an
 empty sequence and a :class:`DegradationRecord` is collected on the query
 (``Platform.last_degradations``) instead of the whole federated plan
@@ -213,7 +213,6 @@ class ResilienceManager:
 
     def __init__(self, clock: Clock, tracer=None):
         self.clock = clock
-        self.partial_results = False
         self._policies: dict[str, SourcePolicy] = {}
         self._guards: dict[str, SourceGuard] = {}
         self._stats: dict[str, object] = {}
@@ -310,11 +309,12 @@ class ResilienceManager:
     # -- graceful degradation ------------------------------------------------
 
     def absorb(self, source: str, exc: SourceError) -> bool:
-        """In partial-results mode, record the failure and report True (the
-        caller substitutes an empty sequence); otherwise False (re-raise).
-        Deadline overruns are never absorbed: a request past its budget
-        must stop, not degrade and keep consuming roundtrips."""
-        if not self.partial_results or isinstance(exc, DeadlineExceededError):
+        """Record the failure as a degradation and report True (the caller
+        substitutes an empty sequence) — asked only in partial-results mode
+        (``DynamicContext.absorb``).  Deadline overruns are never absorbed
+        (False: re-raise): a request past its budget must stop, not degrade
+        and keep consuming roundtrips."""
+        if isinstance(exc, DeadlineExceededError):
             return False
         record = DegradationRecord(
             source=source,

@@ -30,11 +30,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-#: default rows per batch (``Platform.set_batch_size``): how many rows one
-#: pull moves through the FLWOR pipeline.  1 is a batch of one — the same
-#: pipeline at its laziest, not another runtime
-DEFAULT_BATCH_SIZE = 256
-
 Env = dict
 Batch = list
 

@@ -1,7 +1,7 @@
 """The FLWOR runtime (P-BATCH): batches of binding tuples pulled through
 clause operators.
 
-Every FLWOR the engine evaluates runs here, at every ``ctx.batch_size``
+Every FLWOR the engine evaluates runs here, at every ``EngineConfig.batch_size``
 (``Evaluator.iter_eval`` hands a FLWOR to :func:`eval_flwor`); one row per
 batch is the same pipeline at its laziest.  What a batch is, and the two
 facts about a stage's rows that are fixed when its stages are built
@@ -102,7 +102,7 @@ class _Run:
     def __init__(self, evaluator: Evaluator):
         self.ev = evaluator
         self.ctx = evaluator.ctx
-        self.size = self.ctx.batch_size
+        self.size = self.ctx.config.batch_size
         self.probe = self.ctx.batch_probe()
 
     def observe(self, label: str, rows: int) -> None:
@@ -179,7 +179,7 @@ def eval_flwor(evaluator: Evaluator, node: ast.FLWOR, env: Env) -> Iterator[Item
     """The lazy driver: ``node``'s items, produced as they are pulled."""
     run = _Run(evaluator)
     batches: Iterator[Batch] = iter(([env],))
-    for stage in _stages(node, run.ctx.parallel_regions):
+    for stage in _stages(node, run.ctx.config.parallel_regions):
         batches = run.instrumented(stage.label, stage.operator(run, stage, batches))
     items_fn = streamfn(node.return_expr)
     stats = run.ctx.stats
@@ -410,7 +410,7 @@ def _pushed_for_batches(run: _Run, stage: _Stage,
             try:
                 fetched = ctx.connection(pushed.database).execute_query(sql, params)
             except SourceError as exc:
-                if ctx.resilience.absorb(pushed.database, exc):
+                if ctx.absorb(pushed.database, exc):
                     span.set(degraded=True)
                     return ()  # degraded: this outer row joins to nothing
                 raise
@@ -448,7 +448,7 @@ def _index_join_batches(run: _Run, stage: _Stage,
     inner sequence once, then probe per outer row (order-preserving)."""
     clause, ev, ctx = stage.clauses[0], run.ev, run.ctx
     replan = getattr(clause, "replan_ppk", None)
-    threshold = ctx.replan_threshold
+    threshold = ctx.config.replan_threshold
     est_outer = getattr(clause, "est_outer", None)
     if replan is not None and threshold is not None and est_outer is not None:
         # Mid-query re-planning (P-COST): the index join was chosen for

@@ -7,6 +7,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..clock import Clock, VirtualClock
 from ..concurrency import SyncCounters
+from ..config import EngineConfig
 from ..errors import SourceError
 from ..observability import ContinuousTracer, MetricsRegistry, WindowedMetrics
 from ..observability.tracer import REQUEST
@@ -16,7 +17,6 @@ from ..resilience import ResilienceManager
 from ..services.metadata import MetadataRegistry
 from ..sql.dialects import SqlRenderer, capabilities_for
 from .asyncexec import AsyncExecutor
-from .batch import DEFAULT_BATCH_SIZE
 from .cache import FunctionCache
 from .observed import ObservedStatistics
 
@@ -55,25 +55,6 @@ class RuntimeStats(SyncCounters):
             self.service_calls = 0
             self.tuples_flowed = 0
             self.replans = 0
-
-
-@dataclass
-class AdaptivePPkConfig:
-    """Closed-loop PP-k block sizing (P-ADAPT).
-
-    When enabled, :func:`~repro.runtime.operators.ppk.ppk_extend` re-sizes
-    each block from :meth:`ObservedStatistics.recommend_ppk` as roundtrip
-    observations accumulate — the compiler's static k is only the
-    cold-start value.  ``overhead_target`` is the share of the per-tuple
-    cost allowed to go to roundtrip overhead; the default is far stricter
-    than the diagnostic default (0.5) because the adaptive loop *acts* on
-    the recommendation rather than merely reporting it.
-    """
-
-    enabled: bool = False
-    k_min: int = 1
-    k_max: int = 200
-    overhead_target: float = 0.05
 
 
 @dataclass
@@ -125,35 +106,19 @@ class DynamicContext:
         #: the one engine tracer: every instrumentation point holds this
         #: object for the life of the context; whether a crossing records
         #: is decided by the request running on the calling context
-        #: (``Platform.set_continuous`` sets its policy)
+        #: (``EngineConfig.continuous`` is its policy)
         self.tracer = ContinuousTracer(self.clock, observed=self.observed,
                                        window=self.window,
                                        metrics=self.metrics)
-        self.async_exec = AsyncExecutor(self.clock, tracer=self.tracer)
+        #: the engine configuration the runtime reads (one frozen value,
+        #: replaced whole by ``Platform.configure``)
+        self.config = EngineConfig()
+        self.async_exec = AsyncExecutor(self.clock, self.config.async_workers,
+                                        tracer=self.tracer)
         self.stats = RuntimeStats()
         self.middleware = MiddlewareCostModel()
-        #: prefetch block N+1 while block N joins (section 5.4 overlap)
-        self.ppk_pipeline = True
-        #: PP-k prefetch depth: W block fetches in flight while the pending
-        #: window joins; clamped to the async worker pool size at execution
-        self.ppk_prefetch_window = 1
-        #: closed-loop PP-k block sizing from observed source behaviour
-        self.adaptive_ppk = AdaptivePPkConfig()
-        #: scatter-execute compiler-stamped independent let-bound regions
-        self.parallel_regions = True
-        #: mid-query re-planning divergence factor (P-COST); None = off.
-        #: A plain GIL-atomic flag like ``ppk_pipeline``: operators read
-        #: it once per region
-        self.replan_threshold: float | None = None
-        #: default for the per-database prepared-statement caches
-        self.statement_cache_enabled = True
-        #: rows one pull moves through the FLWOR pipeline (P-BATCH); a
-        #: value every FLWOR reads, 1 being a batch of one
-        self.batch_size = DEFAULT_BATCH_SIZE
-        #: per-source retry/breaker/timeout policies + partial-results mode
+        #: per-source retry/breaker/timeout policies
         self.resilience = ResilienceManager(self.clock, tracer=self.tracer)
-        #: functions for which caching is administratively enabled
-        self.max_recursion = 64
 
     # -- per-request state ------------------------------------------------------
 
@@ -163,12 +128,18 @@ class DynamicContext:
         request = REQUEST.get()
         return request.probe if request is not None else None
 
+    def absorb(self, source: str, exc: SourceError) -> bool:
+        """In partial-results mode, record a source failure that survived
+        its retry budget and report True: the caller substitutes an empty
+        sequence.  Otherwise False: the caller re-raises."""
+        return self.config.partial_results and self.resilience.absorb(source, exc)
+
     # -- databases ----------------------------------------------------------------
 
     def attach_database(self, database: Database) -> None:
         AsyncExecutor.assert_owner("DynamicContext.attach_database")
         database.clock = self.clock
-        database.statements.enabled = self.statement_cache_enabled
+        database.statements.enabled = self.config.statement_cache
         self.databases[database.name] = database
         connection = Connection(database, tracer=self.tracer)
         connection.observer = self.observed.record

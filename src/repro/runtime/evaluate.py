@@ -38,6 +38,9 @@ Env = dict
 #: an operand the effect runs itself, or not at all: ``() -> items``
 Thunk = Callable[[], list]
 
+#: nested calls one request may make of functions left in its plan
+MAX_RECURSION = 64
+
 
 class Evaluator:
     def __init__(self, ctx: DynamicContext):
@@ -107,7 +110,7 @@ class Evaluator:
                 try:
                     return branch()
                 except SourceError as exc:
-                    if self.ctx.resilience.absorb("fn-bea:async", exc):
+                    if self.ctx.absorb("fn-bea:async", exc):
                         return []
                     raise
 
@@ -182,7 +185,7 @@ class Evaluator:
             if hit is not None:
                 return hit
         depth = self._depth.get()
-        if depth >= self.ctx.max_recursion:
+        if depth >= MAX_RECURSION:
             raise DynamicError(f"recursion limit exceeded calling {node.name}")
         call_env: Env = {}
         for param, value in zip(decl.params, args):
@@ -229,7 +232,7 @@ class Evaluator:
                 result = resilience.call(source, lambda: definition.invoke(args),
                                          stats=stats)
             except SourceError as exc:
-                if resilience.absorb(source, exc):
+                if self.ctx.absorb(source, exc):
                     span.set(degraded=True)
                     return []  # degraded: empty sequence, never cached
                 raise
@@ -249,7 +252,7 @@ class Evaluator:
             try:
                 rows = self.ctx.connection(meta.database).execute_query(sql)
             except SourceError as exc:
-                if self.ctx.resilience.absorb(meta.database, exc):
+                if self.ctx.absorb(meta.database, exc):
                     span.set(degraded=True)
                     return []
                 raise

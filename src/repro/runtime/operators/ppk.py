@@ -31,7 +31,7 @@ Two roundtrip-path optimizations ride on top of the paper's operator:
 
 Two adaptive behaviours generalize that further (P-ADAPT):
 
-* **Adaptive block sizing** — when ``ctx.adaptive_ppk`` is enabled, each
+* **Adaptive block sizing** — when ``EngineConfig.adaptive_ppk`` is on, each
   block's capacity is re-derived from
   :meth:`~repro.runtime.observed.ObservedStatistics.recommend_ppk` as
   roundtrip observations accumulate: each block's elapsed feeds the model
@@ -39,7 +39,7 @@ Two adaptive behaviours generalize that further (P-ADAPT):
   value.  The chosen capacity is recorded per block as a tracer span fact
   (``k=``) and in the ``ppk.chosen_k`` histogram; re-sizes count on the
   source's ``ppk_k_adjustments``.
-* **Deep prefetch window** — ``ctx.ppk_prefetch_window`` (W, clamped to
+* **Deep prefetch window** — ``EngineConfig.ppk_prefetch_window`` (W, clamped to
   the executor's worker pool) keeps W block fetches in flight while the
   pending window joins.  Rounds execute as one parallel group — one
   branch joining the W pending blocks, W branches fetching the next
@@ -64,6 +64,13 @@ from .pushedsql import bind_parameters, template_fn
 if TYPE_CHECKING:
     from ..evaluate import Evaluator
 
+#: the adaptive loop's bounds on a block's capacity
+ADAPTIVE_K_MIN, ADAPTIVE_K_MAX = 1, 200
+#: the share of the per-tuple cost the adaptive loop lets roundtrip
+#: overhead take: far stricter than the diagnostic default (0.5), because
+#: the loop *acts* on the recommendation rather than merely reporting it
+ADAPTIVE_OVERHEAD_TARGET = 0.05
+
 
 def ppk_extend(
     clause: PPkLetClause,
@@ -74,7 +81,8 @@ def ppk_extend(
     assert clause.pushed.correlation is not None
     ctx = evaluator.ctx
     blocks = _blocks(tuples, _block_sizer(clause, ctx))
-    threshold = ctx.replan_threshold
+    config = ctx.config
+    threshold = config.replan_threshold
     if (threshold is not None
             and getattr(clause, "est_replan_scan", False)
             and getattr(clause, "est_outer", None) is not None):
@@ -83,7 +91,7 @@ def ppk_extend(
         # and the decision must see every tuple the operator consumed.
         yield from _extend_with_replan(clause, blocks, threshold, evaluator)
         return
-    if not ctx.ppk_pipeline:
+    if not config.ppk_pipelining:
         for block, capacity in blocks:
             fetched = _fetch_block(clause, block, capacity, evaluator)
             yield from _join_block(clause, block, fetched, evaluator)
@@ -91,7 +99,7 @@ def ppk_extend(
 
     # Pipelined: while the pending window's rows are hash-joined in the
     # middleware, the next W disjunctive queries are already in flight.
-    window = max(1, min(ctx.ppk_prefetch_window, ctx.async_exec.max_workers))
+    window = max(1, min(config.ppk_prefetch_window, ctx.async_exec.max_workers))
     pending = _take(blocks, window)
     if not pending:
         return
@@ -159,7 +167,7 @@ def _replan_fetch_scan(clause: PPkLetClause, env: dict,
         try:
             rows = ctx.connection(pushed.database).execute_query(sql, params)
         except SourceError as exc:
-            if not ctx.resilience.absorb(pushed.database, exc):
+            if not ctx.absorb(pushed.database, exc):
                 raise
             # degraded scan: every remaining tuple left-outer joins to
             # nothing, exactly like a degraded PP-k block
@@ -207,28 +215,28 @@ def _block_sizer(clause: PPkLetClause, ctx):
     it on, each call consults the observed-statistics fit — by construction
     *after* the previous round's fetches were recorded, which closes the
     observe→decide loop at block granularity."""
-    config = ctx.adaptive_ppk
-    if not config.enabled:
+    batch_size = ctx.config.batch_size
+    if not ctx.config.adaptive_ppk:
         return lambda: clause.k
     pushed = clause.pushed
     state = {"last": None}
 
     def next_k() -> int:
         recommended = ctx.observed.recommend_ppk(
-            pushed.database, k_min=config.k_min, k_max=config.k_max,
-            overhead_target=config.overhead_target,
+            pushed.database, k_min=ADAPTIVE_K_MIN, k_max=ADAPTIVE_K_MAX,
+            overhead_target=ADAPTIVE_OVERHEAD_TARGET,
         )
         chosen = recommended if recommended is not None else clause.k
-        chosen = max(config.k_min, min(config.k_max, chosen))
-        if ctx.batch_size > 1:
+        chosen = max(ADAPTIVE_K_MIN, min(ADAPTIVE_K_MAX, chosen))
+        if batch_size > 1:
             # Batching delivers tuples upstream in batch_size chunks.  An
             # adaptive block larger than one batch cannot fill without
             # draining several upstream batches first, which stalls the
             # prefetch pipeline and defeats batch-granularity laziness —
             # the two knobs fight.  Cap k at the batch size (never below
-            # the configured floor); with the default batch of 256 and
-            # k_max 200 the cap is inert.
-            chosen = min(chosen, max(config.k_min, ctx.batch_size))
+            # the floor); with the default batch of 256 and k_max 200 the
+            # cap is inert.
+            chosen = min(chosen, max(ADAPTIVE_K_MIN, batch_size))
         if state["last"] is not None and chosen != state["last"]:
             database = ctx.databases.get(pushed.database)
             if database is not None:
@@ -314,7 +322,7 @@ def _fetch_block(clause: PPkLetClause, block: list[dict], capacity: int,
             try:
                 rows = ctx.connection(pushed.database).execute_query(sql, params)
             except SourceError as exc:
-                if not ctx.resilience.absorb(pushed.database, exc):
+                if not ctx.absorb(pushed.database, exc):
                     raise
                 # Degraded block: every tuple left-outer joins to nothing.
                 span.set(degraded=True)

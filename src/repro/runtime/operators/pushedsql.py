@@ -57,7 +57,7 @@ def execute_pushed(pushed: PushedSQL, env: dict, evaluator: "Evaluator") -> Iter
         try:
             rows = ctx.connection(pushed.database).execute_query(sql, params)
         except SourceError as exc:
-            if ctx.resilience.absorb(pushed.database, exc):
+            if ctx.absorb(pushed.database, exc):
                 span.set(degraded=True)
                 return  # degraded: the region contributes no items
             raise
@@ -94,7 +94,7 @@ def rebuild(pushed: PushedSQL, rows: list[dict], evaluator: "Evaluator") -> Iter
     if pushed.regroup is None:
         # Rebuild a batch of rows per pull into one flat item list: one
         # generator resumption per batch instead of per row.
-        size = evaluator.ctx.batch_size
+        size = evaluator.ctx.config.batch_size
         for start in range(0, len(rows), size):
             items: list[Item] = []
             for row in rows[start:start + size]:

@@ -632,13 +632,17 @@ def _c_step(step: ast.Step):
         return fast
 
     def generic(evaluator, env, items):
+        # a predicate filters each context node's axis result: its
+        # position and last() count within that node's step, not the
+        # whole path's
         results = []
         for item in items:
             if not isinstance(item, Node):
                 raise DynamicError("path step applied to an atomic value")
-            results.extend(_axis(item, step))
-        for keep in predicates:
-            results = keep(evaluator, env, results)
+            selected = _axis(item, step)
+            for keep in predicates:
+                selected = keep(evaluator, env, selected)
+            results.extend(selected)
         return results
 
     return generic

@@ -3,6 +3,7 @@ admission control and graceful overload degradation over one shared
 :class:`~repro.services.platform.Platform`."""
 
 from .admission import (
+    DEFAULT_COST_THRESHOLD,
     STATE_OPEN,
     STATE_OVERLOAD,
     STATE_SHED_EXPENSIVE,
@@ -11,7 +12,6 @@ from .admission import (
     TenantQuota,
     TokenBucket,
 )
-from .cost import DEFAULT_COST_THRESHOLD, estimate_cost
 from .driver import StageResult, WorkloadDriver, percentile
 from .frontend import DataServer, ServerResponse
 from .session import Session, SessionManager, Tenant
@@ -32,6 +32,5 @@ __all__ = [
     "TenantQuota",
     "TokenBucket",
     "WorkloadDriver",
-    "estimate_cost",
     "percentile",
 ]

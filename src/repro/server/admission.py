@@ -38,7 +38,10 @@ from dataclasses import dataclass
 from ..clock import Clock
 from ..concurrency import RACE, TrackedRLock, guarded_by
 from ..errors import AdmissionError
-from .cost import DEFAULT_COST_THRESHOLD
+
+#: above this many keyed-lookup units (``admission_cost``) a request
+#: counts as "expensive" for shed-expensive mode
+DEFAULT_COST_THRESHOLD = 5.0
 
 
 @dataclass

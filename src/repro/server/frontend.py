@@ -8,8 +8,11 @@ Request path, in order:
    and element-level policies apply per tenant;
 2. **prepare** — compile or fetch the plan (the plan cache is shared
    across sessions; section 3.3's "compiled once, executed repeatedly");
-3. **estimate** — :func:`~repro.server.cost.estimate_cost` over the
-   compiled plan feeds the admission decision;
+3. **estimate** — :func:`~repro.compiler.costing.admission_cost` over
+   the compiled plan feeds the admission decision: the costing pass's
+   time model under cold priors, in keyed-lookup units (a keyed roundtrip
+   prices 1.0, a scan its ratio of shipped time).  No live statistics
+   are read, so the same plan always prices the same;
 4. **admit or shed** — quotas, load state and the cost threshold
    (:mod:`repro.server.admission`); sheds raise structured
    :class:`~repro.errors.AdmissionError`\\ s with a retry-after hint;
@@ -53,6 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..compiler.costing import admission_cost
 from ..compiler.pipeline import plan_key_text
 from ..errors import AdmissionError, DeadlineExceededError
 from ..observability import FlightRecord, FlightRecorder, plan_fingerprint
@@ -60,7 +64,6 @@ from ..resilience import DegradationRecord
 from ..services.platform import Platform
 from ..xml.items import Item
 from .admission import AdmissionController, TenantQuota
-from .cost import estimate_cost
 from .session import Session, SessionManager
 
 
@@ -174,7 +177,7 @@ class DataServer:
                 try:
                     if invalid is not None:
                         raise invalid
-                    cost = estimate_cost(plan.expr)
+                    cost = admission_cost(plan.expr)
                     self.platform.observed.set_estimate(fingerprint, cost)
                     phases["prepare_ms"] = self.clock.now_ms() - start
                     admit_start = self.clock.now_ms()

@@ -9,6 +9,7 @@ streaming, submit) all go through it.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from ..clock import Clock, VirtualClock
@@ -16,6 +17,7 @@ from ..compiler.costing import CostingOptions
 from ..compiler.inverse import InverseRegistry
 from ..compiler.stats import StatisticsCatalog
 from ..concurrency import NOOP_DETECTOR, RACE, set_race_detector
+from ..config import COMPILE_FIELDS, EngineConfig
 from ..compiler.pipeline import CompiledPlan, Compiler, CompilerOptions, PlanCache
 from ..compiler.views import ViewPlanCache
 from ..errors import (
@@ -25,7 +27,6 @@ from ..errors import (
     UpdateError,
 )
 from ..observability import (
-    ContinuousConfig,
     ContinuousTracer,
     MetricsRegistry,
     QueryProfile,
@@ -82,7 +83,8 @@ class Platform:
     """An ALDSP server instance."""
 
     def __init__(self, clock: Clock | None = None, mode: str = "runtime",
-                 cache_backing: Database | None = None):
+                 cache_backing: Database | None = None,
+                 config: EngineConfig = EngineConfig()):
         self.clock = clock or VirtualClock()
         self.registry = MetadataRegistry()
         self.module = ast.Module()  # the merged prolog of every deployment
@@ -110,12 +112,11 @@ class Platform:
         self.options.cost = CostingOptions(
             catalog=self.statistics, store=self.ctx.observed,
             ppk_join_ms_per_tuple=self.ctx.middleware.ppk_join_ms_per_tuple)
-        #: administrative gate: set_tracing_allowed(False) makes every
-        #: tracing enable fail with a stable ALDSP-E501 diagnostic
-        self._tracing_allowed = True
         # The unified metrics plane: the legacy stats objects stay the
         # write surface; this collector is the one read surface over them.
         self.ctx.metrics.add_collector(self._collect_metrics)
+        self.configure(**{field.name: getattr(config, field.name)
+                          for field in dataclasses.fields(config)})
 
     # ------------------------------------------------------------------------
     # Source registration (design time)
@@ -210,8 +211,38 @@ class Platform:
         return service
 
     # ------------------------------------------------------------------------
-    # Caching / administration
+    # Configuration / administration
     # ------------------------------------------------------------------------
+
+    @property
+    def config(self) -> EngineConfig:
+        """The engine configuration (frozen: change it with :meth:`configure`)."""
+        return self.ctx.config
+
+    def configure(self, **changes) -> EngineConfig:
+        """Change engine settings — fields of :class:`EngineConfig` — and
+        return the new configuration.  The whole change is validated before
+        anything is applied, so a rejected one leaves the engine as it was;
+        cached plans are invalidated only when a field that shapes them
+        changed value."""
+        AsyncExecutor.assert_owner("Platform.configure")
+        old = self.config
+        new = dataclasses.replace(old, **changes)
+        if "continuous" in changes and new.continuous is not None \
+                and not new.tracing_allowed:
+            raise self._tracing_disallowed()
+        if "statement_cache" in changes:
+            for database in self.ctx.databases.values():
+                database.statements.enabled = new.statement_cache
+                if not new.statement_cache:
+                    database.statements.clear()
+        self.ctx.async_exec.set_max_workers(new.async_workers)
+        if "continuous" in changes:
+            self.ctx.tracer.configure(new.continuous)
+        self.ctx.config = self.options.config = new
+        if any(getattr(old, name) != getattr(new, name) for name in COMPILE_FIELDS):
+            self._invalidate_plans()
+        return new
 
     def enable_function_cache(self, function_name: str, ttl_ms: float,
                               arity: int = 0) -> None:
@@ -224,83 +255,10 @@ class Platform:
         self.options.no_inline.add((function_name, arity))
         self._invalidate_plans()
 
-    def set_ppk_block_size(self, k: int) -> None:
-        self.options.push.ppk_block_size = k
-        self._invalidate_plans()
-
-    def set_ppk_pipelining(self, enabled: bool) -> None:
-        """Toggle PP-k block prefetch (overlap the next block's source
-        query with the current block's middleware join).  A runtime knob:
-        compiled plans are unaffected."""
-        self.ctx.ppk_pipeline = enabled
-
-    def set_adaptive_ppk(self, enabled: bool = True, k_min: int | None = None,
-                         k_max: int | None = None,
-                         overhead_target: float | None = None) -> None:
-        """Enable/disable closed-loop PP-k block sizing (P-ADAPT): each
-        block's capacity is re-derived per source from the observed cost
-        model, within ``[k_min, k_max]``, with the compiler's static k as
-        the cold-start value.  A runtime knob: compiled plans keep their
-        static k and are unaffected when this is off."""
-        config = self.ctx.adaptive_ppk
-        config.enabled = enabled
-        if k_min is not None:
-            config.k_min = k_min
-        if k_max is not None:
-            config.k_max = k_max
-        if overhead_target is not None:
-            config.overhead_target = overhead_target
-        if config.k_min < 1 or config.k_max < config.k_min:
-            raise ValueError("need 1 <= k_min <= k_max")
-
-    def set_ppk_prefetch_window(self, window: int) -> None:
-        """How many PP-k block fetches stay in flight while the pending
-        window joins (W).  Clamped to the async worker pool size at
-        execution; ``1`` is the classic one-block prefetch."""
-        if window < 1:
-            raise ValueError("prefetch window must be >= 1")
-        self.ctx.ppk_prefetch_window = window
-
-    def set_batch_size(self, n: int) -> None:
-        """How many rows one pull moves through the FLWOR pipeline
-        (P-BATCH, default 256).  A value, not a switch: every FLWOR runs
-        the one pipeline at every ``n``, and ``n=1`` is a batch of one.
-        Results, explain, profile trees and virtual-clock charges are
-        byte-identical at every size; a batch is handed on when it fills,
-        so ``n`` trades time to the first item against per-row dispatch.
-        Read at run time: compiled plans do not depend on it."""
-        if n < 1:
-            raise ValueError("batch size must be >= 1")
-        self.ctx.batch_size = n
-
-    def set_parallel_regions(self, enabled: bool) -> None:
-        """Toggle scatter execution of compiler-stamped independent
-        let-bound source regions (on by default).  A runtime knob: the
-        stamps stay on the plan and are simply ignored when off."""
-        self.ctx.parallel_regions = enabled
-
-    def set_async_workers(self, max_workers: int) -> None:
-        """Re-size the async executor's worker pool (wall-clock branch
-        parallelism; also the clamp on the PP-k prefetch window)."""
-        self.ctx.async_exec.set_max_workers(max_workers)
-
-    def set_function_cache_capacity(self, max_entries: int) -> None:
-        """Bound the mid-tier function cache's in-memory entry map (LRU)."""
-        self.cache.set_capacity(max_entries)
-
     def function_cache_stats(self) -> dict:
         """Function-cache introspection: size, capacity and the
         hit/miss/expiration/eviction counters."""
         return self.cache.snapshot()
-
-    def set_statement_cache_enabled(self, enabled: bool) -> None:
-        """Toggle the per-database prepared-statement caches (every
-        registered source, and the default for sources registered later)."""
-        self.ctx.statement_cache_enabled = enabled
-        for database in self.ctx.databases.values():
-            database.statements.enabled = enabled
-            if not enabled:
-                database.statements.clear()
 
     def statement_cache_stats(self) -> dict[str, dict]:
         """Per-database statement-cache introspection: size, capacity and
@@ -336,46 +294,8 @@ class Platform:
         if not recommendations:
             return None
         chosen = max(recommendations)
-        self.set_ppk_block_size(chosen)
+        self.configure(ppk_block_size=chosen)
         return chosen
-
-    def set_pushdown_enabled(self, enabled: bool) -> None:
-        self.options.push.enabled = enabled
-        self._invalidate_plans()
-
-    # -- cost-based plan choice (P-COST) ----------------------------------------
-
-    def set_cost_based(self, enabled: bool = True, force: str | None = None,
-                       reorder: bool = True) -> None:
-        """Toggle cost-based plan choice (P-COST): the compiler costs
-        PP-k vs index-join vs ship-all per source-touching region (and
-        greedily orders independent single-match joins) from the
-        statistics catalog and the observed statistics, replacing the fixed
-        heuristics.  Off (the default) compiles byte-identical heuristic
-        plans.  ``force`` pins every convertible region to one strategy
-        (``"ppk"``, ``"index-join"``, ``"ship-all"``) for ablation."""
-        from ..compiler.costing import STRATEGIES
-
-        if force is not None and force not in STRATEGIES:
-            raise ValueError(
-                f"force must be one of {STRATEGIES} or None, got {force!r}")
-        cost = self.options.cost
-        cost.enabled = enabled
-        cost.force = force
-        cost.reorder = reorder
-        self._invalidate_plans()
-
-    def set_replan_threshold(self, factor: float | None) -> None:
-        """Mid-query re-planning: when an operator's observed outer
-        cardinality diverges from its costed estimate by more than
-        ``factor``, the runtime abandons the losing strategy at the next
-        block/build boundary and switches to the runner-up (PP-k -> scan,
-        index-join -> PP-k), counted in ``runtime.replans`` and visible
-        in traces.  ``None`` (the default) disables re-planning.  A
-        runtime knob: compiled plans are unaffected."""
-        if factor is not None and factor <= 1.0:
-            raise ValueError("replan threshold must be > 1.0 (or None)")
-        self.ctx.replan_threshold = factor
 
     def register_update_override(self, service_name: str, override: UpdateOverride) -> None:
         self._update_overrides[service_name] = override
@@ -404,12 +324,6 @@ class Platform:
                 name, SourcePolicy(retry=retry, breaker=breaker,
                                    timeout_ms=timeout_ms)
             )
-
-    def set_partial_results(self, enabled: bool) -> None:
-        """Toggle partial-results mode: a source failure that survives its
-        retry budget degrades to an empty sequence (recorded on
-        :attr:`last_degradations`) instead of failing the query."""
-        self.ctx.resilience.partial_results = enabled
 
     @property
     def last_degradations(self) -> list[DegradationRecord]:
@@ -449,53 +363,12 @@ class Platform:
         """The engine tracer (records nothing unless a policy is set)."""
         return self.ctx.tracer
 
-    def set_tracing(self, enabled: bool) -> None:
-        """Toggle full query tracing: every request recorded, every span
-        tree retained (in the bounded ring ``tracer.roots`` reads) — a
-        spelling of ``set_continuous(sample_rate=1.0, slow_ms=0.0)``.
-        For production use prefer :meth:`set_continuous`, which samples
-        instead of recording everything."""
-        self.set_continuous(enabled, sample_rate=1.0, slow_ms=0.0)
-
-    def set_tracing_allowed(self, allowed: bool) -> None:
-        """Administrative gate over every tracing surface: when off,
-        :meth:`set_tracing`, :meth:`set_continuous` and :meth:`profile`
-        fail with a stable ``ALDSP-E501``
-        :class:`~repro.errors.ObservabilityError` instead of silently
-        recording (a policy already set is not torn down)."""
-        self._tracing_allowed = allowed
-
-    def _check_tracing_allowed(self) -> None:
-        if not self._tracing_allowed:
-            raise ObservabilityError(
-                "tracing is administratively disabled on this platform"
-            )
+    @staticmethod
+    def _tracing_disallowed() -> ObservabilityError:
+        return ObservabilityError(
+            "tracing is administratively disabled on this platform")
 
     # -- the continuous plane (O-CONT) ------------------------------------------
-
-    def set_continuous(self, enabled: bool = True, *,
-                       sample_rate: float | None = None,
-                       seed: int | None = None,
-                       slow_ms: float | None = None,
-                       retain_capacity: int | None = None):
-        """Set the engine tracer's policy: head-sampled tracing with
-        tail-based retention (slow/errored/degraded/shed requests always
-        keep their full span tree), summary feeding of the plan-stats
-        store and the rolling metrics window.  Off (the default) the hot
-        path crosses the instrumentation points but allocates no spans.
-        Returns the tracer (None when disabling)."""
-        if not enabled:
-            self.ctx.tracer.configure(None)
-            return None
-        self._check_tracing_allowed()
-        overrides = {
-            "sample_rate": sample_rate, "seed": seed, "slow_ms": slow_ms,
-            "retain_capacity": retain_capacity,
-        }
-        self.ctx.tracer.configure(ContinuousConfig(
-            **{key: value for key, value in overrides.items()
-               if value is not None}))
-        return self.ctx.tracer
 
     def plan_stats(self) -> dict:
         """The plan half of the observed-statistics store: per-plan cost
@@ -507,13 +380,6 @@ class Platform:
     def window(self) -> WindowedMetrics:
         """The rolling-window metrics plane (always on)."""
         return self.ctx.window
-
-    def set_metrics_window(self, window_s: float, nbuckets: int = 12) -> None:
-        """Re-size the rolling metrics window (replaces the instruments;
-        accumulated windowed state starts over)."""
-        AsyncExecutor.assert_owner("Platform.set_metrics_window")
-        self.ctx.window = WindowedMetrics(self.clock, window_s, nbuckets)
-        self.ctx.tracer.window = self.ctx.window
 
     def window_snapshot(self) -> dict:
         """Every rolling-window series, sorted by name."""
@@ -535,7 +401,8 @@ class Platform:
         feeds the plan-stats store like any recorded request."""
         from ..runtime.batchexec import BatchProbe
 
-        self._check_tracing_allowed()
+        if not self.config.tracing_allowed:
+            raise self._tracing_disallowed()
         probe = BatchProbe()
         start = self.clock.now_ms()
         plan = self.prepare(query, variables)
@@ -600,8 +467,6 @@ class Platform:
         """Snapshot-time bridge from the legacy stats objects to the
         unified metrics plane (nothing is double-counted: these series
         exist only here)."""
-        import dataclasses
-
         series: dict = {}
         for field in dataclasses.fields(self.ctx.stats):
             series[f"runtime.{field.name}"] = getattr(self.ctx.stats, field.name)
@@ -830,13 +695,11 @@ class Platform:
         diagnostics (design-mode behaviour, section 4.1): analysis errors
         are reported as ``ALDSP-E000`` and every plan-verifier pass runs
         regardless of severity.  Used by ``repro lint``."""
-        import dataclasses
-
         from ..diagnostics import DiagnosticReport, make
         from ..schema.types import ITEM_STAR
 
         report = DiagnosticReport()
-        options = dataclasses.replace(self.options, mode="design", verify=True)
+        options = dataclasses.replace(self.options, mode="design")
         compiler = Compiler(self.registry, self.module, self.inverses,
                             self.view_cache, options)
         externals = {name: ITEM_STAR for name in variables} if variables else None
@@ -860,7 +723,7 @@ class Platform:
         with open(path, "w") as sink:
             return serialize_to_sink(self.stream(query, variables, user),
                                      sink, indent,
-                                     batch_size=self.ctx.batch_size)
+                                     batch_size=self.config.batch_size)
 
     def call(self, function_name: str, *args: list[Item], user: User = ADMIN) -> list[Item]:
         """Invoke a data-service method (the mediator's method-call path)."""

@@ -29,7 +29,7 @@ from .ast_nodes import (
     param_order,
 )
 from .dialects import DIALECTS, Capabilities, SqlRenderer, capabilities_for, render_sql
-from .generate import PushOptions, RegionCompiler
+from .generate import RegionCompiler
 from .rewriter import PushdownRewriter, push_sql
 
 __all__ = [
@@ -39,5 +39,5 @@ __all__ = [
     "SelectItem", "SqlExpr", "SqlLiteral", "SubqueryRef", "TableRef",
     "Update", "param_order",
     "DIALECTS", "Capabilities", "SqlRenderer", "capabilities_for", "render_sql",
-    "PushOptions", "RegionCompiler", "PushdownRewriter", "push_sql",
+    "RegionCompiler", "PushdownRewriter", "push_sql",
 ]

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..compiler.algebra import (
-    DEFAULT_PPK_BLOCK_SIZE,
     Correlation,
     ColumnSlot,
     GroupSlot,
@@ -37,6 +36,7 @@ from ..compiler.algebra import (
     SourceCall,
     TableMeta,
 )
+from ..config import EngineConfig
 from ..errors import SQLError
 from ..xquery import ast_nodes as ast
 from .ast_nodes import (
@@ -70,23 +70,6 @@ from .pushdown import (
 )
 
 
-@dataclass
-class PushOptions:
-    """Knobs for the pushdown pass (the False settings are ablations of
-    the design choices DESIGN.md calls out)."""
-
-    enabled: bool = True
-    ppk_block_size: int = DEFAULT_PPK_BLOCK_SIZE
-    #: push same-database clause runs as one SQL join
-    clause_join_pushdown: bool = True
-    #: hoist correlated sub-FLWORs into PP-k lets (off: evaluate the
-    #: correlated access per outer tuple in the middleware)
-    hoist_correlated: bool = True
-    #: ask pushed scans for ORDER BY when a downstream FLWGOR groups on
-    #: their columns (off: the middleware group-by sorts)
-    request_clustering: bool = True
-
-
 class _NotPushable(Exception):
     """Internal control flow: the current region cannot be pushed."""
 
@@ -109,10 +92,10 @@ class RegionCompiler:
     :class:`_NotPushable`."""
 
     def __init__(self, outer_vars: frozenset[str], allow_correlation: bool,
-                 options: PushOptions):
+                 config: EngineConfig):
         self.outer_vars = outer_vars
         self.allow_correlation = allow_correlation
-        self.options = options
+        self.config = config
         self.database: str | None = None
         self.vendor: str | None = None
         self.tables: dict[str, _TableBinding] = {}  # row var -> binding
@@ -170,7 +153,7 @@ class RegionCompiler:
             raise self._fail(
                 f"tables from different databases: {meta.database} vs {self.database}"
             )
-        elif not self.options.clause_join_pushdown:
+        elif not self.config.clause_join_pushdown:
             raise self._fail("multi-table SQL joins disabled (ablation)")
         binding = _TableBinding(self._alias(), meta, nested_on)
         self.tables[var] = binding

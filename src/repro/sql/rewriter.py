@@ -28,11 +28,12 @@ from ..compiler.algebra import PPkLetClause, PushedSQL, PushedTupleForClause, So
 from ..xml.items import AtomicValue
 from ..xquery import ast_nodes as ast
 from ..xquery.parser import fresh_var
-from .generate import PushOptions, RegionCompiler, _NotPushable
+from ..config import EngineConfig
+from .generate import RegionCompiler, _NotPushable
 from .pushdown import free_vars, is_table_call, join_conjuncts, split_conjuncts
 
 
-def push_sql(expr: ast.AstNode, options: PushOptions | None = None,
+def push_sql(expr: ast.AstNode, config: EngineConfig | None = None,
              bound: frozenset[str] = frozenset()) -> ast.AstNode:
     """Entry point: rewrite pushable regions of ``expr`` into SQL.
 
@@ -40,15 +41,15 @@ def push_sql(expr: ast.AstNode, options: PushOptions | None = None,
     variables, module variables): they can be evaluated mid-tier and shipped
     as SQL parameters (section 4.4).
     """
-    options = options or PushOptions()
-    if not options.enabled:
+    config = config or EngineConfig()
+    if not config.pushdown:
         return expr
-    return PushdownRewriter(options).rewrite(expr, bound)
+    return PushdownRewriter(config).rewrite(expr, bound)
 
 
 class PushdownRewriter:
-    def __init__(self, options: PushOptions):
-        self.options = options
+    def __init__(self, config: EngineConfig):
+        self.config = config
 
     # -- generic traversal ---------------------------------------------------
 
@@ -162,7 +163,7 @@ class PushdownRewriter:
         flwor.return_expr = self._hoist(flwor.return_expr, bound, bound_now, new_clauses)
         flwor.clauses = new_clauses
         self._push_order_to_scan(flwor)
-        if self.options.request_clustering:
+        if self.config.request_clustering:
             self._request_clustering(flwor)
         return flwor
 
@@ -276,7 +277,7 @@ class PushdownRewriter:
         database = first.expr.table_meta.database  # type: ignore[union-attr]
 
         run: list[ast.ForClause] = [first]
-        if self.options.clause_join_pushdown:
+        if self.config.clause_join_pushdown:
             probe = index + 1
             while probe < len(clauses):
                 candidate = clauses[probe]
@@ -295,7 +296,7 @@ class PushdownRewriter:
             c for c in conjuncts
             if free_vars(c) <= (run_vars | bound_now) and free_vars(c) & run_vars
         ]
-        if not self.options.hoist_correlated:
+        if not self.config.hoist_correlated:
             applicable = [
                 c for c in applicable if free_vars(c) <= (run_vars | bound)
             ]
@@ -384,7 +385,7 @@ class PushdownRewriter:
     ) -> PushedTupleForClause | None:
         """Compile a multi-table same-database run into one pushed join that
         binds all the run's variables per row."""
-        compiler = RegionCompiler(outer, allow_correlation=False, options=self.options)
+        compiler = RegionCompiler(outer, allow_correlation=False, config=self.config)
         try:
             for clause in run:
                 compiler._compile_for(clause)
@@ -430,7 +431,7 @@ class PushdownRewriter:
 
     def _try_region(self, flwor: ast.FLWOR, outer: frozenset[str],
                     allow_correlation: bool) -> PushedSQL | None:
-        compiler = RegionCompiler(outer, allow_correlation, self.options)
+        compiler = RegionCompiler(outer, allow_correlation, self.config)
         try:
             return compiler.compile(flwor)
         except _NotPushable:
@@ -438,7 +439,7 @@ class PushdownRewriter:
 
     def _try_region_with_fetch(self, flwor: ast.FLWOR, outer: frozenset[str],
                                bounds: tuple[int, int | None]) -> PushedSQL | None:
-        compiler = RegionCompiler(outer, allow_correlation=False, options=self.options)
+        compiler = RegionCompiler(outer, allow_correlation=False, config=self.config)
         compiler.set_fetch(*bounds)
         try:
             return compiler.compile(flwor)
@@ -463,7 +464,7 @@ class PushdownRewriter:
             return expr
         if isinstance(expr, ast.FLWOR):
             if _mentions_table(expr) and free_vars(expr) <= bound_now \
-                    and self.options.hoist_correlated:
+                    and self.config.hoist_correlated:
                 pushed = self._try_region(expr, frozenset(bound_now), allow_correlation=True)
                 if pushed is not None and pushed.regroup is None:
                     if pushed.correlation is not None:
@@ -520,7 +521,7 @@ class PushdownRewriter:
         for param in pushed.param_exprs:
             if free_vars(param) - outer_fixed:
                 return 1
-        return self.options.ppk_block_size
+        return self.config.ppk_block_size
 
 
 def _mentions_table(expr: ast.AstNode) -> bool:

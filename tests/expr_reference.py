@@ -263,9 +263,10 @@ class ReferenceInterpreter(Evaluator):
         for item in items:
             if not isinstance(item, Node):
                 raise DynamicError("path step applied to an atomic value")
-            results.extend(_axis(item, step))
-        for predicate in step.predicates:
-            results = self._filter(results, predicate, env)
+            selected = _axis(item, step)
+            for predicate in step.predicates:
+                selected = self._filter(selected, predicate, env)
+            results.extend(selected)
         return results
 
     def _eval_FilterExpr(self, node: ast.FilterExpr, env: Env) -> list[Item]:

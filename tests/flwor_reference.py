@@ -109,7 +109,7 @@ def reference_platform(**demo):
     from repro.demo import build_demo_platform
 
     platform = build_demo_platform(**demo)
-    platform.set_pushdown_enabled(False)  # also keeps joins as for + where
+    platform.configure(pushdown=False)  # also keeps joins as for + where
     return platform
 
 

@@ -12,6 +12,8 @@ import pytest
 from repro.clock import WallClock
 from repro.compiler.verify import verify_plan
 from repro.demo import build_demo_platform
+from repro.errors import ObservabilityError
+from repro.observability import TRACE_ALL
 from repro.relational.database import LatencyModel
 from repro.resilience import FaultInjector
 from repro.runtime.cache import FunctionCache
@@ -97,22 +99,32 @@ class TestRecommendPpkEdges:
 # ---------------------------------------------------------------------------
 
 
+#: one out-of-range value per validated ``EngineConfig`` field, and what
+#: rejects it (a tracing policy is refused while tracing is disallowed)
+REJECTED = [
+    ("ppk_block_size", 0, ValueError), ("ppk_prefetch_window", 0, ValueError),
+    ("batch_size", 0, ValueError), ("async_workers", 0, ValueError),
+    ("replan_threshold", 1.0, ValueError), ("force_strategy", "hash-join", ValueError),
+    ("continuous", TRACE_ALL, ObservabilityError),
+]
+
+
 class TestAdaptivePpk:
     def test_off_by_default_keeps_static_blocks(self):
         platform = build_platform(customers=12, deploy_profile=False)
-        platform.set_ppk_block_size(3)
+        platform.configure(ppk_block_size=3)
         platform.execute(CROSS_DB_QUERY)
         assert platform.ctx.stats.ppk_blocks == 4
         assert platform.ctx.databases["ccdb"].stats.ppk_k_adjustments == 0
 
     def test_adaptive_resizes_blocks_and_preserves_results(self):
         reference = build_platform(customers=12, deploy_profile=False)
-        reference.set_ppk_block_size(3)
+        reference.configure(ppk_block_size=3)
         expected = serialize(reference.execute(CROSS_DB_QUERY))
 
         platform = build_platform(customers=12, deploy_profile=False)
-        platform.set_ppk_block_size(3)
-        platform.set_adaptive_ppk(True)
+        platform.configure(ppk_block_size=3)
+        platform.configure(adaptive_ppk=True)
         out = serialize(platform.execute(CROSS_DB_QUERY))
         assert out == expected
         # Uniform per-block row counts attribute the whole cost to the
@@ -124,8 +136,8 @@ class TestAdaptivePpk:
 
     def test_chosen_k_histogram_and_metrics_counter(self):
         platform = build_platform(customers=12, deploy_profile=False)
-        platform.set_ppk_block_size(3)
-        platform.set_adaptive_ppk(True)
+        platform.configure(ppk_block_size=3)
+        platform.configure(adaptive_ppk=True)
         platform.execute(CROSS_DB_QUERY)
         snapshot = platform.metrics_snapshot()
         histograms = [key for key in snapshot if key.startswith("ppk.chosen_k")]
@@ -136,19 +148,26 @@ class TestAdaptivePpk:
 
     def test_adjustment_counter_resets(self):
         platform = build_platform(customers=12, deploy_profile=False)
-        platform.set_ppk_block_size(3)
-        platform.set_adaptive_ppk(True)
+        platform.configure(ppk_block_size=3)
+        platform.configure(adaptive_ppk=True)
         platform.execute(CROSS_DB_QUERY)
         assert platform.ctx.databases["ccdb"].stats.ppk_k_adjustments >= 1
         platform.reset_stats()
         assert platform.ctx.databases["ccdb"].stats.ppk_k_adjustments == 0
 
-    def test_knob_validates_bounds(self):
+    @pytest.mark.parametrize("name, value, error", REJECTED,
+                             ids=[name for name, _value, _error in REJECTED])
+    def test_knob_validates_bounds(self, name, value, error):
+        """A rejected change applies nothing — not even its valid fields:
+        the configuration and the cached plans are the ones before it."""
         platform = build_platform(deploy_profile=False)
-        with pytest.raises(ValueError):
-            platform.set_adaptive_ppk(True, k_min=0)
-        with pytest.raises(ValueError):
-            platform.set_adaptive_ppk(True, k_min=10, k_max=5)
+        plan = platform.prepare(CROSS_DB_QUERY)
+        before = platform.config
+        with pytest.raises(error):
+            platform.configure(adaptive_ppk=True, tracing_allowed=False,
+                               ppk_pipelining=False, **{name: value})
+        assert platform.config is before
+        assert platform.prepare(CROSS_DB_QUERY) is plan
 
     def test_profile_shows_block_capacity_fact(self):
         platform = build_platform(customers=4, deploy_profile=False)
@@ -164,20 +183,20 @@ class TestAdaptivePpk:
 class TestPrefetchWindow:
     def test_window_results_identical_to_serial(self):
         reference = build_platform(customers=12, deploy_profile=False)
-        reference.set_ppk_block_size(2)
-        reference.set_ppk_pipelining(False)
+        reference.configure(ppk_block_size=2)
+        reference.configure(ppk_pipelining=False)
         expected = serialize(reference.execute(CROSS_DB_QUERY))
         for window in (1, 2, 3, 8):
             platform = build_platform(customers=12, deploy_profile=False)
-            platform.set_ppk_block_size(2)
-            platform.set_ppk_prefetch_window(window)
+            platform.configure(ppk_block_size=2)
+            platform.configure(ppk_prefetch_window=window)
             assert serialize(platform.execute(CROSS_DB_QUERY)) == expected
 
     def test_window_is_clamped_to_worker_pool(self):
         platform = build_platform(customers=12, deploy_profile=False)
-        platform.set_async_workers(2)
-        platform.set_ppk_prefetch_window(8)
-        platform.set_ppk_block_size(2)
+        platform.configure(async_workers=2)
+        platform.configure(ppk_prefetch_window=8)
+        platform.configure(ppk_block_size=2)
         platform.execute(CROSS_DB_QUERY)
         # 6 blocks at effective W=2: one initial 2-fetch group, then two
         # join+2-fetch rounds, with the last window joined inline.
@@ -188,9 +207,9 @@ class TestPrefetchWindow:
     def test_worker_pool_knob_validates(self):
         platform = build_platform(deploy_profile=False)
         with pytest.raises(ValueError):
-            platform.set_async_workers(0)
+            platform.configure(async_workers=0)
         with pytest.raises(ValueError):
-            platform.set_ppk_prefetch_window(0)
+            platform.configure(ppk_prefetch_window=0)
 
     def test_deeper_window_overlaps_more_latency(self):
         def elapsed(window: int) -> float:
@@ -198,8 +217,8 @@ class TestPrefetchWindow:
                 customers=60, orders_per_customer=0, deploy_profile=False,
                 db_latency=LatencyModel(roundtrip_ms=20.0, per_row_ms=0.01),
             )
-            platform.set_ppk_block_size(5)
-            platform.set_ppk_prefetch_window(window)
+            platform.configure(ppk_block_size=5)
+            platform.configure(ppk_prefetch_window=window)
             start = platform.clock.now_ms()
             platform.execute(CROSS_DB_QUERY)
             return platform.clock.now_ms() - start
@@ -211,12 +230,12 @@ class TestPrefetchWindow:
     def test_degraded_block_mid_window_virtual_clock(self):
         def run(pipelined: bool) -> str:
             platform = build_platform(customers=12, deploy_profile=False)
-            platform.set_ppk_block_size(2)
-            platform.set_partial_results(True)
+            platform.configure(ppk_block_size=2)
+            platform.configure(partial_results=True)
             if pipelined:
-                platform.set_ppk_prefetch_window(3)
+                platform.configure(ppk_prefetch_window=3)
             else:
-                platform.set_ppk_pipelining(False)
+                platform.configure(ppk_pipelining=False)
             FaultInjector().fail_first(2).attach(platform.ctx.databases["ccdb"])
             return serialize(platform.execute(CROSS_DB_QUERY))
 
@@ -235,9 +254,9 @@ class TestPrefetchWindow:
             db_latency=LatencyModel(roundtrip_ms=1.0, per_row_ms=0.0,
                                     connect_timeout_ms=0.0),
         )
-        platform.set_ppk_block_size(2)
-        platform.set_ppk_prefetch_window(3)
-        platform.set_partial_results(True)
+        platform.configure(ppk_block_size=2)
+        platform.configure(ppk_prefetch_window=3)
+        platform.configure(partial_results=True)
         FaultInjector().fail_first(2).attach(platform.ctx.databases["ccdb"])
         out = serialize(platform.execute(CROSS_DB_QUERY))
         platform.close()
@@ -296,7 +315,7 @@ class TestScatterRegions:
         def elapsed(parallel: bool) -> float:
             platform = build_demo_platform(customers=4, orders_per_customer=0,
                                            deploy_profile=False)
-            platform.set_parallel_regions(parallel)
+            platform.configure(parallel_regions=parallel)
             start = platform.clock.now_ms()
             platform.execute(SCATTER_QUERY)
             return platform.clock.now_ms() - start
@@ -310,7 +329,7 @@ class TestScatterRegions:
         platform = build_platform(customers=5, deploy_profile=False)
         out = serialize(platform.execute(SCATTER_QUERY))
         reference = build_platform(customers=5, deploy_profile=False)
-        reference.set_parallel_regions(False)
+        reference.configure(parallel_regions=False)
         assert out == serialize(reference.execute(SCATTER_QUERY))
         assert "<A>5</A>" in out and "<B>5</B>" in out
 
@@ -323,7 +342,7 @@ class TestScatterRegions:
 
     def test_scatter_degrades_per_branch_with_partial_results(self):
         platform = build_platform(customers=3, deploy_profile=False)
-        platform.set_partial_results(True)
+        platform.configure(partial_results=True)
         platform.ctx.databases["ccdb"].available = False
         out = serialize(platform.execute(SCATTER_QUERY))
         assert "<A>3</A>" in out  # the healthy branch is unaffected
@@ -387,6 +406,6 @@ class TestFunctionCacheBound:
     def test_platform_exposes_cache_stats_and_metrics(self):
         platform = build_platform(deploy_profile=False)
         assert platform.function_cache_stats()["capacity"] == 512
-        platform.set_function_cache_capacity(16)
+        platform.cache.set_capacity(16)
         assert platform.function_cache_stats()["capacity"] == 16
         assert platform.metrics_snapshot()["cache.evictions"] == 0

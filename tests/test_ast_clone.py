@@ -286,7 +286,7 @@ def test_compiling_the_running_example_never_deep_copies_a_node(monkeypatch):
     warm = platform.prepare('getProfileByID("C1")')
     assert platform.view_cache.hits >= 1
     assert repr(warm.expr) == repr(cold.expr)
-    platform.set_cost_based(True)
+    platform.configure(cost_based=True)
     platform.prepare("for $c in CUSTOMER() return <C>{$c/CID}{ for $cc in "
                      "CREDIT_CARD() where $cc/CID eq $c/CID return $cc/NUMBER }</C>")
     assert platform.lineage("ProfileService") is not None

@@ -273,7 +273,7 @@ class TestCachedDataServiceFunction:
         assert platform.plan_cache.get("#body:getProfile#0") is not None
         pushed = platform.ctx.stats.pushed_queries
         assert pushed > 0
-        platform.set_pushdown_enabled(False)
+        platform.configure(pushdown=False)
         assert platform.plan_cache.get("#body:getProfile#0") is None
         platform.clock.charge_ms(100)  # the entry is stale: the body runs again
         assert serialize(platform.execute("getProfile()")) == expected

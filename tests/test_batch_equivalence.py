@@ -53,7 +53,7 @@ def observe_composite(tmp_path, batch_size: int) -> dict:
     from tests.test_composite_scenario import build_scenario
 
     platform, _invdb, _salesdb = build_scenario(tmp_path)
-    platform.set_batch_size(batch_size)
+    platform.configure(batch_size=batch_size)
     out = {}
     out["productInfo"] = serialize(platform.call("productInfo"))
     out["replenishment"] = serialize(platform.call("replenishmentReport"))
@@ -84,7 +84,7 @@ def observe_running_example(tmp_path, batch_size: int) -> dict:
         customers=20, orders_per_customer=3, ws_latency_ms=15.0,
         db_latency=LatencyModel(roundtrip_ms=5.0, per_row_ms=0.05),
     )
-    platform.set_batch_size(batch_size)
+    platform.configure(batch_size=batch_size)
     start = platform.clock.now_ms()
     profiles = platform.call("getProfile")
     return {
@@ -102,7 +102,7 @@ def observe_running_example(tmp_path, batch_size: int) -> dict:
 
 def _observe_queries(queries: dict, batch_size: int, configure=None) -> dict:
     platform = build_demo_platform(customers=6, orders_per_customer=2)
-    platform.set_batch_size(batch_size)
+    platform.configure(batch_size=batch_size)
     if configure is not None:
         configure(platform)
     out = {}
@@ -185,7 +185,7 @@ _FLAT_JOIN = ("for $c in CUSTOMER() for $cc in CREDIT_CARD() "
 
 
 def _force_index_join(platform) -> None:
-    platform.set_cost_based(True, force="index-join")
+    platform.configure(cost_based=True, force_strategy="index-join")
 
 
 #: case -> (configure, query, k values); ``k`` None runs the query to its end
@@ -207,8 +207,8 @@ def early_exit_platform(case: str, batch_size: int, clock=None):
     platform = build_demo_platform(
         customers=40, orders_per_customer=2, clock=clock,
         db_latency=LatencyModel(roundtrip_ms=5.0, per_row_ms=0.05))
-    platform.set_ppk_block_size(3)
-    platform.set_batch_size(batch_size)
+    platform.configure(ppk_block_size=3)
+    platform.configure(batch_size=batch_size)
     configure = EARLY_EXIT_CASES[case][0]
     if configure is not None:
         configure(platform)

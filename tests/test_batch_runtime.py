@@ -2,7 +2,7 @@
 
 Covers what a batch is (row ownership, emit-on-fill, schema-uniform
 batches), the row-expression compiler's edge semantics against the
-reference driver of ``tests/flwor_reference.py``, the ``set_batch_size``
+reference driver of ``tests/flwor_reference.py``, the ``batch_size``
 value, batched serialization, the adaptive-PP-k/batch-size interaction,
 and the ``BatchProbe`` observability surface.  End-to-end byte-identity
 lives in ``tests/test_batch_equivalence.py``.
@@ -14,9 +14,10 @@ import io
 
 import pytest
 
+from repro.config import DEFAULT_BATCH_SIZE
 from repro.demo import build_demo_platform
 from repro.relational import LatencyModel
-from repro.runtime.batch import DEFAULT_BATCH_SIZE, batched
+from repro.runtime.batch import batched
 from repro.xml.serialize import serialize_to_sink
 from repro.xquery import ast_nodes as ast
 
@@ -149,16 +150,16 @@ def _flwor_nodes(node, out):
 class TestKnobAndStamp:
     def test_default_batch_size(self):
         platform = build_demo_platform(customers=2, orders_per_customer=0)
-        assert platform.ctx.batch_size == DEFAULT_BATCH_SIZE == 256
+        assert platform.config.batch_size == DEFAULT_BATCH_SIZE == 256
 
     def test_set_batch_size_validates(self):
         platform = build_demo_platform(customers=2, orders_per_customer=0)
-        platform.set_batch_size(1)
-        assert platform.ctx.batch_size == 1
+        platform.configure(batch_size=1)
+        assert platform.config.batch_size == 1
         with pytest.raises(ValueError):
-            platform.set_batch_size(0)
+            platform.configure(batch_size=0)
         with pytest.raises(ValueError):
-            platform.set_batch_size(-3)
+            platform.configure(batch_size=-3)
 
     def test_compiler_stamps_batch_capability(self):
         platform = build_demo_platform(customers=2, orders_per_customer=0)
@@ -187,7 +188,7 @@ class TestKnobAndStamp:
         outputs = set()
         for size in (1, 256):
             platform = build_demo_platform(customers=2, orders_per_customer=0)
-            platform.set_batch_size(size)
+            platform.configure(batch_size=size)
             from repro import serialize
             outputs.add(serialize(platform.execute(query)))
         assert len(outputs) == 1
@@ -205,7 +206,7 @@ class TestKnobAndStamp:
                  "{100000000000000001 idiv -7}</R>")
         for size in (1, 256):
             platform = build_demo_platform(customers=2, orders_per_customer=0)
-            platform.set_batch_size(size)
+            platform.configure(batch_size=size)
             assert serialize(platform.execute(query)) == (
                 "<R>6 -6 -14285714285714285 -14285714285714285</R>")
         big = 2 ** 80 + 1
@@ -281,7 +282,7 @@ def lane_platforms():
     platforms = {}
     for size in LANE_SIZES:
         platforms[size] = build_demo_platform(customers=2, orders_per_customer=0)
-        platforms[size].set_batch_size(size)
+        platforms[size].configure(batch_size=size)
     platforms["reference"] = build_demo_platform(customers=2, orders_per_customer=0)
     return platforms
 
@@ -512,7 +513,7 @@ class TestQuantifiedAndPerRowFlwors:
         touches a source, groups or orders enters the lazy driver, through
         ``Evaluator.iter_eval`` like a FLWOR at the root."""
         platform = build_demo_platform(customers=3, orders_per_customer=2)
-        platform.set_pushdown_enabled(False)  # keep source clauses mid-tier
+        platform.configure(pushdown=False)  # keep source clauses mid-tier
 
         def nested(query):
             outer = platform.prepare(query).expr
@@ -614,7 +615,7 @@ class TestSerializeToSink:
         count = platform.execute_to_file(
             "for $c in CUSTOMER() return $c/CID", out)
         assert count == 3
-        platform.set_batch_size(1)
+        platform.configure(batch_size=1)
         single = tmp_path / "single.xml"
         platform.execute_to_file("for $c in CUSTOMER() return $c/CID", single)
         assert out.read_text() == single.read_text()
@@ -630,8 +631,8 @@ class TestAdaptiveClamp:
             customers=60, orders_per_customer=0, deploy_profile=False,
             db_latency=LatencyModel(roundtrip_ms=50.0, per_row_ms=0.02),
         )
-        platform.set_adaptive_ppk(True)
-        platform.set_batch_size(batch_size)
+        platform.configure(adaptive_ppk=True)
+        platform.configure(batch_size=batch_size)
         query = ('for $c in CUSTOMER() '
                  'return <O>{ for $cc in CREDIT_CARD() '
                  'where $cc/CID eq $c/CID return $cc/NUMBER }</O>')
@@ -675,7 +676,7 @@ class TestBatchObservability:
 
     def test_profile_reports_one_row_per_batch_at_size_one(self):
         platform = build_demo_platform(customers=4, orders_per_customer=2)
-        platform.set_batch_size(1)
+        platform.configure(batch_size=1)
         profile = platform.profile("for $i in (1 to 50) where $i mod 5 eq 0 return $i")
         assert profile.batches == {
             "for#1": {"batches": 50, "rows": 50, "rows_per_batch": 1.0},
@@ -715,7 +716,7 @@ class TestUnstampedFlwor:
     def _platform(self, size: int):
         platform = build_demo_platform(customers=2, orders_per_customer=0)
         platform.deploy(self.SERVICE, name="Down")
-        platform.set_batch_size(size)
+        platform.configure(batch_size=size)
         return platform
 
     @pytest.mark.parametrize("size", LANE_SIZES)

@@ -151,7 +151,7 @@ class TestFlightCommand:
 
 class TestNoTracingFlag:
     def test_trace_profile_fails_cleanly_when_disabled(self):
-        result = run_cli("--no-tracing", "--customers", "2", "trace",
+        result = run_cli("--set", "tracing_allowed=false", "--customers", "2", "trace",
                          "--profile", 'getProfileByID("C1")')
         assert result.returncode == 1
         assert "Traceback" not in result.stderr
@@ -159,13 +159,13 @@ class TestNoTracingFlag:
         assert "administratively disabled" in result.stderr
 
     def test_trace_fails_cleanly_when_disabled(self):
-        result = run_cli("--no-tracing", "trace",
+        result = run_cli("--set", "tracing_allowed=false", "trace",
                          "for $c in CUSTOMER() return $c/CID")
         assert result.returncode == 1
         assert "error: ALDSP-E501:" in result.stderr
 
     def test_stats_window_fails_cleanly_when_disabled(self):
-        result = run_cli("--no-tracing", "stats", "--window")
+        result = run_cli("--set", "tracing_allowed=false", "stats", "--window")
         assert result.returncode == 1
         assert "error: ALDSP-E501:" in result.stderr
 

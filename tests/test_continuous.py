@@ -18,6 +18,7 @@ from repro.demo import build_demo_platform
 from repro.errors import AdmissionError, ObservabilityError
 from repro.observability import (
     NOOP_SPAN,
+    TRACE_ALL,
     ContinuousConfig,
     ContinuousTracer,
     FlightRecord,
@@ -439,8 +440,8 @@ class TestRetainedTraceDeterminism:
 
     def run_once(self) -> tuple[str, dict]:
         platform = build_demo_platform(customers=2, clock=VirtualClock())
-        tracer = platform.set_continuous(sample_rate=0.5, seed=13,
-                                         slow_ms=0.0)
+        platform.configure(continuous=ContinuousConfig(sample_rate=0.5, seed=13, slow_ms=0.0))
+        tracer = platform.tracer
         for i, query in enumerate(self.QUERIES):
             variables = _cid(f"C{1 + i % 2}") if query is LOOKUP else None
             platform.execute(query, variables)
@@ -465,16 +466,18 @@ class TestRetainedTraceDeterminism:
 class TestPlatformContinuous:
     def test_aldsp_e501_gates_every_tracing_surface(self):
         platform = build_demo_platform(customers=1, clock=VirtualClock())
-        platform.set_tracing_allowed(False)
-        for attempt in (lambda: platform.set_tracing(True),
-                        lambda: platform.set_continuous(),
+        platform.configure(tracing_allowed=False)
+        for attempt in (lambda: platform.configure(continuous=TRACE_ALL),
+                        lambda: platform.configure(continuous=ContinuousConfig()),
                         lambda: platform.profile(SCAN)):
             with pytest.raises(ObservabilityError, match="ALDSP-E501"):
                 attempt()
+        assert platform.config.continuous is None and not platform.tracer.enabled
         # execution itself is not gated, and re-allowing recovers
         platform.execute(SCAN)
-        platform.set_tracing_allowed(True)
-        assert platform.set_continuous() is not None
+        platform.configure(tracing_allowed=True)
+        platform.configure(continuous=ContinuousConfig())
+        assert platform.tracer.enabled
 
     def test_error_carries_stable_code(self):
         error = ObservabilityError("nope")
@@ -483,7 +486,7 @@ class TestPlatformContinuous:
 
     def test_plan_stats_fed_from_sampled_queries(self):
         platform = build_demo_platform(customers=2, clock=VirtualClock())
-        platform.set_continuous(sample_rate=1.0)
+        platform.configure(continuous=ContinuousConfig(sample_rate=1.0))
         platform.call("getProfile")
         stats = platform.plan_stats()
         assert stats["traces_observed"] == 1
@@ -496,23 +499,16 @@ class TestPlatformContinuous:
         platform.profile(SCAN)
         assert platform.plan_stats()["traces_observed"] == 1
 
-    def test_window_always_on_and_resized(self):
+    def test_window_is_always_on(self):
         platform = build_demo_platform(customers=1, clock=VirtualClock())
-        platform.set_continuous(sample_rate=1.0)
+        platform.configure(continuous=ContinuousConfig(sample_rate=1.0))
         platform.call("getProfile")
         assert platform.window_snapshot()["trace.requests"][
             "window_total"] == 1
-        platform.set_metrics_window(10.0, nbuckets=5)
-        # the replacement window starts empty and feeds the tracer
-        assert platform.window_snapshot() == {}
-        platform.call("getProfile")
-        assert platform.window_snapshot()["trace.requests"][
-            "window_total"] == 1
-        assert platform.window.bucket_ms == pytest.approx(2000.0)
 
     def test_reset_stats_clears_the_window(self):
         platform = build_demo_platform(customers=1, clock=VirtualClock())
-        platform.set_continuous(sample_rate=1.0)
+        platform.configure(continuous=ContinuousConfig(sample_rate=1.0))
         platform.call("getProfile")
         platform.reset_stats()
         assert platform.window_snapshot()["trace.requests"][
@@ -520,9 +516,9 @@ class TestPlatformContinuous:
 
     def test_set_continuous_off_restores_noop(self):
         platform = build_demo_platform(customers=1, clock=VirtualClock())
-        platform.set_continuous(sample_rate=1.0)
+        platform.configure(continuous=ContinuousConfig(sample_rate=1.0))
         assert platform.tracer.enabled
-        assert platform.set_continuous(enabled=False) is None
+        platform.configure(continuous=None)
         assert not platform.tracer.enabled
         platform.execute(SCAN)  # runs untraced
 
@@ -545,7 +541,7 @@ def build_server(quota: TenantQuota | None = None, flight_capacity: int = 64):
 class TestServerFlight:
     def test_completed_request_record_has_phases_and_fingerprint(self):
         platform, server = build_server()
-        platform.set_continuous(sample_rate=1.0, slow_ms=0.0)
+        platform.configure(continuous=ContinuousConfig(sample_rate=1.0, slow_ms=0.0))
         session = server.open_session("acme", "pw")
         response = server.execute(session.session_id, LOOKUP, _cid("C1"))
         [record] = server.flight()
@@ -560,7 +556,7 @@ class TestServerFlight:
     def test_ledger_reconciles_with_admission_counters(self):
         platform, server = build_server(
             quota=TenantQuota(capacity=2, refill_per_s=0.0))
-        platform.set_continuous(sample_rate=1.0, slow_ms=0.0)
+        platform.configure(continuous=ContinuousConfig(sample_rate=1.0, slow_ms=0.0))
         session = server.open_session("acme", "pw")
         outcomes = []
         for _ in range(4):  # 2 admitted, then the quota sheds 2
@@ -592,7 +588,8 @@ class TestServerFlight:
     def test_shed_requests_are_flight_recorded_and_trace_retained(self):
         platform, server = build_server(
             quota=TenantQuota(capacity=1, refill_per_s=0.0))
-        tracer = platform.set_continuous(sample_rate=1.0, slow_ms=1e9)
+        platform.configure(continuous=ContinuousConfig(sample_rate=1.0, slow_ms=1e9))
+        tracer = platform.tracer
         session = server.open_session("acme", "pw")
         server.execute(session.session_id, LOOKUP, _cid("C1"))
         with pytest.raises(AdmissionError):
@@ -608,7 +605,7 @@ class TestServerFlight:
 
     def test_every_request_recorded_even_unsampled(self):
         platform, server = build_server()
-        platform.set_continuous(sample_rate=0.0)
+        platform.configure(continuous=ContinuousConfig(sample_rate=0.0))
         session = server.open_session("acme", "pw")
         server.execute(session.session_id, LOOKUP, _cid("C1"))
         [record] = server.flight()

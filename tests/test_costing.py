@@ -131,10 +131,10 @@ class TestColdStartByteIdentity:
         platform = demo()
         before = platform.explain(JOIN_QUERY)
         assert "[cost:" not in before
-        platform.set_cost_based(True)
+        platform.configure(cost_based=True)
         stamped = platform.explain(JOIN_QUERY)
         assert "[cost:" in stamped
-        platform.set_cost_based(False)
+        platform.configure(cost_based=False)
         assert platform.explain(JOIN_QUERY) == before
 
     def test_functional_sources_are_untouched(self):
@@ -142,13 +142,13 @@ class TestColdStartByteIdentity:
         # pass leaves the plan byte-identical even when enabled
         platform = demo()
         before = platform.explain(RATING_QUERY)
-        platform.set_cost_based(True)
+        platform.configure(cost_based=True)
         assert platform.explain(RATING_QUERY) == before
 
     def test_empty_tables_cost_safely(self):
         platform = demo(customers=0)
         expected = serialize(platform.execute(JOIN_QUERY))
-        platform.set_cost_based(True)
+        platform.configure(cost_based=True)
         assert "est_rows=0" in platform.explain(JOIN_QUERY)
         assert serialize(platform.execute(JOIN_QUERY)) == expected == ""
 
@@ -158,24 +158,24 @@ class TestStrategyChoice:
     def test_every_strategy_returns_identical_results(self, force):
         platform = demo()
         expected = serialize(platform.execute(JOIN_QUERY))
-        platform.set_cost_based(True, force=force)
+        platform.configure(cost_based=True, force_strategy=force)
         assert serialize(platform.execute(JOIN_QUERY)) == expected
 
     def test_forced_strategies_show_in_explain(self):
         platform = demo()
-        platform.set_cost_based(True, force="index-join")
+        platform.configure(cost_based=True, force_strategy="index-join")
         text = platform.explain(JOIN_QUERY)
         assert "INDEX NESTED-LOOP JOIN" in text
         assert "strategy=index-join" in text
-        platform.set_cost_based(True, force="ship-all")
+        platform.configure(cost_based=True, force_strategy="ship-all")
         assert "strategy=ship-all" in platform.explain(JOIN_QUERY)
-        platform.set_cost_based(True, force="ppk")
+        platform.configure(cost_based=True, force_strategy="ppk")
         text = platform.explain(JOIN_QUERY)
         assert "PP-" in text and "strategy=ppk" in text
 
     def test_estimates_render_with_runner_up(self):
         platform = demo()
-        platform.set_cost_based(True)
+        platform.configure(cost_based=True)
         text = platform.explain(JOIN_QUERY)
         assert "est_rows=" in text and "est_ms=" in text
         assert "via=statistics" in text and "runner-up=" in text
@@ -183,13 +183,13 @@ class TestStrategyChoice:
     def test_invalid_knob_values_rejected(self):
         platform = demo()
         with pytest.raises(ValueError):
-            platform.set_cost_based(True, force="hash-join")
+            platform.configure(cost_based=True, force_strategy="hash-join")
         with pytest.raises(ValueError):
-            platform.set_replan_threshold(1.0)
+            platform.configure(replan_threshold=1.0)
 
     def test_profile_shows_estimates_next_to_actuals(self):
         platform = demo()
-        platform.set_cost_based(True)
+        platform.configure(cost_based=True)
         text = platform.profile(JOIN_QUERY).text
         assert "est_rows=" in text and "act_rows=" in text
 
@@ -198,20 +198,12 @@ class TestJoinOrdering:
     def test_selective_filtered_join_runs_first(self):
         platform = three_way_platform()
         expected = serialize(platform.execute(THREE_WAY_QUERY))
-        platform.set_cost_based(True)
+        platform.configure(cost_based=True)
         text = platform.explain(THREE_WAY_QUERY)
         # the ACCOUNT unit carries a pushed filter (drops ~90% of outer
         # tuples) so the greedy ordering runs it before the pass-through
         # CUSTOMER join
         assert text.index("for $a") < text.index("$c")
-        assert serialize(platform.execute(THREE_WAY_QUERY)) == expected
-
-    def test_reorder_can_be_disabled(self):
-        platform = three_way_platform()
-        expected = serialize(platform.execute(THREE_WAY_QUERY))
-        platform.set_cost_based(True, reorder=False)
-        text = platform.explain(THREE_WAY_QUERY)
-        assert text.index("$c") < text.index("for $a")
         assert serialize(platform.execute(THREE_WAY_QUERY)) == expected
 
 
@@ -222,20 +214,20 @@ class TestWarmStart:
         compilation of the same query estimates from observed EWMAs."""
         platform = demo()
         platform.statistics.set_table_stats("custdb", "CUSTOMER", rows=1)
-        platform.set_cost_based(True)
+        platform.configure(cost_based=True)
         cold = platform.explain(JOIN_QUERY)
         assert "est_rows=1" in cold and "via=observed" not in cold
         platform.profile(JOIN_QUERY)
-        platform.set_cost_based(True)  # invalidate -> recompile
+        platform._invalidate_plans()  # recompile
         warm = platform.explain(JOIN_QUERY)
         assert "via=observed" in warm
         assert "est_rows=4" in warm  # the scan's observed cardinality
 
     def test_warm_start_keyed_by_query_fingerprint(self):
         platform = demo()
-        platform.set_cost_based(True)
+        platform.configure(cost_based=True)
         platform.profile(JOIN_QUERY)
-        platform.set_cost_based(True)
+        platform._invalidate_plans()
         other = "for $o in ORDER() return $o/AMOUNT"
         assert "via=observed" not in platform.explain(other)
 
@@ -253,7 +245,7 @@ class TestObservedOrDeclaredLatency:
         platform = build_demo_platform(
             customers=2000, orders_per_customer=0,
             db_latency=LatencyModel(roundtrip_ms=5.0, per_row_ms=0.5))
-        platform.set_cost_based(True)
+        platform.configure(cost_based=True)
         for cid in ("C1", "C2", "C3"):  # one row each: no row-count variance
             platform.execute(
                 f'for $cc in CREDIT_CARD() where $cc/CID eq "{cid}" return $cc')
@@ -293,11 +285,11 @@ class TestReplanning:
     def test_ppk_to_scan_replan_recovers_and_counts(self):
         expected = serialize(demo(customers=8).execute(JOIN_QUERY))
         platform = demo(customers=8)
-        platform.set_ppk_block_size(2)
+        platform.configure(ppk_block_size=2)
         # lie: claim 2 customers so PP-k looks like one cheap roundtrip
         platform.statistics.set_table_stats("custdb", "CUSTOMER", rows=2)
-        platform.set_cost_based(True)
-        platform.set_replan_threshold(2.0)
+        platform.configure(cost_based=True)
+        platform.configure(replan_threshold=2.0)
         assert "strategy=ppk" in platform.explain(JOIN_QUERY)
         profile = platform.profile(JOIN_QUERY)
         assert serialize(platform.execute(JOIN_QUERY)) == expected
@@ -313,8 +305,8 @@ class TestReplanning:
         # lie the other way: a huge outer makes index-join win, but the
         # real outer finishes before the build commit point
         platform.statistics.set_table_stats("custdb", "CUSTOMER", rows=1000)
-        platform.set_cost_based(True)
-        platform.set_replan_threshold(2.0)
+        platform.configure(cost_based=True)
+        platform.configure(replan_threshold=2.0)
         assert "strategy=index-join" in platform.explain(JOIN_QUERY)
         profile = platform.profile(JOIN_QUERY)
         assert serialize(platform.execute(JOIN_QUERY)) == expected
@@ -326,10 +318,10 @@ class TestReplanning:
     def test_replan_is_deterministic(self):
         def run():
             platform = demo(customers=8)
-            platform.set_ppk_block_size(2)
+            platform.configure(ppk_block_size=2)
             platform.statistics.set_table_stats("custdb", "CUSTOMER", rows=2)
-            platform.set_cost_based(True)
-            platform.set_replan_threshold(2.0)
+            platform.configure(cost_based=True)
+            platform.configure(replan_threshold=2.0)
             out = serialize(platform.execute(JOIN_QUERY))
             return out, platform.ctx.stats.replans, platform.clock.now_ms()
 
@@ -337,8 +329,8 @@ class TestReplanning:
 
     def test_no_replan_when_estimate_is_right(self):
         platform = demo(customers=8)
-        platform.set_ppk_block_size(2)
-        platform.set_cost_based(True, force="ppk")
-        platform.set_replan_threshold(2.0)
+        platform.configure(ppk_block_size=2)
+        platform.configure(cost_based=True, force_strategy="ppk")
+        platform.configure(replan_threshold=2.0)
         platform.execute(JOIN_QUERY)
         assert platform.ctx.stats.replans == 0

@@ -81,7 +81,7 @@ def test_property_pushed_equals_middleware(customers, orders, query_index):
     pushed = build(customers, orders)
     pushed_out = serialize(pushed.execute(query))
     naive = build(customers, orders)
-    naive.set_pushdown_enabled(False)
+    naive.configure(pushdown=False)
     naive_out = serialize(naive.execute(query))
     assert pushed_out == naive_out
 
@@ -113,10 +113,10 @@ def test_property_ppk_block_size_never_changes_results(customers, orders, k):
     db2.load("O", orders)
     platform.register_database(db1, navigation=False)
     platform.register_database(db2, navigation=False)
-    platform.set_ppk_block_size(k)
+    platform.configure(ppk_block_size=k)
     query = QUERIES[2]
     out = serialize(platform.execute(query))
 
     naive = build(customers, orders)
-    naive.set_pushdown_enabled(False)
+    naive.configure(pushdown=False)
     assert out == serialize(naive.execute(query))

@@ -48,7 +48,7 @@ class TestIndexNestedLoopJoin:
         '''
         indexed = serialize(platform.execute(query))
         naive = self.make_platform(tmp_path, rows=9)
-        naive.set_pushdown_enabled(False)  # also disables index-join rewriting
+        naive.configure(pushdown=False)  # also disables index-join rewriting
         assert indexed == serialize(naive.execute(query))
 
     def test_non_equi_join_stays_nested_loop(self, tmp_path):
@@ -189,10 +189,10 @@ class TestObservedCostModel:
         chosen = platform.adapt_ppk()
         assert chosen is not None
         assert chosen > 20  # high-latency sources justify bigger blocks
-        assert platform.options.push.ppk_block_size == chosen
+        assert platform.config.ppk_block_size == chosen
 
     def test_adapt_without_data_is_noop(self):
         platform = build_platform(deploy_profile=False)
-        default = platform.options.push.ppk_block_size
+        default = platform.config.ppk_block_size
         assert platform.adapt_ppk() is None
-        assert platform.options.push.ppk_block_size == default
+        assert platform.config.ppk_block_size == default

@@ -116,7 +116,7 @@ def check(query: str, variables: dict, reference: str = "same-plan") -> None:
     expected = outcome(lambda: reference_execute(every[reference], query, variables))
     seen = set()
     for size in BATCH_SIZES:
-        engine.set_batch_size(size)
+        engine.configure(batch_size=size)
         seen.add(outcome(lambda: engine.execute(query, variables)))
         if reference == "nested-loop" and expected.startswith(UNCOMPARABLE):
             # the index join may skip the pair; every size does the same
@@ -445,7 +445,9 @@ def expect(query: str, variables: dict, expected: str) -> None:
 #: predicates over ``$b`` = (10, 20, 30) and the items XQuery keeps: a value
 #: that may be numeric selects by position, one that reads the focus sees
 #: its own item's (a nested predicate has a focus of its own), and only a
-#: boolean or a node sequence is read as an effective boolean value
+#: boolean or a node sequence is read as an effective boolean value.  On a
+#: step, over ``$n`` = (<N><C>1</C><C>2</C></N>, <N><C>3</C><C>4</C></N>), a
+#: predicate counts positions within each context node's children
 POSITIONAL = [
     ("$b[$i]", "20"), ("$b[fn:count((1, 2))]", "20"), ("$b[$i + 1]", "30"),
     ("$b[fn:position() lt 3]", "10 20"), ("$b[fn:last()]", "30"),
@@ -459,14 +461,21 @@ POSITIONAL = [
     ("(for $v in $b return $v + 0)[. gt 15][$i]", "30"),
     ("(for $v in $b return $v + 0)[. gt 5][fn:last()][. gt 25]", "30"),
     ("(for $v in $b return $v + 0)[1][. gt 15]", ""),
+    ("$n/C[1]", "<C>1</C><C>3</C>"), ("$n/C[fn:last()]", "<C>2</C><C>4</C>"),
+    ("$n/C[fn:position() lt 2]", "<C>1</C><C>3</C>"),
 ]
 
 
 def test_predicates_that_may_be_numeric_select_by_position():
-    variables = {"b": _atoms(10, 20, 30), "i": _atoms(2), "t": _atoms("x"), "e": []}
+    variables = {"b": _atoms(10, 20, 30), "i": _atoms(2), "t": _atoms("x"), "e": [],
+                 "n": [node("N", node("C", "1"), node("C", "2")),
+                       node("N", node("C", "3"), node("C", "4"))]}
+    pushdown_off = platforms()["nested-loop"]
     for predicate, kept in POSITIONAL:
-        expect(f"for $x in (1, 2) return <P>{{{predicate}}}</P>", variables,
-               f"<P>{kept}</P>" * 2 if kept else "<P/><P/>")
+        query = f"for $x in (1, 2) return <P>{{{predicate}}}</P>"
+        expected = f"<P>{kept}</P>" * 2 if kept else "<P/><P/>"
+        expect(query, variables, expected)
+        assert outcome(lambda: pushdown_off.execute(query, variables)) == expected, query
 
 
 def test_range_operands_are_integers():

@@ -40,7 +40,7 @@ def demo(configure=None):
 
 
 def nested_loop(platform) -> None:
-    platform.set_pushdown_enabled(False)  # also keeps joins as for + where
+    platform.configure(pushdown=False)  # also keeps joins as for + where
 
 
 #: outer rows by the shape of their join key
@@ -53,9 +53,9 @@ OUTER_ROWS = {
 }
 
 STRATEGIES = {
-    "ppk": lambda platform: platform.set_ppk_block_size(2),
-    "index-join": lambda platform: platform.set_cost_based(True, force="index-join"),
-    "ship-all": lambda platform: platform.set_cost_based(True, force="ship-all"),
+    "ppk": lambda platform: platform.configure(ppk_block_size=2),
+    "index-join": lambda platform: platform.configure(cost_based=True, force_strategy="index-join"),
+    "ship-all": lambda platform: platform.configure(cost_based=True, force_strategy="ship-all"),
 }
 
 

@@ -19,6 +19,7 @@ from repro import Platform
 from repro.clock import VirtualClock, WallClock
 from repro.observability import (
     NOOP_SPAN,
+    TRACE_ALL,
     ContinuousTracer,
     MetricsRegistry,
     QueryTracer,
@@ -194,7 +195,7 @@ class TestPlatformTracing:
 
     def test_enabled_tracing_records_operator_spans(self):
         platform = build_platform()
-        platform.set_tracing(True)
+        platform.configure(continuous=TRACE_ALL)
         items = platform.call("getProfile")
         root = platform.last_trace
         assert root.kind == "query" and root.attrs["items"] == len(items)
@@ -207,7 +208,7 @@ class TestPlatformTracing:
 
     def test_unified_snapshot_covers_every_stats_family(self):
         platform = build_platform()
-        platform.set_tracing(True)
+        platform.configure(continuous=TRACE_ALL)
         platform.call("getProfile")
         snap = platform.metrics_snapshot()
         assert snap["runtime.pushed_queries"] > 0
@@ -221,13 +222,13 @@ class TestPlatformTracing:
 
     def test_tracer_swap_reaches_connections_and_pools(self):
         platform = build_platform()
-        platform.set_tracing(True)
+        platform.configure(continuous=TRACE_ALL)
         tracer = platform.tracer
         assert platform.ctx.async_exec.tracer is tracer
         assert platform.ctx.resilience.tracer is tracer
         for name in platform.ctx.databases:
             assert platform.ctx.connection(name).tracer is tracer
-        platform.set_tracing(False)
+        platform.configure(continuous=None)
         assert platform.ctx.async_exec.tracer.enabled is False
 
 
@@ -282,11 +283,11 @@ class TestProfile:
 
     def test_profile_restores_the_installed_tracer(self):
         platform = build_platform()
-        platform.set_tracing(False)
+        platform.configure(continuous=None)
         before = platform.tracer
         platform.profile("1 + 1")
         assert platform.tracer is before
-        platform.set_tracing(True)
+        platform.configure(continuous=TRACE_ALL)
         enabled = platform.tracer
         platform.profile("1 + 1")
         assert platform.tracer is enabled
@@ -331,7 +332,7 @@ class TestObservedCostSuccessOnly:
 class TestResetStats:
     def test_reset_zeroes_every_series_in_one_call(self):
         platform = build_platform()
-        platform.set_tracing(True)
+        platform.configure(continuous=TRACE_ALL)
         platform.call("getProfile")
         platform.call("getProfile")
         before = platform.metrics_snapshot()
@@ -363,7 +364,7 @@ def _async_group(root):
 class TestAsyncSpanNesting:
     def test_virtual_clock_branches_nest_and_overlap(self):
         platform = build_platform()
-        platform.set_tracing(True)
+        platform.configure(continuous=TRACE_ALL)
         platform.execute(PPK_ASYNC_QUERY)
         root = platform.last_trace
         group = _async_group(root)
@@ -379,7 +380,7 @@ class TestAsyncSpanNesting:
         platform = Platform(clock=clock)
         platform.register_database(build_custdb(clock))
         platform.register_web_service(rating_service(latency_ms=5.0))
-        platform.set_tracing(True)
+        platform.configure(continuous=TRACE_ALL)
         platform.execute('''
             for $c in CUSTOMER() where $c/CID eq "C1"
             return <R>{
@@ -416,12 +417,12 @@ class TestAsyncSpanNesting:
 
 def _traced_chrome_json(seed: int) -> str:
     platform = build_platform()
-    platform.set_partial_results(True)
+    platform.configure(partial_results=True)
     platform.set_source_policy("ccdb", retry=RetryPolicy(
         max_attempts=2, backoff_ms=5.0))
     FaultInjector(seed=seed).fail_with_probability(0.4).attach(
         platform.ctx.databases["ccdb"])
-    platform.set_tracing(True)
+    platform.configure(continuous=TRACE_ALL)
     platform.execute(PPK_ASYNC_QUERY)
     return chrome_trace_json(platform.tracer.roots)
 
@@ -429,7 +430,7 @@ def _traced_chrome_json(seed: int) -> str:
 class TestChromeExport:
     def test_schema_of_emitted_events(self):
         platform = build_platform()
-        platform.set_tracing(True)
+        platform.configure(continuous=TRACE_ALL)
         platform.execute(PPK_ASYNC_QUERY)
         doc = chrome_trace(platform.tracer.roots)
         assert doc["displayTimeUnit"] == "ms"
@@ -448,7 +449,7 @@ class TestChromeExport:
 
     def test_round_trips_through_json(self):
         platform = build_platform()
-        platform.set_tracing(True)
+        platform.configure(continuous=TRACE_ALL)
         platform.execute("for $c in CUSTOMER() return $c/CID")
         doc = json.loads(chrome_trace_json(platform.tracer.roots))
         assert any(e.get("cat") == "query" for e in doc["traceEvents"])
@@ -467,7 +468,7 @@ class TestChromeExport:
 
     def test_span_tree_rendering(self):
         platform = build_platform()
-        platform.set_tracing(True)
+        platform.configure(continuous=TRACE_ALL)
         platform.call("getProfile")
         text = render_span_tree(platform.last_trace)
         lines = text.splitlines()

@@ -218,7 +218,7 @@ def join_platform(outer, inner, distinct, roundtrip_ms, per_row_ms) -> Platform:
              "BALANCE": 10 * i})
     platform.register_database(crm)
     platform.register_database(billing)
-    platform.set_ppk_block_size(20)
+    platform.configure(ppk_block_size=20)
     return platform
 
 
@@ -246,7 +246,7 @@ def test_costed_plan_returns_what_the_heuristic_plan_returns(
         rows = platform.statistics.table_stats(database, table).rows
         platform.statistics.set_table_stats(database, table,
                                             rows=int(rows * factor))
-    platform.set_cost_based(True)
+    platform.configure(cost_based=True)
     assert "strategy=" in platform.explain(JOIN)
     assert serialize(platform.execute(JOIN)) == HEURISTIC[shape]
 
@@ -260,11 +260,11 @@ def test_uniform_warm_traffic_does_not_move_the_strategy(shape, expected,
     decision is the cold one (it used to flip selective_wan to a
     full-table index join)."""
     platform = join_platform(**SHAPES[shape])
-    platform.set_cost_based(True)
+    platform.configure(cost_based=True)
     cold = platform.explain(JOIN)
     assert f"strategy={expected}" in cold
     for key in (1, 2, 3):
         platform.execute(WARMUPS[warmup].format(key))
     assert not platform.observed.estimate("billing").identified
-    platform.set_cost_based(True)  # invalidate -> recompile
+    platform._invalidate_plans()  # recompile
     assert platform.explain(JOIN) == cold

@@ -420,7 +420,7 @@ def _render(caps, select) -> str:
 
 def test_cost_based_compiles_are_checked_under_cost_based_options():
     platform = build_platform(customers=8)
-    platform.set_cost_based(True)
+    platform.configure(cost_based=True)
     query = ('for $c in CUSTOMER() where $c/SINCE gt {} return <O>{{$c/CID}}'
              '{{for $cc in CREDIT_CARD() where $cc/CID eq $c/CID return $cc/NUMBER}}</O>')
     texts = [query.format(since) for since in (0, 1, 2)]

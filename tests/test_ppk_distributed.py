@@ -39,7 +39,7 @@ class TestPlanShape:
 
     def test_block_size_configurable(self):
         platform = build_platform(deploy_profile=False)
-        platform.set_ppk_block_size(5)
+        platform.configure(ppk_block_size=5)
         plan = platform.prepare(CROSS_DB_QUERY)
         assert ppk_clauses(plan.expr)[0].k == 5
 
@@ -71,24 +71,24 @@ class TestExecution:
     @pytest.mark.parametrize("k", [1, 2, 5, 100])
     def test_results_identical_for_any_k(self, k):
         platform = build_platform(customers=7, deploy_profile=False)
-        platform.set_ppk_block_size(k)
+        platform.configure(ppk_block_size=k)
         out = serialize(platform.execute(CROSS_DB_QUERY))
         reference = build_platform(customers=7, deploy_profile=False)
-        reference.set_pushdown_enabled(False)
+        reference.configure(pushdown=False)
         expected = serialize(reference.execute(CROSS_DB_QUERY))
         assert out == expected
 
     @pytest.mark.parametrize("k,expected_blocks", [(1, 12), (4, 3), (6, 2), (12, 1), (50, 1)])
     def test_roundtrips_scale_as_n_over_k(self, k, expected_blocks):
         platform = build_platform(customers=12, deploy_profile=False)
-        platform.set_ppk_block_size(k)
+        platform.configure(ppk_block_size=k)
         platform.execute(CROSS_DB_QUERY)
         assert platform.ctx.stats.ppk_blocks == expected_blocks
         assert platform.ctx.databases["ccdb"].stats.roundtrips == expected_blocks
 
     def test_disjunctive_query_has_k_parameters(self):
         platform = build_platform(customers=6, deploy_profile=False)
-        platform.set_ppk_block_size(3)
+        platform.configure(ppk_block_size=3)
         platform.execute(CROSS_DB_QUERY)
         [statement] = set(platform.ctx.databases["ccdb"].stats.statements)
         # one (col = ?) per distinct key in the block
@@ -111,14 +111,14 @@ class TestExecution:
         return <OUT>{ for $cc in CREDIT_CARD() where $cc/CID eq $c/LAST_NAME
                       return $cc }</OUT>
         '''
-        platform.set_ppk_block_size(10)
+        platform.configure(ppk_block_size=10)
         platform.execute(query)
         [statement] = set(ccdb.stats.statements)
         assert statement.count("?") == 1  # 6 tuples, 1 distinct key
 
     def test_ppk_tuples_counted(self):
         platform = build_platform(customers=9, deploy_profile=False)
-        platform.set_ppk_block_size(4)
+        platform.configure(ppk_block_size=4)
         platform.execute(CROSS_DB_QUERY)
         assert platform.ctx.stats.ppk_tuples == 9
 
@@ -155,7 +155,7 @@ class TestLatencyTradeoff:
         for k in (1, 5, 20):
             platform = build_platform(customers=40, orders_per_customer=0,
                                       deploy_profile=False)
-            platform.set_ppk_block_size(k)
+            platform.configure(ppk_block_size=k)
             start = platform.clock.now_ms()
             platform.execute(CROSS_DB_QUERY)
             times[k] = platform.clock.now_ms() - start

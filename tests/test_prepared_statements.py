@@ -45,9 +45,9 @@ def run_profile(customers: int, k: int, pipelined: bool = True,
         clock=clock,
         db_latency=db_latency or LatencyModel(roundtrip_ms=5.0, per_row_ms=0.05),
     )
-    platform.set_ppk_block_size(k)
-    platform.set_ppk_pipelining(pipelined)
-    platform.set_statement_cache_enabled(cache)
+    platform.configure(ppk_block_size=k)
+    platform.configure(ppk_pipelining=pipelined)
+    platform.configure(statement_cache=cache)
     start = platform.clock.now_ms()
     result = [serialize_item(item) for item in platform.execute(PPK_QUERY)]
     elapsed = platform.clock.now_ms() - start
@@ -172,7 +172,7 @@ class TestPPkRoundtripPath:
         ccdb.table("CREDIT_CARD").insert(
             {"CCID": "CCX", "CID": None, "NUMBER": "NEVER"}
         )
-        platform.set_ppk_block_size(4)
+        platform.configure(ppk_block_size=4)
         result = [serialize_item(i) for i in platform.execute(PPK_QUERY)]
         assert len(result) == 11
         assert all("NEVER" not in item for item in result)
@@ -184,9 +184,9 @@ class TestPPkRoundtripPath:
         platform2.ctx.databases["ccdb"].table("CREDIT_CARD").insert(
             {"CCID": "CCX", "CID": None, "NUMBER": "NEVER"}
         )
-        platform2.set_ppk_block_size(4)
-        platform2.set_ppk_pipelining(False)
-        platform2.set_statement_cache_enabled(False)
+        platform2.configure(ppk_block_size=4)
+        platform2.configure(ppk_pipelining=False)
+        platform2.configure(statement_cache=False)
         baseline = [serialize_item(i) for i in platform2.execute(PPK_QUERY)]
         assert result == baseline
 
@@ -215,7 +215,7 @@ class TestPPkRoundtripPath:
     def test_missing_correlation_alias_raises_dynamic_error(self, monkeypatch):
         platform = build_demo_platform(customers=4, orders_per_customer=0,
                                        deploy_profile=False)
-        platform.set_ppk_block_size(2)
+        platform.configure(ppk_block_size=2)
         original = Connection.execute_query
 
         def broken(self, sql, params=None):
@@ -235,6 +235,6 @@ class TestPPkRoundtripPath:
         ccdb = stats["ccdb"]
         assert ccdb["enabled"] and ccdb["size"] >= 1
         assert ccdb["hits"] + ccdb["misses"] == ccdb["hits"] + ccdb["parses"]
-        platform.set_statement_cache_enabled(False)
+        platform.configure(statement_cache=False)
         assert not platform.statement_cache_stats()["ccdb"]["enabled"]
         assert platform.statement_cache_stats()["ccdb"]["size"] == 0

@@ -14,7 +14,7 @@ def both_plans(query, **kwargs):
     pushed_platform = build_platform(deploy_profile=False, **kwargs)
     pushed_out = serialize(pushed_platform.execute(query))
     naive_platform = build_platform(deploy_profile=False, **kwargs)
-    naive_platform.set_pushdown_enabled(False)
+    naive_platform.configure(pushdown=False)
     naive_out = serialize(naive_platform.execute(query))
     return pushed_platform, pushed_out, naive_out
 
@@ -71,7 +71,7 @@ class TestPartialPredicatePushdown:
 class TestScanFallback:
     def test_disabled_pushdown_uses_adaptor_scan(self):
         platform = build_platform(customers=2, deploy_profile=False)
-        platform.set_pushdown_enabled(False)
+        platform.configure(pushdown=False)
         out = platform.execute("CUSTOMER()")
         assert len(out) == 2
         # the fallback scan selects every column explicitly
@@ -86,7 +86,7 @@ class TestScanFallback:
         assert "<LAST_NAME>" not in serialize(row)
         # and under the pushed row template as well
         platform2 = build_platform(customers=1, deploy_profile=False)
-        platform2.set_pushdown_enabled(False)
+        platform2.configure(pushdown=False)
         platform2.ctx.databases["custdb"].table("CUSTOMER").update_at(
             0, {"LAST_NAME": None})
         [row2] = platform2.execute("CUSTOMER()")
@@ -103,8 +103,7 @@ class TestPushdownKnobs:
         platform = build_platform(customers=3, deploy_profile=False)
         out_joined = serialize(platform.execute(query))
         ablated = build_platform(customers=3, deploy_profile=False)
-        ablated.options.push.clause_join_pushdown = False
-        ablated._invalidate_plans()
+        ablated.configure(clause_join_pushdown=False)
         out_ablated = serialize(ablated.execute(query))
         assert out_joined == out_ablated
         # with clause-level join pushdown, one statement contains the JOIN
@@ -151,7 +150,7 @@ class TestClusteringRequest:
         platform = build_platform(customers=12, deploy_profile=False)
         clustered = serialize(platform.execute(self.QUERY))
         naive = build_platform(customers=12, deploy_profile=False)
-        naive.set_pushdown_enabled(False)
+        naive.configure(pushdown=False)
         assert clustered == serialize(naive.execute(self.QUERY))
 
     def test_explicitly_ordered_scan_not_reclustered(self):
@@ -194,7 +193,7 @@ class TestOrderPushdownToScan:
         platform = build_platform(customers=4, deploy_profile=False)
         ordered = serialize(platform.execute(self.QUERY))
         naive = build_platform(customers=4, deploy_profile=False)
-        naive.set_pushdown_enabled(False)
+        naive.configure(pushdown=False)
         assert ordered == serialize(naive.execute(self.QUERY))
 
     def test_multiplying_clause_keeps_midtier_sort(self):
@@ -207,7 +206,7 @@ class TestOrderPushdownToScan:
         '''
         out = serialize(platform.execute(query))
         naive = build_platform(customers=3, deploy_profile=False)
-        naive.set_pushdown_enabled(False)
+        naive.configure(pushdown=False)
         assert out == serialize(naive.execute(query))
         assert "order by" in platform.explain(query)
 
@@ -221,5 +220,5 @@ class TestOrderPushdownToScan:
         '''
         out = serialize(platform.execute(query))
         naive = build_platform(customers=3, deploy_profile=False)
-        naive.set_pushdown_enabled(False)
+        naive.configure(pushdown=False)
         assert out == serialize(naive.execute(query))

@@ -256,7 +256,7 @@ def test_an_evaluator_constructor_still_copies_what_it_does_not_own():
     original = ElementNode(QName("X"))
     original.add_child(TextNode("1"))
     for batch_size in (1, 256):
-        platform.set_batch_size(batch_size)
+        platform.configure(batch_size=batch_size)
         first, second = platform.execute(
             "for $i in (1, 2) return <W>{$x}</W>", {"x": [original]})
         assert serialize([first, second]) == "<W><X>1</X></W><W><X>1</X></W>"
@@ -511,7 +511,7 @@ def test_a_table_scan_answers_as_the_pushed_region(monkeypatch):
         "fn:data(CREDIT_CARD()/NUMBER)"]
     pushed = build_demo_platform(customers=6, orders_per_customer=2)
     scanned = build_demo_platform(customers=6, orders_per_customer=2)
-    scanned.set_pushdown_enabled(False)
+    scanned.configure(pushdown=False)
     scans = []
     real = Evaluator._scan_table
     monkeypatch.setattr(Evaluator, "_scan_table",

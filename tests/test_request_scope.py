@@ -22,7 +22,7 @@ from repro import serialize
 from repro.clock import VirtualClock, WallClock
 from repro.demo import build_demo_platform
 from repro.errors import DeadlineExceededError, DynamicError, XMLError
-from repro.observability import chrome_trace_json
+from repro.observability import TRACE_ALL, ContinuousConfig
 from repro.observability.tracer import REQUEST
 from repro.relational.database import LatencyModel
 from repro.server import DataServer
@@ -62,7 +62,7 @@ class TestInterleavedOnOneThread:
         wrong rows, no error (the constants sit past the largest first
         batch, so every size reads its literal after the other query ran)."""
         platform = build_demo_platform()
-        platform.set_batch_size(size)
+        platform.configure(batch_size=size)
         stream = platform.stream("for $i in (1 to 600) where $i ne 300 return $i")
         first = next(stream)
         other = platform.execute("for $i in (1 to 600) where $i ne 500 return $i")
@@ -84,9 +84,9 @@ class TestInterleavedOnOneThread:
         record is B's, A's later ones are A's."""
         def degrading():
             platform = build_demo_platform(customers=6, orders_per_customer=0)
-            platform.set_partial_results(True)
-            platform.set_ppk_block_size(1)
-            platform.set_batch_size(size)
+            platform.configure(partial_results=True)
+            platform.configure(ppk_block_size=1)
+            platform.configure(batch_size=size)
             stream = platform.stream(CARDS)
             next(stream)
             platform.ctx.databases["ccdb"].available = False
@@ -105,7 +105,8 @@ class TestInterleavedOnOneThread:
         """(d) the second request was not counted and its spans grafted
         into the first's tree."""
         platform = build_demo_platform()
-        tracer = platform.set_continuous(sample_rate=1.0, slow_ms=0.0)
+        platform.configure(continuous=ContinuousConfig(sample_rate=1.0, slow_ms=0.0))
+        tracer = platform.tracer
         stream = platform.stream(SCAN)
         next(stream)
         platform.execute(NAMES)
@@ -122,7 +123,8 @@ class TestInterleavedOnOneThread:
         """(d) ``GeneratorExit`` is the client's choice: ``completed``,
         ``items`` = what was delivered, not force-retained, not failed."""
         platform = build_demo_platform()
-        tracer = platform.set_continuous(sample_rate=1.0, slow_ms=1e9)
+        platform.configure(continuous=ContinuousConfig(sample_rate=1.0, slow_ms=1e9))
+        tracer = platform.tracer
         stream = platform.stream(SCAN)
         next(stream)
         next(stream)
@@ -133,7 +135,8 @@ class TestInterleavedOnOneThread:
         assert window["trace.requests"]["window_total"] == 1
         assert not [name for name in window if name.startswith("trace.failed")]
         # with everything retained, the tree says what happened
-        tracer = platform.set_continuous(sample_rate=1.0, slow_ms=0.0)
+        platform.configure(continuous=ContinuousConfig(sample_rate=1.0, slow_ms=0.0))
+        tracer = platform.tracer
         stream = platform.stream(SCAN)
         next(stream)
         stream.close()
@@ -151,7 +154,7 @@ class TestOutcomes:
             "callsBack",
             lambda: len(platform.execute("getProfile()", budget_ms=1.0)),
             [], "xs:integer")  # (two roundtrips: the second is over budget)
-        platform.set_continuous(sample_rate=1.0)
+        platform.configure(continuous=ContinuousConfig(sample_rate=1.0))
         with pytest.raises(DeadlineExceededError):
             platform.call("callsBack")
         window = platform.window_snapshot()
@@ -180,10 +183,11 @@ class TestOutcomes:
             customers=8, orders_per_customer=0, ws_latency_ms=0.0,
             clock=WallClock(), db_latency=latency)
         try:
-            platform.set_ppk_block_size(1)
-            platform.set_ppk_prefetch_window(2)
-            platform.set_batch_size(1)
-            tracer = platform.set_continuous(sample_rate=1.0)
+            platform.configure(ppk_block_size=1)
+            platform.configure(ppk_prefetch_window=2)
+            platform.configure(batch_size=1)
+            platform.configure(continuous=ContinuousConfig(sample_rate=1.0))
+            tracer = platform.tracer
             stream = platform.stream(CARDS)
             next(stream)
             stream.close()
@@ -250,7 +254,7 @@ def test_interleaved_streams_yield_their_solo_results(first, second, size,
     included — advanced by a drawn schedule of ``next()`` calls on one
     thread, a method call dropped in at drawn points."""
     platform = shared_platform()
-    platform.set_batch_size(size)
+    platform.configure(batch_size=size)
     cases = (first, second)
     expected = [drain(platform.stream(*case)) for case in cases]
     streams = [platform.stream(*case) for case in cases]
@@ -269,25 +273,20 @@ def test_interleaved_streams_yield_their_solo_results(first, second, size,
 
 
 # ---------------------------------------------------------------------------
-# (iv) set_tracing(True) is a spelling of set_continuous(1.0, slow_ms=0)
+# (iv) TRACE_ALL: every request recorded, every span tree retained
 # ---------------------------------------------------------------------------
 
 
-def _traced_workload(enable) -> tuple[str, dict]:
+def test_trace_all_records_and_retains_every_request():
+    assert TRACE_ALL == ContinuousConfig(sample_rate=1.0, slow_ms=0.0)
     platform = build_demo_platform(customers=3, clock=VirtualClock())
-    enable(platform)
+    platform.configure(continuous=TRACE_ALL)
     platform.execute(CARDS)
     platform.call("getProfile")
     stream = platform.stream(SCAN)
     next(stream)
     platform.call_python("getProfileByID", "C2")
     stream.close()
-    return chrome_trace_json(platform.tracer.roots), platform.tracer.snapshot()
-
-
-def test_set_tracing_is_set_continuous_at_rate_one_retaining_all():
-    by_tracing = _traced_workload(lambda p: p.set_tracing(True))
-    by_policy = _traced_workload(
-        lambda p: p.set_continuous(sample_rate=1.0, slow_ms=0.0))
-    assert by_tracing == by_policy
-    assert by_tracing[1]["traces_retained"] == 4
+    snapshot = platform.tracer.snapshot()
+    assert snapshot["requests"] == snapshot["requests_sampled"] == 4
+    assert snapshot["traces_retained"] == len(platform.tracer.roots) == 4

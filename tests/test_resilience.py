@@ -296,7 +296,7 @@ class TestPerAttemptTimeout:
 class TestPartialResults:
     def test_federated_query_survives_a_dead_source(self):
         platform = build_platform()
-        platform.set_partial_results(True)
+        platform.configure(partial_results=True)
         platform.set_source_policy("ccdb", retry=2)
         platform.ctx.databases["ccdb"].available = False
         profiles = platform.call("getProfile")
@@ -323,7 +323,7 @@ class TestPartialResults:
 
     def test_degradation_records_reset_per_query(self):
         platform = build_platform()
-        platform.set_partial_results(True)
+        platform.configure(partial_results=True)
         platform.ctx.databases["ccdb"].available = False
         platform.call("getProfile")
         assert platform.last_degradations
@@ -333,7 +333,7 @@ class TestPartialResults:
 
     def test_async_branch_degrades_to_empty(self):
         platform = build_platform(deploy_profile=False)
-        platform.set_partial_results(True)
+        platform.configure(partial_results=True)
         platform.ctx.databases["ccdb"].available = False
         result = platform.execute(
             "<R>{fn-bea:async(CUSTOMER())}{fn-bea:async(CREDIT_CARD())}</R>"
@@ -380,7 +380,7 @@ class TestPartialResults:
         platform = build_platform()
         [obj] = platform.read_for_update("ProfileService", "getProfileByID", "C1")
         obj.set("CREDIT_CARDS/CREDIT_CARD/NUMBER", "9999")
-        platform.set_partial_results(True)  # must NOT apply to updates
+        platform.configure(partial_results=True)  # must NOT apply to updates
         platform.set_source_policy("ccdb", retry=2)
         FaultInjector().fail_first(1).attach(platform.ctx.databases["ccdb"])
         result = platform.submit(obj)
@@ -396,7 +396,7 @@ class TestPartialResults:
         [obj] = platform.read_for_update("ProfileService", "getProfileByID", "C1")
         obj.setLAST_NAME("Smith")
         obj.set("CREDIT_CARDS/CREDIT_CARD/NUMBER", "9999")
-        platform.set_partial_results(True)
+        platform.configure(partial_results=True)
         platform.set_source_policy("ccdb", retry=2)
         platform.ctx.databases["ccdb"].available = False
         with pytest.raises(TransactionError):
@@ -473,7 +473,7 @@ class TestChaosDeterminism:
 
     def _run(self, seed):
         platform = build_platform(customers=2)
-        platform.set_partial_results(True)
+        platform.configure(partial_results=True)
         platform.set_source_policy("*", retry=RetryPolicy(
             max_attempts=3, backoff_ms=5.0, jitter=0.3, seed=seed,
         ), breaker=CircuitBreakerConfig(failure_threshold=3, cooldown_ms=200.0))
@@ -519,7 +519,7 @@ class TestObservability:
 
     def test_reset_stats_clears_resilience_counters(self):
         platform = build_platform()
-        platform.set_partial_results(True)
+        platform.configure(partial_results=True)
         platform.ctx.databases["ccdb"].available = False
         platform.call("getProfile")
         assert platform.source_health()["ccdb"]["attempts"] > 0

@@ -285,7 +285,7 @@ class TestModuleVariables:
 
     def test_interleaved_streams_each_see_their_own(self):
         platform = self.platform()
-        platform.set_batch_size(1)
+        platform.configure(batch_size=1)
         query = "for $i in (1 to 4) return $i + $y"
         streams = [platform.stream(query, self.x(10)), platform.stream(query, self.x(20))]
         seen: list[list] = [[], []]

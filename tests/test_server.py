@@ -23,9 +23,9 @@ from repro.server import (
     SessionManager,
     TenantQuota,
     TokenBucket,
-    estimate_cost,
 )
-from repro.server.cost import DEFAULT_COST_THRESHOLD
+from repro.compiler.costing import admission_cost
+from repro.server import DEFAULT_COST_THRESHOLD
 from repro.xml.items import AtomicValue
 
 
@@ -135,23 +135,23 @@ class TestAdmissionController:
 class TestCostEstimation:
     def test_keyed_lookup_is_cheap_and_scan_is_expensive(self):
         platform = build_demo_platform()
-        lookup = estimate_cost(platform.prepare(LOOKUP, {"id": []}).expr)
-        scan = estimate_cost(platform.prepare(SCAN).expr)
+        lookup = admission_cost(platform.prepare(LOOKUP, {"id": []}).expr)
+        scan = admission_cost(platform.prepare(SCAN).expr)
         # one keyed roundtrip is the unit: a point lookup prices at 1.0
         assert lookup == 1.0
         assert lookup <= DEFAULT_COST_THRESHOLD < scan
         # a whole-table ship prices well past the shed threshold
-        table = estimate_cost(platform.prepare("CUSTOMER()").expr)
+        table = admission_cost(platform.prepare("CUSTOMER()").expr)
         assert table > DEFAULT_COST_THRESHOLD
         # additivity: a PP-k join over the scan prices above the scan alone
-        join = estimate_cost(platform.prepare(
+        join = admission_cost(platform.prepare(
             "for $c in CUSTOMER() for $cc in CREDIT_CARD() "
             "where $cc/CID eq $c/CID return $cc/NUMBER").expr)
         assert lookup < table < join
 
     def test_floor_is_one(self):
         platform = build_demo_platform()
-        assert estimate_cost(platform.prepare("1 + 1").expr) == 1.0
+        assert admission_cost(platform.prepare("1 + 1").expr) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +258,7 @@ class TestDataServer:
         platform, server = build_server()
         # even in partial-results mode a blown deadline is a hard error:
         # degradation must not silently absorb it
-        platform.set_partial_results(True)
+        platform.configure(partial_results=True)
         session = server.open_session("acme", "pw")
         # the demo's rating service charges 30 simulated ms per customer;
         # a 40ms budget dooms the 4-customer scan partway through

@@ -289,7 +289,7 @@ class TestColumnlessReturn:
             platform = Platform(clock=clock)
             platform.register_database(
                 build_custdb(clock, customers=3, vendor=vendor))
-            platform.set_pushdown_enabled(pushdown)
+            platform.configure(pushdown=pushdown)
             return platform, platform.execute(query)
 
         platform, pushed = run(True)

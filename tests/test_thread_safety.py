@@ -15,6 +15,7 @@ from repro.concurrency import set_race_detector
 from repro.relational.database import Database, LatencyModel, SourceStats
 from repro.runtime.asyncexec import AsyncExecutor
 from repro.runtime.cache import FunctionCache
+from repro.runtime.evaluate import MAX_RECURSION
 from repro.runtime.observed import ObservedStatistics
 
 FAST_LATENCY = LatencyModel(roundtrip_ms=0.0, per_row_ms=0.0, parse_ms=0.0,
@@ -298,27 +299,33 @@ class TestRecursionDepthIsolation:
     '''
 
     def _platform(self, park):
-        from repro.compiler.optimizer import _MAX_INLINE_DEPTH
         from tests.conftest import build_platform
 
         platform = build_platform(deploy_profile=False)
         platform.register_java_function("park", park, [], "xs:integer")
         platform.deploy(self.SERVICE, name="Deep")
-        # the optimizer unfolds the first levels; each one below is a call:
-        # eleven of them for this query, under a limit of fifteen
-        platform.ctx.max_recursion = 15
-        return platform, f"deep({_MAX_INLINE_DEPTH + 10})"
+        return platform
+
+    @staticmethod
+    def _query(calls: int) -> str:
+        """A query making ``calls`` nested calls: the optimizer unfolds
+        the first levels, and each one below is a call."""
+        from repro.compiler.optimizer import _MAX_INLINE_DEPTH
+
+        return f"deep({_MAX_INLINE_DEPTH + calls - 1})"
 
     def test_a_parked_request_does_not_count_against_another(self):
         parked, release = threading.Event(), threading.Event()
 
         def park():
-            if not parked.is_set():  # the first request stops here, eleven calls deep
+            if not parked.is_set():  # the first request stops here, 40 calls deep
                 parked.set()
                 assert release.wait(10)
             return 7
 
-        platform, query = self._platform(park)
+        # each request is under the limit, the two together are not
+        platform, query = self._platform(park), self._query(40)
+        assert 40 <= MAX_RECURSION < 80
         outcome = {}
         first = threading.Thread(
             target=lambda: outcome.update(first=platform.execute(query)))
@@ -335,10 +342,8 @@ class TestRecursionDepthIsolation:
     def test_one_request_still_meets_the_limit(self):
         from repro.errors import DynamicError
 
-        platform, query = self._platform(lambda: 7)
-        platform.ctx.max_recursion = 10
+        platform = self._platform(lambda: 7)
         with pytest.raises(DynamicError, match="recursion limit exceeded calling deep"):
-            platform.execute(query)
+            platform.execute(self._query(MAX_RECURSION + 1))
         assert platform.evaluator._depth.get() == 0  # unwound
-        platform.ctx.max_recursion = 11
-        assert [item.value for item in platform.execute(query)] == [7]
+        assert [item.value for item in platform.execute(self._query(MAX_RECURSION))] == [7]

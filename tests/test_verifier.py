@@ -14,7 +14,7 @@ from repro.compiler.algebra import (
     SourceCall,
     TableMeta,
 )
-from repro.compiler.pipeline import CompilerOptions
+from repro.compiler.pipeline import Compiler
 from repro.compiler.verify import verify_plan
 from repro.diagnostics import CODE_REGISTRY, DiagnosticReport, Severity, make
 from repro.schema.types import atomic
@@ -389,7 +389,8 @@ class TestPlanShape:
 
 class TestIntegration:
     def test_verify_is_on_by_default(self):
-        assert CompilerOptions().verify is True
+        plan = Compiler().compile_expression("1 + 1")
+        assert isinstance(plan.diagnostics, DiagnosticReport)
 
     def test_compiled_plans_carry_diagnostics(self):
         platform = build_platform()

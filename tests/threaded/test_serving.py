@@ -42,7 +42,7 @@ class TestServingConcurrency:
         thread must see exactly its own degradation records — a shared
         list would leak ccdb records into the clean threads."""
         platform, detector = stressed
-        platform.set_partial_results(True)
+        platform.configure(partial_results=True)
         platform.ctx.databases["ccdb"].available = False
         threads = 6
         barrier = threading.Barrier(threads)

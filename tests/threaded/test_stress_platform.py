@@ -21,6 +21,7 @@ from repro.analysis import LocksetDetector
 from repro.clock import WallClock
 from repro.concurrency import set_race_detector
 from repro.demo import build_demo_platform
+from repro.observability import ContinuousConfig
 from repro.relational.database import LatencyModel
 
 pytestmark = pytest.mark.threaded
@@ -125,7 +126,7 @@ class TestStress:
                 if index == 0:
                     platform.enable_function_cache("getRating",
                                                    ttl_ms=10_000.0)
-                    platform.set_function_cache_capacity(8 + i)
+                    platform.cache.set_capacity(8 + i)
                 elif index == 1:
                     platform.metrics_snapshot()
                     platform.function_cache_stats()
@@ -155,7 +156,7 @@ class TestStress:
         def worker(index):
             for i in range(OPS_PER_THREAD):
                 if index == 0:
-                    platform.set_batch_size(1 if i % 2 else 256)
+                    platform.configure(batch_size=1 if i % 2 else 256)
                 elif index == 1 and i % 4 == 0:
                     profile = platform.profile(query)
                     assert profile.items == 5
@@ -164,7 +165,7 @@ class TestStress:
         try:
             hammer(platform, worker)
         finally:
-            platform.set_batch_size(256)
+            platform.configure(batch_size=256)
         assert_race_free(detector)
 
     def test_profile_sees_only_its_own_request(self, stressed, round):
@@ -222,16 +223,16 @@ class TestStress:
         def worker(index):
             for i in range(OPS_PER_THREAD):
                 if index == 0:
-                    platform.set_cost_based(i % 2 == 0)
+                    platform.configure(cost_based=i % 2 == 0)
                 elif index == 1:
-                    platform.set_replan_threshold(None if i % 2 else 4.0)
+                    platform.configure(replan_threshold=None if i % 2 else 4.0)
                 assert serialize(platform.execute(query)) == expected
 
         try:
             hammer(platform, worker)
         finally:
-            platform.set_cost_based(False)
-            platform.set_replan_threshold(None)
+            platform.configure(cost_based=False)
+            platform.configure(replan_threshold=None)
         assert_race_free(detector)
 
     def test_costing_reads_whole_operator_actuals(self, stressed, round):
@@ -244,8 +245,8 @@ class TestStress:
         import re
 
         platform, detector = stressed
-        platform.set_continuous(sample_rate=1.0)
-        platform.set_cost_based(True)
+        platform.configure(continuous=ContinuousConfig(sample_rate=1.0))
+        platform.configure(cost_based=True)
         query = ("for $c in CUSTOMER() for $cc in CREDIT_CARD() "
                  "where $cc/CID eq $c/CID return $cc/NUMBER")
         estimates = []
@@ -253,7 +254,7 @@ class TestStress:
         def worker(index):
             for _ in range(2 * OPS_PER_THREAD):
                 if index == 0:
-                    platform.set_cost_based(True)  # invalidate -> recompile
+                    platform._invalidate_plans()  # recompile
                     estimates.extend(re.findall(
                         r"-> custdb [^\n]*est_rows=([\d.]+)[^\]]*via=observed",
                         platform.explain(query)))
@@ -263,7 +264,7 @@ class TestStress:
         try:
             hammer(platform, worker)
         finally:
-            platform.set_cost_based(False)
+            platform.configure(cost_based=False)
         assert_race_free(detector)
         assert estimates and set(estimates) == {"4"}
 
