@@ -56,6 +56,8 @@ class SourceCall(ast.FunctionCall):
     _fields = ("args",)
     _attrs = ("name", "kind")
 
+    table_meta: Optional[TableMeta]
+
     def __init__(self, name: str, args: list[ast.AstNode], kind: str,
                  table_meta: Optional[TableMeta] = None):
         super().__init__(name, args)
@@ -136,7 +138,20 @@ class Correlation:
     general: bool = False
 
 
-class PushedSQL(ast.AstNode):
+class Costed:
+    """The stamps :mod:`repro.compiler.costing` writes on a node that
+    carries a strategy choice; unset without cost-based choice."""
+
+    est_strategy: Optional[str] = None
+    est_rows: Optional[float] = None
+    est_ms: Optional[float] = None
+    est_outer: Optional[float] = None  # the outer tuples it was costed for
+    est_via: Optional[str] = None  # "statistics" | "observed"
+    est_runner_up: Optional[str] = None
+    est_runner_up_ms: Optional[float] = None
+
+
+class PushedSQL(Costed, ast.AstNode):
     """A maximal single-database region compiled to SQL (section 4.3/4.4).
 
     Evaluation: compute ``param_exprs`` in the middleware, bind them
@@ -153,6 +168,16 @@ class PushedSQL(ast.AstNode):
     _fields = ("param_exprs", "template")
     _attrs = ("database",)
 
+    vendor: str
+    select: Select
+    regroup: Optional[list[str]]
+    correlation: Optional[Correlation]
+    #: (start, count) of a subsequence the dialect could not push
+    residual_fetch: Optional[tuple[int, Optional[int]]]
+
+    _sql_text: Optional[str] = None  # ``pushedsql.render_pushed``
+    _ppk_sql_cache: Optional[dict] = None  # ``ppk._bucketed_sql``
+
     def __init__(
         self,
         database: str,
@@ -162,6 +187,7 @@ class PushedSQL(ast.AstNode):
         template: ast.AstNode,
         regroup: Optional[list[str]] = None,
         correlation: Optional[Correlation] = None,
+        residual_fetch: Optional[tuple[int, Optional[int]]] = None,
     ):
         super().__init__()
         self.database = database
@@ -171,6 +197,7 @@ class PushedSQL(ast.AstNode):
         self.template = template
         self.regroup = regroup
         self.correlation = correlation
+        self.residual_fetch = residual_fetch
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +217,8 @@ class PushedTupleForClause(ast.Clause):
     _fields = ("pushed",)
     _attrs = ("vars",)
 
+    var_templates: list[tuple[str, ast.AstNode]]
+
     def __init__(self, var_templates: list[tuple[str, ast.AstNode]], pushed: PushedSQL):
         super().__init__()
         self.var_templates = var_templates
@@ -200,7 +229,7 @@ class PushedTupleForClause(ast.Clause):
         return [var for var, _t in self.var_templates]
 
 
-class PPkLetClause(ast.Clause):
+class PPkLetClause(Costed, ast.Clause):
     """``let $var := <correlated pushed region>`` executed PP-k style
     (section 4.2).
 
@@ -214,6 +243,9 @@ class PPkLetClause(ast.Clause):
     _fields = ("pushed",)
     _attrs = ("var", "k")
 
+    #: the runtime may re-plan PP-k -> full scan mid-query (costing)
+    est_replan_scan: bool = False
+
     def __init__(self, var: str, pushed: PushedSQL, k: int = DEFAULT_PPK_BLOCK_SIZE):
         super().__init__()
         self.var = var
@@ -221,7 +253,7 @@ class PPkLetClause(ast.Clause):
         self.k = k
 
 
-class IndexJoinForClause(ast.Clause):
+class IndexJoinForClause(Costed, ast.Clause):
     """``for $var in expr`` equi-joined to the outer stream via a hash
     index — the *index nested loop* of the paper's join repertoire
     (section 5.2).
@@ -237,6 +269,10 @@ class IndexJoinForClause(ast.Clause):
 
     _fields = ("expr", "inner_key", "outer_key")
     _attrs = ("var",)
+
+    general: bool
+    #: the PP-k clause this join replaced, for an index -> PP-k re-plan
+    replan_ppk: Optional[PPkLetClause] = None
 
     def __init__(self, var: str, expr: ast.AstNode, inner_key: ast.AstNode,
                  outer_key: ast.AstNode, general: bool = False):

@@ -1,11 +1,11 @@
 """Batch-capability stamping (P-BATCH) — written, no longer read.
 
 The FLWOR runtime (``runtime/batchexec.py``) runs every FLWOR, stamped or
-not, so nothing under ``runtime/`` consults ``batch_capable`` or
-``batch_supported`` any more.  The stage stays for two outside readers
-that a runtime change may not edit: the layered benchmark wraps
-``stamp_batch_capability`` by module path (``benchmarks/layered/trace.py``)
-and ``tests/golden/plan_identity.txt`` pins the stamps.  ROADMAP item 3
+not, so nothing under ``runtime/`` consults ``batch_capable`` any more.
+The stage stays for two outside readers that a runtime change may not
+edit: the layered benchmark wraps ``stamp_batch_capability`` by module
+path (``benchmarks/layered/trace.py``) and
+``tests/golden/plan_identity.txt`` pins the stamp.  ROADMAP item 3
 records the ``[benchmark]`` PR that lets the module, its call in
 ``pipeline.py`` and the stamps go together.
 
@@ -32,12 +32,8 @@ _BATCH_CLAUSES = (
 
 
 def stamp_batch_capability(expr: ast.AstNode) -> None:
-    """Mark every FLWOR in ``expr`` (and each clause) batch-capable or not."""
+    """Mark every FLWOR in ``expr`` batch-capable or not."""
     for node in expr.walk():
         if isinstance(node, ast.FLWOR):
-            capable = True
-            for clause in node.clauses:
-                supported = isinstance(clause, _BATCH_CLAUSES)
-                clause.batch_supported = supported
-                capable = capable and supported
-            node.batch_capable = capable
+            node.batch_capable = all(isinstance(clause, _BATCH_CLAUSES)
+                                     for clause in node.clauses)

@@ -35,9 +35,9 @@ every strategy, which is also what makes the runtime's mid-query re-plan
 A region is skipped entirely — no stamp, no transform, byte-identical
 plan — when the catalog cannot see its source (unknown database/table),
 so cold-start behaviour off the demo federation is exactly the heuristic
-plan.  The pass mirrors ``assign_operator_ids``'s pre-order numbering
-over the transformed tree, so warm-start lookups join the stats store on
-the ids the executed plan actually carried.
+plan.  The pass numbers the transformed tree by ``assign_operator_ids``'s
+rule (``explain.is_operator``), so warm-start lookups join the stats
+store on the ids the executed plan actually carried.
 
 :func:`admission_cost` is the same per-operator time model under cold
 priors, normalized to keyed-lookup units — what the serving layer's
@@ -59,9 +59,9 @@ from .algebra import (
     NestedSlot,
     PPkLetClause,
     PushedSQL,
-    PushedTupleForClause,
     SourceCall,
 )
+from .explain import OPAQUE_OPERATORS, is_operator
 from .stats import DEFAULT_SELECTIVITY, clamp_selectivity
 
 #: middleware hash build/probe CPU per row
@@ -137,39 +137,29 @@ class _Unit:
 class _CostingPass:
     def __init__(self, options: CostingOptions, fingerprint: str,
                  force: str | None):
-        from ..xquery.functions import all_builtins
-
         self.catalog = options.catalog
         self.force = force
         self.join_ms = options.ppk_join_ms_per_tuple
-        self._builtins = all_builtins()
         #: observed per-operator EWMAs for this plan's fingerprint
         self.ops: dict = {}
         if options.store is not None:
             self.ops = options.store.operators(fingerprint)
-        #: mirror of ``assign_operator_ids``'s pre-order counter over the
-        #: *output* tree: the next countable node gets ``_next_id + 1``
+        #: ``assign_operator_ids``'s pre-order counter over the *output*
+        #: tree: the next operator gets ``_next_id + 1``
         self._next_id = 0
 
     def run(self, expr: ast.AstNode) -> None:
         self._visit(expr, 1.0)
 
-    # -- traversal (mirrors assign_operator_ids exactly) --------------------
-
-    def _countable(self, node: ast.AstNode) -> bool:
-        return isinstance(node, (PushedSQL, PPkLetClause, PushedTupleForClause,
-                                 IndexJoinForClause, ast.GroupByClause,
-                                 ast.OrderByClause)) or \
-            (isinstance(node, ast.FunctionCall) and
-             (isinstance(node, SourceCall) or node.name not in self._builtins))
+    # -- traversal (assign_operator_ids's operator rule) --------------------
 
     def _visit(self, node: ast.AstNode, mult: float) -> None:
         if isinstance(node, ast.FLWOR):
             self._visit_flwor(node, mult)
             return
-        if self._countable(node):
+        if is_operator(node):
             self._next_id += 1
-        if isinstance(node, (PPkLetClause, PushedTupleForClause)):
+        if isinstance(node, OPAQUE_OPERATORS):
             return
         for child in node.children():
             self._visit(child, mult)
@@ -368,25 +358,23 @@ class _CostingPass:
             stamp["est_runner_up"] = runner
             stamp["est_runner_up_ms"] = costs[runner]
         if winner == PPK:
-            _stamp(unit.let, stamp)
+            vars(unit.let).update(stamp)
             # the scan fallback is valid iff the region is convertible
             unit.let.est_replan_scan = convertible
-            self._next_id += 1  # the PP-k clause; no descend
+            self._visit(unit.let, n_eff)
             inserted = 2
         elif winner == INDEX_JOIN:
             join = self._make_index_join(unit)
-            _stamp(join, stamp)
+            vars(join).update(stamp)
             clauses[pos:pos + 2] = [join]
-            self._next_id += 1  # the index-join clause itself
             # the abandoned PP-k twin keeps the clause's operator id so a
             # mid-query re-plan's spans attribute to the same operator
-            unit.let.op_id = self._next_id
-            for child in join.children():
-                self._visit(child, n_eff)
+            unit.let.op_id = self._next_id + 1
+            self._visit(join, n_eff)
             inserted = 1
         else:  # SHIP_ALL
             for_clause, where = self._make_ship_all(unit)
-            _stamp(for_clause.expr, stamp)
+            vars(for_clause.expr).update(stamp)
             clauses[pos:pos + 2] = [for_clause, where]
             self._visit(for_clause, n_eff)
             self._visit(where, n_eff)
@@ -430,23 +418,11 @@ class _CostingPass:
             ast.WhereClause(condition)
 
 
-def _stamp(node: ast.AstNode, attrs: dict) -> None:
-    for key, value in attrs.items():
-        setattr(node, key, value)
-
-
 def _var_uses(node: ast.AstNode, name: str) -> int:
-    """Occurrences of ``$name`` in the (sub)tree, including correlation
-    outer keys (which generic child traversal does not reach)."""
-    count = 0
-    for sub in node.walk():
-        if isinstance(sub, ast.VarRef) and sub.name == name:
-            count += 1
-        elif isinstance(sub, PushedSQL) and sub.correlation is not None:
-            for inner in sub.correlation.outer_key.walk():
-                if isinstance(inner, ast.VarRef) and inner.name == name:
-                    count += 1
-    return count
+    """Occurrences of ``$name`` anywhere the (sub)tree holds a node —
+    correlation outer keys included, which ``walk()`` does not reach."""
+    return sum(isinstance(sub, ast.VarRef) and sub.name == name
+               for sub in node.every_node())
 
 
 def _key_element(template: ast.AstNode, alias: str) -> str | None:

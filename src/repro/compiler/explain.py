@@ -18,8 +18,10 @@ from typing import Callable, Optional
 
 from ..sql.dialects import SqlRenderer, capabilities_for
 from ..xquery import ast_nodes as ast
+from ..xquery.functions import is_builtin
 from .algebra import (
     ColumnSlot,
+    Costed,
     GroupSlot,
     IndexJoinForClause,
     NestedSlot,
@@ -32,33 +34,36 @@ from .algebra import (
 Annotator = Optional[Callable[[ast.AstNode], str]]
 
 
-def assign_operator_ids(expr: ast.AstNode) -> int:
-    """Stamp a stable ``op_id`` on every runtime operator node, pre-order.
+_OPERATORS = (PushedSQL, PPkLetClause, PushedTupleForClause,
+              IndexJoinForClause, ast.GroupByClause, ast.OrderByClause)
+#: operators whose pushed region is their own plumbing and shares their id
+OPAQUE_OPERATORS = (PPkLetClause, PushedTupleForClause)
 
-    Runs once per compiled plan (the tree is cached, so explain, profile
-    and the tracer all see the same ids).  The pushed region *inside* a
-    PP-k or pushed-join clause is part of that clause operator and shares
-    its identity, so traversal does not descend into it.  Function calls
-    only count when the runtime traces them: the service-quality
+
+def is_operator(node: ast.AstNode) -> bool:
+    """Does ``node`` get an operator id?  The operator classes, and the
+    function calls the runtime traces: source calls, the service-quality
     ``fn-bea:`` operators and residual (non-builtin) user calls — the
-    cache-pinned ones the optimizer was told not to inline.
-    """
-    from ..xquery.functions import all_builtins
+    cache-pinned ones the optimizer was told not to inline."""
+    return isinstance(node, _OPERATORS) or (
+        isinstance(node, ast.FunctionCall)
+        and (isinstance(node, SourceCall) or not is_builtin(node.name)))
 
-    builtins = all_builtins()
+
+def assign_operator_ids(expr: ast.AstNode) -> int:
+    """Stamp a stable ``op_id`` on every operator (:func:`is_operator`),
+    pre-order, not descending into the :data:`OPAQUE_OPERATORS`.  Runs
+    once per compiled plan (the tree is cached, so explain, profile and
+    the tracer all see the same ids)."""
     counter = 0
 
     def visit(node: ast.AstNode) -> None:
         nonlocal counter
-        if isinstance(node, (PushedSQL, PPkLetClause, PushedTupleForClause,
-                             IndexJoinForClause, ast.GroupByClause,
-                             ast.OrderByClause)) or \
-                (isinstance(node, ast.FunctionCall) and
-                 (isinstance(node, SourceCall) or node.name not in builtins)):
+        if is_operator(node):
             counter += 1
             node.op_id = counter
-        if isinstance(node, (PPkLetClause, PushedTupleForClause)):
-            return  # the pushed region is the clause's own plumbing
+        if isinstance(node, OPAQUE_OPERATORS):
+            return
         for child in node.children():
             visit(child)
 
@@ -86,29 +91,17 @@ def _pad(depth: int) -> str:
     return "  " * depth
 
 
-def _est_suffix(node: ast.AstNode) -> str:
-    """The costing pass's stamp, when present: chosen strategy, estimated
+def _est_suffix(node: Costed) -> str:
+    """The costing pass's stamps, those set: chosen strategy, estimated
     rows/time and the runner-up.  Plans compiled without cost-based choice
-    carry no stamp, so their rendering is unchanged."""
-    strategy = getattr(node, "est_strategy", None)
-    rows = getattr(node, "est_rows", None)
-    if strategy is None and rows is None:
+    carry none, so their rendering is unchanged."""
+    if node.est_strategy is None and node.est_rows is None:
         return ""
-    bits = []
-    if strategy is not None:
-        bits.append(f"strategy={strategy}")
-    if rows is not None:
-        bits.append(f"est_rows={rows:.0f}")
-    ms = getattr(node, "est_ms", None)
-    if ms is not None:
-        bits.append(f"est_ms={ms:.2f}")
-    via = getattr(node, "est_via", None)
-    if via is not None:
-        bits.append(f"via={via}")
-    runner = getattr(node, "est_runner_up", None)
-    if runner is not None:
-        bits.append(f"runner-up={runner}"
-                    f"({getattr(node, 'est_runner_up_ms', 0.0):.2f}ms)")
+    bits = [form.format(value) for value, form in (
+        (node.est_strategy, "strategy={}"), (node.est_rows, "est_rows={:.0f}"),
+        (node.est_ms, "est_ms={:.2f}"), (node.est_via, "via={}"),
+        (node.est_runner_up, f"runner-up={{}}({node.est_runner_up_ms or 0.0:.2f}ms)"))
+        if value is not None]
     return f" [cost: {', '.join(bits)}]"
 
 
@@ -206,7 +199,7 @@ def _clause_lines(clause: ast.Clause, depth: int,
         lines.extend(_lines(clause.expr, depth + 1, annotate))
         return lines
     if isinstance(clause, ast.LetClause):
-        group = getattr(clause, "scatter_group", None)
+        group = clause.scatter_group
         suffix = f" [scatter group {group}]" if group is not None else ""
         lines = [f"{pad}let ${clause.var} :={suffix}"]
         lines.extend(_lines(clause.expr, depth + 1, annotate))
@@ -214,7 +207,7 @@ def _clause_lines(clause: ast.Clause, depth: int,
     if isinstance(clause, ast.WhereClause):
         return [f"{pad}where (mid-tier filter)"]
     if isinstance(clause, ast.GroupByClause):
-        mode = "pre-clustered (streaming)" if getattr(clause, "pre_clustered", False) \
+        mode = "pre-clustered (streaming)" if clause.pre_clustered \
             else "sort-then-group"
         keys = ", ".join(var for _e, var in clause.keys)
         return _mark([f"{pad}group by {keys} [{mode}]"], clause, annotate)

@@ -227,9 +227,10 @@ class Compiler:
             {param.name: param.declared_type or ITEM_STAR for param in decl.params})
         with gensym_scope():
             plan = pinned._plan(decl.body.clone(), env, [], source, source)
-        for node in plan.expr.walk():
+        for node in plan.expr.every_node():
             # operator ids name the operators of the *calling* plan in its
-            # explain, profile and trace; a body's spans carry none
+            # explain, profile and trace; a body's spans carry none — nor
+            # do those of a node a stamp holds (an index join's PP-k twin)
             node.__dict__.pop("op_id", None)
         return plan
 
@@ -295,18 +296,14 @@ def plans_agree(inline, served, binds: dict) -> bool:
     if inline.__class__ is not served.__class__:
         return False
     if isinstance(inline, ast.AstNode):
-        mine, theirs = inline.__dict__, served.__dict__
-        # (``_``-prefixed attributes are node-attached runtime memos)
-        names = {name for name in mine.keys() | theirs.keys()
-                 if not name.startswith("_")}
-        if "select" in names and "param_exprs" in names:  # a pushed region
+        names = ast.declared(inline.__class__)  # memos are not the plan
+        if "select" in names:  # a pushed region
             select, params = inline_binds(served.select, served.param_exprs, binds)
             if inline.select != select or \
                     not plans_agree(inline.param_exprs, params, binds):
                 return False
-            names -= {"select", "param_exprs"}
-        return all(name in mine and name in theirs
-                   and plans_agree(mine[name], theirs[name], binds)
+            names = tuple(n for n in names if n not in ("select", "param_exprs"))
+        return all(plans_agree(getattr(inline, name), getattr(served, name), binds)
                    for name in names)
     if isinstance(inline, (list, tuple)):
         return len(inline) == len(served) and all(

@@ -28,7 +28,9 @@ def stamp_scatter_groups(expr: ast.AstNode) -> int:
     """Stamp runs of independent let-bound source regions; returns the
     number of groups stamped (group ids are unique across the plan)."""
     counter = [0]
-    _stamp(expr, counter)
+    for node in expr.walk():
+        if isinstance(node, ast.FLWOR):
+            _stamp_flwor(node, counter)
     return counter[0]
 
 
@@ -40,13 +42,6 @@ def scatter_eligible(clause: ast.Clause) -> bool:
     if isinstance(expr, PushedSQL):
         return expr.correlation is None
     return is_table_call(expr)
-
-
-def _stamp(node: ast.AstNode, counter: list[int]) -> None:
-    if isinstance(node, ast.FLWOR):
-        _stamp_flwor(node, counter)
-    for child in node.children():
-        _stamp(child, counter)
 
 
 def _stamp_flwor(node: ast.FLWOR, counter: list[int]) -> None:

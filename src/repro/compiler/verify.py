@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from ..diagnostics import DiagnosticReport, make
 from ..schema.structural import intersects, needs_typematch
-from ..sql.ast_nodes import CaseExpr, FuncCall, Join, Param, Select
+from ..sql.ast_nodes import CaseExpr, FuncCall, Join, Param, Select, sql_nodes
 from ..sql.dialects import SqlRenderer, capabilities_for
 from ..sql.pushdown import free_vars, is_table_call, split_conjuncts
 from ..xquery import ast_nodes as ast
@@ -263,8 +263,8 @@ class PlanVerifier:
             )
 
         # Re-validate the SQL AST operation by operation (Tables 1-2).
-        sql_nodes = _sql_nodes(pushed.select)
-        for sql_node in sql_nodes:
+        nodes = sql_nodes(pushed.select)
+        for sql_node in nodes:
             if isinstance(sql_node, FuncCall):
                 mapped = caps.function_map.get(sql_node.name, sql_node.name)
                 if sql_node.name in caps.unpushable_functions \
@@ -297,7 +297,7 @@ class PlanVerifier:
 
         # Parameter slots must line up with middleware expressions.
         declared = len(pushed.param_exprs)
-        used = {n.index for n in sql_nodes if isinstance(n, Param)}
+        used = {n.index for n in nodes if isinstance(n, Param)}
         out_of_range = sorted(i for i in used if i < 0 or i >= declared)
         if out_of_range:
             self._emit(
@@ -506,7 +506,7 @@ class PlanVerifier:
         variable bound by another member of the same group."""
         groups: dict[int, list[tuple[int, ast.LetClause]]] = {}
         for index, clause in enumerate(flwor.clauses):
-            group = getattr(clause, "scatter_group", None)
+            group = clause.scatter_group
             if group is not None and isinstance(clause, ast.LetClause):
                 groups.setdefault(group, []).append((index, clause))
         for group, members in groups.items():
@@ -610,23 +610,6 @@ def iter_with_path(node: ast.AstNode, path: str = "") -> PlanIndex:
 
 def _root_path(expr: ast.AstNode) -> str:
     return type(expr).__name__
-
-
-def _sql_nodes(obj) -> list[object]:
-    """Every dataclass node in a SQL AST, including nested subqueries."""
-    found: list[object] = []
-
-    def visit(current) -> None:
-        if isinstance(current, (list, tuple)):
-            for entry in current:
-                visit(entry)
-        elif hasattr(current, "__dataclass_fields__"):
-            found.append(current)
-            for name in current.__dataclass_fields__:
-                visit(getattr(current, name))
-
-    visit(obj)
-    return found
 
 
 def _template_aliases(template: ast.AstNode) -> set[str]:

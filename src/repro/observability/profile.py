@@ -123,11 +123,11 @@ def format_actuals(op: int, acts: OperatorActuals | None,
 
 def make_annotator(aggregates: dict[int, OperatorActuals]):
     """An ``annotate(node)`` callback for :func:`repro.compiler.explain.explain`."""
-    from ..compiler.algebra import SourceCall
+    from ..compiler.algebra import Costed, SourceCall
     from ..xquery import ast_nodes as ast
 
     def annotate(node) -> str:
-        op = getattr(node, "op_id", None)
+        op = node.op_id
         if op is None:
             return ""
         acts = aggregates.get(op)
@@ -136,7 +136,8 @@ def make_annotator(aggregates: dict[int, OperatorActuals]):
             # A plain user call leaves no spans unless cached/async — an
             # absent aggregate is not evidence it never ran.
             return ""
-        return format_actuals(op, acts, getattr(node, "est_rows", None))
+        rows = node.est_rows if isinstance(node, Costed) else None
+        return format_actuals(op, acts, rows)
 
     return annotate
 

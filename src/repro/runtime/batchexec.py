@@ -140,9 +140,9 @@ def _clause_groups(clauses: list[ast.Clause],
     (empty when scatter execution is administratively disabled)."""
     groups: list[list[ast.Clause]] = []
     for clause in clauses:
-        group_id = getattr(clause, "scatter_group", None) if parallel_regions else None
+        group_id = clause.scatter_group if parallel_regions else None
         if (group_id is not None and groups
-                and getattr(groups[-1][0], "scatter_group", None) == group_id):
+                and groups[-1][0].scatter_group == group_id):
             groups[-1].append(clause)
         else:
             groups.append([clause])
@@ -153,7 +153,7 @@ def _stages(node: ast.FLWOR, parallel_regions: bool) -> list[_Stage]:
     """The FLWOR's pipeline stages, worked out once per node and scatter
     setting (a memo like ``_rowfn``: a plan is never rewritten once it
     runs)."""
-    memo = getattr(node, "_batch_stages", None)
+    memo = node._batch_stages
     if memo is None:
         memo = node._batch_stages = {}
     stages = memo.get(parallel_regions)
@@ -405,8 +405,7 @@ def _pushed_for_batches(run: _Run, stage: _Stage,
         values = bind_parameters(pushed, row, ev)
         params = [values[i] for i in param_order(pushed.select)]
         sql = render_pushed(pushed, ev)
-        with ctx.tracer.start("pushed-join", pushed.database,
-                              op=getattr(clause, "op_id", None)) as span:
+        with ctx.tracer.start("pushed-join", pushed.database, op=clause.op_id) as span:
             try:
                 fetched = ctx.connection(pushed.database).execute_query(sql, params)
             except SourceError as exc:
@@ -447,9 +446,9 @@ def _index_join_batches(run: _Run, stage: _Stage,
     """Index nested-loop join (section 5.2): hash the loop-invariant
     inner sequence once, then probe per outer row (order-preserving)."""
     clause, ev, ctx = stage.clauses[0], run.ev, run.ctx
-    replan = getattr(clause, "replan_ppk", None)
+    replan = clause.replan_ppk
     threshold = ctx.config.replan_threshold
-    est_outer = getattr(clause, "est_outer", None)
+    est_outer = clause.est_outer
     if replan is not None and threshold is not None and est_outer is not None:
         # Mid-query re-planning (P-COST): the index join was chosen for
         # a large estimated outer.  Hold the build until the outer has
@@ -483,8 +482,7 @@ def _index_join_batches(run: _Run, stage: _Stage,
     def build(row):
         nonlocal multi_inner
         ctx.stats.bump(index_joins_built=1)
-        with ctx.tracer.start("index-join.build", var,
-                              op=getattr(clause, "op_id", None)) as span:
+        with ctx.tracer.start("index-join.build", var, op=clause.op_id) as span:
             for place, item in enumerate(ev.iter_eval(clause.expr, row)):
                 key = inner_fn(ev, {var: [item]})
                 if key is None:
@@ -590,8 +588,7 @@ def _replan_index_to_ppk(run: _Run, stage: _Stage, replan: PPkLetClause,
     exactly the rows the index join would have produced."""
     clause, ctx = stage.clauses[0], run.ctx
     ctx.stats.bump(replans=1)
-    with ctx.tracer.start("replan", replan.pushed.database,
-                          op=getattr(clause, "op_id", None),
+    with ctx.tracer.start("replan", replan.pushed.database, op=clause.op_id,
                           strategy_from="index-join", strategy_to="ppk"):
         pass
     twin = _ppk_batches(run, stage._replace(clauses=[replan]), iter(held))
@@ -612,8 +609,7 @@ def _order_batches(run: _Run, stage: _Stage, batches: Iterator[Batch]) -> Iterat
         return [_OrderKey(value, descending, empty_greatest)
                 for value, (descending, empty_greatest) in zip(pair[1], directions)]
 
-    with ev.ctx.tracer.start("order-by",
-                             op=getattr(clause, "op_id", None)) as span:
+    with ev.ctx.tracer.start("order-by", op=clause.op_id) as span:
         # upstream drains inside the span, before any key is computed
         keyed = list(_keyed(ev, list(batches), _lane(stage), key_fns, "order by"))
         keyed.sort(key=sort_key)
@@ -628,10 +624,10 @@ def _group_batches(run: _Run, stage: _Stage, batches: Iterator[Batch]) -> Iterat
     clause, ev = stage.clauses[0], run.ev
     key_fns = [atomfn(expr) for expr, _var in clause.keys]
     keyed = _keyed(ev, batches, _lane(stage), key_fns, "group by")
-    grouper = clustered_groups if getattr(clause, "pre_clustered", False) \
+    grouper = clustered_groups if clause.pre_clustered \
         else sorted_groups
     emitted_before = ev.group_stats.groups_emitted
-    span = ev.ctx.tracer.start("group-by", op=getattr(clause, "op_id", None))
+    span = ev.ctx.tracer.start("group-by", op=clause.op_id)
     try:
         # The span stays open across the groups emitted: the generator
         # suspends inside it.  Group rows differ in schema (what survives

@@ -95,8 +95,7 @@ class Evaluator:
     # -- service-quality functions (sections 5.4, 5.6) ------------------------------
 
     def async_call(self, node: ast.FunctionCall, branch: Thunk) -> list[Item]:
-        with self.ctx.tracer.start("async.call", node.name,
-                                   op=getattr(node, "op_id", None)):
+        with self.ctx.tracer.start("async.call", node.name, op=node.op_id):
             return self.overlap([branch])[0]
 
     def overlap(self, branches: list[Thunk]) -> list[list[Item]]:
@@ -120,8 +119,7 @@ class Evaluator:
 
     def fail_over(self, node: ast.FunctionCall, primary: Thunk,
                   alternate: Thunk) -> list[Item]:
-        with self.ctx.tracer.start("fail-over", node.name,
-                                   op=getattr(node, "op_id", None)) as span:
+        with self.ctx.tracer.start("fail-over", node.name, op=node.op_id) as span:
             try:
                 result = primary()
                 span.set(failed_over=False)
@@ -132,8 +130,7 @@ class Evaluator:
 
     def timeout(self, node: ast.FunctionCall, primary: Thunk, millis: Thunk,
                 alternate: Thunk) -> list[Item]:
-        with self.ctx.tracer.start("timeout", node.name,
-                                   op=getattr(node, "op_id", None)):
+        with self.ctx.tracer.start("timeout", node.name, op=node.op_id):
             millis_atoms = atomize(millis())
             if len(millis_atoms) != 1:
                 raise DynamicError("fn-bea:timeout: bad time limit")
@@ -178,8 +175,7 @@ class Evaluator:
         use_cache = cache is not None and cache.is_enabled(node.name)
         if use_cache:
             key = cache.argument_key(args)
-            with self.ctx.tracer.start("cache.lookup", node.name,
-                                       op=getattr(node, "op_id", None)) as span:
+            with self.ctx.tracer.start("cache.lookup", node.name, op=node.op_id) as span:
                 hit = cache.get(node.name, key)
                 span.set(hit=hit is not None)
             if hit is not None:
@@ -212,11 +208,9 @@ class Evaluator:
         args = list(args)
         cache = self.ctx.cache
         use_cache = cache is not None and cache.is_enabled(node.name)
-        op_id = getattr(node, "op_id", None)
         if use_cache:
             key = cache.argument_key(args)
-            with self.ctx.tracer.start("cache.lookup", node.name,
-                                       op=op_id) as span:
+            with self.ctx.tracer.start("cache.lookup", node.name, op=node.op_id) as span:
                 hit = cache.get(node.name, key)
                 span.set(hit=hit is not None)
             if hit is not None:
@@ -227,7 +221,7 @@ class Evaluator:
         adaptor = definition.adaptor
         source = adaptor.name if adaptor is not None else node.name
         stats = adaptor.stats if adaptor is not None else None
-        with self.ctx.tracer.start("source-call", source, op=op_id) as span:
+        with self.ctx.tracer.start("source-call", source, op=node.op_id) as span:
             try:
                 result = resilience.call(source, lambda: definition.invoke(args),
                                          stats=stats)
@@ -247,8 +241,7 @@ class Evaluator:
         assert meta is not None
         columns = ", ".join(f't1."{name}" AS {name}' for name, _t in meta.columns)
         sql = f'SELECT {columns} FROM "{meta.table}" t1'
-        with self.ctx.tracer.start("table-scan", meta.table,
-                                   op=getattr(node, "op_id", None)) as span:
+        with self.ctx.tracer.start("table-scan", meta.table, op=node.op_id) as span:
             try:
                 rows = self.ctx.connection(meta.database).execute_query(sql)
             except SourceError as exc:

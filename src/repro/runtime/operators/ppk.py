@@ -84,8 +84,8 @@ def ppk_extend(
     config = ctx.config
     threshold = config.replan_threshold
     if (threshold is not None
-            and getattr(clause, "est_replan_scan", False)
-            and getattr(clause, "est_outer", None) is not None):
+            and clause.est_replan_scan
+            and clause.est_outer is not None):
         # Mid-query re-planning is armed for this region (P-COST).  Blocks
         # run sequentially — the block boundary is the safe switch point,
         # and the decision must see every tuple the operator consumed.
@@ -132,7 +132,7 @@ def _extend_with_replan(clause: PPkLetClause, blocks, threshold: float,
     compares consumption against the estimate, so the decision is
     deterministic in tuple counts, not in time)."""
     ctx = evaluator.ctx
-    budget = threshold * max(getattr(clause, "est_outer", 1.0), 1.0)
+    budget = threshold * max(clause.est_outer, 1.0)
     seen = 0
     for block, capacity in blocks:
         if seen > 0 and seen + len(block) > budget:
@@ -158,8 +158,7 @@ def _replan_fetch_scan(clause: PPkLetClause, env: dict,
     correlation = pushed.correlation
     ctx = evaluator.ctx
     ctx.stats.bump(replans=1)
-    with ctx.tracer.start("replan", pushed.database,
-                          op=getattr(clause, "op_id", None),
+    with ctx.tracer.start("replan", pushed.database, op=clause.op_id,
                           strategy_from="ppk", strategy_to="scan") as span:
         sql = render_pushed(pushed, evaluator)
         values = bind_parameters(pushed, env, evaluator)
@@ -301,8 +300,7 @@ def _fetch_block(clause: PPkLetClause, block: list[dict], capacity: int,
     ctx = evaluator.ctx
     ctx.stats.bump(ppk_blocks=1, ppk_tuples=len(block))
 
-    with ctx.tracer.start("ppk.fetch", pushed.database,
-                          op=getattr(clause, "op_id", None),
+    with ctx.tracer.start("ppk.fetch", pushed.database, op=clause.op_id,
                           tuples=len(block), k=capacity) as span:
         keys = _outer_keys(clause, block, evaluator)
         distinct_keys = list(dict.fromkeys(
@@ -363,7 +361,7 @@ def _join_block(clause: PPkLetClause, block: list[dict],
     # The span covers only the middleware join charge, not the downstream
     # consumption of the joined tuples, so its elapsed time is exactly the
     # operator's own work.
-    with ctx.tracer.start("ppk.join", op=getattr(clause, "op_id", None),
+    with ctx.tracer.start("ppk.join", op=clause.op_id,
                           tuples=len(block)):
         ctx.clock.charge_ms(ctx.middleware.ppk_join_ms_per_tuple * len(block))
     build = template_fn(clause.pushed.template)
@@ -394,7 +392,7 @@ def _bucketed_sql(pushed: PushedSQL, correlation, bucket: int,
     """The rendered disjunctive SQL and its parameter permutation for one
     bucket size, memoized on the pushed region so repeated blocks reuse
     both the rendering work and the source's statement cache."""
-    cache = getattr(pushed, "_ppk_sql_cache", None)
+    cache = pushed._ppk_sql_cache
     if cache is None:
         cache = {}
         pushed._ppk_sql_cache = cache

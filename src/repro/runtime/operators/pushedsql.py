@@ -52,8 +52,7 @@ def execute_pushed(pushed: PushedSQL, env: dict, evaluator: "Evaluator") -> Iter
     sql = render_pushed(pushed, evaluator)
     # The span covers the source fetch; XML rebuild streams to the
     # consumer afterwards (the region's own work is the shipped query).
-    with ctx.tracer.start("pushed-sql", pushed.database,
-                          op=getattr(pushed, "op_id", None)) as span:
+    with ctx.tracer.start("pushed-sql", pushed.database, op=pushed.op_id) as span:
         try:
             rows = ctx.connection(pushed.database).execute_query(sql, params)
         except SourceError as exc:
@@ -80,7 +79,7 @@ def bind_parameters(pushed: PushedSQL, env: dict, evaluator: "Evaluator") -> lis
 
 def render_pushed(pushed: PushedSQL, evaluator: "Evaluator") -> str:
     """Render (and memoize) the SQL text for the region's vendor."""
-    cached = getattr(pushed, "_sql_text", None)
+    cached = pushed._sql_text
     if cached is not None:
         return cached
     text = evaluator.ctx.renderer(pushed.vendor).render(pushed.select)
@@ -119,7 +118,7 @@ def template_fn(template: ast.AstNode) -> TemplateFn:
     compiles an equivalent closure and the last write wins).  An element of
     a result is a :class:`DeferredElement`, and so is every element child
     of one once it is read."""
-    fn = getattr(template, "_template_fn", None)
+    fn = template._template_fn
     if fn is None:
         fn = template._template_fn = _deferring(template)
     return fn

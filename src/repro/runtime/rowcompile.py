@@ -157,7 +157,7 @@ def rowfn(node: ast.AstNode) -> RowFn:
     """The compiled form of ``node`` (cached on the node).  Always
     succeeds: a node that is not an expression (a clause, a step, a
     template slot) gets a closure that says so when it is called."""
-    fn = getattr(node, "_rowfn", None)
+    fn = node._rowfn
     if fn is None:
         handler = _COMPILERS.get(type(node).__name__)
         fn = node._rowfn = handler(node) if handler is not None else _raises(
@@ -541,7 +541,7 @@ def _c_FLWOR(node: ast.FLWOR) -> RowFn:
     for sub in node.walk():
         if isinstance(sub, ast.FLWOR):
             if not all(type(clause) in _ROW_CLAUSES
-                       and getattr(clause, "scatter_group", None) is None
+                       and clause.scatter_group is None
                        for clause in sub.clauses):
                 return _streamed(node)
         elif type(sub).__name__ in _SOURCE_OPERATORS:

@@ -271,20 +271,19 @@ def param_order(stmt) -> list[int]:
     return order
 
 
-def count_params(node) -> int:
-    """Number of distinct positional parameters used in a statement."""
-    seen: set[int] = set()
+def sql_nodes(obj) -> list[object]:
+    """Every dataclass node in a SQL AST, ``obj`` first, pre-order through
+    lists and nested subqueries — the walk its dataclass fields declare."""
+    found: list[object] = []
 
-    def walk(obj) -> None:
-        if isinstance(obj, Param):
-            seen.add(obj.index)
-        if isinstance(obj, (list, tuple)):
-            for entry in obj:
-                walk(entry)
-            return
-        if hasattr(obj, "__dataclass_fields__"):
-            for name in obj.__dataclass_fields__:
-                walk(getattr(obj, name))
+    def visit(current) -> None:
+        if isinstance(current, (list, tuple)):
+            for entry in current:
+                visit(entry)
+        elif hasattr(current, "__dataclass_fields__"):
+            found.append(current)
+            for name in current.__dataclass_fields__:
+                visit(getattr(current, name))
 
-    walk(node)
-    return len(seen)
+    visit(obj)
+    return found

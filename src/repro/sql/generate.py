@@ -55,6 +55,7 @@ from .ast_nodes import (
     SqlExpr,
     SqlLiteral,
     TableRef,
+    sql_nodes,
 )
 from .dialects import SqlRenderer, capabilities_for
 from .pushdown import (
@@ -708,7 +709,7 @@ class RegionCompiler:
         except SQLError as exc:
             raise self._fail(f"dialect {self.vendor} cannot render: {exc}")
 
-        pushed = PushedSQL(
+        return PushedSQL(
             database=self.database,
             vendor=self.vendor,
             select=select,
@@ -716,9 +717,8 @@ class RegionCompiler:
             template=template,
             regroup=self.regroup,
             correlation=self.correlation,
+            residual_fetch=self._fetch,  # mid-tier subsequence, if any
         )
-        pushed.residual_fetch = self._fetch  # mid-tier subsequence, if any
-        return pushed
 
     def _build_from(self):
         # Bindings in registration (alias) order; nested/agg bindings were
@@ -772,33 +772,12 @@ def _and_all(conjuncts: list[SqlExpr]) -> SqlExpr | None:
 
 
 def _aliases_in(expr: SqlExpr) -> set[str]:
-    found: set[str] = set()
-
-    def walk(obj) -> None:
-        if isinstance(obj, ColumnRef) and obj.table:
-            found.add(obj.table)
-        if isinstance(obj, (list, tuple)):
-            for entry in obj:
-                walk(entry)
-            return
-        if hasattr(obj, "__dataclass_fields__"):
-            for name in obj.__dataclass_fields__:
-                walk(getattr(obj, name))
-
-    walk(expr)
-    return found
+    return {node.table for node in sql_nodes(expr)
+            if isinstance(node, ColumnRef) and node.table}
 
 
 def _contains_agg(expr: SqlExpr) -> bool:
-    if isinstance(expr, AggCall):
-        return True
-    if isinstance(expr, (list, tuple)):
-        return any(_contains_agg(e) for e in expr)
-    if hasattr(expr, "__dataclass_fields__"):
-        return any(
-            _contains_agg(getattr(expr, name)) for name in expr.__dataclass_fields__
-        )
-    return False
+    return any(isinstance(node, AggCall) for node in sql_nodes(expr))
 
 
 def _is_scalar_candidate(expr: ast.AstNode) -> bool:

@@ -203,7 +203,6 @@ class PushdownRewriter:
                     items.append(OrderItem(_select_expr_for_alias(scan_pushed, column),
                                            spec.descending))
                 scan_pushed.select.order_by.extend(items)
-                scan_pushed._sql_text = None
                 flwor.clauses = flwor.clauses[:position] + flwor.clauses[position + 1:]
                 return
 
@@ -242,7 +241,6 @@ class PushdownRewriter:
                 for alias in columns:
                     expr = _select_expr_for_alias(scan_pushed, alias)
                     scan_pushed.select.order_by.append(OrderItem(expr))
-                scan_pushed._sql_text = None  # re-render with the new order
                 clause.pre_clustered = True
                 return
 
@@ -531,7 +529,7 @@ def _mentions_table(expr: ast.AstNode) -> bool:
 def _apply_residual_fetch(pushed: PushedSQL) -> ast.AstNode:
     """When the dialect could not push pagination, apply subsequence()
     mid-tier over the pushed (ordered) result."""
-    residual = getattr(pushed, "residual_fetch", None)
+    residual = pushed.residual_fetch
     if residual is None:
         return pushed
     start, count = residual

@@ -6,25 +6,27 @@ with static types, and the optimizer rewrites trees using the generic
 traversal support on :class:`AstNode`.  Compiler-only operators (joins,
 SQL queries, typematch...) subclass :class:`AstNode` in
 :mod:`repro.compiler.algebra`.
+
+Every fact a plan node holds is declared on its class, in one of three
+kinds: **structure**, set by the constructor (``_fields`` holds children,
+``_attrs`` the scalars ``repr`` prints, a bare annotation such as
+``vendor: str`` any other); **stamps**, written by a compiler pass (a
+public annotated class-level default, ``op_id: Optional[int] = None``);
+and **memos**, compiled by the runtime for one tree (any attribute named
+``_…``).  Cloning, plan agreement and :meth:`AstNode.every_node` read the
+declaration through :func:`structure_of` and :func:`stamps_of`.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Callable, Iterator, Optional
+import functools
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, Optional
 
 from ..schema.types import SequenceType
 from ..xml.items import AtomicValue
 from .lexer import Pragma
-
-
-#: node-attached memos: closures and text compiled *for one tree*
-#: (``rowcompile.rowfn``, ``pushedsql.render_pushed`` / ``template_fn``,
-#: ``batchexec._stages``, ``ppk._bucketed_sql``).  A copy never carries
-#: them — they would keep evaluating or rendering the original's children
-#: after the copy is rewritten.
-MEMO_ATTRS = frozenset({"_rowfn", "_sql_text", "_template_fn", "_batch_stages",
-                        "_ppk_sql_cache"})
 
 
 class AstNode:
@@ -35,10 +37,20 @@ class AstNode:
     """
 
     _fields: tuple[str, ...] = ()
+    _attrs: tuple[str, ...] = ()
+
+    static_type: Optional[SequenceType]
+    line: Optional[int]
+
+    #: the operator's id (``explain.assign_operator_ids``)
+    op_id: Optional[int] = None
+
+    _rowfn: Optional[Callable] = None  # ``rowcompile.rowfn``
+    _template_fn: Optional[Callable] = None  # ``pushedsql.template_fn``
 
     def __init__(self):
-        self.static_type: Optional[SequenceType] = None
-        self.line: Optional[int] = None
+        self.static_type = None
+        self.line = None
 
     # -- traversal ----------------------------------------------------------
 
@@ -50,7 +62,7 @@ class AstNode:
             if isinstance(value, AstNode):
                 found.append(value)
             elif value:
-                _collect_nodes(value, found)
+                _collect_held(value, found)
         return found
 
     def transform_children(self, fn: Callable[["AstNode"], "AstNode"]) -> "AstNode":
@@ -84,6 +96,18 @@ class AstNode:
                 children.reverse()
                 stack.extend(children)
 
+    def every_node(self) -> Iterator["AstNode"]:
+        """Pre-order: what :meth:`walk` visits and the nodes held outside
+        the children — in a stamp (an index join's PP-k twin) or in other
+        structure (a pushed region's correlation key)."""
+        stack: list[AstNode] = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            held: list[AstNode] = []
+            _collect_held([getattr(node, name) for name in declared(node.__class__)], held)
+            stack.extend(reversed(held))
+
     # -- copying --------------------------------------------------------------
 
     def clone(self, rename: Optional[dict[str, str]] = None) -> "AstNode":
@@ -91,16 +115,16 @@ class AstNode:
 
         Nodes, and the lists and tuples that hold them, are copied; what
         is immutable is *shared* (static types, atomic values, name tests,
-        table metadata, strings); every plan stamp (``op_id``,
-        ``batch_capable``, scatter groups, cost estimates) is kept; the
-        :data:`MEMO_ATTRS` are dropped.  With ``rename``, every variable
-        name in the copy — binders and references alike — is replaced as
-        the mapping says, in the same pass."""
+        table metadata, strings); structure and every stamp a node carries
+        are kept — a node a stamp holds is copied too — and memos are
+        dropped.  With ``rename``, every variable name in the copy —
+        binders and references alike — is replaced as the mapping says,
+        in the same pass."""
         new = object.__new__(self.__class__)
         state = new.__dict__
         for key, value in self.__dict__.items():
-            if key in MEMO_ATTRS:
-                continue
+            if key[0] == "_":
+                continue  # a memo
             state[key] = value if value.__class__ in _SHARED_LEAVES \
                 else _clone_value(value, rename)
         if rename:
@@ -119,21 +143,49 @@ class AstNode:
         return self
 
     def __repr__(self) -> str:
-        name = type(self).__name__
-        bits = []
-        for field in self._fields:
-            bits.append(f"{field}={getattr(self, field)!r}")
-        for extra in getattr(self, "_attrs", ()):
-            bits.append(f"{extra}={getattr(self, extra)!r}")
-        return f"{name}({', '.join(bits)})"
+        bits = [f"{name}={getattr(self, name)!r}"
+                for name in (*self._fields, *self._attrs)]
+        return f"{type(self).__name__}({', '.join(bits)})"
 
 
-def _collect_nodes(value, found: list) -> None:
+def _annotated(cls: type) -> list[tuple[str, type]]:
+    """(name, declaring class) of every public annotation, bases first."""
+    return [(name, klass) for klass in reversed(cls.__mro__)
+            for name in vars(klass).get("__annotations__", ()) if name[0] != "_"]
+
+
+@functools.cache
+def structure_of(cls: type) -> tuple[str, ...]:
+    """The structure ``cls`` declares: bare annotations, then ``_fields``
+    and ``_attrs``."""
+    bare = [name for name, klass in _annotated(cls) if name not in vars(klass)]
+    return tuple(dict.fromkeys((*bare, *cls._fields, *cls._attrs)))
+
+
+@functools.cache
+def stamps_of(cls: type) -> Mapping[str, object]:
+    """The stamps ``cls`` declares, each mapped to the value it reads unset."""
+    return MappingProxyType({name: vars(klass)[name] for name, klass in _annotated(cls)
+                             if name in vars(klass)})
+
+
+@functools.cache
+def declared(cls: type) -> tuple[str, ...]:
+    """Everything ``cls`` declares but its memos: structure, then stamps."""
+    return (*structure_of(cls), *stamps_of(cls))
+
+
+def _collect_held(value, found: list) -> None:
+    """The nodes ``value`` holds, in lists, tuples and plain records (a
+    region's correlation)."""
     if isinstance(value, AstNode):
         found.append(value)
     elif isinstance(value, (list, tuple)):
         for entry in value:
-            _collect_nodes(entry, found)
+            _collect_held(entry, found)
+    elif value.__class__ not in _SHARED_LEAVES and hasattr(value, "__dict__"):
+        for entry in vars(value).values():
+            _collect_held(entry, found)
 
 
 def _map_nodes(value, fn: Callable[[AstNode], AstNode]):
@@ -433,10 +485,15 @@ class ElementCtor(AstNode):
 class Clause(AstNode):
     """Base class of FLWGOR clauses."""
 
+    #: the parallel fetch group of a let-bound region (``compiler.scatter``)
+    scatter_group: Optional[int] = None
+
 
 class ForClause(Clause):
     _fields = ("expr",)
     _attrs = ("var", "pos_var")
+
+    declared_type: Optional[SequenceType]
 
     def __init__(self, var: str, expr: AstNode, pos_var: str | None = None,
                  declared_type: SequenceType | None = None):
@@ -455,6 +512,8 @@ class ForClause(Clause):
 class LetClause(Clause):
     _fields = ("expr",)
     _attrs = ("var",)
+
+    declared_type: Optional[SequenceType]
 
     def __init__(self, var: str, expr: AstNode, declared_type: SequenceType | None = None):
         super().__init__()
@@ -486,17 +545,13 @@ class GroupByClause(Clause):
     _fields = ("keys",)
     _attrs = ("grouped",)
 
+    #: the input arrives clustered on the keys (``sql.rewriter``)
+    pre_clustered: bool = False
+
     def __init__(self, grouped: list[tuple[str, str]], keys: list[tuple[AstNode, str]]):
         super().__init__()
         self.grouped = grouped  # (source var, result var)
         self.keys = keys  # (key expr, result var)
-
-    def children(self) -> list[AstNode]:
-        return [expr for expr, _var in self.keys]
-
-    def transform_children(self, fn):
-        self.keys = _map_nodes(self.keys, fn)
-        return self
 
     def rename_vars(self, mapping):
         self.grouped = [(mapping.get(source, source), mapping.get(target, target))
@@ -528,6 +583,11 @@ class FLWOR(AstNode):
 
     _fields = ("clauses", "return_expr")
 
+    #: every clause has a runtime stage (``compiler.batching``)
+    batch_capable: Optional[bool] = None
+
+    _batch_stages: Optional[dict] = None  # ``batchexec._stages``
+
     def __init__(self, clauses: list[Clause], return_expr: AstNode):
         super().__init__()
         self.clauses = clauses
@@ -538,7 +598,7 @@ class TypeswitchExpr(AstNode):
     """``typeswitch (operand) case ($v as)? T return e ... default ($v)?
     return e`` — never pushable (section 4.4), evaluated mid-tier."""
 
-    _fields = ("operand", "default_expr")
+    _fields = ("operand", "cases", "default_expr")
     _attrs = ("default_var",)
 
     def __init__(self, operand: AstNode,
@@ -549,16 +609,6 @@ class TypeswitchExpr(AstNode):
         self.cases = cases
         self.default_var = default_var
         self.default_expr = default_expr
-
-    def children(self) -> list[AstNode]:
-        return [self.operand, *(expr for _var, _st, expr in self.cases),
-                self.default_expr]
-
-    def transform_children(self, fn):
-        self.operand = fn(self.operand)
-        self.cases = _map_nodes(self.cases, fn)
-        self.default_expr = fn(self.default_expr)
-        return self
 
 
 class TypeMatch(AstNode):

@@ -4,7 +4,9 @@ Every node class — found by walking ``AstNode.__subclasses__()``, so a new
 class cannot be forgotten — is cloned from a populated sample and checked
 for what a copy must be: equal ``repr``, no node or list shared with the
 original, immutable leaves (static types, literal values, table metadata)
-shared by identity, plan stamps kept, node-attached memos dropped.
+shared by identity, every stamp its class declares kept, memos dropped.
+Stamps and memos are read from each class's declaration, so a new one is
+covered without an edit here.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from repro.sql.ast_nodes import BinOp, ColumnRef, Select, SelectItem, SqlLiteral
 from repro.xml import AtomicValue, serialize
 from repro.xquery import ast_nodes as ast
 
-STAMPS = {"op_id": 7, "batch_capable": True, "scatter_group": 2, "est_rows": 12.5}
 META = algebra.TableMeta("db", "T", "T", [("A", "xs:string")], ("A",), "oracle")
 ONE = AtomicValue(1, "xs:integer")
 
@@ -87,9 +88,20 @@ SAMPLES = {
     algebra.PushedTupleForClause: lambda: algebra.PushedTupleForClause(
         [("a", algebra.ColumnSlot("c1", "xs:string", "A"))], pushed()),
     algebra.PPkLetClause: lambda: algebra.PPkLetClause("g", pushed(), 20),
-    algebra.IndexJoinForClause: lambda: algebra.IndexJoinForClause(
-        "v", var(), var("v"), var("o")),
+    algebra.IndexJoinForClause: lambda: index_join(),
 }
+
+
+def index_join():
+    """An index join holding, as a cost-based plan's does, the PP-k clause
+    it replaced (``replan_ppk``) — stamped, and with memos the runtime
+    wrote when a re-plan ran it: a node held in a stamp, not a child."""
+    join = algebra.IndexJoinForClause("v", var(), var("v"), var("o"))
+    join.replan_ppk = twin = sample(algebra.PPkLetClause)
+    for sub in (twin, twin.pushed):
+        for name in memos(type(sub)):
+            setattr(sub, name, lambda *args: "compiled for the original")
+    return join
 
 
 def node_classes() -> list[type]:
@@ -121,13 +133,32 @@ def parts(value, nodes: dict, lists: dict) -> None:
         parts(value.outer_key, nodes, lists)
 
 
+def stamp_value(name):
+    return f"stamped {name}"
+
+
+def memos(cls) -> set[str]:
+    """The memos ``cls`` declares (``_name: T = None``), plus one it does
+    not: a memo is any ``_``-prefixed instance attribute, not a list."""
+    declared = {name for klass in cls.__mro__
+                for name in vars(klass).get("__annotations__", ())
+                if name[0] == "_" and name in vars(klass)
+                and name not in ("_fields", "_attrs")}
+    return declared | {"_undeclared_memo"}
+
+
+def memos_held(tree) -> set[str]:
+    return {name for sub in tree.every_node() for name in vars(sub) if name[0] == "_"}
+
+
 def sample(cls):
     node = SAMPLES[cls]()
     for sub in node.walk():
         sub.static_type = ITEM_STAR
         sub.line = 3
-    for name, value in STAMPS.items():
-        setattr(node, name, value)
+    for name in ast.stamps_of(cls):
+        if name not in vars(node):
+            setattr(node, name, stamp_value(name))
     return node
 
 
@@ -161,7 +192,7 @@ class TestClone:
     def test_shares_immutable_leaves_and_keeps_stamps(self, cls):
         original = sample(cls)
         clone = original.clone()
-        for before, after in zip(original.walk(), clone.walk()):
+        for before, after in zip(original.every_node(), clone.every_node()):
             assert after.static_type is before.static_type
             assert after.line == before.line
             if isinstance(before, ast.Literal):
@@ -172,17 +203,22 @@ class TestClone:
                 assert after.target is before.target
             if isinstance(before, ast.Step):
                 assert after.test is before.test
-        for name, value in STAMPS.items():
-            assert getattr(clone, name) == value
+            for name in ast.stamps_of(type(before)):
+                kept, value = getattr(after, name), getattr(before, name)
+                if isinstance(value, ast.AstNode):  # compared in its own turn
+                    assert type(kept) is type(value) and kept is not value
+                else:
+                    assert kept == value
+        assert clone.op_id == stamp_value("op_id")
 
     def test_drops_memos(self, cls):
         original = sample(cls)
-        for name in ast.MEMO_ATTRS:
+        for name in memos(cls):
             setattr(original, name, lambda *args: "compiled for the original")
         original._sql_text = "SELECT rendered for the original"  # text, not a closure
         clone = original.clone()
-        assert not set(vars(clone)) & ast.MEMO_ATTRS
-        assert set(vars(original)) >= ast.MEMO_ATTRS
+        assert not memos_held(clone)
+        assert set(vars(original)) >= memos(cls)
 
     def test_deepcopy_is_clone(self, cls):
         original = sample(cls)
@@ -239,7 +275,7 @@ class TestStaleMemos:
         assert held >= {"_rowfn", "_sql_text", "_template_fn"}
 
         clone = plan.expr.clone()
-        assert not any(set(vars(sub)) & ast.MEMO_ATTRS for sub in clone.walk())
+        assert not memos_held(clone)
         copied = clone.clauses[0].expr
         # rewrite all three: the shipped SQL, the rebuilt element, the
         # return expression

@@ -315,6 +315,21 @@ class TestReplanning:
         assert replans[0].attrs["strategy_from"] == "index-join"
         assert replans[0].attrs["strategy_to"] == "ppk"
 
+    def test_a_cached_function_body_numbers_no_operator(self):
+        """A cached function runs its compiled body; operator ids name the
+        *calling* plan's operators, so the body carries none — the PP-k
+        twin its index join re-plans to included."""
+        platform = demo(customers=8)
+        platform.statistics.set_table_stats("custdb", "CUSTOMER", rows=1000)
+        platform.deploy(f"declare function cards() {{ {JOIN_QUERY} }};", name="Cards")
+        platform.configure(cost_based=True, replan_threshold=2.0)
+        platform.enable_function_cache("cards", ttl_ms=10_000)
+        profile = platform.profile("cards()")
+        replans = spans_of_kind(profile, "replan")
+        assert [span.attrs["strategy_to"] for span in replans] == ["ppk"]
+        assert spans_of_kind(profile, "ppk.fetch")
+        assert sorted(profile.aggregates) == [1]  # CALL cards, #1
+
     def test_replan_is_deterministic(self):
         def run():
             platform = demo(customers=8)

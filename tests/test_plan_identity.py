@@ -6,8 +6,8 @@ before view unfolding went clone-free and the traversal helpers lost their
 nested generators; a change that only makes the compiler *faster* must
 never need to regenerate it.  Per query it holds the plan tree's ``repr``,
 the ``Platform.explain`` text (diagnostics included), every pushed
-region's SQL in each dialect, and the plan stamps (``op_id``,
-``batch_capable``, scatter group) in pre-order.  Platform-backed queries
+region's SQL in each dialect, and in pre-order every stamp a node carries
+(those its class declares, ``ast_nodes.stamps_of``, set by a pass).  Platform-backed queries
 are compiled with a cold and then a warm view cache and must come out the
 same both times.  To regenerate after a change that is *meant* to move
 plans::
@@ -27,6 +27,7 @@ from repro.compiler.explain import explain as explain_plan
 from repro.errors import StaticError
 from repro.schema.types import ITEM_STAR
 from repro.sql.dialects import DIALECTS, SqlRenderer
+from repro.xquery import ast_nodes as ast
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden" / "plan_identity.txt"
@@ -41,9 +42,9 @@ def describe(plan) -> str:
                  + plan.diagnostics.render_text(prefix="  "))
     lines = [f"tree: {plan.expr!r}", "explain:", text]
     for node in plan.expr.walk():
-        stamps = [f"{name}={getattr(node, name)!r}"
-                  for name in ("op_id", "batch_capable", "scatter_group")
-                  if getattr(node, name, None) is not None]
+        stamps = [f"{name}={value!r}"
+                  for name, unset in ast.stamps_of(type(node)).items()
+                  if (value := getattr(node, name)) != unset]
         if stamps:
             lines.append(f"stamp: {type(node).__name__} {' '.join(stamps)}")
         if isinstance(node, PushedSQL):
