@@ -15,20 +15,20 @@ Two complementary tools over the same locking discipline:
 from .interleave import VTID_BASE, SeededInterleaver
 from .lockset import AccessSite, LocksetDetector, RaceReport
 from .static import (
-    COUNTER_FIELDS,
     REGISTRY,
     analyze_source,
+    counter_fields,
     run_concurrency_lint,
 )
 
 __all__ = [
     "AccessSite",
-    "COUNTER_FIELDS",
     "LocksetDetector",
     "RaceReport",
     "REGISTRY",
     "SeededInterleaver",
     "VTID_BASE",
     "analyze_source",
+    "counter_fields",
     "run_concurrency_lint",
 ]

@@ -22,7 +22,8 @@ discipline *before* a prod-shaped workload does:
   justification is part of the report.
 * A second, repo-wide pass flags raw counter writes (``x.stats.hits += 1``)
   anywhere outside the owning object — those read-modify-writes must go
-  through the synchronized ``bump()`` API (``C407``).
+  through the synchronized ``bump()`` API (``C407``).  The counter
+  fields are read off the ``SyncCounters`` declarations themselves.
 
 Findings are :class:`~repro.diagnostics.Diagnostic` records in the
 ``ALDSP-C4xx`` family, rendered through the same text/JSON machinery as the
@@ -33,10 +34,14 @@ lint-concurrency``.
 from __future__ import annotations
 
 import ast
+import functools
 import re
 from pathlib import Path
 
 from ..diagnostics import Diagnostic, DiagnosticReport, make
+
+#: the engine package the lint reads by default
+PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
 #: shared engine classes under lint, by module path relative to the package
 REGISTRY: dict[str, tuple[str, ...]] = {
@@ -46,9 +51,10 @@ REGISTRY: dict[str, tuple[str, ...]] = {
     "compiler/views.py": ("ViewPlanCache",),
     "concurrency.py": ("SyncCounters",),
     "observability/continuous.py": (
-        "ContinuousTracer", "TraceSampler", "WindowedMetrics",
-        "WindowedCounter", "WindowedHistogram", "FlightRecorder"),
-    "observability/metrics.py": ("MetricsRegistry", "Counter", "Gauge", "Histogram"),
+        "ContinuousTracer", "TraceSampler", "FlightRecorder"),
+    "observability/metrics.py": (
+        "MetricsRegistry", "Counter", "Gauge", "Histogram",
+        "WindowedCounter", "WindowedHistogram"),
     # (``Request`` is not here: its fields are written by the thread that
     # runs the request only, and the one thing its pool branches write —
     # the degradation list — is appended under ResilienceManager's lock)
@@ -70,19 +76,6 @@ REGISTRY: dict[str, tuple[str, ...]] = {
     "xml/items.py": ("DeferredElement",),
 }
 
-#: counter fields owned by the synchronized stats objects; writing them
-#: through a foreign reference (anything but a plain ``self.<field>``) is
-#: a C407 — use ``bump()``
-COUNTER_FIELDS = frozenset({
-    "hits", "misses", "expirations", "evictions",
-    "roundtrips", "rows_shipped", "parses",
-    "stmt_cache_hits", "stmt_cache_misses", "stmt_cache_evictions",
-    "ppk_k_adjustments", "attempts", "retries", "failures",
-    "breaker_trips", "degraded",
-    "pushed_queries", "ppk_blocks", "ppk_tuples", "middleware_join_probes",
-    "index_joins_built", "service_calls", "tuples_flowed", "replans",
-    "groups_emitted", "peak_resident", "groups_run", "branches_run",
-})
 
 #: method names that mutate their receiver (built-in containers)
 MUTATING_METHODS = frozenset({
@@ -454,9 +447,41 @@ def _check_class(model: _ClassModel, module: str, report: DiagnosticReport,
             ))
 
 
+def declared_counters(tree: ast.Module) -> set[str]:
+    """The ``int`` fields declared by every class of ``tree`` whose bases
+    include ``SyncCounters``."""
+    fields = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                (_name_chain(base) or ("",))[-1] == "SyncCounters"
+                for base in node.bases):
+            fields.update(
+                stmt.target.id for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)
+                and isinstance(stmt.annotation, ast.Name)
+                and stmt.annotation.id == "int")
+    return fields
+
+
+@functools.lru_cache(maxsize=1)
+def counter_fields() -> frozenset[str]:
+    """The engine's declared counter fields: writing one through a foreign
+    reference (anything but a plain ``self.<field>``) is a C407 — use
+    ``bump()``.  Derived from the declarations, never hand-kept."""
+    fields: set[str] = set()
+    for path in PACKAGE_ROOT.rglob("*.py"):
+        source = path.read_text()
+        if "SyncCounters" in source:
+            fields |= declared_counters(ast.parse(source))
+    return frozenset(fields)
+
+
 def _foreign_counter_pass(tree: ast.Module, module: str, lines: list[str],
                           report: DiagnosticReport) -> None:
-    """C407: counter fields written through a foreign reference."""
+    """C407: declared counter fields written through a foreign reference
+    (the engine's, plus any this module declares)."""
+    counters = counter_fields() | declared_counters(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign):
             targets = node.targets
@@ -466,7 +491,7 @@ def _foreign_counter_pass(tree: ast.Module, module: str, lines: list[str],
             continue
         for target in targets:
             chain = _name_chain(target)
-            if chain is None or chain[-1] not in COUNTER_FIELDS:
+            if chain is None or chain[-1] not in counters:
                 continue
             if len(chain) == 1:
                 continue  # a bare local, not a stats field
@@ -498,9 +523,7 @@ def run_concurrency_lint(root: Path | str | None = None,
     Registered classes get the full lockset-discipline pass; every module
     in the tree gets the C407 foreign-counter pass.
     """
-    if root is None:
-        root = Path(__file__).resolve().parent.parent
-    root = Path(root)
+    root = Path(root) if root is not None else PACKAGE_ROOT
     report = DiagnosticReport()
     registered = {root / relative for relative in REGISTRY}
     for path in sorted(root.rglob("*.py")):
@@ -524,7 +547,6 @@ def run_concurrency_lint(root: Path | str | None = None,
 
 
 __all__ = [
-    "COUNTER_FIELDS",
     "MUTATING_METHODS",
     "REGISTRY",
     "Diagnostic",

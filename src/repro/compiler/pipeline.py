@@ -17,7 +17,7 @@ import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from ..concurrency import RACE, TrackedRLock, guarded_by
+from ..concurrency import RACE, SyncCounters, guarded_by
 from ..config import EngineConfig
 from ..errors import StaticError
 from ..schema.types import ITEM_STAR, atomic
@@ -356,7 +356,7 @@ _MAX_VARIANTS = 8
 
 
 @guarded_by("_lock")
-class PlanCache:
+class PlanCache(SyncCounters):
     """Two-level LRU cache of compiled query plans (section 2.2).
 
     * **Front**: the exact text (plus external names) -> the plan bound to
@@ -384,16 +384,17 @@ class PlanCache:
     request thread goes through :meth:`prepare`.  Compiles run outside
     the lock; of two concurrent first sightings the first insert wins."""
 
+    hits: int = 0
+    misses: int = 0
+    shape_hits: int = 0
+    compiles: int = 0
+    unparameterisable: int = 0
+
     def __init__(self, capacity: int = 256):
         self.capacity = capacity
-        self._lock = TrackedRLock("PlanCache")
+        self._init_lock("PlanCache")
         self._plans: "OrderedDict[str | tuple, CompiledPlan | list[_Variant]]" = \
             OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.shape_hits = 0
-        self.compiles = 0
-        self.unparameterisable = 0
 
     def get(self, key):
         with self._lock:
@@ -467,14 +468,6 @@ class PlanCache:
         with self._lock:
             self._plans.clear()
             RACE.detector.on_access(self, "_plans", True)
-
-    def reset_counters(self) -> None:
-        with self._lock:
-            self.hits = 0
-            self.misses = 0
-            self.shape_hits = 0
-            self.compiles = 0
-            self.unparameterisable = 0
 
     def __len__(self) -> int:
         with self._lock:

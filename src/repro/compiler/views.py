@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from ..concurrency import RACE, TrackedRLock, guarded_by
+from ..concurrency import RACE, SyncCounters, guarded_by
 
 
 @guarded_by("_lock")
-class ViewPlanCache:
+class ViewPlanCache(SyncCounters):
     """LRU cache mapping (function name, arity) to what the optimizer
     stores for the view: its partially optimized body with the variable
     names the body binds.  Entries are shared by every compile that hits
@@ -25,15 +25,16 @@ class ViewPlanCache:
     Thread-safety (A-CONC): compilation runs on request threads, so the
     LRU map and counters are guarded like :class:`PlanCache`."""
 
+    hits: int = 0
+    misses: int = 0
+    evictions: int = 0
+
     def __init__(self, capacity: int = 128):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._lock = TrackedRLock("ViewPlanCache")
+        self._init_lock("ViewPlanCache")
         self._entries: "OrderedDict[tuple[str, int], object]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     def get(self, name: str, arity: int):
         key = (name, arity)

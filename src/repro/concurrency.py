@@ -15,12 +15,14 @@ instead of hoped-for:
   class's shared mutable attributes.  The static concurrency lint
   (:mod:`repro.analysis.static`) reads the declaration and verifies every
   mutation site lexically holds that lock.
-* :class:`SyncCounters` — a mixin giving the stats dataclasses
-  (``SourceStats``, ``RuntimeStats``, ``CacheStats``, ``GroupStats``) one
-  synchronized :meth:`~SyncCounters.bump` write path.  Raw ``stats.x += 1``
-  from outside the owning class is a lint error (``ALDSP-C407``): the
-  read-modify-write would race, and did — PR 6 found lost updates on
-  exactly these counters.
+* :class:`SyncCounters` — the one counter base: a class declares its
+  counters as annotated fields (``SourceStats``, ``RuntimeStats``,
+  ``CacheStats``, ``GroupStats``, ``PlanCache``, ``ViewPlanCache``,
+  ``AsyncExecutor``) and gets one synchronized :meth:`~SyncCounters.bump`
+  write path and a :meth:`~SyncCounters.reset` derived from the
+  declaration.  Raw ``stats.x += 1`` on a declared field from outside the
+  owning class is a lint error (``ALDSP-C407``): the read-modify-write
+  would race, and did — updates were lost on exactly these counters.
 
 The active detector is a **process-wide** slot (:data:`RACE`), mirroring
 how eraser-style tools instrument a whole process; install one with
@@ -30,6 +32,7 @@ captures stacks and is deliberately not cheap).
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 
@@ -143,14 +146,39 @@ def guarded_by(lock_attr: str):
 
 @guarded_by("_lock")
 class SyncCounters:
-    """Mixin: a tracked lock plus one synchronized counter write path.
+    """Mixin: a declared counter set with one synchronized write path.
 
-    Subclasses (typically dataclasses) call :meth:`_init_lock` from
-    ``__init__``/``__post_init__``; every external counter update goes
-    through :meth:`bump`, which holds the lock across the read-modify-write
-    and reports each field to the race detector.  A misspelled field raises
-    ``AttributeError`` — silent new-counter creation would hide typos.
+    A subclass declares its counters as annotated class fields (a
+    dataclass's fields, or ``hits: int = 0`` on a plain class); from that
+    one declaration the class derives :attr:`counter_fields` (every
+    ``int`` field, the values the metrics plane snapshots) and
+    :meth:`reset` (every declared field back to its default).  Subclasses
+    call :meth:`_init_lock` from ``__init__``/``__post_init__``; a cache
+    that is its own counter set (``PlanCache``) bumps inside its own
+    critical section, so a hit still takes one lock.  Every external
+    counter update goes through :meth:`bump`, which holds the lock across
+    the read-modify-write and reports each field to the race detector.  A
+    misspelled field raises ``AttributeError`` — silent new-counter
+    creation would hide typos.
     """
+
+    #: the declared ``int`` fields, in declaration order (derived per class)
+    counter_fields: tuple = ()
+    #: every declared field -> its default, or the factory making one
+    _declared: dict = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = vars(cls).get("__annotations__", {})
+        cls._declared = dict(cls._declared)
+        for name in own:
+            default = vars(cls).get(name, 0)
+            if isinstance(default, dataclasses.Field):
+                default = default.default_factory \
+                    if default.default is dataclasses.MISSING else default.default
+            cls._declared[name] = default
+        cls.counter_fields += tuple(
+            name for name, kind in own.items() if kind in ("int", int))
 
     def _init_lock(self, name: str) -> None:
         self._lock = TrackedRLock(name)
@@ -161,3 +189,9 @@ class SyncCounters:
             for field, delta in deltas.items():
                 setattr(self, field, getattr(self, field) + delta)
                 detector.on_access(self, field, True)
+
+    def reset(self) -> None:
+        """Every declared field back to its declared default."""
+        with self._lock:
+            for name, default in self._declared.items():
+                setattr(self, name, default() if callable(default) else default)

@@ -1,7 +1,7 @@
 """Observability plane (O-OBS): query tracing, operator profiling, the
-unified metrics registry, and the continuous production plane (O-CONT:
-sampled tracing, windowed metrics, flight recorder, plan stats).  See
-DESIGN.md sections O-OBS and O-CONT."""
+unified metrics registry with its rolling window, and the continuous
+production plane (O-CONT: sampled tracing, flight recorder, plan
+stats).  See DESIGN.md sections O-OBS and O-CONT."""
 
 from .continuous import (
     TRACE_ALL,
@@ -10,9 +10,6 @@ from .continuous import (
     FlightRecord,
     FlightRecorder,
     TraceSampler,
-    WindowedCounter,
-    WindowedHistogram,
-    WindowedMetrics,
     plan_fingerprint,
 )
 from .export import (
@@ -27,6 +24,8 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    WindowedCounter,
+    WindowedHistogram,
     nearest_rank,
     series_name,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "TraceSampler",
     "WindowedCounter",
     "WindowedHistogram",
-    "WindowedMetrics",
     "aggregate_operators",
     "chrome_trace",
     "chrome_trace_json",

@@ -24,12 +24,11 @@ and cheap — in four pieces:
   ``slow_ms``), errored, degraded or shed requests keep their full tree
   in a bounded ring; fast-and-healthy trees are summarized (plan stats,
   windowed latency) and dropped.
-* :class:`WindowedMetrics` — a ring-of-buckets rolling window next to
-  the cumulative registry.  Bucket ``epoch = floor(now_ms / bucket_ms)``
-  maps to slot ``epoch % nbuckets``; writes lazily reset a slot whose
-  recorded epoch is stale, and reads sum only slots whose epoch falls in
-  ``(current - nbuckets, current]`` — so ``server.*`` rates and
-  percentiles reflect the last ``window_s`` seconds, not process
+* the rolling window — not a second registry but a property of an
+  instrument: the tracer feeds every ended request to the metrics
+  registry's windowed ``trace.requests`` / ``trace.latency_ms``
+  (:meth:`~repro.observability.metrics.MetricsRegistry.observe_request`),
+  so rates and percentiles reflect the last minute, not process
   lifetime.
 * :class:`FlightRecorder` — a lock-guarded ring of structured
   per-request :class:`FlightRecord`\\ s (tenant, plan fingerprint, cost,
@@ -45,8 +44,7 @@ per-operator actuals to the engine's one observed-statistics store
 
 Thread-safety (A-CONC): every class here is crossed by request threads
 and pool threads; all shared state is lock-disciplined (``@guarded_by``,
-``TrackedRLock``, detector hooks), and the windowed instruments share
-their registry's lock exactly like the cumulative ones do.
+``TrackedRLock``, detector hooks).
 """
 
 from __future__ import annotations
@@ -59,7 +57,6 @@ from typing import TYPE_CHECKING, Optional
 
 from ..clock import Clock
 from ..concurrency import RACE, TrackedRLock, guarded_by
-from .metrics import Histogram, nearest_rank, series_name
 from .profile import aggregate_operators
 from .tracer import NOOP_SPAN, REQUEST, QueryTracer, Request, Span
 
@@ -132,227 +129,6 @@ class TraceSampler:
                 "decisions": self.decisions,
                 "sampled": self.sampled,
             }
-
-
-# ---------------------------------------------------------------------------
-# Windowed metrics: ring-of-buckets counters and histograms
-# ---------------------------------------------------------------------------
-
-
-@guarded_by("_lock")
-class WindowedCounter:
-    """A counter over the last ``nbuckets * bucket_ms`` milliseconds.
-
-    One slot per bucket epoch modulo ``nbuckets``; a write into a slot
-    whose recorded epoch is stale resets it first (lazy rotation), and a
-    read sums only slots whose epoch is still inside the window."""
-
-    def __init__(self, clock: Clock, bucket_ms: float, nbuckets: int,
-                 lock: TrackedRLock | None = None):
-        self.clock = clock
-        self.bucket_ms = bucket_ms
-        self._lock = lock if lock is not None else TrackedRLock("WindowedCounter")
-        self._counts = [0.0] * nbuckets
-        self._epochs = [-1] * nbuckets
-
-    def _slot(self, now_ms: float) -> int:  # caller-holds: _lock
-        epoch = int(now_ms // self.bucket_ms)
-        index = epoch % len(self._counts)
-        if self._epochs[index] != epoch:
-            self._counts[index] = 0.0
-            self._epochs[index] = epoch
-        return index
-
-    def inc_at(self, now_ms: float, n: float = 1) -> None:  # caller-holds: _lock
-        index = self._slot(now_ms)
-        self._counts[index] += n
-        RACE.detector.on_access(self, "_counts", True)
-
-    def inc(self, n: float = 1) -> None:
-        now = self.clock.now_ms()
-        with self._lock:
-            self.inc_at(now, n)
-
-    def total(self) -> float:
-        """Sum over the live window (stale slots excluded, not rotated)."""
-        now = self.clock.now_ms()
-        with self._lock:
-            epoch = int(now // self.bucket_ms)
-            n = len(self._counts)
-            return sum(self._counts[i] for i in range(n)
-                       if self._epochs[i] > epoch - n)
-
-    @property
-    def window_ms(self) -> float:
-        return self.bucket_ms * len(self._counts)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._counts = [0.0] * len(self._counts)
-            self._epochs = [-1] * len(self._epochs)
-
-    def snapshot(self) -> dict:
-        total = self.total()
-        return {
-            "window_total": round(total, 3),
-            "rate_per_s": round(total / (self.window_ms / 1000.0), 3),
-        }
-
-
-@guarded_by("_lock")
-class WindowedHistogram:
-    """A histogram over the rolling window: one bounded deterministic
-    :class:`~repro.observability.metrics.Histogram` reservoir per bucket,
-    merged at read time (counts/sums add; percentiles run nearest-rank
-    over the concatenated live reservoirs)."""
-
-    def __init__(self, clock: Clock, bucket_ms: float, nbuckets: int,
-                 lock: TrackedRLock | None = None):
-        self.clock = clock
-        self.bucket_ms = bucket_ms
-        self._lock = lock if lock is not None else TrackedRLock("WindowedHistogram")
-        # bucket reservoirs share this window's lock (one acquisition
-        # covers rotation + the observe)
-        self._hists = [Histogram(self._lock) for _ in range(nbuckets)]
-        self._epochs = [-1] * nbuckets
-
-    def _slot(self, now_ms: float) -> int:  # caller-holds: _lock
-        epoch = int(now_ms // self.bucket_ms)
-        index = epoch % len(self._hists)
-        if self._epochs[index] != epoch:
-            self._hists[index].reset()
-            self._epochs[index] = epoch
-        return index
-
-    def observe_at(self, now_ms: float, value: float) -> None:  # caller-holds: _lock
-        index = self._slot(now_ms)
-        self._hists[index].observe(value)
-        RACE.detector.on_access(self, "_epochs", True)
-
-    def observe(self, value: float) -> None:
-        now = self.clock.now_ms()
-        with self._lock:
-            self.observe_at(now, value)
-
-    def _live(self) -> "list[Histogram]":  # caller-holds: _lock
-        epoch = int(self.clock.now_ms() // self.bucket_ms)
-        n = len(self._hists)
-        return [self._hists[i] for i in range(n)
-                if self._epochs[i] > epoch - n]
-
-    def percentile(self, q: float) -> float | None:
-        with self._lock:
-            merged: list[float] = []
-            for hist in self._live():
-                merged.extend(hist.samples())
-            return nearest_rank(sorted(merged), q)
-
-    @property
-    def window_ms(self) -> float:
-        return self.bucket_ms * len(self._hists)
-
-    def reset(self) -> None:
-        with self._lock:
-            for hist in self._hists:
-                hist.reset()
-            self._epochs = [-1] * len(self._epochs)
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            live = self._live()
-            count = sum(h.count for h in live)
-            total = sum(h.total for h in live)
-            mins = [h.min for h in live if h.min is not None]
-            maxs = [h.max for h in live if h.max is not None]
-            merged: list[float] = []
-            for hist in live:
-                merged.extend(hist.samples())
-            ordered = sorted(merged)
-
-            def rank(q: float) -> float | None:
-                value = nearest_rank(ordered, q)
-                return round(value, 3) if value is not None else None
-
-            return {
-                "count": count,
-                "sum": round(total, 3),
-                "min": round(min(mins), 3) if mins else None,
-                "max": round(max(maxs), 3) if maxs else None,
-                "avg": round(total / count, 3) if count else None,
-                "p50": rank(50),
-                "p95": rank(95),
-                "p99": rank(99),
-            }
-
-
-@guarded_by("_lock")
-class WindowedMetrics:
-    """The rolling-window registry: labeled windowed counters/histograms
-    sharing one lock (mirroring :class:`~repro.observability.metrics.
-    MetricsRegistry`), read as one sorted snapshot."""
-
-    def __init__(self, clock: Clock, window_s: float = 60.0,
-                 nbuckets: int = 12):
-        if window_s <= 0 or nbuckets < 1:
-            raise ValueError("need window_s > 0 and nbuckets >= 1")
-        self.clock = clock
-        self.window_s = float(window_s)
-        self.nbuckets = int(nbuckets)
-        self.bucket_ms = self.window_s * 1000.0 / self.nbuckets
-        self._lock = TrackedRLock("WindowedMetrics")
-        self._instruments: dict[str, object] = {}
-
-    def _instrument(self, factory, name: str, labels: dict[str, str]):
-        key = series_name(name, labels)
-        with self._lock:
-            instrument = self._instruments.get(key)
-            if instrument is None:
-                instrument = factory(self.clock, self.bucket_ms,
-                                     self.nbuckets, self._lock)
-                self._instruments[key] = instrument
-                RACE.detector.on_access(self, "_instruments", True)
-            return instrument
-
-    def counter(self, name: str, **labels) -> WindowedCounter:
-        return self._instrument(WindowedCounter, name, labels)
-
-    def histogram(self, name: str, **labels) -> WindowedHistogram:
-        return self._instrument(WindowedHistogram, name, labels)
-
-    def observe_request(self, elapsed_ms: float,
-                        outcome: str = "completed") -> None:
-        """The always-on per-request fast path: bump ``trace.requests``
-        and observe ``trace.latency_ms`` under ONE lock acquisition (the
-        instruments share the registry lock), with one clock read."""
-        now = self.clock.now_ms()
-        with self._lock:
-            counter = self._instruments.get("trace.requests")
-            if counter is None:
-                counter = WindowedCounter(self.clock, self.bucket_ms,
-                                          self.nbuckets, self._lock)
-                self._instruments["trace.requests"] = counter
-            hist = self._instruments.get("trace.latency_ms")
-            if hist is None:
-                hist = WindowedHistogram(self.clock, self.bucket_ms,
-                                         self.nbuckets, self._lock)
-                self._instruments["trace.latency_ms"] = hist
-            counter.inc_at(now)
-            hist.observe_at(now, elapsed_ms)
-            RACE.detector.on_access(self, "_instruments", True)
-        if outcome != "completed":
-            self.counter("trace.failed", outcome=outcome).inc()
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            instruments = dict(self._instruments)
-        return {key: instrument.snapshot()
-                for key, instrument in sorted(instruments.items())}
-
-    def reset(self) -> None:
-        with self._lock:
-            instruments = list(self._instruments.values())
-        for instrument in instruments:
-            instrument.reset()
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +250,12 @@ class ContinuousTracer:
 
     def __init__(self, clock: Clock, config: ContinuousConfig | None = None,
                  observed: "Optional[ObservedStatistics]" = None,
-                 window: WindowedMetrics | None = None,
                  metrics: "Optional[MetricsRegistry]" = None):
         self.clock = clock
         #: where a recorded request's operator actuals go as it ends
         #: (None: a bare tracer in a test keeps span trees only)
         self.observed = observed
-        self.window = window
+        #: span histograms and the windowed per-request series
         self.metrics = metrics
         self._lock = TrackedRLock("ContinuousTracer")
         self.configure(config)
@@ -565,8 +340,8 @@ class ContinuousTracer:
             return False
         config = self.config
         elapsed = self.clock.now_ms() - request.start_ms
-        if config is not None and self.window is not None:
-            self.window.observe_request(elapsed, request.outcome)
+        if config is not None and self.metrics is not None:
+            self.metrics.observe_request(elapsed, request.outcome)
         recorder = request.recorder
         if recorder is None:
             return False

@@ -54,6 +54,8 @@ class SourceStats(SyncCounters):
     stmt_cache_hits: int = 0
     stmt_cache_misses: int = 0
     stmt_cache_evictions: int = 0
+    #: statement-cache clears forced by DDL on this source
+    stmt_cache_invalidations: int = 0
     #: adaptive PP-k re-sized a block against this source (P-ADAPT)
     ppk_k_adjustments: int = 0
     # -- resilience counters (R-RESIL; maintained by the ResilienceManager) --
@@ -76,22 +78,6 @@ class SourceStats(SyncCounters):
         with self._lock:
             self.statements.append(statement)
             RACE.detector.on_access(self, "statements", True)
-
-    def reset(self) -> None:
-        with self._lock:
-            self.roundtrips = 0
-            self.rows_shipped = 0
-            self.statements.clear()
-            self.parses = 0
-            self.stmt_cache_hits = 0
-            self.stmt_cache_misses = 0
-            self.stmt_cache_evictions = 0
-            self.ppk_k_adjustments = 0
-            self.attempts = 0
-            self.retries = 0
-            self.failures = 0
-            self.breaker_trips = 0
-            self.degraded = 0
 
     def resilience_snapshot(self) -> dict:
         """The R-RESIL counters as a dict (``Platform.source_health()``)."""

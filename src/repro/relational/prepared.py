@@ -11,9 +11,9 @@ at prepare time).
 
 The cache is *per database* — statements are parsed in the context of one
 source's schema, so DDL on that source (``create_table`` / ``drop_table``)
-invalidates it.  Hit/miss/eviction counters are surfaced through the
-database's :class:`~repro.relational.database.SourceStats` and through
-``Platform.statement_cache_stats()``.
+invalidates it.  Hit/miss/eviction/invalidation counters live on the
+database's :class:`~repro.relational.database.SourceStats` and are
+surfaced through ``Platform.statement_cache_stats()``.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ class PreparedStatement:
 class StatementCache:
     """Per-database LRU of :class:`PreparedStatement`, keyed by SQL text.
 
-    Thread-safety (A-CONC): ``_lock`` guards the LRU map and the toggle /
-    invalidation fields.  :meth:`_build` — the actual parse, which charges
+    Thread-safety (A-CONC): ``_lock`` guards the LRU map and the
+    toggle.  :meth:`_build` — the actual parse, which charges
     simulated latency — runs *outside* the lock: two threads missing on the
     same SQL may both parse (real drivers allow the same), but the first
     insert wins and the map is never corrupted.
@@ -75,9 +75,6 @@ class StatementCache:
         self.db = database
         self.capacity = capacity
         self.enabled = True
-        #: cleared-by-DDL count (not a per-roundtrip counter, so it lives
-        #: here rather than on SourceStats and survives ``reset_stats``)
-        self.invalidations = 0
         self._lock = TrackedRLock("StatementCache")
         self._entries: OrderedDict[str, PreparedStatement] = OrderedDict()
 
@@ -126,10 +123,11 @@ class StatementCache:
     def invalidate(self) -> None:
         """DDL happened: every cached resolution may be stale."""
         with self._lock:
-            if self._entries:
-                self.invalidations += 1
+            invalidated = bool(self._entries)
             self._entries.clear()
             RACE.detector.on_access(self, "_entries", True)
+        if invalidated:
+            self.db.stats.bump(stmt_cache_invalidations=1)
 
     def clear(self) -> None:
         """Drop entries without recording an invalidation (admin toggle)."""
@@ -156,9 +154,8 @@ class StatementCache:
                 "enabled": self.enabled,
                 "size": size,
                 "capacity": self.capacity,
-                "hits": stats.stmt_cache_hits,
-                "misses": stats.stmt_cache_misses,
-                "evictions": stats.stmt_cache_evictions,
-                "invalidations": self.invalidations,
+                **{name.removeprefix("stmt_cache_"): getattr(stats, name)
+                   for name in stats.counter_fields
+                   if name.startswith("stmt_cache_")},
                 "parses": stats.parses,
             }

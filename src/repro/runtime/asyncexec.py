@@ -37,7 +37,7 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 from typing import Callable, TypeVar
 
 from ..clock import Clock, VirtualClock
-from ..concurrency import TrackedRLock, guarded_by
+from ..concurrency import SyncCounters, guarded_by
 from ..errors import PlatformClosedError
 from ..observability.continuous import ContinuousTracer
 
@@ -48,21 +48,22 @@ _BRANCH = threading.local()
 
 
 @guarded_by("_lock")
-class AsyncExecutor:
+class AsyncExecutor(SyncCounters):
     """Thread-safety (A-CONC): ``_lock`` guards the counters, the pool
     reference and the worker-count bound.  Pool shutdown happens *outside*
     the lock — a worker draining its queue may re-enter the executor, and
     joining it while holding ``_lock`` would deadlock."""
 
+    #: how many parallel groups (and branches) were executed
+    groups_run: int = 0
+    branches_run: int = 0
+
     def __init__(self, clock: Clock, max_workers: int = 8, tracer=None):
         self.clock = clock
         self.max_workers = max_workers
-        self._lock = TrackedRLock("AsyncExecutor")
+        self._init_lock("AsyncExecutor")
         self._pool: ThreadPoolExecutor | None = None
         self._closed = False
-        #: how many parallel groups were executed (bench observability)
-        self.groups_run = 0
-        self.branches_run = 0
         #: the engine tracer (a bare executor gets one that is off)
         self.tracer = tracer if tracer is not None else ContinuousTracer(clock)
 
@@ -82,11 +83,6 @@ class AsyncExecutor:
                 f"context-level topology belongs to the owning thread "
                 f"(see AsyncExecutor thread-ownership contract)"
             )
-
-    def reset_counters(self) -> None:
-        with self._lock:
-            self.groups_run = 0
-            self.branches_run = 0
 
     def set_max_workers(self, max_workers: int) -> None:
         """Re-size the worker pool.  The existing pool (if any) is joined

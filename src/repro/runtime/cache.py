@@ -39,13 +39,6 @@ class CacheStats(SyncCounters):
     def __post_init__(self) -> None:
         self._init_lock("CacheStats")
 
-    def reset(self) -> None:
-        with self._lock:
-            self.hits = 0
-            self.misses = 0
-            self.expirations = 0
-            self.evictions = 0
-
 
 @guarded_by("_lock")
 class FunctionCache:
@@ -109,14 +102,9 @@ class FunctionCache:
         with self._lock:
             size = len(self._entries)
             capacity = self.max_entries
-        return {
-            "size": size,
-            "capacity": capacity,
-            "hits": self.stats.hits,
-            "misses": self.stats.misses,
-            "expirations": self.stats.expirations,
-            "evictions": self.stats.evictions,
-        }
+        stats = self.stats
+        return {"size": size, "capacity": capacity,
+                **{name: getattr(stats, name) for name in stats.counter_fields}}
 
     # -- lookup / store ------------------------------------------------------------
 

@@ -6,10 +6,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..clock import Clock, VirtualClock
-from ..concurrency import SyncCounters
+from ..compiler.pipeline import PlanCache
+from ..compiler.views import ViewPlanCache
+from ..concurrency import RACE, SyncCounters
 from ..config import EngineConfig
 from ..errors import SourceError
-from ..observability import ContinuousTracer, MetricsRegistry, WindowedMetrics
+from ..observability import ContinuousTracer, MetricsRegistry
 from ..observability.tracer import REQUEST
 from ..relational.connection import Connection
 from ..relational.database import Database
@@ -19,6 +21,7 @@ from ..sql.dialects import SqlRenderer, capabilities_for
 from .asyncexec import AsyncExecutor
 from .cache import FunctionCache
 from .observed import ObservedStatistics
+from .operators.group import GroupStats
 
 if TYPE_CHECKING:
     from ..xquery.ast_nodes import Module
@@ -45,17 +48,6 @@ class RuntimeStats(SyncCounters):
     def __post_init__(self) -> None:
         self._init_lock("RuntimeStats")
 
-    def reset(self) -> None:
-        with self._lock:
-            self.pushed_queries = 0
-            self.ppk_blocks = 0
-            self.ppk_tuples = 0
-            self.middleware_join_probes = 0
-            self.index_joins_built = 0
-            self.service_calls = 0
-            self.tuples_flowed = 0
-            self.replans = 0
-
 
 @dataclass
 class MiddlewareCostModel:
@@ -80,7 +72,6 @@ class DynamicContext:
         module: "Optional[Module]" = None,
         clock: Clock | None = None,
         cache: FunctionCache | None = None,
-        plan_capacity: int = 256,
     ):
         self.registry = registry
         self.module = module
@@ -90,25 +81,24 @@ class DynamicContext:
         self._renderers: dict[str, SqlRenderer] = {}
         self._batch_instruments: dict[str, tuple] = {}
         self.cache = cache
-        #: the unified metrics plane (O-OBS): one snapshot over every
-        #: stats surface, plus live instruments the tracer feeds
-        self.metrics = MetricsRegistry()
-        #: the rolling-window plane (O-CONT): ring-of-buckets counters
-        #: and histograms so rates/percentiles reflect the last N seconds
-        #: of this clock, not process lifetime; always on (writes are a
-        #: lock + an array slot)
-        self.window = WindowedMetrics(self.clock)
+        #: the unified metrics plane (O-OBS): every counter set below is
+        #: attached to it once, and it owns snapshot, reset and the
+        #: rolling window of this clock
+        self.metrics = MetricsRegistry(self.clock)
+        #: the compiled-plan and unfolded-view caches the server compiles
+        #: through (a bare context only counts on them)
+        self.plan_cache = PlanCache()
+        self.view_cache = ViewPlanCache()
         #: everything the engine has observed (section 9): per-source
         #: latency fits, written by the connections' per-roundtrip hook, and
         #: per-plan operator actuals, written by the tracer at request end;
         #: bounded like the plan cache whose plans it describes
-        self.observed = ObservedStatistics(plan_capacity)
+        self.observed = ObservedStatistics(self.plan_cache.capacity)
         #: the one engine tracer: every instrumentation point holds this
         #: object for the life of the context; whether a crossing records
         #: is decided by the request running on the calling context
         #: (``EngineConfig.continuous`` is its policy)
         self.tracer = ContinuousTracer(self.clock, observed=self.observed,
-                                       window=self.window,
                                        metrics=self.metrics)
         #: the engine configuration the runtime reads (one frozen value,
         #: replaced whole by ``Platform.configure``)
@@ -116,9 +106,27 @@ class DynamicContext:
         self.async_exec = AsyncExecutor(self.clock, self.config.async_workers,
                                         tracer=self.tracer)
         self.stats = RuntimeStats()
+        self.group_stats = GroupStats()
         self.middleware = MiddlewareCostModel()
         #: per-source retry/breaker/timeout policies
         self.resilience = ResilienceManager(self.clock, tracer=self.tracer)
+        for prefix, counters in (
+                ("runtime", self.stats), ("group", self.group_stats),
+                ("plan_cache", self.plan_cache), ("view_cache", self.view_cache),
+                ("async", self.async_exec)):
+            self.metrics.attach(prefix, counters)
+        if cache is not None:
+            self.metrics.attach("cache", cache.stats)
+        self.metrics.add_collector(self._state_metrics)
+
+    def _state_metrics(self) -> dict:
+        """Series that are state, not counts, read at snapshot time."""
+        detector = RACE.detector
+        return {"plan_cache.size": len(self.plan_cache),
+                "concurrency.races": len(detector.races),
+                "concurrency.guarded_accesses": detector.guarded_accesses,
+                "concurrency.lock_acquisitions": detector.lock_acquisitions,
+                "concurrency.detector_enabled": 1 if detector.enabled else 0}
 
     # -- per-request state ------------------------------------------------------
 
@@ -145,6 +153,7 @@ class DynamicContext:
         connection.observer = self.observed.record
         connection.resilience = self.resilience
         self.resilience.register_stats(database.name, database.stats)
+        self.metrics.attach("source", database.stats, source=database.name)
         self._connections[database.name] = connection
 
     def connection(self, database_name: str) -> Connection:

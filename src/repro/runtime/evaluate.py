@@ -30,7 +30,6 @@ from ..xquery import ast_nodes as ast
 from ..xquery.functions import atomize, numeric_value
 from .batchexec import eval_flwor
 from .context import DynamicContext
-from .operators.group import GroupStats
 from .operators.pushedsql import execute_pushed, record_fn
 from .rowcompile import rowfn
 
@@ -51,7 +50,7 @@ class Evaluator:
         #: inherit the depth they were started at)
         self._depth: contextvars.ContextVar = contextvars.ContextVar(
             "repro.recursion_depth", default=0)
-        self.group_stats = GroupStats()
+        self.group_stats = ctx.group_stats
 
     # -- entry points ----------------------------------------------------------
 

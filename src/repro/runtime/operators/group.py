@@ -35,11 +35,6 @@ class GroupStats(SyncCounters):
             if resident > self.peak_resident:
                 self.peak_resident = resident
 
-    def reset(self) -> None:
-        with self._lock:
-            self.peak_resident = 0
-            self.groups_emitted = 0
-
 
 def clustered_groups(
     stream: Iterable[T],

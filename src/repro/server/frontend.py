@@ -23,9 +23,9 @@ Request path, in order:
 
 Everything the server observes lands in the platform's unified metrics
 plane under the ``server.*`` family, and — O-CONT — in three continuous
-surfaces: the same ``server.*`` series feed the rolling
-:class:`~repro.observability.WindowedMetrics` window, every request
-(admitted, shed or failed) leaves a structured
+surfaces: the request, shed, completion and latency series are windowed
+instruments, so one bump feeds both the cumulative value and the rolling
+window; every request (admitted, shed or failed) leaves a structured
 :class:`~repro.observability.FlightRecord` with its per-phase latency
 breakdown in the bounded flight recorder, and the server opens the
 request's scope (``tracer.request``) *before* admission — so a shed
@@ -103,11 +103,6 @@ class DataServer:
         #: always-on bounded ring of per-request records (O-CONT)
         self.flight_recorder = FlightRecorder(capacity=flight_capacity)
 
-    @property
-    def window(self):
-        """The platform's rolling-window metrics plane."""
-        return self.platform.ctx.window
-
     # -- session conveniences -------------------------------------------------
 
     def register_tenant(self, name: str, secret: str,
@@ -139,8 +134,7 @@ class DataServer:
         :class:`~repro.errors.SecurityError` on a dead session or policy
         violation, :class:`~repro.errors.DeadlineExceededError` past the
         budget, :class:`~repro.errors.PlatformClosedError` after close."""
-        self.metrics.counter("server.requests").inc()
-        self.window.counter("server.requests").inc()
+        self.metrics.counter("server.requests", window=True).inc()
         session = self.sessions.get(session_id)
         bindings = dict(session.variables)
         if variables:
@@ -184,8 +178,8 @@ class DataServer:
                     try:
                         ticket = self.admission.admit(session.tenant, cost)
                     except AdmissionError as exc:
-                        self.metrics.counter("server.shed", reason=exc.reason).inc()
-                        self.window.counter("server.shed", reason=exc.reason).inc()
+                        self.metrics.counter("server.shed", window=True,
+                                             reason=exc.reason).inc()
                         outcome = "shed"
                         admission_decision = f"shed:{exc.reason}"
                         error_text = str(exc)
@@ -219,14 +213,11 @@ class DataServer:
                     outcome = "completed"
                     elapsed = self.clock.now_ms() - start
                     self.admission.observe_service_ms(elapsed)
-                    self.metrics.counter("server.completed").inc()
-                    self.window.counter("server.completed").inc()
+                    self.metrics.counter("server.completed", window=True).inc()
                     kind = "lookup" if cost <= self.admission.cost_threshold \
                         else "scan"
-                    self.metrics.histogram("server.latency_ms", kind=kind) \
-                        .observe(elapsed)
-                    self.window.histogram("server.latency_ms", kind=kind) \
-                        .observe(elapsed)
+                    self.metrics.histogram("server.latency_ms", window=True,
+                                           kind=kind).observe(elapsed)
                     return ServerResponse(items=items, elapsed_ms=elapsed,
                                           cost=cost, session_id=session_id,
                                           degradations=degradations,

@@ -18,8 +18,7 @@ from ..compiler.inverse import InverseRegistry
 from ..compiler.stats import StatisticsCatalog
 from ..concurrency import NOOP_DETECTOR, RACE, set_race_detector
 from ..config import COMPILE_FIELDS, EngineConfig
-from ..compiler.pipeline import CompiledPlan, Compiler, CompilerOptions, PlanCache
-from ..compiler.views import ViewPlanCache
+from ..compiler.pipeline import CompiledPlan, Compiler, CompilerOptions
 from ..errors import (
     ObservabilityError,
     PlatformClosedError,
@@ -30,9 +29,7 @@ from ..observability import (
     ContinuousTracer,
     MetricsRegistry,
     QueryProfile,
-    WindowedMetrics,
     profile_render,
-    series_name,
 )
 from ..observability.tracer import REQUEST
 from ..relational.database import Database
@@ -64,7 +61,7 @@ from .introspect import (
     introspect_web_service,
     java_function_def,
 )
-from .metadata import MetadataRegistry
+from .metadata import MetadataRegistry, SourceFunctionDef
 
 if TYPE_CHECKING:
     from ..diagnostics import DiagnosticReport
@@ -89,13 +86,12 @@ class Platform:
         self.registry = MetadataRegistry()
         self.module = ast.Module()  # the merged prolog of every deployment
         self.inverses = InverseRegistry()
-        self.view_cache = ViewPlanCache()
-        self.plan_cache = PlanCache()
         self.options = CompilerOptions(mode=mode)
         self.cache = FunctionCache(self.clock, backing=cache_backing)
         self.security = SecurityService()
-        self.ctx = DynamicContext(self.registry, self.module, self.clock, self.cache,
-                                  plan_capacity=self.plan_cache.capacity)
+        self.ctx = DynamicContext(self.registry, self.module, self.clock, self.cache)
+        self.view_cache = self.ctx.view_cache
+        self.plan_cache = self.ctx.plan_cache
         self.ctx.body_plan = self._body_plan
         self.evaluator = Evaluator(self.ctx)
         self.services: dict[str, DataService] = {}
@@ -112,9 +108,6 @@ class Platform:
         self.options.cost = CostingOptions(
             catalog=self.statistics, store=self.ctx.observed,
             ppk_join_ms_per_tuple=self.ctx.middleware.ppk_join_ms_per_tuple)
-        # The unified metrics plane: the legacy stats objects stay the
-        # write surface; this collector is the one read surface over them.
-        self.ctx.metrics.add_collector(self._collect_metrics)
         self.configure(**{field.name: getattr(config, field.name)
                           for field in dataclasses.fields(config)})
 
@@ -127,33 +120,33 @@ class Platform:
         self.ctx.attach_database(database)
         definitions, navigation_source = introspect_database(database)
         for definition in definitions:
-            self.registry.register(definition)
+            self._register(definition)
         if navigation and navigation_source:
             self.deploy(navigation_source, name=f"{database.name}-navigation")
         self._invalidate_plans()
 
     def register_web_service(self, descriptor: WebServiceDescriptor) -> None:
         for definition in introspect_web_service(descriptor, self.clock):
-            self.registry.register(definition)
+            self._register(definition)
         self._invalidate_plans()
 
     def register_java_function(self, name: str, fn: Callable,
                                param_types: list[str], return_type: str,
                                latency_ms: float = 0.0) -> None:
-        self.registry.register(
+        self._register(
             java_function_def(name, fn, param_types, return_type, self.clock, latency_ms)
         )
         self._invalidate_plans()
 
     def register_xml_file(self, name: str, path, record_shape: ElementItemType) -> None:
         adaptor = XMLFileAdaptor(name, path, record_shape, self.clock)
-        self.registry.register(file_function_def(name, adaptor, record_shape))
+        self._register(file_function_def(name, adaptor, record_shape))
         self._invalidate_plans()
 
     def register_csv_file(self, name: str, path, record_shape: ElementItemType,
                           delimiter: str = ",", has_header: bool = True) -> None:
         adaptor = CSVFileAdaptor(name, path, record_shape, delimiter, has_header, self.clock)
-        self.registry.register(file_function_def(name, adaptor, record_shape))
+        self._register(file_function_def(name, adaptor, record_shape))
         self._invalidate_plans()
 
     def register_stored_procedure(self, database: Database, name: str, procedure,
@@ -166,10 +159,19 @@ class Platform:
 
         if database.name not in self.ctx.databases:
             self.ctx.attach_database(database)
-        self.registry.register(stored_procedure_def(
+        self._register(stored_procedure_def(
             database, name, procedure, columns, param_types, row_element, self.clock
         ))
         self._invalidate_plans()
+
+    def _register(self, definition: SourceFunctionDef) -> None:
+        """The one funnel a source function is registered through: an
+        adaptor's counters become ``source.*{source=<adaptor>}`` series
+        from registration on."""
+        self.registry.register(definition)
+        if definition.adaptor is not None:
+            self.ctx.metrics.attach("source", definition.adaptor.stats,
+                                    source=definition.adaptor.name)
 
     def register_inverse(self, function: str, inverse: str) -> None:
         """Declare ``inverse`` as the inverse of ``function`` (section 4.5)."""
@@ -355,7 +357,7 @@ class Platform:
 
     @property
     def metrics(self) -> MetricsRegistry:
-        """The unified metrics plane (instruments + stats collectors)."""
+        """The unified metrics plane (attached counters + instruments)."""
         return self.ctx.metrics
 
     @property
@@ -376,14 +378,9 @@ class Platform:
         roundtrips) from every recorded request, profile runs included."""
         return self.ctx.observed.snapshot()
 
-    @property
-    def window(self) -> WindowedMetrics:
-        """The rolling-window metrics plane (always on)."""
-        return self.ctx.window
-
     def window_snapshot(self) -> dict:
-        """Every rolling-window series, sorted by name."""
-        return self.ctx.window.snapshot()
+        """Every windowed series' rolling-window view, sorted by name."""
+        return self.ctx.metrics.window_snapshot()
 
     @property
     def last_trace(self):
@@ -418,8 +415,9 @@ class Platform:
                             aggregates=aggregates, batches=probe.snapshot())
 
     def metrics_snapshot(self) -> dict:
-        """Every metrics series — runtime, per-source, cache, group,
-        plan-cache, resilience, trace histograms — sorted by name."""
+        """Every cumulative metrics series — runtime, per-source, cache,
+        group, plan-cache, view-cache, async, trace and server — sorted
+        by name."""
         return self.ctx.metrics.snapshot()
 
     # -- concurrency analysis (A-CONC) ------------------------------------------
@@ -463,74 +461,12 @@ class Platform:
             return detector.report_text()
         return "race detector is not enabled"
 
-    def _collect_metrics(self) -> dict:
-        """Snapshot-time bridge from the legacy stats objects to the
-        unified metrics plane (nothing is double-counted: these series
-        exist only here)."""
-        series: dict = {}
-        for field in dataclasses.fields(self.ctx.stats):
-            series[f"runtime.{field.name}"] = getattr(self.ctx.stats, field.name)
-        cache = self.cache.stats
-        series["cache.hits"] = cache.hits
-        series["cache.misses"] = cache.misses
-        series["cache.expirations"] = cache.expirations
-        series["cache.evictions"] = cache.evictions
-        group = self.evaluator.group_stats
-        series["group.peak_resident"] = group.peak_resident
-        series["group.groups_emitted"] = group.groups_emitted
-        series["plan_cache.hits"] = self.plan_cache.hits
-        series["plan_cache.misses"] = self.plan_cache.misses
-        series["plan_cache.shape_hits"] = self.plan_cache.shape_hits
-        series["plan_cache.compiles"] = self.plan_cache.compiles
-        series["plan_cache.unparameterisable"] = self.plan_cache.unparameterisable
-        series["plan_cache.size"] = len(self.plan_cache)
-        series["async.groups_run"] = self.ctx.async_exec.groups_run
-        series["async.branches_run"] = self.ctx.async_exec.branches_run
-        series["resilience.degradations"] = len(self.ctx.resilience.degradations)
-        detector = RACE.detector
-        series["concurrency.races"] = len(detector.races)
-        series["concurrency.guarded_accesses"] = detector.guarded_accesses
-        series["concurrency.lock_acquisitions"] = detector.lock_acquisitions
-        series["concurrency.detector_enabled"] = 1 if detector.enabled else 0
-        source_fields = ("roundtrips", "rows_shipped", "parses",
-                         "stmt_cache_hits", "stmt_cache_misses",
-                         "stmt_cache_evictions", "ppk_k_adjustments",
-                         "attempts", "retries", "failures", "breaker_trips",
-                         "degraded")
-        for name, database in self.ctx.databases.items():
-            for field_name in source_fields:
-                series[series_name(f"source.{field_name}", {"source": name})] = \
-                    getattr(database.stats, field_name)
-        seen = set(self.ctx.databases)
-        for definition in self.registry.functions():
-            adaptor = definition.adaptor
-            if adaptor is None or adaptor.name in seen:
-                continue
-            seen.add(adaptor.name)
-            for field_name in source_fields:
-                series[series_name(f"source.{field_name}",
-                                   {"source": adaptor.name})] = \
-                    getattr(adaptor.stats, field_name)
-        return series
-
     def reset_stats(self) -> None:
-        """Zero every runtime/source counter — RuntimeStats, per-source
-        SourceStats (including adaptors), cache, group, async, plan-cache
-        and resilience counters, and the metrics instruments — in one call
-        (keeps caches, plans and breaker state)."""
-        self.ctx.stats.reset()
-        self.cache.stats.reset()
-        self.evaluator.group_stats.reset()
-        for database in self.ctx.databases.values():
-            database.stats.reset()
-        for definition in self.registry.functions():
-            if definition.adaptor is not None:
-                definition.adaptor.stats.reset()
-        self.ctx.resilience.reset_stats()
-        self.ctx.async_exec.reset_counters()
-        self.plan_cache.reset_counters()
+        """Zero every counter and instrument of the metrics plane in one
+        call, and clear the calling context's degradation records (keeps
+        caches, plans and breaker state)."""
         self.ctx.metrics.reset()
-        self.ctx.window.reset()
+        self.ctx.resilience.reset_stats()
 
     @property
     def closed(self) -> bool:

@@ -100,7 +100,7 @@ class TestStatsCommand:
         assert result.returncode == 0
         for series in ("runtime.pushed_queries", "source.roundtrips{source=custdb}",
                        "source.attempts{source=ccdb}", "cache.hits",
-                       "resilience.degradations", "trace.span_ms{kind=query}"):
+                       "source.degraded{source=ccdb}", "trace.span_ms{kind=query}"):
             assert series in result.stdout
 
     def test_stats_json_with_query(self):

@@ -155,6 +155,15 @@ def charge(db):
         assert report.codes() == ["ALDSP-C407"]
         assert "bump()" in report.diagnostics[0].message
 
+    def test_c407_covers_every_declared_counter(self):
+        # the field set is derived from the SyncCounters declarations, so
+        # a counter declared on a cache class is guarded like a stats one
+        report = lint("""
+def record_compile(cache):
+    cache.compiles += 1
+""")
+        assert report.codes() == ["ALDSP-C407"]
+
     def test_c407_ignores_local_variables(self):
         # regression: a *local* named after a counter field is not a
         # foreign stats write (resilience/manager.py's retry loop)

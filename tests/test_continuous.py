@@ -24,10 +24,10 @@ from repro.observability import (
     FlightRecord,
     FlightRecorder,
     Histogram,
+    MetricsRegistry,
     TraceSampler,
     WindowedCounter,
     WindowedHistogram,
-    WindowedMetrics,
     chrome_trace_json,
     nearest_rank,
     plan_fingerprint,
@@ -180,26 +180,20 @@ class TestWindowedHistogram:
 
 class TestWindowedMetrics:
     def test_same_series_same_instrument(self):
-        window = WindowedMetrics(VirtualClock(), window_s=1.0, nbuckets=4)
-        a = window.counter("server.shed", reason="quota")
-        b = window.counter("server.shed", reason="quota")
-        c = window.counter("server.shed", reason="cost")
+        metrics = MetricsRegistry(VirtualClock())
+        a = metrics.counter("server.shed", window=True, reason="quota")
+        b = metrics.counter("server.shed", window=True, reason="quota")
+        c = metrics.counter("server.shed", window=True, reason="cost")
         assert a is b and a is not c
 
     def test_snapshot_is_sorted_and_typed(self):
-        window = WindowedMetrics(VirtualClock(), window_s=1.0, nbuckets=4)
-        window.histogram("b.latency").observe(5.0)
-        window.counter("a.requests").inc()
-        snap = window.snapshot()
+        metrics = MetricsRegistry(VirtualClock())
+        metrics.histogram("b.latency", window=True).observe(5.0)
+        metrics.counter("a.requests", window=True).inc()
+        snap = metrics.window_snapshot()
         assert list(snap) == sorted(snap)
         assert "window_total" in snap["a.requests"]
         assert snap["b.latency"]["count"] == 1
-
-    def test_validates_shape(self):
-        with pytest.raises(ValueError):
-            WindowedMetrics(VirtualClock(), window_s=0.0)
-        with pytest.raises(ValueError):
-            WindowedMetrics(VirtualClock(), window_s=1.0, nbuckets=0)
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +330,11 @@ class TestPlanStats:
 # ---------------------------------------------------------------------------
 
 
-def make_tracer(sample_rate=1.0, seed=0, slow_ms=250.0, retain_capacity=8,
-                window=None):
+def make_tracer(sample_rate=1.0, seed=0, slow_ms=250.0, retain_capacity=8):
     clock = VirtualClock()
     config = ContinuousConfig(sample_rate=sample_rate, seed=seed,
                               slow_ms=slow_ms, retain_capacity=retain_capacity)
-    return clock, ContinuousTracer(clock, config, window=window)
+    return clock, ContinuousTracer(clock, config)
 
 
 class TestContinuousTracer:
@@ -423,13 +416,13 @@ class TestContinuousTracer:
 
     def test_window_fed_for_every_request_sampled_or_not(self):
         clock = VirtualClock()
-        window = WindowedMetrics(clock, window_s=60.0)
+        metrics = MetricsRegistry(clock)
         tracer = ContinuousTracer(clock, ContinuousConfig(sample_rate=0.0),
-                                  window=window)
+                                  metrics=metrics)
         with tracer.request("fp") as request:
             clock.charge_ms(3.0)
             request.outcome = "shed"
-        snap = window.snapshot()
+        snap = metrics.window_snapshot()
         assert snap["trace.requests"]["window_total"] == 1
         assert snap["trace.latency_ms"]["count"] == 1
         assert snap["trace.failed{outcome=shed}"]["window_total"] == 1
@@ -623,13 +616,13 @@ class TestServerFlight:
         platform, server = build_server()
         session = server.open_session("acme", "pw")
         server.execute(session.session_id, LOOKUP, _cid("C1"))
-        snap = server.window.snapshot()
+        snap = platform.window_snapshot()
         assert snap["server.requests"]["window_total"] == 1
         assert snap["server.completed"]["window_total"] == 1
         assert snap["server.latency_ms{kind=lookup}"]["count"] == 1
         # past the window everything is forgotten, unlike the registry
         platform.clock.set_ms(platform.clock.now_ms() + 61_000.0)
-        assert server.window.snapshot()["server.requests"][
+        assert platform.window_snapshot()["server.requests"][
             "window_total"] == 0
         assert server.metrics.counter("server.requests").value == 1
 

@@ -216,7 +216,7 @@ class TestPlatformTracing:
         assert snap[series_name("source.roundtrips", {"source": "custdb"})] > 0
         assert series_name("source.attempts", {"source": "ccdb"}) in snap
         # resilience + cache + plan-cache + trace series are all present
-        assert "resilience.degradations" in snap
+        assert series_name("source.degraded", {"source": "ccdb"}) in snap
         assert "cache.hits" in snap and "plan_cache.misses" in snap
         assert any(name.startswith("trace.span_ms") for name in snap)
 
@@ -348,6 +348,67 @@ class TestResetStats:
                 assert value["count"] == 0, name
             else:
                 assert value == 0, name
+
+    def test_reset_zeroes_every_counter_in_every_read_api(self):
+        platform = build_platform()
+        platform.configure(continuous=TRACE_ALL, partial_results=True)
+        platform.enable_function_cache("getRating", ttl_ms=60_000.0, arity=1)
+        platform.call("getProfile")
+        platform.execute('getProfileByID("C1")')
+        platform.ctx.databases["custdb"].create_table(
+            "AUDIT", [("AID", "VARCHAR", False)], primary_key=["AID"])
+        platform.ctx.databases["ccdb"].available = False
+        platform.call("getProfile")
+        platform.call("getProfile")
+
+        def counters() -> dict:
+            found = {}
+            for name, value in platform.metrics_snapshot().items():
+                if name != "plan_cache.size":  # plans are kept
+                    found[name] = value["count"] if isinstance(value, dict) \
+                        else value
+            for source, entry in platform.statement_cache_stats().items():
+                for key in ("hits", "misses", "evictions", "invalidations",
+                            "parses"):
+                    found[f"statement_cache.{key}{{{source}}}"] = entry[key]
+            entry = platform.function_cache_stats()
+            for key in ("hits", "misses", "expirations", "evictions"):
+                found[f"function_cache.{key}"] = entry[key]
+            for source, entry in platform.source_health().items():
+                for key in ("attempts", "retries", "failures",
+                            "breaker_trips", "degraded"):
+                    found[f"health.{key}{{{source}}}"] = entry[key]
+            view_cache = platform.view_cache
+            found["view_cache.hits"] = view_cache.hits
+            found["view_cache.misses"] = view_cache.misses
+            found["view_cache.evictions"] = view_cache.evictions
+            return found
+
+        before = counters()
+        assert before["statement_cache.invalidations{custdb}"] == 1
+        assert before["view_cache.hits"] > 0 and before["view_cache.misses"] > 0
+        assert before["function_cache.hits"] > 0
+        assert before["health.degraded{ccdb}"] == 2
+        platform.reset_stats()
+        assert {name: value for name, value in counters().items()
+                if value != 0} == {}
+
+    def test_snapshot_is_the_same_from_any_thread(self):
+        import threading
+
+        platform = build_platform()
+        platform.configure(partial_results=True)
+        platform.ctx.databases["ccdb"].available = False
+        platform.call("getProfile")
+        platform.call("getProfile")
+        here = platform.metrics_snapshot()
+        assert here["source.degraded{source=ccdb}"] == 2
+        elsewhere = []
+        thread = threading.Thread(
+            target=lambda: elsewhere.append(platform.metrics_snapshot()))
+        thread.start()
+        thread.join()
+        assert elsewhere == [here]
 
 
 # ---------------------------------------------------------------------------

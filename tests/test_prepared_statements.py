@@ -92,12 +92,12 @@ class TestStatementCache:
         assert len(db.statements) == 1
         db.create_table("U", [("ID", "INTEGER", False)])
         assert len(db.statements) == 0
-        assert db.statements.invalidations == 1
+        assert db.stats.stmt_cache_invalidations == 1
         conn.prepare(POINT_QUERY)
         assert db.stats.parses == 2
         db.drop_table("U")
         assert len(db.statements) == 0
-        assert db.statements.invalidations == 2
+        assert db.stats.stmt_cache_invalidations == 2
 
     def test_prepare_resolves_tables_early(self):
         db = make_db()
