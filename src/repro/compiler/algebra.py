@@ -79,6 +79,8 @@ class ColumnSlot(ast.AstNode):
 
     _attrs = ("alias", "xs_type", "element_name")
 
+    _leaf: Optional[object] = None  # ``pushedsql._leaf``
+
     def __init__(self, alias: str, xs_type: str, element_name: str | None = None):
         super().__init__()
         self.alias = alias

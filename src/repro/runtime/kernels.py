@@ -92,6 +92,21 @@ def _async_call_of(part: ast.AstNode) -> ast.FunctionCall | None:
     return None
 
 
+def distinct_nodes(items: list) -> list:
+    """``items`` with each node kept at its first occurrence only: a path
+    step's context, whose result must hold no node twice (two distinct
+    parents have disjoint children).  Anything else is kept as it is."""
+    seen: set[int] = set()
+    kept = []
+    for item in items:
+        if isinstance(item, Node):
+            if id(item) in seen:
+                continue
+            seen.add(id(item))
+        kept.append(item)
+    return kept
+
+
 def _axis(node: Node, step: ast.Step) -> list[Item]:
     if step.axis == "attribute":
         if not isinstance(node, ElementNode):
@@ -107,6 +122,8 @@ def _axis(node: Node, step: ast.Step) -> list[Item]:
     if step.axis == "descendant":
         return [d for d in iter_descendants(node) if _node_test(d, step)]
     # child axis
+    if isinstance(step.test, ast.NameTest) and step.test.name != "*":
+        return node.children_named(step.test.name)
     return [c for c in node.children() if _node_test(c, step)]
 
 

@@ -136,18 +136,21 @@ def record_fn(name: str, fields: tuple[tuple[str, str, str], ...]) -> TemplateFn
 
 class _Deferred(NamedTuple):
     """What a deferred element keeps of its template, analysed once when
-    the template is compiled: the builder of its tree (whose element
-    children are deferred in turn), the writer of its text, every element
-    path the tree can hold (local names from the element itself down), and
-    what a child step can read from the row instead of the tree — ``leaf``,
-    a column leaf's ``(alias, xs type)``, and ``children``, each child
-    local name mapped to the column leaves that are its only source."""
+    the template is compiled: its name, the builder of its tree (whose
+    element children are deferred in turn), the writer of its text, every
+    element path the tree can hold (local names from the element itself
+    down), and what a child step can read from the row instead of the
+    tree — ``leaf``, a column leaf's ``(alias, xs type)``, and
+    ``children``, each child local name mapped to the column leaves that
+    are its only source (each leaf's own ``_Deferred``, in template
+    order: what the child lane reads and the leaves a step hands out)."""
 
+    name: QName
     build: TemplateFn
     write: WriterFn
     paths: frozenset
     leaf: tuple[str, str] | None
-    children: dict[str, tuple[tuple[str, str], ...]]
+    children: dict[str, tuple["_Deferred", ...]]
 
 
 def _deferring(template: ast.AstNode) -> TemplateFn:
@@ -157,20 +160,20 @@ def _deferring(template: ast.AstNode) -> TemplateFn:
         return _members(template, _deferring(template.template))
     if isinstance(template, ast.SequenceExpr):
         return _concat([_deferring(part) for part in template.items])
-    build = _compile_template(template)
     if isinstance(template, ColumnSlot) and template.element_name is not None:
-        alias, name = template.alias, template.element_name
-        leaf, children = (alias, template.xs_type), {}
+        deferred = _leaf(template)
+        alias = template.alias
     elif isinstance(template, ast.ElementCtor):
-        alias, name = None, template.name
-        leaf, children = None, _child_columns(template.content)
+        pieces = _content([template])
+        if pieces is None:
+            return _element_ctor(template)  # an element only its tree can render
+        deferred = _Deferred(QName(template.name), _element_ctor(template), _run(pieces),
+                             frozenset(_paths(template, ())), None,
+                             _child_columns(template.content))
+        alias = None
     else:
-        return build
-    pieces = _content([template])
-    if pieces is None:
-        return build  # an element only its tree can render
-    qname = QName(name)
-    deferred = _Deferred(build, _run(pieces), frozenset(_paths(template, ())), leaf, children)
+        return _compile_template(template)
+    qname = deferred.name
 
     def element(row, group):
         if alias is not None and row.get(alias) is None:
@@ -180,19 +183,30 @@ def _deferring(template: ast.AstNode) -> TemplateFn:
     return element
 
 
-def _child_columns(parts: list[ast.AstNode]) -> dict[str, tuple[tuple[str, str], ...]]:
+def _leaf(slot: ColumnSlot) -> _Deferred:
+    """A column leaf's analysis, made once per slot (memoized on it like
+    ``_template_fn``): its parent's builder and its parent's ``children``
+    hold the same one."""
+    deferred = slot._leaf
+    if deferred is None:
+        deferred = slot._leaf = _Deferred(
+            QName(slot.element_name), _column_slot(slot), _run(_content([slot])),
+            frozenset(_paths(slot, ())), (slot.alias, slot.xs_type), {})
+    return deferred
+
+
+def _child_columns(parts: list[ast.AstNode]) -> dict[str, tuple[_Deferred, ...]]:
     """A constructor's content: each child local name whose only possible
-    source is column leaves, mapped to those leaves' ``(alias, xs type)``
-    in template order.  A name another part can also yield — a nested
-    constructor, a slot's member — is left out, and a part the analysis
-    cannot name leaves out every name."""
-    columns: dict[str, list[tuple[str, str]]] = {}
+    source is column leaves, mapped to those leaves in template order.  A
+    name another part can also yield — a nested constructor, a slot's
+    member — is left out, and a part the analysis cannot name leaves out
+    every name."""
+    columns: dict[str, list[_Deferred]] = {}
     others: set[str] = set()
     for part in _flat(parts):
         if isinstance(part, ColumnSlot):
             if part.element_name is not None:
-                columns.setdefault(QName(part.element_name).local, []).append(
-                    (part.alias, part.xs_type))
+                columns.setdefault(QName(part.element_name).local, []).append(_leaf(part))
         elif isinstance(part, (ast.ElementCtor, NestedSlot, GroupSlot)):
             others.update(path[0] for path in _paths(part, ()))
         elif not isinstance(part, ast.Literal):

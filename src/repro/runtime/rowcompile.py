@@ -38,10 +38,11 @@ their only body and :func:`_from_lane` derives the list form from it
 form (the bound items may be nodes), and so has a path whose last step is
 ``child::NAME``: an unread element a template built from a row answers it
 from the row's columns, so ``$c/CID eq $k`` or ``fn:data($r/NAME)`` builds
-no tree, while the list form still returns the element's own children
-(section 4.2's constructor-navigation elimination, at run time;
-:func:`_child_lane`).  For every other shape :func:`atomfn` derives the
-lane from the list form.
+no tree, and the list form returns the element's own children, which an
+unread element hands out from the row too (section 4.2's
+constructor-navigation elimination, at run time; :func:`_child_lane`,
+:meth:`~repro.xml.items.Node.children_named`).  For every other shape
+:func:`atomfn` derives the lane from the list form.
 
 The lane carries *typed* scalars all the way (section 5.1: a token's type
 travels with it, so an operator need not rediscover what a value is):
@@ -105,7 +106,6 @@ from ..xml.items import (
     AtomicValue,
     AttributeNode,
     DeferredElement,
-    ElementNode,
     Node,
     leaf_atom,
     lexical,
@@ -128,6 +128,7 @@ from .kernels import (
     _coerce,
     _convert_atomic,
     construct_element_content,
+    distinct_nodes,
 )
 
 RowFn = Callable
@@ -591,16 +592,19 @@ def _child_lane(base_fn: RowFn, inner_fns: list, step_fn: Callable, name: str) -
         for item in items:
             if not isinstance(item, Node):
                 return _one_atom(step_fn(evaluator, env, items))
+        if len(items) > 1:
+            items = distinct_nodes(items)
         atoms = []
         for item in items:
             # (read once: another reader may be building its tree)
             source = item._source if type(item) is DeferredElement else None
-            slots = None if source is None else source[0].children.get(name)
-            if slots is None:
+            leaves = None if source is None else source[0].children.get(name)
+            if leaves is None:
                 atoms.extend(atomize(step_fn(evaluator, env, [item])))
                 continue
             row = source[1]
-            for alias, type_name in slots:
+            for leaf in leaves:
+                alias, type_name = leaf.leaf
                 value = row.get(alias)
                 if value is not None:
                     atoms.append(leaf_atom(lexical(value), type_name))
@@ -619,14 +623,13 @@ def _c_step(step: ast.Step):
         name = step.test.name
 
         def fast(evaluator, env, items):
+            if len(items) > 1:
+                items = distinct_nodes(items)
             results = []
             for item in items:
                 if not isinstance(item, Node):
                     raise DynamicError("path step applied to an atomic value")
-                results.extend(
-                    c for c in item.children()
-                    if isinstance(c, ElementNode) and c.name.local == name
-                )
+                results.extend(item.children_named(name))
             return results
 
         return fast
@@ -635,6 +638,8 @@ def _c_step(step: ast.Step):
         # a predicate filters each context node's axis result: its
         # position and last() count within that node's step, not the
         # whole path's
+        if len(items) > 1:
+            items = distinct_nodes(items)
         results = []
         for item in items:
             if not isinstance(item, Node):

@@ -87,6 +87,13 @@ class Node(Item):
     def children(self) -> "Sequence[Node]":
         return ()
 
+    def children_named(self, local: str) -> "list[ElementNode]":
+        """The child axis with a name test on the local name: what a path
+        step ``NAME``, the axis kernel and :meth:`ElementNode.child_elements`
+        all ask (a row-backed element answers it without its tree)."""
+        return [child for child in self.children()
+                if isinstance(child, ElementNode) and child.name.local == local]
+
     def typed_value(self) -> "list[AtomicValue]":
         raise DynamicError(f"cannot atomize {type(self).__name__}")
 
@@ -188,11 +195,11 @@ class ElementNode(Node):
     def child_elements(self, name: QName | None = None) -> list["ElementNode"]:
         """Child axis with an optional name test (namespace-insensitive match
         on local name when the test carries no namespace)."""
-        result = []
-        for child in self._children:
-            if isinstance(child, ElementNode) and _name_test(child.name, name):
-                result.append(child)
-        return result
+        if name is None or name.local == "*":
+            return [child for child in self.children() if isinstance(child, ElementNode)]
+        found = self.children_named(name.local)
+        return [child for child in found if child.name.matches(name)] \
+            if name.namespace else found
 
     def attribute(self, name: QName) -> AttributeNode | None:
         for attr in self.attributes:
@@ -240,9 +247,14 @@ class DeferredElement(ElementNode):
     the first read of any of them lands in ``__getattr__``, which builds
     the content once, adopts it and drops the source: from then on it is
     an ordinary element, whose element children are deferred in turn.  A
-    column leaf's ``string_value`` and ``typed_value`` read the row and
-    build nothing.  Several threads may read a cached one: content is
-    built under the class's lock and each slot published complete, so a
+    column leaf's ``string_value``, ``typed_value`` and ``type_annotation``
+    read the row or the template and build nothing.  A child step whose
+    name only column leaves can yield is answered without the tree
+    (:meth:`children_named`): the leaves it hands out are memoised as a
+    fourth item of ``_source``, ``{local name: leaves}``, and the build
+    adopts them, so each child is one node whichever came first.  Several
+    threads may read a cached one: content is built, and leaves handed
+    out, under the class's lock, and each slot published complete, so a
     reader that finds a slot set needs no lock (and one that reads
     ``_source`` reads it once)."""
 
@@ -252,11 +264,15 @@ class DeferredElement(ElementNode):
     def __init__(self, name: QName, source: tuple):
         self.parent = None
         self.name = name
-        self._source = source
+        self._source = source  # guarded-by: _lock
 
     def __getattr__(self, slot: str):
         if slot not in ("attributes", "_children", "type_annotation"):
             raise AttributeError(slot)
+        if slot == "type_annotation":
+            source = self._source
+            if source is not None and source[0].leaf is not None:
+                return source[0].leaf[1]  # what the build would annotate
         self._materialise()
         return object.__getattribute__(self, slot)
 
@@ -265,15 +281,61 @@ class DeferredElement(ElementNode):
             source = self._source
             if source is None:
                 return  # another reader built it while this one waited
-            template, row, group = source
+            template, row, group = source[:3]
             [built] = template.build(row, group)
-            for node in built.attributes + built._children:
+            children = built._children
+            if len(source) > 3:
+                _adopt(children, source[3])
+            for node in built.attributes + children:
                 node.parent = self
             self.attributes = built.attributes
-            self._children = built._children
+            self._children = children
             self.type_annotation = built.type_annotation
             self._source = None
             RACE.detector.on_access(self, "_source", True)
+
+    def children_named(self, local: str) -> list[ElementNode]:
+        source = self._source
+        if source is not None:
+            template = source[0]
+            if template.leaf is not None:
+                return []  # a column leaf holds text only
+            if local in template.children:
+                handed = self._hand_out(source, local)
+                if handed is not None:
+                    return list(handed)
+        return super().children_named(local)
+
+    def _hand_out(self, source: tuple, local: str) -> tuple | None:
+        """The ``local`` children of an unread element whose template says
+        column leaves are their only source: row-backed leaves, made once
+        and memoised (None if the tree was built meanwhile: it answers)."""
+        if len(source) > 3 and local in source[3]:
+            return source[3][local]
+        with self._lock:
+            source = self._source
+            if source is None:
+                return None
+            template, row, group = source[:3]
+            handed = dict(source[3]) if len(source) > 3 else {}
+            if local not in handed:
+                leaves = []
+                for leaf in template.children[local]:
+                    if row.get(leaf.leaf[0]) is not None:  # NULL: no element
+                        node = DeferredElement(leaf.name, (leaf, row, group))
+                        node.parent = self
+                        leaves.append(node)
+                handed[local] = tuple(leaves)
+                # a new tuple and dict: a reader without the lock sees either
+                self._source = (template, row, group, handed)
+                RACE.detector.on_access(self, "_source", True)
+            return handed[local]
+
+    def child_elements(self, name: QName | None = None) -> list[ElementNode]:
+        source = self._source
+        if source is not None and source[0].leaf is not None:
+            return []
+        return super().child_elements(name)
 
     def string_value(self) -> str:
         source = self._source
@@ -289,6 +351,11 @@ class DeferredElement(ElementNode):
         return super().typed_value()
 
     def replace_children(self, children: list[Node]) -> None:
+        # a leaf handed out by an unread parent is about to differ from the
+        # row the parent would be written from: the parent adopts it first
+        parent = self.parent
+        if type(parent) is DeferredElement and parent._source is not None:
+            parent._materialise()
         self._materialise()
         super().replace_children(children)
 
@@ -296,12 +363,24 @@ class DeferredElement(ElementNode):
         source = self._source
         if source is None:
             return super().deep_copy()
-        return DeferredElement(self.name, source)
+        return DeferredElement(self.name, source[:3])
 
     def __repr__(self) -> str:
         if self._source is None:
             return super().__repr__()
         return f"<ElementNode {self.name} deferred>"
+
+
+def _adopt(children: list[Node], handed: dict) -> None:
+    """Put the leaves handed out before the build in place of the ones the
+    build made: the template's analysis says they are, name by name and in
+    order, every element child of that name."""
+    pending = {local: iter(leaves) for local, leaves in handed.items()}
+    for position, child in enumerate(children):
+        if isinstance(child, ElementNode):
+            leaves = pending.get(child.name.local)
+            if leaves is not None:
+                children[position] = next(leaves)
 
 
 class DocumentNode(Node):

@@ -29,6 +29,7 @@ from repro.runtime.kernels import (
     _coerce,
     _convert_atomic,
     construct_element_content,
+    distinct_nodes,
 )
 from repro.runtime.operators.pushedsql import execute_pushed
 from repro.schema.dynamic import value_matches
@@ -260,7 +261,7 @@ class ReferenceInterpreter(Evaluator):
 
     def _apply_step(self, items: list[Item], step: ast.Step, env: Env) -> list[Item]:
         results: list[Item] = []
-        for item in items:
+        for item in distinct_nodes(items):
             if not isinstance(item, Node):
                 raise DynamicError("path step applied to an atomic value")
             selected = _axis(item, step)

@@ -406,6 +406,59 @@ class TestStress:
         assert all(child.parent is row for row in rows for child in row.children())
         assert all(row._source is None for row in rows)
 
+    def test_steps_and_builds_race_on_one_cached_element(self, stressed, round):
+        """Threads step into the same unread rows (``$c/CID`` hands out the
+        row's own leaf, memoised under the class lock) while others build
+        those rows: every thread sees one node per child, and the build
+        adopts the leaves handed out before it."""
+        from repro.xml.items import DeferredElement
+
+        platform, detector = stressed
+
+        def slow(template):
+            def build(row, group):
+                time.sleep(0.0002)  # steppers arrive while this one builds
+                return template.build(row, group)
+
+            return template._replace(build=build)
+
+        platform.deploy("""
+            declare namespace t = "urn:t";
+            declare function t:rows() as element(CUSTOMER)* {
+              for $i in (1 to 4) return CUSTOMER()
+            };""", name="Rows")
+        platform.enable_function_cache("rows", ttl_ms=60_000.0)
+        rows = platform.execute("rows()")
+        assert len(rows) == 16 and all(isinstance(row, DeferredElement) for row in rows)
+        for row in rows:
+            template, *source = row._source
+            row._source = (slow(template), *source)
+        seen = [None] * 8
+
+        def worker(index):
+            cached = platform.execute("rows()")
+            order = cached if index % 2 else cached[::-1]
+            found = {}
+            for row in order:
+                if index % 4 == 3:
+                    list(row.children())  # the build
+                cid = platform.execute("$c/CID", {"c": [row]})
+                name = platform.execute("$c/LAST_NAME", {"c": [row]})
+                found[id(row)] = (cid, name, row.children_named("CID"))
+            seen[index] = [found[id(row)] for row in cached]
+
+        hammer(platform, worker, threads=8)
+        assert_race_free(detector)
+        for position, row in enumerate(rows):
+            children = list(row.children())
+            [cid] = [child for child in children if child.name.local == "CID"]
+            [name] = [child for child in children if child.name.local == "LAST_NAME"]
+            for views in seen:
+                got_cid, got_name, named = views[position]
+                assert [len(got_cid), len(got_name), len(named)] == [1, 1, 1]
+                assert got_cid[0] is cid and got_name[0] is name and named[0] is cid
+            assert cid.parent is row and name.parent is row
+
     def test_counters_are_exact_under_contention(self, stressed, round):
         platform, detector = stressed
         runs_per_thread = 8
