@@ -8,7 +8,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: ci lint lint-concurrency typecheck test bench bench-compare profile bench-smoke bench-serve chaos test-threaded serve-soak
+.PHONY: ci lint lint-concurrency typecheck test bench bench-compare profile bench-smoke bench-serve chaos test-threaded serve-soak fuzz
 
 ci: lint lint-concurrency typecheck test bench-smoke bench-serve test-threaded
 
@@ -64,6 +64,12 @@ bench-compare:
 # per FLWOR stage the batches the column lane answered vs. ran by rows.
 profile:
 	python3 benchmarks/profile_workload.py --workload $(W) $(if $(R),--request $(R)) $(if $(SORT),--sort $(SORT)) $(if $(PHASES),--phases) $(if $(BUILDS),--builds) $(if $(LANES),--lanes)
+
+# The differential soak, outside `make ci`: fresh generated FLWORs, column
+# and carried-column fallbacks and index joins, each at every batch size,
+# against the reference interpreter (tier-1 runs a derandomized slice).
+fuzz:
+	$(PYTHON) tests/test_flwor_differential.py 2000
 
 # Scripted fault-injection runs only: the resilience layer's chaos suite
 # (deterministic under the virtual clock — same seed, same run).

@@ -39,7 +39,15 @@ an ordinary tree and not counted.
 operation the column lane answered and how many it handed back to be run
 row by row — every batch of a stage with no column at all counts as by
 rows.  Only the stages that offer the lane a batch appear: ``where``,
-``let``, group and order keys, an ``eq`` index-join probe.
+``let``, group and order keys, an ``eq`` index-join probe.  Beside them,
+per shape, the *rows built* per operation: the environment dicts the FLWOR
+pipeline created — a batch's rows built from its carried columns
+(``batch.materialise``), group rows (``batchexec._grouped_rows``) and the
+rows a ``for`` over any sequence but a range, or an index join, bound
+(``batchexec._item_bind``; at a commit from before carried columns,
+``batchexec._for_kernel``), so the same script counts both sides of that
+change.  A scatter group's, a pushed join's and PP-k's rows are not
+counted.
 
     make profile W=midtier_flwor LANES=1
 
@@ -68,6 +76,7 @@ from federation import SIZES, build_federation  # noqa: E402
 from oracle import Oracle  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
+from repro.runtime import batch as batch_module  # noqa: E402
 from repro.runtime import batchexec  # noqa: E402
 from repro.xml.items import DeferredElement, ElementNode  # noqa: E402
 
@@ -143,27 +152,88 @@ def wrap_builds(tally: Counter):
     return unwrap
 
 
+#: the ``--lanes`` tally's key for rows built
+BUILT = "rows built"
+
+
 def wrap_lanes(tally: Counter):
     """Wrap ``batchexec._lane``, the column lane of a stage, so that each
-    batch offered to it is counted in ``tally[stage label, ran by rows]``.
-    Returns the function that unwraps it.  Wrap before the first compile:
-    the eager driver keeps the lanes its FLWOR was built with."""
-    lane = batchexec._lane
+    batch offered to it is counted in ``tally[stage label, ran by rows]``,
+    and every maker of a pipeline row (the module docstring's list) that
+    this commit has, so that each row is counted in ``tally[BUILT]``.
+    Returns the function that unwraps them.  Wrap before the first compile:
+    the eager driver keeps the lanes and binds its FLWOR was built with."""
 
-    def counted(stage):
-        stage_lane = lane(stage)
+    def counted_lanes(lane):
+        def wrapped(stage):
+            stage_lane = lane(stage)
 
-        def call(evaluator, batch):
-            result = None if stage_lane is None else stage_lane(evaluator, batch)
-            tally[stage.label, result is None] += 1
-            return result
+            def call(evaluator, batch):
+                result = None if stage_lane is None else stage_lane(evaluator, batch)
+                tally[stage.label, result is None] += 1
+                return result
 
-        return call
+            return call
 
-    batchexec._lane = counted
+        return wrapped
+
+    def counted_rows(materialise):
+        def wrapped(*args):
+            rows = materialise(*args)
+            tally[BUILT] += len(rows)
+            return rows
+
+        return wrapped
+
+    def counted_groups(grouped_rows):
+        def wrapped(*args):
+            for row in grouped_rows(*args):
+                tally[BUILT] += 1
+                yield row
+
+        return wrapped
+
+    def counted_binds(item_bind):
+        def wrapped(*args):
+            bind = item_bind(*args)
+
+            def counted(row, items, position):
+                batch = bind(row, items, position)
+                tally[BUILT] += len(batch.bases)
+                return batch
+
+            return counted
+
+        return wrapped
+
+    def counted_kernels(for_kernel):  # a commit from before carried columns
+        def wrapped(*args):
+            kernel = for_kernel(*args)
+            if not callable(kernel):  # ``(items_fn, bind)``: counted by ``_item_bind``
+                return kernel
+
+            def bind(row, items, position, out):
+                before = len(out)
+                kernel(row, items, position, out)
+                tally[BUILT] += len(out) - before
+
+            return bind
+
+        return wrapped
+
+    originals = []
+    for module, name, wrap in [(batchexec, "_lane", counted_lanes),
+                               (batch_module, "materialise", counted_rows),
+                               (batchexec, "_grouped_rows", counted_groups),
+                               (batchexec, "_item_bind", counted_binds),
+                               (batchexec, "_for_kernel", counted_kernels)]:
+        if hasattr(module, name):
+            originals.append((module, name, getattr(module, name)))
+            setattr(module, name, wrap(getattr(module, name)))
 
     def unwrap() -> None:
-        batchexec._lane = lane
+        for module, name, original in originals:
+            setattr(module, name, original)
 
     return unwrap
 
@@ -222,13 +292,17 @@ def main(argv: list[str] | None = None) -> int:
             root, nested, nodes = (totals[n] / args.ops for n in range(3))
             print(f"{'total':>7}  {root:>8.1f}  {nested:>9.1f}  {nodes:>8.1f}")
         elif args.lanes:
-            print(f"{'request':>7}  {'stage':<14}  {'column/op':>9}  {'rows/op':>7}  shape")
+            print(f"{'request':>7}  {'built/op':>8}  {'stage':<14}  {'column/op':>9}  "
+                  f"{'rows/op':>7}  shape (built: rows built; rows: batches run by rows)")
             for position, (label, samples) in sorted(timings.items()):
                 total = sum(samples, Counter())
-                for stage in dict.fromkeys(stage for stage, _ in total):  # first offered, first
-                    print(f"{position:>7}  {stage:<14}  {total[stage, False] / args.ops:>9.1f}  "
+                built = f"{total[BUILT] / args.ops:>8.1f}"
+                stages = [key[0] for key in total if key != BUILT]
+                for stage in dict.fromkeys(stages) or ["-"]:  # first offered, first
+                    print(f"{position:>7}  {built:>8}  {stage:<14}  "
+                          f"{total[stage, False] / args.ops:>9.1f}  "
                           f"{total[stage, True] / args.ops:>7.1f}  {label}")
-                    label = ""
+                    label = built = ""
         elif args.phases:
             print(f"{'request':>7}  {'prepare':>8}  {'first run':>9}  {'warm run':>8}  "
                   f"{'compiles':>8}  {'shape hits':>10}  shape (median ms; totals)")

@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..schema.types import AnyItemType, AtomicItemType
+from ..sql.pushdown import free_vars
 from ..xquery import ast_nodes as ast
 
 if TYPE_CHECKING:
@@ -305,7 +306,8 @@ class Optimizer:
                 later, after = later[:end], later[end:] if end is not None else []
                 tail = node.return_expr if end is None else None
                 in_scope = later if tail is None else [*later, tail]
-                uses, rebound = _uses_and_rebinds(later, tail, clause.var)
+                uses, rebound = _uses_and_rebinds(later, tail, clause.var,
+                                                  free_vars(clause.expr))
                 if uses == 0 and not rebound:
                     del node.clauses[index]
                     self._changed = True
@@ -406,6 +408,10 @@ def _bound_vars(node: ast.AstNode) -> tuple[str, ...]:
             bound.update((var, None) for _e, var in sub.keys)
         elif isinstance(sub, ast.Quantified):
             bound.update((var, None) for var, _e in sub.bindings)
+        elif isinstance(sub, ast.TypeswitchExpr):
+            bound.update((var, None) for var, _t, _e in sub.cases if var)
+            if sub.default_var:
+                bound[sub.default_var] = None
     return tuple(bound)
 
 
@@ -506,23 +512,23 @@ def _uses_only_navigated(node: ast.AstNode, name: str) -> bool:
 
 
 def _uses_and_rebinds(later: list[ast.Clause], return_expr: ast.AstNode | None,
-                      name: str) -> tuple[int, bool]:
+                      name: str, free: set[str]) -> tuple[int, bool]:
     """References to ``$name`` in the clauses after a let and in the
-    return expression (None: out of the let's scope), and whether one of
-    those clauses binds the name again — one walk of what follows the let."""
-    uses = 0
-    rebound = False
-    for clause in later:
-        for sub in clause.walk():
-            if isinstance(sub, ast.VarRef):
-                if sub.name == name:
-                    uses += 1
-            elif isinstance(sub, (ast.ForClause, ast.LetClause)) and sub.var == name:
-                rebound = True
-    for sub in return_expr.walk() if return_expr is not None else ():
-        if isinstance(sub, ast.VarRef) and sub.name == name:
-            uses += 1
-    return uses, rebound
+    return expression (None: out of the let's scope), and whether a binder
+    there stops the let from being substituted: one that binds ``$name``
+    again, whose references are another variable's, or one of ``free`` (the
+    variables the let's expression reads), which would capture a
+    substituted copy.  A trailing group-by's own ``as`` variables are bound
+    after the let's scope ends; its key expressions are in it."""
+    roots: list[ast.AstNode] = list(later)
+    if return_expr is not None:
+        roots.append(return_expr)
+    elif later and isinstance(later[-1], ast.GroupByClause):
+        roots[-1:] = [expr for expr, _var in later[-1].keys]
+    uses = sum(isinstance(sub, ast.VarRef) and sub.name == name
+               for root in roots for sub in root.walk())
+    bound = {var for root in roots for var in _bound_vars(root)}
+    return uses, name in bound or not bound.isdisjoint(free)
 
 
 def _is_cheap(expr: ast.AstNode) -> bool:

@@ -8,7 +8,7 @@ facts about a stage's rows that are fixed when its stages are built
 (``owned``, ``mixed``), is in :mod:`repro.runtime.batch`.
 
 Each clause has one implementation.  ``for``, ``let`` and ``where`` are
-*kernels* — plain functions over rows, their expressions compiled by
+*kernels* — plain functions over batches, their expressions compiled by
 :mod:`repro.runtime.rowcompile` — with two drivers:
 
 * the **lazy driver** (:func:`eval_flwor`): every stage is a generator of
@@ -21,7 +21,19 @@ Each clause has one implementation.  ``for``, ``let`` and ``where`` are
 * the **eager driver** (:func:`flwor_rowfn`): a FLWOR of in-memory
   ``for``/``let``/``where`` nested in a row expression is entered once per
   outer row and flows a handful of tuples, so the same kernels run over
-  plain lists, stage by stage, with no generator per invocation.
+  the same batches, stage by stage, each stage's output collected before
+  the next runs.
+
+**Carried columns** (:mod:`repro.runtime.batch`).  A range ``for`` adds
+its variable as a column beside the rows it extends — the slices of a
+Python ``range``, so no integer is boxed and the range is never built — a
+``let`` or ``where`` the column lane answers adds a column or compresses
+the batch by its mask, group-by and the ``eq`` index join read their keys
+from the columns, and a ``return`` the lane answers yields its column's
+atoms.  A ``for`` over any other sequence binds rows, as its items are
+nodes, or atoms of no one type, that a row function reads.  A row dict is built only when a row function reads the
+tuple, once per batch; a batch whose column the lane cannot answer runs by
+those rows, so values, errors and error order are the atom lane's.
 
 **Emit on fill.**  A multiplying operator hands a batch on the moment it
 fills and pulls its input — a streamed ``for`` sequence included — only as
@@ -40,7 +52,8 @@ profile and trace output do not depend on the batch size.
 from __future__ import annotations
 
 import math
-from itertools import chain, compress, islice
+from itertools import chain, islice, repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from ..compiler.algebra import IndexJoinForClause, PPkLetClause, PushedTupleForClause
@@ -54,7 +67,7 @@ from .kernels import _as_atomic_value, _coerce, _OrderKey
 from .operators.group import clustered_groups, sorted_groups
 from .operators.ppk import ppk_extend
 from .operators.pushedsql import bind_parameters, render_pushed, template_fn
-from .rowcompile import MANY, atomfn, colfn, rowfn, streamfn, truthfn
+from .rowcompile import MANY, atomfn, colfn, rangefn, rowfn, streamfn, truthfn
 
 if TYPE_CHECKING:
     from .evaluate import Evaluator
@@ -114,7 +127,7 @@ class _Run:
 
     def instrumented(self, label: str, batches: Iterator[Batch]) -> Iterator[Batch]:
         for batch in batches:
-            self.observe(label, len(batch))
+            self.observe(label, len(batch.bases))
             yield batch
 
 
@@ -178,15 +191,20 @@ def _stages(node: ast.FLWOR, parallel_regions: bool) -> list[_Stage]:
 def eval_flwor(evaluator: Evaluator, node: ast.FLWOR, env: Env) -> Iterator[Item]:
     """The lazy driver: ``node``'s items, produced as they are pulled."""
     run = _Run(evaluator)
-    batches: Iterator[Batch] = iter(([env],))
+    batches: Iterator[Batch] = iter((Batch([env]),))
     for stage in _stages(node, run.ctx.config.parallel_regions):
         batches = run.instrumented(stage.label, stage.operator(run, stage, batches))
-    items_fn = streamfn(node.return_expr)
+    items_fn, column_fn = streamfn(node.return_expr), colfn(node.return_expr)
     stats = run.ctx.stats
     for batch in batches:
-        stats.bump(tuples_flowed=len(batch))
-        run.observe("return", len(batch))
-        for row in batch:
+        count = len(batch.bases)
+        stats.bump(tuples_flowed=count)
+        run.observe("return", count)
+        column = column_fn and column_fn(evaluator, batch)
+        if column:
+            yield from map(AtomicValue, column[1], repeat(column[0]))
+            continue
+        for row in batch.rows:
             yield from items_fn(evaluator, row)
 
 
@@ -199,33 +217,37 @@ def flwor_rowfn(node: ast.FLWOR) -> Callable:
     The stages run one after the other over lists of batches, with the
     lazy driver's batch boundaries: every ``batch.rows`` / ``batch.count``
     observation and ``tuples_flowed`` bump is the one it would have made."""
-    stages = [(stage.label, _row_kernel(stage),
-               rowfn(stage.clauses[0].expr) if isinstance(stage.clauses[0], ast.ForClause)
-               else None)
-              for stage in _stages(node, False)]
-    ret_fn = rowfn(node.return_expr)
+    stages = [(stage, _row_kernel(stage)) for stage in _stages(node, False)]
+    ret_fn, column_fn = rowfn(node.return_expr), colfn(node.return_expr)
 
     def call(evaluator, env):
         run = _Run(evaluator)
         size = run.size
-        batches = [[env]]
-        for label, kernel, items_fn in stages:
-            if items_fn is None:  # let, where: batch in, batch out
-                batches = [out for batch in batches if (out := kernel(evaluator, batch))]
-            else:
-                rows: Batch = []
-                for batch in batches:
-                    for row in batch:
-                        kernel(row, items_fn(evaluator, row), 1, rows)
-                batches = [rows[start:start + size] for start in range(0, len(rows), size)]
+        batches = [Batch([env])]
+        for stage, kernel in stages:
+            if type(kernel) is tuple:  # for: every tuple's items, cut into batches
+                items_fn, bind = kernel
+                pieces = [bind(row, items, 1) for batch in batches for row in batch.rows
+                          if (items := items_fn(evaluator, row))]
+                whole = _concat(pieces) if pieces else Batch([])
+                count = len(whole.bases)
+                batches = [whole] if 0 < count <= size else \
+                    [whole.slice(start, start + size) for start in range(0, count, size)]
+            else:  # let, where: batch in, batch out
+                batches = [out for batch in batches if (out := kernel(evaluator, batch)).bases]
             for batch in batches:
-                run.observe(label, len(batch))
+                run.observe(stage.label, len(batch.bases))
         items: list = []
         stats = run.ctx.stats
         for batch in batches:
-            stats.bump(tuples_flowed=len(batch))
-            run.observe("return", len(batch))
-            for row in batch:
+            count = len(batch.bases)
+            stats.bump(tuples_flowed=count)
+            run.observe("return", count)
+            column = column_fn and column_fn(evaluator, batch)
+            if column:
+                items.extend(map(AtomicValue, column[1], repeat(column[0])))
+                continue
+            for row in batch.rows:
                 items.extend(ret_fn(evaluator, row))
         return items
 
@@ -235,29 +257,59 @@ def flwor_rowfn(node: ast.FLWOR) -> Callable:
 # -- the kernels: for, let, where ------------------------------------------------
 
 
-def _for_kernel(var: str, pos_var: str | None) -> Callable:
-    """``bind(row, items, position, out)``: append to ``out`` one copy of
-    ``row`` per item, the item bound to ``var`` (and its position, counted
-    from ``position``, to ``pos_var``)."""
+def _range_bind(var: str, pos_var: str | None) -> Callable:
+    """``bind(row, values, position) -> Batch``: the tuples that extend
+    ``row`` with each of ``values`` (a slice of a ``range``) bound to
+    ``var`` and its position, counted from ``position``, to ``pos_var`` —
+    carried as columns, no integer boxed."""
 
-    def bind(row, items, position, out):
+    def bind(row, values, position):
+        count = len(values)
+        columns = {var: ("xs:integer", values)}
+        if pos_var:
+            columns[pos_var] = ("xs:integer", range(position, position + count))
+        return Batch([row] * count, columns)
+
+    return bind
+
+
+def _item_bind(var: str, pos_var: str | None) -> Callable:
+    """``bind(row, items, position) -> Batch``: one copy of ``row`` per
+    item, the item bound to ``var`` (and its position, counted from
+    ``position``, to ``pos_var``).  The items of any sequence but a range
+    are nodes, or atoms of no one type, that a row function reads: the
+    rows are built here, as a row-at-a-time ``for`` builds them."""
+
+    def bind(row, items, position):
+        rows = []
         for position, item in enumerate(items, position):
             extended = dict(row)
             extended[var] = [item]
             if pos_var:
                 extended[pos_var] = [AtomicValue(position, "xs:integer")]
-            out.append(extended)
+            rows.append(extended)
+        return Batch(rows)
 
     return bind
 
 
-def _row_kernel(stage: _Stage) -> Callable:
-    """The kernel of a ``for``/``let``/``where`` stage: :func:`_for_kernel`,
-    or for the other two ``(evaluator, batch) -> batch``, empty when no row
-    is left."""
+def _for_kernel(clause: ast.ForClause, items_fn: Callable) -> tuple[Callable, Callable]:
+    """``(items_fn, bind)`` of a ``for`` whose sequence is ``items_fn(evaluator,
+    row)``: over a range ``(A to B)`` the bound integers are a ``range``,
+    sliced and carried, never boxed; any other sequence's items are bound
+    into rows."""
+    if type(clause.expr) is ast.RangeTo:
+        return rangefn(clause.expr), _range_bind(clause.var, clause.pos_var)
+    return items_fn, _item_bind(clause.var, clause.pos_var)
+
+
+def _row_kernel(stage: _Stage):
+    """The kernel of a ``for``/``let``/``where`` stage: for a ``for`` its
+    ``(items_fn, bind)``, its sequence the list form; for the other two
+    ``(evaluator, batch) -> batch``, empty when no tuple is left."""
     clause = stage.clauses[0]
     if isinstance(clause, ast.ForClause):
-        return _for_kernel(clause.var, clause.pos_var)
+        return _for_kernel(clause, rowfn(clause.expr))
     lane = _lane(stage)
     if isinstance(clause, ast.WhereClause):
         condition_fn = truthfn(clause.condition)
@@ -265,23 +317,25 @@ def _row_kernel(stage: _Stage) -> Callable:
         def where(evaluator, batch):
             columns = lane and lane(evaluator, batch)
             if columns:  # the mask: a raw value's truth is its effective boolean value
-                return list(compress(batch, columns[0][1]))
-            return [row for row in batch if condition_fn(evaluator, row)]
+                return batch.select(columns[0][1])
+            return Batch([row for row in batch.rows if condition_fn(evaluator, row)])
 
         return where
     expr_fn, var, owned = rowfn(clause.expr), clause.var, stage.owned
 
     def let(evaluator, batch):
-        if not owned:  # the caller's environment: bind into a copy
-            batch = [dict(row) for row in batch]
         columns = lane and lane(evaluator, batch)
         if columns:
             [(type_name, values)] = columns
-            for row, value in zip(batch, values):
+            if batch.columns or not owned:
+                return batch.with_column(var, type_name, values)
+            for row, value in zip(batch.bases, values):  # the pipeline's own rows
                 row[var] = [AtomicValue(value, type_name)]
-        else:
-            for row in batch:
-                row[var] = expr_fn(evaluator, row)
+            return batch
+        if not (owned or batch.columns):  # the caller's environment: bind into a copy
+            batch = Batch([dict(row) for row in batch.bases])
+        for row in batch.rows:  # (rows built from columns are the pipeline's own)
+            row[var] = expr_fn(evaluator, row)
         return batch
 
     return let
@@ -318,57 +372,105 @@ def _lane(stage: _Stage) -> Callable | None:
 
 def _row_batches(run: _Run, stage: _Stage, batches: Iterator[Batch]) -> Iterator[Batch]:
     """``let`` / ``where``: a batch in, a batch out — narrowed, never
-    refilled from the next one, and dropped when no row is left."""
+    refilled from the next one, and dropped when no tuple is left."""
     kernel, ev = _row_kernel(stage), run.ev
     for batch in batches:
         out = kernel(ev, batch)
-        if out:
+        if out.bases:
             yield out
 
 
 def _multiply(run: _Run, stage: _Stage, batches: Iterator[Batch],
               sequences: Callable, bind: Callable) -> Iterator[Batch]:
-    """The lazy driver of a multiplying clause: each input row becomes one
-    output row per element of its sequence (``sequences(evaluator,
-    batch)`` yields them in row order), made by ``bind`` (the signature of
-    :func:`_for_kernel`).  A batch goes downstream the moment it fills,
-    and a sequence — which may be a stream — is pulled only as far as the
-    open batch has room."""
+    """The lazy driver of a multiplying clause: each input tuple becomes one
+    output tuple per element of its sequence (``sequences(evaluator,
+    batch)`` yields them in tuple order), made by ``bind(row, chunk,
+    position) -> Batch`` (:func:`_range_bind`, :func:`_item_bind`).  A batch goes downstream the
+    moment it fills, and a sequence — which may be a stream — is pulled
+    only as far as the open batch has room; a ``range`` is sliced.
+
+    ``sequences`` may instead answer a whole batch with the batch of its
+    new tuples (an index join whose every probe meets at most one item):
+    that is cut into the open batch as it stands, columns and all."""
     ev, size, mixed = run.ev, run.size, stage.mixed
-    out: Batch = []
+    pieces: list[Batch] = []
+    filled = 0
     names = None
     for batch in batches:
-        for row, sequence in zip(batch, sequences(ev, batch)):
+        expanded = sequences(ev, batch)
+        if type(expanded) is Batch:
+            start, count = 0, len(expanded)
+            while start < count:
+                room = size - filled
+                piece = expanded if start == 0 and count <= room \
+                    else expanded.slice(start, start + room)
+                pieces.append(piece)
+                filled += len(piece)
+                start += len(piece)
+                if filled == size:
+                    yield _concat(pieces)
+                    pieces, filled = [], 0
+            continue
+        # the tuples the new ones extend are their parents' rows: a column
+        # carried on would give each new tuple a binding of its own
+        for row, sequence in zip(batch.rows, expanded):
             if mixed:  # rows of one batch share a schema
                 schema = tuple(row)
-                if out and schema != names:
-                    yield out
-                    out = []
+                if pieces and schema != names:
+                    yield _concat(pieces)
+                    pieces, filled = [], 0
                 names = schema
-            items = iter(sequence)
+            items = sequence if type(sequence) is range else iter(sequence)
             position = 1
             while True:
-                room = size - len(out)
-                chunk = list(islice(items, room))
-                bind(row, chunk, position, out)
+                room = size - filled
+                chunk = items[position - 1:position - 1 + room] if type(items) is range \
+                    else list(islice(items, room))
+                if chunk:
+                    pieces.append(bind(row, chunk, position))
+                    filled += len(chunk)
                 if len(chunk) < room:
                     break  # the sequence is exhausted
-                yield out
-                out = []
+                yield _concat(pieces)
+                pieces, filled = [], 0
                 position += room
-    if out:
-        yield out
+    if pieces:
+        yield _concat(pieces)
+
+
+def _concat(pieces: list[Batch]) -> Batch:
+    """One batch of the tuples of ``pieces``, in order: their columns
+    joined where every piece carries the same ones, else their rows."""
+    if len(pieces) == 1:
+        return pieces[0]
+    layout = _layout(pieces[0])
+    if any(_layout(piece) != layout for piece in pieces):
+        return Batch([row for piece in pieces for row in piece.rows])
+    bases: list[Env] = []
+    for piece in pieces:
+        bases += piece.bases
+    columns = {}
+    for var, type_name in layout:
+        values: list = []
+        for piece in pieces:
+            values += piece.columns[var][1]
+        columns[var] = (type_name, values)
+    return Batch(bases, columns)
+
+
+def _layout(batch: Batch) -> list:
+    return [(var, column[0]) for var, column in batch.columns.items()]
 
 
 def _each_row(items_fn: Callable) -> Callable:
     """The ``sequences`` of :func:`_multiply`: ``items_fn(evaluator, row)``, lazily."""
-    return lambda ev, batch: (items_fn(ev, row) for row in batch)
+    return lambda ev, batch: (items_fn(ev, row) for row in batch.rows)
 
 
 def _for_batches(run: _Run, stage: _Stage, batches: Iterator[Batch]) -> Iterator[Batch]:
     clause = stage.clauses[0]
-    return _multiply(run, stage, batches, _each_row(streamfn(clause.expr)),
-                     _for_kernel(clause.var, clause.pos_var))
+    items_fn, bind = _for_kernel(clause, streamfn(clause.expr))
+    return _multiply(run, stage, batches, _each_row(items_fn), bind)
 
 
 def _scatter_batches(run: _Run, stage: _Stage, batches: Iterator[Batch]) -> Iterator[Batch]:
@@ -383,12 +485,14 @@ def _scatter_batches(run: _Run, stage: _Stage, batches: Iterator[Batch]) -> Iter
         return (ev.ctx.async_exec.run_parallel(
             [lambda c=clause: ev.eval(c.expr, row) for clause in clauses]),)
 
-    def bind(row, gathered, _position, out):
+    def bind(row, gathered, _position):
+        rows = []
         for values in gathered:
             extended = dict(row)
             for clause, value in zip(clauses, values):
                 extended[clause.var] = value
-            out.append(extended)
+            rows.append(extended)
+        return Batch(rows)
 
     return _multiply(run, stage, batches, _each_row(gather), bind)
 
@@ -417,19 +521,21 @@ def _pushed_for_batches(run: _Run, stage: _Stage,
         ctx.stats.bump(pushed_queries=1)
         return fetched
 
-    def bind(row, fetched, _position, out):
+    def bind(row, fetched, _position):
+        rows = []
         for record in fetched:
             extended = dict(row)
             for var, build in builders:
                 extended[var] = build(record, [record])
-            out.append(extended)
+            rows.append(extended)
+        return Batch(rows)
 
     return _multiply(run, stage, batches, _each_row(fetch), bind)
 
 
 def _flatten(batches: Iterator[Batch]) -> Iterator[Env]:
     for batch in batches:
-        yield from batch
+        yield from batch.rows
 
 
 def _ppk_batches(run: _Run, stage: _Stage, batches: Iterator[Batch]) -> Iterator[Batch]:
@@ -477,7 +583,7 @@ def _index_join_batches(run: _Run, stage: _Stage,
     # promoted to: untyped inner atoms, by what they promote to
     promoted: dict = {}
     places: dict = {}  # under ``=``: id(item) -> where it occurs in the inner sequence
-    built = multi_inner = False
+    built = multi_inner = unique = False
 
     def build(row):
         nonlocal multi_inner
@@ -504,11 +610,12 @@ def _index_join_batches(run: _Run, stage: _Stage,
 
     def probed(batches):
         """Per batch: the build before the first probe, the probe count."""
-        nonlocal built
+        nonlocal built, unique
         for batch in batches:
             if not built:
-                build(batch[0])
+                build(batch.slice(0, 1).rows[0])
                 built = True
+                unique = all(len(bucket) == 1 for bucket in index.values())
             ctx.stats.bump(middleware_join_probes=len(batch))
             yield batch
 
@@ -541,16 +648,23 @@ def _index_join_batches(run: _Run, stage: _Stage,
 
     # under ``eq`` a one-atom key is looked up by its value: a column's at once
     lane = None if general else _lane(stage)
+    gathers = not stage.mixed
 
     def sequences(ev, batch):
         columns = lane and not multi_inner and lane(ev, batch)
-        if columns:
-            get = index.get
-            return [get(value, ()) for value in columns[0][1]]
-        return (matches(ev, row) for row in batch)
+        if not columns:
+            return (matches(ev, row) for row in batch.rows)
+        get = index.get
+        found = [get(value, ()) for value in columns[0][1]]
+        if not (unique and gathers):
+            return found
+        # every key meets at most one item, so no outer tuple is joined
+        # twice: the outer columns are gathered by match position
+        return batch.select(found).with_column(
+            var, None, [bucket[0] for bucket in found if bucket])
 
     yield from _multiply(run, stage, probed(batches), sequences,
-                         _for_kernel(var, None))
+                         _item_bind(var, None))
 
 
 def _hashed(atom: AtomicValue):
@@ -594,7 +708,7 @@ def _replan_index_to_ppk(run: _Run, stage: _Stage, replan: PPkLetClause,
     twin = _ppk_batches(run, stage._replace(clauses=[replan]), iter(held))
     return _multiply(run, stage, twin,
                      _each_row(lambda ev, row: row.pop(replan.var)),  # PP-k's own rows
-                     _for_kernel(clause.var, None))
+                     _item_bind(clause.var, None))
 
 
 # -- blocking clauses ----------------------------------------------------------------
@@ -611,19 +725,24 @@ def _order_batches(run: _Run, stage: _Stage, batches: Iterator[Batch]) -> Iterat
 
     with ev.ctx.tracer.start("order-by", op=clause.op_id) as span:
         # upstream drains inside the span, before any key is computed
-        keyed = list(_keyed(ev, list(batches), _lane(stage), key_fns, "order by"))
+        keyed = [(env, key)
+                 for batch, keys in _keyed(ev, list(batches), _lane(stage), key_fns, "order by")
+                 for env, key in zip(batch.rows, keys)]
         keyed.sort(key=sort_key)
         span.set(tuples=len(keyed))
     yield from batched([env for env, _values in keyed], run.size, stage.mixed)
 
 
 def _group_batches(run: _Run, stage: _Stage, batches: Iterator[Batch]) -> Iterator[Batch]:
-    """The FLWGOR group-by (section 3.1): cluster the rows by the key
+    """The FLWGOR group-by (section 3.1): cluster the tuples by the key
     expressions (sorting first — the generic fallback of section 4.2),
-    then emit one row per group."""
+    then emit one row per group.  A member is ``(batch, index, key)``: its
+    grouped values are read from the batch's columns, not from a row."""
     clause, ev = stage.clauses[0], run.ev
     key_fns = [atomfn(expr) for expr, _var in clause.keys]
-    keyed = _keyed(ev, batches, _lane(stage), key_fns, "group by")
+    members = ((batch, index, key)
+               for batch, keys in _keyed(ev, batches, _lane(stage), key_fns, "group by")
+               for index, key in enumerate(keys))
     grouper = clustered_groups if clause.pre_clustered \
         else sorted_groups
     emitted_before = ev.group_stats.groups_emitted
@@ -633,8 +752,7 @@ def _group_batches(run: _Run, stage: _Stage, batches: Iterator[Batch]) -> Iterat
         # suspends inside it.  Group rows differ in schema (what survives
         # a group depends on its members), whatever came in.
         yield from batched(
-            _grouped_rows(clause, grouper(keyed, lambda pair: pair[1],
-                                          ev.group_stats)),
+            _grouped_rows(clause, grouper(members, itemgetter(2), ev.group_stats)),
             run.size, True)
     finally:
         span.set(groups=ev.group_stats.groups_emitted - emitted_before)
@@ -642,23 +760,37 @@ def _group_batches(run: _Run, stage: _Stage, batches: Iterator[Batch]) -> Iterat
 
 
 def _keyed(ev: Evaluator, batches: Iterable[Batch], lane: Callable | None,
-           key_fns: list, clause: str) -> Iterator[tuple[Env, tuple]]:
-    """Each row with the values of its keys (None for an empty key): a
-    batch's from its key columns, when the lane answers it, else row by
-    row on the atom lane."""
+           key_fns: list, clause: str) -> Iterator[tuple[Batch, Iterator[tuple]]]:
+    """Each batch with the values of its keys, per tuple (None for an empty
+    key): from its key columns, when the lane answers it, else row by row
+    on the atom lane, as they are read."""
     for batch in batches:
         columns = lane and lane(ev, batch)
         if columns:  # the raw values are the key
-            yield from zip(batch, zip(*[values for _type, values in columns]))
-            continue
-        for env in batch:
-            key_values = []
-            for key_fn in key_fns:
-                atom = key_fn(ev, env)
-                if type(atom) is MANY:
-                    raise DynamicError(f"{clause} key with more than one item")
-                key_values.append(None if atom is None else atom.value)
-            yield env, tuple(key_values)
+            yield batch, zip(*[values for _type, values in columns])
+        else:
+            yield batch, _row_keys(ev, batch.rows, key_fns, clause)
+
+
+def _row_keys(ev: Evaluator, rows: list[Env], key_fns: list, clause: str) -> Iterator[tuple]:
+    for env in rows:
+        key_values = []
+        for key_fn in key_fns:
+            atom = key_fn(ev, env)
+            if type(atom) is MANY:
+                raise DynamicError(f"{clause} key with more than one item")
+            key_values.append(None if atom is None else atom.value)
+        yield tuple(key_values)
+
+
+def _binding(batch: Batch, index: int, name: str) -> list | None:
+    """What ``$name`` is bound to in tuple ``index`` of ``batch`` (None if
+    unbound): a carried column's value is a binding of its own."""
+    carried = batch.columns.get(name)
+    if carried is None:
+        return batch.bases[index].get(name)
+    type_name, values = carried
+    return [values[index] if type_name is None else AtomicValue(values[index], type_name)]
 
 
 def _grouped_rows(clause: ast.GroupByClause, groups: Iterable) -> Iterator[Env]:
@@ -666,22 +798,32 @@ def _grouped_rows(clause: ast.GroupByClause, groups: Iterable) -> Iterator[Env]:
         result: Env = {}
         for (_expr, var), value in zip(clause.keys, key):
             result[var] = [] if value is None else [_as_atomic_value(value)]
-        # Single pass over the members: hoist the annotated-pair
-        # unpacking out of the per-variable loops.
-        envs = [env for env, _k in members]
         for source, target in clause.grouped:
             collected: list[Item] = []
-            for env in envs:
-                collected.extend(env.get(source, []))
+            for batch, index, _key in members:
+                carried = batch.columns.get(source)
+                if carried is None:
+                    collected.extend(batch.bases[index].get(source, ()))
+                elif carried[0] is None:
+                    collected.append(carried[1][index])
+                else:
+                    collected.append(AtomicValue(carried[1][index], carried[0]))
             result[target] = collected
         # Variables not re-exposed by the group clause go out of scope;
-        # outer bindings shared by every member survive.
-        base = envs[0]
-        for name, value in base.items():
-            if name not in result and all(
-                env.get(name) is value for env in envs
-            ):
-                result[name] = value
+        # outer bindings shared by every member survive: every binding of
+        # a group of one, no carried column of a larger group.
+        first, at, _key = members[0]
+        if len(members) == 1:
+            for name in chain(first.bases[at], first.columns):
+                if name not in result:
+                    result[name] = _binding(first, at, name)
+        else:
+            for name, value in first.bases[at].items():
+                if name not in result and all(
+                    name not in batch.columns and batch.bases[index].get(name) is value
+                    for batch, index, _key in members
+                ):
+                    result[name] = value
         yield result
 
 

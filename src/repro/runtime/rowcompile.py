@@ -21,14 +21,16 @@ expression has three calling conventions:
   item list (the paper's typed token stream, sections 5.1-5.2, serves the
   same end).  Each consumer turns ``MANY`` into the error the list form
   raises for a multi-item operand, in the same left-to-right order;
-* the **column lane** ``f.column(evaluator, rows) -> (type_name, values) |
-  None`` (:func:`colfn`) — a whole batch at once, one raw Python value per
-  row, each a single atom of ``type_name``.  Only pure scalar shapes have
-  it, and its kernels are *total*: a value off their fast path (a type
-  but ``xs:integer`` / ``xs:string`` in, an empty or multi-item binding, a
-  ``mod`` operand below zero or a zero divisor) makes the call return
-  ``None``, never raise, and the consumer runs that batch on the atom
-  lane, so values, errors and error order are the atom lane's.
+* the **column lane** ``f.column(evaluator, batch) -> (type_name, values) |
+  None`` (:func:`colfn`) — a whole :class:`~repro.runtime.batch.Batch` at
+  once, one raw Python value per tuple, each a single atom of
+  ``type_name``.  A variable the batch carries as a column is read as it
+  is, any other is gathered from the batch's rows.  Only pure scalar
+  shapes have it, and its kernels are *total*: a value off their fast path
+  (a type but ``xs:integer`` / ``xs:string`` in, an empty or multi-item
+  binding, a ``mod`` operand below zero or a zero divisor) makes the call
+  return ``None``, never raise, and the consumer runs that batch on the
+  atom lane, so values, errors and error order are the atom lane's.
 
 ``Literal``, ``Arithmetic``, ``UnaryMinus``, ``Comparison``, ``And/Or``,
 ``cast``/``castable``/``instance of``, ``fn:data`` and a call of a *scalar*
@@ -357,17 +359,26 @@ def _c_SequenceExpr(node: ast.SequenceExpr) -> RowFn:
     return _parts(node.items)
 
 
-def _c_RangeTo(node: ast.RangeTo) -> RowFn:
+def rangefn(node: ast.RangeTo) -> Callable:
+    """``(evaluator, env) -> range``: the integers ``start to end`` denotes,
+    as a Python ``range`` — what a range ``for`` carries as its column
+    without boxing one of them (``batchexec``)."""
     start_fn, end_fn = atomfn(node.start), atomfn(node.end)
 
-    def call(evaluator, env):
+    def bounds(evaluator, env):
         start = _range_bound(start_fn(evaluator, env))
         end = _range_bound(end_fn(evaluator, env))
         if start is None or end is None:
-            return []
-        return [AtomicValue(i, "xs:integer") for i in range(start, end + 1)]
+            return range(0)
+        return range(start, end + 1)
 
-    return call
+    return bounds
+
+
+def _c_RangeTo(node: ast.RangeTo) -> RowFn:
+    bounds = rangefn(node)
+    return lambda evaluator, env: [AtomicValue(i, "xs:integer")
+                                   for i in bounds(evaluator, env)]
 
 
 def _range_bound(value) -> int | None:
@@ -890,19 +901,31 @@ def _k_Literal(node: ast.Literal):
     type_name, value = node.value.type_name, node.value.value
     if type(value) is not _RAW.get(type_name):
         return None
-    return lambda evaluator, rows: (type_name, [value] * len(rows))
+    return lambda evaluator, batch: (type_name, [value] * len(batch))
 
 
 def _k_VarRef(node: ast.VarRef):
-    bound = itemgetter(node.name)
+    name = node.name
+    bound = itemgetter(name)
 
-    def column(evaluator, rows):
-        try:  # one item per row; a name the rows lack is read by the atom lane
-            atoms = [atom for [atom] in map(bound, rows)]
-        except (KeyError, ValueError):
-            return None
-        type_name = atoms[0].type_name if type(atoms[0]) is AtomicValue else None
+    def column(evaluator, batch):
+        carried = batch.columns.get(name)
+        if carried is not None:
+            if carried[0] is not None:
+                return carried  # raw already
+            atoms = carried[1]  # the items a ``for`` bound
+        else:
+            try:  # one item per row; a name the rows lack is read by the atom lane
+                atoms = [atom for [atom] in map(bound, batch.bases)]
+            except (KeyError, ValueError):
+                return None
+        first = atoms[0]
+        type_name = first.type_name if type(first) is AtomicValue else None
         raw = _RAW.get(type_name)  # every atom of the first one's type
+        if raw is None or type(first.value) is not raw:
+            return None
+        if len(set(map(id, atoms))) == 1:  # one binding read by every tuple
+            return type_name, [first.value] * len(atoms)
         values = [atom.value for atom in atoms
                   if type(atom) is AtomicValue and atom.type_name == type_name
                   and type(atom.value) is raw]
@@ -917,11 +940,11 @@ def _k_Arithmetic(node: ast.Arithmetic):
     if int_op is None or left_fn is None or right_fn is None:
         return None
 
-    def column(evaluator, rows):
-        left = left_fn(evaluator, rows)
+    def column(evaluator, batch):
+        left = left_fn(evaluator, batch)
         if left is None or left[0] != "xs:integer":
             return None
-        right = right_fn(evaluator, rows)
+        right = right_fn(evaluator, batch)
         if right is None or right[0] != "xs:integer":
             return None
         left, right = left[1], right[1]
@@ -938,11 +961,11 @@ def _k_Comparison(node: ast.Comparison):
     if compare is None or left_fn is None or right_fn is None:
         return None
 
-    def column(evaluator, rows):
-        left = left_fn(evaluator, rows)
+    def column(evaluator, batch):
+        left = left_fn(evaluator, batch)
         if left is None or left[0] not in _RAW:
             return None
-        right = right_fn(evaluator, rows)
+        right = right_fn(evaluator, batch)
         if right is None or right[0] != left[0]:
             return None
         return "xs:boolean", list(map(compare, left[1], right[1]))
@@ -960,10 +983,10 @@ def _k_FunctionCall(node: ast.FunctionCall):
     if None in arg_fns:
         return None
 
-    def column(evaluator, rows):
+    def column(evaluator, batch):
         texts = []  # (an ``xs:integer``'s string value is its ``str``)
         for arg_fn in arg_fns:
-            arg = arg_fn(evaluator, rows)
+            arg = arg_fn(evaluator, batch)
             if arg is None or arg[0] not in _RAW:
                 return None
             texts.append(arg[1] if arg[0] == "xs:string" else map(str, arg[1]))

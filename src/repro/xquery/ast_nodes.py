@@ -610,6 +610,12 @@ class TypeswitchExpr(AstNode):
         self.default_var = default_var
         self.default_expr = default_expr
 
+    def rename_vars(self, mapping):
+        self.cases = [(var and mapping.get(var, var), case_type, expr)
+                      for var, case_type, expr in self.cases]
+        if self.default_var:
+            self.default_var = mapping.get(self.default_var, self.default_var)
+
 
 class TypeMatch(AstNode):
     """Runtime type check inserted by optimistic static typing (section 4.1).

@@ -17,7 +17,8 @@ import pytest
 from repro.config import DEFAULT_BATCH_SIZE
 from repro.demo import build_demo_platform
 from repro.relational import LatencyModel
-from repro.runtime.batch import batched
+from repro.runtime.batch import Batch, batched
+from repro.xml import AtomicValue, element
 from repro.xml.serialize import serialize_to_sink
 from repro.xquery import ast_nodes as ast
 
@@ -25,7 +26,7 @@ from .flwor_reference import reference_execute
 
 
 # ---------------------------------------------------------------------------
-# Batches: lists of row dicts
+# Batches: row dicts, and the columns carried beside them
 # ---------------------------------------------------------------------------
 
 @pytest.fixture()
@@ -62,18 +63,18 @@ class TestTupleBatch:
             "for $a in (1, 2) let $b := 10 return $b")
         assert let.owned  # the for made these rows
         rows = [{"a": [1]}, {"a": [2]}]
-        extended = kernel(ev, rows)
+        extended = kernel(ev, Batch(rows))
         # the same dict objects were extended — no per-tuple copies
-        assert extended is rows and extended[0] is rows[0]
+        assert extended.rows is rows and extended.rows[0] is rows[0]
         assert list(rows[0]) == ["a", "b"] and rows[0]["b"][0].value == 10
 
     def test_extended_unowned_copies_the_frames(self):
         ev, [(first, kernel), (second, _kernel)] = _let_stages(
             "let $b := 9 let $c := 8 return $b")
         rows = [{"a": [1]}]
-        extended = kernel(ev, rows)
+        extended = kernel(ev, Batch(rows))
+        assert list(extended.rows[0]) == ["a", "b"]
         assert rows[0] == {"a": [1]}  # caller's dict untouched
-        assert list(extended[0]) == ["a", "b"]
         assert second.owned  # the copies belong to the pipeline now
 
     def test_where_and_order_by_hand_on_the_rows_they_were_given(self):
@@ -111,7 +112,7 @@ class TestBatchBuilder:
         rows = [{"a": [i]} for i in range(7)]
         batches = list(batched(iter(rows), 3, mixed=False))
         assert [len(b) for b in batches] == [3, 3, 1]
-        assert [env["a"][0] for b in batches for env in b] == list(range(7))
+        assert [env["a"][0] for b in batches for env in b.rows] == list(range(7))
 
     def test_group_by_output_is_cut_at_schema_changes(self):
         """A group of one keeps its members' other bindings, a larger one
@@ -124,6 +125,105 @@ class TestBatchBuilder:
         assert profile.batches["group-by#2"]["batches"] == 3
         assert profile.batches["order-by#3"]["batches"] == 3
         assert profile.batches["return"] == {"batches": 3, "rows": 4, "rows_per_batch": 1.33}
+
+
+# ---------------------------------------------------------------------------
+# Carried columns: rows built only when a row function reads them
+# ---------------------------------------------------------------------------
+
+@pytest.fixture()
+def rows_built(monkeypatch) -> list:
+    """One entry per row dict the pipeline built: from a batch's carried
+    columns, or as a group row."""
+    from repro.runtime import batch as batch_module
+    from repro.runtime import batchexec
+
+    built: list = []
+    materialise, grouped_rows = batch_module.materialise, batchexec._grouped_rows
+
+    def counted(*args):
+        rows = materialise(*args)
+        built.extend(rows)
+        return rows
+
+    monkeypatch.setattr(batch_module, "materialise", counted)
+    monkeypatch.setattr(batchexec, "_grouped_rows",
+                        lambda *args: (built.append(row) or row for row in grouped_rows(*args)))
+    return built
+
+
+class TestCarriedColumns:
+    def test_rows_are_built_as_the_row_path_binds_them(self):
+        """A copy of the base, then every column in column order: a column
+        that shadows a base binding keeps the base's place."""
+        item = AtomicValue("x", "xs:string")
+        base = {"a": [1], "i": [0]}
+        batch = Batch([base, base], {"j": (None, [item, item]), "i": ("xs:integer", range(5, 7))})
+        rows = batch.rows
+        assert [list(row) for row in rows] == [["a", "i", "j"]] * 2
+        assert rows[1]["i"] == [AtomicValue(6, "xs:integer")] and rows[0]["j"][0] is item
+        assert base == {"a": [1], "i": [0]} and rows[0] is not rows[1]
+        assert batch.rows is rows and batch.columns == {}  # built once
+
+    def test_a_let_the_lane_answers_adds_a_column(self):
+        ev, [(_for, _bind), (_let, kernel)] = _let_stages(
+            "for $a in (1 to 2) let $b := $a + 10 return $b")
+        base = {"s": [AtomicValue(1, "xs:integer")]}
+        out = kernel(ev, Batch([base, base], {"a": ("xs:integer", range(1, 3))}))
+        assert out.bases == [base, base] and base == {"s": [AtomicValue(1, "xs:integer")]}
+        assert out.columns["b"] == ("xs:integer", [11, 12])
+
+    @pytest.mark.parametrize("size", [1, 7, 256])
+    def test_the_filter_and_the_let_stack_build_no_row(self, rows_built, size):
+        platform = build_demo_platform(customers=2, orders_per_customer=0)
+        platform.configure(batch_size=size)
+        two = [AtomicValue(2, "xs:integer")]
+        assert len(platform.execute(
+            "for $i in (1 to 700) where ($i mod 7) eq $r return $i", {"r": two})) == 100
+        assert len(platform.execute(
+            "for $i in (1 to 700) let $a := $i + $s let $b := $a * 2 let $c := $b - $i "
+            "let $d := $c mod 9 where $d ne 5 return $d", {"s": two})) > 0
+        assert rows_built == []
+        groups = platform.execute(
+            "for $i in (1 to 700) let $k := ($i + $s) mod 50 group $i as $is by $k as $g "
+            "order by $g return <G>{$g}{fn:sum($is)}</G>", {"s": two})
+        assert len(rows_built) == len(groups) == 50  # the group rows alone
+
+    def test_an_index_join_with_one_match_per_key_gathers_the_outer_columns(
+            self, rows_built):
+        platform = build_demo_platform(customers=2, orders_per_customer=0)
+        keyed = [element("R", element("K", key)) for key in range(5)]
+        result = platform.execute(
+            "for $i in (1 to 40) for $r in $rows where $r/K eq $i mod 5 return $r/K",
+            {"rows": keyed})
+        assert [int(item.string_value()) for item in result] == [i % 5 for i in range(1, 41)]
+        # the rows the return reads, and the one the build read: no outer row
+        assert len(rows_built) == 40 + 1
+
+    @pytest.mark.parametrize("size", [1, 256])
+    def test_a_range_for_streams_its_first_item_in_constant_memory(self, size):
+        """Section 5.2: the range is sliced as the batches are pulled, never
+        built, so the first item of a million costs what that of a
+        thousand does."""
+        import tracemalloc
+
+        platform = build_demo_platform(customers=2, orders_per_customer=0)
+        platform.configure(batch_size=size)
+
+        def first_item_peak(n: int) -> int:
+            query = f"for $i in (1 to {n}) return $i"
+            next(platform.stream(query))  # compile, warm
+            tracemalloc.start()
+            try:
+                stream = platform.stream(query)
+                assert next(stream) == AtomicValue(1, "xs:integer")
+                _now, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            stream.close()
+            return peak
+
+        assert first_item_peak(10 ** 6) <= first_item_peak(10 ** 3) + 1024
 
 
 # ---------------------------------------------------------------------------

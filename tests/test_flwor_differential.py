@@ -50,13 +50,20 @@ of a column — ``where``, ``let``, group and order keys, a nested FLWOR on
 the eager driver and an ``eq`` index-join probe — so at every batch size
 some batches are answered by the column and the batch holding such a row
 falls back to the atom lane, and the values and the first error must
-still be the reference's.
+still be the reference's.  The rows are a range ``for``'s (with and
+without ``at``, over bounds that may be reversed), which the batch carries
+as raw columns; :data:`CARRIED_TAILS` reads those columns where they are
+carried and where a fallback has built the rows — a ``let`` shadowing one,
+a ``where`` that empties batches, ``return`` values off the fast path, a
+FLWOR per group row — and :data:`CARRIED` holds group-by and index joins
+over carried columns, whose keys meet one item or two.
 
 Where the reference shares the engine's plan, it cannot see a wrong plan:
 :data:`POSITIONAL` (filter predicates that may select by position) and
 :func:`test_range_operands_are_integers` assert values written by hand.
 
-The tier-1 slice is derandomized.  For a soak with fresh examples::
+The tier-1 slice is derandomized.  For a soak with fresh examples
+(``make fuzz``)::
 
     PYTHONPATH=src python tests/test_flwor_differential.py 2000
 """
@@ -545,16 +552,43 @@ JOIN_TAIL = "for $r in $rows where $r/K eq $y mod 3 return <R>{$i}{$y}{$r}</R>"
 KEYED_ROWS = [node("R", element("K", key)) for key in (0, 1, 2, 2)]
 
 
+#: consumers of *carried* columns: the range ``for`` carries ``$i`` (and
+#: ``$p``) as raw columns, a ``let`` or ``where`` the lane answers keeps
+#: them carried, and a row function — or a batch leaving the lane — builds
+#: the rows
+CARRIED_TAILS = [
+    # a let that shadows the carried ``$i`` with a row-path value
+    "let $i := ($y, $i) where fn:count($i) gt 1 return <R>{$i}{$y}</R>",
+    # a where that empties a batch (or all of them), then the return lane
+    "let $z := $i * 2 where $z gt 17 return $z",
+    # return values off the fast path: the return lane hands the batch back
+    "return $y",
+    "let $z := $y return $z",
+    # downstream of a group-by, in a FLWOR per group row: ``$z`` is carried
+    # where the lane answers and in the rows where the group's key is off
+    # its fast path
+    "group $i as $is by $y mod 3 as $k order by $k return <G>{$k}{fn:count($is)}"
+    "{for $j at $q in (1 to 2) let $z := $k + $j where $z ne 2 return ($z, $q)}</G>",
+    # a range ``for`` whose bounds read the batch it extends
+    "for $j in ($i to 3) where $j ne $y return <R>{$i}{$j}</R>",
+]
+
+
 @st.composite
 def column_cases(draw, tails):
     """``(query, variables)``: up to twelve rows whose ``$y`` is an
     ``xs:integer`` but in rows ``k1`` and ``k2`` (if they are in range),
-    where it is off the fast path, and a consumer of a column over it."""
+    where it is off the fast path, and a consumer of a column over it.  The
+    rows are a range ``for``'s, with or without ``at``, over bounds that may
+    be reversed (an empty range but for one row)."""
     rows = draw(st.integers(1, 12))
     k1, k2 = draw(st.integers(0, rows + 1)), draw(st.integers(0, rows + 1))
     off = st.sampled_from(sorted(OFF_PATH))
-    query = (f"for $i in (1 to {rows}) let $y := if ($i eq {k1}) then $o1 "
-             f"else if ($i eq {k2}) then $o2 else $i + {draw(st.sampled_from([0, 5]))} "
+    head = draw(st.sampled_from([f"for $i in (1 to {rows})", f"for $i at $p in (1 to {rows})",
+                                 f"for $i at $p in ({rows} to 1)"]))
+    plus = draw(st.sampled_from(["0", "5"] + (["$p"] if "$p" in head else [])))
+    query = (f"{head} let $y := if ($i eq {k1}) then $o1 "
+             f"else if ($i eq {k2}) then $o2 else $i + {plus} "
              + draw(st.sampled_from(tails)))
     return query, {"o1": OFF_PATH[draw(off)], "o2": OFF_PATH[draw(off)], "rows": KEYED_ROWS}
 
@@ -563,6 +597,36 @@ test_the_column_lane_falls_back_a_batch_at_a_time = differential(
     column_cases(COLUMN_TAILS), "same-plan", 200)
 test_the_column_lane_probe_falls_back_a_batch_at_a_time = differential(
     column_cases([JOIN_TAIL]), "nested-loop", 60)
+test_carried_columns_fall_back_a_batch_at_a_time = differential(
+    column_cases(CARRIED_TAILS), "same-plan", 120)
+
+#: group-by and ``eq`` index joins over carried columns.  A join whose
+#: every key meets at most one inner item gathers the outer columns by
+#: match position instead of building the outer rows; a group's members
+#: are read from the columns (a grouped ``let`` stays a clause), and a
+#: group of one keeps its carried bindings — ``$p`` shadows an external
+UNIQUE_ROWS = [node("R", element("K", key)) for key in (0, 1, 2)]
+CARRIED = [
+    "for $i at $p in (3 to 12) for $r in $rows where $r/K eq $i mod 4 "
+    "return <R>{$i}{$p}{$r}</R>",
+    "for $i in (1 to 9) let $z := $i + 1 for $r in $rows where $r/K eq $z mod 3 "
+    "group $r as $rs, $z as $zs by $i mod 2 as $k return <G>{$k}{fn:count($rs)}{$zs}</G>",
+    "for $i in (1 to 9) let $z := $i * $b for $r in $rows where $r/K eq $z mod 5 "
+    "return <R>{$i}{$z}{$r}</R>",
+    "for $i in (1 to 9) for $r in $rows where $r/K eq $i mod 3 "
+    "return for $j in (1 to 2) where $j ne $i return <R>{$i}{$j}{$r}</R>",
+    "for $i in (1 to 9) let $z := $i * $b group $z as $zs, $i as $is by $i mod 4 as $k "
+    "order by $k return <G>{$k}{$zs}{$is}{$b}</G>",
+    "for $i at $p in (1 to 5) let $b := $i * $p group $i as $is by $b mod 3 as $k "
+    "order by $k return <G>{$k}{$b}{$p}{$is}</G>",
+]
+
+
+def test_group_by_and_index_joins_over_carried_columns():
+    for query in CARRIED:
+        for rows in (UNIQUE_ROWS, KEYED_ROWS):
+            for b in (_atoms(2), [AtomicValue(2.5, "xs:double")], _atoms(1, 2)):
+                check(query, {"rows": rows, "b": b, "p": _atoms(7)}, "nested-loop")
 
 
 # -- scoping: a request's bindings are the root row ----------------------------
@@ -611,6 +675,8 @@ if __name__ == "__main__":
     print(f"{examples} generated FLWORs: every batch size equals the reference")
     differential(column_cases(COLUMN_TAILS), "same-plan", examples // 4, derandomize=False)()
     print(f"{examples // 4} generated column-lane fallbacks equal the reference")
+    differential(column_cases(CARRIED_TAILS), "same-plan", examples // 4, derandomize=False)()
+    print(f"{examples // 4} generated carried-column fallbacks equal the reference")
     if "--no-joins" not in sys.argv:
         differential(join_cases(), "nested-loop", examples // 4, derandomize=False)()
         print(f"{examples // 4} generated index joins equal the nested loop")

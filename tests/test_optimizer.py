@@ -73,6 +73,20 @@ class TestViewUnfolding:
         binders = [c.var for c in expr.walk() if isinstance(c, ast.ForClause)]
         assert len(binders) == len(set(binders))
 
+    def test_a_typeswitch_variable_in_an_inlined_body_is_renamed(self):
+        """The argument ``$t + $c`` reads a ``$t`` of the caller's: the
+        body's case variable of the same name must not capture it."""
+        from repro import serialize
+        from repro.demo import build_demo_platform
+
+        platform = build_demo_platform(customers=2, orders_per_customer=0)
+        platform.deploy('''
+            declare function tsv($x) {
+                typeswitch ($x) case $t as xs:integer return $t + 1 default $d return $d };
+            declare function tw($t) { for $c in (1, 2) return tsv($t + $c) };''', "tsmod")
+        assert serialize(platform.execute("tw(10)")) == "12 13"
+        assert serialize(platform.execute('tsv("a")')) == "a"
+
     def test_two_inlinings_do_not_collide(self):
         module = '''
             declare function names() { for $x in CUSTOMER() return $x/LAST_NAME };
@@ -142,6 +156,36 @@ class TestFLWORRules:
         expr = optimize('''
             for $c in CUSTOMER() let $n := $c/LAST_NAME where $n eq "x" return $n
         ''')
+        assert not any(isinstance(c, ast.LetClause) for c in expr.clauses)
+
+    #: (query, its answer by hand): a let is not inlined where a binder of
+    #: its own name shadows it or a binder of a variable it reads would
+    #: capture the copy — in a later clause, in the return, in a quantifier
+    #: or as a positional variable.  The differential's reference runs the
+    #: same optimized plan, so only hand-written answers catch these.
+    SHADOWED_LETS = [
+        ("let $x := 1 return for $x in (5, 6) return $x", "5 6"),
+        ("for $i in (1 to 3) let $j := $i return for $i in (7 to 8) return ($i, $j)",
+         "7 1 8 1 7 2 8 2 7 3 8 3"),
+        ("for $a in (1, 2) let $b := $a return "
+         "fn:count(for $a in (1 to 5) where $a gt $b return $a)", "4 3"),
+        ("let $b := 5 return (some $b in (9) satisfies $b eq 9)", "true"),
+        ("let $x := 1 for $y at $x in (5, 6) return $x", "1 2"),
+        ("for $i in (10, 20) let $j := $i for $i in (7, 8) return $i + $j", "17 18 27 28"),
+        ("let $t := 3 return typeswitch (4) case $t as xs:integer return $t default return 0",
+         "4"),
+    ]
+
+    def test_a_let_is_not_inlined_past_a_shadowing_or_capturing_binder(self):
+        from repro import serialize
+        from repro.demo import build_demo_platform
+
+        platform = build_demo_platform(customers=2, orders_per_customer=0)
+        for query, expected in self.SHADOWED_LETS:
+            assert serialize(platform.execute(query)) == expected, query
+
+    def test_an_unshadowed_let_is_still_inlined(self):
+        expr = optimize("for $i in (1, 2) let $j := $i return for $k in (7, 8) return ($k, $j)")
         assert not any(isinstance(c, ast.LetClause) for c in expr.clauses)
 
     def test_for_over_empty_collapses(self):

@@ -10,11 +10,13 @@ ceilings sit 3-10% above what the engine does today and fail the day a
 generic path — a kernel behind three helpers, a builtin reached through its
 list form, an external read through the request per row, a clause that
 evaluates per row what its column answers per batch — creeps back onto the
-lane.  Measured when the column lane landed: 1.95 / 6.09 / 24.2 / 9.76 /
-7.21 calls per tuple (a ``return`` has no column lane, so the third is
-still the atom lane's); 9.9 / 24.0 / 24.2 / 16.7 / 18.1 on the atom lane
-alone, and 17.9 / 49.0 / 53.2 for the first three before the atom lane's
-kernels guarded on the Python type.
+lane.  Measured when the batch began to carry its columns (a range
+``for`` binds raw integers, a ``return`` the lane answers yields its
+column's atoms): 1.00 / 4.13 / 4.33 / 7.58 / 5.34 calls per tuple; 1.95 /
+6.09 / 24.2 / 9.76 / 7.21 when the column lane landed (the third still on
+the atom lane: its ``return`` had no column lane), 9.9 / 24.0 / 24.2 /
+16.7 / 18.1 on the atom lane alone, and 17.9 / 49.0 / 53.2 for the first
+three before the atom lane's kernels guarded on the Python type.
 """
 
 from __future__ import annotations
@@ -36,19 +38,19 @@ ROWS = [element("R", element("K", key)) for key in range(1, 41)]
 #: — calls-per-tuple ceiling)
 CASES = [
     ("mod / eq filter",
-     f"for $i in (1 to {TUPLES}) where ($i mod 7) eq $r return $i", {"r": 3}, 2.1),
+     f"for $i in (1 to {TUPLES}) where ($i mod 7) eq $r return $i", {"r": 3}, 1.1),
     ("four-let stack",
      f"for $i in (1 to {TUPLES}) let $a := $i + $s let $b := $a * 2 "
-     "let $c := $b - $i let $d := $c mod 9 where $d ne 5 return $d", {"s": 17}, 6.5),
+     "let $c := $b - $i let $d := $c mod 9 where $d ne 5 return $d", {"s": 17}, 4.4),
     ("fn:concat key",
      f'for $i in (1 to {TUPLES}) let $k := fn:concat("C", (($i + $s) mod 40) + 1) '
-     "return $k", {"s": 17}, 25),
+     "return $k", {"s": 17}, 4.6),
     ("group key",
      f"for $i in (1 to {TUPLES}) let $k := ($i + $s) mod 50 "
-     "group $i as $is by $k as $g return <G>{$g}{fn:count($is)}</G>", {"s": 17}, 10.5),
+     "group $i as $is by $k as $g return <G>{$g}{fn:count($is)}</G>", {"s": 17}, 8.0),
     ("eq index-join probe",
      f"for $i in (1 to {TUPLES}) for $r in $rows where $r/K eq (($i + $s) mod 40) + 1 "
-     "return $i", {"s": 17, "rows": ROWS}, 7.8),
+     "return $i", {"s": 17, "rows": ROWS}, 5.7),
 ]
 
 
