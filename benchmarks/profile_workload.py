@@ -39,7 +39,11 @@ an ordinary tree and not counted.
 operation the column lane answered and how many it handed back to be run
 row by row — every batch of a stage with no column at all counts as by
 rows.  Only the stages that offer the lane a batch appear: ``where``,
-``let``, group and order keys, an ``eq`` index-join probe.  Beside them,
+``let``, group and order keys, an ``eq`` index-join probe; and two more
+rows: ``return``, the batches a ``return``'s column answered (``batchexec``'s
+``itemsfn``, or ``colfn`` at a commit from before it) or that ran by rows,
+and ``index-join.build``, the index builds its inner key's column answered
+(``batchexec._column_index``) or that keyed item by item.  Beside them,
 per shape, the *rows built* per operation: the environment dicts the FLWOR
 pipeline created — a batch's rows built from its carried columns
 (``batch.materialise``), group rows (``batchexec._grouped_rows``) and the
@@ -78,6 +82,7 @@ from workloads import WORKLOADS  # noqa: E402
 
 from repro.runtime import batch as batch_module  # noqa: E402
 from repro.runtime import batchexec  # noqa: E402
+from repro.runtime.context import RuntimeStats  # noqa: E402
 from repro.xml.items import DeferredElement, ElementNode  # noqa: E402
 
 
@@ -164,9 +169,15 @@ def wrap_lanes(tally: Counter):
     Returns the function that unwraps them.  Wrap before the first compile:
     the eager driver keeps the lanes and binds its FLWOR was built with."""
 
+    making_lane: list = []  # a stage's lane is being made: its columns are not a return's
+
     def counted_lanes(lane):
         def wrapped(stage):
-            stage_lane = lane(stage)
+            making_lane.append(stage)
+            try:
+                stage_lane = lane(stage)
+            finally:
+                making_lane.pop()
 
             def call(evaluator, batch):
                 result = None if stage_lane is None else stage_lane(evaluator, batch)
@@ -206,6 +217,51 @@ def wrap_lanes(tally: Counter):
 
         return wrapped
 
+    def answered(label: str) -> None:  # the batch or build counted as by rows was not
+        tally[label, True] -= 1
+        tally[label, False] += 1
+
+    def counted_observe(observe):
+        def wrapped(run, label, rows):
+            if label == "return":
+                tally["return", True] += 1
+            return observe(run, label, rows)
+
+        return wrapped
+
+    def counted_returns(make_column):
+        def wrapped(*args):
+            column = make_column(*args)
+            if making_lane or column is None:
+                return column
+
+            def call(evaluator, batch):
+                result = column(evaluator, batch)
+                if result is not None:
+                    answered("return")
+                return result
+
+            return call
+
+        return wrapped
+
+    def counted_bumps(bump):
+        def wrapped(stats, **deltas):
+            if "index_joins_built" in deltas:
+                tally["index-join.build", True] += 1
+            return bump(stats, **deltas)
+
+        return wrapped
+
+    def counted_indexes(column_index):
+        def wrapped(*args):
+            keyed = column_index(*args)
+            if keyed:
+                answered("index-join.build")
+            return keyed
+
+        return wrapped
+
     def counted_kernels(for_kernel):  # a commit from before carried columns
         def wrapped(*args):
             kernel = for_kernel(*args)
@@ -226,7 +282,12 @@ def wrap_lanes(tally: Counter):
                                (batch_module, "materialise", counted_rows),
                                (batchexec, "_grouped_rows", counted_groups),
                                (batchexec, "_item_bind", counted_binds),
-                               (batchexec, "_for_kernel", counted_kernels)]:
+                               (batchexec, "_for_kernel", counted_kernels),
+                               (batchexec._Run, "observe", counted_observe),
+                               (RuntimeStats, "bump", counted_bumps),
+                               (batchexec, "_column_index", counted_indexes),
+                               (batchexec, "itemsfn" if hasattr(batchexec, "itemsfn")
+                                else "colfn", counted_returns)]:
         if hasattr(module, name):
             originals.append((module, name, getattr(module, name)))
             setattr(module, name, wrap(getattr(module, name)))
@@ -292,14 +353,14 @@ def main(argv: list[str] | None = None) -> int:
             root, nested, nodes = (totals[n] / args.ops for n in range(3))
             print(f"{'total':>7}  {root:>8.1f}  {nested:>9.1f}  {nodes:>8.1f}")
         elif args.lanes:
-            print(f"{'request':>7}  {'built/op':>8}  {'stage':<14}  {'column/op':>9}  "
-                  f"{'rows/op':>7}  shape (built: rows built; rows: batches run by rows)")
+            print(f"{'request':>7}  {'built/op':>8}  {'stage':<16}  {'column/op':>9}  "
+                  f"{'rows/op':>7}  shape (built: rows built; rows: batches, or builds, by rows)")
             for position, (label, samples) in sorted(timings.items()):
                 total = sum(samples, Counter())
                 built = f"{total[BUILT] / args.ops:>8.1f}"
                 stages = [key[0] for key in total if key != BUILT]
                 for stage in dict.fromkeys(stages) or ["-"]:  # first offered, first
-                    print(f"{position:>7}  {built:>8}  {stage:<14}  "
+                    print(f"{position:>7}  {built:>8}  {stage:<16}  "
                           f"{total[stage, False] / args.ops:>9.1f}  "
                           f"{total[stage, True] / args.ops:>7.1f}  {label}")
                     label = built = ""

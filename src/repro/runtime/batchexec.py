@@ -29,11 +29,13 @@ its variable as a column beside the rows it extends — the slices of a
 Python ``range``, so no integer is boxed and the range is never built — a
 ``let`` or ``where`` the column lane answers adds a column or compresses
 the batch by its mask, group-by and the ``eq`` index join read their keys
-from the columns, and a ``return`` the lane answers yields its column's
-atoms.  A ``for`` over any other sequence binds rows, as its items are
-nodes, or atoms of no one type, that a row function reads.  A row dict is built only when a row function reads the
-tuple, once per batch; a batch whose column the lane cannot answer runs by
-those rows, so values, errors and error order are the atom lane's.
+from the columns (the join's build keys its inner sequence as one batch),
+and a ``return`` the lane answers yields its column's atoms, or items.  A
+``for`` over any other sequence binds rows, as its items are nodes, or
+atoms of no one type, that a row function reads.  A row dict is built
+only when a row function reads the tuple, once per batch; a batch whose
+column the lane cannot answer runs by those rows, so values, errors and
+error order are the atom lane's.
 
 **Emit on fill.**  A multiplying operator hands a batch on the moment it
 fills and pulls its input — a streamed ``for`` sequence included — only as
@@ -67,7 +69,7 @@ from .kernels import _as_atomic_value, _coerce, _OrderKey
 from .operators.group import clustered_groups, sorted_groups
 from .operators.ppk import ppk_extend
 from .operators.pushedsql import bind_parameters, render_pushed, template_fn
-from .rowcompile import MANY, atomfn, colfn, rangefn, rowfn, streamfn, truthfn
+from .rowcompile import MANY, atomfn, colfn, itemsfn, rangefn, rowfn, streamfn, truthfn
 
 if TYPE_CHECKING:
     from .evaluate import Evaluator
@@ -144,6 +146,8 @@ class _Stage(NamedTuple):
     owned: bool
     #: the rows reaching this stage may differ in schema
     mixed: bool
+    #: the variables this stage or an earlier one may carry as item columns
+    items: frozenset
 
 
 def _clause_groups(clauses: list[ast.Clause],
@@ -173,6 +177,7 @@ def _stages(node: ast.FLWOR, parallel_regions: bool) -> list[_Stage]:
     if stages is None:
         stages = []
         owned = mixed = False  # the initial environment is the caller's
+        items: frozenset = frozenset()
         for ordinal, group in enumerate(
                 _clause_groups(node.clauses, parallel_regions), start=1):
             kind = type(group[0])
@@ -180,7 +185,8 @@ def _stages(node: ast.FLWOR, parallel_regions: bool) -> list[_Stage]:
                 raise DynamicError(f"cannot execute clause {kind.__name__}")
             name, operator = ("scatter", _scatter_batches) if len(group) > 1 \
                 else _OPERATORS[kind]
-            stages.append(_Stage(f"{name}#{ordinal}", operator, group, owned, mixed))
+            items = items | {group[0].var} if kind is IndexJoinForClause else items
+            stages.append(_Stage(f"{name}#{ordinal}", operator, group, owned, mixed, items))
             # where and order-by hand on the rows they were given
             owned = owned or kind not in (ast.WhereClause, ast.OrderByClause)
             mixed = mixed or kind is ast.GroupByClause
@@ -192,17 +198,19 @@ def eval_flwor(evaluator: Evaluator, node: ast.FLWOR, env: Env) -> Iterator[Item
     """The lazy driver: ``node``'s items, produced as they are pulled."""
     run = _Run(evaluator)
     batches: Iterator[Batch] = iter((Batch([env]),))
-    for stage in _stages(node, run.ctx.config.parallel_regions):
+    stages = _stages(node, run.ctx.config.parallel_regions)
+    for stage in stages:
         batches = run.instrumented(stage.label, stage.operator(run, stage, batches))
-    items_fn, column_fn = streamfn(node.return_expr), colfn(node.return_expr)
+    items_fn, column_fn = streamfn(node.return_expr), itemsfn(node.return_expr, stages[-1].items)
     stats = run.ctx.stats
     for batch in batches:
         count = len(batch.bases)
         stats.bump(tuples_flowed=count)
         run.observe("return", count)
         column = column_fn and column_fn(evaluator, batch)
-        if column:
-            yield from map(AtomicValue, column[1], repeat(column[0]))
+        if column:  # its nodes, or its atoms boxed
+            type_name, values = column
+            yield from values if type_name is None else map(AtomicValue, values, repeat(type_name))
             continue
         for row in batch.rows:
             yield from items_fn(evaluator, row)
@@ -218,7 +226,7 @@ def flwor_rowfn(node: ast.FLWOR) -> Callable:
     lazy driver's batch boundaries: every ``batch.rows`` / ``batch.count``
     observation and ``tuples_flowed`` bump is the one it would have made."""
     stages = [(stage, _row_kernel(stage)) for stage in _stages(node, False)]
-    ret_fn, column_fn = rowfn(node.return_expr), colfn(node.return_expr)
+    ret_fn, column_fn = rowfn(node.return_expr), itemsfn(node.return_expr)
 
     def call(evaluator, env):
         run = _Run(evaluator)
@@ -245,7 +253,9 @@ def flwor_rowfn(node: ast.FLWOR) -> Callable:
             run.observe("return", count)
             column = column_fn and column_fn(evaluator, batch)
             if column:
-                items.extend(map(AtomicValue, column[1], repeat(column[0])))
+                type_name, values = column
+                items.extend(values if type_name is None
+                             else map(AtomicValue, values, repeat(type_name)))
                 continue
             for row in batch.rows:
                 items.extend(ret_fn(evaluator, row))
@@ -346,17 +356,22 @@ def _lane(stage: _Stage) -> Callable | None:
     columns (``rowcompile.colfn``) of a stage's scalar expressions — a
     ``where`` condition, a ``let`` value, the group or order keys, an index
     join's probe key — or None for a batch that leaves the lane, which the
-    consumer then runs by rows; None if one of them has no column."""
-    clause = stage.clauses[0]
+    consumer then runs by rows; None if one of them has no column.  A ``let``
+    binds a child step's items; a ``where`` reads no bare child step."""
+    clause, column = stage.clauses[0], colfn
     if isinstance(clause, ast.GroupByClause):
         exprs = [expr for expr, _var in clause.keys]
     elif isinstance(clause, ast.OrderByClause):
         exprs = [spec.key for spec in clause.specs]
     elif isinstance(clause, IndexJoinForClause):
         exprs = [clause.outer_key]
+    elif isinstance(clause, ast.LetClause):
+        exprs, column = [clause.expr], itemsfn
+    elif type(clause.condition) is ast.PathExpr:  # a node is true, whatever its atom
+        return None
     else:
-        exprs = [clause.condition if isinstance(clause, ast.WhereClause) else clause.expr]
-    columns = [colfn(expr) for expr in exprs]
+        exprs = [clause.condition]
+    columns = [column(expr, stage.items) for expr in exprs]
     if None in columns:
         return None
 
@@ -578,6 +593,7 @@ def _index_join_batches(run: _Run, stage: _Stage,
 
     var, general = clause.var, clause.general
     probe_fn, inner_fn = atomfn(clause.outer_key), atomfn(clause.inner_key)
+    keys_fn = None if general else colfn(clause.inner_key, frozenset((var,)))
     index: dict = {}
     # under ``=`` an untyped atom meets a typed one as the type it is
     # promoted to: untyped inner atoms, by what they promote to
@@ -589,7 +605,18 @@ def _index_join_batches(run: _Run, stage: _Stage,
         nonlocal multi_inner
         ctx.stats.bump(index_joins_built=1)
         with ctx.tracer.start("index-join.build", var, op=clause.op_id) as span:
-            for place, item in enumerate(ev.iter_eval(clause.expr, row)):
+            inner = ev.iter_eval(clause.expr, row)
+            if keys_fn is not None:  # the whole sequence, then its keys
+                drained: list = []
+                try:
+                    for item in inner:
+                        drained.append(item)
+                except Exception:  # the keys before the failure first, as item by item
+                    for item in drained:
+                        inner_fn(ev, {var: [item]})
+                    raise
+                inner = () if _column_index(ev, keys_fn, var, drained, index) else drained
+            for place, item in enumerate(inner):
                 key = inner_fn(ev, {var: [item]})
                 if key is None:
                     continue  # an empty key joins nothing
@@ -665,6 +692,18 @@ def _index_join_batches(run: _Run, stage: _Stage,
 
     yield from _multiply(run, stage, probed(batches), sequences,
                          _item_bind(var, None))
+
+
+def _column_index(ev: Evaluator, keys_fn: Callable, var: str, inner: list,
+                  index: dict) -> bool:
+    """Fill an ``eq`` index join's ``{value: [items]}`` in one pass over its
+    inner key's column; False, leaving it empty, if the lane does not answer."""
+    keys = inner and keys_fn(ev, Batch([{}] * len(inner), {var: (None, inner)}))
+    if not keys:
+        return False
+    for value, item in zip(keys[1], inner):
+        index.setdefault(value, []).append(item)
+    return True
 
 
 def _hashed(atom: AtomicValue):

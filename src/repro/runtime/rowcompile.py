@@ -25,12 +25,16 @@ expression has three calling conventions:
   None`` (:func:`colfn`) — a whole :class:`~repro.runtime.batch.Batch` at
   once, one raw Python value per tuple, each a single atom of
   ``type_name``.  A variable the batch carries as a column is read as it
-  is, any other is gathered from the batch's rows.  Only pure scalar
-  shapes have it, and its kernels are *total*: a value off their fast path
-  (a type but ``xs:integer`` / ``xs:string`` in, an empty or multi-item
-  binding, a ``mod`` operand below zero or a zero divisor) makes the call
-  return ``None``, never raise, and the consumer runs that batch on the
-  atom lane, so values, errors and error order are the atom lane's.
+  is, any other is gathered from the batch's rows.  Pure scalar shapes
+  have it, and so has ``$v/NAME`` over ``$v`` carried as an item column of
+  row-backed records (:func:`_k_PathExpr`), in two readings that build no
+  row: its atoms, each record's field read raw from its row, and its items
+  (:func:`itemsfn`), each record's one handed-out leaf.  The kernels are
+  *total*: a value off their fast path (a type but ``xs:integer`` /
+  ``xs:string`` in, an empty or multi-item binding, a ``mod`` operand
+  below zero or a zero divisor) makes the call return ``None``, never
+  raise, and the consumer runs that batch on the atom lane, so values,
+  errors and error order are the atom lane's.
 
 ``Literal``, ``Arithmetic``, ``UnaryMinus``, ``Comparison``, ``And/Or``,
 ``cast``/``castable``/``instance of``, ``fn:data`` and a call of a *scalar*
@@ -201,18 +205,26 @@ def truthfn(node: ast.AstNode) -> Callable:
     return truth
 
 
-def colfn(node: ast.AstNode) -> RowFn | None:
+def colfn(node: ast.AstNode, items: frozenset = frozenset()) -> RowFn | None:
     """The column lane of ``node`` (cached on its list form), or None.  Its
     type is read from the values, once per batch: a static type only
     approximates them (``$i + $s`` with ``$s`` as ``item()*`` is typed
-    ``xs:double`` and is an ``xs:integer`` at run time)."""
+    ``xs:double`` and is an ``xs:integer`` at run time).  ``items``: see
+    :func:`_k_PathExpr`."""
     fn = rowfn(node)
     try:
         return fn.column
     except AttributeError:
         compiler = _COLUMNS.get(type(node).__name__)
-        column = fn.column = None if compiler is None else compiler(node)
+        column = fn.column = None if compiler is None else compiler(node, items)
         return column
+
+
+def itemsfn(node: ast.AstNode, items: frozenset = frozenset()) -> RowFn | None:
+    """The column of ``node``'s *items*, for a ``let`` or a ``return``: a
+    child step's leaves (type None), else :func:`colfn`'s atoms."""
+    column = colfn(node, items)
+    return column.items if column is not None and type(node) is ast.PathExpr else column
 
 
 def _raises(error: type, message: str) -> RowFn:
@@ -607,18 +619,16 @@ def _child_lane(base_fn: RowFn, inner_fns: list, step_fn: Callable, name: str) -
             items = distinct_nodes(items)
         atoms = []
         for item in items:
-            # (read once: another reader may be building its tree)
-            source = item._source if type(item) is DeferredElement else None
-            leaves = None if source is None else source[0].children.get(name)
+            row, leaves = _fields(item, name) or (None, None)
             if leaves is None:
                 atoms.extend(atomize(step_fn(evaluator, env, [item])))
                 continue
-            row = source[1]
             for leaf in leaves:
                 alias, type_name = leaf.leaf
                 value = row.get(alias)
-                if value is not None:
-                    atoms.append(leaf_atom(lexical(value), type_name))
+                if value is not None:  # (a raw value of its type is what typing its text gives)
+                    atoms.append(AtomicValue(value, type_name) if type(value) is _RAW.get(type_name)
+                                 else leaf_atom(lexical(value), type_name))
         if len(atoms) == 1:
             return atoms[0]
         return MANY(atoms) if atoms else None
@@ -626,10 +636,18 @@ def _child_lane(base_fn: RowFn, inner_fns: list, step_fn: Callable, name: str) -
     return atom
 
 
+def _fields(item, name: str) -> tuple | None:
+    """The one reading of a field: ``(row, leaves)`` if ``item`` is an unread
+    row-backed element whose template names the only ``name`` leaves, else None."""
+    # (read once: another reader may be building its tree)
+    source = item._source if type(item) is DeferredElement else None
+    leaves = None if source is None else source[0].children.get(name)
+    return None if leaves is None else (source[1], leaves)
+
+
 def _c_step(step: ast.Step):
     predicates = [_predicate(predicate) for predicate in step.predicates]
-    if (step.axis == "child" and isinstance(step.test, ast.NameTest)
-            and step.test.name != "*" and not predicates):
+    if _plain_child(step):
         # The hot shape ($var/CHILD): inline the axis + name test.
         name = step.test.name
 
@@ -705,19 +723,20 @@ def _c_FilterExpr(node: ast.FilterExpr) -> RowFn:
     return call
 
 
+def _attribute(qname: QName, optional: bool, atoms: list) -> list:
+    """The attribute a constructor makes of its value's atoms: none for an
+    empty optional one (ALDSP's attr?="" semantics, section 3.1)."""
+    if not atoms and optional:
+        return []
+    text = " ".join(a.string_value() for a in atoms)
+    type_name = atoms[0].type_name if len(atoms) == 1 else "xs:string"
+    return [AttributeNode(qname, AtomicValue(text, type_name))]
+
+
 def _c_AttributeCtor(node: ast.AttributeCtor) -> RowFn:
     value_fn = rowfn(node.value)
     qname, optional = QName(node.name), node.optional
-
-    def call(evaluator, env):
-        atoms = atomize(value_fn(evaluator, env))
-        if not atoms and optional:
-            return []
-        text = " ".join(a.string_value() for a in atoms)
-        type_name = atoms[0].type_name if len(atoms) == 1 else "xs:string"
-        return [AttributeNode(qname, AtomicValue(text, type_name))]
-
-    return call
+    return lambda evaluator, env: _attribute(qname, optional, atomize(value_fn(evaluator, env)))
 
 
 def _c_ElementCtor(node: ast.ElementCtor) -> RowFn:
@@ -731,15 +750,7 @@ def _c_ElementCtor(node: ast.ElementCtor) -> RowFn:
     def call(evaluator, env, content=None):
         attributes = []
         for qname, attr_optional, value_fn in attr_specs:
-            atoms = atomize(value_fn(evaluator, env))
-            if not atoms:
-                if attr_optional:
-                    continue  # ALDSP's attr?="" semantics (section 3.1)
-                attributes.append(AttributeNode(qname, AtomicValue("", "xs:string")))
-                continue
-            text = " ".join(a.string_value() for a in atoms)
-            type_name = atoms[0].type_name if len(atoms) == 1 else "xs:string"
-            attributes.append(AttributeNode(qname, AtomicValue(text, type_name)))
+            attributes += _attribute(qname, attr_optional, atomize(value_fn(evaluator, env)))
         if content is None:
             content = content_fn(evaluator, env)
         element = construct_element_content(name, attributes, content)
@@ -897,14 +908,14 @@ def _c_ErrorExpr(node: ast.ErrorExpr) -> RowFn:
 _RAW = {"xs:integer": int, "xs:string": str}
 
 
-def _k_Literal(node: ast.Literal):
+def _k_Literal(node: ast.Literal, items):
     type_name, value = node.value.type_name, node.value.value
     if type(value) is not _RAW.get(type_name):
         return None
     return lambda evaluator, batch: (type_name, [value] * len(batch))
 
 
-def _k_VarRef(node: ast.VarRef):
+def _k_VarRef(node: ast.VarRef, items):
     name = node.name
     bound = itemgetter(name)
 
@@ -934,9 +945,9 @@ def _k_VarRef(node: ast.VarRef):
     return column
 
 
-def _k_Arithmetic(node: ast.Arithmetic):
+def _k_Arithmetic(node: ast.Arithmetic, items):
     int_op, any_sign = _INT_ARITHMETIC.get(node.op), node.op != "mod"
-    left_fn, right_fn = colfn(node.left), colfn(node.right)
+    left_fn, right_fn = colfn(node.left, items), colfn(node.right, items)
     if int_op is None or left_fn is None or right_fn is None:
         return None
 
@@ -955,9 +966,9 @@ def _k_Arithmetic(node: ast.Arithmetic):
     return column
 
 
-def _k_Comparison(node: ast.Comparison):
+def _k_Comparison(node: ast.Comparison, items):
     compare = _COMPARISON.get(node.op)
-    left_fn, right_fn = colfn(node.left), colfn(node.right)
+    left_fn, right_fn = colfn(node.left, items), colfn(node.right, items)
     if compare is None or left_fn is None or right_fn is None:
         return None
 
@@ -973,13 +984,13 @@ def _k_Comparison(node: ast.Comparison):
     return column
 
 
-def _k_FunctionCall(node: ast.FunctionCall):
+def _k_FunctionCall(node: ast.FunctionCall, items):
     if node.name == "fn:data" and len(node.args) == 1:
-        return colfn(node.args[0])
+        return colfn(node.args[0], items)
     concat = all_builtins()["fn:concat"]
     if node.name != concat.name or not concat.min_args <= len(node.args) <= concat.max_args:
         return None
-    arg_fns = [colfn(arg) for arg in node.args]
+    arg_fns = [colfn(arg, items) for arg in node.args]
     if None in arg_fns:
         return None
 
@@ -995,12 +1006,57 @@ def _k_FunctionCall(node: ast.FunctionCall):
     return column
 
 
+def _k_PathExpr(node: ast.PathExpr, items):
+    """``$v/NAME`` with ``$v`` in ``items``, the variables batches may carry as
+    item columns there (the first call decides).  Atoms: per tuple the row's
+    one field, raw, if it holds its leaf's type in :data:`_RAW`.  ``items``:
+    per tuple the one leaf the record hands out.  Anything else: None."""
+    base, steps = node.base, node.steps
+    if not (type(base) is ast.VarRef and base.name in items
+            and len(steps) == 1 and _plain_child(steps[0])):
+        return None
+    var, name = base.name, steps[0].test.name
+
+    def column(evaluator, batch):
+        carried = batch.columns.get(var)
+        if carried is None or carried[0] is not None:
+            return None
+        values, type_name = [], None
+        for item in carried[1]:
+            row, leaves = _fields(item, name) or (None, ())
+            if len(leaves) != 1:
+                return None
+            alias, leaf_type = leaves[0].leaf
+            value = row.get(alias)
+            if type(value) is not _RAW.get(leaf_type) or type_name not in (None, leaf_type):
+                return None
+            type_name = leaf_type
+            values.append(value)
+        return type_name, values
+
+    def leaves(evaluator, batch):
+        carried = batch.columns.get(var)
+        if carried is None or carried[0] is not None:
+            return None
+        found = []
+        for item in carried[1]:
+            children = item.children_named(name) if isinstance(item, Node) else ()
+            if len(children) != 1:
+                return None
+            found += children
+        return None, found
+
+    column.items = leaves
+    return column
+
+
 _COLUMNS: dict[str, Callable] = {
     "Literal": _k_Literal,
     "VarRef": _k_VarRef,
     "Arithmetic": _k_Arithmetic,
     "Comparison": _k_Comparison,
     "FunctionCall": _k_FunctionCall,
+    "PathExpr": _k_PathExpr,
 }
 
 

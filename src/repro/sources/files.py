@@ -95,7 +95,7 @@ class CSVFileAdaptor(FileAdaptor):
     """Serves the rows of a delimited file as typed row elements.
 
     The record shape must be flat (simple-content leaves only); column
-    order follows the shape's particle order, header row optional.  A
+    order follows the shape's particle order, and so must an optional header.  A
     record is row-backed, like a pushed region's: built from the line's
     fields through one compiled template (``pushedsql.record_fn``), so a
     child step that is atomized reads the field and builds no tree.  The
@@ -139,6 +139,10 @@ class CSVFileAdaptor(FileAdaptor):
         reader = csv.reader(io.StringIO(str(text)), delimiter=self.delimiter)
         lines = list(reader)
         if self.has_header and lines:
+            header, expected = [name.strip() for name in lines[0]], [f[0] for f in self._fields]
+            if header != expected:  # fields are mapped by position
+                raise SourceError(f"{self.name}: the header names {', '.join(header)}; "
+                                  f"the record shape names {', '.join(expected)}")
             lines = lines[1:]
         for line in lines:
             if not line:

@@ -160,6 +160,18 @@ class TestFileAdaptors:
         out = adaptor.invoke([])
         assert serialize(out[1]) == "<ROW><ID>2</ID><NAME>beta</NAME></ROW>"
 
+    def test_csv_header_in_another_order_is_rejected(self, tmp_path):
+        """Fields are mapped by position, so a header naming them in another
+        order would swap them silently: it is an error naming both."""
+        path = tmp_path / "data.csv"
+        path.write_text("NAME,ID\nalpha,1\n")
+        adaptor = CSVFileAdaptor("rows", path, RECORD, clock=VirtualClock())
+        with pytest.raises(SourceError, match="header names NAME, ID; "
+                                              "the record shape names ID, NAME"):
+            adaptor.invoke([])
+        path.write_text(" ID , NAME\n1,alpha\n")  # whitespace around a name is not a name
+        assert serialize(adaptor.invoke([])) == "<ROW><ID>1</ID><NAME>alpha</NAME></ROW>"
+
     def test_csv_missing_value_is_missing_element(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("ID,NAME\n1,\n")

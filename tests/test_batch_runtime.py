@@ -197,8 +197,40 @@ class TestCarriedColumns:
             "for $i in (1 to 40) for $r in $rows where $r/K eq $i mod 5 return $r/K",
             {"rows": keyed})
         assert [int(item.string_value()) for item in result] == [i % 5 for i in range(1, 41)]
-        # the rows the return reads, and the one the build read: no outer row
-        assert len(rows_built) == 40 + 1
+        # the one row the build read: the return hands out each record's
+        # leaf from the carried column, and no outer row is built
+        assert len(rows_built) == 1
+
+    @pytest.mark.parametrize("size", [1, 256])
+    def test_the_csv_probe_types_no_key_and_builds_only_the_build_row(
+            self, rows_built, tmp_path, monkeypatch, size):
+        """The ``midtier_flwor`` probe over a CSV file: the build reads its
+        key column from the records' rows, raw, and the return hands out
+        each record's leaf from the carried column."""
+        from repro.runtime import rowcompile
+        from repro.schema import leaf, shape
+        from repro.xml import items as items_module
+
+        path = tmp_path / "regions.csv"
+        path.write_text("CID,REGION\n" + "".join(f"C{i},zone{i % 7}\n" for i in range(1, 41)))
+        platform = build_demo_platform(customers=2, orders_per_customer=0)
+        platform.register_csv_file("REGIONS", path, shape("REGION_ROW", [
+            leaf("CID", "xs:string"), leaf("REGION", "xs:string")]))
+        platform.configure(batch_size=size)
+        typed: list = []
+        for module in (rowcompile, items_module):
+            monkeypatch.setattr(module, "leaf_atom", lambda *args, typed_by=module.leaf_atom:
+                                typed.append(args) or typed_by(*args))
+        query = ("for $i in (1 to 100) for $r in REGIONS() "
+                 'let $k := fn:concat("C", (($i + $s) mod 40) + 1) '
+                 "where $r/CID eq $k return $r/REGION")
+        shift = {"s": [AtomicValue(3, "xs:integer")]}
+        assert "INDEX NESTED-LOOP JOIN" in platform.explain(query, shift)
+        result = platform.execute(query, shift)
+        assert [item.string_value() for item in result] == [
+            f"zone{((i + 3) % 40 + 1) % 7}" for i in range(1, 101)]
+        assert typed == []  # no key typed, no leaf built
+        assert len(rows_built) == 1  # the row the build evaluates its sequence in
 
     @pytest.mark.parametrize("size", [1, 256])
     def test_a_range_for_streams_its_first_item_in_constant_memory(self, size):

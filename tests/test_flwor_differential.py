@@ -58,6 +58,16 @@ a ``where`` that empties batches, ``return`` values off the fast path, a
 FLWOR per group row — and :data:`CARRIED` holds group-by and index joins
 over carried columns, whose keys meet one item or two.
 
+A fourth (:func:`row_backed_cases`) holds the *path column* to the nested
+loop: an ``eq`` index join over row-backed records — a CSV file's, and a
+drawn subset of a table scan's — carries ``$r`` as an item column, and a
+child step over it is read under operands, ``fn:data``, ``let``,
+``where``, group and order keys and ``return``.  The records hold NULL
+fields, a name two leaves share, an ``xs:integer`` field that is text in
+the row, an empty string, a duplicate key and a record built by an earlier
+read, so some batches (and index builds) are answered by the column and
+the others fall back.
+
 Where the reference shares the engine's plan, it cannot see a wrong plan:
 :data:`POSITIONAL` (filter predicates that may select by position) and
 :func:`test_range_operands_are_integers` assert values written by hand.
@@ -71,6 +81,7 @@ The tier-1 slice is derandomized.  For a soak with fresh examples
 from __future__ import annotations
 
 import sys
+import tempfile
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -78,6 +89,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import serialize
 from repro.demo import build_demo_platform
 from repro.errors import DynamicError, XMLError
+from repro.relational import Database
+from repro.schema import leaf, shape
 from repro.xml import AtomicValue, element
 from repro.xml.items import AttributeNode, TextNode
 from repro.xml.qname import QName
@@ -89,6 +102,8 @@ from tests.flwor_reference import reference_execute, reference_platform  # noqa:
 BATCH_SIZES = (1, 2, 7, 256)
 
 _PLATFORMS: dict = {}
+#: where the CSV file the platforms read lives (removed at exit)
+_FILES = tempfile.TemporaryDirectory()
 
 
 def platforms() -> dict:
@@ -98,10 +113,22 @@ def platforms() -> dict:
     engine runs (``same-plan``: off the same plan cache) — the pushdown
     pass also moves a ``where`` above a ``let``, which decides whether a
     failing ``let`` is reached — except for joins, where it runs the nested
-    loop of a plan compiled with pushdown off."""
+    loop of a plan compiled with pushdown off.  Both serve the row-backed
+    records of :data:`RECORDS_CSV` (``RECS()``) and :data:`ITEM_ROWS`
+    (``ITEMS()``)."""
     if not _PLATFORMS:
         _PLATFORMS["same-plan"] = build_demo_platform(customers=2, orders_per_customer=0)
         _PLATFORMS["nested-loop"] = reference_platform(customers=2, orders_per_customer=0)
+        path = Path(_FILES.name) / "records.csv"
+        path.write_text(RECORDS_CSV)
+        for platform in _PLATFORMS.values():
+            platform.register_csv_file("RECS", path, shape("REC", [
+                leaf(name, type_name, "?") for name, type_name in RECORD_FIELDS]))
+            database = Database("itemdb", vendor="oracle", clock=platform.clock)
+            database.create_table("ITEMS", [("K", "VARCHAR"), ("N", "INTEGER"), ("V", "VARCHAR")])
+            for k, n, v in ITEM_ROWS:
+                database.table("ITEMS").insert({"K": k, "N": n, "V": v})
+            platform.register_database(database)
     return _PLATFORMS
 
 
@@ -629,6 +656,78 @@ def test_group_by_and_index_joins_over_carried_columns():
                 check(query, {"rows": rows, "b": b, "p": _atoms(7)}, "nested-loop")
 
 
+# -- row-backed records: child steps over a carried item column -----------------
+
+#: a CSV file's records, ``RECS()``: an ``xs:string`` key, an
+#: ``xs:integer`` field (text in the row: typed on the atom lane) and
+#: ``V``, the name two leaves share, absent, once or twice
+RECORD_FIELDS = [("K", "xs:string"), ("N", "xs:integer"), ("V", "xs:string"),
+                 ("V", "xs:string")]
+RECORDS_CSV = "K,N,V,V\nk0,1,x,\nk1,,,y\nk2,2,z,w\nk3,4,,\nk4,5,v,\n"
+#: a table's rows, ``ITEMS()``: NULLs (a key's too), an empty string, a
+#: duplicate key
+ITEM_ROWS = [("k0", 0, "x"), ("k1", None, None), (None, 2, "y"), ("k3", 3, ""),
+             ("k2", 7, "v"), ("k1", 5, "w")]
+
+#: each consumer of a child step over ``$r``, which an ``eq`` index join
+#: (``JOIN``) carries as an item column: operands, ``fn:data``, ``let``
+#: (a grouped ``$x`` stays a clause), ``where``, group and order keys,
+#: ``return``
+ROW_BACKED_TAILS = [
+    "JOIN return $r/V",
+    "JOIN return $r/K",
+    "JOIN return fn:data($r/N)",
+    "JOIN return $r/N + $i",
+    'JOIN return fn:concat($r/K, "-", $r/V)',
+    "let $x := $r/V JOIN group $x as $xs by $i mod 2 as $g return <G>{$g}{$xs}</G>",
+    'let $x := fn:data($r/K) JOIN and $x ne "k1" '
+    "group $x as $xs by $r/N as $g return <G>{$g}{$xs}</G>",
+    "JOIN and $r/N gt 1 return <R>{$r/K}{$i}</R>",
+    "JOIN and $r/V return $r/K",
+    "JOIN group $r as $rs by $r/K as $g return <G>{$g}{fn:count($rs)}</G>",
+    "JOIN order by $r/N descending, $i return <R>{$r/N}{$i}</R>",
+    "JOIN order by $r/V return $r/K",
+]
+
+_TABLE_RECORDS: list = []
+
+
+def table_records() -> list:
+    """``ITEMS()`` as a table scan returns it (the reference platform's
+    plan pushes nothing), the fifth record already built by a read."""
+    if not _TABLE_RECORDS:
+        _TABLE_RECORDS.extend(platforms()["nested-loop"].execute("ITEMS()"))
+        _TABLE_RECORDS[4].children()
+    return _TABLE_RECORDS
+
+
+@st.composite
+def row_backed_cases(draw):
+    """``(query, variables)``: an index join probing the CSV file's records
+    or a drawn subset of the table's, then a consumer of a child step."""
+    records = table_records()
+    rows = [records[i] for i in draw(st.lists(st.integers(0, len(records) - 1),
+                                              max_size=len(records), unique=True))]
+    tail = draw(st.sampled_from(ROW_BACKED_TAILS)).replace(
+        "JOIN", 'where $r/K eq fn:concat("k", $i mod 4)')
+    query = (f"for $i in (1 to {draw(st.integers(1, 9))}) "
+             f"for $r in {draw(st.sampled_from(['RECS()', '$rows']))} {tail}")
+    return query, {"rows": rows}
+
+
+test_child_steps_over_row_backed_records = differential(
+    row_backed_cases(), "nested-loop", 100)
+
+
+def test_a_where_on_a_child_step_keeps_an_empty_or_zero_field():
+    """A node's effective boolean value is true whatever it holds: ``k0``'s
+    ``N`` is 0 and ``k3``'s ``V`` is the empty string."""
+    rows = [table_records()[0], table_records()[3]]
+    for field in ("N", "V"):
+        check(f'for $i in (1 to 4) for $r in $rows where $r/K eq fn:concat("k", $i mod 4) '
+              f"and $r/{field} return $r/K", {"rows": rows}, "nested-loop")
+
+
 # -- scoping: a request's bindings are the root row ----------------------------
 
 SCOPING: list[tuple[str, dict]] = [
@@ -677,6 +776,8 @@ if __name__ == "__main__":
     print(f"{examples // 4} generated column-lane fallbacks equal the reference")
     differential(column_cases(CARRIED_TAILS), "same-plan", examples // 4, derandomize=False)()
     print(f"{examples // 4} generated carried-column fallbacks equal the reference")
+    differential(row_backed_cases(), "nested-loop", examples // 4, derandomize=False)()
+    print(f"{examples // 4} generated child steps over row-backed records equal the reference")
     if "--no-joins" not in sys.argv:
         differential(join_cases(), "nested-loop", examples // 4, derandomize=False)()
         print(f"{examples // 4} generated index joins equal the nested loop")
