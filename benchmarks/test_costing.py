@@ -92,12 +92,11 @@ def chosen_strategy(platform) -> str:
 
 def run_profile(config: dict) -> dict:
     costed = make_platform(**config)
-    costed.configure(cost_based=True)
     row = {"config": config, "chosen": chosen_strategy(costed),
            "costed": timed(costed), "forced": {}}
     for strategy in STRATEGIES:
         platform = make_platform(**config)
-        platform.configure(cost_based=True, force_strategy=strategy)
+        platform.configure(force_strategy=strategy)
         row["forced"][strategy] = timed(platform)
     return row
 
@@ -106,7 +105,6 @@ def run_replan() -> dict:
     def lying_platform(threshold):
         platform = make_platform(**REPLAN)
         platform.statistics.set_table_stats("crm", "CUSTOMER", rows=5)
-        platform.configure(cost_based=True)
         if threshold:
             platform.configure(replan_threshold=threshold)
         return platform
@@ -120,7 +118,6 @@ def run_replan() -> dict:
     assert replanning.ctx.stats.replans == 1
 
     good = make_platform(**REPLAN)  # honest statistics
-    good.configure(cost_based=True)
     good_run = timed(good)
 
     assert bad_run["results"] == replan_run["results"] == good_run["results"]

@@ -480,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="NAME=VALUE",
                         help="set one engine configuration field (repeatable; "
                              "see README \"Configuration\"), e.g. "
-                             "batch_size=1, cost_based=true, "
+                             "batch_size=1, force_strategy=ppk, "
                              "replan_threshold=none")
     commands = parser.add_subparsers(dest="command", required=True)
 

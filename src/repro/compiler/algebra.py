@@ -140,20 +140,7 @@ class Correlation:
     general: bool = False
 
 
-class Costed:
-    """The stamps :mod:`repro.compiler.costing` writes on a node that
-    carries a strategy choice; unset without cost-based choice."""
-
-    est_strategy: Optional[str] = None
-    est_rows: Optional[float] = None
-    est_ms: Optional[float] = None
-    est_outer: Optional[float] = None  # the outer tuples it was costed for
-    est_via: Optional[str] = None  # "statistics" | "observed"
-    est_runner_up: Optional[str] = None
-    est_runner_up_ms: Optional[float] = None
-
-
-class PushedSQL(Costed, ast.AstNode):
+class PushedSQL(ast.AstNode):
     """A maximal single-database region compiled to SQL (section 4.3/4.4).
 
     Evaluation: compute ``param_exprs`` in the middleware, bind them
@@ -231,7 +218,7 @@ class PushedTupleForClause(ast.Clause):
         return [var for var, _t in self.var_templates]
 
 
-class PPkLetClause(Costed, ast.Clause):
+class PPkLetClause(ast.Clause):
     """``let $var := <correlated pushed region>`` executed PP-k style
     (section 4.2).
 
@@ -245,9 +232,6 @@ class PPkLetClause(Costed, ast.Clause):
     _fields = ("pushed",)
     _attrs = ("var", "k")
 
-    #: the runtime may re-plan PP-k -> full scan mid-query (costing)
-    est_replan_scan: bool = False
-
     def __init__(self, var: str, pushed: PushedSQL, k: int = DEFAULT_PPK_BLOCK_SIZE):
         super().__init__()
         self.var = var
@@ -255,7 +239,7 @@ class PPkLetClause(Costed, ast.Clause):
         self.k = k
 
 
-class IndexJoinForClause(Costed, ast.Clause):
+class IndexJoinForClause(ast.Clause):
     """``for $var in expr`` equi-joined to the outer stream via a hash
     index — the *index nested loop* of the paper's join repertoire
     (section 5.2).

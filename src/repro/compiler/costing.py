@@ -1,43 +1,37 @@
-"""Cost-based plan choice (P-COST): costing pass + admission estimator.
+"""Cost-based plan choice (P-COST): the cost model, the costing pass and
+the admission estimator.
 
 The paper's section 4.3 picks distributed access strategies with fixed
-heuristics and section 9 sketches the intended replacement — an optimizer
-driven by observed costs.  This pass implements it: after SQL pushdown it
-walks the physical plan, and for every correlated source region (a
-``PPkLetClause`` + its paired ``for``) it costs the three members of the
-join repertoire —
+heuristics; section 9 sketches an optimizer driven by observed costs.
+The costing pass runs on every compile, after SQL pushdown: for every
+correlated source region (a ``PPkLetClause`` + its paired ``for``) it
+costs the join repertoire — **PP-k** (ceil(N/k) disjunctive roundtrips,
+matched rows shipped, a middleware hash join per tuple), **index join**
+(one full scan of the inner, hash-indexed once, probed per outer tuple)
+and **ship-all** (a per-tuple rescan: a ``for`` over the scan and a
+``where`` on the join key) — and builds the winner.
+``EngineConfig.force_strategy`` pins one instead, the ablation (``"ppk"``
+is the fixed heuristics' plan).  The strategy is structure, the operator
+the plan holds; no estimate stays on the plan.
 
-* **PP-k** — ceil(N/k) disjunctive roundtrips, matched rows shipped,
-  a middleware hash join per tuple;
-* **index join** — one full scan of the inner table, hash-indexed once,
-  probed per outer tuple;
-* **ship-all** — the naive per-tuple rescan (one roundtrip per outer
-  tuple), always dominated but available for forcing/ablation —
-
-and stamps the winner into the plan, transforming the region when a
-non-PP-k strategy wins.  Inputs come from the
+:func:`estimate` is the same model, read over a compiled plan against
+the statistics as they are when it is called: ``explain``, ``profile``
+(before it runs) and the mid-query re-plan call it.  Inputs are the
 :class:`~repro.compiler.stats.StatisticsCatalog` (cardinalities,
-selectivities, and source latency — observed where the runtime's fit
-identified it, declared where it did not) and — for recurring plan
-fingerprints — from the operator actuals of
-:class:`~repro.runtime.observed.ObservedStatistics` (warm-start costing:
-the second compilation of a repeated query estimates from *observed*
-rows).  Runs of adjacent independent single-match units
-are additionally reordered greedily by the classic predicate-ordering
-rank (cheapest-and-most-selective first).
+selectivities, source latency) and, for a plan that has run under a
+recording request, its operator actuals in
+:class:`~repro.runtime.observed.ObservedStatistics` (warm start).  A
+costed operator's estimated rows predict what its spans count.  Costing
+never peeks at bind values: a plan-cache shape hit serves the strategy
+its shape was costed for, and the re-plan threshold answers a bad
+estimate.
 
-All three strategies are result-identical on these regions: the pair is
-an inner equi-join whose per-key matches arrive in table order under
-every strategy, which is also what makes the runtime's mid-query re-plan
-(PP-k -> scan, index -> PP-k; see ``runtime/operators/ppk.py`` and
-``runtime/evaluate.py``) safe at a pipeline boundary.
-
-A region is skipped entirely — no stamp, no transform, byte-identical
-plan — when the catalog cannot see its source (unknown database/table),
-so cold-start behaviour off the demo federation is exactly the heuristic
-plan.  The pass numbers the transformed tree by ``assign_operator_ids``'s
-rule (``explain.is_operator``), so warm-start lookups join the stats
-store on the ids the executed plan actually carried.
+All three strategies are result-identical on these regions (an inner
+equi-join whose per-key matches arrive in table order), which is also
+what makes the runtime's re-plan (PP-k -> scan, index -> PP-k) safe at a
+pipeline boundary.  A region the catalog cannot see is left as it is.
+The pass numbers operators by ``assign_operator_ids``'s rule, so warm
+starts join the stats store on the ids the executed plan carries.
 
 :func:`admission_cost` is the same per-operator time model under cold
 priors, normalized to keyed-lookup units — what the serving layer's
@@ -47,7 +41,8 @@ admission control prices a request at (``server/frontend.py``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from ..config import STRATEGIES
 from ..sql.ast_nodes import TableRef
@@ -84,9 +79,8 @@ ADMISSION_UNIT_MS = PRIOR_ROUNDTRIP_MS + PRIOR_PER_ROW_MS
 
 @dataclass
 class CostingOptions:
-    """What the costing pass reads besides the plan (whether it runs, and
-    any forced strategy, are ``EngineConfig.cost_based`` and
-    ``force_strategy``)."""
+    """What the cost model reads besides the plan (a forced strategy is
+    ``EngineConfig.force_strategy``)."""
 
     #: the statistics layer (:class:`~repro.compiler.stats.StatisticsCatalog`)
     catalog: object = None
@@ -96,60 +90,95 @@ class CostingOptions:
     ppk_join_ms_per_tuple: float = 0.01
 
 
-def apply_costing(expr: ast.AstNode, plan_key: str, options: CostingOptions,
-                  force: str | None = None) -> ast.AstNode:
-    """Run the costing pass over a pushed plan (in place) and return it.
-    ``plan_key`` is what the runtime will observe the plan under;
-    ``force`` pins every convertible region to one strategy."""
-    if options.catalog is None:
-        return expr
-    from ..observability import plan_fingerprint
+class Estimate(NamedTuple):
+    """What the cost model expects of one costed operator: a plain scan
+    region, or a join region under the strategy the plan holds."""
 
-    _CostingPass(options, plan_fingerprint(plan_key), force).run(expr)
-    return expr
+    #: the rows the operator's spans will count, over all its evaluations
+    rows: float
+    ms: float
+    via: str  # "statistics" | "observed"
+    strategy: Optional[str] = None
+    #: the outer tuples a join region was costed for
+    outer: Optional[float] = None
+    runner_up: Optional[str] = None
+    runner_up_ms: Optional[float] = None
+
+    def __str__(self) -> str:
+        """What ``explain`` appends to the operator's line."""
+        bits = [form.format(value) for value, form in (
+            (self.strategy, "strategy={}"), (self.rows, "est_rows={:.0f}"),
+            (self.ms, "est_ms={:.2f}"), (self.via, "via={}"),
+            (self.runner_up, f"runner-up={{}}({self.runner_up_ms or 0.0:.2f}ms)"))
+            if value is not None]
+        return f" [cost: {', '.join(bits)}]"
+
+
+def apply_costing(expr: ast.AstNode, plan_key: str, options) -> None:
+    """Choose every join region's strategy, in place.  ``plan_key`` is what
+    the runtime observes the plan under; ``options`` are the compiler's
+    (``options.cost``: a :class:`CostingOptions`, or None to leave the
+    plan as it is)."""
+    if options.cost is not None:
+        _CostingPass(options, plan_key, decide=True).run(expr)
+
+
+def estimate(expr: ast.AstNode, plan_key: str, options) -> dict[int, Estimate]:
+    """The cost model over a compiled plan, under the statistics as they
+    are now: each costed operator's :class:`Estimate`, by ``id(node)``.
+    Reads the plan and never writes it."""
+    if options.cost is None:
+        return {}
+    return _CostingPass(options, plan_key, decide=False).run(expr)
 
 
 @dataclass
 class _Unit:
-    """One candidate region: a ``PPkLetClause`` + its paired ``for``."""
+    """One join region, under the strategy the plan holds."""
 
-    let: PPkLetClause
-    for_clause: ast.ForClause
-    rows: float  # inner table cardinality
+    strategy: str
+    #: the correlated region (a ship-all's: its scan, uncorrelated)
+    pushed: PushedSQL
+    #: PP-k's block size for the region
+    k: int
+    var: str  # what the join binds per matched inner item
+    width: int  # the clauses it spans in its FLWOR
     m_eff: float  # rows surviving the region's own pushed predicates
     sel: float  # selectivity of one equality key on the join column
     rt: float
     pr: float
-    key_column: str
     #: template element carrying the join key, or None when the
     #: reconstruction does not surface it (then only PP-k is valid:
     #: the other strategies key on the reconstructed item)
     key_element: str | None
-    #: the join column is the inner table's single-column primary key
-    #: (at most one match per outer tuple — safe to reorder)
-    single_match: bool = False
-    pushed: PushedSQL = field(init=False)
-
-    def __post_init__(self):
-        self.pushed = self.let.pushed
+    #: a PP-k region's clause: an index join keeps it as its twin
+    let: PPkLetClause | None = None
 
 
 class _CostingPass:
-    def __init__(self, options: CostingOptions, fingerprint: str,
-                 force: str | None):
-        self.catalog = options.catalog
-        self.force = force
-        self.join_ms = options.ppk_join_ms_per_tuple
+    """One walk of the cost model over a plan: ``decide`` chooses (and
+    builds) each PP-k region's strategy, otherwise the walk only reads
+    the strategies the plan holds.  Either way ``estimates`` ends up
+    holding every costed operator's :class:`Estimate`."""
+
+    def __init__(self, options, plan_key: str, decide: bool):
+        from ..observability import plan_fingerprint
+
+        cost, self.config = options.cost, options.config
+        self.catalog, self.join_ms = cost.catalog, cost.ppk_join_ms_per_tuple
+        self.decide = decide
         #: observed per-operator EWMAs for this plan's fingerprint
         self.ops: dict = {}
-        if options.store is not None:
-            self.ops = options.store.operators(fingerprint)
+        if cost.store is not None:
+            self.ops = cost.store.operators(plan_fingerprint(plan_key))
+        self.estimates: dict[int, Estimate] = {}
         #: ``assign_operator_ids``'s pre-order counter over the *output*
         #: tree: the next operator gets ``_next_id + 1``
         self._next_id = 0
 
-    def run(self, expr: ast.AstNode) -> None:
+    def run(self, expr: ast.AstNode) -> dict[int, Estimate]:
         self._visit(expr, 1.0)
+        return self.estimates
 
     # -- traversal (assign_operator_ids's operator rule) --------------------
 
@@ -169,16 +198,16 @@ class _CostingPass:
         clauses = flwor.clauses
         i = 0
         while i < len(clauses):
-            units = self._candidate_run(flwor, clauses, i)
-            if units:
-                i, n = self._decide_run(clauses, i, units, n)
+            unit = self._unit_at(flwor, clauses, i)
+            if unit is not None:
+                i, n = self._join(clauses, i, unit, n)
                 continue
             n = self._visit_plain_clause(clauses[i], n)
             i += 1
         self._visit(flwor.return_expr, n)
 
     def _visit_plain_clause(self, clause: ast.Clause, n: float) -> float:
-        if isinstance(clause, ast.ForClause) and \
+        if type(clause) is ast.ForClause and \
                 isinstance(clause.expr, PushedSQL) and \
                 clause.expr.correlation is None:
             rows = self._scan_estimate(clause.expr, n)
@@ -190,8 +219,8 @@ class _CostingPass:
     # -- plain scan regions --------------------------------------------------
 
     def _scan_estimate(self, pushed: PushedSQL, n: float) -> float | None:
-        """Estimated rows per evaluation of an uncorrelated pushed region;
-        stamps ``est_*`` on the node.  None when the source is unknown."""
+        """Estimated rows per evaluation of an uncorrelated pushed region,
+        ``n`` of them; None when the source is unknown."""
         info = self._source_info(pushed)
         if info is None:
             return None
@@ -204,9 +233,7 @@ class _CostingPass:
         if entry is not None and entry.observations > 0:
             rows = entry.ewma_rows / max(n, 1.0)
             via = "observed"
-        pushed.est_rows = rows
-        pushed.est_ms = rt + rows * pr
-        pushed.est_via = via
+        self.estimates[id(pushed)] = Estimate(n * rows, n * (rt + rows * pr), via)
         return rows
 
     def _source_info(self, pushed: PushedSQL):
@@ -223,199 +250,114 @@ class _CostingPass:
             return None
         return (stats, *latency)
 
-    # -- candidate regions ---------------------------------------------------
+    # -- join regions --------------------------------------------------------
 
-    def _candidate_run(self, flwor, clauses, i) -> list[_Unit]:
-        units: list[_Unit] = []
-        j = i
-        while True:
-            unit = self._candidate_unit(flwor, clauses, j)
-            if unit is None:
-                break
-            units.append(unit)
-            j += 2
-        return units
+    def _unit_at(self, flwor, clauses, i) -> _Unit | None:
+        """The join region starting at ``clauses[i]``, under the strategy
+        the plan holds: a PP-k let and its paired ``for``, an index join
+        the pass built (it keeps its PP-k twin), or a ship-all pair."""
+        clause = clauses[i]
+        nxt = clauses[i + 1] if i + 1 < len(clauses) else None
+        if isinstance(clause, IndexJoinForClause) and clause.replan_ppk is not None:
+            twin = clause.replan_ppk  # (the optimizer's own index joins have none)
+            return self._unit(INDEX_JOIN, twin.pushed, twin.k, clause.var, 1,
+                              *_correlated(twin.pushed), twin)
+        if isinstance(clause, PPkLetClause) and clause.k > 1 \
+                and clause.pushed.correlation is not None and not clause.pushed.regroup \
+                and type(nxt) is ast.ForClause and nxt.pos_var is None \
+                and isinstance(nxt.expr, ast.VarRef) and nxt.expr.name == clause.var \
+                and _var_uses(flwor, clause.var) == 1:
+            # the group variable feeds *only* its paired for: the pair is an
+            # inner equi-join and every strategy is equivalent
+            return self._unit(PPK, clause.pushed, clause.k, nxt.var, 2,
+                              *_correlated(clause.pushed), clause)
+        key = _ship_all_key(clause, nxt)
+        if key is not None:
+            return self._unit(SHIP_ALL, clause.expr, self.config.ppk_block_size,
+                              clause.var, 2, *key)
+        return None
 
-    def _candidate_unit(self, flwor, clauses, j) -> _Unit | None:
-        if j + 1 >= len(clauses):
-            return None
-        clause = clauses[j]
-        if not isinstance(clause, PPkLetClause) or clause.k <= 1:
-            return None
-        pushed = clause.pushed
-        if pushed.correlation is None or pushed.regroup:
-            return None
-        nxt = clauses[j + 1]
-        if not (isinstance(nxt, ast.ForClause) and nxt.pos_var is None
-                and isinstance(nxt.expr, ast.VarRef)
-                and nxt.expr.name == clause.var):
-            return None
-        # the group variable must feed *only* its paired for — then the
-        # pair is an inner equi-join and every strategy is equivalent
-        if _var_uses(flwor, clause.var) != 1:
-            return None
+    def _unit(self, strategy: str, pushed: PushedSQL, k: int, var: str,
+              width: int, column: str | None, element: str | None,
+              twin: PPkLetClause | None = None) -> _Unit | None:
         info = self._source_info(pushed)
-        if info is None:
-            return None  # unknown source: keep the heuristic plan untouched
+        if info is None or column is None:
+            return None  # unknown source: leave the region as it is
         stats, rt, pr = info
-        column = getattr(pushed.correlation.column_expr, "column", None)
-        if column is None:
-            return None
-        rows = float(stats.rows)
-        m_eff = rows
+        m_eff = float(stats.rows)
         if pushed.select.where is not None:
-            m_eff = max(rows * DEFAULT_SELECTIVITY, 1.0) if rows > 0 else 0.0
-        return _Unit(
-            let=clause, for_clause=nxt, rows=rows, m_eff=m_eff,
-            sel=clamp_selectivity(stats, column), rt=rt, pr=pr,
-            key_column=column,
-            key_element=_key_element(pushed.template,
-                                     pushed.correlation.column_alias),
-            single_match=stats.unique_columns == (column,),
-        )
+            m_eff = max(m_eff * DEFAULT_SELECTIVITY, 1.0) if m_eff > 0 else 0.0
+        return _Unit(strategy, pushed, k, var, width, m_eff,
+                     clamp_selectivity(stats, column), rt, pr, element, twin)
 
-    # -- decision ------------------------------------------------------------
-
-    def _decide_run(self, clauses, i, units, n) -> tuple[int, float]:
-        if len(units) > 1:
-            units = self._reorder(units, n)
-            pairs: list[ast.Clause] = []
-            for unit in units:
-                pairs.extend((unit.let, unit.for_clause))
-            clauses[i:i + len(pairs)] = pairs
-        pos = i
-        for unit in units:
-            inserted, n = self._decide_unit(clauses, pos, unit, n)
-            pos += inserted
-        return pos, n
-
-    def _reorder(self, units: list[_Unit], n: float) -> list[_Unit]:
-        """Greedy cost-ordered join ordering over a run of adjacent units.
-
-        Only provably order-safe runs are permuted: every unit joins on
-        its inner table's single-column primary key (at most one match —
-        the unit is a pure filter+annotate, so filters commute and outer
-        order is preserved) and no unit's pushed region references a
-        variable bound by another unit in the run."""
-        from ..sql.pushdown import free_vars
-
-        bound: set[str] = set()
-        for unit in units:
-            bound.add(unit.let.var)
-            bound.add(unit.for_clause.var)
-        for unit in units:
-            if not unit.single_match:
-                return units
-            if free_vars(unit.pushed) & bound:
-                return units
-        order = sorted(range(len(units)),
-                       key=lambda idx: self._rank(units[idx]))
-        return [units[idx] for idx in order]
-
-    def _rank(self, unit: _Unit) -> float:
-        """Classic predicate-ordering rank: per-tuple cost over the
-        fraction of tuples dropped — cheap, selective joins run first."""
-        per_tuple = (unit.rt / unit.let.k + unit.m_eff * unit.sel * unit.pr
-                     + self.join_ms)
-        pass_fraction = min(1.0, unit.m_eff * unit.sel)
-        if pass_fraction >= 1.0:
-            return math.inf
-        return per_tuple / (1.0 - pass_fraction)
-
-    def _decide_unit(self, clauses, pos, unit: _Unit,
-                     n: float) -> tuple[int, float]:
+    def _join(self, clauses, i, unit: _Unit, n: float) -> tuple[int, float]:
+        """Cost one join region (choosing its strategy, when deciding) and
+        record the estimate of the strategy the plan then holds."""
         n_eff = max(n, 1.0)
         match = n_eff * unit.m_eff * unit.sel
         via = "statistics"
         entry = self.ops.get(self._next_id + 1)
         if entry is not None and entry.observations > 0 and entry.ewma_rows > 0:
-            # warm start: the operator's observed EWMA of matched rows
-            # (PP-k fetch spans carry them) replaces the sketch estimate
+            # warm start: the operator's observed EWMA of joined rows
+            # (PP-k fetch and index-join spans carry them) replaces the
+            # sketch estimate
             match = entry.ewma_rows
             via = "observed"
-        k = unit.let.k
+        # PP-k: per block, one roundtrip shipping its matches, then the
+        # middleware join — which overlaps the next block's fetch when
+        # pipelined, so only the longer of the two counts
+        blocks = math.ceil(n_eff / unit.k)
+        fetch = unit.rt + match / blocks * unit.pr
+        join = n_eff / blocks * self.join_ms
+        overlapped = max(fetch, join) if self.config.ppk_pipelining else fetch + join
         costs = {
-            PPK: (math.ceil(n_eff / k) * unit.rt + match * unit.pr
-                  + n_eff * self.join_ms),
+            PPK: fetch + (blocks - 1) * overlapped + join,
             INDEX_JOIN: (unit.rt + unit.m_eff * unit.pr
                          + (unit.m_eff + n_eff) * PROBE_MS),
             SHIP_ALL: (n_eff * unit.rt + n_eff * unit.m_eff * unit.pr
                        + n_eff * PROBE_MS),
         }
         convertible = unit.key_element is not None
-        ranked = sorted(STRATEGIES, key=lambda s: costs[s]) if convertible \
+        ranked = sorted(STRATEGIES, key=costs.__getitem__) if convertible \
             else [PPK]
-        winner = ranked[0]
-        force = self.force
-        if force is not None:
-            winner = force if (force == PPK or convertible) else PPK
-        runner = next((s for s in ranked if s != winner), None)
-        stamp = {
-            "est_strategy": winner, "est_rows": match,
-            "est_ms": costs[winner], "est_outer": n_eff, "est_via": via,
-        }
-        if runner is not None:
-            stamp["est_runner_up"] = runner
-            stamp["est_runner_up_ms"] = costs[runner]
-        if winner == PPK:
-            vars(unit.let).update(stamp)
-            # the scan fallback is valid iff the region is convertible
-            unit.let.est_replan_scan = convertible
-            self._visit(unit.let, n_eff)
-            inserted = 2
-        elif winner == INDEX_JOIN:
-            join = self._make_index_join(unit)
-            vars(join).update(stamp)
-            clauses[pos:pos + 2] = [join]
-            # the abandoned PP-k twin keeps the clause's operator id so a
-            # mid-query re-plan's spans attribute to the same operator
-            unit.let.op_id = self._next_id + 1
-            self._visit(join, n_eff)
-            inserted = 1
-        else:  # SHIP_ALL
-            for_clause, where = self._make_ship_all(unit)
-            vars(for_clause.expr).update(stamp)
-            clauses[pos:pos + 2] = [for_clause, where]
-            self._visit(for_clause, n_eff)
-            self._visit(where, n_eff)
-            inserted = 2
-        return inserted, match
+        force = self.config.force_strategy
+        if self.decide and unit.strategy == PPK:
+            winner = ranked[0] if force is None else \
+                force if force == PPK or convertible else PPK
+            self._build(clauses, i, unit, winner)
+        strategy = unit.strategy
+        costed = clauses[i] if strategy != SHIP_ALL else clauses[i].expr
+        runner = next((s for s in ranked if s != strategy), None)
+        self.estimates[id(costed)] = Estimate(
+            n_eff * unit.m_eff if strategy == SHIP_ALL else match,
+            costs[strategy], via, strategy, n_eff, runner,
+            costs[runner] if runner is not None else None)
+        for clause in clauses[i:i + unit.width]:
+            self._visit(clause, n_eff)
+        return i + unit.width, match
 
-    # -- transformations -----------------------------------------------------
-
-    def _scan_of(self, unit: _Unit) -> PushedSQL:
-        """The region's base select as a plain full scan: the correlation
-        predicate is *not* baked into the select (the PP-k executor adds
-        it per block), so dropping the correlation is the whole scan."""
-        scan = unit.pushed.clone()
+    def _build(self, clauses, i, unit: _Unit, strategy: str) -> None:
+        """Replace a PP-k region's clauses by ``strategy``'s, over the
+        region's base select as a plain full scan (the PP-k executor adds
+        the correlation predicate per block, so dropping it is the whole
+        scan) keyed by ``fn:data($var/KEY_ELEMENT)`` of each item."""
+        unit.strategy = strategy
+        if strategy == PPK:
+            return
+        correlation, scan = unit.pushed.correlation, unit.pushed.clone()
         scan.correlation = None
-        return scan
-
-    def _item_key(self, unit: _Unit, var: str) -> ast.AstNode:
-        """``fn:data($var/KEY_ELEMENT)`` over a reconstructed inner item."""
-        step = ast.Step("child", ast.NameTest(unit.key_element))
-        return ast.FunctionCall(
-            "fn:data", [ast.PathExpr(ast.VarRef(var), [step])])
-
-    def _make_index_join(self, unit: _Unit) -> IndexJoinForClause:
-        var = unit.for_clause.var
-        correlation = unit.pushed.correlation
-        join = IndexJoinForClause(
-            var, self._scan_of(unit), self._item_key(unit, var),
-            correlation.outer_key.clone(), correlation.general)
-        # runner-up twin for the runtime's index -> PP-k re-plan
-        join.replan_ppk = unit.let
-        return join
-
-    def _make_ship_all(self, unit: _Unit) -> tuple[ast.ForClause,
-                                                   ast.WhereClause]:
-        var = unit.for_clause.var
-        correlation = unit.pushed.correlation
-        condition = ast.Comparison(
-            "eq", correlation.outer_key.clone(),
-            self._item_key(unit, var), general=correlation.general)
-        return ast.ForClause(var, self._scan_of(unit)), \
-            ast.WhereClause(condition)
+        key = ast.FunctionCall("fn:data", [ast.PathExpr(
+            ast.VarRef(unit.var), [ast.Step("child", ast.NameTest(unit.key_element))])])
+        if strategy == INDEX_JOIN:
+            join = IndexJoinForClause(unit.var, scan, key, correlation.outer_key.clone(),
+                                      correlation.general)
+            # the runner-up twin for the runtime's index -> PP-k re-plan keeps
+            # the clause's operator id, so a re-plan's spans attribute to it
+            join.replan_ppk, unit.let.op_id = unit.let, self._next_id + 1
+            clauses[i:i + 2], unit.width = [join], 1
+        else:
+            clauses[i:i + 2] = [ast.ForClause(unit.var, scan), ast.WhereClause(ast.Comparison(
+                "eq", correlation.outer_key.clone(), key, general=correlation.general))]
 
 
 def _var_uses(node: ast.AstNode, name: str) -> int:
@@ -425,7 +367,35 @@ def _var_uses(node: ast.AstNode, name: str) -> int:
                for sub in node.every_node())
 
 
-def _key_element(template: ast.AstNode, alias: str) -> str | None:
+def _correlated(pushed: PushedSQL) -> tuple[str | None, str | None]:
+    """(join column, key element) of a correlated region."""
+    correlation = pushed.correlation
+    return (getattr(correlation.column_expr, "column", None),
+            key_element(pushed.template, correlation.column_alias))
+
+
+def _ship_all_key(clause: ast.Clause, where) -> tuple[str, str] | None:
+    """(join column, key element) of ``for $v in <scan> where <outer key>
+    eq fn:data($v/KEY)`` — a ship-all as the pass builds it — or None."""
+    test = where.condition if isinstance(where, ast.WhereClause) else None
+    if type(clause) is not ast.ForClause or clause.pos_var is not None \
+            or not isinstance(clause.expr, PushedSQL) or clause.expr.correlation \
+            or not isinstance(test, ast.Comparison) or test.op != "eq" \
+            or not isinstance(test.right, ast.FunctionCall) or test.right.name != "fn:data":
+        return None
+    path, scan = test.right.args[0], clause.expr
+    if not isinstance(path, ast.PathExpr) or not isinstance(path.base, ast.VarRef) \
+            or path.base.name != clause.var or len(path.steps) != 1 \
+            or not isinstance(path.steps[0].test, ast.NameTest):
+        return None
+    element = path.steps[0].test.name
+    for item in scan.select.items:
+        if item.alias is not None and key_element(scan.template, item.alias) == element:
+            return getattr(item.expr, "column", None), element
+    return None
+
+
+def key_element(template: ast.AstNode, alias: str) -> str | None:
     """The element name the reconstruction template gives the correlation
     column, when the template surfaces it directly (not inside a nested or
     grouped slot) — the handle the index-join/ship-all strategies key on."""
@@ -436,7 +406,7 @@ def _key_element(template: ast.AstNode, alias: str) -> str | None:
             return template.element_name
         return None
     for child in template.children():
-        found = _key_element(child, alias)
+        found = key_element(child, alias)
         if found:
             return found
     return None

@@ -5,9 +5,10 @@ which regions were pushed (and their SQL), where PP-k joins run and with
 what block size, which joins use the hash-index method, and what stays in
 the middleware.  ``Platform.explain(query)`` is the user-facing entry.
 
-``Platform.profile(query)`` reuses this renderer: it passes an
-``annotate`` callback that appends per-operator actuals to operator
-lines, joined on the **operator ids** stamped by
+``Platform.explain`` and ``Platform.profile`` pass an ``annotate``
+callback that appends the estimates computed at call time
+(``costing.estimate``: a plan holds none) and, for profile, per-operator
+actuals to operator lines, joined on the **operator ids** stamped by
 :func:`assign_operator_ids` during compilation (stage 6), so explain and
 profile agree on which operator is which across plan-cache hits.
 """
@@ -21,7 +22,6 @@ from ..xquery import ast_nodes as ast
 from ..xquery.functions import is_builtin
 from .algebra import (
     ColumnSlot,
-    Costed,
     GroupSlot,
     IndexJoinForClause,
     NestedSlot,
@@ -91,20 +91,6 @@ def _pad(depth: int) -> str:
     return "  " * depth
 
 
-def _est_suffix(node: Costed) -> str:
-    """The costing pass's stamps, those set: chosen strategy, estimated
-    rows/time and the runner-up.  Plans compiled without cost-based choice
-    carry none, so their rendering is unchanged."""
-    if node.est_strategy is None and node.est_rows is None:
-        return ""
-    bits = [form.format(value) for value, form in (
-        (node.est_strategy, "strategy={}"), (node.est_rows, "est_rows={:.0f}"),
-        (node.est_ms, "est_ms={:.2f}"), (node.est_via, "via={}"),
-        (node.est_runner_up, f"runner-up={{}}({node.est_runner_up_ms or 0.0:.2f}ms)"))
-        if value is not None]
-    return f" [cost: {', '.join(bits)}]"
-
-
 def _sql_of(pushed: PushedSQL) -> str:
     return SqlRenderer(capabilities_for(pushed.vendor)).render(pushed.select)
 
@@ -124,7 +110,7 @@ def _lines(node: ast.AstNode, depth: int, annotate: Annotator = None) -> list[st
     pad = _pad(depth)
     if isinstance(node, PushedSQL):
         lines = [f"{pad}PUSHED SQL -> {node.database} "
-                 f"({node.vendor}){_est_suffix(node)}"]
+                 f"({node.vendor})"]
         lines.append(f"{pad}  sql[{_dialect_label(node)}]: {_sql_of(node)}")
         if node.param_exprs:
             lines.append(f"{pad}  parameters: {len(node.param_exprs)} middleware expression(s)")
@@ -178,7 +164,7 @@ def _clause_lines(clause: ast.Clause, depth: int,
         pushed = clause.pushed
         method = "index nested loops" if clause.k > 1 else "index nested loop (k=1)"
         lines = [f"{pad}PP-{clause.k} JOIN (let ${clause.var}) "
-                 f"using {method}{_est_suffix(clause)}"]
+                 f"using {method}"]
         lines.append(f"{pad}  -> {pushed.database} "
                      f"sql[{_dialect_label(pushed)}]: {_sql_of(pushed)}")
         lines.append(f"{pad}  + disjunctive block predicate on "
@@ -192,7 +178,7 @@ def _clause_lines(clause: ast.Clause, depth: int,
         return _mark(lines, clause, annotate)
     if isinstance(clause, IndexJoinForClause):
         return _mark([f"{pad}INDEX NESTED-LOOP JOIN for ${clause.var} "
-                      f"(hash-indexed inner, built once){_est_suffix(clause)}"],
+                      "(hash-indexed inner, built once)"],
                      clause, annotate)
     if isinstance(clause, ast.ForClause):
         lines = [f"{pad}for ${clause.var} in"]

@@ -164,14 +164,11 @@ class Compiler:
 
         config = self.options.config
         expr = push_sql(expr, config, bound=frozenset(env))
-        cost = self.options.cost
-        if cost is not None and (config.cost_based
-                                 or config.force_strategy is not None):
-            from .costing import apply_costing
+        from .costing import apply_costing
 
-            # (keyed on the user-visible externals only: module variables
-            # are not part of the plan key)
-            expr = apply_costing(expr, plan_key, cost, config.force_strategy)
+        # (keyed on the user-visible externals only: module variables are
+        # not part of the plan key)
+        apply_costing(expr, plan_key, self.options)
         from .scatter import stamp_scatter_groups
 
         stamp_scatter_groups(expr)

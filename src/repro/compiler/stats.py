@@ -34,8 +34,6 @@ class TableStats:
     rows: int
     #: column name -> number of distinct non-NULL values
     ndv: dict = field(default_factory=dict)
-    #: single-column primary key, when the table declares one
-    unique_columns: tuple = ()
 
 
 @guarded_by("_lock")
@@ -78,7 +76,7 @@ class StatisticsCatalog:
 
     def table_stats(self, database: str, table: str) -> TableStats | None:
         """Statistics for one table; None when the source is unknown (the
-        costing pass then leaves the region on its heuristic plan)."""
+        costing pass then leaves the region as it is)."""
         with self._lock:
             override = self._overrides.get((database, table))
         if override is not None:
@@ -94,8 +92,7 @@ class StatisticsCatalog:
             values = {row[column.name] for row in live.rows
                       if row.get(column.name) is not None}
             ndv[column.name] = len(values)
-        unique = tuple(live.primary_key) if len(live.primary_key) == 1 else ()
-        return TableStats(rows=len(live.rows), ndv=ndv, unique_columns=unique)
+        return TableStats(rows=len(live.rows), ndv=ndv)
 
     def latency(self, source: str) -> tuple[float, float] | None:
         """(roundtrip_ms, per_row_ms) for a source, each component observed

@@ -50,11 +50,8 @@ class EngineConfig:
     #: ask pushed scans for ORDER BY when a downstream FLWGOR groups on
     #: their columns (off: the middleware group-by sorts)
     request_clustering: bool = _shapes_plans(True)
-    #: cost PP-k vs index-join vs ship-all from statistics (off: the fixed
-    #: heuristics, byte-identical plans)
-    cost_based: bool = _shapes_plans(False)
-    #: pin every convertible region to one strategy; runs the costing
-    #: pass whatever ``cost_based`` says (ablation)
+    #: pin every convertible join region to one strategy instead of the
+    #: costed choice (ablation; ``"ppk"`` is the fixed heuristics' plan)
     force_strategy: str | None = _shapes_plans(None)
 
     # -- run time: read as queries run -----------------------------------

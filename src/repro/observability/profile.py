@@ -88,10 +88,9 @@ def _fold(span: Span, enclosing: int | None, out: dict[int, OperatorActuals]) ->
 
 def format_actuals(op: int, acts: OperatorActuals | None,
                    est_rows: float | None = None) -> str:
-    """The ``[actual: ...]`` suffix for one plan line.  When the costing
-    pass stamped an estimate, it renders next to the actual
-    (``est_rows=… act_rows=…``) so estimate/actual divergence is visible
-    in place; plans without stamps render exactly as before."""
+    """The ``[actual: ...]`` suffix for one plan line.  For a costed
+    operator the estimate renders next to the actual (``est_rows=…
+    act_rows=…``), so estimate/actual divergence is visible in place."""
     if acts is None:
         return f"  [#{op} actual: not executed]"
     parts = [f"{acts.spans} span(s)", f"{acts.elapsed_ms:.3f}ms"]
@@ -121,23 +120,26 @@ def format_actuals(op: int, acts: OperatorActuals | None,
     return f"  [#{op} actual: {', '.join(parts)}]"
 
 
-def make_annotator(aggregates: dict[int, OperatorActuals]):
-    """An ``annotate(node)`` callback for :func:`repro.compiler.explain.explain`."""
-    from ..compiler.algebra import Costed, SourceCall
+def make_annotator(aggregates: dict[int, OperatorActuals] | None, estimates: dict):
+    """An ``annotate(node)`` callback for :func:`repro.compiler.explain.explain`:
+    each costed operator's ``[cost: …]`` (``estimates``, by node id), then,
+    given ``aggregates``, its actuals."""
+    from ..compiler.algebra import SourceCall
     from ..xquery import ast_nodes as ast
 
     def annotate(node) -> str:
+        est = estimates.get(id(node))
+        cost = "" if est is None else str(est)
         op = node.op_id
-        if op is None:
-            return ""
+        if aggregates is None or op is None:
+            return cost
         acts = aggregates.get(op)
         if acts is None and isinstance(node, ast.FunctionCall) \
                 and not isinstance(node, SourceCall):
             # A plain user call leaves no spans unless cached/async — an
             # absent aggregate is not evidence it never ran.
-            return ""
-        rows = node.est_rows if isinstance(node, Costed) else None
-        return format_actuals(op, acts, rows)
+            return cost
+        return cost + format_actuals(op, acts, est.rows if est else None)
 
     return annotate
 
@@ -161,10 +163,12 @@ class QueryProfile:
         return self.text
 
 
-def profile_render(plan_expr, tracer: QueryTracer) -> tuple[str, dict[int, OperatorActuals]]:
-    """Render ``plan_expr`` annotated with the tracer's recorded actuals."""
+def profile_render(plan_expr, tracer: QueryTracer,
+                   estimates: dict) -> tuple[str, dict[int, OperatorActuals]]:
+    """Render ``plan_expr`` annotated with ``estimates`` (computed before
+    it ran) and the tracer's recorded actuals."""
     from ..compiler.explain import explain
 
     aggregates = aggregate_operators(tracer.roots)
-    text = explain(plan_expr, annotate=make_annotator(aggregates))
+    text = explain(plan_expr, annotate=make_annotator(aggregates, estimates))
     return text, aggregates

@@ -257,9 +257,10 @@ _NO_BINDINGS = MappingProxyType({})
 class Request:
     """What one request owns — bindings (the caller's variables beside the
     plan's lifted literals), the module variables evaluated under them,
-    absolute deadline, degradation records, span recorder (None: not
-    sampled), batch probe — and the scope that puts
-    it on the calling context: ``with tracer.request(...) as request``.
+    the estimates its re-plannable operators read, absolute deadline,
+    degradation records, span recorder (None: not sampled), batch probe —
+    and the scope that puts it on the calling context: ``with
+    tracer.request(...) as request``.
 
     **Nesting is decided by what is running.**  A request opened while
     another request's code is executing in this context is its child: it
@@ -273,10 +274,11 @@ class Request:
 
     Fields are written by the thread running the request only; what its
     pool branches write is the degradation *list*, appended under the
-    resilience manager's lock, and ``module_values``, one dict store per
-    name (branches that race compute equal values)."""
+    resilience manager's lock, ``module_values``, one dict store per
+    name, and ``estimates``, one dict update per plan (branches that race
+    compute equal values)."""
 
-    __slots__ = ("tracer", "plan_key", "bindings", "module_values",
+    __slots__ = ("tracer", "plan_key", "bindings", "module_values", "estimates",
                  "deadline_ms", "probe", "forced", "degradations", "recorder",
                  "sampled", "start_ms", "parent", "running", "outcome", "retained")
 
@@ -288,6 +290,8 @@ class Request:
         #: module variables this request has read, by name: their values
         #: may depend on its bindings (filled by ``Evaluator.variable``)
         self.module_values: dict = {}
+        #: by node id, with a re-plan threshold (``Platform._arm_replan``)
+        self.estimates: dict = {}
         self.deadline_ms = deadline_ms
         self.probe = probe
         #: recording is forced (``Platform.profile``): the request keeps

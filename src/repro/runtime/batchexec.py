@@ -569,15 +569,16 @@ def _index_join_batches(run: _Run, stage: _Stage,
     clause, ev, ctx = stage.clauses[0], run.ev, run.ctx
     replan = clause.replan_ppk
     threshold = ctx.config.replan_threshold
-    est_outer = clause.est_outer
-    if replan is not None and threshold is not None and est_outer is not None:
+    outer = ctx.outer_estimate(clause) \
+        if replan is not None and threshold is not None else None
+    if outer is not None:
         # Mid-query re-planning (P-COST): the index join was chosen for
         # a large estimated outer.  Hold the build until the outer has
         # produced at least est/threshold rows; if the stream ends
         # first, the estimate was off by more than the threshold and
         # the runner-up PP-k twin serves the buffered rows instead —
         # no source query has been issued yet, so the switch is free.
-        commit_at = max(1, math.ceil(est_outer / threshold))
+        commit_at = max(1, math.ceil(outer / threshold))
         held: list[Batch] = []
         rows = 0
         for batch in batches:
@@ -600,11 +601,13 @@ def _index_join_batches(run: _Run, stage: _Stage,
     promoted: dict = {}
     places: dict = {}  # under ``=``: id(item) -> where it occurs in the inner sequence
     built = multi_inner = unique = False
+    build_span = None  # counts the rows the join produced, once they are
 
     def build(row):
-        nonlocal multi_inner
+        nonlocal multi_inner, build_span
         ctx.stats.bump(index_joins_built=1)
         with ctx.tracer.start("index-join.build", var, op=clause.op_id) as span:
+            build_span = span
             inner = ev.iter_eval(clause.expr, row)
             if keys_fn is not None:  # the whole sequence, then its keys
                 drained: list = []
@@ -690,8 +693,15 @@ def _index_join_batches(run: _Run, stage: _Stage,
         return batch.select(found).with_column(
             var, None, [bucket[0] for bucket in found if bucket])
 
-    yield from _multiply(run, stage, probed(batches), sequences,
-                         _item_bind(var, None))
+    joined = 0
+    try:
+        for batch in _multiply(run, stage, probed(batches), sequences,
+                               _item_bind(var, None)):
+            joined += len(batch)
+            yield batch
+    finally:
+        if build_span is not None:
+            build_span.set(rows=joined)
 
 
 def _column_index(ev: Evaluator, keys_fn: Callable, var: str, inner: list,

@@ -136,6 +136,13 @@ class DynamicContext:
         request = REQUEST.get()
         return request.probe if request is not None else None
 
+    def outer_estimate(self, clause) -> float | None:
+        """The outer tuples the calling request's estimates expect at a
+        PP-k let or index join (None: no re-plan threshold armed it)."""
+        request = REQUEST.get()
+        est = request.estimates.get(id(clause)) if request is not None else None
+        return est.outer if est is not None else None
+
     def absorb(self, source: str, exc: SourceError) -> bool:
         """In partial-results mode, record a source failure that survived
         its retry budget and report True: the caller substitutes an empty

@@ -55,6 +55,7 @@ import copy
 from typing import TYPE_CHECKING, Iterator
 
 from ...compiler.algebra import PPkLetClause, PushedSQL
+from ...compiler.costing import key_element
 from ...errors import DynamicError, SourceError
 from ...sql.ast_nodes import BinOp, Param, Select, param_order
 from ...xml.items import Item
@@ -83,13 +84,15 @@ def ppk_extend(
     blocks = _blocks(tuples, _block_sizer(clause, ctx))
     config = ctx.config
     threshold = config.replan_threshold
-    if (threshold is not None
-            and clause.est_replan_scan
-            and clause.est_outer is not None):
-        # Mid-query re-planning is armed for this region (P-COST).  Blocks
-        # run sequentially — the block boundary is the safe switch point,
-        # and the decision must see every tuple the operator consumed.
-        yield from _extend_with_replan(clause, blocks, threshold, evaluator)
+    outer = ctx.outer_estimate(clause) if threshold is not None else None
+    if outer is not None and key_element(
+            clause.pushed.template, clause.pushed.correlation.column_alias):
+        # Mid-query re-planning is armed for this region (P-COST): the
+        # scan fallback keys on the template's join element.  Blocks run
+        # sequentially — the block boundary is the safe switch point, and
+        # the decision must see every tuple the operator consumed.
+        yield from _extend_with_replan(clause, blocks, threshold * max(outer, 1.0),
+                                       evaluator)
         return
     if not config.ppk_pipelining:
         for block, capacity in blocks:
@@ -122,17 +125,15 @@ def ppk_extend(
         yield from _join_block(clause, block, fetch, evaluator)
 
 
-def _extend_with_replan(clause: PPkLetClause, blocks, threshold: float,
+def _extend_with_replan(clause: PPkLetClause, blocks, budget: float,
                         evaluator: "Evaluator") -> Iterator[dict]:
     """PP-k with a mid-query escape hatch: once the consumed outer tuples
-    exceed ``threshold``× the costed estimate, abandon the per-block
-    disjunctive queries at the block boundary and switch to the runner-up
-    — one full scan of the region's base select, hash-joined against all
-    remaining tuples.  The first block always runs as PP-k (the trigger
-    compares consumption against the estimate, so the decision is
+    exceed ``budget`` (the threshold × the costed estimate), abandon the
+    per-block disjunctive queries at the block boundary and switch to the
+    runner-up — one full scan of the region's base select, hash-joined
+    against all remaining tuples.  The first block always runs as PP-k (the
+    trigger compares consumption against the estimate, so the decision is
     deterministic in tuple counts, not in time)."""
-    ctx = evaluator.ctx
-    budget = threshold * max(clause.est_outer, 1.0)
     seen = 0
     for block, capacity in blocks:
         if seen > 0 and seen + len(block) > budget:

@@ -13,7 +13,7 @@ import dataclasses
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from ..clock import Clock, VirtualClock
-from ..compiler.costing import CostingOptions
+from ..compiler.costing import CostingOptions, estimate
 from ..compiler.inverse import InverseRegistry
 from ..compiler.stats import StatisticsCatalog
 from ..concurrency import NOOP_DETECTOR, RACE, set_race_detector
@@ -29,6 +29,7 @@ from ..observability import (
     ContinuousTracer,
     MetricsRegistry,
     QueryProfile,
+    make_annotator,
     profile_render,
 )
 from ..observability.tracer import REQUEST
@@ -403,12 +404,15 @@ class Platform:
         probe = BatchProbe()
         start = self.clock.now_ms()
         plan = self.prepare(query, variables)
+        # before the run: ending it feeds the warm-start store, which would
+        # hand the run's own actuals back as its estimates
+        estimates = estimate(plan.expr, plan.plan_key, self.options)
         with self.ctx.tracer.request(plan.plan_key, probe=probe,
                                      forced=True) as request:
             recorder = request.recorder
             items = list(self.stream(plan, variables, user))
         elapsed = self.clock.now_ms() - start
-        text, aggregates = profile_render(plan.expr, recorder)
+        text, aggregates = profile_render(plan.expr, recorder, estimates)
         return QueryProfile(text=text + _binds_footer(plan),
                             root=recorder.last_root, tracer=recorder,
                             items=len(items), elapsed_ms=elapsed,
@@ -515,8 +519,19 @@ class Platform:
 
     def _body_plan(self, decl: ast.FunctionDecl) -> ast.AstNode:
         """``DynamicContext.body_plan``: what a call left in a plan runs."""
-        return self._keyed_plan(f"#body:{decl.name}#{decl.arity()}",
-                                lambda compiler: compiler.compile_body(decl)).expr
+        plan = self._keyed_plan(f"#body:{decl.name}#{decl.arity()}",
+                                lambda compiler: compiler.compile_body(decl))
+        self._arm_replan(plan, REQUEST.get())
+        return plan.expr
+
+    def _arm_replan(self, plan: CompiledPlan, request) -> None:
+        """With a re-plan threshold set, put ``plan``'s estimates on the
+        request, once per request and plan: what its operators read as
+        ``DynamicContext.outer_estimate``."""
+        if self.config.replan_threshold is not None and request is not None \
+                and id(plan.expr) not in request.estimates:
+            request.estimates.update(estimate(plan.expr, plan.plan_key, self.options))
+            request.estimates.setdefault(id(plan.expr), None)
 
     # ------------------------------------------------------------------------
     # Query execution (client APIs, section 2.2)
@@ -585,6 +600,7 @@ class Platform:
                 plan.plan_key,
                 {**variables, **plan.binds} if variables else plan.binds,
                 budget_ms) as request:
+            self._arm_replan(plan, request)
             # the bindings are the root row — a copy, the pipeline's to
             # extend: a tuple variable of the same name shadows by overwrite
             items = self.evaluator.iter_eval(plan.expr, dict(request.bindings))
@@ -619,7 +635,8 @@ class Platform:
         from ..compiler.explain import explain as explain_plan
 
         plan = self.prepare(query, variables)
-        text = explain_plan(plan.expr)
+        estimates = estimate(plan.expr, plan.plan_key, self.options)
+        text = explain_plan(plan.expr, annotate=make_annotator(None, estimates))
         if plan.diagnostics is not None and len(plan.diagnostics):
             text += ("\nDIAGNOSTICS (" + plan.diagnostics.summary() + ")\n"
                      + plan.diagnostics.render_text(prefix="  "))
@@ -675,6 +692,7 @@ class Platform:
         # `getProfile()` observe as one plan in the stats store
         with tracer.request(plan.source, {
                 f"__arg{i}": list(arg) for i, arg in enumerate(args)}) as request:
+            self._arm_replan(plan, request)
             with tracer.start("query", function_name) as span:
                 result = self.evaluator.eval(plan.expr, dict(request.bindings))
                 span.set(items=len(result))

@@ -322,7 +322,6 @@ def test_compiling_the_running_example_never_deep_copies_a_node(monkeypatch):
     warm = platform.prepare('getProfileByID("C1")')
     assert platform.view_cache.hits >= 1
     assert repr(warm.expr) == repr(cold.expr)
-    platform.configure(cost_based=True)
     platform.prepare("for $c in CUSTOMER() return <C>{$c/CID}{ for $cc in "
                      "CREDIT_CARD() where $cc/CID eq $c/CID return $cc/NUMBER }</C>")
     assert platform.lineage("ProfileService") is not None

@@ -54,8 +54,8 @@ OUTER_ROWS = {
 
 STRATEGIES = {
     "ppk": lambda platform: platform.configure(ppk_block_size=2),
-    "index-join": lambda platform: platform.configure(cost_based=True, force_strategy="index-join"),
-    "ship-all": lambda platform: platform.configure(cost_based=True, force_strategy="ship-all"),
+    "index-join": lambda platform: platform.configure(force_strategy="index-join"),
+    "ship-all": lambda platform: platform.configure(force_strategy="ship-all"),
 }
 
 

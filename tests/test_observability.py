@@ -253,9 +253,11 @@ class TestProfile:
         """Stripping the actuals suffix recovers ``explain`` byte-for-byte:
         one renderer, stable operator ids across explain and profile."""
         platform = build_platform()
+        # (explain first: estimates are computed when read, and a later
+        # one would read the profiled run's actuals from the warm start)
+        plain = platform.explain(PPK_ASYNC_QUERY).split("\nDIAGNOSTICS")[0]
         profile = platform.profile(PPK_ASYNC_QUERY)
         stripped = re.sub(r"  \[#\d+ actual: [^\]]*\]", "", profile.text)
-        plain = platform.explain(PPK_ASYNC_QUERY).split("\nDIAGNOSTICS")[0]
         assert stripped == plain
 
     def test_virtual_clock_span_consistency(self):

@@ -66,7 +66,7 @@ def compiled_plans(tmp_path):
     for rows, changes in ((1000, {}), (2, {"ppk_block_size": 2})):
         platform = demo(customers=8)
         platform.statistics.set_table_stats("custdb", "CUSTOMER", rows=rows)
-        platform.configure(cost_based=True, replan_threshold=2.0, **changes)
+        platform.configure(replan_threshold=2.0, **changes)
         plan = platform.prepare(JOIN_QUERY)
         platform.execute(JOIN_QUERY)
         assert platform.ctx.stats.replans == 1
@@ -92,8 +92,29 @@ def test_every_fact_a_plan_node_holds_is_declared(tmp_path):
     assert twins >= 1 and memos > 100
 
 
-def test_the_costed_strategy_classes_declare_the_cost_stamps():
-    for cls in (PPkLetClause, IndexJoinForClause):
-        assert {"op_id", "est_strategy", "est_rows", "est_outer"} <= set(ast.stamps_of(cls))
+def plan_node_classes() -> list[type]:
+    """Every plan node class: the XQuery AST's and the compiler's."""
+    found, stack = [], [ast.AstNode]
+    while stack:
+        cls = stack.pop()
+        found.append(cls)
+        stack.extend(cls.__subclasses__())
+    return found
+
+
+def test_no_plan_node_declares_an_estimate():
+    """Estimates are computed when read (``costing.estimate``), never held:
+    a number that depends on the platform's history would reach plan
+    agreement, the identity dump and pickling."""
+    classes = plan_node_classes()
+    assert PPkLetClause in classes and IndexJoinForClause in classes
+    for cls in classes:
+        annotations = {name: str(annotation) for klass in reversed(cls.__mro__)
+                       for name, annotation in vars(klass).get("__annotations__", {}).items()}
+        for name in ast.declared(cls):
+            assert not name.startswith("est_"), (cls.__name__, name)
+            assert "float" not in annotations.get(name, ""), (cls.__name__, name)
+            assert not isinstance(ast.stamps_of(cls).get(name), float), (cls.__name__, name)
+    assert "op_id" in ast.stamps_of(PPkLetClause)
     assert ast.stamps_of(IndexJoinForClause)["replan_ppk"] is None
     assert ast.stamps_of(ast.GroupByClause)["pre_clustered"] is False

@@ -420,12 +420,11 @@ def _render(caps, select) -> str:
 
 def test_cost_based_compiles_are_checked_under_cost_based_options():
     platform = build_platform(customers=8)
-    platform.configure(cost_based=True)
     query = ('for $c in CUSTOMER() where $c/SINCE gt {} return <O>{{$c/CID}}'
              '{{for $cc in CREDIT_CARD() where $cc/CID eq $c/CID return $cc/NUMBER}}</O>')
     texts = [query.format(since) for since in (0, 1, 2)]
-    # (before anything runs: observed source latencies move the estimates
-    # every cost-based compile stamps, inline or not)
+    # (before anything runs: observed source latencies move the cost
+    # model's estimates, which no plan holds)
     for text in texts:
         served = platform.prepare(text)
         assert served.binds

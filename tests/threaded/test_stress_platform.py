@@ -207,9 +207,9 @@ class TestStress:
         assert stats["traces_observed"] == OPS_PER_THREAD
 
     def test_cost_based_toggle_under_contention(self, stressed, round):
-        """P-COST's knobs under fire: one thread flips cost-based planning
-        on and off mid-workload (each flip invalidates the plan cache and
-        recompiles with or without the costing pass), another toggles the
+        """P-COST's knobs under fire: one thread flips between the costed
+        choice and forced PP-k mid-workload (each flip invalidates the plan
+        cache and recompiles under the other), another toggles the
         re-plan threshold, the rest hammer the cross-database join the
         pass rewrites — results must stay byte-identical throughout."""
         from repro import serialize
@@ -223,7 +223,7 @@ class TestStress:
         def worker(index):
             for i in range(OPS_PER_THREAD):
                 if index == 0:
-                    platform.configure(cost_based=i % 2 == 0)
+                    platform.configure(force_strategy=None if i % 2 == 0 else "ppk")
                 elif index == 1:
                     platform.configure(replan_threshold=None if i % 2 else 4.0)
                 assert serialize(platform.execute(query)) == expected
@@ -231,7 +231,7 @@ class TestStress:
         try:
             hammer(platform, worker)
         finally:
-            platform.configure(cost_based=False)
+            platform.configure(force_strategy=None)
             platform.configure(replan_threshold=None)
         assert_race_free(detector)
 
@@ -239,14 +239,13 @@ class TestStress:
         """The observed-statistics store under fire: sampled requests end
         on every other thread (each folds its operator actuals into the
         plan's entry) while one thread keeps recompiling the same shape
-        with costing on, which reads that entry.  What it reads is a value
+        and explaining it, which reads that entry.  What it reads is a value
         copied under the store's lock — the outer scan, which ships four
         rows every time, is never costed from anything but 4."""
         import re
 
         platform, detector = stressed
         platform.configure(continuous=ContinuousConfig(sample_rate=1.0))
-        platform.configure(cost_based=True)
         query = ("for $c in CUSTOMER() for $cc in CREDIT_CARD() "
                  "where $cc/CID eq $c/CID return $cc/NUMBER")
         estimates = []
@@ -261,10 +260,7 @@ class TestStress:
                 else:
                     assert len(platform.execute(query)) == 4
 
-        try:
-            hammer(platform, worker)
-        finally:
-            platform.configure(cost_based=False)
+        hammer(platform, worker)
         assert_race_free(detector)
         assert estimates and set(estimates) == {"4"}
 
