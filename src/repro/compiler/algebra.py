@@ -188,6 +188,13 @@ class PushedSQL(ast.AstNode):
         self.correlation = correlation
         self.residual_fetch = residual_fetch
 
+    def scoping(self) -> ast.Scope:
+        # the middleware expressions see the enclosing scope; the template
+        # is closed: its leaves are column slots, never variables
+        correlated = () if self.correlation is None else ((self.correlation.outer_key, ()),)
+        return ast.Scope((*((param, ()) for param in self.param_exprs), *correlated,
+                          (self.template, None)))
+
 
 # ---------------------------------------------------------------------------
 # Cross-source join clauses (section 5.2's join repertoire)
@@ -205,6 +212,7 @@ class PushedTupleForClause(ast.Clause):
 
     _fields = ("pushed",)
     _attrs = ("vars",)
+    _vars = ("var_templates",)
 
     var_templates: list[tuple[str, ast.AstNode]]
 
@@ -216,6 +224,11 @@ class PushedTupleForClause(ast.Clause):
     @property
     def vars(self) -> list[str]:
         return [var for var, _t in self.var_templates]
+
+    def scoping(self) -> ast.Scope:
+        return ast.Scope(((self.pushed, ()),
+                          *((template, None) for _var, template in self.var_templates)),
+                         binds=tuple(self.vars))
 
 
 class PPkLetClause(ast.Clause):
@@ -231,12 +244,16 @@ class PPkLetClause(ast.Clause):
 
     _fields = ("pushed",)
     _attrs = ("var", "k")
+    _vars = ("var",)
 
     def __init__(self, var: str, pushed: PushedSQL, k: int = DEFAULT_PPK_BLOCK_SIZE):
         super().__init__()
         self.var = var
         self.pushed = pushed
         self.k = k
+
+    def scoping(self) -> ast.Scope:
+        return ast.Scope(((self.pushed, ()),), binds=(self.var,))
 
 
 class IndexJoinForClause(ast.Clause):
@@ -255,6 +272,7 @@ class IndexJoinForClause(ast.Clause):
 
     _fields = ("expr", "inner_key", "outer_key")
     _attrs = ("var",)
+    _vars = ("var",)
 
     general: bool
     #: the PP-k clause this join replaced, for an index -> PP-k re-plan
@@ -268,3 +286,10 @@ class IndexJoinForClause(ast.Clause):
         self.inner_key = inner_key
         self.outer_key = outer_key
         self.general = general
+
+    def scoping(self) -> ast.Scope:
+        # the inner key is evaluated per inner item, bound to ``$var``; the
+        # PP-k twin runs in the clause's place, so it sees what the clause does
+        twin = () if self.replan_ppk is None else ((self.replan_ppk, ()),)
+        return ast.Scope(((self.expr, ()), (self.outer_key, ()), *twin,
+                          (self.inner_key, ((self.var, self),))), binds=(self.var,))

@@ -47,6 +47,7 @@ from typing import NamedTuple, Optional
 from ..config import STRATEGIES
 from ..sql.ast_nodes import TableRef
 from ..xquery import ast_nodes as ast
+from ..xquery.scope import use_counts
 from .algebra import (
     ColumnSlot,
     GroupSlot,
@@ -266,7 +267,7 @@ class _CostingPass:
                 and clause.pushed.correlation is not None and not clause.pushed.regroup \
                 and type(nxt) is ast.ForClause and nxt.pos_var is None \
                 and isinstance(nxt.expr, ast.VarRef) and nxt.expr.name == clause.var \
-                and _var_uses(flwor, clause.var) == 1:
+                and use_counts(flwor)[clause, clause.var] == 1:
             # the group variable feeds *only* its paired for: the pair is an
             # inner equi-join and every strategy is equivalent
             return self._unit(PPK, clause.pushed, clause.k, nxt.var, 2,
@@ -358,13 +359,6 @@ class _CostingPass:
         else:
             clauses[i:i + 2] = [ast.ForClause(unit.var, scan), ast.WhereClause(ast.Comparison(
                 "eq", correlation.outer_key.clone(), key, general=correlation.general))]
-
-
-def _var_uses(node: ast.AstNode, name: str) -> int:
-    """Occurrences of ``$name`` anywhere the (sub)tree holds a node —
-    correlation outer keys included, which ``walk()`` does not reach."""
-    return sum(isinstance(sub, ast.VarRef) and sub.name == name
-               for sub in node.every_node())
 
 
 def _correlated(pushed: PushedSQL) -> tuple[str | None, str | None]:

@@ -26,8 +26,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..schema.types import AnyItemType, AtomicItemType
-from ..sql.pushdown import free_vars
 from ..xquery import ast_nodes as ast
+from ..xquery.scope import bound_vars, free_vars, reach, var_names
 
 if TYPE_CHECKING:
     from ..services.metadata import MetadataRegistry
@@ -136,7 +136,7 @@ class Optimizer:
         body = self.resolve_sources(body)
         body = self.inline_functions(body, depth + 1)
         body = self.simplify(body)
-        entry = (body, _bound_vars(body))
+        entry = (body, bound_vars(body))
         if self.view_cache is not None:
             self.view_cache.put(*key, entry)
         return entry
@@ -288,26 +288,26 @@ class Optimizer:
         while index < len(node.clauses):
             clause = node.clauses[index]
             if isinstance(clause, ast.LetClause):
-                later = node.clauses[index + 1 :]
+                readers, rebinds = reach(node, clause, clause.var)
                 # A grouped source (``group $v as ...``) names the variable
                 # outside expression position: it pins the let in place.
-                if any(
-                    isinstance(c, ast.GroupByClause)
-                    and any(source == clause.var for source, _t in c.grouped)
-                    for c in later
-                ):
+                if any(type(reader) is not ast.VarRef for reader in readers):
                     index += 1
                     continue
-                # Any other group-by ends the let's scope: its keys still
-                # read the let, but after it ``$var`` is an outer binding
-                # of the same name (an external), never the let's value.
-                end = next((i + 1 for i, c in enumerate(later)
-                            if isinstance(c, ast.GroupByClause)), None)
-                later, after = later[:end], later[end:] if end is not None else []
-                tail = node.return_expr if end is None else None
-                in_scope = later if tail is None else [*later, tail]
-                uses, rebound = _uses_and_rebinds(later, tail, clause.var,
-                                                  free_vars(clause.expr))
+                # The clauses and the return that see the let: a group-by
+                # ends its scope (its keys still read the let, but after it
+                # ``$var`` is an outer binding of the same name).
+                in_scope = [part for part, seen in node.scoping().parts
+                            if (clause.var, clause) in seen]
+                tail = node.return_expr if in_scope[-1] is node.return_expr else None
+                end = index + 1 + len(in_scope) - (tail is not None)
+                later, after = node.clauses[index + 1:end], node.clauses[end:]
+                # A binder in that scope stops the substitution when it binds
+                # ``$var`` again (a reference may then be another variable's)
+                # or a variable the let's expression reads (a substituted
+                # copy would be captured).
+                uses = len(readers)
+                rebound = not rebinds.isdisjoint({clause.var, *free_vars(clause.expr)})
                 if uses == 0 and not rebound:
                     del node.clauses[index]
                     self._changed = True
@@ -392,29 +392,6 @@ class Optimizer:
 # ---------------------------------------------------------------------------
 
 
-def _bound_vars(node: ast.AstNode) -> tuple[str, ...]:
-    """Every variable *bound inside* ``node`` (free variables are not),
-    once each, in pre-order."""
-    bound: dict[str, None] = {}
-    for sub in node.walk():
-        if isinstance(sub, ast.ForClause):
-            bound[sub.var] = None
-            if sub.pos_var:
-                bound[sub.pos_var] = None
-        elif isinstance(sub, ast.LetClause):
-            bound[sub.var] = None
-        elif isinstance(sub, ast.GroupByClause):
-            bound.update((target, None) for _s, target in sub.grouped)
-            bound.update((var, None) for _e, var in sub.keys)
-        elif isinstance(sub, ast.Quantified):
-            bound.update((var, None) for var, _e in sub.bindings)
-        elif isinstance(sub, ast.TypeswitchExpr):
-            bound.update((var, None) for var, _t, _e in sub.cases if var)
-            if sub.default_var:
-                bound[sub.default_var] = None
-    return tuple(bound)
-
-
 def canonicalize_gensyms(node: ast.AstNode) -> ast.AstNode:
     """Renumber every compiler-generated (``#``-prefixed) variable in
     deterministic pre-order, keeping prefixes (``#flt7`` -> ``#flt2``).
@@ -435,30 +412,15 @@ def canonicalize_gensyms(node: ast.AstNode) -> ast.AstNode:
 
     mapping: dict[str, str] = {}
 
-    def visit_name(name: str | None) -> None:
+    def visit_name(name: str) -> None:
         # (a lifted literal's ``$#litK`` is an external, not a gensym)
-        if name and name.startswith("#") and name not in mapping \
+        if name.startswith("#") and name not in mapping \
                 and not name.startswith(LIFTED_PREFIX):
             prefix = name[1:].rstrip("0123456789") or "g"
             mapping[name] = f"#{prefix}{len(mapping) + 1}"
 
-    for sub in node.walk():
-        if isinstance(sub, ast.VarRef):
-            visit_name(sub.name)
-        elif isinstance(sub, ast.ForClause):
-            visit_name(sub.var)
-            visit_name(sub.pos_var)
-        elif isinstance(sub, ast.LetClause):
-            visit_name(sub.var)
-        elif isinstance(sub, ast.GroupByClause):
-            for source, target in sub.grouped:
-                visit_name(source)
-                visit_name(target)
-            for _expr, var in sub.keys:
-                visit_name(var)
-        elif isinstance(sub, ast.Quantified):
-            for var, _expr in sub.bindings:
-                visit_name(var)
+    for name in var_names(node):
+        visit_name(name)
     reset_gensym_scope(len(mapping) + 1)
     if mapping:
         for sub in node.walk():
@@ -509,26 +471,6 @@ def _uses_only_navigated(node: ast.AstNode, name: str) -> bool:
     if isinstance(node, ast.VarRef) and node.name == name:
         return False
     return all(_uses_only_navigated(child, name) for child in node.children())
-
-
-def _uses_and_rebinds(later: list[ast.Clause], return_expr: ast.AstNode | None,
-                      name: str, free: set[str]) -> tuple[int, bool]:
-    """References to ``$name`` in the clauses after a let and in the
-    return expression (None: out of the let's scope), and whether a binder
-    there stops the let from being substituted: one that binds ``$name``
-    again, whose references are another variable's, or one of ``free`` (the
-    variables the let's expression reads), which would capture a
-    substituted copy.  A trailing group-by's own ``as`` variables are bound
-    after the let's scope ends; its key expressions are in it."""
-    roots: list[ast.AstNode] = list(later)
-    if return_expr is not None:
-        roots.append(return_expr)
-    elif later and isinstance(later[-1], ast.GroupByClause):
-        roots[-1:] = [expr for expr, _var in later[-1].keys]
-    uses = sum(isinstance(sub, ast.VarRef) and sub.name == name
-               for root in roots for sub in root.walk())
-    bound = {var for root in roots for var in _bound_vars(root)}
-    return uses, name in bound or not bound.isdisjoint(free)
 
 
 def _is_cheap(expr: ast.AstNode) -> bool:

@@ -19,8 +19,9 @@ re-proves the independence rule on every compiled plan (ALDSP-E309).
 
 from __future__ import annotations
 
-from ..sql.pushdown import free_vars, is_table_call
+from ..sql.pushdown import is_table_call
 from ..xquery import ast_nodes as ast
+from ..xquery.scope import free_vars
 from .algebra import PushedSQL
 
 

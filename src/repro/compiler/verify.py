@@ -40,12 +40,12 @@ from ..diagnostics import DiagnosticReport, make
 from ..schema.structural import intersects, needs_typematch
 from ..sql.ast_nodes import CaseExpr, FuncCall, Join, Param, Select, sql_nodes
 from ..sql.dialects import SqlRenderer, capabilities_for
-from ..sql.pushdown import free_vars, is_table_call, split_conjuncts
+from ..sql.pushdown import is_table_call
 from ..xquery import ast_nodes as ast
+from ..xquery.scope import CLOSED, UNBOUND, free_vars, use_counts, walk
 from .algebra import (
     ColumnSlot,
     GroupSlot,
-    IndexJoinForClause,
     NestedSlot,
     PPkLetClause,
     PushedSQL,
@@ -78,8 +78,8 @@ class PlanVerifier:
 
     def verify(self, expr: ast.AstNode) -> DiagnosticReport:
         self.report = DiagnosticReport()
-        index = iter_with_path(expr)  # one traversal, shared by passes 2-4
-        self.check_scopes(expr)
+        index = iter_with_path(expr)  # one traversal, shared by the passes
+        self.check_scopes(expr, index)
         self.check_pushdown_safety(index)
         self.check_types(expr, index)
         self.check_plan_shape(expr, index)
@@ -93,144 +93,47 @@ class PlanVerifier:
     # Pass 1: scope / binding checker
     # ------------------------------------------------------------------------
 
-    def check_scopes(self, expr: ast.AstNode) -> None:
-        self._scope(expr, set(self.externals), _root_path(expr))
-        # Independent cross-check through free_vars: the two implementations
-        # must agree that the plan root is closed over its externals.
-        leaked = free_vars(expr) - self.externals
+    def check_scopes(self, expr: ast.AstNode, index: PlanIndex) -> None:
+        """One scope walk (:mod:`repro.xquery.scope`): every use bound, no
+        binder hiding another, every template closed, and the root closed
+        over its externals."""
+        root = _root_path(expr)
+        paths = {id(node): path for node, path, _in_pushed in index}
+        leaked: dict[str, None] = {}
+
+        def use(node: ast.AstNode, name: str, binder) -> None:
+            at = paths.get(id(node), root)
+            if binder is CLOSED:
+                self._emit(
+                    "ALDSP-E003",
+                    f"reconstruction template references variable ${name}",
+                    at, node.line, variable=name,
+                )
+            elif binder is UNBOUND:
+                leaked[name] = None
+                what = "variable" if isinstance(node, ast.VarRef) else "grouped variable"
+                self._emit(
+                    "ALDSP-E001",
+                    f"{what} ${name} is not bound in this scope",
+                    at, node.line, variable=name,
+                )
+
+        def bind(binder: ast.AstNode, name: str, scope: dict) -> None:
+            if name in scope:
+                self._emit(
+                    "ALDSP-W004",
+                    f"binding of ${name} shadows an outer binding",
+                    paths.get(id(binder), root), variable=name,
+                )
+
+        walk(expr, use, bind, dict.fromkeys(self.externals))
         if leaked:
             names = ", ".join(f"${name}" for name in sorted(leaked))
             self._emit(
                 "ALDSP-E002",
                 f"plan root has free variables: {names}",
-                _root_path(expr),
-                variables=sorted(leaked),
+                root, variables=sorted(leaked),
             )
-
-    def _scope(self, node: ast.AstNode, env: set[str], path: str) -> None:
-        if isinstance(node, ast.VarRef):
-            if node.name not in env:
-                self._emit(
-                    "ALDSP-E001",
-                    f"variable ${node.name} is not bound in this scope",
-                    path, node.line, variable=node.name,
-                )
-            return
-        if isinstance(node, ast.FLWOR):
-            self._scope_flwor(node, env, path)
-            return
-        if isinstance(node, ast.Quantified):
-            inner = set(env)
-            for var, binding in node.bindings:
-                self._scope(binding, inner, f"{path}/Quantified")
-                self._bind(var, inner, path)
-            self._scope(node.satisfies, inner, f"{path}/Quantified/satisfies")
-            return
-        if isinstance(node, ast.TypeswitchExpr):
-            self._scope(node.operand, env, f"{path}/Typeswitch")
-            for var, _case_type, case_expr in node.cases:
-                inner = set(env)
-                if var is not None:
-                    self._bind(var, inner, path)
-                self._scope(case_expr, inner, f"{path}/Typeswitch/case")
-            inner = set(env)
-            if node.default_var is not None:
-                self._bind(node.default_var, inner, path)
-            self._scope(node.default_expr, inner, f"{path}/Typeswitch/default")
-            return
-        if isinstance(node, PushedSQL):
-            self._scope_pushed(node, env, path)
-            return
-        label = type(node).__name__
-        for child in node.children():
-            self._scope(child, env, f"{path}/{label}")
-
-    def _scope_flwor(self, flwor: ast.FLWOR, env: set[str], path: str) -> None:
-        outer = set(env)
-        inner = set(env)
-        for index, clause in enumerate(flwor.clauses):
-            at = f"{path}/clause[{index}]"
-            if isinstance(clause, IndexJoinForClause):
-                self._scope(clause.expr, inner, at)
-                self._scope(clause.outer_key, inner, at)
-                probe_env = set(inner)
-                probe_env.add(clause.var)
-                self._scope(clause.inner_key, probe_env, at)
-                self._bind(clause.var, inner, at)
-            elif isinstance(clause, PPkLetClause):
-                self._scope_pushed(clause.pushed, inner, at)
-                self._bind(clause.var, inner, at)
-            elif isinstance(clause, PushedTupleForClause):
-                self._scope_pushed(clause.pushed, inner, at)
-                for var, template in clause.var_templates:
-                    self._check_template(template, f"{at}/template(${var})")
-                    self._bind(var, inner, at)
-            elif isinstance(clause, ast.ForClause):
-                self._scope(clause.expr, inner, at)
-                self._bind(clause.var, inner, at)
-                if clause.pos_var:
-                    self._bind(clause.pos_var, inner, at)
-            elif isinstance(clause, ast.LetClause):
-                self._scope(clause.expr, inner, at)
-                self._bind(clause.var, inner, at)
-            elif isinstance(clause, ast.WhereClause):
-                # Per-conjunct checking gives conjunct-level locations and
-                # exercises the split/join round-trip the rewriter uses.
-                for c_index, conjunct in enumerate(split_conjuncts(clause.condition)):
-                    self._scope(conjunct, inner, f"{at}/conjunct[{c_index}]")
-            elif isinstance(clause, ast.GroupByClause):
-                for key_expr, _key_var in clause.keys:
-                    self._scope(key_expr, inner, at)
-                for source, _target in clause.grouped:
-                    if source not in inner:
-                        self._emit(
-                            "ALDSP-E001",
-                            f"grouped variable ${source} is not bound in this scope",
-                            at, clause.line, variable=source,
-                        )
-                # After grouping only the as-variables (and the enclosing
-                # scope) remain bound — mirroring the type checker and the
-                # runtime's tuple reconstruction.
-                inner = set(outer)
-                for _key_expr, key_var in clause.keys:
-                    self._bind(key_var, inner, at)
-                for _source, target in clause.grouped:
-                    self._bind(target, inner, at)
-            elif isinstance(clause, ast.OrderByClause):
-                for spec in clause.specs:
-                    self._scope(spec.key, inner, at)
-            else:
-                for child in clause.children():
-                    self._scope(child, inner, at)
-        self._scope(flwor.return_expr, inner, f"{path}/return")
-
-    def _scope_pushed(self, pushed: PushedSQL, env: set[str], path: str) -> None:
-        at = f"{path}/PushedSQL({pushed.database})"
-        for index, param in enumerate(pushed.param_exprs):
-            self._scope(param, env, f"{at}/param[{index}]")
-        if pushed.correlation is not None:
-            self._scope(pushed.correlation.outer_key, env, f"{at}/correlation")
-        self._check_template(pushed.template, f"{at}/template")
-
-    def _check_template(self, template: ast.AstNode, path: str) -> None:
-        """Reconstruction templates must be *closed*: every value comes from
-        a column slot, never from a middleware variable (section 4.4)."""
-        for sub in template.walk():
-            if isinstance(sub, ast.VarRef):
-                self._emit(
-                    "ALDSP-E003",
-                    f"reconstruction template references variable ${sub.name}",
-                    path, sub.line, variable=sub.name,
-                )
-
-    def _bind(self, var: str, env: set[str], path: str) -> None:
-        if var in env:
-            self._emit(
-                "ALDSP-W004",
-                f"binding of ${var} shadows an outer binding",
-                path, variable=var,
-            )
-        env.add(var)
 
     # ------------------------------------------------------------------------
     # Pass 2: pushdown-safety auditor
@@ -413,9 +316,10 @@ class PlanVerifier:
     # ------------------------------------------------------------------------
 
     def check_plan_shape(self, expr: ast.AstNode, index: PlanIndex) -> None:
+        uses = use_counts(expr)
         for node, path, _in_pushed in index:
             if isinstance(node, ast.FLWOR):
-                self._lint_flwor(node, path)
+                self._lint_flwor(node, path, uses)
                 self._lint_scatter(node, path)
             if isinstance(node, PPkLetClause):
                 self._lint_ppk(node, path)
@@ -455,22 +359,13 @@ class PlanVerifier:
                 path, k=clause.k,
             )
 
-    def _lint_flwor(self, flwor: ast.FLWOR, path: str) -> None:
-        # Dead let slots: a binding no later clause or the return uses.
+    def _lint_flwor(self, flwor: ast.FLWOR, path: str, uses) -> None:
+        # Dead let slots: a binding nothing reads (a grouped variable
+        # naming it reads it).
         for index, clause in enumerate(flwor.clauses):
             if not isinstance(clause, (ast.LetClause, PPkLetClause)):
                 continue
-            later = flwor.clauses[index + 1:]
-            scopes: list[ast.AstNode] = [*later, flwor.return_expr]
-            pinned = any(
-                isinstance(c, ast.GroupByClause)
-                and any(source == clause.var for source, _t in c.grouped)
-                for c in later
-            )
-            if pinned:
-                continue
-            uses = sum(_count_uses(scope, clause.var) for scope in scopes)
-            if uses == 0:
+            if uses[clause, clause.var] == 0:
                 self._emit(
                     "ALDSP-W304",
                     f"let-bound ${clause.var} is never used (dead slot)",
@@ -623,14 +518,6 @@ def _template_aliases(template: ast.AstNode) -> set[str]:
         elif isinstance(sub, GroupSlot):
             pass  # its inner template is reached by walk()
     return aliases
-
-
-def _count_uses(node: ast.AstNode, name: str) -> int:
-    count = 0
-    for sub in node.walk():
-        if isinstance(sub, ast.VarRef) and sub.name == name:
-            count += 1
-    return count
 
 
 #: node classes whose instances the middleware type checker annotates;

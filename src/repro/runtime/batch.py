@@ -24,8 +24,8 @@ key in a per-tuple dict.
   row-at-a-time ``for`` or ``let`` would have made.  The batch then holds
   its rows as its bases and no column.
 
-A batch with no columns is a plain row batch.  Two facts about the rows
-reaching a pipeline stage are known when the stages are built
+A batch with no columns is a plain row batch.  One fact about the rows
+reaching a pipeline stage is known when the stages are built
 (``batchexec._stages``) rather than carried on the batch:
 
 * **owned** — a plain batch's dicts were created by this pipeline (a
@@ -36,12 +36,12 @@ reaching a pipeline stage are known when the stages are built
   bindings (``Platform.stream`` / ``call`` start on a copy of them), so an
   external variable or a lifted literal is read from the row like any
   tuple variable, and a tuple variable of the same name shadows it by
-  overwrite.  Rows built from columns are always the pipeline's own;
-* **mixed** — a group-by upstream may have emitted rows of different schemas
-  (an outer binding survives a group only if all its members share it).
-  Rows of one batch always share a schema, so downstream of a group-by a
-  schema change closes the batch; elsewhere schemas cannot differ and are
-  never looked at.
+  overwrite.  Rows built from columns are always the pipeline's own.
+
+Every row of a stage binds the same names — the FLWOR's entry scope plus
+what the clauses before it bound, and after a group-by the entry scope
+plus the group's variables (``xquery.scope``): the rows of a stage share
+one schema, and a batch is cut only where it fills.
 """
 
 from __future__ import annotations
@@ -117,19 +117,12 @@ def materialise(bases: list[Env], columns: dict) -> list[Env]:
     return rows
 
 
-def batched(rows: Iterable[Env], size: int, mixed: bool) -> Iterator[Batch]:
+def batched(rows: Iterable[Env], size: int) -> Iterator[Batch]:
     """Cut a row stream into batches of ``size``.  A batch goes downstream
     the moment it fills — not when the next row arrives — so no row is
     pulled from ``rows`` that the consumer has not asked for."""
     batch: list[Env] = []
-    names = None
     for env in rows:
-        if mixed:
-            schema = tuple(env)
-            if batch and schema != names:
-                yield Batch(batch)
-                batch = []
-            names = schema
         batch.append(env)
         if len(batch) == size:
             yield Batch(batch)

@@ -3,9 +3,9 @@ clause operators.
 
 Every FLWOR the engine evaluates runs here, at every ``EngineConfig.batch_size``
 (``Evaluator.iter_eval`` hands a FLWOR to :func:`eval_flwor`); one row per
-batch is the same pipeline at its laziest.  What a batch is, and the two
-facts about a stage's rows that are fixed when its stages are built
-(``owned``, ``mixed``), is in :mod:`repro.runtime.batch`.
+batch is the same pipeline at its laziest.  What a batch is, and the fact
+about a stage's rows that is fixed when its stages are built (``owned``),
+is in :mod:`repro.runtime.batch`.
 
 Each clause has one implementation.  ``for``, ``let`` and ``where`` are
 *kernels* — plain functions over batches, their expressions compiled by
@@ -110,15 +110,18 @@ class BatchProbe:
 
 
 class _Run:
-    """Per-FLWOR-invocation state: batch size and probe."""
+    """Per-FLWOR-invocation state: batch size, probe and entry environment."""
 
-    __slots__ = ("ev", "ctx", "size", "probe")
+    __slots__ = ("ev", "ctx", "size", "probe", "entry")
 
-    def __init__(self, evaluator: Evaluator):
+    def __init__(self, evaluator: Evaluator, entry: Env):
         self.ev = evaluator
         self.ctx = evaluator.ctx
         self.size = self.ctx.config.batch_size
         self.probe = self.ctx.batch_probe()
+        #: the environment the FLWOR was entered with: its scope, and what
+        #: a group row extends
+        self.entry = entry
 
     def observe(self, label: str, rows: int) -> None:
         rows_seen, batches_seen = self.ctx.batch_instruments(label)
@@ -144,8 +147,6 @@ class _Stage(NamedTuple):
     clauses: list
     #: the rows reaching this stage were created by the pipeline
     owned: bool
-    #: the rows reaching this stage may differ in schema
-    mixed: bool
     #: the variables this stage or an earlier one may carry as item columns
     items: frozenset
 
@@ -176,7 +177,7 @@ def _stages(node: ast.FLWOR, parallel_regions: bool) -> list[_Stage]:
     stages = memo.get(parallel_regions)
     if stages is None:
         stages = []
-        owned = mixed = False  # the initial environment is the caller's
+        owned = False  # the initial environment is the caller's
         items: frozenset = frozenset()
         for ordinal, group in enumerate(
                 _clause_groups(node.clauses, parallel_regions), start=1):
@@ -186,17 +187,16 @@ def _stages(node: ast.FLWOR, parallel_regions: bool) -> list[_Stage]:
             name, operator = ("scatter", _scatter_batches) if len(group) > 1 \
                 else _OPERATORS[kind]
             items = items | {group[0].var} if kind is IndexJoinForClause else items
-            stages.append(_Stage(f"{name}#{ordinal}", operator, group, owned, mixed, items))
+            stages.append(_Stage(f"{name}#{ordinal}", operator, group, owned, items))
             # where and order-by hand on the rows they were given
             owned = owned or kind not in (ast.WhereClause, ast.OrderByClause)
-            mixed = mixed or kind is ast.GroupByClause
         memo[parallel_regions] = stages
     return stages
 
 
 def eval_flwor(evaluator: Evaluator, node: ast.FLWOR, env: Env) -> Iterator[Item]:
     """The lazy driver: ``node``'s items, produced as they are pulled."""
-    run = _Run(evaluator)
+    run = _Run(evaluator, env)
     batches: Iterator[Batch] = iter((Batch([env]),))
     stages = _stages(node, run.ctx.config.parallel_regions)
     for stage in stages:
@@ -229,7 +229,7 @@ def flwor_rowfn(node: ast.FLWOR) -> Callable:
     ret_fn, column_fn = rowfn(node.return_expr), itemsfn(node.return_expr)
 
     def call(evaluator, env):
-        run = _Run(evaluator)
+        run = _Run(evaluator, env)
         size = run.size
         batches = [Batch([env])]
         for stage, kernel in stages:
@@ -407,10 +407,9 @@ def _multiply(run: _Run, stage: _Stage, batches: Iterator[Batch],
     ``sequences`` may instead answer a whole batch with the batch of its
     new tuples (an index join whose every probe meets at most one item):
     that is cut into the open batch as it stands, columns and all."""
-    ev, size, mixed = run.ev, run.size, stage.mixed
+    ev, size = run.ev, run.size
     pieces: list[Batch] = []
     filled = 0
-    names = None
     for batch in batches:
         expanded = sequences(ev, batch)
         if type(expanded) is Batch:
@@ -429,12 +428,6 @@ def _multiply(run: _Run, stage: _Stage, batches: Iterator[Batch],
         # the tuples the new ones extend are their parents' rows: a column
         # carried on would give each new tuple a binding of its own
         for row, sequence in zip(batch.rows, expanded):
-            if mixed:  # rows of one batch share a schema
-                schema = tuple(row)
-                if pieces and schema != names:
-                    yield _concat(pieces)
-                    pieces, filled = [], 0
-                names = schema
             items = sequence if type(sequence) is range else iter(sequence)
             position = 1
             while True:
@@ -559,7 +552,7 @@ def _ppk_batches(run: _Run, stage: _Stage, batches: Iterator[Batch]) -> Iterator
     one stream: the one place the pipeline flattens its batches and forms
     them again."""
     rows = ppk_extend(stage.clauses[0], _flatten(batches), run.ev)
-    return batched(rows, run.size, stage.mixed)
+    return batched(rows, run.size)
 
 
 def _index_join_batches(run: _Run, stage: _Stage,
@@ -678,7 +671,6 @@ def _index_join_batches(run: _Run, stage: _Stage,
 
     # under ``eq`` a one-atom key is looked up by its value: a column's at once
     lane = None if general else _lane(stage)
-    gathers = not stage.mixed
 
     def sequences(ev, batch):
         columns = lane and not multi_inner and lane(ev, batch)
@@ -686,7 +678,7 @@ def _index_join_batches(run: _Run, stage: _Stage,
             return (matches(ev, row) for row in batch.rows)
         get = index.get
         found = [get(value, ()) for value in columns[0][1]]
-        if not (unique and gathers):
+        if not unique:
             return found
         # every key meets at most one item, so no outer tuple is joined
         # twice: the outer columns are gathered by match position
@@ -779,7 +771,7 @@ def _order_batches(run: _Run, stage: _Stage, batches: Iterator[Batch]) -> Iterat
                  for env, key in zip(batch.rows, keys)]
         keyed.sort(key=sort_key)
         span.set(tuples=len(keyed))
-    yield from batched([env for env, _values in keyed], run.size, stage.mixed)
+    yield from batched([env for env, _values in keyed], run.size)
 
 
 def _group_batches(run: _Run, stage: _Stage, batches: Iterator[Batch]) -> Iterator[Batch]:
@@ -798,11 +790,11 @@ def _group_batches(run: _Run, stage: _Stage, batches: Iterator[Batch]) -> Iterat
     span = ev.ctx.tracer.start("group-by", op=clause.op_id)
     try:
         # The span stays open across the groups emitted: the generator
-        # suspends inside it.  Group rows differ in schema (what survives
-        # a group depends on its members), whatever came in.
+        # suspends inside it.
         yield from batched(
-            _grouped_rows(clause, grouper(members, itemgetter(2), ev.group_stats)),
-            run.size, True)
+            _grouped_rows(clause, grouper(members, itemgetter(2), ev.group_stats),
+                          run.entry),
+            run.size)
     finally:
         span.set(groups=ev.group_stats.groups_emitted - emitted_before)
         span.end()
@@ -832,19 +824,13 @@ def _row_keys(ev: Evaluator, rows: list[Env], key_fns: list, clause: str) -> Ite
         yield tuple(key_values)
 
 
-def _binding(batch: Batch, index: int, name: str) -> list | None:
-    """What ``$name`` is bound to in tuple ``index`` of ``batch`` (None if
-    unbound): a carried column's value is a binding of its own."""
-    carried = batch.columns.get(name)
-    if carried is None:
-        return batch.bases[index].get(name)
-    type_name, values = carried
-    return [values[index] if type_name is None else AtomicValue(values[index], type_name)]
-
-
-def _grouped_rows(clause: ast.GroupByClause, groups: Iterable) -> Iterator[Env]:
+def _grouped_rows(clause: ast.GroupByClause, groups: Iterable,
+                  entry: Env) -> Iterator[Env]:
+    """One row per group, of the scope after the clause (``xquery.scope``):
+    the FLWOR's entry environment, then the key and grouped variables —
+    so every group row has one schema."""
     for key, members in groups:
-        result: Env = {}
+        result: Env = dict(entry)
         for (_expr, var), value in zip(clause.keys, key):
             result[var] = [] if value is None else [_as_atomic_value(value)]
         for source, target in clause.grouped:
@@ -858,21 +844,6 @@ def _grouped_rows(clause: ast.GroupByClause, groups: Iterable) -> Iterator[Env]:
                 else:
                     collected.append(AtomicValue(carried[1][index], carried[0]))
             result[target] = collected
-        # Variables not re-exposed by the group clause go out of scope;
-        # outer bindings shared by every member survive: every binding of
-        # a group of one, no carried column of a larger group.
-        first, at, _key = members[0]
-        if len(members) == 1:
-            for name in chain(first.bases[at], first.columns):
-                if name not in result:
-                    result[name] = _binding(first, at, name)
-        else:
-            for name, value in first.bases[at].items():
-                if name not in result and all(
-                    name not in batch.columns and batch.bases[index].get(name) is value
-                    for batch, index, _key in members
-                ):
-                    result[name] = value
         yield result
 
 

@@ -39,6 +39,7 @@ from ..compiler.algebra import (
 from ..config import EngineConfig
 from ..errors import SQLError
 from ..xquery import ast_nodes as ast
+from ..xquery.scope import free_vars
 from .ast_nodes import (
     AggCall,
     BinOp,
@@ -62,7 +63,6 @@ from .pushdown import (
     AGGREGATE_TO_SQL,
     COMPARISON_TO_SQL,
     column_access,
-    free_vars,
     is_cast_constructor,
     is_table_call,
     split_conjuncts,

@@ -1,7 +1,7 @@
 """Pushdown analysis helpers (section 4.4).
 
-Utilities shared by the region compiler: free-variable computation,
-conjunct splitting, and the classification of which XQuery expressions are
+Utilities shared by the region compiler: conjunct splitting, and the
+classification of which XQuery expressions are
 pushable ("clauses of the extended FLWOR, constant expressions, certain
 functions and operators, ... other expressions can first be evaluated in
 the XQuery runtime engine and then pushed as SQL parameters").
@@ -9,13 +9,7 @@ the XQuery runtime engine and then pushed as SQL parameters").
 
 from __future__ import annotations
 
-from ..compiler.algebra import (
-    IndexJoinForClause,
-    PPkLetClause,
-    PushedSQL,
-    PushedTupleForClause,
-    SourceCall,
-)
+from ..compiler.algebra import SourceCall
 from ..xquery import ast_nodes as ast
 from ..xquery.functions import all_builtins, is_builtin
 
@@ -34,93 +28,6 @@ AGGREGATE_TO_SQL = {
 #: xs: constructor functions are pushable as pass-through casts (the SQL
 #: column types already line up with the XML schema types).
 _CAST_PREFIX = "xs:"
-
-
-def free_vars(node: ast.AstNode) -> set[str]:
-    """Variables referenced by ``node`` but not bound within it.
-
-    Exact on both the surface AST and the post-optimization algebra: the
-    compiler-introduced clauses (:class:`PushedTupleForClause`,
-    :class:`PPkLetClause`, :class:`IndexJoinForClause`) bind variables, and
-    a :class:`PushedSQL` region's correlation key — which generic child
-    traversal does not reach — references outer variables.  The plan
-    verifier relies on this to prove the optimized root is closed.
-    """
-    free: set[str] = set()
-    _free_vars(node, set(), free)
-    return free
-
-
-def _free_vars(node: ast.AstNode, bound: set[str], free: set[str]) -> None:
-    if isinstance(node, ast.VarRef):
-        if node.name not in bound:
-            free.add(node.name)
-        return
-    if isinstance(node, ast.FLWOR):
-        inner = set(bound)
-        for clause in node.clauses:
-            if isinstance(clause, IndexJoinForClause):
-                _free_vars(clause.expr, inner, free)
-                _free_vars(clause.outer_key, inner, free)
-                probe = set(inner)
-                probe.add(clause.var)
-                _free_vars(clause.inner_key, probe, free)
-                inner.add(clause.var)
-            elif isinstance(clause, PPkLetClause):
-                _free_vars(clause.pushed, inner, free)
-                inner.add(clause.var)
-            elif isinstance(clause, PushedTupleForClause):
-                _free_vars(clause.pushed, inner, free)
-                inner.update(clause.vars)
-            elif isinstance(clause, ast.ForClause):
-                _free_vars(clause.expr, inner, free)
-                inner.add(clause.var)
-                if clause.pos_var:
-                    inner.add(clause.pos_var)
-            elif isinstance(clause, ast.LetClause):
-                _free_vars(clause.expr, inner, free)
-                inner.add(clause.var)
-            elif isinstance(clause, ast.GroupByClause):
-                for expr, var in clause.keys:
-                    _free_vars(expr, inner, free)
-                for _source, target in clause.grouped:
-                    inner.add(target)
-                for _expr, var in clause.keys:
-                    inner.add(var)
-            else:
-                for child in clause.children():
-                    _free_vars(child, inner, free)
-        _free_vars(node.return_expr, inner, free)
-        return
-    if isinstance(node, ast.Quantified):
-        inner = set(bound)
-        for var, expr in node.bindings:
-            _free_vars(expr, inner, free)
-            inner.add(var)
-        _free_vars(node.satisfies, inner, free)
-        return
-    if isinstance(node, ast.TypeswitchExpr):
-        _free_vars(node.operand, bound, free)
-        for var, _case_type, case_expr in node.cases:
-            inner = set(bound)
-            if var is not None:
-                inner.add(var)
-            _free_vars(case_expr, inner, free)
-        inner = set(bound)
-        if node.default_var is not None:
-            inner.add(node.default_var)
-        _free_vars(node.default_expr, inner, free)
-        return
-    if isinstance(node, PushedSQL):
-        for param in node.param_exprs:
-            _free_vars(param, bound, free)
-        if node.correlation is not None:
-            _free_vars(node.correlation.outer_key, bound, free)
-        # the reconstruction template is closed by construction: its
-        # leaves are column slots, not variable references
-        return
-    for child in node.children():
-        _free_vars(child, bound, free)
 
 
 def split_conjuncts(condition: ast.AstNode | None) -> list[ast.AstNode]:

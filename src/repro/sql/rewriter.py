@@ -28,9 +28,10 @@ from ..compiler.algebra import PPkLetClause, PushedSQL, PushedTupleForClause, So
 from ..xml.items import AtomicValue
 from ..xquery import ast_nodes as ast
 from ..xquery.parser import fresh_var
+from ..xquery.scope import free_vars
 from ..config import EngineConfig
 from .generate import RegionCompiler, _NotPushable
-from .pushdown import free_vars, is_table_call, join_conjuncts, split_conjuncts
+from .pushdown import is_table_call, join_conjuncts, split_conjuncts
 
 
 def push_sql(expr: ast.AstNode, config: EngineConfig | None = None,
@@ -74,16 +75,13 @@ class PushdownRewriter:
         if is_table_call(node):
             pushed = self._try_scan(node, [], bound)
             return pushed if pushed is not None else node
-        if isinstance(node, ast.Quantified):
-            inner = set(bound)
-            new_bindings = []
-            for var, expr in node.bindings:
-                new_bindings.append((var, self.rewrite(expr, frozenset(inner))))
-                inner.add(var)
-            node.bindings = new_bindings
-            node.satisfies = self.rewrite(node.satisfies, frozenset(inner))
-            return node
-        return node.transform_children(lambda child: self.rewrite(child, bound))
+        rule = node.scoping()
+        if rule is None or not rule.parts:
+            return node.transform_children(lambda child: self.rewrite(child, bound))
+        # a binder's part also sees what the binder binds for it
+        seen = {id(part): bound.union(name for name, _binder in names or ())
+                for part, names in rule.parts}
+        return node.transform_children(lambda child: self.rewrite(child, seen[id(child)]))
 
     # -- FLWOR handling ----------------------------------------------------------
 
@@ -112,25 +110,18 @@ class PushdownRewriter:
                 index = self._handle_table_run(
                     clauses, index, conjuncts, new_clauses, bound, bound_now
                 )
-            elif isinstance(clause, ast.ForClause):
+                self._flush_conjuncts(conjuncts, new_clauses, bound_now)
+                continue
+            if isinstance(clause, ast.ForClause):
                 loop_invariant = free_vars(clause.expr) <= bound
                 clause.expr = self._hoist(clause.expr, bound, bound_now, new_clauses)
                 converted = None
                 if loop_invariant and clause.pos_var is None and bound_now - bound:
                     converted = self._try_index_join(clause, conjuncts, bound_now)
-                if converted is not None:
-                    new_clauses.append(converted)
-                else:
-                    new_clauses.append(clause)
-                bound_now.add(clause.var)
-                if clause.pos_var:
-                    bound_now.add(clause.pos_var)
-                index += 1
+                new_clauses.append(converted if converted is not None else clause)
             elif isinstance(clause, ast.LetClause):
                 clause.expr = self._hoist(clause.expr, bound, bound_now, new_clauses)
                 new_clauses.append(clause)
-                bound_now.add(clause.var)
-                index += 1
             elif isinstance(clause, ast.GroupByClause):
                 self._flush_conjuncts(conjuncts, new_clauses, bound_now)
                 clause.keys = [
@@ -138,18 +129,16 @@ class PushdownRewriter:
                     for expr, var in clause.keys
                 ]
                 new_clauses.append(clause)
-                bound_now = set(bound)
-                bound_now.update(var for _e, var in clause.keys)
-                bound_now.update(target for _s, target in clause.grouped)
-                index += 1
             elif isinstance(clause, ast.OrderByClause):
                 for spec in clause.specs:
                     spec.key = self._hoist(spec.key, bound, bound_now, new_clauses)
                 new_clauses.append(clause)
-                index += 1
             else:
                 new_clauses.append(clause)
-                index += 1
+            index += 1
+            rule = clause.scoping()  # what the clauses after it see
+            if rule is not None:
+                bound_now = (set(bound) if rule.regroups else bound_now) | set(rule.binds)
             self._flush_conjuncts(conjuncts, new_clauses, bound_now)
 
         # Any leftover conjuncts apply at the end (their variables may come

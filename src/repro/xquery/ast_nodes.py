@@ -15,6 +15,12 @@ public annotated class-level default, ``op_id: Optional[int] = None``);
 and **memos**, compiled by the runtime for one tree (any attribute named
 ``_…``).  Cloning, plan agreement and :meth:`AstNode.every_node` read the
 declaration through :func:`structure_of` and :func:`stamps_of`.
+
+Binding is declared the same way: ``_vars`` names the attributes that hold
+variable names, and :meth:`AstNode.scoping` says what a node binds and
+which of its parts see it.  The one scope walk (:mod:`repro.xquery.scope`)
+reads that declaration; free variables, plan verification, use counts,
+alpha-renaming and the runtime's group-by all follow from it.
 """
 
 from __future__ import annotations
@@ -22,11 +28,28 @@ from __future__ import annotations
 import copy
 import functools
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from ..schema.types import SequenceType
 from ..xml.items import AtomicValue
 from .lexer import Pragma
+
+
+class Scope(NamedTuple):
+    """What one node binds and which of its parts see it
+    (:meth:`AstNode.scoping`)."""
+
+    #: ``(part, names)`` in evaluation order: ``part`` sees the enclosing
+    #: scope plus ``names`` — ``(name, binder)`` pairs, a later one hiding
+    #: an earlier one of the same name; ``names`` None: a closed part, which
+    #: sees no variable at all
+    parts: tuple = ()
+    #: the names the node itself reads, in the enclosing scope
+    uses: tuple = ()
+    #: a clause's variables, which the clauses after it see
+    binds: tuple = ()
+    #: after this clause only the FLWOR's entry scope and ``binds`` remain
+    regroups: bool = False
 
 
 class AstNode:
@@ -38,6 +61,9 @@ class AstNode:
 
     _fields: tuple[str, ...] = ()
     _attrs: tuple[str, ...] = ()
+    #: the attributes that hold variable names, a binder's or a reference's:
+    #: every string in them is one
+    _vars: tuple[str, ...] = ()
 
     static_type: Optional[SequenceType]
     line: Optional[int]
@@ -135,8 +161,17 @@ class AstNode:
         return self.clone()
 
     def rename_vars(self, mapping: dict[str, str]) -> None:
-        """Rename, in place, the variable names *this node* holds (binders
-        and references override; children are not visited)."""
+        """Rename, in place, the variable names *this node* holds — binders
+        and references alike, as ``_vars`` declares them (children are not
+        visited)."""
+        for name in self._vars:
+            setattr(self, name, _renamed(getattr(self, name), mapping))
+
+    def scoping(self) -> Optional[Scope]:
+        """What this node binds and reads, and which of its parts see what
+        it binds; None (the default): it binds and reads no name, and every
+        child sees the enclosing scope."""
+        return None
 
     def at(self, line: Optional[int]) -> "AstNode":
         self.line = line
@@ -209,6 +244,14 @@ def _map_nodes(value, fn: Callable[[AstNode], AstNode]):
     return mapped if isinstance(value, list) else tuple(mapped)
 
 
+def _renamed(value, mapping: dict[str, str]):
+    if value.__class__ is str:
+        return mapping.get(value, value)
+    if isinstance(value, (list, tuple)):
+        return type(value)(_renamed(entry, mapping) for entry in value)
+    return value
+
+
 def _clone_value(value, rename):
     if isinstance(value, AstNode):
         return value.clone(rename)
@@ -219,9 +262,15 @@ def _clone_value(value, rename):
         return [_clone_value(entry, rename) for entry in value]
     if kind is tuple:
         return tuple(_clone_value(entry, rename) for entry in value)
-    # anything else a node holds (a pushed region's SQL AST, its
-    # correlation record) is copied the general way; classes that are
-    # read-only after construction answer ``__deepcopy__`` with themselves
+    if hasattr(value, "__dict__") and not hasattr(kind, "__deepcopy__"):
+        # a plain record (a pushed region's SQL AST, its correlation): a
+        # copy whose every field is cloned, so a node it holds is renamed too
+        new = copy.copy(value)
+        new.__dict__.update((key, _clone_value(entry, rename))
+                            for key, entry in vars(value).items())
+        return new
+    # classes that are read-only after construction answer
+    # ``__deepcopy__`` with themselves
     return copy.deepcopy(value)
 
 
@@ -244,13 +293,14 @@ class EmptySequence(AstNode):
 
 class VarRef(AstNode):
     _attrs = ("name",)
+    _vars = ("name",)
 
     def __init__(self, name: str):
         super().__init__()
         self.name = name
 
-    def rename_vars(self, mapping):
-        self.name = mapping.get(self.name, self.name)
+    def scoping(self) -> Scope:
+        return Scope(uses=(self.name,))
 
 
 class ContextItem(AstNode):
@@ -345,6 +395,7 @@ class Quantified(AstNode):
 
     _fields = ("bindings", "satisfies")
     _attrs = ("kind",)
+    _vars = ("bindings",)
 
     def __init__(self, kind: str, bindings: list[tuple[str, AstNode]], satisfies: AstNode):
         super().__init__()
@@ -352,8 +403,13 @@ class Quantified(AstNode):
         self.bindings = bindings
         self.satisfies = satisfies
 
-    def rename_vars(self, mapping):
-        self.bindings = [(mapping.get(var, var), expr) for var, expr in self.bindings]
+    def scoping(self) -> Scope:
+        # each sequence sees the variables bound before it, ``satisfies`` all
+        parts, seen = [], ()
+        for var, expr in self.bindings:
+            parts.append((expr, seen))
+            seen += ((var, self),)
+        return Scope((*parts, (self.satisfies, seen)))
 
 
 class FunctionCall(AstNode):
@@ -492,6 +548,7 @@ class Clause(AstNode):
 class ForClause(Clause):
     _fields = ("expr",)
     _attrs = ("var", "pos_var")
+    _vars = ("var", "pos_var")
 
     declared_type: Optional[SequenceType]
 
@@ -503,15 +560,15 @@ class ForClause(Clause):
         self.expr = expr
         self.declared_type = declared_type
 
-    def rename_vars(self, mapping):
-        self.var = mapping.get(self.var, self.var)
-        if self.pos_var:
-            self.pos_var = mapping.get(self.pos_var, self.pos_var)
+    def scoping(self) -> Scope:
+        return Scope(((self.expr, ()),),
+                     binds=(self.var, self.pos_var) if self.pos_var else (self.var,))
 
 
 class LetClause(Clause):
     _fields = ("expr",)
     _attrs = ("var",)
+    _vars = ("var",)
 
     declared_type: Optional[SequenceType]
 
@@ -521,8 +578,8 @@ class LetClause(Clause):
         self.expr = expr
         self.declared_type = declared_type
 
-    def rename_vars(self, mapping):
-        self.var = mapping.get(self.var, self.var)
+    def scoping(self) -> Scope:
+        return Scope(((self.expr, ()),), binds=(self.var,))
 
 
 class WhereClause(Clause):
@@ -537,13 +594,14 @@ class GroupByClause(Clause):
     """ALDSP's FLWGOR grouping clause (section 3.1).
 
     ``group $v1 as $v2, ... by expr as $v3, ...`` — after the clause the
-    binding tuple contains the ``as`` variables only: each grouped variable
-    becomes the sequence of its values within the group, each key variable
-    the (single) key value.
+    scope is the FLWOR's entry scope plus the ``as`` variables only: each
+    grouped variable becomes the sequence of its values within the group,
+    each key variable the (single) key value.
     """
 
     _fields = ("keys",)
     _attrs = ("grouped",)
+    _vars = ("grouped", "keys")
 
     #: the input arrives clustered on the keys (``sql.rewriter``)
     pre_clustered: bool = False
@@ -553,10 +611,13 @@ class GroupByClause(Clause):
         self.grouped = grouped  # (source var, result var)
         self.keys = keys  # (key expr, result var)
 
-    def rename_vars(self, mapping):
-        self.grouped = [(mapping.get(source, source), mapping.get(target, target))
-                        for source, target in self.grouped]
-        self.keys = [(expr, mapping.get(var, var)) for expr, var in self.keys]
+    def scoping(self) -> Scope:
+        # the keys and the grouped variables read the scope before the clause
+        return Scope(tuple((expr, ()) for expr, _var in self.keys),
+                     uses=tuple(source for source, _target in self.grouped),
+                     binds=(*(var for _expr, var in self.keys),
+                            *(target for _source, target in self.grouped)),
+                     regroups=True)
 
 
 class OrderSpec(AstNode):
@@ -593,6 +654,20 @@ class FLWOR(AstNode):
         self.clauses = clauses
         self.return_expr = return_expr
 
+    def scoping(self) -> Scope:
+        """Each clause sees what the clauses before it bound — since the
+        last regrouping one, only what that one bound — and the return
+        sees what the last clause left."""
+        parts, seen = [], ()
+        for clause in self.clauses:
+            parts.append((clause, seen))
+            rule = clause.scoping()
+            if rule is not None:
+                bound = tuple((name, clause) for name in rule.binds)
+                seen = bound if rule.regroups else seen + bound
+        parts.append((self.return_expr, seen))
+        return Scope(tuple(parts))
+
 
 class TypeswitchExpr(AstNode):
     """``typeswitch (operand) case ($v as)? T return e ... default ($v)?
@@ -600,6 +675,7 @@ class TypeswitchExpr(AstNode):
 
     _fields = ("operand", "cases", "default_expr")
     _attrs = ("default_var",)
+    _vars = ("cases", "default_var")
 
     def __init__(self, operand: AstNode,
                  cases: list[tuple[Optional[str], SequenceType, AstNode]],
@@ -610,11 +686,12 @@ class TypeswitchExpr(AstNode):
         self.default_var = default_var
         self.default_expr = default_expr
 
-    def rename_vars(self, mapping):
-        self.cases = [(var and mapping.get(var, var), case_type, expr)
-                      for var, case_type, expr in self.cases]
-        if self.default_var:
-            self.default_var = mapping.get(self.default_var, self.default_var)
+    def scoping(self) -> Scope:
+        # a case's variable is seen by its own branch alone
+        return Scope(((self.operand, ()),
+                      *((expr, ((var, self),) if var else ()) for var, _t, expr in self.cases),
+                      (self.default_expr,
+                       ((self.default_var, self),) if self.default_var else ())))
 
 
 class TypeMatch(AstNode):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..errors import TypeError_
+from ..errors import SchemaError, TypeError_
 from ..schema.structural import intersects, needs_typematch
 from ..schema.types import (
     EMPTY,
@@ -206,25 +206,30 @@ class TypeChecker:
     def _infer_Arithmetic(self, node: ast.Arithmetic, env) -> SequenceType:
         left = self.infer(node.left, env)
         right = self.infer(node.right, env)
-        result_name = "xs:double"
-        names = []
-        for side in (left, right):
-            if len(side.alternatives) == 1 and isinstance(side.alternatives[0], AtomicItemType):
-                names.append(side.alternatives[0].name)
-            else:
-                names.append("xs:untypedAtomic")
-        try:
-            result_name = numeric_promote(names[0], names[1])
-        except Exception:
-            if all(n != "xs:untypedAtomic" and not is_numeric(n) and n != "xs:anyAtomicType"
-                   for n in names):
-                return self._error(node, f"arithmetic on non-numeric types {names}")
-        if node.op in ("div",):
-            result_name = "xs:double" if result_name == "xs:integer" else result_name
+        names = [_atomic_name(left), _atomic_name(right)]
+        if None in names:
+            # an operand of unknown type may hold any numeric type (or an
+            # untyped atom, which is an xs:double): every result from what
+            # the known operand alone gives up to xs:double
+            known = [name for name in names if name is not None]
+            try:
+                least = _NUMERIC.index(numeric_promote(known[0], _NUMERIC[0])) if known else 0
+            except SchemaError:
+                least = 0
+            results = list(_NUMERIC[least:])
+        else:
+            try:
+                results = [numeric_promote(names[0], names[1])]
+            except SchemaError:
+                if all(n != "xs:untypedAtomic" and not is_numeric(n) for n in names):
+                    return self._error(node, f"arithmetic on non-numeric types {names}")
+                results = ["xs:double"]
+        if node.op == "div":
+            results = ["xs:double" if name == "xs:integer" else name for name in results]
         if node.op == "idiv":
-            result_name = "xs:integer"
+            results = ["xs:integer"]
         occ = Occurrence.OPTIONAL if (left.allows_empty() or right.allows_empty()) else Occurrence.ONE
-        return SequenceType((AtomicItemType(result_name),), occ)
+        return SequenceType(tuple(map(AtomicItemType, dict.fromkeys(results))), occ)
 
     def _infer_UnaryMinus(self, node: ast.UnaryMinus, env) -> SequenceType:
         return self.infer(node.operand, env)
@@ -502,6 +507,20 @@ class TypeChecker:
                 else Occurrence.PLUS
             )
         return body
+
+
+#: the numeric types, each promoted to the ones after it
+_NUMERIC = ("xs:integer", "xs:decimal", "xs:float", "xs:double")
+
+
+def _atomic_name(seq: SequenceType) -> Optional[str]:
+    """The atomic type of an arithmetic operand; None when its static type
+    does not say (not one atomic type, or ``xs:anyAtomicType``)."""
+    alternatives = seq.alternatives
+    if len(alternatives) == 1 and isinstance(alternatives[0], AtomicItemType) \
+            and alternatives[0].name != "xs:anyAtomicType":
+        return alternatives[0].name
+    return None
 
 
 def _item_of(seq: SequenceType) -> SequenceType:

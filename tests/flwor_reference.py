@@ -34,7 +34,10 @@ class ReferenceEvaluator(ReferenceInterpreter):
             handler = getattr(self, f"_{type(clause).__name__}", None)
             if handler is None:
                 raise DynamicError(f"cannot execute clause {type(clause).__name__}")
-            tuples = handler(clause, tuples)
+            if isinstance(clause, ast.GroupByClause):
+                tuples = handler(clause, tuples, env)
+            else:
+                tuples = handler(clause, tuples)
         for tuple_env in tuples:
             yield from self.iter_eval(node.return_expr, tuple_env)
 
@@ -74,7 +77,11 @@ class ReferenceEvaluator(ReferenceInterpreter):
         materialized.sort(key=sort_key)
         return iter(materialized)
 
-    def _GroupByClause(self, clause: ast.GroupByClause, tuples: Iterator[Env]) -> Iterator[Env]:
+    def _GroupByClause(self, clause: ast.GroupByClause, tuples: Iterator[Env],
+                       entry: Env) -> Iterator[Env]:
+        """One tuple per group: the environment the FLWOR was entered with,
+        plus the key and grouped variables — every other variable the
+        clauses before bound goes out of scope (section 3.1)."""
         def annotated() -> Iterator[tuple[Env, tuple]]:
             for env in tuples:
                 key_values = []
@@ -87,7 +94,7 @@ class ReferenceEvaluator(ReferenceInterpreter):
 
         grouper = clustered_groups if getattr(clause, "pre_clustered", False) else sorted_groups
         for key, members in grouper(annotated(), lambda pair: pair[1]):
-            result: Env = {}
+            result: Env = dict(entry)
             for (_expr, var), value in zip(clause.keys, key):
                 result[var] = [] if value is None else [_as_atomic_value(value)]
             envs = [env for env, _k in members]
@@ -96,11 +103,6 @@ class ReferenceEvaluator(ReferenceInterpreter):
                 for env in envs:
                     collected.extend(env.get(source, []))
                 result[target] = collected
-            # Variables not re-exposed by the group clause go out of scope;
-            # outer bindings shared by every member survive.
-            for name, value in envs[0].items():
-                if name not in result and all(env.get(name) is value for env in envs):
-                    result[name] = value
             yield result
 
 

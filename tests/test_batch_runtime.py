@@ -14,6 +14,7 @@ import io
 
 import pytest
 
+from repro import serialize
 from repro.config import DEFAULT_BATCH_SIZE
 from repro.demo import build_demo_platform
 from repro.relational import LatencyModel
@@ -56,7 +57,7 @@ def _let_stages(query: str):
 class TestTupleBatch:
     def test_initial_holds_the_callers_env_unowned(self):
         _ev, [(first, _kernel)] = _let_stages("let $b := 9 return $b")
-        assert not first.owned and not first.mixed
+        assert not first.owned
 
     def test_extended_owned_reuses_frames_in_place(self):
         ev, [(_for, _bind), (let, kernel)] = _let_stages(
@@ -95,36 +96,44 @@ class TestBatchBuilder:
         """Not when the next row arrives: the source is read no further
         than the rows handed on."""
         source = iter([{"a": [i]} for i in range(5)])
-        batches = batched(source, 2, mixed=False)
+        batches = batched(source, 2)
         assert len(next(batches)) == 2
         assert next(source) == {"a": [2]}  # the third row was never pulled
         assert [len(b) for b in batches] == [2]
 
-    def test_schema_change_flushes_pending_rows(self):
-        rows = [{"a": [1]}, {"a": [1], "b": [2]}, {"a": [3], "b": [4]}]
-        assert [len(b) for b in batched(rows, 10, mixed=True)] == [1, 2]
-        # one row per batch: a schema change cannot close an empty batch
-        assert [len(b) for b in batched(rows, 1, mixed=True)] == [1, 1, 1]
-        # where schemas cannot differ they are not looked at
-        assert [len(b) for b in batched(rows, 10, mixed=False)] == [3]
-
     def test_rebatch_round_trips_a_row_stream(self):
         rows = [{"a": [i]} for i in range(7)]
-        batches = list(batched(iter(rows), 3, mixed=False))
+        batches = list(batched(iter(rows), 3))
         assert [len(b) for b in batches] == [3, 3, 1]
         assert [env["a"][0] for b in batches for env in b.rows] == list(range(7))
 
-    def test_group_by_output_is_cut_at_schema_changes(self):
-        """A group of one keeps its members' other bindings, a larger one
-        does not: downstream batches never mix the two."""
+    def test_group_rows_share_one_schema(self):
+        """A group row is the FLWOR's entry environment plus the group's
+        variables, whatever its members bound: a group of one and a larger
+        one share a batch."""
         platform = build_demo_platform(customers=2, orders_per_customer=0)
+        platform.configure(batch_size=256)
         profile = platform.profile(
             "for $x in (1, 2, 2, 3, 3, 4) group $x as $xs by $x as $k "
             "order by $k return fn:count($xs)")
-        # groups 1 | 2 2 | 3 3 | 4 -> schemas A B B A -> three batches
-        assert profile.batches["group-by#2"]["batches"] == 3
-        assert profile.batches["order-by#3"]["batches"] == 3
-        assert profile.batches["return"] == {"batches": 3, "rows": 4, "rows_per_batch": 1.33}
+        # groups 1 | 2 2 | 3 3 | 4 -> one schema -> one batch per stage
+        assert profile.batches["group-by#2"]["batches"] == 1
+        assert profile.batches["order-by#3"]["batches"] == 1
+        assert profile.batches["return"] == {"batches": 1, "rows": 4, "rows_per_batch": 4.0}
+
+
+    @pytest.mark.parametrize("pushdown", [True, False])
+    @pytest.mark.parametrize("batch_size", [1, 256])
+    def test_a_group_row_is_the_entry_scope_and_the_group(self, batch_size, pushdown):
+        """After a group-by ``$y`` is the external, in a group of one as in
+        a larger one: the let before it is out of scope (section 3.1)."""
+        platform = build_demo_platform(customers=2, orders_per_customer=0)
+        platform.configure(batch_size=batch_size, pushdown=pushdown)
+        result = platform.execute(
+            'for $x in (1, 2, 2) let $y := fn:concat("a", $x) group $x as $xs '
+            "by $y as $k, fn:string-length($y) as $n return ($k, $n, $y)",
+            {"y": [AtomicValue(5, "xs:integer")]})
+        assert serialize(result) == "a1 2 5 a2 2 5"
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,12 @@ multi-item sequences, duplicates), of ``$n`` (small trees with an
 attribute, repeated and nested children and text) and of ``$v``, the
 external a ``let $v`` shadows until a group-by that does not regroup it.  The property: at each of
 {1, 2, 7, 256} rows per batch the engine's outcome — serialized result or
-``DynamicError`` text — is the reference's.
+``DynamicError`` text — is the reference's.  Its *shadowing axis* binds a
+name again — in a nested FLWOR, a quantifier, a typeswitch case or a second
+``let`` — and a second property holds those queries to the typechecker,
+which shares no code with the scope walk (``repro.xquery.scope``): each
+compiles with exactly its ``free_vars`` as externals, and is an undefined
+variable when any one of them is dropped.
 
 A probe is an expression over the generated data that may raise, and every
 query has at most one.  Everything else in it cannot (keys and conditions
@@ -88,12 +93,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import serialize
 from repro.demo import build_demo_platform
-from repro.errors import DynamicError, XMLError
+from repro.errors import DynamicError, TypeError_, XMLError
 from repro.relational import Database
-from repro.schema import leaf, shape
+from repro.schema import ITEM_STAR, leaf, shape
 from repro.xml import AtomicValue, element
 from repro.xml.items import AttributeNode, TextNode
 from repro.xml.qname import QName
+from repro.xquery import parse_expression
+from repro.xquery.scope import free_vars
 
 if __name__ == "__main__":  # run as a script: make the ``tests`` package importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -281,9 +288,28 @@ SCALAR_PROBES = [
 ] + ["-$b", "-()", "-(-$x)"] + calls_varying(["$x", "$b", "()"])
 
 
+#: the shadowing axis: a construct in the ``return`` that binds again a name
+#: the tuple or the request binds — a nested FLWOR, a quantifier, a
+#: typeswitch case — reading its own binding inside and the outer one after
+SHADOWS = [
+    "{for $x in $b let $v := fn:count(($x, $a)) return <S>{$x}{$v}</S>}{$v}",
+    "{for $k at $xs in $b where fn:exists($k) return ($k, $xs)}",
+    "{some $x in $b satisfies fn:exists($x)}"
+    "{every $v in ($a, $b) satisfies $v instance of xs:integer}{$v}",
+    "{typeswitch (fn:count($b)) case $x as xs:integer return $x + 1 "
+    "default $v return $v}{$v}",
+    "{typeswitch ($a) case $v as xs:integer+ return fn:count($v) "
+    "default $b return fn:count($b)}{fn:count($b)}",
+]
+#: … and a second ``let`` of ``$v`` (of the external, without a first one)
+SHADOWING_LET = "let $v := fn:count(($v, $b))"
+
+
 @st.composite
-def flwor_cases(draw):
-    """``(query, variables)``: one FLWOR with at most one probe."""
+def flwor_cases(draw, shadowing: bool = False):
+    """``(query, variables)``: one FLWOR with at most one probe — and, when
+    ``shadowing``, one name bound again (:data:`SHADOWS`,
+    :data:`SHADOWING_LET`)."""
     at = draw(st.booleans())
     second = draw(st.sampled_from([None, "for $i in (1 to 2)", "for $i in (1 to 3)"]))
     grouped = draw(st.sampled_from([None, 1, 2]))
@@ -302,6 +328,9 @@ def flwor_cases(draw):
     if has_let:
         safe_let = draw(st.sampled_from(["fn:count($b)", "($x, $x)", "$b", "()"]))
         clauses.append(f"let $v := {probe if site == 'let' else safe_let}")
+    shadow = draw(st.sampled_from([SHADOWING_LET, *SHADOWS])) if shadowing else ""
+    if shadow == SHADOWING_LET:
+        clauses.append(shadow)
     if site == "where":
         clauses.append(f"where {probe}")
     elif draw(st.booleans()):
@@ -330,6 +359,8 @@ def flwor_cases(draw):
         clauses.append("order by " + ", ".join(specs))
     if site == "return" and not grouped:
         shown += f"<P>{{{probe}}}</P>"
+    if shadow != SHADOWING_LET:
+        shown += shadow
     query = " ".join(clauses) + f" return <R>{shown}</R>"
     # an empty ``$a`` flows no tuple at all: possible, but not every other case
     least = draw(st.sampled_from([0, 1, 1, 2]))
@@ -386,7 +417,34 @@ def differential(cases, reference: str, max_examples: int, derandomize: bool = T
     return run
 
 
+def agreement(cases, max_examples: int, derandomize: bool = True):
+    """The typechecker — which shares no code with the scope walk —
+    compiles each query with exactly its ``free_vars`` as externals, and
+    rejects it as an undefined variable when any one is dropped."""
+    @settings(max_examples=max_examples, derandomize=derandomize, deadline=None,
+              suppress_health_check=list(HealthCheck))
+    @given(cases)
+    def run(case):
+        query, _variables = case
+        compiler = platforms()["same-plan"]._compiler()
+        free = free_vars(parse_expression(query))
+        compiler.compile_expression(query, {name: ITEM_STAR for name in free})
+        for name in free:
+            try:
+                compiler.compile_expression(
+                    query, {other: ITEM_STAR for other in free - {name}})
+            except TypeError_ as exc:
+                assert f"undefined variable ${name}" in str(exc), (query, name, exc)
+            else:
+                raise AssertionError(f"{query!r} compiles without ${name}")
+
+    return run
+
+
 test_generated_flwors_match_the_reference = differential(flwor_cases(), "same-plan", 250)
+test_generated_shadowing_matches_the_reference = differential(
+    flwor_cases(shadowing=True), "same-plan", 120)
+test_the_typechecker_agrees_with_free_vars = agreement(flwor_cases(shadowing=True), 120)
 test_generated_index_joins_match_the_nested_loop = differential(
     join_cases(), "nested-loop", 100)
 
@@ -630,8 +688,8 @@ test_carried_columns_fall_back_a_batch_at_a_time = differential(
 #: group-by and ``eq`` index joins over carried columns.  A join whose
 #: every key meets at most one inner item gathers the outer columns by
 #: match position instead of building the outer rows; a group's members
-#: are read from the columns (a grouped ``let`` stays a clause), and a
-#: group of one keeps its carried bindings — ``$p`` shadows an external
+#: are read from the columns (a grouped ``let`` stays a clause), and after
+#: the group-by ``$b`` and ``$p`` are the externals they shadowed before
 UNIQUE_ROWS = [node("R", element("K", key)) for key in (0, 1, 2)]
 CARRIED = [
     "for $i at $p in (3 to 12) for $r in $rows where $r/K eq $i mod 4 "
@@ -738,8 +796,8 @@ SCOPING: list[tuple[str, dict]] = [
      {"a": _atoms(10, 20), "b": _atoms(7)}),
     ("for $i at $a in (5, 6) return <R>{$a}{$b}</R>", {"a": _atoms(10, 20), "b": _atoms(7)}),
     ("(for $a in (1, 2) return $a + 1, $a)", {"a": _atoms(10, 20)}),
-    # a group-by keeps a ``let`` binding only where one member holds it:
-    # the other groups read the external of the same name again
+    # after a group-by a ``let`` it does not regroup is out of scope: every
+    # group reads the external of the same name again
     ("for $i in (1, 2, 3) let $b := ($i, $i) group $i as $is by $i idiv 2 as $k "
      "return <G>{$k}<B>{$b}</B><N>{fn:count($b)}</N></G>", {"b": _atoms(7)}),
     ("for $i in (1, 2, 3) let $b := ($i, $i) group $i as $is by $i idiv 2 as $k "
@@ -772,6 +830,10 @@ if __name__ == "__main__":
     examples = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
     differential(flwor_cases(), "same-plan", examples, derandomize=False)()
     print(f"{examples} generated FLWORs: every batch size equals the reference")
+    differential(flwor_cases(shadowing=True), "same-plan", examples // 4, derandomize=False)()
+    print(f"{examples // 4} generated FLWORs binding a name again equal the reference")
+    agreement(flwor_cases(shadowing=True), examples // 4, derandomize=False)()
+    print(f"{examples // 4} generated FLWORs compile with exactly their free variables")
     differential(column_cases(COLUMN_TAILS), "same-plan", examples // 4, derandomize=False)()
     print(f"{examples // 4} generated column-lane fallbacks equal the reference")
     differential(column_cases(CARRIED_TAILS), "same-plan", examples // 4, derandomize=False)()

@@ -1,6 +1,7 @@
 """Plans as declared data: every fact a compiled plan's nodes hold is
 declared on the node's class (``repro.xquery.ast_nodes``) as structure, a
-stamp of that class, or a memo (an ``_``-prefixed name).
+stamp of that class, or a memo (an ``_``-prefixed name) — and every
+variable name it holds, in ``_vars``.
 
 ``clone()``, plan agreement, ``every_node()`` and the plan-identity dump
 read the declaration, so an attribute a pass sets without declaring it
@@ -18,6 +19,7 @@ import dataclasses
 from repro.compiler.algebra import IndexJoinForClause, PPkLetClause
 from repro.schema.types import ITEM_STAR
 from repro.xquery import ast_nodes as ast
+from repro.xquery.scope import free_vars
 from tests.test_costing import JOIN_QUERY, demo
 from tests.test_plan_identity import plan_corpus
 
@@ -90,6 +92,49 @@ def test_every_fact_a_plan_node_holds_is_declared(tmp_path):
     assert found == {}
     # the gate saw a node held only in a stamp, and memos the runtime wrote
     assert twins >= 1 and memos > 100
+
+
+def strings(value, records: bool = True) -> set[str]:
+    """Every string ``value`` holds, through lists, tuples and (unless
+    ``records`` is false) records."""
+    if isinstance(value, str):
+        return {value}
+    if isinstance(value, (list, tuple)):
+        return set().union(*(strings(entry, records) for entry in value))
+    if records and dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return set().union(*map(strings, vars(value).values()))
+    return set()
+
+
+def test_renaming_every_variable_leaves_no_old_name(tmp_path):
+    """``clone(rename=)`` mapping every variable name to a fresh one leaves
+    no old name in any attribute of any node of the copy — a binder class
+    that holds a name it does not declare in ``_vars`` fails here — and
+    the copy's free variables are the original's, renamed."""
+    platform = demo(customers=2)
+    extra = [(query, platform.prepare(query).expr) for query in (
+        "for $i in (1 to 3) for $c in CUSTOMER(), $o in ORDER() "
+        "where $c/CID eq $o/CID and $o/AMOUNT gt $i return fn:data($o/AMOUNT)",
+        "for $c in CUSTOMER() return typeswitch ($c/CID) "
+        "case $s as element(CID) return $s default $d return $d")]
+    binders: set[type] = set()
+    for label, expr in [*compiled_plans(tmp_path), *extra]:
+        nodes: dict = {}
+        held_nodes(expr, nodes)
+        names = {name for node in nodes.values()
+                 for attr in node._vars for name in strings(getattr(node, attr), False)}
+        mapping = {name: f"renamed.{n}" for n, name in enumerate(sorted(names))}
+        copy = expr.clone(rename=mapping)
+        copied: dict = {}
+        held_nodes(copy, copied)
+        left = names & {string for node in copied.values()
+                        for attr, value in vars(node).items() if attr[0] != "_"
+                        for string in strings(value)}
+        assert not left, (label, left)
+        assert free_vars(copy) == {mapping[name] for name in free_vars(expr)}, label
+        binders.update(type(node) for node in nodes.values() if node._vars)
+    # every class that holds a variable name was renamed somewhere
+    assert binders == {cls for cls in plan_node_classes() if cls._vars}
 
 
 def plan_node_classes() -> list[type]:

@@ -26,9 +26,10 @@ from repro.sql.ast_nodes import (
     SelectItem,
     TableRef,
 )
-from repro.sql.pushdown import free_vars, join_conjuncts, split_conjuncts
+from repro.sql.pushdown import join_conjuncts, split_conjuncts
 from repro.xquery import ast, parse_expression
 from repro.xquery.normalize import normalize
+from repro.xquery.scope import free_vars
 
 from tests.conftest import build_platform
 
@@ -130,6 +131,16 @@ class TestFreeVars:
             "for $x in (1, 2) group $x as $g by $x as $k return ($k, $g)"
         )
         assert free_vars(expr) == set()
+
+    def test_group_by_ends_the_scope_of_the_clauses_before_it(self):
+        # after the group-by ``$y`` is not the let's: it is free
+        expr = parsed(
+            "for $x in (1, 2) let $y := $x group $x as $g by $x as $k return $y"
+        )
+        assert free_vars(expr) == {"y"}
+        report = verify_plan(expr, externals=frozenset({"y"}))
+        assert not report.has_errors
+        assert "ALDSP-E001" in verify_plan(expr).codes()
 
     def test_compiled_ppk_plan_is_closed(self):
         # The optimized getProfile plan contains PP-k clauses whose

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro import serialize
 from repro.errors import TypeError_
 from repro.schema import (
+    ITEM_STAR,
     ElementItemType,
     Occurrence,
     SimpleContent,
@@ -12,9 +14,12 @@ from repro.schema import (
     shape,
     shape_sequence,
 )
+from repro.xml import AtomicValue
 from repro.xquery import ast, parse_expression, parse_module
 from repro.xquery.normalize import normalize, normalize_module
 from repro.xquery.typecheck import FunctionSignature, FunctionTable, TypeChecker
+
+from tests.conftest import build_platform
 
 
 CUSTOMER_SHAPE = shape(
@@ -103,6 +108,25 @@ class TestTypeInference:
     def test_arithmetic_promotes(self):
         _, t, _ = checked("1 + 2.5")
         assert t.alternatives[0].name in ("xs:decimal", "xs:double")
+
+    def test_arithmetic_over_an_unknown_operand_may_be_any_numeric(self):
+        """An operand of unknown type (an external's ``item()*``) may hold
+        any numeric type; a known untyped atom is an ``xs:double``."""
+        _, t, _ = checked("1 + $s", env={"s": ITEM_STAR})
+        assert t.show() == "(xs:integer | xs:decimal | xs:float | xs:double)?"
+        _, t, _ = checked("$s * 2.5", env={"s": ITEM_STAR})
+        assert t.show() == "(xs:decimal | xs:float | xs:double)?"
+        _, t, _ = checked("$u + 1", env={"u": atomic("xs:untypedAtomic")})
+        assert t.show() == "xs:double"
+
+    def test_a_typed_parameter_takes_arithmetic_over_an_external(self):
+        platform = build_platform()
+        platform.deploy(
+            'declare namespace t = "urn:t"; '
+            "declare function t:twice($n as xs:integer) as xs:integer { $n * 2 };",
+            name="Twice")
+        result = platform.execute("t:twice(1 + $s)", {"s": [AtomicValue(3, "xs:integer")]})
+        assert serialize(result) == "8"
 
     def test_comparison_is_boolean(self):
         _, t, _ = checked("1 eq 2")
