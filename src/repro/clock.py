@@ -5,6 +5,11 @@ per-row transfer cost, service response times) charges time to a clock.
 Benchmarks use :class:`VirtualClock` so results are deterministic and fast;
 the asynchronous-execution machinery (section 5.4) can use
 :class:`WallClock` to demonstrate real overlap.
+
+Mid-tier CPU (the PP-k hash join's modelled cost) is charged to the
+virtual clock only: on a wall clock it is paid by running, so a wall
+clock sleeps only simulated source latency, and with every source at
+zero latency nothing sleeps.
 """
 
 from __future__ import annotations
@@ -75,8 +80,9 @@ class VirtualClock(Clock):
 
 
 class WallClock(Clock):
-    """Real time; ``charge_ms`` sleeps, so latencies are physically real
-    and thread overlap behaves like production."""
+    """Real time; ``charge_ms`` sleeps, so simulated source latencies are
+    physically real and thread overlap behaves like production.  Only
+    source latency is charged here: mid-tier work takes its own time."""
 
     def now_ms(self) -> float:
         return time.monotonic() * 1000.0

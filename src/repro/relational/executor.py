@@ -658,6 +658,21 @@ def _ordered(compare: Callable) -> Callable:
     return checked
 
 
+def _arithmetic(apply: Callable, symbol: str) -> Callable:
+    """An arithmetic operator that raises :class:`SQLError`, as a
+    database would, on a string operand; ``+`` of two strings is SQL
+    Server's concatenation."""
+    def checked(left, right):
+        if isinstance(left, str) or isinstance(right, str):
+            if symbol == "+" and isinstance(left, str) and isinstance(right, str):
+                return left + right
+            raise SQLError(f"cannot apply {symbol} to "
+                           f"{type(left).__name__} and {type(right).__name__}")
+        return apply(left, right)
+
+    return checked
+
+
 def _divide(left, right):
     if right == 0:
         raise SQLError("division by zero")
@@ -683,11 +698,11 @@ _BINARY: dict[str, Callable] = {
     "<=": _ordered(operator.le),
     ">": _ordered(operator.gt),
     ">=": _ordered(operator.ge),
-    "+": operator.add,  # also SQL Server's string '+'
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": _divide,
-    "%": operator.mod,
+    "+": _arithmetic(operator.add, "+"),
+    "-": _arithmetic(operator.sub, "-"),
+    "*": _arithmetic(operator.mul, "*"),
+    "/": _arithmetic(_divide, "/"),
+    "%": _arithmetic(operator.mod, "%"),
     "||": lambda left, right: str(left) + str(right),
     "LIKE": lambda text, pattern: _like_regex(str(pattern)).fullmatch(str(text)) is not None,
 }

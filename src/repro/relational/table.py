@@ -84,6 +84,13 @@ class Table:
     (:meth:`delete_at`, :meth:`restore`).  ``_lock`` makes a probe see rows
     and index of one moment; full scans read ``rows`` without it, as they
     always have.
+
+    Stored rows are copy-on-write: :meth:`update_at` puts a new dict in the
+    old one's place, :meth:`insert` appends one, and nothing changes a
+    stored row in place.  So a row handed out stays as it was read, and a
+    copy of the row *list* (:meth:`undo_image`) is a faithful image of the
+    table; :meth:`snapshot` copies the rows too, for a caller that means to
+    change them.
     """
 
     def __init__(
@@ -242,8 +249,15 @@ class Table:
         return row
 
     def snapshot(self) -> list[dict]:
+        """Copies of the rows, the caller's to change."""
         with self._lock:
             return [dict(row) for row in self.rows]
+
+    def undo_image(self) -> list[dict]:
+        """A copy of the row list, sharing the rows: what a transaction
+        restores on rollback.  Faithful because rows are copy-on-write."""
+        with self._lock:
+            return list(self.rows)
 
     def restore(self, rows: Iterable[dict]) -> None:
         with self._lock:

@@ -16,8 +16,10 @@ from .database import Database
 class Transaction:
     """A single-database transaction with snapshot-based rollback.
 
-    The simulated engine is single-writer per submit, so a full table
-    snapshot (copy-on-first-touch) is a faithful and simple undo log.
+    The simulated engine is single-writer per submit, so the first touch of
+    a table records its undo image: a copy of the row list, not of the
+    rows, since rows are copy-on-write (:class:`~repro.relational.table.Table`).
+    Rollback restores that list.
     """
 
     def __init__(self, database: Database):
@@ -28,7 +30,7 @@ class Transaction:
 
     def _snapshot(self, table_name: str) -> None:
         if table_name not in self._snapshots:
-            self._snapshots[table_name] = self.db.table(table_name).snapshot()
+            self._snapshots[table_name] = self.db.table(table_name).undo_image()
 
     def execute(self, stmt, params: Sequence | None = None, plan=None):
         """Execute a statement inside this transaction.  ``plan`` is the

@@ -51,12 +51,14 @@ class RuntimeStats(SyncCounters):
 
 @dataclass
 class MiddlewareCostModel:
-    """CPU cost of mid-tier operator work, charged to the clock.
+    """CPU cost of mid-tier operator work, charged to the virtual clock.
 
     Source latencies dominate, but the middleware's share is what overlap
     optimizations (pipelined PP-k, async branches) hide latency *behind* —
     charging it keeps the virtual clock honest about the win while staying
-    small relative to a source roundtrip.
+    small relative to a source roundtrip.  A wall clock is not charged:
+    there the work's own CPU time is its cost, and sleeping the model on
+    top would count it twice.
     """
 
     #: hash-join + template-reconstruction cost per PP-k block tuple

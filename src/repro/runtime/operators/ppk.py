@@ -54,6 +54,7 @@ from __future__ import annotations
 import copy
 from typing import TYPE_CHECKING, Iterator
 
+from ...clock import VirtualClock
 from ...compiler.algebra import PPkLetClause, PushedSQL
 from ...compiler.costing import key_element
 from ...errors import DynamicError, SourceError
@@ -361,10 +362,13 @@ def _join_block(clause: PPkLetClause, block: list[dict],
     ctx = evaluator.ctx
     # The span covers only the middleware join charge, not the downstream
     # consumption of the joined tuples, so its elapsed time is exactly the
-    # operator's own work.
+    # operator's own work.  Only the virtual clock is charged: on a wall
+    # clock the join's CPU is paid by running it, and sleeping the modelled
+    # cost as well would count it twice.
     with ctx.tracer.start("ppk.join", op=clause.op_id,
                           tuples=len(block)):
-        ctx.clock.charge_ms(ctx.middleware.ppk_join_ms_per_tuple * len(block))
+        if isinstance(ctx.clock, VirtualClock):
+            ctx.clock.charge_ms(ctx.middleware.ppk_join_ms_per_tuple * len(block))
     build = template_fn(clause.pushed.template)
     for env, key in zip(block, keys):
         if type(key) is tuple:

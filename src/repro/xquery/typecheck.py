@@ -486,7 +486,10 @@ class TypeChecker:
                     key_types[var] = self.infer(expr, inner)
                 grouped_types = {}
                 for source, target in clause.grouped:
-                    source_type = inner.get(source, ITEM_STAR)
+                    if source in inner:
+                        source_type = inner[source]
+                    else:
+                        source_type = self._error(clause, f"undefined variable ${source}")
                     grouped_types[target] = source_type.with_occurrence(Occurrence.STAR) \
                         if not source_type.is_empty else source_type
                 # After grouping only the as-variables remain bound.

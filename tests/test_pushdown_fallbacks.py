@@ -3,8 +3,10 @@ pushable parts still ship and the rest evaluates mid-tier, with results
 always identical to naive evaluation (section 4.3's local reordering by
 "acceptability for pushdown")."""
 
+import pytest
 
 from repro.compiler import PushedSQL
+from repro.errors import DynamicError, SQLError
 from repro.xml import serialize
 
 from tests.conftest import build_platform
@@ -91,6 +93,27 @@ class TestScanFallback:
             0, {"LAST_NAME": None})
         [row2] = platform2.execute("CUSTOMER()")
         assert serialize(row) == serialize(row2)
+
+
+class TestArithmeticOnAStringColumn:
+    """Arithmetic on a string column fails with the engine's own error on
+    both sides of the pushdown boundary: pushed, the source raises
+    SQLError (as it does for a mixed comparison); mid-tier, the evaluator
+    raises DynamicError.  Neither is Python's TypeError."""
+
+    @pytest.mark.parametrize("query, sql", [
+        ("for $o in ORDER() return $o/OID + 1", 't1."OID" + 1'),
+        ("for $o in ORDER() return - $o/OID", '0 - t1."OID"'),
+    ])
+    def test_pushed_and_midtier(self, query, sql):
+        pushed = build_platform(deploy_profile=False)
+        assert sql in pushed.explain(query)
+        with pytest.raises(SQLError, match="cannot apply"):
+            pushed.execute(query)
+        naive = build_platform(deploy_profile=False)
+        naive.configure(pushdown=False)
+        with pytest.raises(DynamicError, match="cannot treat 'O1' as a number"):
+            naive.execute(query)
 
 
 class TestPushdownKnobs:

@@ -216,6 +216,21 @@ class TestErrors:
         with pytest.raises(SQLError):
             run(db, 'SELECT t1."AMOUNT" / 0 AS x FROM "ORDERS" t1')
 
+    @pytest.mark.parametrize("expr", ['t1."OID" + 1', '0 - t1."OID"', 't1."OID" * 2',
+                                      't1."OID" / 2', 't1."OID" % 2',
+                                      't1."OID" + t1."AMOUNT"'])
+    def test_arithmetic_on_a_string_raises_sql_error(self, db, expr):
+        # a database error, not Python's TypeError (or, for '*' and '%',
+        # Python's string repetition and formatting)
+        with pytest.raises(SQLError, match="cannot apply"):
+            run(db, f'SELECT {expr} AS x FROM "ORDERS" t1')
+
+    def test_plus_of_two_strings_concatenates(self, db):
+        # SQL Server's string '+'
+        rows = run(db, 'SELECT t1."OID" + t1."CID" AS x FROM "ORDERS" t1 '
+                       "WHERE t1.\"OID\" = 'O1'")
+        assert rows == [{"x": "O1C1"}]
+
     def test_bad_syntax(self, db):
         with pytest.raises(SQLError):
             parse_sql("SELECT FROM WHERE")

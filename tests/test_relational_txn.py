@@ -96,3 +96,56 @@ class TestTwoPhaseCommit:
         xa.branch(db).execute(UPDATE)
         xa.rollback()
         assert db.table("T").lookup_pk((1,))["V"] == "a"
+
+
+class TestUndoImage:
+    """A transaction's undo image is a copy of the row list: rows are
+    copy-on-write, so the list alone restores every table."""
+
+    def test_failed_xa_restores_rows_and_index_probes(self):
+        db1, db2 = make_db("one"), make_db("two")
+        db1.create_table("U", [("K", "INTEGER", False), ("W", "VARCHAR")],
+                         primary_key=["K"])
+        db1.load("U", [{"K": k, "W": f"w{k}"} for k in range(1, 6)])
+        tables = [db1.table("T"), db1.table("U"), db2.table("T")]
+        for table in tables:  # build the hash and ordered indexes first
+            table.probe(table.primary_key[0], [1])
+            table.probe_range(table.primary_key[0], [(">=", 2)])
+        before = [table.snapshot() for table in tables]
+
+        xa = TwoPhaseCommit()
+        branch = xa.branch(db1)
+        branch.execute(UPDATE)
+        branch.execute(parse_sql('INSERT INTO "U" ("K", "W") VALUES (9, \'new\')'))
+        branch.execute(parse_sql('DELETE FROM "U" WHERE "K" = 2'))
+        xa.branch(db2).execute(UPDATE)
+        assert db1.table("T").lookup_pk((1,))["V"] == "x"
+        assert db1.table("U").lookup_pk((9,)) is not None
+        db2.available = False  # the second branch votes no at prepare
+        with pytest.raises(TransactionError):
+            xa.commit()
+
+        for table, rows in zip(tables, before):
+            assert table.snapshot() == rows
+            key = table.primary_key[0]
+            for row in rows:
+                assert table.lookup_pk((row[key],)) == row
+                assert [r for _, r in table.probe(key, [row[key]])] == [row]
+            assert [r for _, r in table.probe_range(key, [(">=", 2)])] == \
+                [row for row in rows if row[key] >= 2]
+        assert db1.table("U").lookup_pk((9,)) is None
+        assert [r for _, r in db1.table("T").probe("V", ["x"])] == []
+
+    def test_update_at_leaves_the_old_row_unchanged(self):
+        table = make_db().table("T")
+        old = table.rows[0]
+        new = table.update_at(0, {"V": "z"})
+        assert old == {"ID": 1, "V": "a"}
+        assert new is not old and table.rows[0] is new
+
+    def test_snapshot_copies_rows_the_undo_image_shares_them(self):
+        table = make_db().table("T")
+        image, copies = table.undo_image(), table.snapshot()
+        assert image is not table.rows and image == copies
+        assert all(a is b for a, b in zip(image, table.rows))
+        assert not any(a is b for a, b in zip(copies, table.rows))

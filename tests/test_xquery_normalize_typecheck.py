@@ -151,6 +151,17 @@ class TestTypeInference:
         )
         assert "integer" in t.show()
 
+    def test_grouped_source_out_of_scope_is_undefined_variable(self):
+        query = "for $x in (1, 2) group $zz as $g by $x as $k return fn:count($g)"
+        with pytest.raises(TypeError_, match=r"undefined variable \$zz"):
+            checked(query)
+        _, _, checker = checked(query, mode="design")
+        assert checker.errors == ["undefined variable $zz"]
+        # the platform reports it as the static error, not as a plan-verifier
+        # invariant (ALDSP-E001/E002)
+        with pytest.raises(TypeError_, match=r"undefined variable \$zz"):
+            build_platform().execute(query)
+
 
 class TestOptimisticTyping:
     def test_typematch_inserted_on_overlap(self):

@@ -304,6 +304,78 @@ class TestStress:
         for name, cids in (("Jones", "<CID>C1</CID>"), ("Smith", "<CID>C2</CID>")):
             assert serialize(platform.execute(by_name, {"n": [_string(name)]})) == cids
 
+    def test_rolled_back_submits_race_keyed_readers(self, stressed, round):
+        """The undo image under fire: writer threads submit renames of C1
+        through the SDO path, flipping it between Jones and Smith, and every
+        third submit rolls back — its second XA branch (ccdb) rejects a
+        credit-card number after the custdb UPDATE ran — so rollback swaps
+        the saved row list back in and drops the indexes while readers
+        probe them.  The stand-in has no write isolation (a submit is
+        single-writer, see ``Transaction``), so the writers take turns; nor
+        read isolation, so a doomed rename goes to the other legal name.  A
+        reader sees C1 under one of the two names, once, with its credit
+        card as committed, never a source fault; at the end the table and
+        its indexes hold the last committed rename."""
+        from repro import serialize
+        from repro.errors import SQLError
+
+        platform, detector = stressed
+        custdb = platform.ctx.databases["custdb"]
+        customers = custdb.table("CUSTOMER")
+        by_name = "for $c in CUSTOMER() where $c/LAST_NAME eq $n return $c/CID"
+        legal = {
+            "Jones": {"<CID>C1</CID>", ""},
+            "Smith": {"<CID>C2</CID>", "<CID>C1</CID><CID>C2</CID>"},
+        }
+        committed = {"name": "Jones", "submits": 0, "rollbacks": 0}
+        turn = threading.Lock()
+
+        def write():
+            with turn:
+                rename = "Smith" if committed["name"] == "Jones" else "Jones"
+                [profile] = platform.read_for_update(
+                    "ProfileService", "getProfileByID", "C1")
+                profile.setLAST_NAME(rename)
+                committed["submits"] += 1
+                if committed["submits"] % 3:
+                    platform.submit(profile)
+                    committed["name"] = rename
+                    return
+                profile.set("CREDIT_CARDS/CREDIT_CARD/NUMBER", 0)  # not a VARCHAR
+                with pytest.raises(SQLError):
+                    platform.submit(profile)
+                committed["rollbacks"] += 1
+
+        def worker(index):
+            if index < 2:
+                for _ in range(OPS_PER_THREAD):
+                    write()
+                return
+            name = "Jones" if index % 2 else "Smith"
+            for _ in range(OPS_PER_THREAD):
+                seen = serialize(platform.execute(by_name, {"n": [_string(name)]}))
+                assert seen in legal[name], seen
+                [profile] = platform.call("getProfileByID", [_string("C1")])
+                text = serialize(profile)
+                assert text.count("<LAST_NAME>") == 1, text
+                assert "<LAST_NAME>Jones<" in text or "<LAST_NAME>Smith<" in text, text
+                assert "<NUMBER>440001</NUMBER>" in text, text
+
+        expected = customers.snapshot()
+        hammer(platform, worker)
+        assert_race_free(detector)
+        assert committed["rollbacks"] == 2 * OPS_PER_THREAD // 3
+        expected[0]["LAST_NAME"] = committed["name"]
+        assert customers.snapshot() == expected
+        for columns, index in customers._indexes.items():
+            assert index == _fresh_index(customers, columns), columns
+        for position, row in enumerate(expected):
+            assert customers.lookup_pk((row["CID"],)) == row
+            assert customers.probe("LAST_NAME", [row["LAST_NAME"]]).count(
+                (position, row)) == 1
+        cards = platform.ctx.databases["ccdb"].table("CREDIT_CARD")
+        assert cards.lookup_pk(("CC1",))["NUMBER"] == "440001"
+
     def test_range_readers_race_a_writer_of_the_ranged_column(self, stressed, round):
         """The backend's ordered access path under fire: a writer moves
         C1's SINCE in and out of the window the readers scan — every
@@ -474,6 +546,15 @@ class TestStress:
         snapshot = platform.metrics_snapshot()
         assert snapshot["concurrency.races"] == 0
         assert snapshot["concurrency.guarded_accesses"] > 0
+
+
+def _fresh_index(table, columns):
+    from repro.relational.table import _HashIndex, _index_key
+
+    index = _HashIndex()
+    for position, row in enumerate(table.rows):
+        index.add(_index_key(row, columns), position)
+    return index
 
 
 def _integer(value: int):
