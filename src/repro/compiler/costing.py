@@ -417,7 +417,13 @@ def admission_cost(plan_expr: ast.AstNode, catalog=None) -> float:
     under cold priors (or real statistics when ``catalog`` is given),
     normalized so one keyed roundtrip is 1.0.  Admission control only
     needs the ordering (lookup < join < scan); the estimator provides it
-    from the same formulas the optimizer costs plans with."""
+    from the same formulas the optimizer costs plans with.
+
+    With no ``catalog`` the price depends on the plan alone, so it is
+    worked out once per plan and memoized on its root (a memo like
+    ``_batch_stages``: a plan is never rewritten once it runs)."""
+    if catalog is None and plan_expr._admission_cost is not None:
+        return plan_expr._admission_cost
     total_ms = 0.0
     inside: set[int] = set()
     for node in plan_expr.walk():
@@ -438,7 +444,10 @@ def admission_cost(plan_expr: ast.AstNode, catalog=None) -> float:
                 total_ms += rt + _table_rows(node.table_meta, catalog) * pr
             else:
                 total_ms += PRIOR_FUNCTIONAL_MS
-    return max(total_ms / ADMISSION_UNIT_MS, 1.0)
+    cost = max(total_ms / ADMISSION_UNIT_MS, 1.0)
+    if catalog is None:
+        plan_expr._admission_cost = cost
+    return cost
 
 
 def _source_latency(source: str | None, catalog) -> tuple[float, float]:

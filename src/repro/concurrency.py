@@ -10,7 +10,8 @@ instead of hoped-for:
   release to the active race detector.  With the detector off (the
   default), the report is a :class:`NoopRaceDetector` counter bump — no
   allocation, no tracking — the same unconditional-callsite contract the
-  tracer established (O-OBS).
+  tracer established (O-OBS).  A contended acquire yields the interpreter
+  and retries before it sleeps on the lock (the wait rule below).
 * :func:`guarded_by` — a class decorator declaring which lock guards a
   class's shared mutable attributes.  The static concurrency lint
   (:mod:`repro.analysis.static`) reads the declaration and verifies every
@@ -28,12 +29,27 @@ The active detector is a **process-wide** slot (:data:`RACE`), mirroring
 how eraser-style tools instrument a whole process; install one with
 ``Platform.set_race_detector(True)`` (debug mode only — lockset tracking
 captures stacks and is deliberately not cheap).
+
+**The wait rule.**  Under the GIL, a thread that sleeps in a blocking
+``RLock.acquire`` becomes the lock's owner when it is released, but then
+waits up to the switch interval for the interpreter while holding the
+lock; the running thread soon needs the same lock, blocks, and hands the
+interpreter back.  From then on the two alternate at every acquire — the
+lock convoy of Blasgen, Gray et al. (1979) — and any lock taken once per
+request is enough to start one.  So a contended :meth:`TrackedRLock.acquire`
+does not sleep on the lock: it yields the interpreter (``time.sleep(0)``
+releases the GIL) and retries without blocking, up to
+:data:`YIELD_BOUND` times, and only then falls back to the blocking
+acquire with what is left of its timeout.  Engine critical sections are
+short, so the holder almost always finishes within one yield; an
+uncontended acquire is still one call on the lock.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import threading
+import time
 
 
 class NoopRaceDetector:
@@ -97,12 +113,23 @@ def race_detector():
     return RACE.detector
 
 
+#: how many times a contended :meth:`TrackedRLock.acquire` yields the
+#: interpreter and retries before it falls back to the blocking acquire
+YIELD_BOUND = 1000
+
+
 class TrackedRLock:
     """A reentrant lock whose acquires/releases the race detector can see.
 
     The detector is notified *after* a successful acquire and *before* the
     release, so its view of the held-lock set is consistent at every
     guarded-access hook in between.
+
+    An acquire first tries the lock without blocking.  If another thread
+    holds it and the caller may block, it yields the interpreter and
+    retries, at most :data:`YIELD_BOUND` times, then blocks on the lock
+    for the rest of ``timeout`` — the module's wait rule, which keeps two
+    request threads from falling into a lock convoy.
     """
 
     __slots__ = ("name", "_lock")
@@ -112,10 +139,24 @@ class TrackedRLock:
         self._lock = threading.RLock()
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        acquired = self._lock.acquire(blocking, timeout)
-        if acquired:
+        if self._lock.acquire(False) or blocking and self._wait(timeout):
             RACE.detector.on_acquire(self)
-        return acquired
+            return True
+        return False
+
+    def _wait(self, timeout: float) -> bool:
+        """The contended acquire: yield and retry, then block."""
+        lock = self._lock
+        deadline = time.monotonic() + timeout if timeout >= 0 else None
+        for _ in range(YIELD_BOUND):
+            time.sleep(0)
+            if lock.acquire(False):
+                return True
+            if deadline is not None and time.monotonic() >= deadline:
+                return False
+        if deadline is None:
+            return lock.acquire(True, timeout)
+        return lock.acquire(True, max(0.0, deadline - time.monotonic()))
 
     def release(self) -> None:
         RACE.detector.on_release(self)

@@ -70,6 +70,8 @@ class SecurityService:
     def __init__(self):
         self._function_roles: dict[str, frozenset[str]] = {}
         self._resources: list[ElementResource] = []
+        #: the element names a protected path starts at
+        self._roots: frozenset[str] = frozenset()
         self.auditing_enabled = False
         self.audit_log: list[AuditRecord] = []
 
@@ -89,6 +91,8 @@ class SecurityService:
             raise SecurityError(f"unknown resource action {action!r}")
         resource = ElementResource(tuple(path), frozenset(roles), action, replacement)
         self._resources.append(resource)
+        if resource.path:
+            self._roots |= {resource.path[0]}
         return resource
 
     def enable_auditing(self) -> None:
@@ -117,12 +121,13 @@ class SecurityService:
 
     def filter_items(self, items: list[Item], user: User) -> list[Item]:
         """Apply element-level policies; returns filtered copies (cached
-        originals are never mutated — the cache is shared across users)."""
+        originals are never mutated — the cache is shared across users).
+        An element no protected path starts at is returned as it is."""
         if not self._resources or "admin" in user.roles:
             return items
         result: list[Item] = []
         for item in items:
-            if isinstance(item, ElementNode):
+            if isinstance(item, ElementNode) and item.name.local in self._roots:
                 filtered = self._filter_element(item.deep_copy(), (item.name.local,), user)
                 if filtered is not None:
                     result.append(filtered)

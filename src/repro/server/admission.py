@@ -14,9 +14,9 @@ gates, in order:
    is at or under the threshold — cheap keyed lookups keep flowing while
    full scans are refused, reason ``"cost"``), and ``overload`` (past
    the hard limit: refuse everything, reason ``"overload"``);
-3. **concurrency bound** — admitted requests execute under a semaphore
-   of ``max_concurrent`` workers; the gap between admitted depth and the
-   worker bound is the queue whose length the states watch.
+3. **concurrency bound** — admitted requests execute in one of
+   ``max_concurrent`` worker slots; the gap between admitted depth and
+   the worker bound is the queue whose length the states watch.
 
 Every rejection is a structured :class:`~repro.errors.AdmissionError`
 carrying the tenant, the reason, the controller state and a
@@ -24,9 +24,15 @@ carrying the tenant, the reason, the controller state and a
 failure*: a well-behaved client backs off exactly that long and the
 closed-loop driver in :mod:`repro.server.driver` does.
 
-Thread-safety (A-CONC): one lock guards the buckets, the depth counter
-and the shed/admit counters; the execution semaphore is its own
-primitive (blocking on it under ``_lock`` would deadlock admission).
+Thread-safety (A-CONC): one lock guards the buckets, the depth counter,
+the shed/admit counters and the worker slots.  The slots are a count
+under that lock, not a ``threading.Semaphore``: a semaphore takes the
+kernel lock inside its ``Condition`` on every request, and a contended
+kernel lock is how a lock convoy starts (:mod:`repro.concurrency`).  A
+request waits only when every slot is busy — on a lock of its own,
+outside ``_lock`` — and a finishing request frees its slot and wakes the
+oldest waiter to try again.  As with the semaphore, a request arriving
+meanwhile may take the slot first; the woken one then waits again.
 """
 
 from __future__ import annotations
@@ -85,15 +91,18 @@ class TokenBucket:
 
 
 class AdmissionTicket:
-    """Held for the duration of an admitted request; releasing it frees
-    the worker slot and drops the controller's depth."""
+    """Held for the duration of an admitted request; entering it takes a
+    worker slot, releasing it frees the slot and drops the controller's
+    depth."""
 
     def __init__(self, controller: "AdmissionController"):
         self._controller = controller
+        self._slot = False
         self._released = False
 
     def __enter__(self) -> "AdmissionTicket":
-        self._controller._workers.acquire()
+        self._controller._take_slot()
+        self._slot = True
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -102,8 +111,7 @@ class AdmissionTicket:
     def release(self) -> None:
         if not self._released:
             self._released = True
-            self._controller._workers.release()
-            self._controller._finish()
+            self._controller._finish(self._slot)
 
 
 STATE_OPEN = "open"
@@ -115,9 +123,9 @@ STATE_OVERLOAD = "overload"
 class AdmissionController:
     """Per-tenant quotas + depth-driven load shedding.
 
-    Thread-safety (A-CONC): ``_lock`` guards the bucket map, the depth
-    and every counter.  ``_workers`` (the execution semaphore) is only
-    ever acquired *outside* ``_lock``."""
+    Thread-safety (A-CONC): ``_lock`` guards the bucket map, the depth,
+    every counter, the free worker slots and the queue of requests
+    waiting for one.  A waiter blocks on its own lock *outside* ``_lock``."""
 
     def __init__(self, clock: Clock, max_concurrent: int = 8,
                  queue_soft: int = 16, queue_hard: int = 32,
@@ -132,7 +140,11 @@ class AdmissionController:
         self.cost_threshold = cost_threshold
         self.default_quota = default_quota
         self._lock = TrackedRLock("AdmissionController")
-        self._workers = threading.Semaphore(max_concurrent)
+        #: worker slots not held by a running request
+        self.free_slots = max_concurrent
+        #: requests waiting for a slot, oldest first: each blocks on its
+        #: own held lock until a finishing request releases it
+        self._slot_waiters: deque[threading.Lock] = deque()
         self._buckets: dict[str, TokenBucket] = {}
         self.depth = 0          # admitted and not yet finished
         self.admitted = 0
@@ -246,10 +258,31 @@ class AdmissionController:
             self._service_ms_ewma += 0.2 * (elapsed_ms - self._service_ms_ewma)
             RACE.detector.on_access(self, "_service_ms_ewma", True)
 
-    def _finish(self) -> None:
+    def _take_slot(self) -> None:
+        """Take a worker slot, waiting only when every slot is busy."""
+        while True:
+            with self._lock:
+                if self.free_slots:
+                    self.free_slots -= 1
+                    RACE.detector.on_access(self, "free_slots", True)
+                    return
+                waiter = threading.Lock()
+                waiter.acquire()
+                self._slot_waiters.append(waiter)
+                RACE.detector.on_access(self, "_slot_waiters", True)
+            waiter.acquire()  # released by a finishing request: try again
+
+    def _finish(self, slot: bool) -> None:
+        """An admitted request is done: drop the depth and, if it took a
+        slot, free the slot and wake the oldest waiter."""
         with self._lock:
             self.depth -= 1
             RACE.detector.on_access(self, "depth", True)
+            if slot:
+                self.free_slots += 1
+                RACE.detector.on_access(self, "free_slots", True)
+                if self._slot_waiters:
+                    self._slot_waiters.popleft().release()
 
     def snapshot(self) -> dict:
         with self._lock:

@@ -16,8 +16,8 @@ Request path, in order:
 4. **admit or shed** — quotas, load state and the cost threshold
    (:mod:`repro.server.admission`); sheds raise structured
    :class:`~repro.errors.AdmissionError`\\ s with a retry-after hint;
-5. **execute under deadline** — admitted requests run under the worker
-   semaphore with the request budget as the deadline of the platform's
+5. **execute under deadline** — admitted requests run in a worker slot
+   with the request budget as the deadline of the platform's
    (nested) request, so retries/backoffs/attempts inside PP-k blocks and
    scatter branches stop the moment the request is doomed.
 

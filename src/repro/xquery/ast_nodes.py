@@ -73,6 +73,7 @@ class AstNode:
 
     _rowfn: Optional[Callable] = None  # ``rowcompile.rowfn``
     _template_fn: Optional[Callable] = None  # ``pushedsql.template_fn``
+    _admission_cost: Optional[float] = None  # ``costing.admission_cost``
 
     def __init__(self):
         self.static_type = None

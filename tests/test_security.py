@@ -83,6 +83,17 @@ class TestElementResources:
         [filtered] = service.filter_items([doc], AGENT)
         assert "<NUMBER>XXXX</NUMBER>" in serialize(filtered)
 
+    def test_unprotected_roots_pass_through_unchanged(self):
+        service = SecurityService()
+        service.enable_auditing()
+        service.protect_element(("PROFILE", "SSN"), ["manager"])
+        other = element("C", element("SSN", "111-22-3333"))
+        [passed, filtered] = service.filter_items([other, sample_profile()], AGENT)
+        assert passed is other  # no protected path starts at <C>
+        assert "<SSN>" not in serialize(filtered)
+        assert [(r.subject, r.decision) for r in service.audit_log] == \
+            [("PROFILE/SSN", "remove")]
+
     def test_bad_action_rejected(self):
         with pytest.raises(SecurityError):
             SecurityService().protect_element(("X",), [], action="explode")
@@ -110,6 +121,41 @@ class TestPostCacheFiltering:
             ("CID",), ["manager"], action="replace", replacement="?")
         out = platform.execute("for $c in CUSTOMER() return $c/CID", user=AGENT)
         assert serialize(out[0]) == "<CID>?</CID>"
+
+
+class TestServedTenantFiltering:
+    def test_scan_and_lookup_answers_and_audit_records(self):
+        """A tenant under a ``PROFILE/CREDIT_CARDS`` policy: a ``<C>`` scan
+        (no policy starts at ``<C>``) and a ``getProfileByID`` give the
+        answers and audit records they always have."""
+        from repro.demo import build_demo_platform
+        from repro.server import DataServer
+        from repro.xml.items import AtomicValue
+
+        platform = build_demo_platform(customers=3)
+        server = DataServer(platform)
+        server.register_tenant("acme", "pw", roles=("agent",))
+        platform.security.protect_element(("PROFILE", "CREDIT_CARDS"), ["manager"])
+        platform.security.enable_auditing()
+        session = server.open_session("acme", "pw")
+        scan = server.execute(
+            session.session_id,
+            "for $c in CUSTOMER() return <C>{$c/CID}{$c/LAST_NAME}</C>")
+        lookup = server.execute(session.session_id, "getProfileByID($id)",
+                                {"id": [AtomicValue("C2", "xs:string")]})
+        assert [serialize(item) for item in scan.items] == [
+            "<C><CID>C1</CID><LAST_NAME>Jones</LAST_NAME></C>",
+            "<C><CID>C2</CID><LAST_NAME>Smith</LAST_NAME></C>",
+            "<C><CID>C3</CID><LAST_NAME>Nguyen</LAST_NAME></C>"]
+        assert [serialize(item) for item in lookup.items] == [
+            "<PROFILE><CID>C2</CID><LAST_NAME>Smith</LAST_NAME><ORDERS>"
+            "<ORDER><OID>O4</OID><CID>C2</CID><AMOUNT>40</AMOUNT></ORDER>"
+            "<ORDER><OID>O5</OID><CID>C2</CID><AMOUNT>50</AMOUNT></ORDER>"
+            "<ORDER><OID>O6</OID><CID>C2</CID><AMOUNT>60</AMOUNT></ORDER>"
+            "</ORDERS><RATING>702</RATING></PROFILE>"]
+        assert [(r.kind, r.subject, r.user, r.decision)
+                for r in platform.security.audit_log] == [
+            ("element-filter", "PROFILE/CREDIT_CARDS", "acme", "remove")]
 
 
 class TestAuditing:

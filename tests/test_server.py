@@ -153,6 +153,17 @@ class TestCostEstimation:
         platform = build_demo_platform()
         assert admission_cost(platform.prepare("1 + 1").expr) == 1.0
 
+    def test_priced_once_per_plan(self):
+        """The plan-cache hit shares its root, and the price rides on it:
+        a second request reads the memo instead of walking the plan."""
+        platform = build_demo_platform()
+        first = platform.prepare(SCAN).expr
+        cost = admission_cost(first)
+        again = platform.prepare(SCAN).expr
+        assert again is first and again._admission_cost == cost
+        again._admission_cost = -1.0  # a stand-in only the memo can return
+        assert admission_cost(platform.prepare(SCAN).expr) == -1.0
+
 
 # ---------------------------------------------------------------------------
 # sessions

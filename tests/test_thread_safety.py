@@ -6,12 +6,14 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 
 import pytest
 
+from repro import concurrency
 from repro.analysis import LocksetDetector
 from repro.clock import WallClock
-from repro.concurrency import set_race_detector
+from repro.concurrency import RACE, YIELD_BOUND, TrackedRLock, set_race_detector
 from repro.relational.database import Database, LatencyModel, SourceStats
 from repro.runtime.asyncexec import AsyncExecutor
 from repro.runtime.cache import FunctionCache
@@ -62,6 +64,175 @@ def _fast_db(name: str = "db") -> Database:
     db.create_table("T", [("ID", "VARCHAR", False), ("N", "INTEGER")],
                     primary_key=["ID"])
     return db
+
+
+class _Spied:
+    """Stands in for a ``TrackedRLock``'s inner lock: counts the
+    non-blocking tries and the blocking calls made on it after
+    :meth:`watch` (the holder's own acquire comes before), and runs a hook
+    before each."""
+
+    def __init__(self):
+        self._lock = threading.RLock()
+        self.tries = 0
+        self.blocking_calls = 0
+        self.on_try = self.on_block = None
+
+    def watch(self, on_try=None, on_block=None):
+        self.on_try, self.on_block = on_try, on_block
+        self.tries = self.blocking_calls = 0
+
+    def acquire(self, blocking=True, timeout=-1):
+        if blocking:
+            self.blocking_calls += 1
+            if self.on_block is not None:
+                self.on_block()
+        else:
+            self.tries += 1
+            if self.on_try is not None:
+                self.on_try(self.tries)
+        return self._lock.acquire(blocking, timeout)
+
+    def release(self):
+        self._lock.release()
+
+
+class _CountingTime:
+    """The ``time`` module as ``repro.concurrency`` sees it, counting the
+    yields (``sleep(0)``)."""
+
+    def __init__(self):
+        self.yields = 0
+
+    def sleep(self, seconds):
+        self.yields += 1
+        time.sleep(seconds)
+
+    monotonic = staticmethod(time.monotonic)
+
+
+def _spied_lock(monkeypatch):
+    lock = TrackedRLock("spied")
+    lock._lock = spied = _Spied()
+    clock = _CountingTime()
+    monkeypatch.setattr(concurrency, "time", clock)
+    return lock, spied, clock
+
+
+def _in_thread(fn):
+    """Start ``fn`` on a thread; the returned dict gets its result."""
+    out = {}
+    thread = threading.Thread(target=lambda: out.update(result=fn()), daemon=True)
+    thread.start()
+    return thread, out
+
+
+def _joined(thread) -> None:
+    thread.join(10)
+    assert not thread.is_alive()
+
+
+class TestContendedAcquire:
+    """The wait rule: a contended acquire yields the interpreter and
+    retries before it ever sleeps on the lock."""
+
+    def test_contended_acquire_yields_and_never_blocks(self, monkeypatch):
+        lock, spied, clock = _spied_lock(monkeypatch)
+        lock.acquire()  # held by this thread
+        tried, released = threading.Event(), threading.Event()
+
+        def on_try(n):
+            if n == 3:  # two yields in: the holder lets go before this try
+                tried.set()
+                assert released.wait(10)
+
+        spied.watch(on_try=on_try)
+        waiter, out = _in_thread(lock.acquire)
+        assert tried.wait(10)
+        lock.release()
+        released.set()
+        _joined(waiter)
+        assert out["result"] is True
+        assert spied.blocking_calls == 0
+        assert spied.tries == 3 and clock.yields == 2
+
+    def test_holder_past_the_bound_makes_one_blocking_acquire(self, monkeypatch):
+        lock, spied, clock = _spied_lock(monkeypatch)
+        lock.acquire()
+        blocking = threading.Event()
+        spied.watch(on_block=blocking.set)
+        waiter, out = _in_thread(lock.acquire)
+        assert blocking.wait(30)
+        lock.release()
+        _joined(waiter)
+        assert out["result"] is True
+        assert spied.blocking_calls == 1
+        assert spied.tries == 1 + YIELD_BOUND and clock.yields == YIELD_BOUND
+
+    def test_timeout_returns_false_on_time(self, monkeypatch):
+        lock, spied, _ = _spied_lock(monkeypatch)
+        lock.acquire()
+        start = time.monotonic()
+        waiter, out = _in_thread(lambda: lock.acquire(timeout=0.05))
+        _joined(waiter)
+        elapsed = time.monotonic() - start
+        assert out["result"] is False
+        assert 0.05 <= elapsed < 5.0
+        waiter, out = _in_thread(lambda: lock.acquire(timeout=0))
+        _joined(waiter)
+        assert out["result"] is False
+        lock.release()  # free: a timed acquire takes it at once
+        waiter, out = _in_thread(lambda: (lock.acquire(timeout=0.05), lock.release())[0])
+        _joined(waiter)
+        assert out["result"] is True
+
+    def test_non_blocking_and_reentrancy_are_unchanged(self, monkeypatch):
+        lock, spied, clock = _spied_lock(monkeypatch)
+        assert lock.acquire() and lock.acquire(blocking=False)  # re-entered
+        waiter, out = _in_thread(lambda: lock.acquire(blocking=False))
+        _joined(waiter)
+        assert out["result"] is False
+        lock.release()
+        waiter, out = _in_thread(lambda: lock.acquire(blocking=False))
+        _joined(waiter)
+        assert out["result"] is False  # still held once
+        lock.release()
+        waiter, out = _in_thread(
+            lambda: lock.acquire(blocking=False) and (lock.release() or True))
+        _joined(waiter)
+        assert out["result"] is True
+        assert clock.yields == 0 and spied.blocking_calls == 0
+
+    def test_the_race_detector_sees_every_acquire(self, monkeypatch, detector):
+        lock, spied, _ = _spied_lock(monkeypatch)
+        box = {"n": 0}
+
+        def bump():
+            with lock:
+                box["n"] += 1
+                RACE.detector.on_access(lock, "n", True)
+
+        lock.acquire()
+        tried, released = threading.Event(), threading.Event()
+
+        def on_try(n):
+            if n == 2:
+                tried.set()
+                assert released.wait(10)
+
+        spied.watch(on_try=on_try)
+        waiter = threading.Thread(target=bump)
+        waiter.start()
+        assert tried.wait(10)
+        before = detector.lock_acquisitions
+        lock.release()
+        released.set()
+        _joined(waiter)
+        spied.watch()
+        bump()
+        assert detector.lock_acquisitions == before + 2
+        assert box["n"] == 2
+        assert detector.races == [], detector.report_text()
 
 
 class TestFunctionCache:

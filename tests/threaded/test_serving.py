@@ -10,6 +10,7 @@ for the acceptance gate.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -128,6 +129,57 @@ class TestServingConcurrency:
                       + snapshot["admission"]["shed_overload"]
                       + snapshot["admission"]["shed_quota"])
         assert shed_total == result.shed
+
+    def test_worker_slots_bound_in_flight(self, stressed, round):  # noqa: F811
+        """More clients than worker slots: in flight never exceeds
+        ``max_concurrent``, every request completes or sheds, and the
+        flight-recorder ledger reconciles with admission."""
+        platform, detector = stressed
+        admission = AdmissionController(
+            platform.clock, max_concurrent=2, queue_soft=6, queue_hard=8)
+        server = DataServer(platform, admission=admission,
+                            default_budget_ms=30_000.0)
+        server.register_tenant("acme", "pw", roles=("analyst",))
+        execute, gauge = platform.execute, threading.Lock()
+        flight = {"now": 0, "peak": 0}
+
+        def counted(*args, **kwargs):
+            with gauge:
+                flight["now"] += 1
+                flight["peak"] = max(flight["peak"], flight["now"])
+            try:
+                time.sleep(0.001)  # hold the slot: the others queue
+                return execute(*args, **kwargs)
+            finally:
+                with gauge:
+                    flight["now"] -= 1
+
+        platform.execute = counted
+        clients, per_client = 8, 10
+        outcomes = []
+
+        def worker(index):
+            session = server.open_session("acme", "pw")
+            for i in range(per_client):
+                try:
+                    server.execute(session.session_id, LOOKUP,
+                                   {"id": [_string(f"C{1 + (index + i) % 4}")]})
+                    outcomes.append("completed")
+                except AdmissionError:
+                    outcomes.append("shed")
+            server.close_session(session.session_id)
+
+        hammer(platform, worker, threads=clients)
+        assert_race_free(detector)
+        assert flight["peak"] == admission.max_concurrent
+        assert len(outcomes) == clients * per_client
+        ledger = server.snapshot()["flight"]["outcomes"]
+        assert ledger.get("completed", 0) == outcomes.count("completed")
+        assert ledger.get("shed", 0) == outcomes.count("shed")
+        assert ledger.get("completed", 0) + ledger.get("deadline", 0) \
+            + ledger.get("error", 0) == admission.admitted
+        assert admission.depth == 0
+        assert admission.free_slots == admission.max_concurrent
 
     def test_admission_depth_exact_under_contention(self, stressed, round):  # noqa: F811
         """Lost updates on the depth counter would strand the controller
